@@ -76,11 +76,19 @@ std::optional<Journal> Journal::load(const std::string& path) {
   bool ok = std::fread(&h, sizeof(h), 1, f) == 1 &&
             std::memcmp(h.magic, kMagic, sizeof(kMagic)) == 0 && h.version == 1 &&
             h.record_size == sizeof(Record);
+  // Trust the header's count only as far as the file backs it: a corrupt count
+  // must not size the allocation, and a crash dump cut mid-record loads its prefix.
+  const long end = ok && std::fseek(f, 0, SEEK_END) == 0 ? std::ftell(f) : -1;
+  ok = end >= static_cast<long>(sizeof(h)) && std::fseek(f, sizeof(h), SEEK_SET) == 0;
   Journal j(Config{path, std::numeric_limits<std::size_t>::max()});
   if (ok) {
-    j.records_.resize(h.count);
-    if (h.count != 0)
-      ok = std::fread(j.records_.data(), sizeof(Record), h.count, f) == h.count;
+    const std::size_t held = (static_cast<std::size_t>(end) - sizeof(h)) / sizeof(Record);
+    if (h.count > held)
+      std::fprintf(stderr, "obs: journal %s truncated: header claims %llu records, loading %zu\n",
+                   path.c_str(), static_cast<unsigned long long>(h.count), held);
+    const std::size_t n = std::min<std::uint64_t>(h.count, held);
+    j.records_.resize(n);
+    if (n != 0) ok = std::fread(j.records_.data(), sizeof(Record), n, f) == n;
     j.dropped_ = h.dropped;
     j.runs_ = h.runs;
   }

@@ -131,7 +131,8 @@ class Journal {
   [[nodiscard]] bool write() const;
   [[nodiscard]] bool write(const std::string& path) const;
 
-  /// Reads a journal written by write(); nullopt on open/format errors.
+  /// Reads a journal written by write(); nullopt on open/format errors.  A
+  /// truncated file loads its whole-record prefix, with a stderr warning.
   [[nodiscard]] static std::optional<Journal> load(const std::string& path);
 
  private:

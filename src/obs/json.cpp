@@ -50,19 +50,20 @@ void Json::append_number(std::string& out, double v) {
     return;
   }
   char buf[32];
-  if (v == std::floor(v) && std::abs(v) < 1e15) {
-    const auto [ptr, ec] =
-        std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(v));
-    out.append(buf, static_cast<std::size_t>(ptr - buf));
-    return;
-  }
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  const bool integral = v == std::floor(v) && std::abs(v) < 1e15;
+  const auto [ptr, ec] = integral ? std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(v))
+                                  : std::to_chars(buf, buf + sizeof(buf), v);
   out.append(buf, static_cast<std::size_t>(ptr - buf));
 }
 
 void Json::append_quoted(std::string& out, std::string_view s) {
   out += '"';
-  for (const char c : s) {
+  std::size_t plain = 0;  // start of the pending run that needs no escaping
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (static_cast<unsigned char>(c) >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, plain, i - plain);
+    plain = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -71,49 +72,43 @@ void Json::append_quoted(std::string& out, std::string_view s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        out += buf;
+      }
     }
   }
+  out.append(s, plain);
   out += '"';
 }
 
 void Json::dump_to(std::string& out) const {
-  if (is_null()) {
-    out += "null";
-  } else if (is_bool()) {
-    out += std::get<bool>(value_) ? "true" : "false";
-  } else if (is_number()) {
-    append_number(out, std::get<double>(value_));
-  } else if (is_string()) {
-    append_quoted(out, std::get<std::string>(value_));
-  } else if (is_array()) {
-    out += '[';
-    bool first = true;
-    for (const Json& v : std::get<Array>(value_)) {
-      if (!first) out += ',';
-      first = false;
-      v.dump_to(out);
-    }
-    out += ']';
-  } else {
-    out += '{';
-    bool first = true;
-    for (const auto& [k, v] : std::get<Object>(value_)) {
-      if (!first) out += ',';
-      first = false;
-      append_quoted(out, k);
-      out += ':';
-      v.dump_to(out);
-    }
-    out += '}';
+  switch (value_.index()) {  // alternatives in value_'s declaration order
+    case 0: out += "null"; return;
+    case 1: out += std::get<1>(value_) ? "true" : "false"; return;
+    case 2: append_number(out, std::get<2>(value_)); return;
+    case 3: append_quoted(out, std::get<3>(value_)); return;
+    case 4:
+      out += '[';
+      for (const Json& v : std::get<4>(value_)) {
+        v.dump_to(out);
+        out += ',';
+      }
+      break;
+    default:
+      out += '{';
+      for (const auto& [k, v] : std::get<5>(value_)) {
+        append_quoted(out, k);
+        out += ':';
+        v.dump_to(out);
+        out += ',';
+      }
   }
+  // The last member's comma becomes the closer; an empty one ends in its opener.
+  const char close = value_.index() == 4 ? ']' : '}';
+  if (out.back() == ',') out.back() = close;
+  else out += close;
 }
 
 std::string Json::dump() const {

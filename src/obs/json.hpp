@@ -39,8 +39,9 @@ class Json {
   Json(std::string_view s) : value_(std::string(s)) {}
   Json(const char* s) : value_(std::string(s)) {}
 
-  [[nodiscard]] static Json object() { return Json(Object{}); }
-  [[nodiscard]] static Json array() { return Json(Array{}); }
+  /// Empty object / array with room reserved for `capacity` members.
+  [[nodiscard]] static Json object(std::size_t capacity = 0) { return reserved<Object>(capacity); }
+  [[nodiscard]] static Json array(std::size_t capacity = 0) { return reserved<Array>(capacity); }
 
   [[nodiscard]] bool is_null() const { return std::holds_alternative<std::nullptr_t>(value_); }
   [[nodiscard]] bool is_bool() const { return std::holds_alternative<bool>(value_); }
@@ -81,8 +82,12 @@ class Json {
   static void append_quoted(std::string& out, std::string_view s);
 
  private:
-  explicit Json(Array a) : value_(std::move(a)) {}
-  explicit Json(Object o) : value_(std::move(o)) {}
+  template <class V>
+  static Json reserved(std::size_t n) {
+    Json j;
+    j.value_.emplace<V>().reserve(n);
+    return j;
+  }
 
   void dump_to(std::string& out) const;
 

@@ -31,11 +31,9 @@ constexpr double kUsPerSecond = 1e6;
 
 TraceSink::TraceSink(Config config) : config_(std::move(config)) {
   // Pre-name the fixed per-layer tracks so every trace groups the same way.
-  name_process(kPidEngine, "des engine");
-  name_process(kPidProtocol, "adaptive protocol");
-  name_process(kPidStorage, "storage targets");
-  name_process(kPidMds, "metadata server");
-  name_process(kPidRuntime, "thread runtime");
+  for (std::uint32_t pid = kPidEngine; pid <= kPidRuntime; ++pid)
+    meta_.push_back(Event{'M', 0, pid, 0, 0.0, "process_name",
+                          Args{{"name", Json(kLayerNames[pid - kPidEngine])}}, 0.0});
 }
 
 std::unique_ptr<TraceSink> TraceSink::from_env(int slot) {
@@ -58,12 +56,6 @@ std::unique_ptr<TraceSink> TraceSink::from_env(int slot) {
     }
   }
   return std::make_unique<TraceSink>(std::move(cfg));
-}
-
-void TraceSink::name_process(std::uint32_t pid, std::string name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  meta_.push_back(Event{'M', 0, pid, 0, 0.0, "process_name",
-                        Args{{"name", Json(std::move(name))}}, 0.0});
 }
 
 void TraceSink::name_thread(std::uint32_t pid, std::uint32_t tid, std::string name) {
@@ -164,27 +156,6 @@ void TraceSink::append_event(std::string& out, const Event& e) {
     out += '}';
   }
   out += '}';
-}
-
-Json TraceSink::to_json() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Json doc = Json::object();
-  Json events = Json::array();
-  auto one = [&events](const Event& e) {
-    std::string s;
-    append_event(s, e);
-    events.push(*Json::parse(s));
-  };
-  for (const Event& e : meta_) one(e);
-  for (const Event& e : events_) one(e);
-  doc.set("traceEvents", std::move(events));
-  doc.set("displayTimeUnit", "ms");
-  Json other = Json::object();
-  other.set("dropped", static_cast<double>(dropped_));
-  other.set("events", static_cast<double>(events_.size()));
-  other.set("categories", static_cast<double>(config_.categories));
-  doc.set("otherData", std::move(other));
-  return doc;
 }
 
 void TraceSink::write(std::ostream& out) const {

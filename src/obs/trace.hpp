@@ -53,6 +53,9 @@ inline constexpr std::uint32_t kPidProtocol = 2;
 inline constexpr std::uint32_t kPidStorage = 3;
 inline constexpr std::uint32_t kPidMds = 4;
 inline constexpr std::uint32_t kPidRuntime = 5;
+/// Process names of kPidEngine..kPidRuntime, in pid order.
+inline constexpr const char* kLayerNames[] = {"des engine", "adaptive protocol", "storage targets",
+                                              "metadata server", "thread runtime"};
 
 class TraceSink {
  public:
@@ -82,8 +85,7 @@ class TraceSink {
     return (config_.categories & cat) != 0;
   }
 
-  /// Track naming (trace_event metadata; never dropped by the event cap).
-  void name_process(std::uint32_t pid, std::string name);
+  /// Thread-track naming (trace_event metadata; never dropped by the event cap).
   void name_thread(std::uint32_t pid, std::uint32_t tid, std::string name);
 
   /// Span begin / end on track (pid, tid).  Ends pair with the most recent
@@ -111,9 +113,7 @@ class TraceSink {
   /// matches (empty = any).  Test/diagnostic helper.
   [[nodiscard]] std::size_t count(char ph, std::string_view name = {}) const;
 
-  /// The full trace document (`{"traceEvents": [...], ...}`).
-  [[nodiscard]] Json to_json() const;
-  /// Streams the document to `out` without building one big Json value.
+  /// Streams the trace document (`{"traceEvents": [...], ...}`) to `out`.
   void write(std::ostream& out) const;
   /// Writes to `config().path`; no-op when the path is empty.  Returns false
   /// when the file could not be opened.

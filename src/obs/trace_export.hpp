@@ -1,10 +1,10 @@
 // Offline journal -> Chrome trace_event converter.
 //
-// The live TraceSink (obs/trace.hpp) records a trace while the run executes;
-// this module reconstructs the same kind of document *after the fact* from a
-// binary run journal, so any journal — including a flight-recorder dump from
-// a crashed run — can be opened in chrome://tracing or Perfetto without
-// re-running anything.  `tools/aio_report --trace out.json` is the consumer.
+// Renders any binary run journal — a flight-recorder dump from a crashed run
+// included — as a Chrome trace for chrome://tracing or Perfetto, after the
+// fact.  The document is built straight from the records, one Json object per
+// event with no TraceSink in between, in the live sink's layout (layer names,
+// key order, 4M-event cap).  `tools/aio_report --trace out.json` consumes it.
 //
 // Tracks:
 //   * protocol (pid 2): one thread per writer with a span from kWriterStart

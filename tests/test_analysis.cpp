@@ -5,8 +5,10 @@
 // gates CI.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
@@ -155,6 +157,62 @@ TEST(Analysis, JournalLoadRejectsGarbage) {
   std::fclose(f);
   EXPECT_FALSE(obs::Journal::load(path).has_value());
   EXPECT_FALSE(obs::Journal::load(path + ".missing").has_value());
+  std::remove(path.c_str());
+}
+
+/// Writes the golden rig's journal to `path`; returns its records.
+std::vector<obs::Record> write_rig_journal(const std::string& path) {
+  TwoOstRig rig;
+  (void)rig.run();
+  EXPECT_TRUE(rig.journal.write(path));
+  return rig.journal.records();
+}
+
+bool same_prefix(const std::vector<obs::Record>& got, const std::vector<obs::Record>& all) {
+  return got.size() <= all.size() &&
+         std::memcmp(got.data(), all.data(), got.size() * sizeof(obs::Record)) == 0;
+}
+
+TEST(Analysis, JournalTruncatedMidRecordLoadsWholeRecordPrefix) {
+  const std::string path = testing::TempDir() + "aio_journal_truncated.bin";
+  const std::vector<obs::Record> all = write_rig_journal(path);
+  ASSERT_GT(all.size(), 8u);
+  const std::uintmax_t header = std::filesystem::file_size(path) - all.size() * sizeof(obs::Record);
+  // Seven whole records plus half of the eighth, as a crash mid-write leaves.
+  std::filesystem::resize_file(path, header + 7 * sizeof(obs::Record) + sizeof(obs::Record) / 2);
+
+  testing::internal::CaptureStderr();
+  const std::optional<obs::Journal> back = obs::Journal::load(path);
+  const std::string err = testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->records().size(), 7u);
+  EXPECT_TRUE(same_prefix(back->records(), all));
+  EXPECT_NE(err.find("truncated"), std::string::npos) << err;
+  EXPECT_EQ(err.find('\n'), err.size() - 1) << "expected one warning line: " << err;
+  // The prefix is still analyzable.
+  EXPECT_EQ(obs::analyze(*back).find("schema")->str(), "aio-report-v1");
+  std::remove(path.c_str());
+}
+
+TEST(Analysis, JournalHugeHeaderCountIsBoundedByFileSize) {
+  const std::string path = testing::TempDir() + "aio_journal_hugecount.bin";
+  const std::vector<obs::Record> all = write_rig_journal(path);
+  // Overwrite the header's record count (after the 8-byte magic and two
+  // 32-bit layout fields) with 2^40: 56 TiB if it sized the allocation.
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  ASSERT_EQ(std::fseek(f, 16, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&huge, sizeof(huge), 1, f), 1u);
+  std::fclose(f);
+
+  testing::internal::CaptureStderr();
+  const std::optional<obs::Journal> back = obs::Journal::load(path);
+  const std::string err = testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->records().size(), all.size());
+  EXPECT_TRUE(same_prefix(back->records(), all));
+  EXPECT_NE(err.find("1099511627776"), std::string::npos) << err;
   std::remove(path.c_str());
 }
 

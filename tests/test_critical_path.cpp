@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/transports/adaptive_transport.hpp"
@@ -340,6 +342,105 @@ TEST(TraceExport, ReportTraceAddsTheCriticalPathTrack) {
   for (const char* type : {"mds", "internal", "external", "network", "residual"})
     only_spans += count_events(only, "B", type, static_cast<int>(obs::kPidPath));
   EXPECT_EQ(only_spans, n_segs);
+}
+
+// Byte-identity goldens: captured from the exporter's earlier TraceSink-based
+// implementation, so any rewrite must reproduce its output exactly (including
+// the duplicate process_name metadata for pids 2-5).
+
+std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(TraceExport, RigExportsMatchGoldenBytes) {
+  TwoOstRig rig;
+  (void)rig.run();
+  const obs::Json report = obs::analyze(rig.journal);
+  struct Golden {
+    const char* what;
+    std::string doc;
+    std::size_t bytes;
+    std::uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {"journal_trace", obs::journal_trace(rig.journal).dump(), 7453, 0x83f190da27757e7cull},
+      {"report_trace", obs::report_trace(rig.journal, report).dump(), 8919,
+       0xffbb0047a28feeebull},
+      {"critical_path_trace", obs::critical_path_trace(report).dump(), 2014,
+       0x5523c59e9a9167b7ull},
+  };
+  for (const Golden& g : goldens) {
+    EXPECT_EQ(g.doc.size(), g.bytes) << g.what;
+    EXPECT_EQ(fnv1a(g.doc), g.digest) << g.what << std::hex << " digest 0x" << fnv1a(g.doc);
+  }
+}
+
+/// A journal holding every record kind once or more, written by hand: both
+/// signal flavours, a steal chain, a profiled shard, and writer 1's start
+/// with no end (what a crash dump leaves behind).  One MDS op carries an
+/// infinite service time, which must render as null.
+obs::Journal every_kind_journal() {
+  using obs::Rec;
+  obs::Journal j({/*path=*/"", /*max_records=*/64});
+  const std::uint32_t run = j.begin_run();
+  j.append({.t = 0.0, .id = run, .u0 = 2, .u1 = 1, .u2 = 2, .kind = Rec::kRunBegin});
+  j.append({.t = 0.0, .id = run, .u0 = 0, .u1 = 1, .kind = Rec::kFileMap});
+  j.append({.t = 1.25e-4, .v0 = 1e-4, .id = 0, .u0 = 3, .u1 = 1, .kind = Rec::kMdsOp});
+  j.append({.t = 2.5e-4, .id = run, .kind = Rec::kRunMark, .a = 0});
+  j.append({.t = 0.5, .id = 0, .u0 = 0, .u1 = 0, .kind = Rec::kWriterSignal});
+  j.append({.t = 0.5, .v0 = 4e6, .id = 0, .u0 = 0, .kind = Rec::kWriterStart});
+  j.append({.t = 0.5, .v0 = 0.75, .v1 = 0.8, .v2 = 0.25, .id = 1, .u0 = 1,
+            .kind = Rec::kOstState});
+  j.append({.t = 1.0000003, .v0 = HUGE_VAL, .id = 1, .u0 = 4294967295u,
+            .kind = Rec::kMdsOp});
+  j.append({.t = 1.25, .v0 = 2e6, .v1 = 3.0, .id = 7, .u0 = 1, .u1 = 0,
+            .kind = Rec::kStealGrant});
+  j.append({.t = 1.5, .id = 1, .u0 = 0, .u1 = 1, .u2 = 7, .kind = Rec::kWriterSignal, .a = 1});
+  j.append({.t = 1.5, .v0 = 2e6, .id = 1, .u0 = 0, .kind = Rec::kWriterStart});
+  j.append({.t = 2.0, .id = 0, .u0 = 0, .kind = Rec::kWriterEnd});
+  j.append({.t = 2.5, .v0 = 2e6, .id = 7, .u0 = 1, .u1 = 0, .u2 = 1,
+            .kind = Rec::kStealComplete});
+  j.append({.t = 2.5, .id = run, .kind = Rec::kRunMark, .a = 1});
+  j.append({.t = 2.75, .v0 = 1.0, .v1 = 1.0, .id = run, .kind = Rec::kRunMark, .a = 2});
+  j.append({.t = 2.75, .v0 = 0.125, .v1 = 0.0625, .v2 = 0.03125, .id = 0, .u0 = 42, .u1 = 5,
+            .u2 = 5, .kind = Rec::kProfShard, .a = 1});
+  return j;
+}
+
+TEST(TraceExport, EveryRecordKindMatchesGoldenDump) {
+  // kFileMap renders nothing; writer 1's span stays open.
+  const std::string expected =
+      R"({"traceEvents":[{"ph":"M","pid":1,"tid":0,"ts":0,"name":"process_name","args":{"name":"des engine"}},)"
+      R"({"ph":"M","pid":2,"tid":0,"ts":0,"name":"process_name","args":{"name":"adaptive protocol"}},)"
+      R"({"ph":"M","pid":3,"tid":0,"ts":0,"name":"process_name","args":{"name":"storage targets"}},)"
+      R"({"ph":"M","pid":4,"tid":0,"ts":0,"name":"process_name","args":{"name":"metadata server"}},)"
+      R"({"ph":"M","pid":5,"tid":0,"ts":0,"name":"process_name","args":{"name":"thread runtime"}},)"
+      R"({"ph":"M","pid":2,"tid":0,"ts":0,"name":"process_name","args":{"name":"protocol"}},)"
+      R"({"ph":"M","pid":3,"tid":0,"ts":0,"name":"process_name","args":{"name":"storage"}},)"
+      R"({"ph":"M","pid":4,"tid":0,"ts":0,"name":"process_name","args":{"name":"mds"}},)"
+      R"({"ph":"M","pid":5,"tid":0,"ts":0,"name":"process_name","args":{"name":"runtime"}},)"
+      R"({"ph":"i","pid":2,"tid":0,"ts":0,"name":"run 1","cat":"protocol","s":"t","args":{"writers":2,"files":1,"osts":2}},)"
+      R"({"ph":"i","pid":4,"tid":0,"ts":125,"name":"op","cat":"mds","s":"t","args":{"service_s":1e-04,"backlog":3,"batched":1}},)"
+      R"({"ph":"i","pid":2,"tid":0,"ts":250,"name":"open-done","cat":"protocol","s":"t"},)"
+      R"({"ph":"i","pid":2,"tid":1,"ts":500000,"name":"signal","cat":"protocol","s":"t","args":{"target":0,"origin":0}},)"
+      R"({"ph":"B","pid":2,"tid":1,"ts":500000,"name":"write","cat":"protocol","args":{"file":0,"bytes":4000000}},)"
+      R"({"ph":"C","pid":3,"tid":0,"ts":500000,"name":"ost1 ext","cat":"storage","args":{"value":0.8}},)"
+      R"({"ph":"i","pid":4,"tid":1,"ts":1000000.2999999999,"name":"op","cat":"mds","s":"t","args":{"service_s":null,"backlog":4294967295,"batched":0}},)"
+      R"({"ph":"i","pid":2,"tid":0,"ts":1250000,"name":"steal-grant 7","cat":"protocol","s":"t","args":{"source":1,"file":0,"queue_depth":3}},)"
+      R"j({"ph":"i","pid":2,"tid":2,"ts":1500000,"name":"signal (adaptive)","cat":"protocol","s":"t","args":{"target":0,"origin":1}},)j"
+      R"({"ph":"B","pid":2,"tid":2,"ts":1500000,"name":"write","cat":"protocol","args":{"file":0,"bytes":2000000}},)"
+      R"({"ph":"E","pid":2,"tid":1,"ts":2000000,"cat":"protocol"},)"
+      R"({"ph":"i","pid":2,"tid":0,"ts":2500000,"name":"steal-complete 7","cat":"protocol","s":"t","args":{"writer":1,"bytes":2000000}},)"
+      R"({"ph":"i","pid":2,"tid":0,"ts":2500000,"name":"data-done","cat":"protocol","s":"t"},)"
+      R"({"ph":"i","pid":2,"tid":0,"ts":2750000,"name":"complete","cat":"protocol","s":"t"},)"
+      R"({"ph":"i","pid":5,"tid":0,"ts":2750000,"name":"prof shard 0","cat":"runtime","s":"t","args":{"execute_s":0.125,"barrier_s":0.0625,"merge_s":0.03125,"events":42,"msgs_posted":5,"msgs_drained":5}}],)"
+      R"("displayTimeUnit":"ms","otherData":{"dropped":0,"events":15,"categories":4294967295}})";
+  EXPECT_EQ(obs::journal_trace(every_kind_journal()).dump(), expected);
 }
 
 }  // namespace

@@ -47,6 +47,13 @@ TEST(Json, RoundTripsNestedDocument) {
   EXPECT_NE(text.find("\"count\":42"), std::string::npos);
 }
 
+TEST(Json, EscapesExactlyTheCharactersJsonRequires) {
+  EXPECT_EQ(obs::Json("plain text / é").dump(), "\"plain text / é\"");
+  EXPECT_EQ(obs::Json("\"a\\b\x01" "c\td\n").dump(), R"("\"a\\b\u0001c\td\n")");
+  EXPECT_EQ(obs::Json(std::string("\b\f\r\x1f", 4)).dump(), R"("\b\f\r\u001f")");
+  EXPECT_EQ(obs::Json("").dump(), "\"\"");
+}
+
 TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_FALSE(obs::Json::parse("{").has_value());
   EXPECT_FALSE(obs::Json::parse("[1,]").has_value());

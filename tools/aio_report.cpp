@@ -12,7 +12,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 
 #include "obs/analysis.hpp"
 #include "obs/journal.hpp"
@@ -28,10 +30,12 @@ int usage(const char* argv0) {
   return 2;
 }
 
-bool write_file(const std::string& path, const std::string& content) {
+/// Writes `parts` back to back, so a large document never gets copied just
+/// to append its trailing newline.
+bool write_file(const std::string& path, std::initializer_list<std::string_view> parts) {
   std::ofstream out(path);
   if (!out) return false;
-  out << content;
+  for (const std::string_view part : parts) out << part;
   return static_cast<bool>(out);
 }
 
@@ -73,16 +77,16 @@ int main(int argc, char** argv) {
   if (json_path.empty()) {
     std::fputs(report.dump().c_str(), stdout);
     std::fputc('\n', stdout);
-  } else if (!write_file(json_path, report.dump() + "\n")) {
+  } else if (!write_file(json_path, {report.dump(), "\n"})) {
     std::fprintf(stderr, "aio_report: cannot write %s\n", json_path.c_str());
     return 2;
   }
-  if (!html_path.empty() && !write_file(html_path, aio::obs::report_html(report))) {
+  if (!html_path.empty() && !write_file(html_path, {aio::obs::report_html(report)})) {
     std::fprintf(stderr, "aio_report: cannot write %s\n", html_path.c_str());
     return 2;
   }
   if (!trace_path.empty() &&
-      !write_file(trace_path, aio::obs::report_trace(*journal, report).dump() + "\n")) {
+      !write_file(trace_path, {aio::obs::report_trace(*journal, report).dump(), "\n"})) {
     std::fprintf(stderr, "aio_report: cannot write %s\n", trace_path.c_str());
     return 2;
   }
