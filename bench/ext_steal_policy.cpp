@@ -6,52 +6,28 @@
 // group with the most unredirected writers — draining the deepest backlog
 // first.  This bench compares the two policies under the interference job,
 // where a handful of groups carry most of the residual work.
-//
-// AIO_STEAL_POLICY=straggler swaps the alternative for the live-telemetry
-// variant: the coordinator asks an online LivePlane for per-OST straggler
-// scores (load EWMA + relative service-time excess) and steals from the
-// group whose storage target scores worst.  Unset or "longest-queue" keeps
-// the default comparison byte-identical to earlier revisions.
 #include "harness.hpp"
 #include "parallel.hpp"
 #include "workload/pixie3d.hpp"
 
 namespace {
 using namespace aio;
-
-/// AIO_STEAL_POLICY: "longest-queue" (default) or "straggler"; anything else
-/// warns on stderr and falls back, mirroring bench/env.hpp's style.
-bool straggler_policy_from_env() {
-  const char* v = std::getenv("AIO_STEAL_POLICY");
-  if (!v || !*v) return false;
-  const std::string s(v);
-  if (s == "straggler") return true;
-  if (s != "longest-queue")
-    std::fprintf(stderr,
-                 "bench: ignoring AIO_STEAL_POLICY=\"%s\" (want \"longest-queue\" or "
-                 "\"straggler\"); using longest-queue\n",
-                 v);
-  return false;
-}
 }  // namespace
 
 int main() {
   const std::size_t samples = bench::samples_or(5);
   const std::size_t max_procs = bench::max_procs_or(8192);
-  const bool straggler = straggler_policy_from_env();
-  const char* alt = straggler ? "straggler" : "longest-queue";
   bench::warn_unreached_max_procs(max_procs, {2048, 8192});
-  const std::string reproduces =
-      std::string("future-work extension: round-robin vs ") + alt + " steal source";
-  bench::banner("ext_steal_policy", reproduces.c_str(),
+  bench::banner("ext_steal_policy",
+                "future-work extension: round-robin vs longest-queue steal source",
                 "Pixie3D large (128 MB), Jaguar, adaptive/512 OSTs, with interference job");
 
   bench::Report report("ext_steal_policy", 980);
   report.config("samples", static_cast<double>(samples))
       .config("max_procs", static_cast<double>(max_procs))
-      .config("policy", alt);
-  stats::Table table({"procs", "round-robin avg", std::string(alt) + " avg", "delta",
-                      "rr stddev(s)", straggler ? "st stddev(s)" : "lq stddev(s)"});
+      .config("policy", "longest-queue");
+  stats::Table table({"procs", "round-robin avg", "longest-queue avg", "delta", "rr stddev(s)",
+                      "lq stddev(s)"});
   const workload::Pixie3dConfig model = workload::Pixie3dConfig::large_model();
 
   // One machine carries the whole policy sweep in sequence: a single unit.
@@ -60,18 +36,8 @@ int main() {
     stats::Summary rr_bw, rr_t, lq_bw, lq_t;
   };
   const auto points = bench::run_samples(1, [&](std::size_t) {
-    // The straggler variant needs a live plane for its scores.  Declared
-    // before the machine so the engine's captured pointer stays valid for
-    // the machine's whole lifetime even when AIO_LIVE is unset.
-    std::unique_ptr<obs::LivePlane> own_live;
     bench::Machine machine(fs::jaguar(), 980, /*with_load=*/true, /*min_ranks=*/max_procs);
     machine.add_interference_job();
-    if (straggler && !machine.live) {
-      obs::LivePlane::Config lc;
-      lc.flight_records = 0;  // query-only: no snapshot stream, no flight ring
-      own_live = std::make_unique<obs::LivePlane>(lc);
-      machine.engine.set_live(own_live.get());
-    }
     std::vector<Point> out;
     for (const std::size_t procs : {std::size_t{2048}, std::size_t{8192}}) {
       if (procs > max_procs) continue;
@@ -82,10 +48,7 @@ int main() {
       core::AdaptiveTransport rr(machine.filesystem, machine.network, rr_cfg);
       core::AdaptiveTransport::Config lq_cfg;
       lq_cfg.n_files = 512;
-      if (straggler)
-        lq_cfg.steal_straggler = true;
-      else
-        lq_cfg.steal_most_remaining = true;
+      lq_cfg.steal_most_remaining = true;
       core::AdaptiveTransport lq(machine.filesystem, machine.network, lq_cfg);
 
       Point p;
@@ -120,14 +83,8 @@ int main() {
                    stats::Table::num(p.rr_t.stddev(), 2), stats::Table::num(p.lq_t.stddev(), 2)});
   }
   std::printf("Steal-source policy comparison\n%s\n", table.render().c_str());
-  if (straggler) {
-    std::printf("Round-robin is the paper's choice; straggler steers each steal toward the\n"
-                "group whose OST the live telemetry plane currently scores worst\n"
-                "(load EWMA + relative service-time excess over the fleet mean).\n");
-  } else {
-    std::printf("Round-robin is the paper's choice; longest-queue is the state-rich variant.\n"
-                "Differences are modest by design: whichever SC is asked, a steal removes\n"
-                "one waiting writer, and the coordinator keeps every free file busy.\n");
-  }
+  std::printf("Round-robin is the paper's choice; longest-queue is the state-rich variant.\n"
+              "Differences are modest by design: whichever SC is asked, a steal removes\n"
+              "one waiting writer, and the coordinator keeps every free file busy.\n");
   return 0;
 }

@@ -44,7 +44,8 @@ int main() {
                 "Fig. 3(a,b): per-writer write times of two samples minutes apart",
                 "Jaguar, IOR POSIX, 512 writers, 128 MB/process, one writer per OST");
 
-  const std::size_t n_samples = bench::samples_or(24);
+  // The figure compares adjacent samples, so it needs at least two.
+  const std::size_t n_samples = obs::env_count("AIO_BENCH_SAMPLES", 24, /*min=*/2);
 
   bench::Report report("fig3_imbalance", 29);
   report.config("samples", static_cast<double>(n_samples));

@@ -2,42 +2,12 @@
 //
 // Every bench assembles a simulated machine from a MachineSpec, runs
 // transports on it, and prints the same rows/series the paper's table or
-// figure reports.  Sample counts, scale caps, and observability honour
-// environment variables so the full 40-sample runs of the paper are one
-// export away:
-//
-//   AIO_BENCH_SAMPLES    overrides each bench's default sample count
-//   AIO_BENCH_THREADS    replication thread pool (bench/parallel.hpp);
-//                        default hardware_concurrency, 1 = serial
-//   AIO_BENCH_MAX_PROCS  caps the largest writer count (default 16384;
-//                        parsing and truncation warnings in bench/env.hpp)
-//   AIO_BENCH_JSON       writes machine-readable results (bench/report.hpp)
-//   AIO_BENCH_MAX_STEPS  engine-step watchdog: abort (with diagnostics and
-//                        a trace dump) instead of spinning on a hung run
-//   AIO_TRACE            Chrome trace_event JSON per machine (Perfetto)
-//   AIO_TRACE_CATS       widen/narrow trace categories ("all" adds engine)
-//   AIO_METRICS          metrics registry JSON per machine
-//   AIO_JOURNAL          binary run journal per machine (tools/aio_report)
-//   AIO_REPORT           end-of-run analysis: terse stdout summary, plus the
-//                        aio-report-v1 JSON when the value is a path
-//                        ("-" or "1" = summary only)
-//   AIO_OBS_PERIOD_S     sampling period for per-OST series (default 1.0)
-//   AIO_OBS_OSTS         per-OST probe limit (default 32)
-//   AIO_LIVE             online telemetry plane per machine: a path streams
-//                        aio-live-v1 snapshot rows, "-" or "1" = query-only
-//   AIO_LIVE_PERIOD_S    live snapshot cadence in sim seconds (default 1.0)
-//   AIO_LIVE_WINDOW_S    sliding-window slot width in sim seconds (default 1.0)
-//   AIO_LIVE_SLOTS       sliding-window slot count (default 16)
-//   AIO_FLIGHT           flight recorder: bounded journal ring dumped to this
-//                        path on watchdog abort (readable by tools/aio_report)
-//   AIO_FLIGHT_RECORDS   flight-recorder ring capacity (default 65536)
-//   AIO_MDS_COUNT        metadata servers in the tier (default: the spec's
-//                        n_mds, i.e. 1; parsing in bench/env.hpp)
+// figure reports.  Sample counts, scale caps, and observability honour the
+// `AIO_*` environment variables of DESIGN.md §8 (parsed by obs/env.hpp), so
+// the full 40-sample runs of the paper are one export away.
 #pragma once
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -68,14 +38,14 @@
 namespace aio::bench {
 
 inline std::size_t samples_or(std::size_t fallback) {
-  return env_size("AIO_BENCH_SAMPLES", fallback);
+  return obs::env_count("AIO_BENCH_SAMPLES", fallback);
 }
 
 /// Builds the per-machine metrics registry when observability is requested
-/// (`AIO_TRACE` or `AIO_METRICS` set).  Null otherwise so the default path
+/// (`AIO_TRACE` or `AIO_METRICS` on).  Null otherwise so the default path
 /// has zero bookkeeping.
 inline std::unique_ptr<obs::Registry> metrics_from_env() {
-  if (std::getenv("AIO_TRACE") || std::getenv("AIO_METRICS"))
+  if (obs::env_sink("AIO_TRACE").on || obs::env_sink("AIO_METRICS", /*needs_path=*/true).on)
     return std::make_unique<obs::Registry>();
   return nullptr;
 }
@@ -83,6 +53,9 @@ inline std::unique_ptr<obs::Registry> metrics_from_env() {
 /// A fully assembled simulated machine.
 struct Machine {
   fs::MachineSpec spec;
+  /// Numbers every output path of this machine (obs/env.hpp): slot 0
+  /// writes `<path>`, slot k writes `<path>.k+1`.
+  const int obs_slot;
   // Observability precedes engine: the engine captures these pointers.
   std::unique_ptr<obs::TraceSink> trace;
   std::unique_ptr<obs::Registry> metrics;
@@ -95,22 +68,22 @@ struct Machine {
   std::optional<fs::BackgroundLoad> load;
   std::optional<fs::InterferenceJob> job;
 
-  /// `obs_slot` numbers this machine's trace/metrics output paths when
-  /// several machines coexist in one process: slot 0 writes `<path>`, slot k
-  /// writes `<path>.k+1`.  The default (-1) falls back to first-come
-  /// numbering — fine serially, nondeterministic under AIO_BENCH_THREADS>1,
-  /// so benches that run machines in parallel pass their unit index.
   /// AIO_MDS_COUNT widens the metadata tier of any bench machine; the
   /// override applies only when the variable is set, so specs keep their
   /// own n_mds (and every default stdout stays byte-identical) otherwise.
   static fs::MachineSpec apply_env(fs::MachineSpec s) {
-    if (std::getenv("AIO_MDS_COUNT") != nullptr) s.fs.n_mds = mds_count();
+    if (const std::size_t n_mds = obs::env_count("AIO_MDS_COUNT", 0); n_mds > 0)
+      s.fs.n_mds = n_mds;
     return s;
   }
 
+  /// `slot` -1 (the default) numbers machines in construction order — fine
+  /// serially, nondeterministic under AIO_BENCH_THREADS>1, so benches that
+  /// run machines in parallel pass their unit index.
   Machine(fs::MachineSpec machine_spec, std::uint64_t seed, bool with_load,
-          std::size_t min_ranks = 0, int obs_slot = -1)
+          std::size_t min_ranks = 0, int slot = -1)
       : spec(apply_env(std::move(machine_spec))),
+        obs_slot(obs::machine_slot(slot)),
         trace(obs::TraceSink::from_env(obs_slot)),
         metrics(metrics_from_env()),
         journal(obs::Journal::from_env(obs_slot)),
@@ -120,12 +93,9 @@ struct Machine {
         network(engine,
                 net::NetConfig{spec.msg_latency_s, spec.nic_bw, spec.cores_per_node},
                 std::max(min_ranks, spec.total_cores())) {
-    obs_slot_ = obs_slot;
     if (metrics) {
-      const double period =
-          env_double("AIO_OBS_PERIOD_S", 1.0);
-      sampler.emplace(*metrics, trace.get(), period);
-      filesystem.register_probes(*sampler, env_size("AIO_OBS_OSTS", 32));
+      sampler.emplace(*metrics, trace.get(), obs::env_seconds("AIO_OBS_PERIOD_S", 1.0));
+      filesystem.register_probes(*sampler, obs::env_count("AIO_OBS_OSTS", 32));
       arm_sampler();
     }
     if (live && live->snapshot_enabled()) arm_live();
@@ -154,7 +124,7 @@ struct Machine {
     if (journal && !report_flushed_) {
       report_flushed_ = true;
       (void)journal->write();
-      (void)obs::flush_report(*journal, obs_slot_);
+      (void)obs::flush_report(*journal, obs_slot);
     }
     if (live) live->flush();
     // Export the drop counters once per machine so the bench JSON records
@@ -168,17 +138,8 @@ struct Machine {
       totals.published.store(true, std::memory_order_relaxed);
     }
     if (!metrics) return;
-    if (const char* path = std::getenv("AIO_METRICS"); path && *path) {
-      // Number sibling machines' outputs the same way TraceSink::from_env
-      // numbers trace paths: an explicit obs_slot is deterministic; the
-      // first-come fallback counter is atomic so concurrent machines never
-      // race it onto the same path.
-      if (metrics_path_.empty()) {
-        static std::atomic<int> instances{0};
-        const int ordinal = obs_slot_ >= 0 ? obs_slot_ + 1 : ++instances;
-        metrics_path_ = ordinal == 1 ? path : std::string(path) + "." + std::to_string(ordinal);
-      }
-      if (std::FILE* f = std::fopen(metrics_path_.c_str(), "w")) {
+    if (const obs::EnvSink sink = obs::env_sink("AIO_METRICS", /*needs_path=*/true); sink.on) {
+      if (std::FILE* f = std::fopen(obs::numbered_path(sink.path, obs_slot).c_str(), "w")) {
         const std::string doc = metrics->to_json().dump();
         std::fwrite(doc.data(), 1, doc.size(), f);
         std::fputc('\n', f);
@@ -198,7 +159,7 @@ struct Machine {
       result = std::move(r);
       if (job) job->stop();
     });
-    const std::size_t max_steps = env_size("AIO_BENCH_MAX_STEPS", 0);
+    const std::size_t max_steps = obs::env_count("AIO_BENCH_MAX_STEPS", 0);
     if (max_steps == 0) {
       engine.run();
     } else {
@@ -250,8 +211,6 @@ struct Machine {
     });
   }
 
-  std::string metrics_path_;
-  int obs_slot_ = -1;
   bool report_flushed_ = false;
   bool drops_published_ = false;
 };

@@ -4,14 +4,12 @@
 // every writer creates its own file at the same instant, and the whole storm
 // serializes through the metadata service whose per-request cost grows
 // super-linearly with backlog.  This bench drives the `MdsGroup` tier
-// directly (the ablation_stagger storm loop, scaled up) and sweeps the three
-// levers PR-able against that wall:
+// directly (the ablation_stagger storm loop, scaled up) and sweeps the two
+// levers that move that wall:
 //
 //   * tier width  — 1/2/4/8 independent metadata servers, hash placement;
 //   * client batching — one batched CREATE per contiguous span of writers
-//     per server (the sub-coordinator amortization), span = AIO_MDS_BATCH;
-//   * hot-directory absorption — the opt-in MIDAS-style proxy
-//     (AIO_MDS_PROXY=1) that leases a window and flushes one batch per lease.
+//     per server (the sub-coordinator amortization), span = AIO_MDS_BATCH.
 //
 // Arrival model: a deterministic fan-out ramp.  Ranks do not reach the
 // metadata service in the same nanosecond — they arrive at the fan-out rate
@@ -30,8 +28,7 @@
 //
 // Knobs: AIO_BENCH_MAX_PROCS trims the sweep; AIO_MDS_COUNT pins the tier
 // sweep to one width; AIO_MDS_BATCH sets the batched-mode span (default 64);
-// AIO_MDS_PROXY=1 adds proxy rows; AIO_JOURNAL/AIO_REPORT capture the
-// journal.  `AIO_PROF` (bench/env.hpp) profiles the host cost of each storm
+// AIO_JOURNAL/AIO_REPORT capture the journal.  `AIO_PROF` profiles the host cost of each storm
 // (single-engine mode: one slot, execute time + engine events) — a stderr
 // line and prof_* JSON values per row, plus an aio-prof-v1 document array
 // when AIO_PROF is a path.  All knobs unset keeps stdout deterministic run
@@ -53,13 +50,12 @@ namespace {
 
 using namespace aio;
 
-enum class Mode { PerFile, Batched, Proxy };
+enum class Mode { PerFile, Batched };
 
 const char* mode_name(Mode m) {
   switch (m) {
     case Mode::PerFile: return "perfile";
     case Mode::Batched: return "batched";
-    case Mode::Proxy: return "proxy";
   }
   return "?";
 }
@@ -88,8 +84,8 @@ constexpr double kArrivalGap_s = 50e-6;
 /// One storm: `procs` writers create one file each, arriving on the fan-out
 /// ramp (writer i at `i * kArrivalGap_s`) against a fresh `n_mds`-wide
 /// tier; the sample tears the engine down with it.  A writer's latency is
-/// create-visible minus its own arrival — for batched modes that includes
-/// the wait for its span to assemble or its lease to flush.
+/// create-visible minus its own arrival — for batched mode that includes
+/// the wait for its span to assemble.
 StormOut run_storm(std::size_t procs, std::size_t n_mds, Mode mode, std::size_t batch,
                    obs::Journal* journal, obs::prof::ShardProfiler* prof) {
   const auto w0 = std::chrono::steady_clock::now();
@@ -154,20 +150,6 @@ StormOut run_storm(std::size_t procs, std::size_t n_mds, Mode mode, std::size_t 
       engine.run();
       break;
     }
-    case Mode::Proxy: {
-      // One hot directory: every create targets the same namespace shard and
-      // the proxy absorbs arrivals into leased batches.
-      fs::MdsProxy proxy(group, group.index_of(prefix), fs::MdsProxy::Config{});
-      for (std::size_t i = 0; i < procs; ++i) {
-        engine.schedule_after(arrival_of(i), [&proxy, &complete_one, i, &arrival_of] {
-          proxy.create([&complete_one, a = arrival_of(i)](sim::Time now) {
-            complete_one(now, a);
-          });
-        });
-      }
-      engine.run();
-      break;
-    }
   }
   engine.run();
   if (remaining != 0)
@@ -196,8 +178,8 @@ StormOut run_storm(std::size_t procs, std::size_t n_mds, Mode mode, std::size_t 
 
 int main() {
   const std::size_t max_procs = bench::max_procs_or(224160);
-  const std::size_t batch = bench::mds_batch() > 0 ? bench::mds_batch() : 64;
-  const bool with_proxy = bench::mds_proxy();
+  const std::size_t mds_batch = obs::env_count("AIO_MDS_BATCH", 0, 0);
+  const std::size_t batch = mds_batch > 0 ? mds_batch : 64;
   bench::warn_unreached_max_procs(max_procs, {16384, 65536, 224160});
   bench::banner("macro_createstorm",
                 "file-per-process create storms vs the multi-MDS tier",
@@ -209,17 +191,17 @@ int main() {
 
   // The tier sweep: pinned by AIO_MDS_COUNT, otherwise 1/2/4/8.
   std::vector<std::size_t> mds_sweep{1, 2, 4, 8};
-  if (const char* v = std::getenv("AIO_MDS_COUNT"); v && *v)
-    mds_sweep = {bench::mds_count()};
+  if (const std::size_t n_mds = obs::env_count("AIO_MDS_COUNT", 0); n_mds > 0)
+    mds_sweep = {n_mds};
 
   const std::unique_ptr<obs::Journal> journal = obs::Journal::from_env(0);
   if (journal) journal->reserve(1 << 20);
 
-  const bench::ProfEnv prof_env = bench::prof_env();
+  const obs::EnvSink prof_env = obs::env_sink("AIO_PROF");
   std::unique_ptr<obs::prof::ShardProfiler> prof;
-  if (prof_env.enabled)
-    prof = std::make_unique<obs::prof::ShardProfiler>(
-        obs::prof::ShardProfiler::Config{std::string(), prof_env.period_s});
+  if (prof_env.on)
+    prof = std::make_unique<obs::prof::ShardProfiler>(obs::prof::ShardProfiler::Config{
+        std::string(), obs::env_seconds("AIO_PROF_PERIOD_S", 0.0)});
   obs::Json prof_docs = obs::Json::array();
 
   stats::Table table(
@@ -229,9 +211,7 @@ int main() {
        {std::size_t{16384}, std::size_t{65536}, std::size_t{224160}}) {
     if (procs > max_procs) continue;
     for (const std::size_t n_mds : mds_sweep) {
-      std::vector<Mode> modes{Mode::PerFile, Mode::Batched};
-      if (with_proxy) modes.push_back(Mode::Proxy);
-      for (const Mode mode : modes) {
+      for (const Mode mode : {Mode::PerFile, Mode::Batched}) {
         const StormOut out = run_storm(procs, n_mds, mode, batch, journal.get(), prof.get());
         std::size_t peak = 0;
         for (const PerMds& m : out.per_mds) peak = std::max(peak, m.peak_backlog);
@@ -276,8 +256,7 @@ int main() {
 
   std::printf("%s\n", table.render().c_str());
   std::printf("Expect: widening the tier divides the storm; batching collapses the request\n"
-              "count itself (p99 falls and flattens); the proxy turns a hot directory into\n"
-              "one leased batch per window.\n");
+              "count itself (p99 falls and flattens).\n");
   if (journal) {
     (void)journal->write();
     (void)obs::flush_report(*journal, 0);

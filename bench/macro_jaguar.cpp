@@ -21,12 +21,10 @@
 // and the JSON rows carry a "shards" value plus window-loop telemetry
 // (window_batch, windows_executed, windows_skipped, barrier_rounds).
 // `AIO_SIM_DOMAINS` overrides the domain grid and `AIO_SIM_WINDOW_BATCH`
-// the window multiplier — a number keeps determinism mode, the literal
-// `auto` switches the sharded rows to perf mode and hill-climbs the
-// multiplier across samples (bench/tuner.hpp).  Unset, the bench's stdout
-// is byte-identical to a build without sharding.
+// the window multiplier (a number >= 1).  Unset, the bench's stdout is
+// byte-identical to a build without sharding.
 //
-// `AIO_PROF` (bench/env.hpp) arms the shard-runtime profiler on the sharded
+// `AIO_PROF` arms the shard-runtime profiler on the sharded
 // rows: a one-line stderr host-time split per sweep point, prof_* values in
 // the JSON rows, and — when AIO_PROF is a path — an aio-prof-v1 document
 // array written there at exit.  Simulated results are bit-identical armed
@@ -47,7 +45,6 @@
 
 #include "core/transports/sharded.hpp"
 #include "harness.hpp"
-#include "tuner.hpp"
 #include "workload/pixie3d.hpp"
 
 namespace {
@@ -81,6 +78,17 @@ std::uint64_t current_rss_bytes() {
 #else
   return 0;
 #endif
+}
+
+/// Announces on stderr when the requested domain count exceeds the OST
+/// count: the grid clamps to one OST span per domain, so the run uses fewer
+/// domains than asked for.
+void warn_domains_exceed_osts(std::size_t domains, std::size_t n_osts) {
+  if (domains <= n_osts) return;
+  std::fprintf(stderr,
+               "bench: AIO_SIM_DOMAINS=%zu exceeds n_osts=%zu; the domain grid clamps to %zu "
+               "(every domain needs a non-empty OST span)\n",
+               domains, n_osts, n_osts);
 }
 
 struct RunCost {
@@ -150,7 +158,7 @@ RunCost run_one(const fs::MachineSpec& spec, const workload::Pixie3dConfig& mode
   const core::IoJob job = workload::pixie3d_job(model, procs);
   std::optional<core::IoResult> result;
   transport->run(job, [&](core::IoResult r) { result = std::move(r); });
-  const std::size_t max_steps = bench::env_size("AIO_BENCH_MAX_STEPS", 0);
+  const std::size_t max_steps = obs::env_count("AIO_BENCH_MAX_STEPS", 0);
   if (max_steps == 0)
     engine.run();
   else
@@ -182,7 +190,7 @@ RunCost run_one(const fs::MachineSpec& spec, const workload::Pixie3dConfig& mode
 /// tools/aio_report reads sharded and classic runs out of one file.
 RunCost run_one_sharded(const fs::MachineSpec& spec, const workload::Pixie3dConfig& model,
                         std::size_t procs, std::size_t n_shards, std::size_t n_domains,
-                        double window_batch, bool auto_mode, obs::Journal* journal,
+                        double window_batch, obs::Journal* journal,
                         obs::prof::ShardProfiler* prof) {
   const std::uint64_t rss0 = current_rss_bytes();
   const auto t0 = std::chrono::steady_clock::now();
@@ -196,8 +204,6 @@ RunCost run_one_sharded(const fs::MachineSpec& spec, const workload::Pixie3dConf
   cfg.collect_journal = journal != nullptr;
   cfg.n_domains = n_domains;
   cfg.window_batch = window_batch;
-  cfg.deterministic = !auto_mode;
-  cfg.window_batch_auto = auto_mode;
   cfg.profiler = prof;  // re-bound (and zeroed) per sample by set_profiler
   core::ShardedAdaptiveSim sim(cfg);
   const core::IoResult result = sim.run(workload::pixie3d_job(model, procs));
@@ -243,9 +249,9 @@ RunCost run_one_sharded(const fs::MachineSpec& spec, const workload::Pixie3dConf
 int main() {
   const std::size_t samples = bench::samples_or(1);
   const std::size_t max_procs = bench::max_procs_or(224160);
-  const std::vector<std::size_t> shard_sweep = bench::shard_sweep();
-  const std::size_t sim_domains = bench::sim_domains();
-  const bench::WindowBatch wb = bench::window_batch();
+  const std::vector<std::size_t> shard_sweep = obs::env_counts("AIO_SIM_SHARDS");
+  const std::size_t sim_domains = obs::env_count("AIO_SIM_DOMAINS", 0);
+  const double window_batch = obs::env_seconds("AIO_SIM_WINDOW_BATCH", 64.0, 1.0);
   bench::warn_unreached_max_procs(max_procs, {16384, 65536, 224160});
   bench::banner("macro_jaguar",
                 "paper-scale weak scaling: simulator cost up to the full 224,160-core Jaguar",
@@ -257,7 +263,7 @@ int main() {
 
   const fs::MachineSpec spec = fs::jaguar();
   const workload::Pixie3dConfig model = workload::Pixie3dConfig::small_model();
-  if (!shard_sweep.empty()) bench::warn_domains_exceed_osts(sim_domains, spec.fs.n_osts);
+  if (!shard_sweep.empty()) warn_domains_exceed_osts(sim_domains, spec.fs.n_osts);
 
   // One journal across the whole sweep (serial bench, one "machine" at a
   // time); each adaptive run appends its own kRunBegin..kComplete span.
@@ -273,12 +279,12 @@ int main() {
   // Shard-runtime profiler (AIO_PROF): one instance reused across the sweep
   // (each sample re-binds and zeroes it).  Per-sweep-point documents are
   // collected and written as one aio-prof-v1 array at the end.
-  const bench::ProfEnv prof_env = bench::prof_env();
+  const obs::EnvSink prof_env = obs::env_sink("AIO_PROF");
   std::unique_ptr<obs::prof::ShardProfiler> prof;
-  if (prof_env.enabled && !shard_sweep.empty())
-    prof = std::make_unique<obs::prof::ShardProfiler>(
-        obs::prof::ShardProfiler::Config{std::string(), prof_env.period_s});
-  if (prof_env.enabled && shard_sweep.empty())
+  if (prof_env.on && !shard_sweep.empty())
+    prof = std::make_unique<obs::prof::ShardProfiler>(obs::prof::ShardProfiler::Config{
+        std::string(), obs::env_seconds("AIO_PROF_PERIOD_S", 0.0)});
+  if (prof_env.on && shard_sweep.empty())
     std::fprintf(stderr,
                  "macro_jaguar: AIO_PROF needs a sharded sweep (set AIO_SIM_SHARDS)\n");
   obs::Json prof_docs = obs::Json::array();
@@ -342,19 +348,13 @@ int main() {
       if (!adaptive && !mpiio_feasible) continue;
       if (adaptive && !shard_sweep.empty()) {
         // Sharded sweep: each requested shard count is its own sweep point.
-        // In perf mode (AIO_SIM_WINDOW_BATCH=auto) each sweep point gets its
-        // own hill climb — the optimum shifts with both scale and shard
-        // count, so tuner state must not leak between points.
         for (const std::size_t n_shards : shard_sweep) {
           stats::Summary wall;
           RunCost last;
-          bench::WindowBatchTuner tuner(wb.value);
           for (std::size_t s = 0; s < samples; ++s) {
-            const double batch = wb.auto_tune ? tuner.next() : wb.value;
-            last = run_one_sharded(spec, model, procs, n_shards, sim_domains, batch,
-                                   wb.auto_tune, journal.get(), prof.get());
+            last = run_one_sharded(spec, model, procs, n_shards, sim_domains, window_batch,
+                                   journal.get(), prof.get());
             wall.add(last.wall_s);
-            if (wb.auto_tune) tuner.feedback(last.wall_s);
           }
           emit(procs, "adaptive", n_shards, wall, last);
           if (prof) {

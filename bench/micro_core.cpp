@@ -6,9 +6,7 @@
 // and raw protocol state-machine message handling.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/index/index.hpp"
@@ -16,6 +14,7 @@
 #include "core/protocol/subcoordinator_fsm.hpp"
 #include "core/protocol/writer_fsm.hpp"
 #include "fs/ost.hpp"
+#include "micro_main.hpp"
 #include "parallel.hpp"
 #include "sim/engine.hpp"
 #include "sim/fluid.hpp"
@@ -231,21 +230,4 @@ BENCHMARK(BM_SubCoordinatorHandleCompletion);
 
 }  // namespace
 
-// Custom main so micro_core honours AIO_BENCH_JSON like every table bench:
-// the variable maps onto google-benchmark's native JSON reporter.
-int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  std::string out_flag;
-  std::string fmt_flag = "--benchmark_out_format=json";
-  if (const char* path = std::getenv("AIO_BENCH_JSON"); path && *path) {
-    out_flag = std::string("--benchmark_out=") + path;
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+int main(int argc, char** argv) { return aio::bench::micro_main(argc, argv); }

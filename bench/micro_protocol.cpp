@@ -22,13 +22,12 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
-#include <string>
 #include <utility>
-#include <vector>
 
 #include "core/transports/adaptive_transport.hpp"
 #include "core/transports/mpiio_transport.hpp"
 #include "fs/filesystem.hpp"
+#include "micro_main.hpp"
 #include "net/network.hpp"
 #include "sim/engine.hpp"
 #include "workload/pixie3d.hpp"
@@ -142,21 +141,4 @@ BENCHMARK(BM_MpiioRun)->Arg(512)->Arg(2048)->Arg(8192)->Arg(16384)
 
 }  // namespace
 
-// Custom main so micro_protocol honours AIO_BENCH_JSON like every table
-// bench: the variable maps onto google-benchmark's native JSON reporter.
-int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  std::string out_flag;
-  std::string fmt_flag = "--benchmark_out_format=json";
-  if (const char* path = std::getenv("AIO_BENCH_JSON"); path && *path) {
-    out_flag = std::string("--benchmark_out=") + path;
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+int main(int argc, char** argv) { return aio::bench::micro_main(argc, argv); }

@@ -19,10 +19,7 @@
 // are high enough that spawn cost is noise next to the barrier traffic.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-#include <string>
-#include <vector>
-
+#include "micro_main.hpp"
 #include "sim/shard.hpp"
 
 namespace {
@@ -106,21 +103,4 @@ BENCHMARK(BM_ShardChannelPostMerge)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 }  // namespace
 
-// Custom main so micro_shard honours AIO_BENCH_JSON like every table bench:
-// the variable maps onto google-benchmark's native JSON reporter.
-int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  std::string out_flag;
-  std::string fmt_flag = "--benchmark_out_format=json";
-  if (const char* path = std::getenv("AIO_BENCH_JSON"); path && *path) {
-    out_flag = std::string("--benchmark_out=") + path;
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+int main(int argc, char** argv) { return aio::bench::micro_main(argc, argv); }

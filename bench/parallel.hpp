@@ -38,9 +38,18 @@
 #include <utility>
 #include <vector>
 
-#include "env.hpp"
+#include "obs/env.hpp"
 
 namespace aio::bench {
+
+/// Largest shard count in the `AIO_SIM_SHARDS` sweep; 1 when unset/invalid.
+/// bench_threads() divides the sample pool by this so sample threads times
+/// shard threads never oversubscribes the host.
+inline std::size_t max_shards() {
+  std::size_t m = 1;
+  for (const std::size_t s : obs::env_counts("AIO_SIM_SHARDS")) m = std::max(m, s);
+  return m;
+}
 
 /// Worker count for run_samples: `AIO_BENCH_THREADS`, defaulting to the
 /// hardware concurrency (at least 1).  With an `AIO_SIM_SHARDS` sweep whose
@@ -50,7 +59,7 @@ namespace aio::bench {
 /// stderr; stdout stays untouched.
 inline std::size_t bench_threads() {
   const std::size_t hw = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  std::size_t threads = env_size("AIO_BENCH_THREADS", hw);
+  std::size_t threads = obs::env_count("AIO_BENCH_THREADS", hw);
   const std::size_t shards = max_shards();
   if (shards > 1) {
     const std::size_t cap = std::max<std::size_t>(1, hw / shards);

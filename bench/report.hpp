@@ -27,7 +27,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <string>
@@ -37,6 +36,7 @@
 #include <sys/resource.h>
 #endif
 
+#include "obs/env.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "stats/summary.hpp"
@@ -198,12 +198,12 @@ class Report {
   /// Writes to AIO_BENCH_JSON if set; idempotent (first call wins).
   void write() {
     if (written_) return;
-    const char* path = std::getenv("AIO_BENCH_JSON");
-    if (!path || !*path) return;
+    const obs::EnvSink json = obs::env_sink("AIO_BENCH_JSON", /*needs_path=*/true);
+    if (!json.on) return;
     written_ = true;
-    std::ofstream out(path);
+    std::ofstream out(json.path);
     if (!out) {
-      std::fprintf(stderr, "bench: cannot write AIO_BENCH_JSON=%s\n", path);
+      std::fprintf(stderr, "bench: cannot write AIO_BENCH_JSON=%s\n", json.path.c_str());
       return;
     }
     out << to_json().dump() << '\n';

@@ -94,7 +94,7 @@ int main() {
                 "Table I and Fig. 2(a-d) (Jaguar, Franklin, XTP with/without interference)",
                 "hourly IOR, POSIX, one file per writer, one writer per OST");
 
-  const std::size_t jaguar_samples = bench::env_size("AIO_BENCH_TABLE1_SAMPLES", 469);
+  const std::size_t jaguar_samples = obs::env_count("AIO_BENCH_TABLE1_SAMPLES", 469);
   const std::size_t franklin_samples = std::min<std::size_t>(jaguar_samples, 365);
   const std::size_t xtp_samples = std::min<std::size_t>(jaguar_samples, 60);
 

@@ -26,7 +26,7 @@ int main() {
   obs::Registry metrics;
   // AIO_JOURNAL/AIO_REPORT capture the per-OST state timeline for
   // tools/aio_report even though this study runs no adaptive protocol.
-  const std::unique_ptr<obs::Journal> journal = obs::Journal::from_env();
+  const std::unique_ptr<obs::Journal> journal = obs::Journal::from_env(0);
   sim::Engine engine(/*trace=*/nullptr, &metrics, journal.get());
   fs::FileSystem filesystem(engine, spec.fs);
   fs::BackgroundLoad load(engine, sim::Rng(2026).fork(1), spec.load,
@@ -83,7 +83,7 @@ int main() {
               sampler.ticks(), metrics.render_text().c_str());
   if (journal) {
     (void)journal->write();
-    (void)obs::flush_report(*journal);
+    (void)obs::flush_report(*journal, 0);
   }
   return 0;
 }

@@ -99,9 +99,10 @@ core::LocalIndex WriteSet::blueprint(core::Rank rank) const {
 Simulation::Simulation(fs::MachineSpec spec, std::uint64_t seed, Options options)
     : spec_(std::move(spec)),
       options_(options),
-      trace_(obs::TraceSink::from_env()),
-      journal_(obs::Journal::from_env()),
-      live_(obs::LivePlane::from_env()),
+      obs_slot_(obs::machine_slot()),
+      trace_(obs::TraceSink::from_env(obs_slot_)),
+      journal_(obs::Journal::from_env(obs_slot_)),
+      live_(obs::LivePlane::from_env(obs_slot_)),
       engine_(trace_.get(), &metrics_, journal_.get(), live_.get()),
       rng_(seed) {
   fs_ = std::make_unique<fs::FileSystem>(engine_, spec_.fs);
@@ -157,7 +158,7 @@ void Simulation::flush_obs(bool aborted) {
   }
   if (journal_) {
     (void)journal_->write();
-    (void)obs::flush_report(*journal_);
+    (void)obs::flush_report(*journal_, obs_slot_);
   }
   if (live_) {
     live_->flush();
@@ -236,7 +237,7 @@ core::IoResult Simulation::write_step(const IoGroup& group, Method method,
   // AIO_BENCH_MAX_STEPS arms the engine watchdog: the step bounds a hung
   // protocol instead of spinning forever, and the failure path below still
   // flushes every observability artifact (including the flight recorder).
-  static const std::size_t max_steps = obs::env_size("AIO_BENCH_MAX_STEPS", 0);
+  static const std::size_t max_steps = obs::env_count("AIO_BENCH_MAX_STEPS", 0);
   if (max_steps > 0)
     engine_.run(max_steps);
   else

@@ -167,6 +167,10 @@ class Simulation {
 
   fs::MachineSpec spec_;
   Options options_;
+  // Numbers every output path of this machine, resolved once at
+  // construction (obs::machine_slot) so its trace, journal, report and live
+  // stream share one number whatever order Simulations are destroyed in.
+  int obs_slot_;
   // Observability state must precede engine_: the engine captures the
   // pointers at construction.
   std::unique_ptr<obs::TraceSink> trace_;

@@ -202,19 +202,8 @@ void AdaptiveRun::begin(const IoJob& job) {
     cc.sc_of = sc_of;
     cc.rank = Topology::coordinator_rank();
     cc.stealing_enabled = cfg.stealing;
-    cc.steal_source = cfg.steal_straggler && live ? CoordinatorFsm::StealSource::Straggler
-                      : cfg.steal_most_remaining  ? CoordinatorFsm::StealSource::MostRemaining
-                                                  : CoordinatorFsm::StealSource::RoundRobin;
-    if (cc.steal_source == CoordinatorFsm::StealSource::Straggler) {
-      // Close the observability loop: rank steal sources by the live
-      // straggler score of the OST each group's file is pinned to.
-      cc.straggler_score_of = [this](GroupId grp) {
-        const auto file = static_cast<std::size_t>(grp);
-        const std::size_t ost = cfg.targets.empty() ? (cfg.first_ost + file) % fs.n_osts()
-                                                    : cfg.targets[file] % fs.n_osts();
-        return live->straggler_score(static_cast<std::uint32_t>(ost));
-      };
-    }
+    cc.steal_source = cfg.steal_most_remaining ? CoordinatorFsm::StealSource::MostRemaining
+                                               : CoordinatorFsm::StealSource::RoundRobin;
     cc.retain_global_index = cfg.retain_global_index;
     coord.emplace(std::move(cc));
   }

@@ -29,10 +29,6 @@ class AdaptiveTransport final : public Transport {
     bool stealing = true;            ///< coordinator work redistribution
     /// Steal-source selection (see CoordinatorFsm::StealSource).
     bool steal_most_remaining = false;
-    /// Pick steal sources by live straggler score instead (takes precedence
-    /// over steal_most_remaining).  Needs a live telemetry plane on the
-    /// engine; without one the coordinator falls back to round-robin.
-    bool steal_straggler = false;
     /// How the per-SC file creates hit the metadata server before the timed
     /// write phase: skipped (paper's measurement protocol), all at once, or
     /// staggered (the paper's open-storm mitigation).

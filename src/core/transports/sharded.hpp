@@ -37,16 +37,8 @@ class ShardedAdaptiveSim {
     double window_batch = 64.0; ///< window = lookahead * batch (see ShardGroup)
     std::size_t n_domains = 0;  ///< 0 = default plan (min(32, n_osts))
     bool collect_journal = false;  ///< attach one journal per shard engine
-    /// Determinism mode (the default): every timing-relevant knob is pinned
-    /// for the whole run, so results are bit-identical at any shard or
-    /// domain count.  Perf mode (`deterministic = false`) permits run-time
-    /// exploitation such as the window-batch auto-tuner.
+    /// Unread; kept only because perf/aio_perf.cpp assigns it.
     bool deterministic = true;
-    /// Declares that the caller intends to vary `window_batch` between runs
-    /// under wall-clock feedback (AIO_SIM_WINDOW_BATCH=auto).  Rejected in
-    /// determinism mode: a tuned window changes cross-entity quantization,
-    /// so the sweep's digests would no longer be comparable.
-    bool window_batch_auto = false;
     /// Host-runtime profiler (obs/prof.hpp), bound to the shard group before
     /// the run.  Null (the default) records nothing.  Profiling never feeds
     /// back into simulated time, so results stay bit-identical armed or not;

@@ -89,54 +89,4 @@ std::size_t MdsGroup::peak_backlog() const {
   return peak;
 }
 
-MdsProxy::MdsProxy(MdsGroup& group, std::size_t home, Config config)
-    : group_(group), home_(home), config_(config), engine_(group.server(home).engine()) {
-  if (home >= group.count()) throw std::invalid_argument("MdsProxy: home out of range");
-  if (!(config_.lease_s > 0.0)) throw std::invalid_argument("MdsProxy: lease must be > 0");
-  if (config_.max_batch == 0) config_.max_batch = 1;
-}
-
-void MdsProxy::create(OnComplete on_complete) {
-  pending_.push_back(std::move(on_complete));
-  ++absorbed_;
-  if (!leased_) {
-    // Acquire the lease: one stat-priced round trip charges the client for
-    // the grant without occupying a create slot, then the absorption window
-    // runs for `lease_s`.  The generation guard lets an early (max_batch)
-    // flush retire the timer without cancellation support.
-    leased_ = true;
-    ++leases_;
-    const std::uint64_t gen = ++gen_;
-    group_.submit(home_, MdsGroup::OpKind::Stat, {});
-    engine_.schedule_after(config_.lease_s, [this, gen] {
-      if (leased_ && gen == gen_) flush();
-    });
-  }
-  if (pending_.size() >= config_.max_batch) flush();
-}
-
-void MdsProxy::flush() {
-  leased_ = false;
-  if (pending_.empty()) return;
-  ++flushes_;
-  std::vector<OnComplete> batch;
-  if (!pool_.empty()) {
-    batch = std::move(pool_.back());
-    pool_.pop_back();
-  }
-  batch.swap(pending_);
-  const std::size_t items = batch.size();
-  in_flight_.push_back(std::move(batch));
-  // The server is FIFO, so completions arrive in submission order: the
-  // front of `in_flight_` is always the batch completing now.
-  group_.submit_batch(home_, MdsGroup::OpKind::Create, items, [this](sim::Time now) {
-    std::vector<OnComplete> done = std::move(in_flight_.front());
-    in_flight_.pop_front();
-    for (auto& cb : done)
-      if (cb) cb(now);
-    done.clear();
-    pool_.push_back(std::move(done));
-  });
-}
-
 }  // namespace aio::fs

@@ -1,11 +1,9 @@
 #include "obs/analysis.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <string>
@@ -13,6 +11,7 @@
 #include <vector>
 
 #include "obs/critical_path.hpp"
+#include "obs/env.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "stats/summary.hpp"
@@ -805,18 +804,13 @@ std::vector<std::string> diff_reports(const Json& base, const Json& current,
 }
 
 bool flush_report(const Journal& journal, int slot) {
-  const char* rep = std::getenv("AIO_REPORT");
-  if (!rep || !*rep) return true;
+  const EnvSink rep = env_sink("AIO_REPORT");
+  if (!rep.on) return true;
   const Json report = analyze(journal);
   const std::string summary = report_summary(report);
   if (!summary.empty()) std::fputs(summary.c_str(), stdout);
-  const std::string value(rep);
-  if (value == "-" || value == "1") return true;
-  // Numbered paths per machine, same scheme as TraceSink::from_env.
-  static std::atomic<int> instances{0};
-  const int ordinal = slot >= 0 ? slot + 1 : ++instances;
-  const std::string path = ordinal == 1 ? value : value + "." + std::to_string(ordinal);
-  std::ofstream out(path);
+  if (rep.path.empty()) return true;
+  std::ofstream out(numbered_path(rep.path, slot));
   if (!out) return false;
   out << report.dump() << '\n';
   return static_cast<bool>(out);

@@ -64,11 +64,11 @@ struct DiffOptions {
 [[nodiscard]] std::vector<std::string> diff_reports(const Json& base, const Json& current,
                                                     const DiffOptions& opts = {});
 
-/// AIO_REPORT hook: when the env var is set, analyzes `journal`, prints the
+/// AIO_REPORT hook: when the switch is on, analyzes `journal`, prints the
 /// terse summary to stdout and — unless the value is "-" or "1" (summary
-/// only) — writes the JSON document to the value as a path, numbered per
-/// `slot` like TraceSink paths.  Returns false only when the file write
-/// failed; a no-op (env unset) returns true.
-bool flush_report(const Journal& journal, int slot = -1);
+/// only) — writes the JSON document to the value as a path, numbered by
+/// the machine's `slot` (obs/env.hpp).  Returns false only when the file
+/// write failed; a no-op (switch off) returns true.
+bool flush_report(const Journal& journal, int slot);
 
 }  // namespace aio::obs

@@ -1,11 +1,12 @@
 #include "obs/journal.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+
+#include "obs/env.hpp"
 
 namespace aio::obs {
 
@@ -36,17 +37,10 @@ Journal::Journal(Config config) : config_(std::move(config)) {
 }
 
 std::unique_ptr<Journal> Journal::from_env(int slot) {
-  const char* path = std::getenv("AIO_JOURNAL");
-  const char* report = std::getenv("AIO_REPORT");
-  const bool path_set = path && *path;
-  if (!path_set && !(report && *report)) return nullptr;
+  const EnvSink journal = env_sink("AIO_JOURNAL");
+  if (!journal.on && !env_sink("AIO_REPORT").on) return nullptr;
   Config cfg;
-  if (path_set) {
-    static std::atomic<int> instances{0};
-    const int ordinal = slot >= 0 ? slot + 1 : ++instances;
-    cfg.path =
-        ordinal == 1 ? std::string(path) : std::string(path) + "." + std::to_string(ordinal);
-  }
+  if (!journal.path.empty()) cfg.path = numbered_path(journal.path, slot);
   return std::make_unique<Journal>(std::move(cfg));
 }
 

@@ -101,10 +101,9 @@ class Journal {
   explicit Journal(Config config);
 
   /// Builds a journal when `AIO_JOURNAL` (file destination) or `AIO_REPORT`
-  /// (in-process analysis) is set; nullptr when both are unset.  Numbered
-  /// paths for multi-machine processes follow TraceSink::from_env: slot k
-  /// writes `<path>.k+1`, the -1 default numbers journals in creation order.
-  [[nodiscard]] static std::unique_ptr<Journal> from_env(int slot = -1);
+  /// (in-process analysis) is on; nullptr when both are off.  The path is
+  /// numbered by the machine's `slot` (obs/env.hpp).
+  [[nodiscard]] static std::unique_ptr<Journal> from_env(int slot);
 
   /// Appends one record; bounded by `max_records`, excess is counted.
   void append(const Record& r) {

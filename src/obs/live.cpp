@@ -1,9 +1,7 @@
 #include "obs/live.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -46,28 +44,19 @@ LivePlane::LivePlane(Config config) : config_(std::move(config)) {
 LivePlane::~LivePlane() { flush(); }
 
 std::unique_ptr<LivePlane> LivePlane::from_env(int slot) {
-  const char* live = std::getenv("AIO_LIVE");
-  const char* flight = std::getenv("AIO_FLIGHT");
-  const bool live_set = live && *live;
-  const bool flight_set = flight && *flight;
-  if (!live_set && !flight_set) return nullptr;
-  // Numbered paths per machine, same scheme as TraceSink/Journal::from_env.
-  static std::atomic<int> instances{0};
-  const int ordinal = slot >= 0 ? slot + 1 : ++instances;
-  const auto numbered = [ordinal](const char* p) {
-    return ordinal == 1 ? std::string(p) : std::string(p) + "." + std::to_string(ordinal);
-  };
+  const EnvSink live = env_sink("AIO_LIVE");
+  const EnvSink flight = env_sink("AIO_FLIGHT", /*needs_path=*/true);
+  if (!live.on && !flight.on) return nullptr;
   Config cfg;
-  if (live_set && std::strcmp(live, "1") != 0 && std::strcmp(live, "-") != 0)
-    cfg.snapshot_path = numbered(live);
-  if (flight_set) cfg.flight_path = numbered(flight);
+  if (!live.path.empty()) cfg.snapshot_path = numbered_path(live.path, slot);
+  if (flight.on) cfg.flight_path = numbered_path(flight.path, slot);
   // The ring only earns its copy-per-record when there is somewhere to dump
   // it: AIO_LIVE alone runs with the recorder disarmed.
-  if (!flight_set) cfg.flight_records = 0;
-  cfg.snapshot_period_s = env_double("AIO_LIVE_PERIOD_S", cfg.snapshot_period_s);
-  cfg.window_slot_s = env_double("AIO_LIVE_WINDOW_S", cfg.window_slot_s);
-  cfg.window_slots = env_size("AIO_LIVE_SLOTS", cfg.window_slots);
-  cfg.flight_records = env_size("AIO_FLIGHT_RECORDS", cfg.flight_records);
+  if (!flight.on) cfg.flight_records = 0;
+  cfg.snapshot_period_s = env_seconds("AIO_LIVE_PERIOD_S", cfg.snapshot_period_s);
+  cfg.window_slot_s = env_seconds("AIO_LIVE_WINDOW_S", cfg.window_slot_s);
+  cfg.window_slots = env_count("AIO_LIVE_SLOTS", cfg.window_slots);
+  cfg.flight_records = env_count("AIO_FLIGHT_RECORDS", cfg.flight_records);
   return std::make_unique<LivePlane>(std::move(cfg));
 }
 

@@ -27,15 +27,12 @@
 // up) run and reused thereafter — keeping the plane inside the hot-path
 // budgets tests/test_alloc_guard enforces.
 //
-// Two consumers close the loop:
-//   * snapshots: when `AIO_LIVE=<path>` is set, a periodic daemon (armed by
-//     the host next to the metrics sampler) appends one aio-live-v1 JSON
-//     row per tick; `flush()` appends a `"final": true` row carrying the
-//     cumulative attribution in the report's shape.  Rows are fflush()ed as
-//     written, so a crashed run keeps every completed row.
-//   * the coordinator's opt-in Straggler steal policy
-//     (CoordinatorFsm::StealSource::Straggler) reads `straggler_score()`
-//     mid-run to pick steal sources.
+// Snapshots: when `AIO_LIVE=<path>` is set, a periodic daemon (armed by the
+// host next to the metrics sampler) appends one aio-live-v1 JSON row per
+// tick; `flush()` appends a `"final": true` row carrying the cumulative
+// attribution in the report's shape.  Rows are fflush()ed as written, so a
+// crashed run keeps every completed row.  Queries (`straggler_score()`,
+// `steals()`, ...) read the same state mid-run as telemetry.
 //
 // The flight recorder is a bounded ring of the most recent records.  On
 // abort (bench watchdog, Simulation failure path) `dump_flight()` writes the
@@ -130,9 +127,8 @@ class LivePlane {
   /// or `AIO_FLIGHT` (flight-recorder dump path) is set; nullptr when both
   /// are unset.  Knobs AIO_LIVE_PERIOD_S / AIO_LIVE_WINDOW_S /
   /// AIO_LIVE_SLOTS / AIO_FLIGHT_RECORDS parse strictly (obs/env.hpp).
-  /// Paths are numbered per machine like TraceSink::from_env: slot k writes
-  /// `<path>.k+1`, the -1 default numbers planes in creation order.
-  [[nodiscard]] static std::unique_ptr<LivePlane> from_env(int slot = -1);
+  /// Paths are numbered by the machine's `slot` (obs/env.hpp).
+  [[nodiscard]] static std::unique_ptr<LivePlane> from_env(int slot);
 
   /// Folds one journal record into the live state.  Allocation-free once
   /// the first run has sized the per-run vectors.

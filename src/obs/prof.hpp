@@ -24,7 +24,7 @@
 // slot array up front, so worker-side accumulation is allocation-free in
 // steady state (tests/test_alloc_guard holds this).
 //
-// Armed by the benches from `AIO_PROF` (see bench/env.hpp: "1"/"-" = stderr
+// Armed by the benches from `AIO_PROF` (obs/env.hpp sink: "1"/"-" = stderr
 // summary, otherwise an aio-prof-v1 JSON path) with optional periodic
 // one-line stderr rows every `AIO_PROF_PERIOD_S` host seconds.  Snapshots
 // surface through `LivePlane::snapshot_json` as `prof.*` keys and land in

@@ -1,12 +1,10 @@
 #include "obs/trace.hpp"
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <ostream>
 
+#include "obs/env.hpp"
 #include "obs/metrics.hpp"
 
 namespace aio::obs {
@@ -37,24 +35,12 @@ TraceSink::TraceSink(Config config) : config_(std::move(config)) {
 }
 
 std::unique_ptr<TraceSink> TraceSink::from_env(int slot) {
-  const char* path = std::getenv("AIO_TRACE");
-  if (!path || !*path) return nullptr;
+  const EnvSink sink = env_sink("AIO_TRACE");
+  if (!sink.on) return nullptr;
   Config cfg;
-  // One trace file per sink within a process: <path>, <path>.2, <path>.3...
-  // Callers that know their machine's index pass it as `slot` for a
-  // deterministic path; the fallback counter is atomic so concurrent sinks
-  // at least never collide on one file.
-  static std::atomic<int> instances{0};
-  const int ordinal = slot >= 0 ? slot + 1 : ++instances;
-  cfg.path =
-      ordinal == 1 ? std::string(path) : std::string(path) + "." + std::to_string(ordinal);
-  if (const char* cats = std::getenv("AIO_TRACE_CATS")) {
-    if (std::strcmp(cats, "all") == 0 || std::strcmp(cats, "engine") == 0) {
-      cfg.categories = kCatAll;
-    } else if (const long mask = std::atol(cats); mask > 0) {
-      cfg.categories = static_cast<std::uint32_t>(mask);
-    }
-  }
+  if (!sink.path.empty()) cfg.path = numbered_path(sink.path, slot);
+  cfg.categories = static_cast<std::uint32_t>(
+      env_count("AIO_TRACE_CATS", cfg.categories, 1, {{"all", kCatAll}, {"engine", kCatAll}}));
   return std::make_unique<TraceSink>(std::move(cfg));
 }
 

@@ -70,15 +70,12 @@ class TraceSink {
 
   explicit TraceSink(Config config);
 
-  /// Builds a sink from `AIO_TRACE` (nullptr when unset).  A process
-  /// hosting several machines writes one trace per machine, with numbered
-  /// paths (`<path>`, `<path>.2`, ...).  `slot >= 0` selects the path
-  /// deterministically (slot k writes `<path>.k+1`); the default -1 numbers
-  /// sinks in creation order via an atomic counter — stable serially,
-  /// arbitrary when sinks are created from several threads.
-  /// `AIO_TRACE_CATS` ("all", "engine", or a decimal bitmask) widens or
-  /// narrows the recorded categories.
-  [[nodiscard]] static std::unique_ptr<TraceSink> from_env(int slot = -1);
+  /// Builds a sink from `AIO_TRACE` (nullptr when off; `1` or `-` traces
+  /// in memory only).  The path is numbered by the machine's `slot`
+  /// (obs/env.hpp: slot k writes `<path>.k+1`).  `AIO_TRACE_CATS` ("all",
+  /// "engine", or a decimal bitmask) widens or narrows the recorded
+  /// categories.
+  [[nodiscard]] static std::unique_ptr<TraceSink> from_env(int slot);
 
   /// True when `cat` is recorded; callers use this to skip building args.
   [[nodiscard]] bool wants(std::uint32_t cat) const {

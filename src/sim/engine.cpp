@@ -2,11 +2,11 @@
 
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
+#include "obs/env.hpp"
 #include "obs/trace.hpp"
 #include "sim/dary_heap.hpp"
 
@@ -16,7 +16,7 @@ namespace aio::sim {
 // runaway same-timestamp event storms are visible.  Read once per engine so
 // the dispatch loop tests a plain member instead of a guarded static.
 bool Engine::heartbeat_enabled() {
-  static const bool enabled = std::getenv("AIO_ENGINE_TRACE") != nullptr;
+  static const bool enabled = obs::env_sink("AIO_ENGINE_TRACE").on;
   return enabled;
 }
 

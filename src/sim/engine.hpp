@@ -79,8 +79,6 @@ class Engine {
   /// True when a journal or live plane is attached — the one-load gate the
   /// record-emitting hot paths (Ost::recompute) test per call.
   [[nodiscard]] bool observing_records() const { return journal_ || live_plane_; }
-  void set_trace(obs::TraceSink* trace) { trace_ = trace; }
-  void set_metrics(obs::Registry* metrics) { metrics_ = metrics; }
   void set_journal(obs::Journal* journal) { journal_ = journal; }
   void set_live(obs::LivePlane* live) { live_plane_ = live; }
 

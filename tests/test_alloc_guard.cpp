@@ -32,7 +32,7 @@
 #include "core/transports/adaptive_transport.hpp"
 #include "core/transports/layout.hpp"
 #include "fs/filesystem.hpp"
-#include "fs/mds_group.hpp"
+#include "fs/mds.hpp"
 #include "fs/ost.hpp"
 #include "net/network.hpp"
 #include "obs/journal.hpp"
@@ -406,28 +406,6 @@ TEST(AllocGuard, BatchedMdsStormAllocatesLessThanPerFile) {
   const std::size_t batched = guard.stop();
   EXPECT_LE(batched * 2, perfile)
       << "batched storm allocated " << batched << " vs per-file " << perfile;
-}
-
-// The absorption proxy's steady state recycles its callback vectors: once
-// the pool is warm, a 128-create burst is two flush cycles whose only
-// allocator traffic is deque chunk stepping (server queue + in-flight ring)
-// — a handful of allocations, not one per create.
-TEST(AllocGuard, MdsProxySteadyStateRecyclesItsBatches) {
-  sim::Engine engine;
-  fs::MdsGroup group(engine, fs::MdsGroup::Config{});
-  fs::MdsProxy proxy(group, 0, fs::MdsProxy::Config{/*lease_s=*/1e-3, /*max_batch=*/64});
-  const auto burst = [&] {
-    for (int i = 0; i < 128; ++i) proxy.create([](sim::Time) {});
-    engine.run();
-  };
-  burst();  // warm-up: pending vector capacity, pool, in-flight ring
-
-  AllocGuard guard;
-  guard.start();
-  burst();
-  const std::size_t allocs = guard.stop();
-  EXPECT_LE(allocs, 12u) << "proxy create/flush cycle allocated " << allocs
-                         << " times for 128 creates (callback vectors must recycle)";
 }
 
 // --- shard-runtime profiler --------------------------------------------------

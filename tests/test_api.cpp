@@ -3,7 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
+
+#include "obs/analysis.hpp"
+#include "obs/journal.hpp"
 
 namespace {
 
@@ -135,6 +145,55 @@ TEST(SimulationTest, TooManyWritersThrows) {
   g.define_scalar("s", Type::Double);
   EXPECT_THROW(sim.write_step(g, Method::Posix, 100000, [&](core::Rank) { return WriteSet(g); }),
                std::invalid_argument);
+}
+
+TEST(SimulationTest, ReportAndJournalShareTheMachineNumber) {
+  // Two live Simulations destroyed in reverse construction order: each
+  // report must analyze the journal written under the same number
+  // (report.2 <-> journal.2), not whichever machine flushed first.
+  namespace fsys = std::filesystem;
+  const fsys::path dir = fsys::path(testing::TempDir()) / "aio_sim_numbering";
+  fsys::remove_all(dir);
+  fsys::create_directories(dir);
+  ::setenv("AIO_JOURNAL", (dir / "journal").c_str(), 1);
+  ::setenv("AIO_REPORT", (dir / "report").c_str(), 1);
+  {
+    IoGroup g("out");
+    const auto v = g.define_var("x", Type::Double, {1u << 20});
+    const auto contribution = [&](core::Rank r) {
+      WriteSet ws(g);
+      ws.put(v, {static_cast<std::uint64_t>(r) * 1024}, {1024});
+      return ws;
+    };
+    Simulation first(tiny_machine(), 1, Simulation::Options{.background_load = false});
+    Simulation second(tiny_machine(), 2, Simulation::Options{.background_load = false});
+    first.write_step(g, Method::Adaptive, 8, contribution);
+    second.write_step(g, Method::Adaptive, 16, contribution);
+  }  // `second` flushes first
+  ::unsetenv("AIO_JOURNAL");
+  ::unsetenv("AIO_REPORT");
+
+  // Suffix ("" or ".N") -> file contents, per sink.
+  std::map<std::string, std::string> journals, reports;
+  for (const auto& entry : fsys::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    std::ifstream in(entry.path());
+    std::stringstream body;
+    body << in.rdbuf();
+    if (name.rfind("journal", 0) == 0) journals[name.substr(7)] = entry.path().string();
+    if (name.rfind("report", 0) == 0) reports[name.substr(6)] = body.str();
+  }
+  ASSERT_EQ(journals.size(), 2u);
+  ASSERT_EQ(reports.size(), 2u);
+  for (const auto& [suffix, path] : journals) {
+    const std::optional<obs::Journal> journal = obs::Journal::load(path);
+    ASSERT_TRUE(journal.has_value()) << path;
+    ASSERT_EQ(reports.count(suffix), 1u) << "no report" << suffix;
+    const obs::Json report = obs::analyze(*journal);
+    EXPECT_EQ(reports[suffix], report.dump() + "\n") << "report" << suffix
+                                                     << " does not analyze journal" << suffix;
+  }
+  fsys::remove_all(dir);
 }
 
 TEST(SimulationTest, MethodNameStrings) {

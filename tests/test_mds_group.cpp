@@ -1,5 +1,5 @@
-// Tests for the multi-MDS tier (fs/mds_group.hpp): hash placement,
-// aggregate telemetry, and the hot-directory absorption proxy.
+// Tests for the multi-MDS tier (fs/mds_group.hpp): hash placement
+// and aggregate telemetry.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,7 +11,6 @@
 namespace {
 
 using aio::fs::MdsGroup;
-using aio::fs::MdsProxy;
 using aio::fs::MetadataServer;
 using aio::sim::Engine;
 using aio::sim::Time;
@@ -93,76 +92,6 @@ TEST(MdsGroup, ClassicSubmitFromDegeneratesToDirectCall) {
   b.submit(1, MetadataServer::OpKind::Open, [&](Time t) { tb = t; });
   eb.run();
   EXPECT_EQ(ta, tb);
-}
-
-TEST(MdsProxy, AbsorbsABurstIntoOneLeasedBatch) {
-  // 32 creates inside one lease window: one lease acquisition (stat-priced)
-  // plus one batched Create request — not 32 queue slots.
-  Engine e;
-  MdsGroup g(e, tier(2));
-  MdsProxy proxy(g, /*home=*/1, MdsProxy::Config{/*lease_s=*/0.01, /*max_batch=*/4096});
-  std::vector<Time> done;
-  for (int i = 0; i < 32; ++i) proxy.create([&](Time t) { done.push_back(t); });
-  e.run();
-
-  ASSERT_EQ(done.size(), 32u);
-  EXPECT_EQ(proxy.absorbed(), 32u);
-  EXPECT_EQ(proxy.leases(), 1u);
-  EXPECT_EQ(proxy.flushes(), 1u);
-  // One lease op + one batch request at the home server; nothing elsewhere.
-  EXPECT_EQ(g.server(1).completed_ops(), 2u);
-  EXPECT_EQ(g.server(1).completed_items(), 33u);  // lease + 32 creates
-  EXPECT_EQ(g.server(0).completed_ops(), 0u);
-  // All 32 complete together when the batch lands: lease window (0.01) +
-  // batched service (create priced as open + 31 marginal items).
-  EXPECT_NEAR(done.front(), 0.01 + 0.001 + 31 * 0.0001, 1e-9);
-  for (const Time t : done) EXPECT_EQ(t, done.front());
-}
-
-TEST(MdsProxy, FullBatchFlushesBeforeTheLeaseExpires) {
-  Engine e;
-  MdsGroup g(e, tier(1));
-  MdsProxy proxy(g, 0, MdsProxy::Config{/*lease_s=*/10.0, /*max_batch=*/4});
-  int completed = 0;
-  Time last = -1;
-  for (int i = 0; i < 8; ++i)
-    proxy.create([&](Time t) {
-      ++completed;
-      last = t;
-    });
-  e.run();
-  EXPECT_EQ(completed, 8);
-  EXPECT_EQ(proxy.flushes(), 2u);  // two full batches of 4
-  EXPECT_LT(last, 1.0);            // nobody waited for the 10s lease timer
-}
-
-TEST(MdsProxy, CallbacksFireInArrivalOrder) {
-  Engine e;
-  MdsGroup g(e, tier(1));
-  MdsProxy proxy(g, 0, MdsProxy::Config{/*lease_s=*/0.001, /*max_batch=*/3});
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) proxy.create([&order, i](Time) { order.push_back(i); });
-  e.run();
-  ASSERT_EQ(order.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(MdsProxy, NewLeaseOpensAfterAnIdleGap) {
-  // Two bursts separated by more than the lease window: each acquires its
-  // own lease and flushes its own batch.
-  Engine e;
-  MdsGroup g(e, tier(1));
-  MdsProxy proxy(g, 0, MdsProxy::Config{/*lease_s=*/0.001, /*max_batch=*/4096});
-  int completed = 0;
-  auto burst = [&] {
-    for (int i = 0; i < 4; ++i) proxy.create([&](Time) { ++completed; });
-  };
-  burst();
-  e.schedule_after(1.0, burst);
-  e.run();
-  EXPECT_EQ(completed, 8);
-  EXPECT_EQ(proxy.leases(), 2u);
-  EXPECT_EQ(proxy.flushes(), 2u);
 }
 
 }  // namespace

@@ -1,21 +1,26 @@
 // Tests for the observability layer: JSON round-trips, counter/gauge/series
 // semantics, trace span bookkeeping, sampler accuracy against a hand-solved
-// OST drain, and the protocol instrumentation agreeing with IoResult.
+// OST drain, the protocol instrumentation agreeing with IoResult, and the
+// AIO_* environment readers (obs/env.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/transports/adaptive_transport.hpp"
 #include "fs/filesystem.hpp"
 #include "fs/ost.hpp"
 #include "net/network.hpp"
+#include "obs/env.hpp"
 #include "obs/journal.hpp"
 #include "obs/json.hpp"
+#include "obs/live.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
@@ -439,6 +444,176 @@ TEST(ProtocolTrace, StealInstantsMatchIoResult) {
   EXPECT_EQ(reg.counter("protocol.steals").value(), result->steals);
   EXPECT_EQ(reg.counter("protocol.runs").value(), 1u);
   EXPECT_GE(reg.counter("protocol.steal_grants").value(), result->steals);
+}
+
+// --- env readers -------------------------------------------------------------
+
+// One reader call with `value` in a variable no other case uses (so every
+// case sees its own first warning); returns the captured stderr.
+template <typename Read>
+std::string read_env(const char* tag, std::size_t i, const char* value, Read read) {
+  const std::string name = std::string("AIO_TEST_") + tag + "_" + std::to_string(i);
+  if (value)
+    ::setenv(name.c_str(), value, 1);
+  else
+    ::unsetenv(name.c_str());
+  testing::internal::CaptureStderr();
+  read(name.c_str());
+  ::unsetenv(name.c_str());
+  return testing::internal::GetCapturedStderr();
+}
+
+TEST(EnvReaders, CountAcceptsWholeNumbersAtOrAboveTheMinimum) {
+  struct Case {
+    const char* value;
+    std::size_t min;
+    std::size_t want;
+    bool warns;
+  };
+  const Case cases[] = {
+      {"12", 1, 12, false},     {nullptr, 1, 7, false},  // valid, unset
+      {"", 1, 7, false},        {"12x", 1, 7, true},     // empty, trailing junk
+      {"99999999999999999999999", 1, 7, true},          // overflow
+      {"0", 1, 7, true},        {"0", 0, 0, false},      // below minimum; min 0 accepts it
+      {"3", 4, 7, true},        {"-3", 1, 7, true},      // below minimum; no signs
+      {" 3", 1, 7, true},       {"all", 1, 7, true},     // no blanks; no unlisted words
+  };
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const Case& c = cases[i];
+    std::size_t got = 0;
+    const std::string err = read_env("COUNT", i, c.value, [&](const char* name) {
+      got = obs::env_count(name, 7, c.min);
+    });
+    EXPECT_EQ(got, c.want) << i;
+    EXPECT_EQ(!err.empty(), c.warns) << i << ": " << err;
+    if (c.warns) EXPECT_NE(err.find("aio: ignoring AIO_TEST_COUNT_"), std::string::npos) << err;
+  }
+  // Named values ride along (AIO_TRACE_CATS=all).
+  std::size_t got = 0;
+  read_env("COUNT", 99, "all", [&](const char* name) {
+    got = obs::env_count(name, 7, 1, {{"all", 255}});
+  });
+  EXPECT_EQ(got, 255u);
+}
+
+TEST(EnvReaders, SecondsAcceptsPositiveFiniteNumbers) {
+  struct Case {
+    const char* value;
+    double min;
+    double want;
+    bool warns;
+  };
+  const Case cases[] = {
+      {"0.25", 0.0, 0.25, false}, {nullptr, 0.0, 2.0, false},  // valid, unset
+      {"", 0.0, 2.0, false},      {"1.5s", 0.0, 2.0, true},     // empty, trailing junk
+      {"1e999", 0.0, 2.0, true},  {"nan", 0.0, 2.0, true},      // overflow, not a number
+      {"0", 0.0, 2.0, true},      {"-1", 0.0, 2.0, true},       // not positive
+      {"0.5", 1.0, 2.0, true},    {"1", 1.0, 1.0, false},       // below / at the minimum
+  };
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const Case& c = cases[i];
+    double got = 0.0;
+    const std::string err = read_env("SECONDS", i, c.value, [&](const char* name) {
+      got = obs::env_seconds(name, 2.0, c.min);
+    });
+    EXPECT_EQ(got, c.want) << i;
+    EXPECT_EQ(!err.empty(), c.warns) << i << ": " << err;
+  }
+}
+
+TEST(EnvReaders, CountListRejectsAnyMalformedEntryWhole) {
+  struct Case {
+    const char* value;
+    std::vector<std::size_t> want;
+    bool warns;
+  };
+  const Case cases[] = {
+      {"1,2,4,8", {1, 2, 4, 8}, false}, {nullptr, {}, false},  // valid, unset
+      {"", {}, false},                  {"1,2,x", {}, true},   // empty, trailing junk
+      {"1,99999999999999999999999", {}, true},                // overflow
+      {"0,2", {}, true},                {"2,", {}, true},      // below minimum; dangling comma
+      {",2", {}, true},                 {"1;2", {}, true},
+  };
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const Case& c = cases[i];
+    std::vector<std::size_t> got{42};
+    const std::string err = read_env("COUNTS", i, c.value, [&](const char* name) {
+      got = obs::env_counts(name);
+    });
+    EXPECT_EQ(got, c.want) << i;
+    EXPECT_EQ(!err.empty(), c.warns) << i << ": " << err;
+  }
+}
+
+TEST(EnvReaders, SinkGrammarSeparatesSwitchesFromPaths) {
+  struct Case {
+    const char* value;
+    bool needs_path;
+    bool on;
+    const char* path;
+    bool warns;
+  };
+  const Case cases[] = {
+      {nullptr, false, false, "", false},  {"", false, false, "", false},  // unset, empty
+      {"0", false, false, "", false},                                     // off, quietly
+      {"1", false, true, "", false},       {"-", false, true, "", false},  // on, no file
+      {"out.json", false, true, "out.json", false},                       // a path
+      {"1x", false, true, "1x", false},                                   // junk is a path
+      {"2", false, false, "", true},       {"07", false, false, "", true},  // mistyped switch
+      {"99999999999999999999999", false, false, "", true},                // overflow
+      {"1", true, false, "", true},        {"-", true, false, "", true},    // file required
+      {"0", true, false, "", false},       {"m.json", true, true, "m.json", false},
+  };
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const Case& c = cases[i];
+    obs::EnvSink got;
+    const std::string err = read_env("SINK", i, c.value, [&](const char* name) {
+      got = obs::env_sink(name, c.needs_path);
+    });
+    EXPECT_EQ(got.on, c.on) << i;
+    EXPECT_EQ(got.path, c.path) << i;
+    EXPECT_EQ(!err.empty(), c.warns) << i << ": " << err;
+    if (c.warns)
+      EXPECT_NE(err.find(c.needs_path ? "(want 0 or a file path)" : "(want 0, 1, -, or a file path)"),
+                std::string::npos)
+          << err;
+  }
+}
+
+TEST(EnvReaders, WarnsOncePerVariable) {
+  ::setenv("AIO_TEST_ONCE_A", "x", 1);
+  ::setenv("AIO_TEST_ONCE_B", "y", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(obs::env_count("AIO_TEST_ONCE_A", 3), 3u);
+  EXPECT_EQ(obs::env_count("AIO_TEST_ONCE_A", 3), 3u);
+  EXPECT_EQ(obs::env_seconds("AIO_TEST_ONCE_A", 1.0), 1.0);  // same variable, other reader
+  EXPECT_EQ(obs::env_count("AIO_TEST_ONCE_B", 3), 3u);
+  const std::string err = testing::internal::GetCapturedStderr();
+  ::unsetenv("AIO_TEST_ONCE_A");
+  ::unsetenv("AIO_TEST_ONCE_B");
+  EXPECT_EQ(err,
+            "aio: ignoring AIO_TEST_ONCE_A=\"x\" (want an integer >= 1)\n"
+            "aio: ignoring AIO_TEST_ONCE_B=\"y\" (want an integer >= 1)\n");
+}
+
+TEST(EnvReaders, NumberedPathsFollowTheMachineSlot) {
+  EXPECT_EQ(obs::numbered_path("out.json", 0), "out.json");
+  EXPECT_EQ(obs::numbered_path("out.json", 1), "out.json.2");
+  // -1 draws the next machine ordinal: one past whatever was drawn last.
+  const int drawn = obs::machine_slot();
+  EXPECT_EQ(obs::numbered_path("out.json", -1), "out.json." + std::to_string(drawn + 2));
+  EXPECT_EQ(obs::machine_slot(5), 5);  // explicit slots never touch the ordinal
+  EXPECT_EQ(obs::machine_slot(), drawn + 2);
+}
+
+TEST(EnvReaders, ZeroTurnsEverySinkOff) {
+  for (const char* v : {"AIO_TRACE", "AIO_JOURNAL", "AIO_REPORT", "AIO_LIVE", "AIO_FLIGHT"})
+    ::setenv(v, "0", 1);
+  EXPECT_EQ(obs::TraceSink::from_env(0), nullptr);
+  EXPECT_EQ(obs::Journal::from_env(0), nullptr);
+  EXPECT_EQ(obs::LivePlane::from_env(0), nullptr);
+  for (const char* v : {"AIO_TRACE", "AIO_JOURNAL", "AIO_REPORT", "AIO_LIVE", "AIO_FLIGHT"})
+    ::unsetenv(v);
 }
 
 }  // namespace

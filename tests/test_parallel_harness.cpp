@@ -105,21 +105,21 @@ TEST(BenchThreads, ShardSweepClampsSampleThreads) {
 
 TEST(ShardSweep, ParsesStrictCommaList) {
   ::setenv("AIO_SIM_SHARDS", "1,2,4,8", 1);
-  const auto sweep = bench::shard_sweep();
+  const auto sweep = obs::env_counts("AIO_SIM_SHARDS");
   ASSERT_EQ(sweep.size(), 4u);
   EXPECT_EQ(sweep[0], 1u);
   EXPECT_EQ(sweep[3], 8u);
   EXPECT_EQ(bench::max_shards(), 8u);
   ::setenv("AIO_SIM_SHARDS", "4", 1);
-  ASSERT_EQ(bench::shard_sweep().size(), 1u);
+  ASSERT_EQ(obs::env_counts("AIO_SIM_SHARDS").size(), 1u);
   // Malformed lists are rejected whole, not partially honoured.
   for (const char* bad : {"1,2,x", "0,2", "2,", ",2", "-1", "1;2"}) {
     ::setenv("AIO_SIM_SHARDS", bad, 1);
-    EXPECT_TRUE(bench::shard_sweep().empty()) << bad;
+    EXPECT_TRUE(obs::env_counts("AIO_SIM_SHARDS").empty()) << bad;
     EXPECT_EQ(bench::max_shards(), 1u) << bad;
   }
   ::unsetenv("AIO_SIM_SHARDS");
-  EXPECT_TRUE(bench::shard_sweep().empty());
+  EXPECT_TRUE(obs::env_counts("AIO_SIM_SHARDS").empty());
 }
 
 TEST(PersistentPool, ReusesWorkersAcrossCalls) {

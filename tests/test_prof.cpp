@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "core/transports/sharded.hpp"
-#include "env.hpp"
+#include "obs/env.hpp"
 #include "obs/journal.hpp"
 #include "obs/live.hpp"
 #include "obs/prof.hpp"
@@ -321,36 +321,36 @@ TEST(ProfEnv, ParsesStrictlyAndWarnsOnceOnMalformedValues) {
   // Unset and "0": off.
   ::unsetenv("AIO_PROF");
   ::unsetenv("AIO_PROF_PERIOD_S");
-  EXPECT_FALSE(bench::prof_env().enabled);
+  EXPECT_FALSE(obs::env_sink("AIO_PROF").on);
   ::setenv("AIO_PROF", "0", 1);
-  EXPECT_FALSE(bench::prof_env().enabled);
+  EXPECT_FALSE(obs::env_sink("AIO_PROF").on);
 
   // "1" and "-": armed, stderr summary only (no path).
   for (const char* v : {"1", "-"}) {
     ::setenv("AIO_PROF", v, 1);
-    const bench::ProfEnv pe = bench::prof_env();
-    EXPECT_TRUE(pe.enabled) << v;
+    const obs::EnvSink pe = obs::env_sink("AIO_PROF");
+    EXPECT_TRUE(pe.on) << v;
     EXPECT_TRUE(pe.path.empty()) << v;
-    EXPECT_DOUBLE_EQ(pe.period_s, 0.0) << v;
+    EXPECT_DOUBLE_EQ(obs::env_seconds("AIO_PROF_PERIOD_S", 0.0), 0.0) << v;
   }
 
   // A path: armed with that destination.
   ::setenv("AIO_PROF", "/tmp/prof.json", 1);
   {
-    const bench::ProfEnv pe = bench::prof_env();
-    EXPECT_TRUE(pe.enabled);
+    const obs::EnvSink pe = obs::env_sink("AIO_PROF");
+    EXPECT_TRUE(pe.on);
     EXPECT_EQ(pe.path, "/tmp/prof.json");
   }
 
   // A valid period rides along.
   ::setenv("AIO_PROF_PERIOD_S", "0.5", 1);
-  EXPECT_DOUBLE_EQ(bench::prof_env().period_s, 0.5);
+  EXPECT_DOUBLE_EQ(obs::env_seconds("AIO_PROF_PERIOD_S", 0.0), 0.5);
 
   // Digit-only non-toggle values are mistyped toggles, not paths: rejected
   // with one stderr line, profiler off.
   ::setenv("AIO_PROF", "2", 1);
   testing::internal::CaptureStderr();
-  EXPECT_FALSE(bench::prof_env().enabled);
+  EXPECT_FALSE(obs::env_sink("AIO_PROF").on);
   std::string err = testing::internal::GetCapturedStderr();
   EXPECT_NE(err.find("ignoring AIO_PROF=\"2\""), std::string::npos) << err;
   EXPECT_NE(err.find("want 0, 1, -, or a file path"), std::string::npos) << err;
@@ -358,7 +358,7 @@ TEST(ProfEnv, ParsesStrictlyAndWarnsOnceOnMalformedValues) {
   // Warn-once: the second malformed value is rejected silently.
   ::setenv("AIO_PROF", "07", 1);
   testing::internal::CaptureStderr();
-  EXPECT_FALSE(bench::prof_env().enabled);
+  EXPECT_FALSE(obs::env_sink("AIO_PROF").on);
   EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 
   // Malformed periods: rejected with one stderr line, period 0, profiler
@@ -366,11 +366,8 @@ TEST(ProfEnv, ParsesStrictlyAndWarnsOnceOnMalformedValues) {
   ::setenv("AIO_PROF", "1", 1);
   ::setenv("AIO_PROF_PERIOD_S", "fast", 1);
   testing::internal::CaptureStderr();
-  {
-    const bench::ProfEnv pe = bench::prof_env();
-    EXPECT_TRUE(pe.enabled);
-    EXPECT_DOUBLE_EQ(pe.period_s, 0.0);
-  }
+  EXPECT_TRUE(obs::env_sink("AIO_PROF").on);
+  EXPECT_DOUBLE_EQ(obs::env_seconds("AIO_PROF_PERIOD_S", 0.0), 0.0);
   err = testing::internal::GetCapturedStderr();
   EXPECT_NE(err.find("ignoring AIO_PROF_PERIOD_S=\"fast\""), std::string::npos) << err;
   EXPECT_NE(err.find("want a positive number of seconds"), std::string::npos) << err;
@@ -378,7 +375,7 @@ TEST(ProfEnv, ParsesStrictlyAndWarnsOnceOnMalformedValues) {
   // Non-positive periods count as malformed too — and warn-once again.
   ::setenv("AIO_PROF_PERIOD_S", "-1", 1);
   testing::internal::CaptureStderr();
-  EXPECT_DOUBLE_EQ(bench::prof_env().period_s, 0.0);
+  EXPECT_DOUBLE_EQ(obs::env_seconds("AIO_PROF_PERIOD_S", 0.0), 0.0);
   EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 

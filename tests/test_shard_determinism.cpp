@@ -353,17 +353,4 @@ TEST(ShardedRun, ConvergesToClassicModelAsWindowShrinks) {
       << "shrinking the window did not move the sharded model toward classic";
 }
 
-TEST(ShardedRun, WindowBatchAutoRejectedInDeterminismMode) {
-  // The auto-tuner varies window_batch under wall-clock feedback, which
-  // changes the cross-entity quantization grid between runs — incompatible
-  // with the bit-identity contract.  The config must refuse the combination
-  // at construction, not silently produce host-dependent digests.
-  auto cfg = rig_config(2);
-  cfg.window_batch_auto = true;
-  ASSERT_TRUE(cfg.deterministic);
-  EXPECT_THROW(ShardedAdaptiveSim sim(cfg), std::invalid_argument);
-  cfg.deterministic = false;
-  EXPECT_NO_THROW(ShardedAdaptiveSim sim(cfg));
-}
-
 }  // namespace
