@@ -7,9 +7,10 @@
 // engine events/sec, process peak RSS, and resident bytes per writer — the
 // numbers that decide whether "paper-scale" fits one workstation core.
 //
-// The adaptive transport runs at every scale with the streamed global merge
-// (peak index memory O(largest sub-index)); MPI-IO rides along at the
-// scales where the baseline is worth timing (<= 16,384 writers).
+// The adaptive transport runs at every scale without keeping the global
+// index, so only index sizes travel and no block record is built; MPI-IO
+// rides along at the scales where the baseline is worth timing (<= 16,384
+// writers).
 //
 // Honours the usual knobs (bench/harness.hpp): AIO_BENCH_SAMPLES,
 // AIO_BENCH_MAX_PROCS (672 groups need at most 224,160 writers — the cap
@@ -51,7 +52,7 @@ namespace {
 
 using namespace aio;
 
-// Streamed merge keeps the coordinator from retaining every sub-index; the
+// Not keeping the global index means no block record is built or carried; the
 // detection shim keeps this file compilable against trees whose adaptive
 // config predates the knob (the pre/post A-B harness builds this same bench
 // at both ends of the change).

@@ -53,6 +53,7 @@ class Reader {
   explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
   [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] bool exhausted() const { return pos_ == bytes_.size(); }
+  [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
 
   std::uint32_t u32() {
     std::uint32_t v = 0;
@@ -92,9 +93,15 @@ void put_dims(std::vector<std::uint8_t>& out, std::span<const std::uint64_t> dim
   for (const auto d : dims) put_u64(out, d);
 }
 
+// Smallest encodings: a dim is one u64; a block is its fixed fields plus
+// three empty dim lists.  Header counts are bounded by what the remaining
+// bytes could hold before anything is allocated for them.
+constexpr std::size_t kDimBytes = 8;
+constexpr std::size_t kMinBlockBytes = 4 + 4 + 8 + 8 + 3 * 4 + 3 * 8 + 8;
+
 bool get_dims(Reader& r, Dims& dims) {
   const std::uint32_t n = r.u32();
-  if (!r.ok() || n > (1u << 20)) return false;
+  if (!r.ok() || n > r.remaining() / kDimBytes) return false;
   dims.resize(n);
   for (auto& d : dims) d = r.u64();
   return r.ok();
@@ -129,8 +136,8 @@ bool get_block(Reader& r, BlockRecord& b) {
 }
 
 std::size_t block_size(const BlockRecord& b) {
-  return 4 + 4 + 8 + 8 + 3 * 4 + 8 * (b.global_dims.size() + b.offsets.size() + b.counts.size()) +
-         3 * 8 + 8;
+  return kMinBlockBytes +
+         kDimBytes * (b.global_dims.size() + b.offsets.size() + b.counts.size());
 }
 
 constexpr std::uint32_t kLocalMagic = 0x41494F4Cu;   // "AIOL"
@@ -177,7 +184,7 @@ bool BlockRecord::intersects(std::span<const std::uint64_t> sel_offsets,
 }
 
 std::size_t LocalIndex::serialized_size() const {
-  std::size_t n = 4 + 4 + 4 + 4;  // magic, writer, file, block count
+  std::size_t n = kHeaderBytes;
   for (const auto& b : blocks) n += block_size(b);
   return n;
 }
@@ -200,7 +207,7 @@ std::optional<LocalIndex> LocalIndex::deserialize(std::span<const std::uint8_t> 
   idx.writer = static_cast<Rank>(r.u32());
   idx.file = static_cast<GroupId>(r.u32());
   const std::uint32_t n = r.u32();
-  if (!r.ok() || n > (1u << 24)) return std::nullopt;
+  if (!r.ok() || n > r.remaining() / kMinBlockBytes) return std::nullopt;
   idx.blocks.resize(n);
   for (auto& b : idx.blocks)
     if (!get_block(r, b)) return std::nullopt;
@@ -236,7 +243,7 @@ void FileIndex::finalize() {
 }
 
 std::size_t FileIndex::serialized_size() const {
-  std::size_t n = 4 + 4 + 4;
+  std::size_t n = kHeaderBytes;
   for (const auto& b : blocks_) n += block_size(b);
   return n;
 }
@@ -261,7 +268,7 @@ std::optional<FileIndex> FileIndex::deserialize(std::span<const std::uint8_t> by
   FileIndex idx(0);
   idx.file_ = static_cast<GroupId>(r.u32());
   const std::uint32_t n = r.u32();
-  if (!r.ok() || n > (1u << 24)) return std::nullopt;
+  if (!r.ok() || n > r.remaining() / kMinBlockBytes) return std::nullopt;
   idx.blocks_.resize(n);
   for (auto& b : idx.blocks_)
     if (!get_block(r, b)) return std::nullopt;
@@ -321,8 +328,8 @@ std::vector<BlockLocation> GlobalIndex::scan_for_writer(Rank writer) const {
 }
 
 std::size_t GlobalIndex::serialized_size() const {
-  std::size_t n = 8;  // magic + file count
-  for (const auto& f : files_) n += 8 + f.serialized_size();  // length prefix
+  std::size_t n = kHeaderBytes;
+  for (const auto& f : files_) n += kLengthBytes + f.serialized_size();
   return n;
 }
 
@@ -353,7 +360,7 @@ std::optional<GlobalIndex> GlobalIndex::deserialize(std::span<const std::uint8_t
     for (int b = 0; b < 8; ++b)
       len |= static_cast<std::uint64_t>(bytes[cursor + b]) << (8 * b);
     cursor += 8;
-    if (cursor + len > bytes.size()) return std::nullopt;
+    if (len > bytes.size() - cursor) return std::nullopt;  // cursor + len may wrap
     auto fi = FileIndex::deserialize(bytes.subspan(cursor, len));
     if (!fi) return std::nullopt;
     gi.add(std::move(*fi));

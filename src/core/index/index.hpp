@@ -89,6 +89,9 @@ struct BlockRecord {
 
 /// Everything one writer wrote in one output step.
 struct LocalIndex {
+  /// Serialized header: magic, writer, file, block count.
+  static constexpr std::size_t kHeaderBytes = 16;
+
   Rank writer = -1;
   GroupId file = -1;  ///< the file the data landed in (may differ from the
                       ///< writer's own group under adaptive redirection)
@@ -103,6 +106,10 @@ struct LocalIndex {
 /// Merged index of one output file, sorted by file offset.
 class FileIndex {
  public:
+  /// Serialized header: magic, file, block count.  A file index's size is
+  /// this header plus the block bytes of every local index merged into it.
+  static constexpr std::size_t kHeaderBytes = 12;
+
   FileIndex() = default;
   explicit FileIndex(GroupId file) : file_(file) {}
 
@@ -145,6 +152,11 @@ struct BlockLocation {
 /// Master index across all output files of one write operation.
 class GlobalIndex {
  public:
+  /// Serialized header (magic, file count) and the length prefix in front of
+  /// each file index: the size is kHeaderBytes + sum(kLengthBytes + file).
+  static constexpr std::size_t kHeaderBytes = 8;
+  static constexpr std::size_t kLengthBytes = 8;
+
   void add(FileIndex index);
   /// Pre-sizes the file list (the coordinator knows n_groups up front).
   void reserve(std::size_t n_files) { files_.reserve(n_files); }

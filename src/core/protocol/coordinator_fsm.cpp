@@ -164,27 +164,22 @@ void CoordinatorFsm::check_all_done(Actions& out) {
 Actions CoordinatorFsm::on_sub_index(const SubIndex& msg) {
   if (state_ != State::IndexGathering)
     throw std::logic_error("CoordinatorFsm: SUB_INDEX before OVERALL_WRITE_COMPLETE");
-  if (!msg.index) throw std::invalid_argument("CoordinatorFsm: empty SUB_INDEX");
-  // "Gather index pieces; merge into global index" (lines 19-20).
-  total_blocks_ += msg.index->blocks().size();
-  if (config_.retain_global_index) {
-    // The SC shipped its only copy, so the block list moves straight in.
-    global_index_.add(std::move(*msg.index));
-  } else {
-    // Streamed merge: fold this piece into the running size total (the wire
-    // layout is `8 + sum(8 + file_bytes)`, so the final write is byte-exact)
-    // and drop it.  Peak index memory stays at one sub-index.
-    global_index_bytes_ +=
-        8 + (msg.serialized_bytes != 0 ? msg.serialized_bytes : msg.index->serialized_size());
-  }
+  if (msg.serialized_bytes < FileIndex::kHeaderBytes)
+    throw std::invalid_argument("CoordinatorFsm: SUB_INDEX without its size");
+  if (config_.retain_global_index && !msg.index)
+    throw std::logic_error("CoordinatorFsm: SUB_INDEX without records for a retained index");
+  // "Gather index pieces; merge into global index" (lines 19-20).  The size
+  // follows the wire layout `8 + sum(8 + file_bytes)`, so the final write is
+  // byte-exact in both modes.
+  total_blocks_ += msg.blocks;
+  global_index_bytes_ += GlobalIndex::kLengthBytes + msg.serialized_bytes;
+  // The SC shipped its only copy, so the block list moves straight in.
+  if (config_.retain_global_index) global_index_.add(std::move(*msg.index));
   ++sub_indices_received_;
   Actions out;
   if (sub_indices_received_ == config_.n_groups) {
     state_ = State::IndexWriting;
-    const double bytes = config_.retain_global_index
-                             ? static_cast<double>(global_index_.serialized_size())
-                             : static_cast<double>(global_index_bytes_);
-    out.push_back(WriteGlobalIndexAction{bytes});
+    out.push_back(WriteGlobalIndexAction{static_cast<double>(global_index_bytes_)});
   }
   return out;
 }

@@ -16,10 +16,12 @@
 //  - Grant-source selection runs over a path-compressed skip list of the
 //    still-Writing groups (SC states only move forward), so a grant costs
 //    amortized O(1) instead of O(n_groups).
-//  - With `retain_global_index = false` the global merge streams: each
-//    SUB_INDEX contributes its serialized size and block count to running
-//    totals and is immediately discarded, holding peak index memory at
-//    O(largest sub-index) instead of O(total blocks).
+//  - The global index size (`8 + sum(8 + file)`) and block count are
+//    running sums over the SUB_INDEX messages in both modes, so the global
+//    index write is byte-exact without walking any records.  With
+//    `retain_global_index = false` the SUB_INDEX messages carry no records
+//    at all (see WriterPool::Layout::carry_records), so no block record is
+//    built or moved anywhere in the run.
 #pragma once
 
 #include <cstdint>
@@ -48,10 +50,10 @@ class CoordinatorFsm {
     Rank rank = 0;
     bool stealing_enabled = true;  ///< ablation: disable work redistribution
     StealSource steal_source = StealSource::RoundRobin;
-    /// When false, SUB_INDEX messages are folded into running totals and
-    /// dropped instead of being merged into a retained GlobalIndex.  The
-    /// index write (and its byte count) is identical either way; only the
-    /// in-memory product is skipped.  Paper-scale benches run with false.
+    /// When true, every SUB_INDEX must carry its records, which are merged
+    /// into a retained GlobalIndex.  When false, only the sizes and counts
+    /// are used.  The index write (and its byte count) is identical either
+    /// way.  Paper-scale benches run with false.
     bool retain_global_index = true;
   };
 
@@ -126,7 +128,7 @@ class CoordinatorFsm {
   std::uint64_t grants_issued_ = 0;
 
   GlobalIndex global_index_;
-  std::uint64_t global_index_bytes_ = 8;  ///< magic + file count, streamed total
+  std::uint64_t global_index_bytes_ = GlobalIndex::kHeaderBytes;  ///< streamed size
   std::uint64_t total_blocks_ = 0;
   std::size_t sub_indices_received_ = 0;
 };

@@ -6,15 +6,11 @@ namespace aio::core {
 
 double Message::wire_bytes() const {
   // Index payload sizes are stamped by the sender, so the per-delivery cost
-  // is a field read, not an O(blocks) re-walk of the index.
-  if (const auto* ib = std::get_if<IndexBody>(&body)) {
-    if (ib->serialized_bytes != 0) return kControlMsgBytes + static_cast<double>(ib->serialized_bytes);
-    return kControlMsgBytes + (ib->index ? static_cast<double>(ib->index->serialized_size()) : 0.0);
-  }
-  if (const auto* si = std::get_if<SubIndex>(&body)) {
-    if (si->serialized_bytes != 0) return kControlMsgBytes + static_cast<double>(si->serialized_bytes);
-    return kControlMsgBytes + (si->index ? static_cast<double>(si->index->serialized_size()) : 0.0);
-  }
+  // is a field read whether or not the records travel.
+  if (const auto* ib = std::get_if<IndexBody>(&body))
+    return kControlMsgBytes + static_cast<double>(ib->serialized_bytes);
+  if (const auto* si = std::get_if<SubIndex>(&body))
+    return kControlMsgBytes + static_cast<double>(si->serialized_bytes);
   return kControlMsgBytes;
 }
 

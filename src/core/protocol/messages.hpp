@@ -54,15 +54,18 @@ struct WriteComplete {
 };
 
 /// INDEX_BODY: writer -> SC owning the file the data landed in.
-/// Shared non-const for the same reason as SubIndex: the receiving SC is
-/// provably the only consumer after delivery, so it may move the block list
-/// into its file index — the writer's storage is left empty, releasing the
-/// per-writer index memory as soon as it is merged instead of at run end.
+///
+/// The size and block count always travel; they are all the simulation needs
+/// to time the transfer and the index writes downstream.  The block records
+/// travel only when the run keeps the global index: otherwise `index` is
+/// null.  The index is shared non-const for the same reason as SubIndex: the
+/// receiving SC is provably the only consumer after delivery, so it may move
+/// the block list into its file index, releasing the writer's index memory
+/// as soon as it is merged instead of at run end.
 struct IndexBody {
-  std::shared_ptr<LocalIndex> index;
-  /// Cached index->serialized_size(); 0 means "not cached, compute".  The
-  /// sender stamps it once so wire_bytes() never re-walks the block list.
-  std::uint64_t serialized_bytes = 0;
+  std::shared_ptr<LocalIndex> index;  ///< the records; null when not carried
+  std::uint64_t serialized_bytes = 0;  ///< LocalIndex::serialized_size()
+  std::uint64_t blocks = 0;            ///< block records it describes
 };
 
 /// ADAPTIVE_WRITE_START: C -> a still-writing SC, carrying the free target
@@ -89,14 +92,16 @@ struct OverallWriteComplete {
 };
 
 /// SC -> C: the merged per-file index ("Send the index to C", Alg. 2).
-/// The index is shared non-const so the coordinator — provably the only
-/// remaining consumer once the message is delivered — can move the block
-/// list into the global index instead of copying it.
+/// Like IndexBody it always carries the size and block count, and carries
+/// records only if the SC received any.  The index is shared non-const so
+/// the coordinator — provably the only remaining consumer once the message
+/// is delivered — can move the block list into the global index instead of
+/// copying it.
 struct SubIndex {
   GroupId group = -1;
-  std::shared_ptr<FileIndex> index;
-  /// Cached index->serialized_size(); 0 means "not cached, compute".
-  std::uint64_t serialized_bytes = 0;
+  std::shared_ptr<FileIndex> index;  ///< the records; null when not carried
+  std::uint64_t serialized_bytes = 0;  ///< FileIndex::serialized_size()
+  std::uint64_t blocks = 0;            ///< block records it describes
 };
 
 using MessageBody = std::variant<DoWrite, WriteComplete, IndexBody, AdaptiveWriteStart,

@@ -82,18 +82,26 @@ Actions SubCoordinatorFsm::on_write_complete(const WriteComplete& msg) {
 }
 
 Actions SubCoordinatorFsm::on_index_body(const IndexBody& msg) {
-  if (!msg.index) throw std::invalid_argument("SubCoordinatorFsm: empty INDEX_BODY");
-  if (msg.index->file != config_.group)
+  if (msg.serialized_bytes < LocalIndex::kHeaderBytes)
+    throw std::invalid_argument("SubCoordinatorFsm: INDEX_BODY without its size");
+  if (msg.index && msg.index->file != config_.group)
     throw std::logic_error("SubCoordinatorFsm: INDEX_BODY for another file");
-  // "Save for index for local file; missing indices--" (lines 16-18).  The
-  // SC is the message's only consumer, so the writer's block list moves in —
-  // its memory is recycled here rather than retained until run teardown.
-  file_index_.merge(std::move(*msg.index));
-  // Writers of one group stamp the same blueprint shape, so the first index
-  // sizes the whole merge: one exact reservation instead of log2(members)
-  // reallocations that move every block already merged.
-  if (indices_received_ == 0 && config_.n_members > 1)
-    file_index_.reserve_blocks(file_index_.blocks().size() * config_.n_members);
+  // "Save for index for local file; missing indices--" (lines 16-18).  A
+  // file index is its header plus every local index's block bytes.
+  file_index_bytes_ += msg.serialized_bytes - LocalIndex::kHeaderBytes;
+  file_index_blocks_ += msg.blocks;
+  if (msg.index) {
+    // The SC is the message's only consumer, so the writer's block list
+    // moves in — its memory is recycled here rather than retained until run
+    // teardown.
+    has_records_ = true;
+    file_index_.merge(std::move(*msg.index));
+    // Writers of one group stamp the same blueprint shape, so the first
+    // index sizes the whole merge: one exact reservation instead of
+    // log2(members) reallocations that move every block already merged.
+    if (indices_received_ == 0 && config_.n_members > 1)
+      file_index_.reserve_blocks(file_index_.blocks().size() * config_.n_members);
+  }
   ++indices_received_;
   Actions out;
   check_ready_to_index(out);
@@ -139,10 +147,6 @@ void SubCoordinatorFsm::check_ready_to_index(Actions& out) {
   // (lines 31-32).
   state_ = State::IndexWriting;
   file_index_.finalize();
-  // Cache the size: it also stamps the SUB_INDEX message so the network
-  // layer never re-walks the block list (finalize() only reorders, so the
-  // serialized size is already final here).
-  file_index_bytes_ = file_index_.serialized_size();
   out.push_back(WriteIndexAction{config_.group, final_data_offset_,
                                  static_cast<double>(file_index_bytes_)});
 }
@@ -154,11 +158,12 @@ Actions SubCoordinatorFsm::on_index_write_done() {
   // "Send the index to C" (line 33).  The runtime has already written the
   // index to the file (that is what this completion notifies), so the merged
   // blocks can move into the message instead of being copied.
-  auto shared = std::make_shared<FileIndex>(std::move(file_index_));
+  std::shared_ptr<FileIndex> shipped;
+  if (has_records_) shipped = std::make_shared<FileIndex>(std::move(file_index_));
   Actions out;
-  out.push_back(SendAction{
-      config_.coordinator,
-      Message{config_.rank, SubIndex{config_.group, std::move(shared), file_index_bytes_}}});
+  out.push_back(SendAction{config_.coordinator,
+                           Message{config_.rank, SubIndex{config_.group, std::move(shipped),
+                                                          file_index_bytes_, file_index_blocks_}}});
   out.push_back(RoleDoneAction{});
   return out;
 }

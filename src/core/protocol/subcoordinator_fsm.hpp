@@ -8,6 +8,11 @@
 // finally sorts/merges/writes the file index and ships it to the
 // coordinator.
 //
+// The file index's size and block count are running sums over the INDEX_BODY
+// messages (each carries both), so they are exact whether or not block
+// records travel.  Records that do arrive are merged and sorted; when none
+// do, the SUB_INDEX carries the size and count alone.
+//
 // The `max_concurrent > 1` generalization is the paper's untried "2 or 3
 // simultaneous writers per storage location" — exercised by the concurrency
 // ablation bench.
@@ -64,10 +69,10 @@ class SubCoordinatorFsm {
   [[nodiscard]] std::uint64_t indices_received() const { return indices_received_; }
   [[nodiscard]] std::uint64_t completions_into_file() const { return completions_into_file_; }
   [[nodiscard]] std::size_t redirected_members() const { return redirected_; }
-  /// The merged index of this SC's file.  Its blocks move into the SUB_INDEX
-  /// message when on_index_write_done() fires, so read it before then (the
-  /// runtimes serialize it while executing WriteIndexAction, which precedes
-  /// that notification).
+  /// The merged index of this SC's file (empty when no records arrived).
+  /// Its blocks move into the SUB_INDEX message when on_index_write_done()
+  /// fires, so read it before then (the runtimes serialize it while
+  /// executing WriteIndexAction, which precedes that notification).
   [[nodiscard]] const FileIndex& file_index() const { return file_index_; }
   [[nodiscard]] const Config& config() const { return config_; }
 
@@ -89,7 +94,9 @@ class SubCoordinatorFsm {
   bool group_done_sent_ = false;
 
   FileIndex file_index_;
-  std::uint64_t file_index_bytes_ = 0;  ///< cached serialized size, set at finalize
+  bool has_records_ = false;  ///< some INDEX_BODY carried block records
+  std::uint64_t file_index_bytes_ = FileIndex::kHeaderBytes;  ///< streamed size
+  std::uint64_t file_index_blocks_ = 0;
   std::uint64_t indices_received_ = 0;
   std::uint64_t completions_into_file_ = 0;
   std::size_t redirected_ = 0;

@@ -19,14 +19,19 @@ WriterPool::WriterPool(Layout layout, const std::function<LocalIndex(Rank)>& blu
   states_.assign(n, State::Idle);
   targets_.assign(n, GroupId{-1});
   index_bytes_.resize(n);
+  index_blocks_.resize(n);
   grant_seqs_.assign(n, 0);
-  store_ = std::make_shared<Store>();
-  store_->indices.resize(n);
-  // Indices are allocated (and their offset-independent serialized sizes
-  // cached) up front, outside the measured write path.
+  if (layout_.carry_records) {
+    store_ = std::make_shared<Store>();
+    store_->indices.resize(n);
+  }
+  // Indices are built (and their offset-independent serialized sizes
+  // recorded) up front, outside the measured write path.
   for (std::size_t i = 0; i < n; ++i) {
-    store_->indices[i] = blueprint_for(layout_.first_rank + static_cast<Rank>(i));
-    index_bytes_[i] = store_->indices[i].serialized_size();
+    LocalIndex blueprint = blueprint_for(layout_.first_rank + static_cast<Rank>(i));
+    index_bytes_[i] = blueprint.serialized_size();
+    index_blocks_[i] = static_cast<std::uint32_t>(blueprint.blocks.size());
+    if (store_) store_->indices[i] = std::move(blueprint);
   }
 }
 
@@ -39,15 +44,18 @@ Actions WriterPool::on_do_write(Rank rank, const DoWrite& msg) {
   grant_seqs_[s] = msg.grant_seq;
 
   // "Build local index based on offset": stamp the pre-allocated blueprint
-  // with its final file locations — no allocation on this path.
-  LocalIndex& index = store_->indices[s];
-  index.writer = rank;
-  index.file = msg.target_file;
-  std::uint64_t cursor = static_cast<std::uint64_t>(msg.offset);
-  for (auto& block : index.blocks) {
-    block.writer = rank;
-    block.file_offset = cursor;
-    cursor += block.length;
+  // with its final file locations — no allocation on this path.  Without
+  // records there is nothing to stamp: locations change no size.
+  if (store_) {
+    LocalIndex& index = store_->indices[s];
+    index.writer = rank;
+    index.file = msg.target_file;
+    std::uint64_t cursor = static_cast<std::uint64_t>(msg.offset);
+    for (auto& block : index.blocks) {
+      block.writer = rank;
+      block.file_offset = cursor;
+      cursor += block.length;
+    }
   }
 
   return {StartWriteAction{msg.target_file, msg.offset, layout_.bytes[s]}};
@@ -78,8 +86,8 @@ Actions WriterPool::on_write_done(Rank rank) {
   if (target_sc != my_sc) {
     actions.push_back(SendAction{target_sc, Message{rank, done}});
   }
-  actions.push_back(
-      SendAction{target_sc, Message{rank, IndexBody{local_index(rank), index_bytes_[s]}}});
+  actions.push_back(SendAction{
+      target_sc, Message{rank, IndexBody{local_index(rank), index_bytes_[s], index_blocks_[s]}}});
   actions.push_back(RoleDoneAction{});
   return actions;
 }

@@ -5,16 +5,20 @@
 // copy, private sc_of resolver, heap-allocated local index — costs kilobytes
 // per rank before the first message moves, which is what kept the benches
 // two orders of magnitude below the paper's machine.  WriterPool keeps the
-// ~4 scalar fields of per-writer state in dense struct-of-arrays columns and
+// ~5 scalar fields of per-writer state in dense struct-of-arrays columns and
 // resolves everything static (group, SC rank, payload bytes) through one
-// shared Layout, so adding a writer costs ~13 bytes of pool state plus its
-// local index blocks.
+// shared Layout.
 //
-// The per-writer local indices live in one contiguous vector owned by a
-// shared_ptr'd store; INDEX_BODY messages alias into it (no per-message
-// control block), and the receiving SC *moves* the block list out — each
-// writer's index memory is released as soon as it is merged, not at run
-// teardown.
+// Index carriage has two modes, picked by `Layout::carry_records`:
+//  - Records (the default, needed to read the global index back): the
+//    per-writer local indices live in one contiguous vector owned by a
+//    shared_ptr'd store; INDEX_BODY messages alias into it (no per-message
+//    control block), and the receiving SC *moves* the block list out, so
+//    each writer's index memory is released as soon as it is merged.
+//  - Sizes only: the blueprint is built once at construction to learn its
+//    serialized size and block count, then dropped.  INDEX_BODY carries
+//    those two numbers and no records, so a writer costs ~25 bytes of pool
+//    state and nothing else.  Every simulated byte count is the same.
 //
 // WriterFsm (writer_fsm.hpp) is a single-slot view over this pool: same
 // transition code, object-per-writer convenience for unit tests and the
@@ -40,12 +44,17 @@ class WriterPool {
     std::function<GroupId(Rank)> group_of;  ///< rank -> home group
     std::function<Rank(GroupId)> sc_of;     ///< group -> SC rank
     std::span<const double> bytes;          ///< payload of slot i's writer
+    /// False when nothing reads the global index back: keep only each
+    /// writer's index size and block count, and send INDEX_BODY without
+    /// records.
+    bool carry_records = true;
   };
 
   enum class State : std::uint8_t { Idle, Writing, Done };
 
   /// Builds `layout.bytes.size()` writers; `blueprint_for` is invoked once
-  /// per rank (construction-time only) and its result moved into the pool.
+  /// per rank (construction-time only) and its result moved into the pool,
+  /// or only measured when the layout does not carry records.
   WriterPool(Layout layout, const std::function<LocalIndex(Rank)>& blueprint_for);
 
   /// Algorithm 1, lines 1-3, for the writer on `rank`.
@@ -60,7 +69,9 @@ class WriterPool {
   }
   /// The index built for `rank`'s write (stamped once Writing; its blocks
   /// move into the owning SC's file index when the INDEX_BODY is merged).
+  /// Null when the layout does not carry records.
   [[nodiscard]] std::shared_ptr<LocalIndex> local_index(Rank rank) const {
+    if (!store_) return nullptr;
     return {store_, &store_->indices[slot(rank)]};
   }
   [[nodiscard]] const Layout& layout() const { return layout_; }
@@ -79,9 +90,10 @@ class WriterPool {
   Layout layout_;
   std::vector<State> states_;
   std::vector<GroupId> targets_;           ///< file each writer was sent to
-  std::vector<std::uint64_t> index_bytes_; ///< cached serialized index sizes
+  std::vector<std::uint64_t> index_bytes_; ///< serialized local index sizes
+  std::vector<std::uint32_t> index_blocks_; ///< block records per local index
   std::vector<std::uint64_t> grant_seqs_;  ///< provenance of the current write
-  std::shared_ptr<Store> store_;
+  std::shared_ptr<Store> store_;           ///< null unless carrying records
 };
 
 }  // namespace aio::core

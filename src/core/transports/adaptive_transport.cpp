@@ -27,7 +27,8 @@ namespace {
 /// (224,160 ranks) the per-rank layout spent kilobytes per rank on FSM
 /// configs (member vectors, resolver copies, optional<> slots for roles the
 /// rank never plays); the pooled layout keeps per-writer state to a few
-/// scalars plus the writer's own index blocks.
+/// scalars, plus the writer's own index blocks when the run keeps the global
+/// index.
 struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
   fs::FileSystem& fs;
   net::Network& net;
@@ -180,6 +181,7 @@ void AdaptiveRun::begin(const IoJob& job) {
     layout.group_of = [topo = topo](Rank r) { return topo.group_of(r); };
     layout.sc_of = sc_of;
     layout.bytes = all_bytes;
+    layout.carry_records = cfg.retain_global_index;
     writers.emplace(std::move(layout), [&job](Rank r) { return job.blueprint_for(r); });
   }
   scs.reserve(g);

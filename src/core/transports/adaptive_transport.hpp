@@ -45,9 +45,10 @@ class AdaptiveTransport final : public Transport {
     /// closes ride the channel plane per file).
     std::size_t open_batch = 0;
     bool close_via_mds = true;
-    /// When false, the coordinator streams the global merge (running totals
-    /// only) and IoResult::global_index stays null — peak index memory drops
-    /// to O(largest sub-index).  Keep true when read-back is needed.
+    /// When false, no block record is kept or carried: writers, SCs and the
+    /// coordinator pass index sizes and block counts only, and
+    /// IoResult::global_index stays null.  Every simulated timestamp and
+    /// byte count is the same either way.  Keep true when read-back is needed.
     bool retain_global_index = true;
   };
 

@@ -25,6 +25,7 @@
 #include <memory>
 #include <new>
 #include <utility>
+#include <vector>
 
 #include "core/protocol/coordinator_fsm.hpp"
 #include "core/protocol/subcoordinator_fsm.hpp"
@@ -406,6 +407,43 @@ TEST(AllocGuard, BatchedMdsStormAllocatesLessThanPerFile) {
   const std::size_t batched = guard.stop();
   EXPECT_LE(batched * 2, perfile)
       << "batched storm allocated " << batched << " vs per-file " << perfile;
+}
+
+// --- index decoders ----------------------------------------------------------
+
+/// Little-endian u32 appended to `out`.
+void put_le32(std::vector<std::uint8_t>& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+// A hostile header must not buy an allocation: the decoders bound every
+// count by what the remaining bytes could hold before sizing anything.
+TEST(AllocGuard, HostileIndexCountsAllocateNothingUpFront) {
+  constexpr std::uint32_t kLocalMagic = 0x41494F4Cu;  // "AIOL"
+  std::vector<std::uint8_t> header;
+  put_le32(header, kLocalMagic);
+  put_le32(header, 1);         // writer
+  put_le32(header, 0);         // file
+  put_le32(header, 1u << 24);  // claimed blocks, none present
+  ASSERT_EQ(header.size(), LocalIndex::kHeaderBytes);
+
+  AllocGuard guard;
+  guard.start();
+  const bool decoded = LocalIndex::deserialize(header).has_value();
+  EXPECT_EQ(guard.stop(), 0u) << "16-byte local index allocated for its claimed blocks";
+  EXPECT_FALSE(decoded);
+
+  // One real block whose first dim list claims 2^20 entries: only the block
+  // record itself may be allocated, never the claimed dims.
+  LocalIndex one;
+  one.blocks.emplace_back();
+  std::vector<std::uint8_t> bytes = one.serialize();
+  const std::size_t dims_at = LocalIndex::kHeaderBytes + 4 + 4 + 8 + 8;
+  for (int i = 0; i < 4; ++i) bytes[dims_at + i] = static_cast<std::uint8_t>((1u << 20) >> (8 * i));
+  guard.start();
+  const bool dims_decoded = LocalIndex::deserialize(bytes).has_value();
+  EXPECT_LE(guard.stop(), 1u) << "dim list allocated for its claimed length";
+  EXPECT_FALSE(dims_decoded);
 }
 
 // --- shard-runtime profiler --------------------------------------------------

@@ -231,6 +231,19 @@ TEST(GlobalIndex, ScanForWriterFindsAllBlocks) {
   EXPECT_EQ(gi.scan_for_writer(7).size(), 0u);
 }
 
+// A file-index length that wraps `cursor + len` past 2^64 must be rejected,
+// not handed to subspan.
+TEST(GlobalIndex, DeserializeRejectsWrappingLength) {
+  GlobalIndex gi;
+  gi.add(FileIndex(0));
+  std::vector<std::uint8_t> bytes = gi.serialize();
+  const std::uint64_t len = ~std::uint64_t{0} - 7;  // 16 + len wraps to 8
+  for (int b = 0; b < 8; ++b)
+    bytes[GlobalIndex::kHeaderBytes + b] = static_cast<std::uint8_t>(len >> (8 * b));
+  EXPECT_FALSE(GlobalIndex::deserialize(bytes).has_value());
+  EXPECT_TRUE(GlobalIndex::deserialize(gi.serialize()).has_value());
+}
+
 // Property: serialization round-trips for arbitrary block shapes.
 class IndexRoundTrip : public ::testing::TestWithParam<int> {};
 

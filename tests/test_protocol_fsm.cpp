@@ -170,7 +170,7 @@ IndexBody index_for(Rank writer, GroupId file, std::uint64_t offset, std::uint64
   b.file_offset = offset;
   b.length = len;
   idx->blocks.push_back(b);
-  return IndexBody{idx};
+  return IndexBody{idx, idx->serialized_size(), idx->blocks.size()};
 }
 
 TEST(SubCoordinatorFsm, SerializesWritersOneAtATime) {
@@ -286,6 +286,9 @@ TEST(SubCoordinatorFsm, IndexPhaseWaitsForExpectedIndices) {
   const auto* sub = std::get_if<SubIndex>(&to_c->msg.body);
   ASSERT_NE(sub, nullptr);
   EXPECT_EQ(sub->index->blocks().size(), 3u);
+  EXPECT_EQ(sub->blocks, 3u);
+  EXPECT_EQ(sub->serialized_bytes, sub->index->serialized_size());
+  EXPECT_DOUBLE_EQ(widx->bytes, static_cast<double>(sub->serialized_bytes));
   EXPECT_TRUE(sub->index->covers_contiguously(240));
   EXPECT_NE(find_action<RoleDoneAction>(fin), nullptr);
   EXPECT_EQ(sc.state(), SubCoordinatorFsm::State::Done);
@@ -298,6 +301,34 @@ TEST(SubCoordinatorFsm, IndicesMayArriveBeforeOverall) {
   sc.on_index_body(index_for(10, 0, 0, 100));
   const Actions a = sc.on_overall_write_complete(OverallWriteComplete{1, 100.0});
   EXPECT_NE(find_action<WriteIndexAction>(a), nullptr);
+}
+
+// Without records the SC still writes and ships an index of the exact size.
+TEST(SubCoordinatorFsm, SizeOnlyIndicesStreamTheFileIndexSize) {
+  SubCoordinatorFsm sc(sc_cfg(0, {10, 11}, {100.0, 100.0}));
+  sc.start();
+  sc.on_write_complete(writer_done(10, 0, 0, 100.0));
+  sc.on_write_complete(writer_done(11, 0, 0, 100.0));
+  sc.on_overall_write_complete(OverallWriteComplete{2, 200.0});
+  FileIndex reference(0);
+  Actions a;
+  for (const Rank w : {10, 11}) {
+    IndexBody body = index_for(w, 0, static_cast<std::uint64_t>(w - 10) * 100, 100);
+    reference.merge(*body.index);
+    body.index = nullptr;
+    a = sc.on_index_body(body);
+  }
+  const auto* widx = find_action<WriteIndexAction>(a);
+  ASSERT_NE(widx, nullptr);
+  EXPECT_DOUBLE_EQ(widx->bytes, static_cast<double>(reference.serialized_size()));
+  const Actions fin = sc.on_index_write_done();
+  const auto* to_c = find_send_to(fin, 0);
+  ASSERT_NE(to_c, nullptr);
+  const auto& sub = std::get<SubIndex>(to_c->msg.body);
+  EXPECT_EQ(sub.index, nullptr);
+  EXPECT_EQ(sub.blocks, 2u);
+  EXPECT_EQ(sub.serialized_bytes, reference.serialized_size());
+  EXPECT_THROW(sc.on_index_body(IndexBody{}), std::invalid_argument);
 }
 
 TEST(SubCoordinatorFsm, RejectsForeignIndex) {
@@ -348,6 +379,16 @@ WriteComplete adaptive_done(Rank writer, GroupId origin, GroupId file, double by
   m.file = file;
   m.bytes = bytes;
   return m;
+}
+
+/// A one-block file index for group `g`, stamped with its size and count.
+SubIndex sub_index_for(GroupId g) {
+  auto fi = std::make_shared<FileIndex>(g);
+  LocalIndex local;
+  local.file = g;
+  local.blocks.emplace_back();
+  fi->merge(local);
+  return SubIndex{g, fi, fi->serialized_size(), fi->blocks().size()};
 }
 
 TEST(CoordinatorFsm, FirstGroupDoneTriggersGrantToWritingSc) {
@@ -450,14 +491,15 @@ TEST(CoordinatorFsm, SubIndicesTriggerGlobalIndexWrite) {
   c.on_write_complete(group_done(1, 10.0));
   ASSERT_EQ(c.state(), CoordinatorFsm::State::IndexGathering);
 
-  auto fi0 = std::make_shared<FileIndex>(0);
-  auto fi1 = std::make_shared<FileIndex>(1);
-  Actions a = c.on_sub_index(SubIndex{0, fi0});
+  Actions a = c.on_sub_index(sub_index_for(0));
   EXPECT_EQ(find_action<WriteGlobalIndexAction>(a), nullptr);
-  a = c.on_sub_index(SubIndex{1, fi1});
-  ASSERT_NE(find_action<WriteGlobalIndexAction>(a), nullptr);
+  a = c.on_sub_index(sub_index_for(1));
+  const auto* write = find_action<WriteGlobalIndexAction>(a);
+  ASSERT_NE(write, nullptr);
   EXPECT_EQ(c.state(), CoordinatorFsm::State::IndexWriting);
   EXPECT_EQ(c.global_index().n_files(), 2u);
+  EXPECT_EQ(c.total_blocks(), 2u);
+  EXPECT_DOUBLE_EQ(write->bytes, static_cast<double>(c.global_index().serialized_size()));
 
   const Actions fin = c.on_global_index_write_done();
   EXPECT_NE(find_action<RoleDoneAction>(fin), nullptr);
@@ -471,8 +513,34 @@ TEST(CoordinatorFsm, ProtocolViolationsThrow) {
   EXPECT_THROW(c.on_writers_busy(WritersBusy{0, 1}), std::logic_error);
   c.on_write_complete(group_done(0, 1.0));
   EXPECT_THROW(c.on_write_complete(group_done(0, 1.0)), std::logic_error);
-  auto fi = std::make_shared<FileIndex>(0);
-  EXPECT_THROW(c.on_sub_index(SubIndex{0, fi}), std::logic_error);
+  EXPECT_THROW(c.on_sub_index(sub_index_for(0)), std::logic_error);
+}
+
+// Index messages always carry their size and block count; the records are
+// optional.  A coordinator that keeps the global index needs the records, so
+// a size-only SUB_INDEX is a protocol error there and routine when streaming.
+TEST(CoordinatorFsm, SizeOnlySubIndexNeedsAStreamingCoordinator) {
+  const auto gathering = [](bool retain) {
+    CoordinatorFsm::Config cfg = coord_cfg({1}, /*stealing=*/false);
+    cfg.retain_global_index = retain;
+    auto c = std::make_unique<CoordinatorFsm>(cfg);
+    c->on_write_complete(group_done(0, 10.0));
+    return c;
+  };
+  SubIndex size_only = sub_index_for(0);
+  size_only.index = nullptr;
+
+  EXPECT_THROW(gathering(true)->on_sub_index(size_only), std::logic_error);
+
+  const auto streaming = gathering(false);
+  const Actions a = streaming->on_sub_index(size_only);
+  const auto* write = find_action<WriteGlobalIndexAction>(a);
+  ASSERT_NE(write, nullptr);
+  EXPECT_DOUBLE_EQ(write->bytes, static_cast<double>(GlobalIndex::kHeaderBytes +
+                                                     GlobalIndex::kLengthBytes +
+                                                     size_only.serialized_bytes));
+  EXPECT_EQ(streaming->total_blocks(), 1u);
+  EXPECT_EQ(streaming->global_index().n_files(), 0u);
 }
 
 TEST(CoordinatorFsm, SingleGroupCompletesWithoutGrants) {

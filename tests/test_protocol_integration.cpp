@@ -10,6 +10,10 @@
 //   * the global index holds every block of every writer;
 //   * total bytes are conserved;
 //   * the protocol terminates (all roles done) for every topology.
+//
+// A last test runs the adaptive transport itself on a small loaded machine,
+// once carrying block records and once carrying index sizes only, and pins
+// the two to the same simulated result.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -23,6 +27,11 @@
 #include "core/protocol/coordinator_fsm.hpp"
 #include "core/protocol/subcoordinator_fsm.hpp"
 #include "core/protocol/writer_fsm.hpp"
+#include "core/transports/adaptive_transport.hpp"
+#include "fs/filesystem.hpp"
+#include "net/network.hpp"
+#include "sim/engine.hpp"
+#include "workload/pixie3d.hpp"
 
 namespace {
 
@@ -440,5 +449,88 @@ TEST_P(ProtocolSeeds, ReorderingToleratedAtModerateScale) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolSeeds,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233));
+
+// --- index carriage: records vs sizes only ----------------------------------
+
+struct CarriageRun {
+  IoResult result;
+  double submitted = 0.0;
+  std::vector<double> ost_bytes;
+};
+
+/// 56 Pixie3D writers over 7 files on an 8-OST machine with two loaded
+/// targets.  Files sit on OSTs 1-7 and the global index alone on OST 0, so
+/// each OST's byte count separates one file's data and index writes.
+CarriageRun run_pixie3d(bool retain_global_index) {
+  using namespace aio;
+  sim::Engine engine;
+  fs::FsConfig fc;
+  fc.n_osts = 8;
+  fc.fabric_bw = 0.0;
+  fc.ost.ingest_bw = 100e6;
+  fc.ost.disk_bw = 10e6;
+  fc.ost.cache_bytes = 50e6;
+  fs::FileSystem filesystem(engine, fc);
+  filesystem.ost(2).set_load(0.0, 0.8);
+  filesystem.ost(5).set_load(0.5, 0.5);
+  net::Network network(engine, net::NetConfig{1e-6, 10e9, 8}, 64);
+  AdaptiveTransport::Config cfg;
+  cfg.targets = {1, 2, 3, 4, 5, 6, 7};
+  cfg.retain_global_index = retain_global_index;
+  AdaptiveTransport transport(filesystem, network, cfg);
+  const IoJob job = workload::pixie3d_job(workload::Pixie3dConfig::small_model(), 56);
+
+  CarriageRun run;
+  bool done = false;
+  transport.run(job, [&](IoResult r) {
+    run.result = std::move(r);
+    done = true;
+  });
+  engine.run();
+  EXPECT_TRUE(done);
+  run.submitted = filesystem.total_bytes_submitted();
+  for (std::size_t o = 0; o < fc.n_osts; ++o)
+    run.ost_bytes.push_back(filesystem.ost(o).bytes_submitted());
+  return run;
+}
+
+TEST(IndexCarriage, SizesOnlyMatchesRecordsBitForBit) {
+  const CarriageRun kept = run_pixie3d(true);
+  const CarriageRun sized = run_pixie3d(false);
+  const IoResult& a = kept.result;
+  const IoResult& b = sized.result;
+  ASSERT_GT(a.steals, 0u);
+  EXPECT_EQ(a.t_begin, b.t_begin);
+  EXPECT_EQ(a.t_open_done, b.t_open_done);
+  EXPECT_EQ(a.t_data_done, b.t_data_done);
+  EXPECT_EQ(a.t_complete, b.t_complete);
+  EXPECT_EQ(a.total_bytes, b.total_bytes);
+  ASSERT_EQ(a.writer_times.size(), b.writer_times.size());
+  for (std::size_t i = 0; i < a.writer_times.size(); ++i) {
+    EXPECT_EQ(a.writer_times[i].start, b.writer_times[i].start) << "writer " << i;
+    EXPECT_EQ(a.writer_times[i].end, b.writer_times[i].end) << "writer " << i;
+  }
+  EXPECT_EQ(a.steals, b.steals);
+  EXPECT_EQ(a.grants_issued, b.grants_issued);
+  EXPECT_EQ(a.total_blocks_indexed, b.total_blocks_indexed);
+  EXPECT_EQ(a.total_blocks_indexed, 56u * 8u);
+  EXPECT_EQ(kept.submitted, sized.submitted);
+  EXPECT_EQ(kept.ost_bytes, sized.ost_bytes);
+  EXPECT_EQ(b.global_index, nullptr);
+
+  // The streamed sizes are the real ones: what each SC wrote after its data
+  // is its file index's serialized size, and the coordinator's write is the
+  // global index's.
+  ASSERT_NE(a.global_index, nullptr);
+  const GlobalIndex& gi = *a.global_index;
+  ASSERT_EQ(gi.n_files(), 7u);
+  for (const FileIndex& fi : gi.files()) {
+    double data = 0.0;
+    for (const BlockRecord& block : fi.blocks()) data += static_cast<double>(block.length);
+    const double index = kept.ost_bytes[static_cast<std::size_t>(fi.file()) + 1] - data;
+    EXPECT_EQ(index, static_cast<double>(fi.serialized_size())) << "file " << fi.file();
+  }
+  EXPECT_EQ(kept.ost_bytes[0], static_cast<double>(gi.serialized_size()));
+}
 
 }  // namespace
