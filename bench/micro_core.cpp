@@ -50,6 +50,37 @@ void BM_EngineCancelHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineCancelHeavy)->Arg(16384);
 
+// The fabric broadcast pattern: n timers stay pending; each iteration
+// re-times one block of them later (one congestion wave over 672 OSTs),
+// then fires the head, whose callback re-arms its own timer.
+void BM_EngineRearm(benchmark::State& state) {
+  constexpr std::size_t kWave = 672;
+  struct Timers {
+    sim::Engine engine;
+    std::vector<sim::EventHandle> handle;
+    std::vector<double> when;
+    void arm(std::size_t i, double t) {
+      when[i] = t;
+      handle[i] = engine.schedule_at(t, [this, i] { arm(i, engine.now() + 1.0); });
+    }
+  };
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Timers timers;
+  timers.handle.resize(n);
+  timers.when.resize(n);
+  for (std::size_t i = 0; i < n; ++i) timers.arm(i, static_cast<double>(i) / static_cast<double>(n));
+  std::size_t next = 0;
+  for (auto _ : state) {
+    for (std::size_t k = 0; k < kWave; ++k, next = (next + 1) % n) {
+      timers.when[next] += 0.25;
+      timers.engine.rearm(timers.handle[next], timers.when[next], false);
+    }
+    benchmark::DoNotOptimize(timers.engine.run(1));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * (kWave + 1));
+}
+BENCHMARK(BM_EngineRearm)->Arg(16384);
+
 void BM_FluidResourceChurn(benchmark::State& state) {
   const auto streams = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {

@@ -1,5 +1,6 @@
 #include "fs/ost.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
@@ -34,7 +35,7 @@ Ost::~Ost() {
 double Ost::cache_occupancy() const {
   const double dt = engine_.now() - last_update_;
   double q = std::max(0.0, orphan_ - orphan_outflow_ * dt);
-  for (const auto& [id, op] : ops_) {
+  for (const Op& op : ops_) {
     if (op.is_read) continue;  // reads use no write-cache space
     q += std::max(0.0, op.dirty + (op.inflow - op.outflow) * dt);
   }
@@ -53,35 +54,17 @@ Ost::OpId Ost::write(double bytes, Mode mode, OnComplete on_complete) {
   if (bytes <= 0.0) throw std::invalid_argument("Ost::write: bytes must be > 0");
   advance();
   const OpId id = next_id_++;
-  insert_op(id, Op{bytes, 0.0, 0.0, mode, false, std::move(on_complete)});
+  ops_.push_back(Op{id, bytes, 0.0, 0.0, mode, false, std::move(on_complete)});
   bytes_submitted_ += bytes;
   recompute();
   return id;
-}
-
-void Ost::insert_op(OpId id, Op op) {
-  if (spare_ops_.empty()) {
-    ops_.emplace(id, std::move(op));
-    return;
-  }
-  auto node = std::move(spare_ops_.back());
-  spare_ops_.pop_back();
-  node.key() = id;
-  node.mapped() = std::move(op);
-  ops_.insert(std::move(node));
-}
-
-void Ost::retire_op(OpMap::iterator it) {
-  auto node = ops_.extract(it);
-  node.mapped().on_complete = OnComplete{};
-  spare_ops_.push_back(std::move(node));
 }
 
 Ost::OpId Ost::read(double bytes, OnComplete on_complete) {
   if (bytes <= 0.0) throw std::invalid_argument("Ost::read: bytes must be > 0");
   advance();
   const OpId id = next_id_++;
-  insert_op(id, Op{bytes, bytes, bytes, Mode::Durable, true, std::move(on_complete)});
+  ops_.push_back(Op{id, bytes, bytes, bytes, Mode::Durable, true, std::move(on_complete)});
   bytes_read_requested_ += bytes;
   recompute();
   return id;
@@ -97,9 +80,11 @@ Ost::OpId Ost::flush(OnComplete on_complete) {
 
 bool Ost::abort(OpId id) {
   advance();
-  if (const auto it = ops_.find(id); it != ops_.end()) {
-    orphan_ += it->second.dirty;  // in-cache bytes still have to drain
-    retire_op(it);
+  const auto it = std::lower_bound(ops_.begin(), ops_.end(), id,
+                                   [](const Op& op, OpId key) { return op.id < key; });
+  if (it != ops_.end() && it->id == id) {
+    orphan_ += it->dirty;  // in-cache bytes still have to drain
+    ops_.erase(it);
     recompute();
     return true;
   }
@@ -149,7 +134,7 @@ void Ost::advance() {
   double drained = std::min(orphan_, orphan_outflow_ * dt);
   orphan_ -= drained;
   double ingested = 0.0;
-  for (auto& [id, op] : ops_) {
+  for (Op& op : ops_) {
     const double in = std::min(op.inflow * dt, op.bytes - op.ingested);
     op.ingested += in;
     if (!op.is_read) ingested += in;
@@ -166,7 +151,7 @@ void Ost::recompute() {
   std::size_t n_ingest = 0;  // ops actively moving bytes into the cache
   std::size_t m_dirty = 0;   // dirty streams sharing (and penalizing) the drain
   double q = orphan_;
-  for (const auto& [id, op] : ops_) {
+  for (const Op& op : ops_) {
     if (!op.fully_ingested()) ++n_ingest;
     if (!op.fully_ingested() || op.dirty > kEps) ++m_dirty;
     if (!op.is_read) q += op.dirty;  // reads use no write-cache space
@@ -200,7 +185,7 @@ void Ost::recompute() {
   rate_drain_ = 0.0;
   orphan_outflow_ = orphan_active ? share : 0.0;
   rate_drain_ += orphan_outflow_;
-  for (auto& [id, op] : ops_) {
+  for (Op& op : ops_) {
     op.inflow = op.fully_ingested() ? 0.0 : r;
     // A full cache throttles each stream's ingest to its own drain share.
     if (cache_full && op.inflow > share) op.inflow = share;
@@ -223,7 +208,7 @@ void Ost::recompute() {
   // --- find the next state-changing instant --------------------------------------
   double dt = kInf;
   bool immediate = false;
-  for (const auto& [id, op] : ops_) {
+  for (const Op& op : ops_) {
     if (!op.fully_ingested()) {
       const double left = op.bytes - op.ingested;
       const double ingest_eps = kEps + op.inflow * kEpsSeconds;
@@ -258,23 +243,28 @@ void Ost::recompute() {
   if (!cache_full && net_flow > kEps && q < config_.cache_bytes)
     dt = std::min(dt, (config_.cache_bytes - q) / net_flow);
 
-  if (pending_.valid()) {
-    engine_.cancel(pending_);
-    pending_ = sim::EventHandle{};
-  }
   // With no ops outstanding the only pending transition is residual cache
   // writeback — background work that must not keep Engine::run() alive.
   const bool daemon = ops_.empty() && flushes_.empty();
   if (immediate) {
-    pending_ = daemon ? engine_.schedule_daemon_after(0.0, [this] { fire(); })
-                      : engine_.schedule_after(0.0, [this] { fire(); });
+    arm(0.0, daemon);
   } else if (dt < kInf) {
     // Never schedule below the time resolution: a sub-ulp dt would fire at
     // an identical timestamp and make no fluid progress.
-    const double delay = std::max(dt, kEpsSeconds);
-    pending_ = daemon ? engine_.schedule_daemon_after(delay, [this] { fire(); })
-                      : engine_.schedule_after(delay, [this] { fire(); });
+    arm(std::max(dt, kEpsSeconds), daemon);
+  } else if (pending_.valid()) {
+    engine_.cancel(pending_);
+    pending_ = sim::EventHandle{};
   }
+}
+
+void Ost::arm(double delay, bool daemon) {
+  // Re-timing in place keeps the event's slot and callback; the fabric
+  // broadcast re-times every busy OST on each wave.
+  const sim::Time t = engine_.now() + delay;
+  if (pending_.valid() && engine_.rearm(pending_, t, daemon)) return;
+  pending_ = daemon ? engine_.schedule_daemon_at(t, [this] { fire(); })
+                    : engine_.schedule_at(t, [this] { fire(); });
 }
 
 void Ost::observe_state(std::size_t m_dirty, bool cache_full, std::uint64_t key) {
@@ -327,7 +317,7 @@ void Ost::trace_state(double q, std::size_t m_dirty, bool cache_full) {
 
 bool Ost::flush_ready() const {
   if (orphan_ > kEps) return false;
-  for (const auto& [id, op] : ops_) {
+  for (const Op& op : ops_) {
     if (op.mode == Mode::Cached) return false;
   }
   return true;
@@ -343,8 +333,9 @@ void Ost::fire() {
   // invokes at the bottom only see the scratch after collection is done.
   std::vector<OnComplete>& done = done_scratch_;
   done.clear();
-  for (auto it = ops_.begin(); it != ops_.end();) {
-    Op& op = it->second;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < ops_.size(); ++i) {
+    Op& op = ops_[i];
     const double ingest_eps = kEps + (op.inflow + 1.0) * kEpsSeconds;
     if (!op.fully_ingested() && op.bytes - op.ingested <= ingest_eps) {
       const double remainder = op.bytes - op.ingested;
@@ -357,18 +348,19 @@ void Ost::fire() {
       if (op.mode == Mode::Cached) {
         orphan_ += op.dirty;  // residue keeps draining in background
         done.push_back(std::move(op.on_complete));
-        retire_op(it++);
         continue;
       }
       if (op.dirty <= drain_eps) {
         if (!op.is_read) cum_drained_ += op.dirty;
         done.push_back(std::move(op.on_complete));
-        retire_op(it++);
         continue;
       }
     }
-    ++it;
+    // Survivors slide down over completed ops in one pass, keeping id order.
+    if (kept != i) ops_[kept] = std::move(op);
+    ++kept;
   }
+  ops_.erase(ops_.begin() + static_cast<std::ptrdiff_t>(kept), ops_.end());
   if (orphan_ <= kEps + orphan_outflow_ * kEpsSeconds) orphan_ = 0.0;
   if (!flushes_.empty() && flush_ready()) {
     for (auto& f : flushes_) done.push_back(std::move(f.on_complete));

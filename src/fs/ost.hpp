@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -112,6 +111,7 @@ class Ost {
 
  private:
   struct Op {
+    OpId id;
     double bytes;     // total work (> 0)
     double ingested;  // bytes already in cache
     double dirty;     // bytes in cache not yet on disk (or left to read)
@@ -128,13 +128,10 @@ class Ost {
     OnComplete on_complete;
   };
 
-  using OpMap = std::map<OpId, Op>;
-
   void advance();    ///< integrates fluid state from last_update_ to now
   void recompute();  ///< derives rates from current state and re-arms event
+  void arm(double delay, bool daemon);  ///< moves (or schedules) the pending event
   void fire();       ///< event handler: completes ops, re-derives rates
-  void insert_op(OpId id, Op op);       ///< adds an op, reusing a spare node
-  void retire_op(OpMap::iterator it);   ///< removes an op, parking its node
   [[nodiscard]] bool flush_ready() const;
   /// Emits one kOstState record to the journal and live plane.  recompute()
   /// dedups inline against journaled_key_ before calling, so this only runs
@@ -154,12 +151,11 @@ class Ost {
   Config config_;
   int index_;
 
-  OpMap ops_;  // ordered: deterministic iteration
+  // In id order: ids only grow, so appending keeps the vector sorted and
+  // every pass (and thus float accumulation order) is deterministic.  Its
+  // capacity stays warm, so steady-state op churn never allocates.
+  std::vector<Op> ops_;
   std::vector<Flush> flushes_;
-  // Completed/aborted map nodes are parked here and re-keyed by the next
-  // write()/read(), so steady-state op churn never touches the allocator
-  // while iteration order (and thus float accumulation order) is untouched.
-  std::vector<OpMap::node_type> spare_ops_;
   std::vector<OnComplete> done_scratch_;  // fire()'s completion batch
   OpId next_id_ = 1;
 

@@ -33,28 +33,33 @@ void dheap_push(std::vector<T>& heap, T node, Before before) {
   heap[i] = std::move(value);
 }
 
+/// Places `value` into the hole at index `i` and sifts it down, hole-style.
+/// With i = 0 this replaces the minimum in one sift (a pop plus a push
+/// without the second sift).
+template <class T, class Before>
+void dheap_sift_down(std::vector<T>& heap, std::size_t i, T value, Before before) {
+  const std::size_t size = heap.size();
+  for (;;) {
+    const std::size_t first = (i << 2) + 1;
+    if (first >= size) break;
+    std::size_t best = first;
+    const std::size_t end = first + 4 < size ? first + 4 : size;
+    for (std::size_t c = first + 1; c < end; ++c)
+      if (before(heap[c], heap[best])) best = c;
+    if (!before(heap[best], value)) break;
+    heap[i] = std::move(heap[best]);
+    i = best;
+  }
+  heap[i] = std::move(value);
+}
+
 /// Removes and returns the minimum.  Precondition: !heap.empty().
 template <class T, class Before>
 T dheap_pop(std::vector<T>& heap, Before before) {
   T top = std::move(heap.front());
   T last = std::move(heap.back());
   heap.pop_back();
-  const std::size_t size = heap.size();
-  if (size > 0) {
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first = (i << 2) + 1;
-      if (first >= size) break;
-      std::size_t best = first;
-      const std::size_t end = first + 4 < size ? first + 4 : size;
-      for (std::size_t c = first + 1; c < end; ++c)
-        if (before(heap[c], heap[best])) best = c;
-      if (!before(heap[best], last)) break;
-      heap[i] = std::move(heap[best]);
-      i = best;
-    }
-    heap[i] = std::move(last);
-  }
+  if (!heap.empty()) dheap_sift_down(heap, 0, std::move(last), before);
   return top;
 }
 
@@ -64,22 +69,8 @@ template <class T, class Before>
 void dheap_make(std::vector<T>& heap, Before before) {
   const std::size_t size = heap.size();
   if (size < 2) return;
-  for (std::size_t start = ((size - 2) >> 2) + 1; start-- > 0;) {
-    T value = std::move(heap[start]);
-    std::size_t i = start;
-    for (;;) {
-      const std::size_t first = (i << 2) + 1;
-      if (first >= size) break;
-      std::size_t best = first;
-      const std::size_t end = first + 4 < size ? first + 4 : size;
-      for (std::size_t c = first + 1; c < end; ++c)
-        if (before(heap[c], heap[best])) best = c;
-      if (!before(heap[best], value)) break;
-      heap[i] = std::move(heap[best]);
-      i = best;
-    }
-    heap[i] = std::move(value);
-  }
+  for (std::size_t start = ((size - 2) >> 2) + 1; start-- > 0;)
+    dheap_sift_down(heap, start, std::move(heap[start]), before);
 }
 
 }  // namespace aio::sim

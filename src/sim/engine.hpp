@@ -7,13 +7,16 @@
 //
 // Hot-path layout: the queue is a hand-rolled 4-ary min-heap over 16-byte
 // POD nodes (all four children of a node share one cache line); callbacks
-// live out-of-band in a generation-tagged slot table (`Slot`), so
-// cancellation is an O(1) flag set — no hashing, no heap surgery — and a
-// cancelled node is skipped (and its slot reclaimed) when it surfaces.  The
-// callback type is `InplaceFunction` (96-byte small-buffer optimization), so
-// every hot-path capture — up to a full protocol message plus its routing
-// state — never touches the allocator.  When more than half the heap is
-// cancelled debris the heap is compacted in one O(n) pass.
+// and each event's true (time, seq) key live out-of-band in a
+// generation-tagged slot table (`Slot`).  Cancellation frees the slot at
+// once — no hashing, no heap surgery — and `rearm` re-times a pending event
+// in place, keeping its slot, callback and handle.  A heap node whose seq
+// differs from its slot's stamp is debris, skipped when it surfaces; a node
+// standing in for an event moved later is re-pushed at the true key when it
+// surfaces.  The callback type is `InplaceFunction` (96-byte small-buffer
+// optimization), so every hot-path capture — up to a full protocol message
+// plus its routing state — never touches the allocator.  When more than
+// half the heap is debris the heap is compacted in one O(n) pass.
 //
 // Events come in two kinds: *normal* events represent work the simulation is
 // waiting for; *daemon* events represent perpetual background processes
@@ -95,8 +98,8 @@ class Engine {
   [[nodiscard]] std::size_t pending_normal() const { return normal_pending_; }
 
   /// Schedules `cb` to run at absolute time `t`.  `t` must not lie in the
-  /// past; scheduling "now" is allowed and fires after already-queued events
-  /// at the same instant.
+  /// past (a past or NaN `t` throws std::invalid_argument); scheduling "now"
+  /// is allowed and fires after already-queued events at the same instant.
   EventHandle schedule_at(Time t, Callback cb) { return schedule(t, std::move(cb), false); }
 
   /// Schedules `cb` to run `delay` seconds from now (delay >= 0).
@@ -114,6 +117,13 @@ class Engine {
   /// Cancels a pending event.  Returns true if the event existed and had not
   /// yet fired.
   bool cancel(EventHandle h);
+
+  /// Moves a pending event to absolute time `t` (not in the past) as a
+  /// normal or daemon event, keeping its callback and handle.  Fires in
+  /// exactly the order a cancel followed by a fresh schedule of the same
+  /// callback would.  Returns false (and changes nothing) if the event has
+  /// already fired or been cancelled.
+  bool rearm(EventHandle h, Time t, bool daemon);
 
   /// Runs events until no normal events remain.  Returns the number of
   /// events executed by this call (daemons included).
@@ -135,29 +145,33 @@ class Engine {
   std::size_t run_before(Time t);
 
   /// Timestamp of the earliest pending event (normal or daemon), or +inf
-  /// when the queue is empty.  Cleans cancelled heads as a side effect, so
-  /// the answer is exact, not an upper bound.
+  /// when the queue is empty.  Settles the head as a side effect (drops
+  /// debris, re-keys moved events), so the answer is exact, not a bound.
   [[nodiscard]] Time next_event_time();
 
  private:
   // A heap node carries everything the ordering needs; the callback stays in
-  // the slot table so heap moves shuffle 16 POD bytes, not a closure.  The
-  // node has no generation tag: a cancelled event's slot is not reused until
-  // its node leaves the heap (pop or compaction), so the slot's `dead` flag
-  // identifies debris unambiguously.
+  // the slot table so heap moves shuffle 16 POD bytes, not a closure.  Every
+  // seq is issued once, so a node is identified by its seq alone: it stands
+  // for its slot's event while `seq == Slot::stamp`, and is debris otherwise
+  // (the event fired, was cancelled, or was moved earlier past it).
   struct Node {
     Time time;
     std::uint32_t seq;  // tie-break: FIFO among same-time events (wrapping)
     std::uint32_t slot;
   };
-  // Cache-line aligned: callback buffer, ops pointer, and generation all
-  // land on the single line the dispatch loop prefetches.
+  // Two cache lines, aligned, so settling and firing an event touch only its
+  // own slot.  `no_unique_address` lets the key fields sit in the callback's
+  // tail padding; without it the slot would spill into a third line.
   struct alignas(64) Slot {
-    Callback cb;
-    std::uint32_t gen = 1;  // bumped on fire/cancel, invalidating old handles
+    [[no_unique_address]] Callback cb;
+    Time time = 0.0;          // the event's true key: (time, seq)
+    std::uint32_t seq = 0;
+    std::uint32_t stamp = 0;  // seq of the heap node standing for this event
+    std::uint32_t gen = 1;    // bumped on fire/cancel, invalidating old handles
     bool daemon = false;
-    bool dead = false;  // cancelled; node still in the heap
   };
+  static_assert(sizeof(Slot) == 128, "Slot must stay two cache lines");
 
   static bool before(const Node& a, const Node& b) {
     if (a.time != b.time) return a.time < b.time;
@@ -174,20 +188,23 @@ class Engine {
   [[nodiscard]] Slot& slot(std::uint32_t i) { return slots_[i]; }
   [[nodiscard]] const Slot& slot(std::uint32_t i) const { return slots_[i]; }
 
-  [[nodiscard]] bool node_live(const Node& n) const { return !slot(n.slot).dead; }
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
   EventHandle schedule(Time t, Callback cb, bool daemon);
-  void release(std::uint32_t slot);  // frees a fired slot, maintaining counters
-  void reclaim(std::uint32_t slot);  // returns a cancelled slot once its node left the heap
-  void compact();                    // drops cancelled nodes, re-heapifies
+  [[nodiscard]] std::uint32_t pending_slot(EventHandle h) const;  // kNoSlot if fired/cancelled
+  void release(std::uint32_t slot);  // frees a fired or cancelled slot, maintaining counters
+  void add_debris();                 // counts one more debris node; compacts when dominant
+  void compact();                    // drops debris, re-keys stand-ins, re-heapifies
   void fire(const Node& n);  // advances the clock to a live node and runs its callback
-  bool pop_one();  // fires the next non-cancelled event; false if queue empty
+  bool settle();     // pops until the head is an event at its true key; false if empty
+  void fire_head();  // pops and fires a settled head
+  bool pop_one();    // fires the next pending event; false if queue empty
   static bool heartbeat_enabled();
 
   std::vector<Node> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::size_t dead_in_heap_ = 0;  // cancelled nodes not yet popped
+  std::size_t debris_ = 0;  // heap nodes standing for no event
   std::size_t live_ = 0;
   Time now_ = 0.0;
   std::uint32_t next_seq_ = 0;

@@ -31,9 +31,7 @@ FluidResource::FluidResource(Engine& engine, Config config)
     throw std::invalid_argument("FluidResource: negative parameter");
 }
 
-FluidResource::~FluidResource() {
-  if (pending_.valid()) engine_.cancel(pending_);
-}
+FluidResource::~FluidResource() { disarm(); }
 
 double FluidResource::stream_rate() const {
   const std::size_t n = active_streams();
@@ -170,10 +168,6 @@ double FluidResource::min_v_finish() {
 }
 
 void FluidResource::reschedule() {
-  if (pending_.valid()) {
-    engine_.cancel(pending_);
-    pending_ = EventHandle{};
-  }
   if (!solo_ && streams_.empty()) {
     // Idle rebase: with no streams the virtual clock is unobservable, so
     // reset it to zero and drop any aborted debris still in the heap.  This
@@ -181,17 +175,34 @@ void FluidResource::reschedule() {
     // by the longest busy period, not the whole run.
     vwork_ = 0.0;
     heap_.clear();
+    disarm();
     return;
   }
 
   const double min_remaining = min_v_finish() - vwork_;
   if (min_remaining <= done_threshold()) {
-    pending_ = engine_.schedule_after(0.0, [this] { fire(); });
+    arm(0.0);
     return;
   }
   const double rate = stream_rate();
-  if (rate <= 0.0) return;  // frozen; re-armed on the next state change
-  pending_ = engine_.schedule_after(min_remaining / rate, [this] { fire(); });
+  if (rate <= 0.0) {
+    disarm();  // frozen; re-armed on the next state change
+    return;
+  }
+  arm(min_remaining / rate);
+}
+
+void FluidResource::arm(double delay) {
+  // Re-timing in place keeps the event's slot and callback.
+  const Time t = engine_.now() + delay;
+  if (pending_.valid() && engine_.rearm(pending_, t, false)) return;
+  pending_ = engine_.schedule_at(t, [this] { fire(); });
+}
+
+void FluidResource::disarm() {
+  if (!pending_.valid()) return;
+  engine_.cancel(pending_);
+  pending_ = EventHandle{};
 }
 
 void FluidResource::fire() {

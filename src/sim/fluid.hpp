@@ -102,6 +102,8 @@ class FluidResource {
   [[nodiscard]] double done_threshold() const;  ///< shared by fire()/remaining()
   void advance();      ///< moves the virtual clock from last_update_ to now
   void reschedule();   ///< re-arms the next-completion event
+  void arm(double delay);  ///< moves (or schedules) the pending event to now + delay
+  void disarm();       ///< cancels the pending event, if any
   void fire();         ///< completes every stream whose finish work is reached
   double min_v_finish();  ///< earliest live finish; +inf if none (pops stale)
   void demote_solo();  ///< moves the solo stream into the map/heap machinery

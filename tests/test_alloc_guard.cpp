@@ -152,7 +152,7 @@ TEST(AllocGuard, OstWriteCycleIsAllocationFree) {
       ost.write(1 << 20, fs::Ost::Mode::Durable, [](sim::Time) {});
     engine.run();
   };
-  burst();  // warm-up: op-map node freelist, drain events, scratch
+  burst();  // warm-up: op vector capacity, drain events, scratch
 
   AllocGuard guard;
   guard.start();
@@ -193,7 +193,7 @@ TEST(AllocGuard, OstWriteCycleWithJournalIsAllocationFree) {
       ost.write(1 << 20, fs::Ost::Mode::Durable, [](sim::Time) {});
     engine.run();
   };
-  burst();  // warm-up: op-map nodes, drain events, journal capacity
+  burst();  // warm-up: op vector capacity, drain events, journal capacity
 
   AllocGuard guard;
   guard.start();

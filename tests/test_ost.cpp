@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -229,6 +230,39 @@ TEST(Ost, ConservationCumulativeDrainEqualsIngest) {
   EXPECT_NEAR(ost.cum_drained(), total, 1e-4);
   EXPECT_NEAR(ost.cache_occupancy(), 0.0, 1e-4);
   EXPECT_DOUBLE_EQ(ost.bytes_submitted(), total);
+}
+
+TEST(Ost, ConcurrentMixedWritesCompleteInIdOrderAroundAnAbort) {
+  Engine e;
+  Ost ost(e, tiny(/*cache=*/1000.0));
+  std::vector<std::pair<int, Time>> done;
+  const Ost::Mode modes[] = {Ost::Mode::Cached, Ost::Mode::Durable, Ost::Mode::Cached,
+                             Ost::Mode::Durable, Ost::Mode::Cached};
+  std::vector<Ost::OpId> ids;
+  for (int i = 0; i < 5; ++i)
+    ids.push_back(ost.write(40.0, modes[i], [&done, i](Time t) { done.emplace_back(i, t); }));
+  // t=0: five ingesters at 20 B/s, each draining 2 B/s.  At t=0.5 each has
+  // 10 B in and 9 B dirty; the middle write's 9 B join the orphan pool.
+  e.schedule_at(0.5, [&] { EXPECT_TRUE(ost.abort(ids[2])); });
+  e.run();
+  // Four ingesters at 25 B/s finish ingest at t=1.7 with 36.6 B dirty each;
+  // the cached ones complete there (their residue orphaned: 79.8 B pool).
+  // The durable two then drain at 10/3 B/s each: 36.6 B more by t=12.68.
+  ASSERT_EQ(done.size(), 4u);
+  const int order[] = {0, 4, 1, 3};
+  const Time at[] = {1.7, 1.7, 12.68, 12.68};
+  for (int k = 0; k < 4; ++k) {
+    EXPECT_EQ(done[k].first, order[k]) << "completion " << k;
+    EXPECT_NEAR(done[k].second, at[k], 1e-6) << "completion " << k;
+  }
+  EXPECT_DOUBLE_EQ(ost.bytes_submitted(), 200.0);  // the aborted write counts
+  EXPECT_NEAR(ost.cum_ingested(), 170.0, 1e-6);    // 4 x 40 B + 10 B before the abort
+  // Drained: 5 B by t=0.5, 12 B by t=1.7, then 10 B/s for 10.98 s.
+  EXPECT_NEAR(ost.cum_drained(), 126.8, 1e-6);
+  // The 43.2 B orphan residue drains in the background until t=17.
+  e.run_until(20.0);
+  EXPECT_NEAR(ost.cum_drained(), 170.0, 1e-6);
+  EXPECT_EQ(ost.active_ops(), 0u);
 }
 
 // ---------------------------------------------------------------------------
