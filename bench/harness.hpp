@@ -27,7 +27,6 @@
 #include "obs/live.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
-#include "obs/trace.hpp"
 #include "report.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
@@ -41,11 +40,10 @@ inline std::size_t samples_or(std::size_t fallback) {
   return obs::env_count("AIO_BENCH_SAMPLES", fallback);
 }
 
-/// Builds the per-machine metrics registry when observability is requested
-/// (`AIO_TRACE` or `AIO_METRICS` on).  Null otherwise so the default path
-/// has zero bookkeeping.
+/// Builds the per-machine metrics registry when `AIO_METRICS` is on.  Null
+/// otherwise so the default path has zero bookkeeping.
 inline std::unique_ptr<obs::Registry> metrics_from_env() {
-  if (obs::env_sink("AIO_TRACE").on || obs::env_sink("AIO_METRICS", /*needs_path=*/true).on)
+  if (obs::env_sink("AIO_METRICS", /*needs_path=*/true).on)
     return std::make_unique<obs::Registry>();
   return nullptr;
 }
@@ -57,7 +55,6 @@ struct Machine {
   /// writes `<path>`, slot k writes `<path>.k+1`.
   const int obs_slot;
   // Observability precedes engine: the engine captures these pointers.
-  std::unique_ptr<obs::TraceSink> trace;
   std::unique_ptr<obs::Registry> metrics;
   std::unique_ptr<obs::Journal> journal;
   std::unique_ptr<obs::LivePlane> live;
@@ -84,17 +81,16 @@ struct Machine {
           std::size_t min_ranks = 0, int slot = -1)
       : spec(apply_env(std::move(machine_spec))),
         obs_slot(obs::machine_slot(slot)),
-        trace(obs::TraceSink::from_env(obs_slot)),
         metrics(metrics_from_env()),
         journal(obs::Journal::from_env(obs_slot)),
         live(obs::LivePlane::from_env(obs_slot)),
-        engine(trace.get(), metrics.get(), journal.get(), live.get()),
+        engine(metrics.get(), journal.get(), live.get()),
         filesystem(engine, spec.fs),
         network(engine,
                 net::NetConfig{spec.msg_latency_s, spec.nic_bw, spec.cores_per_node},
                 std::max(min_ranks, spec.total_cores())) {
     if (metrics) {
-      sampler.emplace(*metrics, trace.get(), obs::env_seconds("AIO_OBS_PERIOD_S", 1.0));
+      sampler.emplace(*metrics, obs::env_seconds("AIO_OBS_PERIOD_S", 1.0));
       filesystem.register_probes(*sampler, obs::env_count("AIO_OBS_OSTS", 32));
       arm_sampler();
     }
@@ -114,13 +110,11 @@ struct Machine {
     job.emplace(engine, fs::InterferenceJob::Config{}, filesystem.ost_pointers());
   }
 
-  /// Writes the trace, journal, metrics and report artifacts (also called on
+  /// Writes the journal, report, trace and metrics artifacts (also called on
   /// destruction and on watchdog abort, so a hung run still leaves its
   /// evidence behind).  Report/journal emission is latched: the watchdog path
   /// and the destructor never print the summary twice.
   void flush_obs() {
-    if (trace) trace->write();
-    if (trace && metrics) trace->publish_drops(*metrics);
     if (journal && !report_flushed_) {
       report_flushed_ = true;
       (void)journal->write();
@@ -129,10 +123,9 @@ struct Machine {
     if (live) live->flush();
     // Export the drop counters once per machine so the bench JSON records
     // whether any observability channel lost data (flush-fix satellite).
-    if ((trace || journal || live) && !drops_published_) {
+    if ((journal || live) && !drops_published_) {
       drops_published_ = true;
       ObsDropTotals& totals = obs_drop_totals();
-      if (trace) totals.trace.fetch_add(trace->dropped(), std::memory_order_relaxed);
       if (journal) totals.journal.fetch_add(journal->dropped(), std::memory_order_relaxed);
       if (live) totals.live_rows.fetch_add(live->rows_dropped(), std::memory_order_relaxed);
       totals.published.store(true, std::memory_order_relaxed);
@@ -190,8 +183,8 @@ struct Machine {
     // instant, then write everything out before throwing.
     if (sampler) sampler->tick(engine.now());
     flush_obs();
-    if (trace && !trace->config().path.empty())
-      msg += "; trace dumped to " + trace->config().path;
+    if (const obs::EnvSink trace = obs::env_sink("AIO_TRACE", /*needs_path=*/true); trace.on)
+      msg += "; trace dumped to " + obs::numbered_path(trace.path, obs_slot);
     if (live && live->flight_enabled() && live->dump_flight())
       msg += "; flight recorder dumped to " + live->config().flight_path;
     throw std::runtime_error(msg);

@@ -100,10 +100,9 @@ Simulation::Simulation(fs::MachineSpec spec, std::uint64_t seed, Options options
     : spec_(std::move(spec)),
       options_(options),
       obs_slot_(obs::machine_slot()),
-      trace_(obs::TraceSink::from_env(obs_slot_)),
       journal_(obs::Journal::from_env(obs_slot_)),
       live_(obs::LivePlane::from_env(obs_slot_)),
-      engine_(trace_.get(), &metrics_, journal_.get(), live_.get()),
+      engine_(&metrics_, journal_.get(), live_.get()),
       rng_(seed) {
   fs_ = std::make_unique<fs::FileSystem>(engine_, spec_.fs);
   net::NetConfig nc;
@@ -121,8 +120,7 @@ Simulation::Simulation(fs::MachineSpec spec, std::uint64_t seed, Options options
                                                  fs_->ost_pointers());
   }
   if (options_.metrics_sample_period_s > 0.0) {
-    sampler_ = std::make_unique<obs::Sampler>(metrics_, trace_.get(),
-                                              options_.metrics_sample_period_s);
+    sampler_ = std::make_unique<obs::Sampler>(metrics_, options_.metrics_sample_period_s);
     fs_->register_probes(*sampler_, options_.metrics_per_ost);
     arm_sampler();
   }
@@ -152,10 +150,6 @@ void Simulation::flush_obs(bool aborted) {
   // An aborted run would otherwise lose the metrics tail between the last
   // daemon tick and the failure instant.
   if (aborted && sampler_) sampler_->tick(engine_.now());
-  if (trace_) {
-    trace_->write();
-    trace_->publish_drops(metrics_);
-  }
   if (journal_) {
     (void)journal_->write();
     (void)obs::flush_report(*journal_, obs_slot_);

@@ -36,7 +36,6 @@
 #include "obs/live.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
-#include "obs/trace.hpp"
 #include "sim/rng.hpp"
 
 namespace aio::api {
@@ -144,10 +143,8 @@ class Simulation {
   /// End-of-run metrics: always available (counters/gauges cost nothing to
   /// keep); series fill only when `metrics_sample_period_s` is set.
   [[nodiscard]] obs::Registry& metrics() { return metrics_; }
-  /// Trace sink built from AIO_TRACE, or null.  Written out on destruction.
-  [[nodiscard]] obs::TraceSink* trace() { return trace_.get(); }
-  /// Run journal built from AIO_JOURNAL/AIO_REPORT, or null.  Written (and
-  /// its analysis report emitted) on destruction.
+  /// Run journal built from AIO_JOURNAL/AIO_REPORT/AIO_TRACE, or null.
+  /// Written (and its report and trace emitted) on destruction.
   [[nodiscard]] obs::Journal* journal() { return journal_.get(); }
   /// Live telemetry plane built from AIO_LIVE/AIO_FLIGHT, or null.
   [[nodiscard]] obs::LivePlane* live() { return live_.get(); }
@@ -159,8 +156,8 @@ class Simulation {
  private:
   void arm_sampler();
   void arm_live();
-  /// Writes out every observability artifact exactly once: trace, journal +
-  /// report, live snapshot tail — and, on an aborted run, a final sampler
+  /// Writes out every observability artifact exactly once: journal, report
+  /// and trace, live snapshot tail — and, on an aborted run, a final sampler
   /// tick plus the flight-recorder dump.  The failure path and the
   /// destructor both land here; the latch keeps the second call a no-op.
   void flush_obs(bool aborted);
@@ -168,12 +165,11 @@ class Simulation {
   fs::MachineSpec spec_;
   Options options_;
   // Numbers every output path of this machine, resolved once at
-  // construction (obs::machine_slot) so its trace, journal, report and live
+  // construction (obs::machine_slot) so its journal, report, trace and live
   // stream share one number whatever order Simulations are destroyed in.
   int obs_slot_;
   // Observability state must precede engine_: the engine captures the
   // pointers at construction.
-  std::unique_ptr<obs::TraceSink> trace_;
   std::unique_ptr<obs::Journal> journal_;
   std::unique_ptr<obs::LivePlane> live_;
   obs::Registry metrics_;

@@ -81,10 +81,6 @@ class CoordinatorFsm {
   [[nodiscard]] std::uint64_t stolen_from(GroupId g) const {
     return stolen_from_.at(static_cast<std::size_t>(g));
   }
-  /// Adaptive writes landed in file `g` so far.
-  [[nodiscard]] std::uint64_t writes_into(GroupId g) const {
-    return writes_into_.at(static_cast<std::size_t>(g));
-  }
   /// Coordinator's view of group `g`'s queue depth: writers not yet
   /// redirected away (the steal-source ranking key).
   [[nodiscard]] std::size_t remaining_writers(GroupId g) const {

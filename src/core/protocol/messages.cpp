@@ -14,26 +14,6 @@ double Message::wire_bytes() const {
   return kControlMsgBytes;
 }
 
-const char* Message::name() const {
-  struct Visitor {
-    const char* operator()(const DoWrite&) const { return "DO_WRITE"; }
-    const char* operator()(const WriteComplete& w) const {
-      switch (w.kind) {
-        case WriteComplete::Kind::WriterDone: return "WRITE_COMPLETE";
-        case WriteComplete::Kind::AdaptiveDone: return "ADAPTIVE_WRITE_COMPLETE";
-        case WriteComplete::Kind::GroupDone: return "GROUP_WRITE_COMPLETE";
-      }
-      return "WRITE_COMPLETE";
-    }
-    const char* operator()(const IndexBody&) const { return "INDEX_BODY"; }
-    const char* operator()(const AdaptiveWriteStart&) const { return "ADAPTIVE_WRITE_START"; }
-    const char* operator()(const WritersBusy&) const { return "WRITERS_BUSY"; }
-    const char* operator()(const OverallWriteComplete&) const { return "OVERALL_WRITE_COMPLETE"; }
-    const char* operator()(const SubIndex&) const { return "SUB_INDEX"; }
-  };
-  return std::visit(Visitor{}, body);
-}
-
 Topology::Topology(std::size_t n_writers, std::size_t n_groups)
     : n_writers_(n_writers), n_groups_(n_groups) {
   if (n_writers == 0) throw std::invalid_argument("Topology: no writers");

@@ -12,7 +12,6 @@
 #include "obs/journal.hpp"
 #include "obs/live.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/shard.hpp"
 
 namespace aio::core {
@@ -52,9 +51,7 @@ struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
   std::size_t opens_remaining = 0;
   std::size_t closes_remaining = 0;
 
-  // Observability hooks from the engine; `trace` is pre-gated on the
-  // protocol category so the hot paths test one pointer.
-  obs::TraceSink* trace = nullptr;
+  // Observability hooks from the engine.
   obs::Registry* metrics = nullptr;
   obs::Journal* journal = nullptr;
   obs::LivePlane* live = nullptr;
@@ -70,16 +67,13 @@ struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
   AdaptiveRun(fs::FileSystem& f, net::Network& n, AdaptiveTransport::Config c, Topology t)
       : fs(f), net(n), cfg(std::move(c)), topo(t) {
     shards = fs.shards();
-    trace = fs.engine().trace();
-    if (trace && !trace->wants(obs::kCatProtocol)) trace = nullptr;
     metrics = fs.engine().metrics();
     journal = fs.engine().journal();
     live = fs.engine().live();
     if (shards) {
-      // The trace sink, metrics registry, and live plane are single-threaded
-      // consumers; sharded runs support the journal only (one per shard
-      // engine, merged canonically after the run).
-      trace = nullptr;
+      // The metrics registry and live plane are single-threaded consumers;
+      // sharded runs support the journal only (one per shard engine, merged
+      // canonically after the run).
       metrics = nullptr;
       live = nullptr;
     }
@@ -112,8 +106,8 @@ struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
   void deliver(Rank to, const Message& msg);
   void all_roles_done();
   void finish(sim::Time now);
-  void trace_steal_grant(const SendAction& send);
-  void trace_steal_complete(const WriteComplete& msg);
+  void observe_steal_grant(const SendAction& send);
+  void observe_steal_complete(const WriteComplete& msg);
   void journal_mark(obs::Mark mark, double v0 = 0.0, double v1 = 0.0) {
     obs::Record r;
     r.kind = obs::Rec::kRunMark;
@@ -328,7 +322,7 @@ void AdaptiveRun::start_protocol() {
   }
 }
 
-void AdaptiveRun::trace_steal_grant(const SendAction& send) {
+void AdaptiveRun::observe_steal_grant(const SendAction& send) {
   // An ADAPTIVE_WRITE_START leaving the coordinator is a steal grant: the
   // destination rank is the SC of the group being stolen *from*; the body
   // names the file being stolen *into*.
@@ -347,21 +341,9 @@ void AdaptiveRun::trace_steal_grant(const SendAction& send) {
     r.v1 = static_cast<double>(coord->remaining_writers(src));
     obs_append(r);
   }
-  if (!trace) return;
-  const GroupId source = topo.group_of(send.to);
-  trace->instant(
-      obs::kCatProtocol, obs::kPidProtocol, static_cast<std::uint32_t>(send.to),
-      eng().now(), "steal.grant",
-      {{"source_sc", obs::Json(static_cast<double>(source))},
-       {"target_file", obs::Json(static_cast<double>(grant->target_file))},
-       {"offset", obs::Json(grant->offset)},
-       {"source_queue_depth",
-        obs::Json(static_cast<double>(coord->remaining_writers(source)))},
-       {"target_writes_into",
-        obs::Json(static_cast<double>(coord->writes_into(grant->target_file)))}});
 }
 
-void AdaptiveRun::trace_steal_complete(const WriteComplete& msg) {
+void AdaptiveRun::observe_steal_complete(const WriteComplete& msg) {
   if (metrics) metrics->counter("protocol.steals").add();
   if (observing()) {
     obs::Record r;
@@ -374,35 +356,17 @@ void AdaptiveRun::trace_steal_complete(const WriteComplete& msg) {
     r.v0 = msg.bytes;
     obs_append(r);
   }
-  if (!trace) return;
-  trace->instant(
-      obs::kCatProtocol, obs::kPidProtocol, static_cast<std::uint32_t>(msg.writer),
-      eng().now(), "steal.complete",
-      {{"writer", obs::Json(static_cast<double>(msg.writer))},
-       {"source_sc", obs::Json(static_cast<double>(msg.origin_group))},
-       {"target_file", obs::Json(static_cast<double>(msg.file))},
-       {"bytes", obs::Json(msg.bytes)},
-       {"source_queue_depth",
-        obs::Json(static_cast<double>(coord->remaining_writers(msg.origin_group)))},
-       {"target_writes_into",
-        obs::Json(static_cast<double>(coord->writes_into(msg.file)))}});
 }
 
 void AdaptiveRun::deliver(Rank to, const Message& msg) {
-  if (trace) {
-    trace->instant(obs::kCatProtocol, obs::kPidProtocol, static_cast<std::uint32_t>(to),
-                   eng().now(), msg.name(),
-                   {{"from", obs::Json(static_cast<double>(msg.from))}});
-  }
   if (metrics) {
     metrics->counter("protocol.msgs").add();
     if (std::holds_alternative<WritersBusy>(msg.body))
       metrics->counter("protocol.busy_declines").add();
   }
   if (const auto* wc = std::get_if<WriteComplete>(&msg.body);
-      wc && wc->kind == WriteComplete::Kind::AdaptiveDone &&
-      (trace || metrics || journal || live)) {
-    trace_steal_complete(*wc);
+      wc && wc->kind == WriteComplete::Kind::AdaptiveDone && (metrics || observing())) {
+    observe_steal_complete(*wc);
   }
   // Route by message type + destination role: writers get DO_WRITE, the
   // destination rank's SC gets file traffic, the coordinator the rest.
@@ -433,7 +397,6 @@ void AdaptiveRun::deliver(Rank to, const Message& msg) {
 
 void AdaptiveRun::writer_write_done(Rank from, std::uint32_t file, sim::Time now) {
   result.writer_times[static_cast<std::size_t>(from)].end = now;
-  if (trace) trace->end(obs::kCatProtocol, obs::kPidProtocol, static_cast<std::uint32_t>(from), now);
   if (observing()) {
     obs::Record r;
     r.kind = obs::Rec::kWriterEnd;
@@ -445,13 +408,11 @@ void AdaptiveRun::writer_write_done(Rank from, std::uint32_t file, sim::Time now
   execute(from, writers->on_write_done(from));
 }
 
-void AdaptiveRun::sc_index_write_done(Rank from, std::uint32_t, sim::Time now) {
-  if (trace) trace->end(obs::kCatProtocol, obs::kPidProtocol, static_cast<std::uint32_t>(from), now);
+void AdaptiveRun::sc_index_write_done(Rank from, std::uint32_t, sim::Time) {
   execute(from, sc_at(from).on_index_write_done());
 }
 
-void AdaptiveRun::coord_gidx_write_done(Rank from, std::uint32_t, sim::Time now) {
-  if (trace) trace->end(obs::kCatProtocol, obs::kPidProtocol, static_cast<std::uint32_t>(from), now);
+void AdaptiveRun::coord_gidx_write_done(Rank from, std::uint32_t, sim::Time) {
   execute(from, coord->on_global_index_write_done());
 }
 
@@ -497,8 +458,8 @@ void AdaptiveRun::execute(Rank from, Actions& actions) {
   auto self = shared_from_this();
   for (auto& action : actions) {
     if (auto* send = std::get_if<SendAction>(&action)) {
-      if ((trace || metrics || journal || live) && from == Topology::coordinator_rank())
-        trace_steal_grant(*send);
+      if ((metrics || observing()) && from == Topology::coordinator_rank())
+        observe_steal_grant(*send);
       if (observing()) {
         // A DO_WRITE leaving an SC is the writer's release from its queue;
         // the gap to the matching kWriterStart is pure network latency.
@@ -523,13 +484,6 @@ void AdaptiveRun::execute(Rank from, Actions& actions) {
       net.send(from, to, bytes, std::move(deliver_cb));
     } else if (const auto* write = std::get_if<StartWriteAction>(&action)) {
       result.writer_times[static_cast<std::size_t>(from)].start = eng().now();
-      if (trace) {
-        trace->begin(obs::kCatProtocol, obs::kPidProtocol, static_cast<std::uint32_t>(from),
-                     eng().now(), "write",
-                     {{"file", obs::Json(static_cast<double>(write->file))},
-                      {"offset", obs::Json(write->offset)},
-                      {"bytes", obs::Json(write->bytes)}});
-      }
       const auto file = static_cast<std::uint32_t>(write->file);
       if (observing()) {
         obs::Record r;
@@ -543,21 +497,10 @@ void AdaptiveRun::execute(Rank from, Actions& actions) {
       issue_write(from, *files.at(static_cast<std::size_t>(write->file)), write->offset,
                   write->bytes, data_mode, file, &AdaptiveRun::writer_write_done);
     } else if (const auto* widx = std::get_if<WriteIndexAction>(&action)) {
-      if (trace) {
-        trace->begin(obs::kCatProtocol, obs::kPidProtocol, static_cast<std::uint32_t>(from),
-                     eng().now(), "index_write",
-                     {{"file", obs::Json(static_cast<double>(widx->file))},
-                      {"bytes", obs::Json(widx->bytes)}});
-      }
       issue_write(from, *files.at(static_cast<std::size_t>(widx->file)), widx->offset,
                   widx->bytes, fs::Ost::Mode::Durable, static_cast<std::uint32_t>(widx->file),
                   &AdaptiveRun::sc_index_write_done);
     } else if (const auto* gidx = std::get_if<WriteGlobalIndexAction>(&action)) {
-      if (trace) {
-        trace->begin(obs::kCatProtocol, obs::kPidProtocol, static_cast<std::uint32_t>(from),
-                     eng().now(), "global_index_write",
-                     {{"bytes", obs::Json(gidx->bytes)}});
-      }
       issue_write(from, *master, 0.0, gidx->bytes, fs::Ost::Mode::Durable, 0,
                   &AdaptiveRun::coord_gidx_write_done);
     } else if (std::get_if<RoleDoneAction>(&action)) {

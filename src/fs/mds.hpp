@@ -58,8 +58,8 @@ class MetadataServer {
   using OnComplete = sim::InplaceFunction<void(sim::Time), 96>;
 
   /// `index` is this server's identity within its MdsGroup (0 when it
-  /// stands alone) — stamped into journal records and trace tracks so
-  /// per-MDS telemetry can tell the namespace shards apart.
+  /// stands alone) — stamped into journal records so per-MDS telemetry can
+  /// tell the namespace shards apart.
   MetadataServer(sim::Engine& engine, Config config, std::uint32_t index = 0)
       : engine_(engine), config_(config), index_(index) {}
   MetadataServer(const MetadataServer&) = delete;

@@ -8,7 +8,6 @@
 #include "obs/journal.hpp"
 #include "obs/live.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace aio::fs {
 
@@ -164,7 +163,11 @@ void Ost::recompute() {
       config_.disk_bw * (1.0 - disk_load_) * efficiency(std::max<std::size_t>(m_dirty, 1));
   const double share = m_dirty > 0 ? disk_total / static_cast<double>(m_dirty) : disk_total;
   const bool cache_full = q >= config_.cache_bytes - kEps;
-  if (engine_.trace()) trace_state(q, m_dirty, cache_full);
+  if (cache_full != cache_full_) {
+    cache_full_ = cache_full;
+    if (obs::Registry* reg = engine_.metrics(); reg && cache_full)
+      reg->counter("storage.cache_full_crossings").add();
+  }
   // Dedup inline: recompute() runs ~20x per emitted record, so the observed
   // tuple is compared here and the out-of-line emit runs only on a change.
   if (engine_.observing_records()) {
@@ -283,36 +286,6 @@ void Ost::observe_state(std::size_t m_dirty, bool cache_full, std::uint64_t key)
   r.v2 = disk_load_;
   if (obs::Journal* journal = engine_.journal()) journal->append(r);
   if (obs::LivePlane* live = engine_.live()) live->ingest(r);
-}
-
-void Ost::trace_state(double q, std::size_t m_dirty, bool cache_full) {
-  obs::TraceSink& sink = *engine_.trace();
-  if (!sink.wants(obs::kCatStorage)) return;
-  if (cache_full == traced_cache_full_ && m_dirty == traced_m_dirty_) return;
-  if (trace_name_.empty()) {
-    trace_name_ = "ost" + std::to_string(index_);
-    sink.name_thread(obs::kPidStorage, static_cast<std::uint32_t>(index_), trace_name_);
-  }
-  const double now = engine_.now();
-  const auto tid = static_cast<std::uint32_t>(index_);
-  if (cache_full != traced_cache_full_) {
-    sink.instant(obs::kCatStorage, obs::kPidStorage, tid, now,
-                 cache_full ? trace_name_ + ".cache_full" : trace_name_ + ".cache_drained",
-                 {{"occupancy", obs::Json(q)},
-                  {"dirty_streams", obs::Json(static_cast<double>(m_dirty))}});
-    if (auto* reg = engine_.metrics(); reg && cache_full)
-      reg->counter("storage.cache_full_crossings").add();
-    traced_cache_full_ = cache_full;
-  }
-  if (m_dirty != traced_m_dirty_) {
-    // Dirty-stream count doubles as the drain-efficiency driver; exporting
-    // both as counter tracks shows the internal-interference penalty live.
-    sink.counter(obs::kCatStorage, obs::kPidStorage, now, trace_name_ + ".dirty_streams",
-                 static_cast<double>(m_dirty));
-    sink.counter(obs::kCatStorage, obs::kPidStorage, now, trace_name_ + ".efficiency",
-                 efficiency(std::max<std::size_t>(m_dirty, 1)));
-    traced_m_dirty_ = m_dirty;
-  }
 }
 
 bool Ost::flush_ready() const {

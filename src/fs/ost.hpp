@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -135,11 +134,8 @@ class Ost {
   [[nodiscard]] bool flush_ready() const;
   /// Emits one kOstState record to the journal and live plane.  recompute()
   /// dedups inline against journaled_key_ before calling, so this only runs
-  /// on an actual state transition; trace_state keeps its own last-emitted
-  /// state so enabling one consumer never perturbs the other.
+  /// on an actual state transition.
   void observe_state(std::size_t m_dirty, bool cache_full, std::uint64_t key);
-  /// Emits cache-full / dirty-stream transition events onto the trace sink.
-  void trace_state(double q, std::size_t m_dirty, bool cache_full);
 
   [[nodiscard]] double efficiency(std::size_t m) const {
     if (m <= 1) return 1.0;
@@ -178,11 +174,7 @@ class Ost {
   sim::EventHandle pending_;
   ActivityHook activity_hook_;
   bool was_active_ = false;
-
-  // Last traced state, used to emit only transitions (not every recompute).
-  bool traced_cache_full_ = false;
-  std::size_t traced_m_dirty_ = 0;
-  std::string trace_name_;  // "ost<i>", built lazily on first traced event
+  bool cache_full_ = false;  ///< as of the last recompute; counts fill crossings
 
   // Last journaled state, packed so the per-recompute dedup is one 64-bit
   // compare: m_dirty (31 bits) | load_seq (32 bits) | cache_full (1 bit).

@@ -14,6 +14,7 @@
 #include "obs/env.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace_export.hpp"
 #include "stats/summary.hpp"
 
 namespace aio::obs {
@@ -805,15 +806,23 @@ std::vector<std::string> diff_reports(const Json& base, const Json& current,
 
 bool flush_report(const Journal& journal, int slot) {
   const EnvSink rep = env_sink("AIO_REPORT");
-  if (!rep.on) return true;
+  const EnvSink trace = env_sink("AIO_TRACE", /*needs_path=*/true);
+  if (!rep.on && !trace.on) return true;
   const Json report = analyze(journal);
-  const std::string summary = report_summary(report);
-  if (!summary.empty()) std::fputs(summary.c_str(), stdout);
-  if (rep.path.empty()) return true;
-  std::ofstream out(numbered_path(rep.path, slot));
-  if (!out) return false;
-  out << report.dump() << '\n';
-  return static_cast<bool>(out);
+  bool ok = true;
+  if (rep.on) {
+    const std::string summary = report_summary(report);
+    if (!summary.empty()) std::fputs(summary.c_str(), stdout);
+    if (!rep.path.empty()) {
+      std::ofstream out(numbered_path(rep.path, slot));
+      ok = static_cast<bool>(out << report.dump() << '\n');
+    }
+  }
+  if (trace.on) {
+    std::ofstream out(numbered_path(trace.path, slot));
+    ok = static_cast<bool>(out << report_trace(journal, report).dump() << '\n') && ok;
+  }
+  return ok;
 }
 
 }  // namespace aio::obs

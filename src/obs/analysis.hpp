@@ -22,8 +22,8 @@
 // `diff_reports` compares two reports leaf-by-leaf under configurable
 // tolerances — the CI regression gate (tools/aio_diff).  `report_summary`
 // and `report_html` render the document for terminals and browsers;
-// `flush_report` is the AIO_REPORT env hook the benches and the API call at
-// teardown.
+// `flush_report` is the AIO_REPORT / AIO_TRACE env hook the benches and the
+// API call at teardown.
 #pragma once
 
 #include <string>
@@ -64,11 +64,14 @@ struct DiffOptions {
 [[nodiscard]] std::vector<std::string> diff_reports(const Json& base, const Json& current,
                                                     const DiffOptions& opts = {});
 
-/// AIO_REPORT hook: when the switch is on, analyzes `journal`, prints the
-/// terse summary to stdout and — unless the value is "-" or "1" (summary
-/// only) — writes the JSON document to the value as a path, numbered by
-/// the machine's `slot` (obs/env.hpp).  Returns false only when the file
-/// write failed; a no-op (switch off) returns true.
+/// End-of-run AIO_REPORT / AIO_TRACE hook; analyzes `journal` once when
+/// either switch is on.  AIO_REPORT prints the terse summary to stdout and —
+/// unless the value is "-" or "1" (summary only) — writes the JSON document
+/// to the value as a path.  AIO_TRACE (a path) receives
+/// `report_trace(journal, report)`, the same bytes `aio_report --trace`
+/// writes.  Paths are numbered by the machine's `slot` (obs/env.hpp).
+/// Returns false only when a file write failed; with both off, a no-op
+/// returning true.
 bool flush_report(const Journal& journal, int slot);
 
 }  // namespace aio::obs

@@ -28,7 +28,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <initializer_list>
 #include <mutex>
 #include <set>
 #include <string>
@@ -73,26 +72,15 @@ inline bool parse_count(const char* s, const char*& end, std::size_t& out) {
 
 }  // namespace detail
 
-/// A named value `env_count` accepts besides digits (AIO_TRACE_CATS=all).
-struct EnvWord {
-  const char* word;
-  std::size_t value;
-};
-
 /// Whole number >= `min` from the environment; `fallback` when unset,
-/// empty or rejected.  `words` lists named values accepted verbatim.
-inline std::size_t env_count(const char* name, std::size_t fallback, std::size_t min = 1,
-                             std::initializer_list<EnvWord> words = {}) {
+/// empty or rejected.
+inline std::size_t env_count(const char* name, std::size_t fallback, std::size_t min = 1) {
   const char* v = detail::env_value(name);
   if (!v) return fallback;
-  for (const EnvWord& w : words)
-    if (std::strcmp(v, w.word) == 0) return w.value;
   const char* end = nullptr;
   std::size_t parsed = 0;
   if (detail::parse_count(v, end, parsed) && *end == '\0' && parsed >= min) return parsed;
-  std::string want = "an integer >= " + std::to_string(min);
-  for (const EnvWord& w : words) want += std::string(", or ") + w.word;
-  detail::reject(name, v, want);
+  detail::reject(name, v, "an integer >= " + std::to_string(min));
   return fallback;
 }
 
@@ -143,8 +131,8 @@ struct EnvSink {
 /// Reads an output switch with the one sink grammar: unset, empty or `0`
 /// is off; `1` or `-` is on without a file; any other digit-only value is
 /// rejected as a mistyped switch; anything else is a path.  With
-/// `needs_path` (AIO_BENCH_JSON, AIO_METRICS, AIO_FLIGHT) `1` and `-` are
-/// rejected too.
+/// `needs_path` (AIO_TRACE, AIO_BENCH_JSON, AIO_METRICS, AIO_FLIGHT) `1` and
+/// `-` are rejected too.
 inline EnvSink env_sink(const char* name, bool needs_path = false) {
   EnvSink sink;
   const char* v = detail::env_value(name);

@@ -38,7 +38,9 @@ Journal::Journal(Config config) : config_(std::move(config)) {
 
 std::unique_ptr<Journal> Journal::from_env(int slot) {
   const EnvSink journal = env_sink("AIO_JOURNAL");
-  if (!journal.on && !env_sink("AIO_REPORT").on) return nullptr;
+  if (!journal.on && !env_sink("AIO_REPORT").on &&
+      !env_sink("AIO_TRACE", /*needs_path=*/true).on)
+    return nullptr;
   Config cfg;
   if (!journal.path.empty()) cfg.path = numbered_path(journal.path, slot);
   return std::make_unique<Journal>(std::move(cfg));
@@ -102,8 +104,12 @@ std::vector<Record> merge_records(const std::vector<const Journal*>& parts) {
     const auto& r = p->records();
     out.insert(out.end(), r.begin(), r.end());
   }
-  std::sort(out.begin(), out.end(), [](const Record& a, const Record& b) {
-    if (a.t != b.t) return a.t < b.t;
+  // A NaN timestamp (a corrupt journal) sorts as +inf, so the comparator
+  // stays a strict weak order whatever the records hold.
+  const auto key = [](double t) { return t == t ? t : std::numeric_limits<double>::infinity(); };
+  std::sort(out.begin(), out.end(), [&key](const Record& a, const Record& b) {
+    const double ta = key(a.t), tb = key(b.t);
+    if (ta != tb) return ta < tb;
     // Kind before content at equal time: the analyzer attaches run-scoped
     // records to the preceding kRunBegin, so prologue marks emitted at the
     // same timestamp must not sort ahead of it.

@@ -1,17 +1,17 @@
 // Compact binary run journal.
 //
-// The trace sink (obs/trace.hpp) answers "what happened, for a human in a
-// viewer"; the journal answers "what happened, for a program".  Instrumented
-// layers append fixed-size POD records — writer lifecycle, per-OST state
-// transitions, MDS service, steal grant→migration→completion chains — behind
-// the same null-by-default pointer discipline as `TraceSink`: an engine
-// without a journal costs one pointer test per site and records nothing.
+// The journal answers "what happened" for programs and, through the Chrome
+// trace exporter (obs/trace_export.hpp), for a human in a viewer.
+// Instrumented layers append fixed-size POD records — writer lifecycle,
+// per-OST state transitions, MDS service, steal grant→migration→completion
+// chains — behind a null-by-default engine pointer: an engine without a
+// journal costs one pointer test per site and records nothing.
 //
 // Appends are allocation-free in steady state (a POD push into reserved
 // vector capacity; growth is amortized doubling from an up-front reserve),
 // so journaling stays inside the hot-path budgets test_alloc_guard enforces.
-// The buffer is bounded like the trace sink: past `max_records` new records
-// are counted as dropped, never recorded.
+// The buffer is bounded: past `max_records` new records are counted as
+// dropped, never recorded.
 //
 // The on-disk format is a small header plus the raw record array (see
 // `write`); `load` reads it back for offline analysis (tools/aio_report).
@@ -100,8 +100,9 @@ class Journal {
 
   explicit Journal(Config config);
 
-  /// Builds a journal when `AIO_JOURNAL` (file destination) or `AIO_REPORT`
-  /// (in-process analysis) is on; nullptr when both are off.  The path is
+  /// Builds a journal when `AIO_JOURNAL` (file destination), `AIO_REPORT`
+  /// (in-process analysis) or `AIO_TRACE` (trace rendered from the journal
+  /// at the end of the run) is on; nullptr when all are off.  The path is
   /// numbered by the machine's `slot` (obs/env.hpp).
   [[nodiscard]] static std::unique_ptr<Journal> from_env(int slot);
 

@@ -20,7 +20,10 @@ Histogram::Histogram(double rel_err) {
 }
 
 void Histogram::add(double v, std::uint64_t n) {
-  if (n == 0) return;
+  // A NaN or infinite sample has no bucket: log() of it would cast to an
+  // out-of-range index.  Such samples come only from corrupt inputs (a
+  // poisoned journal timestamp), so they are skipped, not counted.
+  if (n == 0 || !std::isfinite(v)) return;
   if (count_ == 0) {
     min_ = max_ = v;
   } else {

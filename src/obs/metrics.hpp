@@ -79,6 +79,7 @@ class Histogram {
   /// `rel_err` is the target relative quantile error; gamma = (1+e)/(1-e).
   explicit Histogram(double rel_err = 0.01);
 
+  /// Adds `n` samples of `v`; a non-finite `v` is skipped.
   void add(double v, std::uint64_t n = 1);
 
   [[nodiscard]] std::uint64_t count() const { return count_; }

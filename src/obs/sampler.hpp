@@ -3,8 +3,7 @@
 // The sampler owns a list of probes — closures that read one scalar out of
 // the live simulation (cache occupancy of OST 7, MDS backlog, aggregate
 // drain bandwidth...) — and on every `tick(now)` appends each probe's value
-// to its registry Series and, when a trace sink is attached, emits a counter
-// sample on the matching Perfetto track.
+// to its registry Series (the `AIO_METRICS` document).
 //
 // The sampler is engine-agnostic: it never schedules anything itself.  The
 // host (bench harness, api::Simulation, a test) arms a recurring *daemon*
@@ -16,11 +15,9 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace aio::obs {
 
@@ -29,13 +26,12 @@ class Sampler {
   /// Probe: given the current time, returns the sampled value.
   using Probe = std::function<double(double now)>;
 
-  /// `trace` may be null (metrics only).  `period` is advisory — it is what
-  /// hosts use to schedule ticks; the sampler itself accepts any cadence.
-  Sampler(Registry& registry, TraceSink* trace, double period_s)
-      : registry_(registry), trace_(trace), period_(period_s) {}
+  /// `period` is advisory — it is what hosts use to schedule ticks; the
+  /// sampler itself accepts any cadence.
+  Sampler(Registry& registry, double period_s) : registry_(registry), period_(period_s) {}
 
-  /// Registers a probe feeding series `name` (also the counter-track name).
-  void add_probe(std::string name, Probe probe, std::uint32_t trace_pid = kPidStorage);
+  /// Registers a probe feeding series `name`.
+  void add_probe(const std::string& name, Probe probe);
 
   /// Samples every probe at time `now`.
   void tick(double now);
@@ -47,13 +43,10 @@ class Sampler {
  private:
   struct Entry {
     Series* series;
-    std::string name;
-    std::uint32_t pid;
     Probe probe;
   };
 
   Registry& registry_;
-  TraceSink* trace_;
   double period_;
   std::vector<Entry> probes_;
   std::uint64_t ticks_ = 0;

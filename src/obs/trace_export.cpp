@@ -6,15 +6,27 @@
 #include <utility>
 #include <vector>
 
-#include "obs/trace.hpp"  // kPid* track ids, kLayerNames, kCatAll
-
 namespace aio::obs {
 
 namespace {
 
-// An unbounded document would let a pathological journal exhaust memory; match
-// the live sink's default cap instead (drops are silent here — the journal
-// itself is the lossless artifact).  Metadata is exempt from the cap.
+// Fixed Chrome-trace process ids, one "process" per layer, so the viewer
+// groups tracks by layer.
+constexpr std::uint32_t kPidEngine = 1;
+constexpr std::uint32_t kPidProtocol = 2;
+constexpr std::uint32_t kPidStorage = 3;
+constexpr std::uint32_t kPidMds = 4;
+constexpr std::uint32_t kPidRuntime = 5;
+/// Process names of kPidEngine..kPidRuntime, in pid order.
+constexpr const char* kLayerNames[] = {"des engine", "adaptive protocol", "storage targets",
+                                       "metadata server", "thread runtime"};
+/// `otherData.categories`: a category bitmask with every bit set, kept so the
+/// document's bytes stay stable.
+constexpr unsigned kCategories = 0xFFFFFFFFu;
+
+// An unbounded document would let a pathological journal exhaust memory, so
+// events past the cap are counted as dropped (silently: the journal itself is
+// the lossless artifact).  Metadata is exempt from the cap.
 constexpr std::size_t kMaxEvents = 4'000'000;
 
 Json args(std::initializer_list<std::pair<const char*, Json>> kv) {
@@ -23,9 +35,8 @@ Json args(std::initializer_list<std::pair<const char*, Json>> kv) {
   return a;
 }
 
-/// trace_event objects appended straight to one reserved array, in the key
-/// order a live TraceSink writes (ph, pid, tid, ts, name, cat, s, args), so
-/// both routes produce the same bytes.
+/// trace_event objects appended straight to one reserved array, in a fixed
+/// key order (ph, pid, tid, ts, name, cat, s, args).
 struct Trace {
   Json events;
   std::size_t n = 0;  // events, metadata excluded
@@ -148,7 +159,7 @@ Json build(const Journal* journal, const Json* report) {
   doc.set("traceEvents", std::move(t.events));
   doc.set("displayTimeUnit", "ms");
   doc.set("otherData", args({{"dropped", t.dropped}, {"events", t.n},
-                             {"categories", static_cast<unsigned>(kCatAll)}}));
+                             {"categories", kCategories}}));
   return doc;
 }
 

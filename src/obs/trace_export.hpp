@@ -3,8 +3,10 @@
 // Renders any binary run journal — a flight-recorder dump from a crashed run
 // included — as a Chrome trace for chrome://tracing or Perfetto, after the
 // fact.  The document is built straight from the records, one Json object per
-// event with no TraceSink in between, in the live sink's layout (layer names,
-// key order, 4M-event cap).  `tools/aio_report --trace out.json` consumes it.
+// event, with fixed per-layer pids, a fixed key order and a 4M-event cap.  It
+// is the only trace the stack writes: `tools/aio_report --trace out.json` and
+// the end-of-run `AIO_TRACE` flush (obs::flush_report) both dump
+// `report_trace`, so the two files are byte-identical.
 //
 // Tracks:
 //   * protocol (pid 2): one thread per writer with a span from kWriterStart
@@ -27,7 +29,8 @@
 
 namespace aio::obs {
 
-/// Pid of the critical-path track group (extends the kPid* set in trace.hpp).
+/// Pid of the critical-path track group; pids 1-5 are the layers (engine,
+/// protocol, storage, mds, runtime).
 inline constexpr std::uint32_t kPidPath = 6;
 
 /// Trace document for the journal's record stream alone.

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "obs/env.hpp"
-#include "obs/trace.hpp"
 #include "sim/dary_heap.hpp"
 
 namespace aio::sim {
@@ -132,20 +131,10 @@ void Engine::fire(const Node& n) {
   if (heartbeat_ && (steps_ & ((1u << 20) - 1)) == 0) {
     std::fprintf(stderr, "[engine] steps=%zu t=%.9f pending=%zu\n", steps_, now_, pending());
   }
-  Slot& s = slot(n.slot);
-  const bool daemon = s.daemon;
   // Move the callback out before releasing: the callback may schedule new
   // events, reusing (or growing past) this very slot.
-  Callback cb = std::move(s.cb);
+  Callback cb = std::move(slot(n.slot).cb);
   release(n.slot);
-  // Per-dispatch tracing is opt-in (Cat::Engine is off by default): one
-  // instant per event multiplies trace volume by the total step count.
-  if (trace_ && trace_->wants(obs::kCatEngine)) {
-    trace_->instant(obs::kCatEngine, obs::kPidEngine, daemon ? 2 : 1, now_,
-                    "dispatch",
-                    {{"step", obs::Json(static_cast<double>(steps_))},
-                     {"pending", obs::Json(static_cast<double>(pending()))}});
-  }
   cb();
 }
 

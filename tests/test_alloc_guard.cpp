@@ -186,7 +186,7 @@ TEST(AllocGuard, JournalAppendIsAllocationFree) {
 TEST(AllocGuard, OstWriteCycleWithJournalIsAllocationFree) {
   obs::Journal journal({/*path=*/"", /*max_records=*/1u << 16});
   journal.reserve(1u << 16);
-  sim::Engine engine(nullptr, nullptr, &journal);
+  sim::Engine engine(nullptr, &journal);
   fs::Ost ost(engine, fs::Ost::Config{}, 0);
   const auto burst = [&] {
     for (int i = 0; i < 8; ++i)
@@ -370,7 +370,7 @@ TEST(AllocGuard, AdaptiveRunSetupAllocsScaleLinearly) {
 TEST(AllocGuard, MdsCreateStormStaysWithinQueueChunkBudget) {
   obs::Journal journal({/*path=*/"", /*max_records=*/1u << 16});
   journal.reserve(1u << 16);
-  sim::Engine engine(nullptr, nullptr, &journal);
+  sim::Engine engine(nullptr, &journal);
   fs::MetadataServer mds(engine, fs::MetadataServer::Config{});
   const auto burst = [&] {
     for (int i = 0; i < 256; ++i)

@@ -5,10 +5,12 @@
 // gates CI.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,7 +43,7 @@ double num_at(const obs::Json& doc, std::initializer_list<const char*> path) {
 /// its file once done with its own.
 struct TwoOstRig {
   obs::Journal journal{{/*path=*/"", /*max_records=*/1u << 20}};
-  sim::Engine engine{nullptr, nullptr, &journal};
+  sim::Engine engine{nullptr, &journal};
   fs::FileSystem filesystem;
   net::Network network;
   core::AdaptiveTransport transport;
@@ -125,6 +127,35 @@ TEST(Analysis, GoldenTwoOstAttribution) {
       report.find("summary")->find("steal_savings")->find("per_source");
   ASSERT_NE(per_source, nullptr);
   EXPECT_GT(per_source->size(), 0u);
+}
+
+// A non-finite timestamp (a corrupt journal) must not abort the analyzer:
+// the run and writer statistics skip what has no finite value.
+TEST(Analysis, NonFiniteTimestampsDoNotAbortTheAnalyzer) {
+  TwoOstRig rig;
+  (void)rig.run();
+  const struct {
+    obs::Rec kind;
+    double t;
+  } poisons[] = {{obs::Rec::kWriterEnd, std::nan("")},
+                 {obs::Rec::kWriterEnd, std::numeric_limits<double>::infinity()},
+                 {obs::Rec::kWriterStart, std::nan("")}};
+  for (const auto& p : poisons) {
+    obs::Journal poisoned({/*path=*/"", /*max_records=*/1u << 20});
+    bool hit = false;
+    for (obs::Record r : rig.journal.records()) {
+      if (!hit && r.kind == p.kind) {
+        r.t = p.t;
+        hit = true;
+      }
+      poisoned.append(r);
+    }
+    ASSERT_TRUE(hit);
+    obs::Json report;
+    EXPECT_NO_THROW(report = obs::analyze(poisoned)) << static_cast<int>(p.kind);
+    EXPECT_EQ(num_at(report, {"summary", "writers"}), 8.0);
+    EXPECT_TRUE(obs::Json::parse(report.dump()).has_value());
+  }
 }
 
 // --- binary round-trip -------------------------------------------------------

@@ -14,6 +14,7 @@
 
 #include "obs/analysis.hpp"
 #include "obs/journal.hpp"
+#include "obs/trace_export.hpp"
 
 namespace {
 
@@ -193,6 +194,50 @@ TEST(SimulationTest, ReportAndJournalShareTheMachineNumber) {
     EXPECT_EQ(reports[suffix], report.dump() + "\n") << "report" << suffix
                                                      << " does not analyze journal" << suffix;
   }
+  fsys::remove_all(dir);
+}
+
+TEST(SimulationTest, TraceIsTheReportTraceOfItsJournal) {
+  // AIO_TRACE renders the run journal at teardown: the file must be, byte
+  // for byte, what `aio_report <journal> --trace` writes for that journal.
+  namespace fsys = std::filesystem;
+  const fsys::path dir = fsys::path(testing::TempDir()) / "aio_sim_trace";
+  fsys::remove_all(dir);
+  fsys::create_directories(dir);
+  ::setenv("AIO_JOURNAL", (dir / "journal").c_str(), 1);
+  ::setenv("AIO_TRACE", (dir / "trace").c_str(), 1);
+  {
+    IoGroup g("out");
+    const auto v = g.define_var("x", Type::Double, {1u << 20});
+    Simulation sim(tiny_machine(), 4, Simulation::Options{.background_load = false});
+    const core::IoResult r = sim.write_step(g, Method::Adaptive, 16, [&](core::Rank rank) {
+      WriteSet ws(g);
+      ws.put(v, {static_cast<std::uint64_t>(rank) * 1024}, {1024});
+      return ws;
+    });
+    EXPECT_GT(r.io_seconds(), 0.0);
+  }
+  ::unsetenv("AIO_JOURNAL");
+  ::unsetenv("AIO_TRACE");
+
+  // One machine, so one file per sink; its number depends on how many
+  // Simulations this process built before, so match by prefix.
+  std::string journal_path, trace;
+  for (const auto& entry : fsys::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("journal", 0) == 0) journal_path = entry.path().string();
+    if (name.rfind("trace", 0) == 0) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      std::stringstream body;
+      body << in.rdbuf();
+      trace = body.str();
+    }
+  }
+  ASSERT_FALSE(journal_path.empty());
+  const std::optional<obs::Journal> journal = obs::Journal::load(journal_path);
+  ASSERT_TRUE(journal.has_value());
+  ASSERT_GT(journal->records().size(), 0u);
+  EXPECT_EQ(trace, obs::report_trace(*journal, obs::analyze(*journal)).dump() + "\n");
   fsys::remove_all(dir);
 }
 

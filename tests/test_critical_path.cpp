@@ -139,7 +139,7 @@ TEST(CriticalPath, JsonCarriesAnchorSegmentsAndTotals) {
 /// opens so the close phase has metadata to attribute.
 struct TwoOstRig {
   obs::Journal journal{{/*path=*/"", /*max_records=*/1u << 20}};
-  sim::Engine engine{nullptr, nullptr, &journal};
+  sim::Engine engine{nullptr, &journal};
   fs::FileSystem filesystem;
   net::Network network;
   core::AdaptiveTransport transport;
@@ -344,9 +344,9 @@ TEST(TraceExport, ReportTraceAddsTheCriticalPathTrack) {
   EXPECT_EQ(only_spans, n_segs);
 }
 
-// Byte-identity goldens: captured from the exporter's earlier TraceSink-based
-// implementation, so any rewrite must reproduce its output exactly (including
-// the duplicate process_name metadata for pids 2-5).
+// Byte-identity goldens: the exporter's output is a frozen format, so any
+// rewrite must reproduce it exactly (including the duplicate process_name
+// metadata for pids 2-5).
 
 std::uint64_t fnv1a(std::string_view s) {
   std::uint64_t h = 14695981039346656037ull;

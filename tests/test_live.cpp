@@ -78,7 +78,7 @@ double num_at(const obs::Json& doc, std::initializer_list<const char*> path) {
 struct LiveRig {
   obs::Journal journal{{/*path=*/"", /*max_records=*/1u << 20}};
   obs::LivePlane live;
-  sim::Engine engine{nullptr, nullptr, &journal, &live};
+  sim::Engine engine{nullptr, &journal, &live};
   fs::FileSystem filesystem;
   net::Network network;
   core::AdaptiveTransport transport;

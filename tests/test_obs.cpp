@@ -1,29 +1,31 @@
 // Tests for the observability layer: JSON round-trips, counter/gauge/series
-// semantics, trace span bookkeeping, sampler accuracy against a hand-solved
-// OST drain, the protocol instrumentation agreeing with IoResult, and the
-// AIO_* environment readers (obs/env.hpp).
+// semantics, sampler accuracy against a hand-solved OST drain, the protocol
+// instrumentation (and the trace exported from its journal) agreeing with
+// IoResult, and the AIO_* environment readers (obs/env.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/transports/adaptive_transport.hpp"
 #include "fs/filesystem.hpp"
 #include "fs/ost.hpp"
 #include "net/network.hpp"
+#include "obs/analysis.hpp"
 #include "obs/env.hpp"
 #include "obs/journal.hpp"
 #include "obs/json.hpp"
 #include "obs/live.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
-#include "obs/trace.hpp"
+#include "obs/trace_export.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -190,6 +192,30 @@ TEST(Histogram, ExtremeValuesLandInClampedBuckets) {
   EXPECT_NEAR(big.quantile(0.5), 1e9, 0.02 * 1e9);
 }
 
+TEST(Histogram, SkipsNonFiniteSamples) {
+  // NaN and infinities have no log bucket; they are dropped whole, so the
+  // count, extrema and quantiles describe only the finite samples.
+  obs::Histogram h;
+  h.add(1.0);
+  h.add(std::nan(""));
+  h.add(std::numeric_limits<double>::infinity());
+  h.add(-std::numeric_limits<double>::infinity(), 3);
+  h.add(2.0);
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_DOUBLE_EQ(h.sum(), 3.0);
+  EXPECT_DOUBLE_EQ(h.min(), 1.0);
+  EXPECT_DOUBLE_EQ(h.max(), 2.0);
+  for (const double q : {0.0, 0.5, 0.99, 1.0}) {
+    EXPECT_GE(h.quantile(q), 1.0) << "q=" << q;
+    EXPECT_LE(h.quantile(q), 2.0) << "q=" << q;
+  }
+
+  obs::Histogram only_nan;
+  only_nan.add(std::nan(""));
+  EXPECT_EQ(only_nan.count(), 0u);
+  EXPECT_DOUBLE_EQ(only_nan.quantile(0.5), 0.0);
+}
+
 TEST(Histogram, RegistrySerializesSketches) {
   obs::Registry reg;
   for (int i = 1; i <= 100; ++i) reg.histogram("svc").add(i * 0.01);
@@ -271,95 +297,6 @@ TEST(MergeRecords, ResultDependsOnlyOnTheMultiset) {
   EXPECT_EQ(base[4].kind, obs::Rec::kProfShard);
 }
 
-// --- TraceSink ---------------------------------------------------------------
-
-TEST(TraceSink, SpansNestAndRoundTripAsChromeTrace) {
-  obs::TraceSink sink({/*path=*/"", obs::kCatAll, /*max_events=*/1000});
-  sink.begin(obs::kCatProtocol, obs::kPidProtocol, 7, 1.0, "outer",
-             {{"file", obs::Json(3.0)}});
-  sink.begin(obs::kCatProtocol, obs::kPidProtocol, 7, 1.5, "inner");
-  sink.end(obs::kCatProtocol, obs::kPidProtocol, 7, 2.0);
-  sink.end(obs::kCatProtocol, obs::kPidProtocol, 7, 3.0);
-  sink.instant(obs::kCatProtocol, obs::kPidProtocol, 7, 2.5, "mark");
-  sink.counter(obs::kCatStorage, obs::kPidStorage, 2.75, "depth", 4.0);
-
-  EXPECT_EQ(sink.count('B'), 2u);
-  EXPECT_EQ(sink.count('E'), 2u);
-  EXPECT_EQ(sink.count('i', "mark"), 1u);
-  EXPECT_EQ(sink.count('C', "depth"), 1u);
-
-  std::ostringstream out;
-  sink.write(out);
-  const std::optional<obs::Json> doc = obs::Json::parse(out.str());
-  ASSERT_TRUE(doc.has_value()) << out.str();
-  const obs::Json* events = doc->find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  // 6 recorded events + the 5 pre-named process-metadata records.
-  EXPECT_EQ(events->size(), 6u + 5u);
-  // Timestamps are simulated seconds in microseconds.
-  bool saw_outer = false;
-  for (std::size_t i = 0; i < events->size(); ++i) {
-    const obs::Json& e = events->at(i);
-    if (const obs::Json* name = e.find("name"); name && name->dump() == "\"outer\"") {
-      saw_outer = true;
-      EXPECT_EQ(e.find("ts")->dump(), "1000000");
-      EXPECT_EQ(e.find("pid")->dump(), "2");
-      EXPECT_EQ(e.find("tid")->dump(), "7");
-    }
-  }
-  EXPECT_TRUE(saw_outer);
-}
-
-TEST(TraceSink, FiltersCategoriesAndCountsDrops) {
-  obs::TraceSink sink({/*path=*/"", obs::kCatProtocol, /*max_events=*/3});
-  EXPECT_TRUE(sink.wants(obs::kCatProtocol));
-  EXPECT_FALSE(sink.wants(obs::kCatStorage));
-  sink.instant(obs::kCatStorage, obs::kPidStorage, 0, 0.0, "ignored");
-  EXPECT_EQ(sink.events(), 0u);  // wrong category records nothing
-  for (int i = 0; i < 5; ++i)
-    sink.instant(obs::kCatProtocol, obs::kPidProtocol, 0, static_cast<double>(i), "m");
-  EXPECT_EQ(sink.events(), 3u);
-  EXPECT_EQ(sink.dropped(), 2u);
-
-  // The written document carries the loss metadata, so a truncated trace is
-  // never mistaken for a complete one.
-  std::ostringstream out;
-  sink.write(out);
-  const std::optional<obs::Json> doc = obs::Json::parse(out.str());
-  ASSERT_TRUE(doc.has_value());
-  const obs::Json* other = doc->find("otherData");
-  ASSERT_NE(other, nullptr);
-  EXPECT_DOUBLE_EQ(other->find("dropped")->number(), 2.0);
-  EXPECT_DOUBLE_EQ(other->find("events")->number(), 3.0);
-  EXPECT_DOUBLE_EQ(other->find("categories")->number(),
-                   static_cast<double>(obs::kCatProtocol));
-
-  // publish_drops mirrors the count into the registry exactly once per drop,
-  // however many times a flush path calls it.
-  obs::Registry reg;
-  sink.publish_drops(reg);
-  sink.publish_drops(reg);
-  EXPECT_EQ(reg.counter("obs.trace.dropped").value(), 2u);
-  sink.instant(obs::kCatProtocol, obs::kPidProtocol, 0, 9.0, "m");  // drops a 3rd
-  sink.publish_drops(reg);
-  EXPECT_EQ(reg.counter("obs.trace.dropped").value(), 3u);
-}
-
-TEST(TraceSink, DefaultCategoriesExcludeEngineDispatch) {
-  obs::TraceSink sink({/*path=*/"", obs::kCatDefault, /*max_events=*/1000});
-  obs::Registry reg;
-  sim::Engine engine(&sink, &reg);
-  engine.schedule_at(1.0, [] {});
-  engine.run();
-  EXPECT_EQ(sink.count('i', "dispatch"), 0u);
-
-  obs::TraceSink all({/*path=*/"", obs::kCatAll, /*max_events=*/1000});
-  sim::Engine loud(&all, &reg);
-  loud.schedule_at(1.0, [] {});
-  loud.run();
-  EXPECT_EQ(all.count('i', "dispatch"), 1u);
-}
-
 // --- Sampler vs hand-computed OST drain --------------------------------------
 
 // A 1000 B durable write into an OST with ingest 1000 B/s, disk 100 B/s and a
@@ -367,7 +304,7 @@ TEST(TraceSink, DefaultCategoriesExcludeEngineDispatch) {
 // t=1 (occupancy 900), then drains at 100 B/s, empty (and done) at t=10.
 TEST(Sampler, PerOstSeriesMatchesFluidModel) {
   obs::Registry reg;
-  sim::Engine engine(nullptr, &reg);
+  sim::Engine engine(&reg);
   fs::Ost::Config cfg;
   cfg.ingest_bw = 1000.0;
   cfg.disk_bw = 100.0;
@@ -378,7 +315,7 @@ TEST(Sampler, PerOstSeriesMatchesFluidModel) {
   cfg.op_latency_s = 0.0;
   fs::Ost ost(engine, cfg);
 
-  obs::Sampler sampler(reg, nullptr, /*period_s=*/0.5);
+  obs::Sampler sampler(reg, /*period_s=*/0.5);
   sampler.add_probe("ost0.cache_occupancy", [&](double) { return ost.cache_occupancy(); });
 
   // Tick at 0.25, 0.75, 1.25, ... — off the model's own breakpoints.
@@ -401,12 +338,46 @@ TEST(Sampler, PerOstSeriesMatchesFluidModel) {
   }
 }
 
+// The cache-full crossing counter needs only a registry: a 1000 B durable
+// write into a 100 B cache fills it once, stays full while ingest is
+// throttled to the drain, then drains.
+TEST(OstMetrics, CacheFullCrossingsCountWithTheRegistryAlone) {
+  obs::Registry reg;
+  sim::Engine engine(&reg);
+  fs::Ost::Config cfg;
+  cfg.ingest_bw = 1000.0;
+  cfg.disk_bw = 100.0;
+  cfg.cache_bytes = 100.0;
+  cfg.alpha = 0.0;
+  cfg.eff_floor = 0.0;
+  fs::Ost ost(engine, cfg);
+  sim::Time done = -1.0;
+  ost.write(1000.0, fs::Ost::Mode::Durable, [&](sim::Time t) { done = t; });
+  engine.run();
+  EXPECT_NEAR(done, 10.0, 1e-6);
+  EXPECT_EQ(reg.counter("storage.cache_full_crossings").value(), 1u);
+}
+
 // --- Protocol instrumentation agrees with IoResult ---------------------------
 
+/// Events in a Chrome trace document with phase `ph` whose name starts with
+/// `prefix` (empty = any).
+std::size_t count_events(const obs::Json& trace, const char* ph, std::string_view prefix = {}) {
+  const obs::Json* events = trace.find("traceEvents");
+  std::size_t n = 0;
+  for (std::size_t i = 0; events && i < events->size(); ++i) {
+    const obs::Json& e = events->at(i);
+    if (e.find("ph")->str() != ph) continue;
+    const obs::Json* name = e.find("name");
+    if (prefix.empty() || (name && name->str().rfind(prefix, 0) == 0)) ++n;
+  }
+  return n;
+}
+
 TEST(ProtocolTrace, StealInstantsMatchIoResult) {
-  obs::TraceSink sink({/*path=*/"", obs::kCatDefault, /*max_events=*/200000});
+  obs::Journal journal({/*path=*/"", /*max_records=*/1u << 20});
   obs::Registry reg;
-  sim::Engine engine(&sink, &reg);
+  sim::Engine engine(&reg, &journal);
 
   fs::FsConfig fc;
   fc.n_osts = 4;
@@ -436,11 +407,13 @@ TEST(ProtocolTrace, StealInstantsMatchIoResult) {
   ASSERT_TRUE(result.has_value());
   EXPECT_GT(result->steals, 0u);
 
-  // Every steal completion leaves exactly one instant; every writer opens
-  // exactly one data-write span (stolen or not), and all spans close.
-  EXPECT_EQ(sink.count('i', "steal.complete"), result->steals);
-  EXPECT_EQ(sink.count('B', "write"), 16u);
-  EXPECT_EQ(sink.count('B'), sink.count('E'));
+  // In the trace exported from the run's journal, every steal completion
+  // leaves exactly one instant; every writer opens exactly one data-write
+  // span (stolen or not), and all spans close.
+  const obs::Json trace = obs::report_trace(journal, obs::analyze(journal));
+  EXPECT_EQ(count_events(trace, "i", "steal-complete "), result->steals);
+  EXPECT_EQ(count_events(trace, "B", "write"), 16u);
+  EXPECT_EQ(count_events(trace, "B"), count_events(trace, "E"));
   EXPECT_EQ(reg.counter("protocol.steals").value(), result->steals);
   EXPECT_EQ(reg.counter("protocol.runs").value(), 1u);
   EXPECT_GE(reg.counter("protocol.steal_grants").value(), result->steals);
@@ -476,7 +449,7 @@ TEST(EnvReaders, CountAcceptsWholeNumbersAtOrAboveTheMinimum) {
       {"99999999999999999999999", 1, 7, true},          // overflow
       {"0", 1, 7, true},        {"0", 0, 0, false},      // below minimum; min 0 accepts it
       {"3", 4, 7, true},        {"-3", 1, 7, true},      // below minimum; no signs
-      {" 3", 1, 7, true},       {"all", 1, 7, true},     // no blanks; no unlisted words
+      {" 3", 1, 7, true},       {"all", 1, 7, true},     // no blanks; no words
   };
   for (std::size_t i = 0; i < std::size(cases); ++i) {
     const Case& c = cases[i];
@@ -488,12 +461,6 @@ TEST(EnvReaders, CountAcceptsWholeNumbersAtOrAboveTheMinimum) {
     EXPECT_EQ(!err.empty(), c.warns) << i << ": " << err;
     if (c.warns) EXPECT_NE(err.find("aio: ignoring AIO_TEST_COUNT_"), std::string::npos) << err;
   }
-  // Named values ride along (AIO_TRACE_CATS=all).
-  std::size_t got = 0;
-  read_env("COUNT", 99, "all", [&](const char* name) {
-    got = obs::env_count(name, 7, 1, {{"all", 255}});
-  });
-  EXPECT_EQ(got, 255u);
 }
 
 TEST(EnvReaders, SecondsAcceptsPositiveFiniteNumbers) {
@@ -609,11 +576,23 @@ TEST(EnvReaders, NumberedPathsFollowTheMachineSlot) {
 TEST(EnvReaders, ZeroTurnsEverySinkOff) {
   for (const char* v : {"AIO_TRACE", "AIO_JOURNAL", "AIO_REPORT", "AIO_LIVE", "AIO_FLIGHT"})
     ::setenv(v, "0", 1);
-  EXPECT_EQ(obs::TraceSink::from_env(0), nullptr);
   EXPECT_EQ(obs::Journal::from_env(0), nullptr);
   EXPECT_EQ(obs::LivePlane::from_env(0), nullptr);
   for (const char* v : {"AIO_TRACE", "AIO_JOURNAL", "AIO_REPORT", "AIO_LIVE", "AIO_FLIGHT"})
     ::unsetenv(v);
+}
+
+// AIO_TRACE renders the journal into a file at the end of the run, so an
+// in-memory trace would be read by nothing: `1` and `-` are rejected, and a
+// rejected value arms no journal.
+TEST(EnvReaders, TraceRequiresAPath) {
+  ::setenv("AIO_TRACE", "1", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(obs::Journal::from_env(0), nullptr);
+  const std::string err = testing::internal::GetCapturedStderr();
+  ::unsetenv("AIO_TRACE");
+  EXPECT_NE(err.find("aio: ignoring AIO_TRACE=\"1\" (want 0 or a file path)"), std::string::npos)
+      << err;
 }
 
 }  // namespace
