@@ -13,6 +13,8 @@
 #include "core/protocol/coordinator_fsm.hpp"
 #include "core/protocol/subcoordinator_fsm.hpp"
 #include "core/protocol/writer_fsm.hpp"
+#include "fs/fabric.hpp"
+#include "fs/machine.hpp"
 #include "fs/ost.hpp"
 #include "micro_main.hpp"
 #include "parallel.hpp"
@@ -152,6 +154,30 @@ void BM_OstConcurrentDurable(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * writers);
 }
 BENCHMARK(BM_OstConcurrentDurable)->Arg(4)->Arg(32)->Arg(128);
+
+// One congestion burst at full scale: n OSTs with Jaguar's ingest behind
+// Jaguar's fabric, each handed one write at the same instant, run to
+// completion.  The burst's activity transitions all land on one instant
+// (twice: on the way up and on the way down), so this times the fabric
+// governor's once-per-instant flush.
+void BM_FabricBurst(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const fs::FsConfig fs_config = fs::jaguar().fs;
+  for (auto _ : state) {
+    sim::Engine engine;
+    fs::FabricGovernor fabric(engine, fs_config.fabric_bw);
+    std::vector<std::unique_ptr<fs::Ost>> osts;
+    osts.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      osts.push_back(std::make_unique<fs::Ost>(engine, fs_config.ost, static_cast<int>(i)));
+      fabric.attach(*osts.back());
+    }
+    for (auto& ost : osts) ost->write(64e6, fs::Ost::Mode::Cached, nullptr);
+    benchmark::DoNotOptimize(engine.run());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
+}
+BENCHMARK(BM_FabricBurst)->Arg(672);
 
 core::LocalIndex make_index(int blocks) {
   core::LocalIndex idx;

@@ -11,7 +11,11 @@
 // keep all printing and report assembly on the calling thread, so stdout
 // tables and `aio-bench-v1` JSON are byte-identical whatever the thread
 // count.  For that to hold, `fn` must be a pure function of its index: own
-// machine, own seed, no stdout, no shared mutable state.
+// machine, own seed, no stdout, no shared mutable state.  The one stdout
+// write a unit may make is the AIO_REPORT summary its machine prints at
+// teardown: pooled units hand it to an `obs::SummaryCapture`, and
+// run_samples prints the captured text in index order on the calling
+// thread, exactly where the serial loop would have printed it.
 //
 // The worker threads live in one process-wide persistent pool, spawned
 // lazily on first use and reused across every subsequent run_samples call;
@@ -34,10 +38,12 @@
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "obs/analysis.hpp"
 #include "obs/env.hpp"
 
 namespace aio::bench {
@@ -215,6 +221,7 @@ auto run_samples(std::size_t n, Fn&& fn, std::size_t threads)
   // needed.
   std::vector<std::optional<Result>> slots(n);
   std::vector<std::exception_ptr> errors(n);
+  std::vector<std::string> summaries(n);  // each unit's held-back stdout
   std::atomic<std::size_t> next{0};
 
   const std::function<void()> body = [&] {
@@ -222,6 +229,7 @@ auto run_samples(std::size_t n, Fn&& fn, std::size_t threads)
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
       try {
+        const obs::SummaryCapture capture(summaries[i]);
         slots[i].emplace(fn(i));
       } catch (...) {
         errors[i] = std::current_exception();
@@ -234,10 +242,13 @@ auto run_samples(std::size_t n, Fn&& fn, std::size_t threads)
   const std::size_t participants = std::min(threads, n);
   detail::PersistentPool::instance().run_with_caller(participants - 1, body);
 
-  // Deterministic failure: rethrow the lowest-index error, the same one the
-  // serial loop would have hit first.
-  for (std::size_t i = 0; i < n; ++i)
+  // Print the held-back summaries in index order and fail deterministically:
+  // rethrow the lowest-index error after that unit's own output, the same
+  // point the serial loop would have died at.
+  for (std::size_t i = 0; i < n; ++i) {
+    std::fputs(summaries[i].c_str(), stdout);
     if (errors[i]) std::rethrow_exception(errors[i]);
+  }
   for (std::size_t i = 0; i < n; ++i) results.push_back(std::move(*slots[i]));
   return results;
 }

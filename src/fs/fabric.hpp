@@ -8,65 +8,73 @@
 //
 //     factor = min(1, fabric_bw / (n_active * ost_ingest_bw))
 //
-// Updates are applied only when the factor moves by more than a small
-// hysteresis band, so OST activity flapping does not cause event storms.
+// A new factor is adopted only when it moves by more than a small hysteresis
+// band, so OST activity flapping does not cause event storms.  Adopting one
+// does not touch the OSTs at once: it arms a single *flush* event at the
+// current instant, and the flush hands every OST the instant's final factor.
+// A burst of transitions queued at one instant therefore re-times each busy
+// OST once, however many decisions it moved.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "fs/ost.hpp"
-
-namespace aio::sim {
-class Engine;
-}
+#include "sim/engine.hpp"
 
 namespace aio::fs {
 
 class FabricGovernor {
  public:
-  /// `fabric_bw` <= 0 disables the governor (infinite fabric).
-  FabricGovernor(double fabric_bw, double hysteresis = 0.02)
-      : fabric_bw_(fabric_bw), hysteresis_(hysteresis) {}
+  /// `fabric_bw` <= 0 disables the governor (infinite fabric).  Flushes run
+  /// on `engine`, which must outlive the governor.
+  FabricGovernor(sim::Engine& engine, double fabric_bw, double hysteresis = 0.02)
+      : engine_(engine), fabric_bw_(fabric_bw), hysteresis_(hysteresis) {}
+  ~FabricGovernor();
+  FabricGovernor(const FabricGovernor&) = delete;
+  FabricGovernor& operator=(const FabricGovernor&) = delete;
 
-  /// Registers an OST and installs its activity hook.  The governor must
-  /// outlive the OSTs it manages.
+  /// Registers an OST and installs its activity hook.  The hook runs inside
+  /// the OST's recompute and makes the hysteresis decision for every
+  /// transition, in transition order.  The governor must outlive the OSTs
+  /// it manages.
   void attach(Ost& ost);
 
   /// Registers an OST without installing a hook.  Sharded runs keep one
   /// governor replica per shard: every replica is fed the globally merged
-  /// activity stream through `notify_activity`, so all replicas run the same
-  /// hysteresis state machine and each applies factors only to its own
-  /// shard's OSTs.
+  /// activity stream through `notify_activity_batched`, so all replicas run
+  /// the same hysteresis state machine and each applies factors only to its
+  /// own shard's OSTs.
   void adopt(Ost& ost) { osts_.push_back(&ost); }
 
-  /// Feeds one activity transition (from any OST, any shard) into this
-  /// governor's state machine.
-  void notify_activity(bool became_active) { on_activity(became_active); }
-
-  /// Batched replica feed for sharded runs: applies the count change
-  /// immediately but defers the factor recompute to a single event at the
-  /// current instant (scheduled once per batch).  Transitions merged at one
-  /// window boundary therefore produce exactly one hysteresis decision from
-  /// the *final* active count — the outcome is independent of the order the
+  /// Batched replica feed for sharded runs: counts the transition at once
+  /// and leaves the hysteresis decision to the flush.  Transitions merged at
+  /// one window boundary therefore produce exactly one decision from the
+  /// *final* active count — the outcome is independent of the order the
   /// batch drains in, which is what keeps the factor sequence invariant
   /// under the domain and shard counts.
-  void notify_activity_batched(bool became_active, sim::Engine& engine);
+  void notify_activity_batched(bool became_active);
 
   [[nodiscard]] std::size_t active_count() const { return active_; }
   [[nodiscard]] double current_factor() const { return applied_factor_; }
   [[nodiscard]] double fabric_bw() const { return fabric_bw_; }
 
  private:
-  void on_activity(bool became_active);
-  void apply();
+  void count(bool became_active);
+  /// Hysteresis decision from the current count; true when the factor moved.
+  bool decide();
+  void arm_flush();
+  /// The flush event: re-times every OST once with the instant's factor.
+  void flush();
 
+  sim::Engine& engine_;
   double fabric_bw_;
   double hysteresis_;
   std::vector<Ost*> osts_;
   std::size_t active_ = 0;
   double applied_factor_ = 1.0;
-  bool recompute_armed_ = false;  // a batched recompute event is scheduled
+  sim::EventHandle flush_;        // armed flush at the current instant, if any
+  bool decide_at_flush_ = false;  // batched feed: the flush makes the decision
 };
 
 }  // namespace aio::fs

@@ -133,7 +133,7 @@ FileSystem::FileSystem(sim::Engine& engine, FsConfig config)
     : engine_(engine),
       config_(config),
       mds_(engine, MdsGroup::Config{config.n_mds, config.mds}),
-      fabric_(config.fabric_bw) {
+      fabric_(engine_, config.fabric_bw) {
   if (config_.n_osts == 0) throw std::invalid_argument("FileSystem: need at least one OST");
   osts_.reserve(config_.n_osts);
   for (std::size_t i = 0; i < config_.n_osts; ++i) {
@@ -147,13 +147,13 @@ FileSystem::FileSystem(sim::ShardGroup& shards, FsConfig config)
       config_(config),
       shards_(&shards),
       mds_(shards, MdsGroup::Config{config.n_mds, config.mds}),
-      fabric_(config.fabric_bw) {
+      fabric_(engine_, config.fabric_bw) {
   if (config_.n_osts == 0) throw std::invalid_argument("FileSystem: need at least one OST");
   if (config_.n_osts != shards.n_osts())
     throw std::invalid_argument("FileSystem: OST count does not match the shard group");
   const std::size_t n_shards = shards.n_shards();
-  fabric_replicas_.reserve(n_shards);
-  for (std::size_t s = 0; s < n_shards; ++s) fabric_replicas_.emplace_back(config_.fabric_bw);
+  for (std::size_t s = 0; s < n_shards; ++s)
+    fabric_replicas_.emplace_back(shards.engine(s), config_.fabric_bw);
   osts_.reserve(config_.n_osts);
   for (std::size_t i = 0; i < config_.n_osts; ++i) {
     const std::uint32_t dom = shards.domain_of_ost(i);
@@ -162,19 +162,19 @@ FileSystem::FileSystem(sim::ShardGroup& shards, FsConfig config)
     fabric_replicas_[home].adopt(*osts_.back());
     if (config_.fabric_bw > 0.0) {
       // Broadcast every activity transition to all replicas; each counts it
-      // at the next window boundary and defers the factor recompute to one
-      // event after the whole boundary batch, so the replicas' hysteresis
-      // state machines make identical decisions at any shard *or domain*
-      // count (the batched apply is order-free within the boundary instant).
-      Ost* ost = osts_.back().get();
+      // at the next window boundary and decides in its one flush after the
+      // whole boundary batch, so the replicas' hysteresis state machines
+      // make identical decisions at any shard *or domain* count (the
+      // batched decision is order-free within the boundary instant).
       const std::uint32_t key = shards.key_of_ost(i);
-      ost->set_activity_hook([sg = &shards, reps = &fabric_replicas_, key, n_shards](bool active) {
+      auto hook = [sg = &shards, reps = &fabric_replicas_, key, n_shards](bool active) {
         for (std::size_t d = 0; d < n_shards; ++d) {
-          sg->post_at_boundary(key, d, [reps, d, active] {
-            (*reps)[d].notify_activity_batched(active, *sim::current_engine());
-          });
+          sg->post_at_boundary(key, d,
+                               [reps, d, active] { (*reps)[d].notify_activity_batched(active); });
         }
-      });
+      };
+      static_assert(sizeof(hook) <= 32, "sharded fabric hook outgrew Ost::ActivityHook SBO");
+      osts_.back()->set_activity_hook(std::move(hook));
     }
   }
 }

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -168,7 +169,7 @@ class FileSystem {
   std::vector<std::unique_ptr<Ost>> osts_;
   MdsGroup mds_;
   FabricGovernor fabric_;
-  std::vector<FabricGovernor> fabric_replicas_;  // one per shard (sharded runs)
+  std::deque<FabricGovernor> fabric_replicas_;  // one per shard (sharded runs)
   std::vector<std::unique_ptr<StripedFile>> files_;
 };
 

@@ -198,14 +198,13 @@ void Ost::recompute() {
   }
 
   // --- activity hook ------------------------------------------------------------
-  // Delivered through a zero-delay event: the hook typically calls back into
-  // set_fabric_factor(), which must not run while this recompute is active.
+  // Called in place: the fabric governor only counts and decides here, and
+  // re-times OSTs from its own same-instant flush event, never from inside
+  // this recompute.
   const bool active = n_ingest > 0;
   if (active != was_active_) {
     was_active_ = active;
-    if (activity_hook_) {
-      engine_.schedule_after(0.0, [hook = activity_hook_, active] { hook(active); });
-    }
+    if (activity_hook_) activity_hook_(active);
   }
 
   // --- find the next state-changing instant --------------------------------------
@@ -263,7 +262,7 @@ void Ost::recompute() {
 
 void Ost::arm(double delay, bool daemon) {
   // Re-timing in place keeps the event's slot and callback; the fabric
-  // broadcast re-times every busy OST on each wave.
+  // governor's flush re-times every busy OST once per instant it moves.
   const sim::Time t = engine_.now() + delay;
   if (pending_.valid() && engine_.rearm(pending_, t, daemon)) return;
   pending_ = daemon ? engine_.schedule_daemon_at(t, [this] { fire(); })

@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -60,9 +59,9 @@ class Ost {
   /// data-path write/read/flush completions never heap-allocate.
   using OnComplete = sim::InplaceFunction<void(sim::Time), 64>;
   /// Invoked when the OST transitions between idle and active (used by the
-  /// fabric governor to apportion system-wide bandwidth).  Copied into the
-  /// deferred notification event, so it stays a std::function.
-  using ActivityHook = std::function<void(bool active)>;
+  /// fabric governor to apportion system-wide bandwidth).  Move-only, 32-byte
+  /// SBO: the widest hook is the sharded governor feed's four-word capture.
+  using ActivityHook = sim::InplaceFunction<void(bool active), 32>;
 
   Ost(sim::Engine& engine, Config config, int index = 0);
   ~Ost();
@@ -95,6 +94,9 @@ class Ost {
   [[nodiscard]] double net_load() const { return net_load_; }
   [[nodiscard]] double disk_load() const { return disk_load_; }
 
+  /// The hook runs synchronously inside recompute(), in transition order,
+  /// and must not call back into this OST (no write, abort, set_load or
+  /// set_fabric_factor): it may only count, decide and schedule or post.
   void set_activity_hook(ActivityHook hook) { activity_hook_ = std::move(hook); }
 
   [[nodiscard]] int index() const { return index_; }

@@ -804,6 +804,15 @@ std::vector<std::string> diff_reports(const Json& base, const Json& current,
   return violations;
 }
 
+namespace {
+thread_local std::string* tls_summary_sink = nullptr;
+}  // namespace
+
+SummaryCapture::SummaryCapture(std::string& sink)
+    : prev_(std::exchange(tls_summary_sink, &sink)) {}
+
+SummaryCapture::~SummaryCapture() { tls_summary_sink = prev_; }
+
 bool flush_report(const Journal& journal, int slot) {
   const EnvSink rep = env_sink("AIO_REPORT");
   const EnvSink trace = env_sink("AIO_TRACE", /*needs_path=*/true);
@@ -812,7 +821,11 @@ bool flush_report(const Journal& journal, int slot) {
   bool ok = true;
   if (rep.on) {
     const std::string summary = report_summary(report);
-    if (!summary.empty()) std::fputs(summary.c_str(), stdout);
+    if (tls_summary_sink) {
+      tls_summary_sink->append(summary);
+    } else if (!summary.empty()) {
+      std::fputs(summary.c_str(), stdout);
+    }
     if (!rep.path.empty()) {
       std::ofstream out(numbered_path(rep.path, slot));
       ok = static_cast<bool>(out << report.dump() << '\n');

@@ -64,14 +64,29 @@ struct DiffOptions {
 [[nodiscard]] std::vector<std::string> diff_reports(const Json& base, const Json& current,
                                                     const DiffOptions& opts = {});
 
+/// While alive, this thread's `flush_report` summaries are appended to
+/// `sink` instead of going to stdout.  Nests: the destructor restores the
+/// previous target.  `bench::run_samples` holds one per pooled unit and
+/// prints the captured text in index order on the calling thread.
+class SummaryCapture {
+ public:
+  explicit SummaryCapture(std::string& sink);
+  ~SummaryCapture();
+  SummaryCapture(const SummaryCapture&) = delete;
+  SummaryCapture& operator=(const SummaryCapture&) = delete;
+
+ private:
+  std::string* prev_;
+};
+
 /// End-of-run AIO_REPORT / AIO_TRACE hook; analyzes `journal` once when
-/// either switch is on.  AIO_REPORT prints the terse summary to stdout and —
-/// unless the value is "-" or "1" (summary only) — writes the JSON document
-/// to the value as a path.  AIO_TRACE (a path) receives
-/// `report_trace(journal, report)`, the same bytes `aio_report --trace`
-/// writes.  Paths are numbered by the machine's `slot` (obs/env.hpp).
-/// Returns false only when a file write failed; with both off, a no-op
-/// returning true.
+/// either switch is on.  AIO_REPORT prints the terse summary to stdout (or
+/// to this thread's SummaryCapture) and — unless the value is "-" or "1"
+/// (summary only) — writes the JSON document to the value as a path.
+/// AIO_TRACE (a path) receives `report_trace(journal, report)`, the same
+/// bytes `aio_report --trace` writes.  Paths are numbered by the machine's
+/// `slot` (obs/env.hpp).  Returns false only when a file write failed; with
+/// both off, a no-op returning true.
 bool flush_report(const Journal& journal, int slot);
 
 }  // namespace aio::obs

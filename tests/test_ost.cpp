@@ -211,6 +211,7 @@ TEST(Ost, ActivityHookFiresOnBusyAndIdle) {
   std::vector<bool> transitions;
   ost.set_activity_hook([&](bool active) { transitions.push_back(active); });
   ost.write(100.0, Ost::Mode::Cached, [](Time) {});
+  EXPECT_EQ(transitions.size(), 1u);  // synchronous: inside the write's recompute
   e.run();
   ASSERT_EQ(transitions.size(), 2u);
   EXPECT_TRUE(transitions[0]);

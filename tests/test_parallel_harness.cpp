@@ -198,6 +198,43 @@ std::string mini_bench_json(std::size_t threads) {
   return doc.dump();
 }
 
+// With AIO_REPORT on, every machine prints its summary when it is torn
+// down — inside the unit, on a pool worker.  run_samples must hold that text
+// back and print it in index order, so stdout matches the serial loop.
+std::string report_stdout(std::size_t threads) {
+  testing::internal::CaptureStdout();
+  bench::run_samples(
+      4,
+      [](std::size_t i) {
+        // Later units start sooner and run smaller jobs, so a pool that let
+        // them print as they finish would reverse the order.
+        std::this_thread::sleep_for(std::chrono::milliseconds((4 - i) * 20));
+        bench::Machine machine(fs::xtp(), 2000 + i, /*with_load=*/false, /*min_ranks=*/0,
+                               /*obs_slot=*/static_cast<int>(i));
+        core::AdaptiveTransport::Config cfg;
+        cfg.n_files = 4;
+        core::AdaptiveTransport transport(machine.filesystem, machine.network, cfg);
+        return machine.run(transport, core::IoJob::uniform(64u >> i, 1 << 20)).bandwidth();
+      },
+      threads);
+  return testing::internal::GetCapturedStdout();
+}
+
+TEST(ParallelHarness, ReportSummariesPrintInIndexOrder) {
+  ::setenv("AIO_REPORT", "1", 1);  // summary only, no file
+  const std::string serial = report_stdout(1);
+  const std::string pooled = report_stdout(4);
+  ::unsetenv("AIO_REPORT");
+  EXPECT_EQ(serial, pooled);
+  // Four summaries, one per unit, largest job first.
+  std::size_t at = 0;
+  for (const char* writers : {"64 writer-writes", "32 writer-writes", "16 writer-writes",
+                              "8 writer-writes"}) {
+    at = serial.find(writers, at);
+    ASSERT_NE(at, std::string::npos) << writers << " in\n" << serial;
+  }
+}
+
 TEST(ParallelHarness, ReportJsonByteIdenticalAcrossThreadCounts) {
   const std::string serial = mini_bench_json(1);
   const std::string pooled = mini_bench_json(4);
