@@ -54,7 +54,8 @@ struct Machine {
   /// Numbers every output path of this machine (obs/env.hpp): slot 0
   /// writes `<path>`, slot k writes `<path>.k+1`.
   const int obs_slot;
-  // Observability precedes engine: the engine captures these pointers.
+  // Observability precedes engine: the engine captures the journal and
+  // live-plane pointers.
   std::unique_ptr<obs::Registry> metrics;
   std::unique_ptr<obs::Journal> journal;
   std::unique_ptr<obs::LivePlane> live;
@@ -84,7 +85,7 @@ struct Machine {
         metrics(metrics_from_env()),
         journal(obs::Journal::from_env(obs_slot)),
         live(obs::LivePlane::from_env(obs_slot)),
-        engine(metrics.get(), journal.get(), live.get()),
+        engine(journal.get(), live.get()),
         filesystem(engine, spec.fs),
         network(engine,
                 net::NetConfig{spec.msg_latency_s, spec.nic_bw, spec.cores_per_node},
@@ -175,10 +176,6 @@ struct Machine {
                       "s steps=" + std::to_string(engine.steps()) +
                       " pending=" + std::to_string(engine.pending()) +
                       " pending_normal=" + std::to_string(engine.pending_normal()) + "]";
-    if (metrics) {
-      for (const auto& [name, c] : metrics->counters())
-        msg += " " + name + "=" + std::to_string(c.value());
-    }
     // Capture the metrics tail between the last daemon tick and the abort
     // instant, then write everything out before throwing.
     if (sampler) sampler->tick(engine.now());

@@ -90,8 +90,7 @@ StormOut run_storm(std::size_t procs, std::size_t n_mds, Mode mode, std::size_t 
                    obs::Journal* journal, obs::prof::ShardProfiler* prof) {
   const auto w0 = std::chrono::steady_clock::now();
   if (prof) prof->bind(1);  // single-engine mode: one slot, re-zeroed per storm
-  sim::Engine engine;
-  engine.set_journal(journal);
+  sim::Engine engine(journal);
   fs::MdsGroup::Config gc;
   gc.count = n_mds;
   gc.server = fs::jaguar().fs.mds;

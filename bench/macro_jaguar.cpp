@@ -52,17 +52,6 @@ namespace {
 
 using namespace aio;
 
-// Not keeping the global index means no block record is built or carried; the
-// detection shim keeps this file compilable against trees whose adaptive
-// config predates the knob (the pre/post A-B harness builds this same bench
-// at both ends of the change).
-template <typename C>
-auto enable_streamed_merge(C& cfg, int) -> decltype(void(cfg.retain_global_index)) {
-  cfg.retain_global_index = false;
-}
-template <typename C>
-void enable_streamed_merge(C&, long) {}
-
 /// Resident set size right now, in bytes (0 where /proc is unavailable).
 /// Unlike the getrusage high-water mark this can go down, so per-scale
 /// deltas around a rig build+run measure that scale's own footprint.
@@ -124,9 +113,7 @@ RunCost run_one(const fs::MachineSpec& spec, const workload::Pixie3dConfig& mode
   const std::uint64_t rss0 = current_rss_bytes();
   const auto t0 = std::chrono::steady_clock::now();
 
-  sim::Engine engine;
-  engine.set_journal(journal);
-  engine.set_live(live);
+  sim::Engine engine(journal, live);
   fs::FileSystem filesystem(engine, spec.fs);
   std::optional<net::Network> network;
   std::unique_ptr<core::Transport> transport;
@@ -134,7 +121,7 @@ RunCost run_one(const fs::MachineSpec& spec, const workload::Pixie3dConfig& mode
     network.emplace(engine,
                     net::NetConfig{spec.msg_latency_s, spec.nic_bw, spec.cores_per_node}, procs);
     core::AdaptiveTransport::Config cfg;  // n_files = 0: one file per OST (672 groups)
-    enable_streamed_merge(cfg, 0);
+    cfg.retain_global_index = false;  // no block record is built or carried
     transport = std::make_unique<core::AdaptiveTransport>(filesystem, *network, cfg);
   } else {
     core::MpiioTransport::Config cfg;
@@ -201,7 +188,7 @@ RunCost run_one_sharded(const fs::MachineSpec& spec, const workload::Pixie3dConf
   cfg.n_ranks = procs;
   cfg.fs = spec.fs;
   cfg.net = net::NetConfig{spec.msg_latency_s, spec.nic_bw, spec.cores_per_node};
-  enable_streamed_merge(cfg.adaptive, 0);  // n_files = 0: one file per OST
+  cfg.adaptive.retain_global_index = false;  // n_files = 0: one file per OST
   cfg.collect_journal = journal != nullptr;
   cfg.n_domains = n_domains;
   cfg.window_batch = window_batch;

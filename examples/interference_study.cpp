@@ -27,7 +27,7 @@ int main() {
   // AIO_JOURNAL/AIO_REPORT/AIO_TRACE capture the per-OST state timeline for
   // tools/aio_report even though this study runs no adaptive protocol.
   const std::unique_ptr<obs::Journal> journal = obs::Journal::from_env(0);
-  sim::Engine engine(&metrics, journal.get());
+  sim::Engine engine(journal.get());
   fs::FileSystem filesystem(engine, spec.fs);
   fs::BackgroundLoad load(engine, sim::Rng(2026).fork(1), spec.load,
                           filesystem.ost_pointers());

@@ -102,7 +102,7 @@ Simulation::Simulation(fs::MachineSpec spec, std::uint64_t seed, Options options
       obs_slot_(obs::machine_slot()),
       journal_(obs::Journal::from_env(obs_slot_)),
       live_(obs::LivePlane::from_env(obs_slot_)),
-      engine_(&metrics_, journal_.get(), live_.get()),
+      engine_(journal_.get(), live_.get()),
       rng_(seed) {
   fs_ = std::make_unique<fs::FileSystem>(engine_, spec_.fs);
   net::NetConfig nc;

@@ -140,8 +140,9 @@ class Simulation {
   [[nodiscard]] net::Network& network() { return *net_; }
   [[nodiscard]] const fs::MachineSpec& spec() const { return spec_; }
 
-  /// End-of-run metrics: always available (counters/gauges cost nothing to
-  /// keep); series fill only when `metrics_sample_period_s` is set.
+  /// The application's own counters and gauges, plus the sampler's series
+  /// (filled only when `metrics_sample_period_s` is set).  The simulated
+  /// stack records into the journal, not here.
   [[nodiscard]] obs::Registry& metrics() { return metrics_; }
   /// Run journal built from AIO_JOURNAL/AIO_REPORT/AIO_TRACE, or null.
   /// Written (and its report and trace emitted) on destruction.
@@ -169,7 +170,7 @@ class Simulation {
   // stream share one number whatever order Simulations are destroyed in.
   int obs_slot_;
   // Observability state must precede engine_: the engine captures the
-  // pointers at construction.
+  // journal and live-plane pointers at construction.
   std::unique_ptr<obs::Journal> journal_;
   std::unique_ptr<obs::LivePlane> live_;
   obs::Registry metrics_;

@@ -10,8 +10,6 @@
 #include "core/protocol/subcoordinator_fsm.hpp"
 #include "core/protocol/writer_pool.hpp"
 #include "obs/journal.hpp"
-#include "obs/live.hpp"
-#include "obs/metrics.hpp"
 #include "sim/shard.hpp"
 
 namespace aio::core {
@@ -51,32 +49,25 @@ struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
   std::size_t opens_remaining = 0;
   std::size_t closes_remaining = 0;
 
-  // Observability hooks from the engine.
-  obs::Registry* metrics = nullptr;
-  obs::Journal* journal = nullptr;
-  obs::LivePlane* live = nullptr;
-  std::uint32_t journal_run = 0;  ///< this run's id within the journal
-
   /// Non-null for runs homed on a sharded file system: protocol events
   /// execute on the shard owning the acting rank's domain, and every
   /// coupling that crosses a node or storage boundary (writes to OSTs, role
   /// completions to the coordinator's node) travels through the shard
   /// group's channel plane regardless of the domain layout.
   sim::ShardGroup* shards = nullptr;
+  /// The engine's record gate, read once: every record below goes through
+  /// `eng().record`.  Shard engines carry a journal each and no live plane,
+  /// and the merge is canonical, so shard 0's gate is all-or-none.
+  bool observing = false;
+  std::uint32_t journal_run = 0;  ///< this run's id within the journal
 
   AdaptiveRun(fs::FileSystem& f, net::Network& n, AdaptiveTransport::Config c, Topology t)
-      : fs(f), net(n), cfg(std::move(c)), topo(t) {
-    shards = fs.shards();
-    metrics = fs.engine().metrics();
-    journal = fs.engine().journal();
-    live = fs.engine().live();
-    if (shards) {
-      // The metrics registry and live plane are single-threaded consumers;
-      // sharded runs support the journal only (one per shard engine, merged
-      // canonically after the run).
-      metrics = nullptr;
-      live = nullptr;
-    }
+      : fs(f),
+        net(n),
+        cfg(std::move(c)),
+        topo(t),
+        shards(f.shards()),
+        observing(f.engine().observing_records()) {
     scratch_shards_.resize(shards ? shards->n_shards() : 1);
   }
 
@@ -84,19 +75,6 @@ struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
   /// home); the run-wide engine on the classic path.
   [[nodiscard]] sim::Engine& eng() const {
     return shards ? *sim::current_engine() : fs.engine();
-  }
-
-  /// Journal and live plane consume the same records; one gate, one emit.
-  [[nodiscard]] bool observing() const { return journal || live; }
-  void obs_append(const obs::Record& r) {
-    if (shards) {
-      // Each shard appends to its own journal; the merge is canonical, so
-      // the gate below (shard-0 pointers) is all-or-none across shards.
-      if (obs::Journal* j = eng().journal()) j->append(r);
-      return;
-    }
-    if (journal) journal->append(r);
-    if (live) live->ingest(r);
   }
 
   void begin(const IoJob& job);
@@ -116,7 +94,7 @@ struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
     r.a = static_cast<std::uint8_t>(mark);
     r.v0 = v0;
     r.v1 = v1;
-    obs_append(r);
+    eng().record(r);
   }
 
   /// Data-path write completions, factored into methods so the sharded
@@ -210,13 +188,14 @@ void AdaptiveRun::begin(const IoJob& job) {
     if (!cfg.targets.empty()) return cfg.targets[file] % fs.n_osts();
     return (cfg.first_ost + file) % fs.n_osts();
   };
-  if (observing()) {
-    journal_run = journal ? journal->begin_run() : 0;
-    if (shards && journal) {
+  if (observing) {
+    if (obs::Journal* journal = fs.engine().journal()) {
+      journal_run = journal->begin_run();
       // Every shard's journal counts the same runs, so run-scoped record ids
       // agree across shards (and therefore across shard counts post-merge).
-      for (std::size_t s = 1; s < shards->n_shards(); ++s)
-        if (obs::Journal* js = shards->engine(s).journal()) js->begin_run();
+      if (shards)
+        for (std::size_t s = 1; s < shards->n_shards(); ++s)
+          if (obs::Journal* js = shards->engine(s).journal()) js->begin_run();
     }
     obs::Record r;
     r.kind = obs::Rec::kRunBegin;
@@ -225,7 +204,7 @@ void AdaptiveRun::begin(const IoJob& job) {
     r.u0 = static_cast<std::uint32_t>(n);
     r.u1 = static_cast<std::uint32_t>(g);
     r.u2 = static_cast<std::uint32_t>(fs.n_osts());
-    obs_append(r);
+    eng().record(r);
     for (std::size_t f = 0; f < g; ++f) {
       obs::Record m;
       m.kind = obs::Rec::kFileMap;
@@ -233,7 +212,7 @@ void AdaptiveRun::begin(const IoJob& job) {
       m.id = journal_run;
       m.u0 = static_cast<std::uint32_t>(f);
       m.u1 = static_cast<std::uint32_t>(ost_of_file(f));
-      obs_append(m);
+      eng().record(m);
     }
   }
   const std::string base = "adaptive";
@@ -316,7 +295,7 @@ void AdaptiveRun::begin(const IoJob& job) {
 }
 
 void AdaptiveRun::start_protocol() {
-  if (observing()) journal_mark(obs::Mark::kOpenDone);
+  if (observing) journal_mark(obs::Mark::kOpenDone);
   for (GroupId grp = 0; grp < static_cast<GroupId>(topo.n_groups()); ++grp) {
     execute(topo.sc_rank(grp), scs[static_cast<std::size_t>(grp)].start());
   }
@@ -328,44 +307,33 @@ void AdaptiveRun::observe_steal_grant(const SendAction& send) {
   // names the file being stolen *into*.
   const auto* grant = std::get_if<AdaptiveWriteStart>(&send.msg.body);
   if (!grant) return;
-  if (metrics) metrics->counter("protocol.steal_grants").add();
-  if (observing()) {
-    const GroupId src = topo.group_of(send.to);
-    obs::Record r;
-    r.kind = obs::Rec::kStealGrant;
-    r.t = eng().now();
-    r.id = static_cast<std::uint32_t>(grant->grant_seq);
-    r.u0 = static_cast<std::uint32_t>(src);
-    r.u1 = static_cast<std::uint32_t>(grant->target_file);
-    r.v0 = grant->offset;
-    r.v1 = static_cast<double>(coord->remaining_writers(src));
-    obs_append(r);
-  }
+  const GroupId src = topo.group_of(send.to);
+  obs::Record r;
+  r.kind = obs::Rec::kStealGrant;
+  r.t = eng().now();
+  r.id = static_cast<std::uint32_t>(grant->grant_seq);
+  r.u0 = static_cast<std::uint32_t>(src);
+  r.u1 = static_cast<std::uint32_t>(grant->target_file);
+  r.v0 = grant->offset;
+  r.v1 = static_cast<double>(coord->remaining_writers(src));
+  eng().record(r);
 }
 
 void AdaptiveRun::observe_steal_complete(const WriteComplete& msg) {
-  if (metrics) metrics->counter("protocol.steals").add();
-  if (observing()) {
-    obs::Record r;
-    r.kind = obs::Rec::kStealComplete;
-    r.t = eng().now();
-    r.id = static_cast<std::uint32_t>(msg.grant_seq);
-    r.u0 = static_cast<std::uint32_t>(msg.origin_group);
-    r.u1 = static_cast<std::uint32_t>(msg.file);
-    r.u2 = static_cast<std::uint32_t>(msg.writer);
-    r.v0 = msg.bytes;
-    obs_append(r);
-  }
+  obs::Record r;
+  r.kind = obs::Rec::kStealComplete;
+  r.t = eng().now();
+  r.id = static_cast<std::uint32_t>(msg.grant_seq);
+  r.u0 = static_cast<std::uint32_t>(msg.origin_group);
+  r.u1 = static_cast<std::uint32_t>(msg.file);
+  r.u2 = static_cast<std::uint32_t>(msg.writer);
+  r.v0 = msg.bytes;
+  eng().record(r);
 }
 
 void AdaptiveRun::deliver(Rank to, const Message& msg) {
-  if (metrics) {
-    metrics->counter("protocol.msgs").add();
-    if (std::holds_alternative<WritersBusy>(msg.body))
-      metrics->counter("protocol.busy_declines").add();
-  }
   if (const auto* wc = std::get_if<WriteComplete>(&msg.body);
-      wc && wc->kind == WriteComplete::Kind::AdaptiveDone && (metrics || observing())) {
+      observing && wc && wc->kind == WriteComplete::Kind::AdaptiveDone) {
     observe_steal_complete(*wc);
   }
   // Route by message type + destination role: writers get DO_WRITE, the
@@ -397,13 +365,13 @@ void AdaptiveRun::deliver(Rank to, const Message& msg) {
 
 void AdaptiveRun::writer_write_done(Rank from, std::uint32_t file, sim::Time now) {
   result.writer_times[static_cast<std::size_t>(from)].end = now;
-  if (observing()) {
+  if (observing) {
     obs::Record r;
     r.kind = obs::Rec::kWriterEnd;
     r.t = now;
     r.id = static_cast<std::uint32_t>(from);
     r.u0 = file;
-    obs_append(r);
+    eng().record(r);
   }
   execute(from, writers->on_write_done(from));
 }
@@ -458,9 +426,8 @@ void AdaptiveRun::execute(Rank from, Actions& actions) {
   auto self = shared_from_this();
   for (auto& action : actions) {
     if (auto* send = std::get_if<SendAction>(&action)) {
-      if ((metrics || observing()) && from == Topology::coordinator_rank())
-        observe_steal_grant(*send);
-      if (observing()) {
+      if (observing) {
+        if (from == Topology::coordinator_rank()) observe_steal_grant(*send);
         // A DO_WRITE leaving an SC is the writer's release from its queue;
         // the gap to the matching kWriterStart is pure network latency.
         if (const auto* dw = std::get_if<DoWrite>(&send->msg.body)) {
@@ -473,7 +440,7 @@ void AdaptiveRun::execute(Rank from, Actions& actions) {
           r.u1 = static_cast<std::uint32_t>(home);
           r.u2 = static_cast<std::uint32_t>(dw->grant_seq);
           r.a = dw->target_file != home ? 1 : 0;
-          obs_append(r);
+          eng().record(r);
         }
       }
       const Rank to = send->to;
@@ -485,14 +452,14 @@ void AdaptiveRun::execute(Rank from, Actions& actions) {
     } else if (const auto* write = std::get_if<StartWriteAction>(&action)) {
       result.writer_times[static_cast<std::size_t>(from)].start = eng().now();
       const auto file = static_cast<std::uint32_t>(write->file);
-      if (observing()) {
+      if (observing) {
         obs::Record r;
         r.kind = obs::Rec::kWriterStart;
         r.t = eng().now();
         r.id = static_cast<std::uint32_t>(from);
         r.u0 = file;
         r.v0 = write->bytes;
-        obs_append(r);
+        eng().record(r);
       }
       issue_write(from, *files.at(static_cast<std::size_t>(write->file)), write->offset,
                   write->bytes, data_mode, file, &AdaptiveRun::writer_write_done);
@@ -532,14 +499,7 @@ void AdaptiveRun::all_roles_done() {
   result.t_data_done = eng().now();
   result.steals = coord->total_steals();
   result.grants_issued = coord->grants_issued();
-  if (observing()) journal_mark(obs::Mark::kDataDone);
-  if (metrics) {
-    metrics->counter("protocol.runs").add();
-    metrics->gauge("protocol.last_steals").set(static_cast<double>(result.steals));
-    metrics->gauge("protocol.last_grants").set(static_cast<double>(result.grants_issued));
-    obs::Histogram& h = metrics->histogram("protocol.writer_s");
-    for (const auto& wt : result.writer_times) h.add(wt.end - wt.start);
-  }
+  if (observing) journal_mark(obs::Mark::kDataDone);
   result.total_blocks_indexed = coord->total_blocks();
   if (cfg.retain_global_index) {
     result.global_index = std::make_shared<GlobalIndex>(coord->take_global_index());
@@ -595,10 +555,9 @@ void AdaptiveRun::all_roles_done() {
 
 void AdaptiveRun::finish(sim::Time now) {
   result.t_complete = now;
-  if (observing())
+  if (observing)
     journal_mark(obs::Mark::kComplete, static_cast<double>(result.steals),
                  static_cast<double>(result.grants_issued));
-  if (metrics) metrics->histogram("protocol.run_s").add(result.t_complete - result.t_begin);
   on_done(result);
 }
 

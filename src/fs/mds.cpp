@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "obs/journal.hpp"
-#include "obs/live.hpp"
-#include "obs/metrics.hpp"
 
 namespace aio::fs {
 
@@ -36,8 +34,7 @@ void MetadataServer::dispatch() {
     r.u0 = static_cast<std::uint32_t>(queue_.size());
     r.u1 = in_service_.items - 1;  // 0 for plain submits, as before the batch op
     r.v0 = service;
-    if (auto* journal = engine_.journal()) journal->append(r);
-    if (auto* live = engine_.live()) live->ingest(r);
+    engine_.record(r);
   }
   // The in-service request stays in `in_service_` rather than riding in the
   // closure: the event then captures one pointer and an open storm's worth
@@ -48,7 +45,6 @@ void MetadataServer::dispatch() {
 void MetadataServer::complete_in_service() {
   ++completed_;
   completed_items_ += in_service_.items;
-  if (auto* reg = engine_.metrics()) reg->counter("mds.ops").add();
   // Move the finished request out before dispatching the next one (which
   // reuses the `in_service_` slot), and dispatch before running the callback
   // so a callback that submits more work observes an idle-or-busy server

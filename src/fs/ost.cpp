@@ -6,8 +6,6 @@
 #include <utility>
 
 #include "obs/journal.hpp"
-#include "obs/live.hpp"
-#include "obs/metrics.hpp"
 
 namespace aio::fs {
 
@@ -163,11 +161,6 @@ void Ost::recompute() {
       config_.disk_bw * (1.0 - disk_load_) * efficiency(std::max<std::size_t>(m_dirty, 1));
   const double share = m_dirty > 0 ? disk_total / static_cast<double>(m_dirty) : disk_total;
   const bool cache_full = q >= config_.cache_bytes - kEps;
-  if (cache_full != cache_full_) {
-    cache_full_ = cache_full;
-    if (obs::Registry* reg = engine_.metrics(); reg && cache_full)
-      reg->counter("storage.cache_full_crossings").add();
-  }
   // Dedup inline: recompute() runs ~20x per emitted record, so the observed
   // tuple is compared here and the out-of-line emit runs only on a change.
   if (engine_.observing_records()) {
@@ -283,8 +276,7 @@ void Ost::observe_state(std::size_t m_dirty, bool cache_full, std::uint64_t key)
   r.v0 = efficiency(std::max<std::size_t>(m_dirty, 1));
   r.v1 = net_load_;
   r.v2 = disk_load_;
-  if (obs::Journal* journal = engine_.journal()) journal->append(r);
-  if (obs::LivePlane* live = engine_.live()) live->ingest(r);
+  engine_.record(r);
 }
 
 bool Ost::flush_ready() const {

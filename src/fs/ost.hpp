@@ -134,7 +134,7 @@ class Ost {
   void arm(double delay, bool daemon);  ///< moves (or schedules) the pending event
   void fire();       ///< event handler: completes ops, re-derives rates
   [[nodiscard]] bool flush_ready() const;
-  /// Emits one kOstState record to the journal and live plane.  recompute()
+  /// Emits one kOstState record through Engine::record.  recompute()
   /// dedups inline against journaled_key_ before calling, so this only runs
   /// on an actual state transition.
   void observe_state(std::size_t m_dirty, bool cache_full, std::uint64_t key);
@@ -176,7 +176,6 @@ class Ost {
   sim::EventHandle pending_;
   ActivityHook activity_hook_;
   bool was_active_ = false;
-  bool cache_full_ = false;  ///< as of the last recompute; counts fill crossings
 
   // Last journaled state, packed so the per-recompute dedup is one 64-bit
   // compare: m_dirty (31 bits) | load_seq (32 bits) | cache_full (1 bit).

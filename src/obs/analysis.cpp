@@ -64,6 +64,7 @@ struct RunData {
 struct OstSeg {
   double t;
   double ext;  // max(net_load, disk_load) at t
+  bool cache_full;
 };
 
 double integrate_ext(const std::vector<OstSeg>& segs, double a, double b) {
@@ -130,6 +131,7 @@ Json analyze(const Journal& journal) {
   std::vector<RunData> runs;
   RunData* cur = nullptr;  // run-scoped records attach to the last kRunBegin
   std::map<std::uint32_t, std::vector<OstSeg>> ost_timeline;
+  std::uint64_t cache_full_crossings = 0;
 
   // Global, not run-scoped (like the OST timeline): every metadata dispatch
   // attributes to its server, whether or not a run is in flight — a bench
@@ -190,10 +192,15 @@ Json analyze(const Journal& journal) {
       case Rec::kWriterEnd:
         if (cur) cur->writers[r.id].end_t = r.t;
         break;
-      case Rec::kOstState:
+      case Rec::kOstState: {
         // Global, not run-scoped: the fluid state persists across runs.
-        ost_timeline[r.id].push_back(OstSeg{r.t, std::max(r.v1, r.v2)});
+        std::vector<OstSeg>& segs = ost_timeline[r.id];
+        // A crossing is the cache-full flag rising; every OST starts empty.
+        const bool full = r.a != 0;
+        if (full && (segs.empty() || !segs.back().cache_full)) ++cache_full_crossings;
+        segs.push_back(OstSeg{r.t, std::max(r.v1, r.v2), full});
         break;
+      }
       case Rec::kMdsOp: {
         if (cur) {
           ++cur->mds_ops;
@@ -453,6 +460,7 @@ Json analyze(const Journal& journal) {
     }
     summary.set("mds_servers", std::move(tier));
   }
+  summary.set("cache_full_crossings", static_cast<double>(cache_full_crossings));
   summary.set("run_time", stat_block(run_time, run_hist));
   summary.set("writer_time", stat_block(writer_time, writer_hist));
 

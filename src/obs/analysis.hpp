@@ -18,6 +18,9 @@
 //    against the no-steal counterfactual (the stolen writer draining behind
 //    its source queue at the source OST's observed mean service time), giving
 //    simulated seconds saved per steal and a policy-effectiveness table.
+//  * stream counts — steals, grants, MDS dispatches and OST cache-full
+//    crossings (an OST's kOstState cache-full flag rising), counted from the
+//    records rather than at the emission sites.
 //
 // `diff_reports` compares two reports leaf-by-leaf under configurable
 // tolerances — the CI regression gate (tools/aio_diff).  `report_summary`

@@ -49,14 +49,18 @@ std::unique_ptr<LivePlane> LivePlane::from_env(int slot) {
   if (!live.on && !flight.on) return nullptr;
   Config cfg;
   if (!live.path.empty()) cfg.snapshot_path = numbered_path(live.path, slot);
-  if (flight.on) cfg.flight_path = numbered_path(flight.path, slot);
   // The ring only earns its copy-per-record when there is somewhere to dump
-  // it: AIO_LIVE alone runs with the recorder disarmed.
-  if (!flight.on) cfg.flight_records = 0;
+  // it: without AIO_FLIGHT the recorder stays disarmed, whatever
+  // AIO_FLIGHT_RECORDS says.
+  if (flight.on) {
+    cfg.flight_path = numbered_path(flight.path, slot);
+    cfg.flight_records = env_count("AIO_FLIGHT_RECORDS", cfg.flight_records);
+  } else {
+    cfg.flight_records = 0;
+  }
   cfg.snapshot_period_s = env_seconds("AIO_LIVE_PERIOD_S", cfg.snapshot_period_s);
   cfg.window_slot_s = env_seconds("AIO_LIVE_WINDOW_S", cfg.window_slot_s);
   cfg.window_slots = env_count("AIO_LIVE_SLOTS", cfg.window_slots);
-  cfg.flight_records = env_count("AIO_FLIGHT_RECORDS", cfg.flight_records);
   return std::make_unique<LivePlane>(std::move(cfg));
 }
 

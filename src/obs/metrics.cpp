@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
 
 namespace aio::obs {
 
@@ -68,20 +67,6 @@ double Histogram::quantile(double q) const {
   return max_;
 }
 
-Json Histogram::to_json() const {
-  Json h = Json::object();
-  h.set("count", static_cast<double>(count_));
-  h.set("mean", mean());
-  h.set("min", min());
-  h.set("max", max());
-  h.set("p25", quantile(0.25));
-  h.set("p50", quantile(0.50));
-  h.set("p75", quantile(0.75));
-  h.set("p90", quantile(0.90));
-  h.set("p99", quantile(0.99));
-  return h;
-}
-
 void Series::add(double t, double v) {
   if (offered_++ % stride_ != 0) return;
   samples_.emplace_back(t, v);
@@ -98,12 +83,6 @@ void Series::add(double t, double v) {
 Series& Registry::series(const std::string& name, std::size_t max_points) {
   auto it = series_.find(name);
   if (it == series_.end()) it = series_.emplace(name, Series(max_points)).first;
-  return it->second;
-}
-
-Histogram& Registry::histogram(const std::string& name, double rel_err) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) it = histograms_.emplace(name, Histogram(rel_err)).first;
   return it->second;
 }
 
@@ -127,41 +106,7 @@ Json Registry::to_json() const {
     series.set(name, std::move(points));
   }
   doc.set("series", std::move(series));
-  Json histograms = Json::object();
-  for (const auto& [name, h] : histograms_) histograms.set(name, h.to_json());
-  doc.set("histograms", std::move(histograms));
   return doc;
-}
-
-void Registry::write_histograms_csv(std::ostream& out) const {
-  out << "histogram,count,mean,min,p25,p50,p75,p90,p99,max\n";
-  std::string num;
-  for (const auto& [name, h] : histograms_) {
-    out << name;
-    for (const double v : {static_cast<double>(h.count()), h.mean(), h.min(), h.quantile(0.25),
-                           h.quantile(0.5), h.quantile(0.75), h.quantile(0.9), h.quantile(0.99),
-                           h.max()}) {
-      num.clear();
-      Json::append_number(num, v);
-      out << ',' << num;
-    }
-    out << '\n';
-  }
-}
-
-void Registry::write_series_csv(std::ostream& out) const {
-  out << "series,t,value\n";
-  std::string num;
-  for (const auto& [name, s] : series_) {
-    for (const auto& [t, v] : s.samples()) {
-      num.clear();
-      Json::append_number(num, t);
-      out << name << ',' << num << ',';
-      num.clear();
-      Json::append_number(num, v);
-      out << num << '\n';
-    }
-  }
 }
 
 std::string Registry::render_text() const {
@@ -169,7 +114,6 @@ std::string Registry::render_text() const {
   for (const auto& [name, c] : counters_) width = std::max(width, name.size());
   for (const auto& [name, g] : gauges_) width = std::max(width, name.size());
   for (const auto& [name, s] : series_) width = std::max(width, name.size());
-  for (const auto& [name, h] : histograms_) width = std::max(width, name.size());
   std::string out;
   auto line = [&out, width](const std::string& name, const std::string& value) {
     out += "  ";
@@ -195,18 +139,6 @@ std::string Registry::render_text() const {
     num += " (last of ";
     Json::append_number(num, static_cast<double>(s.samples().size()));
     num += " samples)";
-    line(name, num);
-  }
-  for (const auto& [name, h] : histograms_) {
-    num.clear();
-    num += "n=";
-    Json::append_number(num, static_cast<double>(h.count()));
-    num += " mean=";
-    Json::append_number(num, h.mean());
-    num += " p50=";
-    Json::append_number(num, h.quantile(0.5));
-    num += " p99=";
-    Json::append_number(num, h.quantile(0.99));
     line(name, num);
   }
   return out;

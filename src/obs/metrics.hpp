@@ -1,21 +1,22 @@
-// Metrics registry: counters, gauges, and bounded time-series.
+// Metrics registry: counters, gauges, and bounded time-series, plus the
+// `Histogram` quantile sketch the analyzer and the live plane use.
 //
-// Counters and gauges are plain accumulators the instrumented layers bump
-// through an `obs::Registry*` (null by default).  Series hold (time, value)
-// samples fed by the `obs::Sampler` daemon; they self-decimate — once a
-// series reaches its point budget it drops every other retained sample and
-// doubles its acceptance stride — so arbitrarily long runs keep a bounded,
-// uniformly spaced sketch of the full timeline.
+// The simulated stack emits journal records only (sim::Engine::record); a
+// registry holds an application's own counters and gauges
+// (api::Simulation::metrics()) and the series fed by the `obs::Sampler`
+// daemon.  Series self-decimate — once a series reaches its point budget it
+// drops every other retained sample and doubles its acceptance stride — so
+// arbitrarily long runs keep a bounded, uniformly spaced sketch of the full
+// timeline.
 //
-// The registry exports as JSON (all three kinds), as CSV (the series, long
-// format: `series,t,value`), and as aligned text for end-of-run summaries.
-// Name lookups insert on first use; references returned by `counter()` /
-// `gauge()` / `series()` stay valid for the registry's lifetime.
+// The registry exports as JSON and as aligned text for end-of-run
+// summaries.  Name lookups insert on first use; references returned by
+// `counter()` / `gauge()` / `series()` stay valid for the registry's
+// lifetime.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <utility>
@@ -91,10 +92,6 @@ class Histogram {
   /// min/max; interior quantiles come from the sketch (bucket midpoint).
   [[nodiscard]] double quantile(double q) const;
 
-  /// {"count":..,"mean":..,"min":..,"max":..,"p25":..,"p50":..,"p75":..,
-  ///  "p90":..,"p99":..}
-  [[nodiscard]] Json to_json() const;
-
  private:
   double gamma_;
   double inv_log_gamma_;
@@ -113,31 +110,16 @@ class Registry {
   Counter& counter(const std::string& name) { return counters_[name]; }
   Gauge& gauge(const std::string& name) { return gauges_[name]; }
   Series& series(const std::string& name, std::size_t max_points = 4096);
-  Histogram& histogram(const std::string& name, double rel_err = 0.01);
 
-  [[nodiscard]] const std::map<std::string, Counter>& counters() const { return counters_; }
-  [[nodiscard]] const std::map<std::string, Gauge>& gauges() const { return gauges_; }
-  [[nodiscard]] const std::map<std::string, Series>& all_series() const { return series_; }
-  [[nodiscard]] const std::map<std::string, Histogram>& histograms() const {
-    return histograms_;
-  }
-
-  /// {"counters": {...}, "gauges": {...}, "series": {name: [[t,v],...]},
-  ///  "histograms": {name: {count, mean, quantiles...}}}
+  /// {"counters": {...}, "gauges": {...}, "series": {name: [[t,v],...]}}
   [[nodiscard]] Json to_json() const;
-  /// Long-format CSV of every series: header `series,t,value`.
-  void write_series_csv(std::ostream& out) const;
-  /// One row per histogram: `histogram,count,mean,min,p25,p50,p75,p90,p99,max`.
-  void write_histograms_csv(std::ostream& out) const;
-  /// Aligned `name value` lines (counters, gauges, series last-values,
-  /// histogram quantile summaries).
+  /// Aligned `name value` lines (counters, gauges, series last-values).
   [[nodiscard]] std::string render_text() const;
 
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Series> series_;
-  std::map<std::string, Histogram> histograms_;
 };
 
 }  // namespace aio::obs

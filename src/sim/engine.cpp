@@ -7,6 +7,8 @@
 #include <utility>
 
 #include "obs/env.hpp"
+#include "obs/journal.hpp"
+#include "obs/live.hpp"
 #include "sim/dary_heap.hpp"
 
 namespace aio::sim {
@@ -17,6 +19,11 @@ namespace aio::sim {
 bool Engine::heartbeat_enabled() {
   static const bool enabled = obs::env_sink("AIO_ENGINE_TRACE").on;
   return enabled;
+}
+
+void Engine::record(const obs::Record& r) {
+  if (journal_) journal_->append(r);
+  if (live_plane_) live_plane_->ingest(r);
 }
 
 EventHandle Engine::schedule(Time t, Callback cb, bool daemon) {

@@ -31,7 +31,7 @@
 #include "sim/inplace_function.hpp"
 
 namespace aio::obs {
-class Registry;
+struct Record;
 class Journal;
 class LivePlane;
 }  // namespace aio::obs
@@ -64,29 +64,28 @@ class Engine {
   // 80-byte fs completion callback.
   using Callback = InplaceFunction<void(), 96>;
 
-  /// An engine optionally carries observability hooks: a metrics registry,
-  /// a run journal, and a live telemetry plane, all null by default.
-  /// Everything built on top of the engine (file system, transports, MDS)
-  /// reaches them through `metrics()` / `journal()` / `live()`, so one
-  /// injection point instruments the whole stack and a null pointer keeps
-  /// every layer on its unobserved fast path.
-  explicit Engine(obs::Registry* metrics = nullptr, obs::Journal* journal = nullptr,
-                  obs::LivePlane* live = nullptr)
-      : metrics_(metrics), journal_(journal), live_plane_(live) {}
-  /// Forwards to the form above, dropping a leading null.  Its only caller is
-  /// perf/aio_perf.cpp's ClassicRig (`engine(nullptr, nullptr, journal,
+  /// An engine optionally carries two observability hooks, both null by
+  /// default: a run journal and a live telemetry plane.  Everything built on
+  /// top of the engine (file system, transports, MDS) emits through
+  /// `record()`, so one injection point instruments the whole stack and a
+  /// null pair keeps every layer on its unobserved fast path.
+  explicit Engine(obs::Journal* journal = nullptr, obs::LivePlane* live = nullptr)
+      : journal_(journal), live_plane_(live) {}
+  /// Forwards to the form above, dropping two leading nulls.  Its only caller
+  /// is perf/aio_perf.cpp's ClassicRig (`engine(nullptr, nullptr, journal,
   /// live)`), which may change only together with the benchmark definition.
-  Engine(std::nullptr_t, obs::Registry* metrics, obs::Journal* journal, obs::LivePlane* live)
-      : Engine(metrics, journal, live) {}
+  Engine(std::nullptr_t, std::nullptr_t, obs::Journal* journal, obs::LivePlane* live)
+      : Engine(journal, live) {}
 
-  [[nodiscard]] obs::Registry* metrics() const { return metrics_; }
   [[nodiscard]] obs::Journal* journal() const { return journal_; }
-  [[nodiscard]] obs::LivePlane* live() const { return live_plane_; }
   /// True when a journal or live plane is attached — the one-load gate the
   /// record-emitting hot paths (Ost::recompute) test per call.
   [[nodiscard]] bool observing_records() const { return journal_ || live_plane_; }
   void set_journal(obs::Journal* journal) { journal_ = journal; }
-  void set_live(obs::LivePlane* live) { live_plane_ = live; }
+  /// Appends `r` to the attached journal and feeds it to the attached live
+  /// plane: the stack's one emission path.  Callers gate on
+  /// `observing_records()` before building the record.
+  void record(const obs::Record& r);
 
   /// Current simulated time.  Starts at zero.
   [[nodiscard]] Time now() const { return now_; }
@@ -214,7 +213,6 @@ class Engine {
   std::size_t steps_ = 0;
   std::size_t normal_pending_ = 0;
   bool heartbeat_ = heartbeat_enabled();
-  obs::Registry* metrics_ = nullptr;
   obs::Journal* journal_ = nullptr;
   obs::LivePlane* live_plane_ = nullptr;
 };

@@ -43,7 +43,7 @@ double num_at(const obs::Json& doc, std::initializer_list<const char*> path) {
 /// its file once done with its own.
 struct TwoOstRig {
   obs::Journal journal{{/*path=*/"", /*max_records=*/1u << 20}};
-  sim::Engine engine{nullptr, &journal};
+  sim::Engine engine{&journal};
   fs::FileSystem filesystem;
   net::Network network;
   core::AdaptiveTransport transport;

@@ -139,7 +139,7 @@ TEST(CriticalPath, JsonCarriesAnchorSegmentsAndTotals) {
 /// opens so the close phase has metadata to attribute.
 struct TwoOstRig {
   obs::Journal journal{{/*path=*/"", /*max_records=*/1u << 20}};
-  sim::Engine engine{nullptr, &journal};
+  sim::Engine engine{&journal};
   fs::FileSystem filesystem;
   net::Network network;
   core::AdaptiveTransport transport;

@@ -41,7 +41,7 @@ constexpr std::uint64_t kSeed = 20100913;
 /// profiler record is appended so every record kind is present.
 obs::Journal loaded_run_journal() {
   obs::Journal journal({/*path=*/"", /*max_records=*/1u << 20});
-  sim::Engine engine(nullptr, &journal);
+  sim::Engine engine(&journal);
   fs::FsConfig fc;
   fc.n_osts = 4;
   fc.fabric_bw = 0.0;

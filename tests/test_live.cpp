@@ -2,7 +2,7 @@
 // roll-over, straggler-score behavior under a loaded OST, bitwise-stable
 // snapshots, exact agreement between the live cumulative attribution and the
 // offline analyzer, steady-state allocation freedom, the flight recorder,
-// and AIO_LIVE/AIO_FLIGHT env parsing.
+// the engine feeding either hook alone, and AIO_LIVE/AIO_FLIGHT env parsing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +11,7 @@
 #include <new>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/transports/adaptive_transport.hpp"
@@ -78,7 +79,7 @@ double num_at(const obs::Json& doc, std::initializer_list<const char*> path) {
 struct LiveRig {
   obs::Journal journal{{/*path=*/"", /*max_records=*/1u << 20}};
   obs::LivePlane live;
-  sim::Engine engine{nullptr, &journal, &live};
+  sim::Engine engine;
   fs::FileSystem filesystem;
   net::Network network;
   core::AdaptiveTransport transport;
@@ -100,8 +101,14 @@ struct LiveRig {
     return fc;
   }
 
-  explicit LiveRig(obs::LivePlane::Config lc = {})
+  /// Which of `journal` and `live` the engine carries; the other stays
+  /// unattached and sees nothing.
+  enum class Hooks { kBoth, kJournalOnly, kLiveOnly };
+
+  explicit LiveRig(obs::LivePlane::Config lc = {}, Hooks hooks = Hooks::kBoth)
       : live(std::move(lc)),
+        engine(hooks == Hooks::kLiveOnly ? nullptr : &journal,
+               hooks == Hooks::kJournalOnly ? nullptr : &live),
         filesystem(engine, fs_config()),
         network(engine, net::NetConfig{1e-6, 10e9, 8}, 64),
         transport(filesystem, network,
@@ -169,6 +176,72 @@ TEST(Live, CumulativeMatchesOfflineAnalyzer) {
   EXPECT_EQ(rt.count, 3u);
   EXPECT_GT(rt.cov, 0.0);
   EXPECT_GE(rt.p99_s, rt.mean_s * 0.5);
+}
+
+// --- the engine's one emission path ------------------------------------------
+
+bool same_record(const obs::Record& a, const obs::Record& b) {
+  const auto key = [](const obs::Record& r) {
+    return std::tie(r.t, r.v0, r.v1, r.v2, r.id, r.u0, r.u1, r.u2, r.kind, r.a, r.pad);
+  };
+  return key(a) == key(b);
+}
+
+TEST(Live, EngineRecordFeedsEitherHookAlone) {
+  // Every layer emits through sim::Engine::record, so an engine carrying only
+  // a journal, or only a live plane, must see exactly the stream the pair
+  // sees together, and observing must not perturb the run.
+  LiveRig both;
+  const core::IoResult want = both.run();
+  const std::vector<obs::Record>& stream = both.journal.records();
+  ASSERT_GT(stream.size(), 50u);
+  ASSERT_LE(stream.size(), both.live.config().flight_records);
+  EXPECT_EQ(both.live.flight_total(), stream.size());
+
+  LiveRig journal_only({}, LiveRig::Hooks::kJournalOnly);
+  EXPECT_TRUE(journal_only.engine.observing_records());
+  const core::IoResult got_j = journal_only.run();
+  EXPECT_EQ(got_j.t_complete, want.t_complete);
+  EXPECT_EQ(got_j.steals, want.steals);
+  EXPECT_EQ(journal_only.live.flight_total(), 0u);
+  EXPECT_EQ(journal_only.live.runs_completed(), 0u);
+  ASSERT_EQ(journal_only.journal.records().size(), stream.size());
+  for (std::size_t i = 0; i < stream.size(); ++i)
+    ASSERT_TRUE(same_record(journal_only.journal.records()[i], stream[i])) << "record " << i;
+
+  LiveRig live_only({}, LiveRig::Hooks::kLiveOnly);
+  EXPECT_TRUE(live_only.engine.observing_records());
+  const core::IoResult got_l = live_only.run();
+  EXPECT_EQ(got_l.t_complete, want.t_complete);
+  EXPECT_EQ(got_l.steals, want.steals);
+  EXPECT_TRUE(live_only.journal.records().empty());
+  EXPECT_EQ(live_only.live.flight_total(), stream.size());
+  EXPECT_EQ(live_only.live.runs_completed(), both.live.runs_completed());
+  EXPECT_EQ(live_only.live.steals().completed, both.live.steals().completed);
+  EXPECT_EQ(live_only.live.cumulative().total_s, both.live.cumulative().total_s);
+  EXPECT_EQ(live_only.live.cumulative().external_s, both.live.cumulative().external_s);
+  EXPECT_EQ(live_only.live.cumulative().writers, both.live.cumulative().writers);
+  // The flight ring holds the whole run, so its dump is the paired journal,
+  // except for the run ordinal on run-scoped records: that is the journal's
+  // count of runs, and with no journal attached it stays 0.
+  const std::string path = testing::TempDir() + "aio_live_only_flight.journal";
+  ASSERT_TRUE(live_only.live.dump_flight(path));
+  const std::optional<obs::Journal> back = obs::Journal::load(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(back.has_value());
+  ASSERT_EQ(back->records().size(), stream.size());
+  std::size_t run_scoped = 0;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    obs::Record expect = stream[i];
+    if (expect.kind == obs::Rec::kRunBegin || expect.kind == obs::Rec::kRunMark ||
+        expect.kind == obs::Rec::kFileMap) {
+      EXPECT_EQ(expect.id, 1u) << "record " << i;
+      expect.id = 0;
+      ++run_scoped;
+    }
+    ASSERT_TRUE(same_record(back->records()[i], expect)) << "record " << i;
+  }
+  EXPECT_EQ(run_scoped, 1u + 2u + 3u);  // one begin, two files, three marks
 }
 
 // --- sliding window ----------------------------------------------------------
@@ -406,6 +479,12 @@ TEST(Live, FromEnvParsesKnobsAndRejectsGarbage) {
   ASSERT_NE(plane, nullptr);
   EXPECT_FALSE(plane->snapshot_enabled());
   EXPECT_FALSE(plane->flight_enabled());  // ring only arms with AIO_FLIGHT
+  // A ring capacity alone does not arm it either.
+  setenv("AIO_FLIGHT_RECORDS", "128", 1);
+  plane = obs::LivePlane::from_env(0);
+  ASSERT_NE(plane, nullptr);
+  EXPECT_FALSE(plane->flight_enabled());
+  unsetenv("AIO_FLIGHT_RECORDS");
 
   // Malformed knobs warn (stderr) and keep their defaults; valid ones stick.
   setenv("AIO_LIVE_SLOTS", "not-a-number", 1);
