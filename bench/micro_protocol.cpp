@@ -38,7 +38,10 @@ std::atomic<std::size_t> g_allocs{0};
 
 }  // namespace
 
-void* operator new(std::size_t n) {
+// Out of line, like the sized delete below: when GCC inlines one of the two
+// it sees malloc paired with operator delete (or operator new with free)
+// and warns -Wmismatched-new-delete, though the pair is matched.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
@@ -53,7 +56,7 @@ void* operator new(std::size_t n, std::align_val_t al) {
 void* operator new[](std::size_t n, std::align_val_t al) { return ::operator new(n, al); }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }

@@ -42,7 +42,7 @@ sim::ShardGroup::Config group_config(std::size_t n_shards) {
 // First rank homed on `shard`, for a valid post() source key.
 std::size_t rank_on_shard(const sim::ShardGroup& sg, std::size_t shard) {
   for (std::size_t r = 0; r < sg.n_ranks(); r += kRanksPerNode)
-    if (sg.shard_of_domain(sg.domain_of_rank(r)) == shard) return r;
+    if (sg.shard_of(sim::Entity::rank(r)) == shard) return r;
   return 0;
 }
 
@@ -88,7 +88,7 @@ void BM_ShardChannelPostMerge(benchmark::State& state) {
     sim::ShardGroup sg(group_config(shards));
     const std::size_t per_shard = kMessages / sg.n_shards();
     for (std::size_t s = 0; s < sg.n_shards(); ++s) {
-      const std::uint32_t key = sg.key_of_rank(rank_on_shard(sg, s));
+      const std::uint32_t key = sg.key_of(sim::Entity::rank(rank_on_shard(sg, s)));
       sg.engine(s).schedule_at(1e-9, [&sg, key, per_shard] {
         for (std::size_t m = 0; m < per_shard; ++m)
           sg.post_at_boundary(key, m % sg.n_shards(), [] {});

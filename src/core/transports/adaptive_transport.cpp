@@ -1,5 +1,6 @@
 #include "core/transports/adaptive_transport.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -49,12 +50,10 @@ struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
   std::size_t opens_remaining = 0;
   std::size_t closes_remaining = 0;
 
-  /// Non-null for runs homed on a sharded file system: protocol events
-  /// execute on the shard owning the acting rank's domain, and every
-  /// coupling that crosses a node or storage boundary (writes to OSTs, role
-  /// completions to the coordinator's node) travels through the shard
-  /// group's channel plane regardless of the domain layout.
-  sim::ShardGroup* shards = nullptr;
+  /// Where the file system's entities run: each role's events execute on
+  /// its rank's home engine, and every coupling — a write to its OST and
+  /// back, a role's report to the coordinator — is a `Homes` hand-off.
+  sim::Homes homes;
   /// The engine's record gate, read once: every record below goes through
   /// `eng().record`.  Shard engines carry a journal each and no live plane,
   /// and the merge is canonical, so shard 0's gate is all-or-none.
@@ -66,16 +65,12 @@ struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
         net(n),
         cfg(std::move(c)),
         topo(t),
-        shards(f.shards()),
-        observing(f.engine().observing_records()) {
-    scratch_shards_.resize(shards ? shards->n_shards() : 1);
-  }
+        homes(f.homes()),
+        observing(f.engine().observing_records()),
+        scratch_(homes.n_engines()) {}
 
-  /// Engine of the shard executing the current event (the acting rank's
-  /// home); the run-wide engine on the classic path.
-  [[nodiscard]] sim::Engine& eng() const {
-    return shards ? *sim::current_engine() : fs.engine();
-  }
+  /// Engine executing the current event (the acting rank's home).
+  [[nodiscard]] sim::Engine& eng() const { return homes.here(); }
 
   void begin(const IoJob& job);
   void start_protocol();
@@ -97,39 +92,64 @@ struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
     eng().record(r);
   }
 
-  /// Data-path write completions, factored into methods so the sharded
-  /// hop-back closures capture only (run, rank, file, method) and stay
-  /// inside the OST's 64-byte callback SBO.
+  /// Data-path write completions, factored into methods so the hand-back
+  /// closures capture only (run, rank, file, method, OST) and stay inside
+  /// the OST's 64-byte callback SBO.
   using WriteDone = void (AdaptiveRun::*)(Rank, std::uint32_t, sim::Time);
   void writer_write_done(Rank from, std::uint32_t file, sim::Time now);
   void sc_index_write_done(Rank from, std::uint32_t file, sim::Time now);
   void coord_gidx_write_done(Rank from, std::uint32_t file, sim::Time now);
   void role_done();
 
-  /// Issues a data write on `file`, completing through `done(from, file_id)`.
-  /// Classic runs call straight into the striped file.  Sharded runs always
-  /// hop to the OST's home shard and hop the completion back (a rank→OST
-  /// write crosses the compute/storage boundary by definition); both hops
-  /// land on window boundaries.
+  /// Issues a data write on `file`, completing through `done(from, file_id)`:
+  /// a hand-off from the rank to the OST holding `offset`, and one back.
   void issue_write(Rank from, fs::StripedFile& file, double offset, double bytes,
                    fs::Ost::Mode mode, std::uint32_t file_id, WriteDone done);
+
+  /// Walks the files (groups, then the master index) in global order and
+  /// calls `emit(server, first_file, items)` once per request: chunks of up
+  /// to `open_batch` files (0 counts as 1) that share a metadata server,
+  /// each full chunk as it fills, then every server's remainder in server
+  /// order.
+  template <class Emit>
+  void for_each_mds_request(Emit&& emit) {
+    fs::MdsGroup& tier = fs.mds_group();
+    const std::size_t batch = std::max<std::size_t>(cfg.open_batch, 1);
+    struct Chunk {
+      std::size_t first = 0;
+      std::size_t items = 0;
+    };
+    std::vector<Chunk> chunks(tier.count());
+    auto flush = [&](std::size_t m) {
+      if (chunks[m].items == 0) return;
+      const std::size_t k = chunks[m].items;
+      chunks[m].items = 0;
+      emit(m, chunks[m].first, k);
+    };
+    for (std::size_t f = 0; f <= files.size(); ++f) {
+      const std::size_t m = tier.index_of((f == files.size() ? master : files[f])->path());
+      if (chunks[m].items == 0) chunks[m].first = f;
+      if (++chunks[m].items >= batch) flush(m);
+    }
+    for (std::size_t m = 0; m < tier.count(); ++m) flush(m);
+  }
 
   [[nodiscard]] SubCoordinatorFsm& sc_at(Rank rank) {
     return scs[static_cast<std::size_t>(topo.group_of(rank))];
   }
 
-  /// Scratch action list reused across deliveries, one per shard (classic
-  /// runs use slot 0).  Steady-state steps fit the SmallVector's inline
-  /// slots; the rare overflow (the coordinator's final broadcast) leaves its
-  /// heap block here for the rest of the run instead of being reallocated
-  /// per message.  Safe because nothing in execute() delivers a message
-  /// synchronously (every send/write completes through a scheduled event),
-  /// so deliver() never re-enters itself on any one shard.
-  std::vector<Actions> scratch_shards_;
+  /// Scratch action list reused across deliveries, one per engine.
+  /// Steady-state steps fit the SmallVector's inline slots; the rare
+  /// overflow (the coordinator's final broadcast) leaves its heap block here
+  /// for the rest of the run instead of being reallocated per message.  Safe
+  /// because nothing in execute() delivers a message synchronously (every
+  /// send/write completes through a scheduled event), so deliver() never
+  /// re-enters itself on any one engine.
+  std::vector<Actions> scratch_;
 };
 
 void AdaptiveRun::begin(const IoJob& job) {
-  if (shards && cfg.open_mode != AdaptiveTransport::Config::OpenMode::Skip) {
+  if (homes.group() && cfg.open_mode != AdaptiveTransport::Config::OpenMode::Skip) {
     // MDS-timed open storms serialize on shard 0 and their stagger daemons
     // are not window-aware; the sharded timing model starts at open-done.
     throw std::invalid_argument("AdaptiveRun: sharded runs require OpenMode::Skip");
@@ -193,9 +213,8 @@ void AdaptiveRun::begin(const IoJob& job) {
       journal_run = journal->begin_run();
       // Every shard's journal counts the same runs, so run-scoped record ids
       // agree across shards (and therefore across shard counts post-merge).
-      if (shards)
-        for (std::size_t s = 1; s < shards->n_shards(); ++s)
-          if (obs::Journal* js = shards->engine(s).journal()) js->begin_run();
+      for (std::size_t e = 1; e < homes.n_engines(); ++e)
+        if (obs::Journal* js = homes.engine(e).journal()) js->begin_run();
     }
     obs::Record r;
     r.kind = obs::Rec::kRunBegin;
@@ -215,83 +234,35 @@ void AdaptiveRun::begin(const IoJob& job) {
       eng().record(m);
     }
   }
+  // The files themselves are bookkeeping, created up front in every mode;
+  // only the metadata traffic below is timed.
   const std::string base = "adaptive";
+  for (std::size_t f = 0; f < g; ++f)
+    files[f] = &fs.open_immediate(base + "." + std::to_string(f), 1, ost_of_file(f));
+  master = &fs.open_immediate(base + ".midx", 1, cfg.first_ost % fs.n_osts());
   using OpenMode = AdaptiveTransport::Config::OpenMode;
   if (cfg.open_mode == OpenMode::Skip) {
-    for (std::size_t f = 0; f < g; ++f)
-      files[f] = &fs.open_immediate(base + "." + std::to_string(f), 1, ost_of_file(f));
-    master = &fs.open_immediate(base + ".midx", 1, cfg.first_ost % fs.n_osts());
     result.t_open_done = fs.engine().now();
     start_protocol();
     return;
   }
+  // One OPEN request per chunk of files per server; staggered mode launches
+  // each request at the gap slot of its first file.
   opens_remaining = g + 1;
   auto self = shared_from_this();
   const double gap = cfg.open_mode == OpenMode::Staggered ? cfg.stagger_gap_s : 0.0;
-  if (cfg.open_batch > 0) {
-    // Batched client path: the files themselves are bookkeeping (created
-    // immediately); the metadata traffic is one batched OPEN per chunk of
-    // `open_batch` files per server, walked in global file order so that
-    // open_batch == 1 reproduces the per-file path's submission sequence
-    // request-for-request.  Staggered mode launches each chunk at the gap
-    // slot of its first file.
-    for (std::size_t f = 0; f <= g; ++f) {
-      const std::string path = f == g ? base + ".midx" : base + "." + std::to_string(f);
-      const std::size_t ost = f == g ? cfg.first_ost % fs.n_osts() : ost_of_file(f);
-      fs::StripedFile& file = fs.open_immediate(path, 1, ost);
-      if (f == g) {
-        master = &file;
-      } else {
-        files[f] = &file;
-      }
-    }
-    fs::MdsGroup& tier = fs.mds_group();
-    std::vector<std::size_t> chunk_items(tier.count(), 0);
-    std::vector<std::size_t> chunk_first(tier.count(), 0);  // global file index
-    auto flush_chunk = [&](std::size_t m) {
-      if (chunk_items[m] == 0) return;
-      const std::size_t k = chunk_items[m];
-      chunk_items[m] = 0;
-      fs.engine().schedule_after(
-          gap * static_cast<double>(chunk_first[m]), [self, m, k] {
-            self->fs.mds_group().submit_batch(
-                m, fs::MetadataServer::OpKind::Open, k, [self, k](sim::Time) {
-                  self->opens_remaining -= k;
-                  if (self->opens_remaining == 0) {
-                    self->result.t_open_done = self->fs.engine().now();
-                    self->start_protocol();
-                  }
-                });
+  for_each_mds_request([&](std::size_t m, std::size_t first, std::size_t k) {
+    fs.engine().schedule_after(gap * static_cast<double>(first), [self, m, k] {
+      self->fs.mds_group().submit_batch(
+          m, fs::MetadataServer::OpKind::Open, k, [self, k](sim::Time) {
+            self->opens_remaining -= k;
+            if (self->opens_remaining == 0) {
+              self->result.t_open_done = self->fs.engine().now();
+              self->start_protocol();
+            }
           });
-    };
-    for (std::size_t f = 0; f <= g; ++f) {
-      fs::StripedFile& file = f == g ? *master : *files[f];
-      const std::size_t m = tier.index_of(file.path());
-      if (chunk_items[m] == 0) chunk_first[m] = f;
-      if (++chunk_items[m] >= cfg.open_batch) flush_chunk(m);
-    }
-    for (std::size_t m = 0; m < tier.count(); ++m) flush_chunk(m);
-    return;
-  }
-  auto opened = [self](std::size_t slot, fs::StripedFile& file) {
-    if (slot == self->topo.n_groups()) {
-      self->master = &file;
-    } else {
-      self->files[slot] = &file;
-    }
-    if (--self->opens_remaining == 0) {
-      self->result.t_open_done = self->fs.engine().now();
-      self->start_protocol();
-    }
-  };
-  for (std::size_t f = 0; f <= g; ++f) {
-    const std::string path = f == g ? base + ".midx" : base + "." + std::to_string(f);
-    const std::size_t ost = f == g ? cfg.first_ost % fs.n_osts() : ost_of_file(f);
-    fs.engine().schedule_after(gap * static_cast<double>(f), [self, path, ost, f, opened] {
-      self->fs.open(path, 1, ost,
-                    [f, opened](fs::StripedFile& file, sim::Time) { opened(f, file); });
     });
-  }
+  });
 }
 
 void AdaptiveRun::start_protocol() {
@@ -357,7 +328,7 @@ void AdaptiveRun::deliver(Rank to, const Message& msg) {
     Actions operator()(const SubIndex& m) { return run.coord->on_sub_index(m); }
   };
   Actions produced = std::visit(Visitor{*this, to}, msg.body);
-  Actions& scratch = scratch_shards_[shards ? sim::current_shard_index() : 0];
+  Actions& scratch = scratch_[homes.here_index()];
   scratch.clear();
   scratch.append(std::move(produced));
   execute(to, scratch);
@@ -391,39 +362,23 @@ void AdaptiveRun::role_done() {
 
 void AdaptiveRun::issue_write(Rank from, fs::StripedFile& file, double offset, double bytes,
                               fs::Ost::Mode mode, std::uint32_t file_id, WriteDone done) {
-  auto self = shared_from_this();
-  if (shards) {
-    // A rank→OST write always crosses the compute/storage boundary, so it
-    // always quantizes: hop to the OST's home shard to issue, and hop the
-    // completion back to the issuer's shard.  Both hops land on window
-    // boundaries whatever the domain layout — the same-domain case is not
-    // special-cased, which is what keeps the timing invariant under
-    // AIO_SIM_DOMAINS.
-    const std::uint32_t src_key = shards->key_of_rank(static_cast<std::size_t>(from));
-    const std::uint32_t dst_dom = shards->domain_of_ost(file.target_of(offset));
-    shards->post_at_boundary(
-        src_key, shards->shard_of_domain(dst_dom),
-        [self, f = &file, offset, bytes, mode, from, file_id, done] {
-          const std::uint32_t ost_key = self->shards->key_of_ost(f->target_of(offset));
-          f->write(offset, bytes, mode,
-                   [self, from, file_id, done, ost_key](sim::Time) {
-                     sim::ShardGroup& sg = *self->shards;
-                     const std::size_t home = sg.shard_of_domain(
-                         sg.domain_of_rank(static_cast<std::size_t>(from)));
-                     sg.post_at_boundary(ost_key, home, [self, from, file_id, done] {
-                       ((*self).*done)(from, file_id, self->eng().now());
-                     });
-                   });
-        });
-    return;
-  }
-  file.write(offset, bytes, mode, [self, from, file_id, done](sim::Time now) {
-    ((*self).*done)(from, file_id, now);
-  });
+  const std::size_t ost = file.target_of(offset);
+  homes.hand_off(
+      sim::Entity::rank(from), sim::Entity::ost(ost),
+      [self = shared_from_this(), f = &file, offset, bytes, mode, from, file_id, done,
+       ost]() mutable {
+        f->write(offset, bytes, mode,
+                 [self = std::move(self), from, file_id, done, ost](sim::Time) mutable {
+                   const sim::Homes& homes = self->homes;
+                   homes.hand_off(sim::Entity::ost(ost), sim::Entity::rank(from),
+                                  [self = std::move(self), from, file_id, done] {
+                                    ((*self).*done)(from, file_id, self->eng().now());
+                                  });
+                 });
+      });
 }
 
 void AdaptiveRun::execute(Rank from, Actions& actions) {
-  auto self = shared_from_this();
   for (auto& action : actions) {
     if (auto* send = std::get_if<SendAction>(&action)) {
       if (observing) {
@@ -445,7 +400,9 @@ void AdaptiveRun::execute(Rank from, Actions& actions) {
       }
       const Rank to = send->to;
       const double bytes = send->msg.wire_bytes();  // before the move below
-      auto deliver_cb = [self, to, msg = std::move(send->msg)] { self->deliver(to, msg); };
+      auto deliver_cb = [self = shared_from_this(), to, msg = std::move(send->msg)] {
+        self->deliver(to, msg);
+      };
       static_assert(sizeof(deliver_cb) <= 96,
                     "protocol deliver closure outgrew the engine callback SBO");
       net.send(from, to, bytes, std::move(deliver_cb));
@@ -471,26 +428,9 @@ void AdaptiveRun::execute(Rank from, Actions& actions) {
       issue_write(from, *master, 0.0, gidx->bytes, fs::Ost::Mode::Durable, 0,
                   &AdaptiveRun::coord_gidx_write_done);
     } else if (std::get_if<RoleDoneAction>(&action)) {
-      if (!shards) {
-        role_done();
-        continue;
-      }
-      // The role tally lives with the coordinator; ranks on other nodes hand
-      // their completion over the channel plane so it is counted on its home
-      // shard in canonical order.  The predicate is the coordinator's *node*
-      // — same node means same engine at any domain count, and the tally is
-      // commutative, so mixing direct and quantized decrements is safe.
-      const std::uint32_t src_key = shards->key_of_rank(static_cast<std::size_t>(from));
-      const std::uint32_t coord_key = shards->key_of_rank(
-          static_cast<std::size_t>(Topology::coordinator_rank()));
-      if (src_key == coord_key) {
-        role_done();
-      } else {
-        const std::uint32_t coord_dom = shards->domain_of_rank(
-            static_cast<std::size_t>(Topology::coordinator_rank()));
-        shards->post_at_boundary(src_key, shards->shard_of_domain(coord_dom),
-                                 [self] { self->role_done(); });
-      }
+      // The role tally lives with the coordinator.
+      homes.hand_off(sim::Entity::rank(from), sim::Entity::rank(Topology::coordinator_rank()),
+                     [self = shared_from_this()] { self->role_done(); });
     }
   }
 }
@@ -511,46 +451,18 @@ void AdaptiveRun::all_roles_done() {
     finish(eng().now());
     return;
   }
+  // all_roles_done runs where the role tally lives, so the coordinator is
+  // the entity that closes the files.
   auto self = shared_from_this();
   closes_remaining = files.size() + 1;
-  auto closed = [self](sim::Time now) {
-    if (--self->closes_remaining == 0) self->finish(now);
-  };
-  if (shards) {
-    // all_roles_done executes on the coordinator's home shard (the role
-    // tally lives there), so the coordinator's node is the entity issuing
-    // the closes; a metadata server may be homed on any shard, so the
-    // request and its completion ride the channel plane.
-    const std::uint32_t ckey =
-        shards->key_of_rank(static_cast<std::size_t>(Topology::coordinator_rank()));
-    for (fs::StripedFile* file : files) fs.close_from(ckey, *file, closed);
-    fs.close_from(ckey, *master, closed);
-    return;
-  }
-  if (cfg.open_batch > 0) {
-    // Mirror the batched opens: one batched CLOSE per chunk of `open_batch`
-    // files per server, in global file order.
-    fs::MdsGroup& tier = fs.mds_group();
-    std::vector<std::size_t> chunk_items(tier.count(), 0);
-    auto flush_chunk = [&](std::size_t m) {
-      if (chunk_items[m] == 0) return;
-      const std::size_t k = chunk_items[m];
-      chunk_items[m] = 0;
-      tier.submit_batch(m, fs::MetadataServer::OpKind::Close, k, [self, k](sim::Time now) {
-        self->closes_remaining -= k;
-        if (self->closes_remaining == 0) self->finish(now);
-      });
-    };
-    for (std::size_t f = 0; f <= files.size(); ++f) {
-      fs::StripedFile& file = f == files.size() ? *master : *files[f];
-      const std::size_t m = tier.index_of(file.path());
-      if (++chunk_items[m] >= cfg.open_batch) flush_chunk(m);
-    }
-    for (std::size_t m = 0; m < tier.count(); ++m) flush_chunk(m);
-    return;
-  }
-  for (fs::StripedFile* file : files) fs.close(*file, closed);
-  fs.close(*master, closed);
+  for_each_mds_request([&](std::size_t m, std::size_t, std::size_t k) {
+    fs.mds_group().submit_batch_from(
+        sim::Entity::rank(Topology::coordinator_rank()), m, fs::MetadataServer::OpKind::Close, k,
+        [self, k](sim::Time now) {
+          self->closes_remaining -= k;
+          if (self->closes_remaining == 0) self->finish(now);
+        });
+  });
 }
 
 void AdaptiveRun::finish(sim::Time now) {

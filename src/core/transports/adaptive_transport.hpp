@@ -5,6 +5,10 @@
 // driven actors over the simulated interconnect; the protocol logic lives in
 // the pure FSMs under core/protocol.  The transport measures exactly what
 // the paper reports: write + flush + close, excluding (configurable) opens.
+//
+// One code path drives one engine or a shard group (`sim::Homes`): a write
+// is a hand-off from the writer's rank to its OST and back, a finished role
+// hands off to the coordinator, and the coordinator closes the files.
 #pragma once
 
 #include <functional>
@@ -35,14 +39,11 @@ class AdaptiveTransport final : public Transport {
     enum class OpenMode { Skip, Storm, Staggered };
     OpenMode open_mode = OpenMode::Skip;
     double stagger_gap_s = 0.002;
-    /// Client-side metadata batching (classic engines): 0 submits one MDS
-    /// request per file (the legacy path, byte-identical to pre-batching
-    /// builds); B >= 1 groups the per-SC creates into batched requests of up
-    /// to B files per metadata server, amortizing the per-request fixed cost
-    /// (`open_base_s`) across the span.  B == 1 reproduces the per-file
-    /// path's submission sequence request-for-request.  Closes batch the
-    /// same way.  Sharded runs ignore this knob (opens are skipped there and
-    /// closes ride the channel plane per file).
+    /// Client-side metadata batching: B >= 2 groups the per-SC creates into
+    /// batched requests of up to B files per metadata server, amortizing the
+    /// per-request fixed cost (`open_base_s`) across the span; 0 and 1 both
+    /// submit one request per file.  Closes batch the same way on either
+    /// engine (sharded runs skip opens).
     std::size_t open_batch = 0;
     bool close_via_mds = true;
     /// When false, no block record is kept or carried: writers, SCs and the

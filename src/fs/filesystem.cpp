@@ -129,45 +129,32 @@ void StripedFile::flush(OnComplete on_complete) {
   }
 }
 
-FileSystem::FileSystem(sim::Engine& engine, FsConfig config)
-    : engine_(engine),
-      config_(config),
-      mds_(engine, MdsGroup::Config{config.n_mds, config.mds}),
-      fabric_(engine_, config.fabric_bw) {
+FileSystem::FileSystem(sim::Homes homes, FsConfig config)
+    : homes_(homes), config_(config), mds_(homes, MdsGroup::Config{config.n_mds, config.mds}) {
   if (config_.n_osts == 0) throw std::invalid_argument("FileSystem: need at least one OST");
+  homes_.require(sim::Entity::Kind::Ost, config_.n_osts, "FileSystem");
+  for (std::size_t e = 0; e < homes_.n_engines(); ++e)
+    fabrics_.emplace_back(homes_.engine(e), config_.fabric_bw);
+  sim::ShardGroup* const sg = homes_.group();
   osts_.reserve(config_.n_osts);
   for (std::size_t i = 0; i < config_.n_osts; ++i) {
-    osts_.push_back(std::make_unique<Ost>(engine_, config_.ost, static_cast<int>(i)));
-    fabric_.attach(*osts_.back());
-  }
-}
-
-FileSystem::FileSystem(sim::ShardGroup& shards, FsConfig config)
-    : engine_(shards.engine(0)),
-      config_(config),
-      shards_(&shards),
-      mds_(shards, MdsGroup::Config{config.n_mds, config.mds}),
-      fabric_(engine_, config.fabric_bw) {
-  if (config_.n_osts == 0) throw std::invalid_argument("FileSystem: need at least one OST");
-  if (config_.n_osts != shards.n_osts())
-    throw std::invalid_argument("FileSystem: OST count does not match the shard group");
-  const std::size_t n_shards = shards.n_shards();
-  for (std::size_t s = 0; s < n_shards; ++s)
-    fabric_replicas_.emplace_back(shards.engine(s), config_.fabric_bw);
-  osts_.reserve(config_.n_osts);
-  for (std::size_t i = 0; i < config_.n_osts; ++i) {
-    const std::uint32_t dom = shards.domain_of_ost(i);
-    const std::size_t home = shards.shard_of_domain(dom);
-    osts_.push_back(std::make_unique<Ost>(shards.engine(home), config_.ost, static_cast<int>(i)));
-    fabric_replicas_[home].adopt(*osts_.back());
+    const sim::Entity ost = sim::Entity::ost(i);
+    osts_.push_back(std::make_unique<Ost>(homes_.home(ost), config_.ost, static_cast<int>(i)));
+    if (!sg) {
+      fabrics_[0].attach(*osts_.back());
+      continue;
+    }
+    // Governor replicas: each shard's replica re-times that shard's OSTs.
+    // Every activity transition is broadcast to all replicas; each counts it
+    // at the next window boundary and decides in its one flush after the
+    // whole boundary batch, so the replicas' hysteresis state machines make
+    // identical decisions at any shard *or domain* count (the batched
+    // decision is order-free within the boundary instant).
+    fabrics_[homes_.home_index(ost)].adopt(*osts_.back());
     if (config_.fabric_bw > 0.0) {
-      // Broadcast every activity transition to all replicas; each counts it
-      // at the next window boundary and decides in its one flush after the
-      // whole boundary batch, so the replicas' hysteresis state machines
-      // make identical decisions at any shard *or domain* count (the
-      // batched decision is order-free within the boundary instant).
-      const std::uint32_t key = shards.key_of_ost(i);
-      auto hook = [sg = &shards, reps = &fabric_replicas_, key, n_shards](bool active) {
+      const std::uint32_t key = sg->key_of(ost);
+      const std::size_t n_shards = sg->n_shards();
+      auto hook = [sg, reps = &fabrics_, key, n_shards](bool active) {
         for (std::size_t d = 0; d < n_shards; ++d) {
           sg->post_at_boundary(key, d,
                                [reps, d, active] { (*reps)[d].notify_activity_batched(active); });
@@ -186,8 +173,8 @@ std::vector<Ost*> FileSystem::ost_pointers() {
   return out;
 }
 
-StripedFile& FileSystem::make_file(std::string path, std::size_t stripe_count,
-                                   std::size_t first_ost, double stripe_size) {
+StripedFile& FileSystem::open_immediate(std::string path, std::size_t stripe_count,
+                                        std::size_t first_ost, double stripe_size) {
   stripe_count = std::clamp<std::size_t>(stripe_count, 1,
                                          std::min(config_.stripe_limit, osts_.size()));
   if (stripe_size <= 0.0) stripe_size = config_.default_stripe_size;
@@ -199,28 +186,9 @@ StripedFile& FileSystem::make_file(std::string path, std::size_t stripe_count,
   return *files_.back();
 }
 
-void FileSystem::open(std::string path, std::size_t stripe_count, std::size_t first_ost,
-                      OpenCallback on_open, double stripe_size) {
-  StripedFile& file = make_file(std::move(path), stripe_count, first_ost, stripe_size);
-  mds_.submit(mds_.index_of(file.path()), MetadataServer::OpKind::Open,
-              [&file, on_open = std::move(on_open)](sim::Time now) mutable {
-                if (on_open) on_open(file, now);
-              });
-}
-
-StripedFile& FileSystem::open_immediate(std::string path, std::size_t stripe_count,
-                                        std::size_t first_ost, double stripe_size) {
-  return make_file(std::move(path), stripe_count, first_ost, stripe_size);
-}
-
 void FileSystem::close(StripedFile& file, OnComplete on_complete) {
   mds_.submit(mds_.index_of(file.path()), MetadataServer::OpKind::Close,
               std::move(on_complete));
-}
-
-void FileSystem::close_from(std::uint32_t src_key, StripedFile& file, OnComplete on_complete) {
-  mds_.submit_from(src_key, mds_.index_of(file.path()), MetadataServer::OpKind::Close,
-                   std::move(on_complete));
 }
 
 void FileSystem::register_probes(obs::Sampler& sampler, std::size_t per_ost_limit) {
@@ -265,7 +233,7 @@ void FileSystem::register_probes(obs::Sampler& sampler, std::size_t per_ost_limi
     return bw;
   });
   sampler.add_probe("fs.fabric_active",
-                    [this](double) { return static_cast<double>(fabric_.active_count()); });
+                    [this](double) { return static_cast<double>(fabrics_[0].active_count()); });
   sampler.add_probe("mds.backlog",
                     [this](double) { return static_cast<double>(mds_.backlog()); });
   if (mds_.count() > 1) {

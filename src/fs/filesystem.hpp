@@ -7,6 +7,11 @@
 // aggregate bandwidth.  The Lustre 1.6 limit the paper works around — at
 // most 160 storage targets for a single file — is enforced here and is what
 // handicaps the shared-file MPI-IO baseline.
+//
+// OSTs and metadata servers are placed by `sim::Homes`.  The fabric governor
+// is the one model difference between engines: one engine's governor decides
+// on every OST transition, a shard group's per-shard replicas once per
+// window-boundary batch.
 #pragma once
 
 #include <cstdint>
@@ -97,28 +102,17 @@ class StripedFile {
 
 class FileSystem {
  public:
-  /// Open callback (move-only, 64-byte SBO).  Its 80-byte object plus the
-  /// file reference must fit the metadata server's 96-byte callback SBO —
-  /// that pairing is what keeps an open storm allocation-free.
-  using OpenCallback = sim::InplaceFunction<void(StripedFile&, sim::Time), 64>;
   using OnComplete = Ost::OnComplete;
 
-  FileSystem(sim::Engine& engine, FsConfig config);
+  /// OST `i` runs on `homes.home(sim::Entity::ost(i))`; metadata servers are
+  /// placed likewise (see MdsGroup).  A shard group must have been built for
+  /// the same OST and MDS counts.
+  FileSystem(sim::Homes homes, FsConfig config);
 
-  /// Sharded construction: OST `i` is homed on the engine of the shard that
-  /// owns its domain, metadata server `i` is homed by the shard group's MDS
-  /// span rule (callers on other shards reach it through the channel plane
-  /// via close_from / MdsGroup::submit_from), and the fabric governor is
-  /// replicated per shard — every replica consumes the same globally merged
-  /// activity stream at window boundaries, so all replicas agree bit-exactly
-  /// and each touches only shard-local OSTs.  The shard group must have been
-  /// built with a matching `n_mds`.
-  FileSystem(sim::ShardGroup& shards, FsConfig config);
-
-  /// Shard group this file system is homed on; null for classic runs.
-  [[nodiscard]] sim::ShardGroup* shards() { return shards_; }
-
-  [[nodiscard]] sim::Engine& engine() { return engine_; }
+  [[nodiscard]] sim::Homes homes() const { return homes_; }
+  /// Engine 0: the only engine over one engine, the seeding engine of a
+  /// shard group.
+  [[nodiscard]] sim::Engine& engine() { return homes_.engine(0); }
   [[nodiscard]] const FsConfig& config() const { return config_; }
   [[nodiscard]] std::size_t n_osts() const { return osts_.size(); }
   [[nodiscard]] Ost& ost(std::size_t i) { return *osts_.at(i); }
@@ -126,28 +120,19 @@ class FileSystem {
   /// single-MDS model and every pre-tier caller's expectation).
   [[nodiscard]] MetadataServer& mds() { return mds_.server(0); }
   [[nodiscard]] MdsGroup& mds_group() { return mds_; }
-  [[nodiscard]] FabricGovernor& fabric() { return fabric_; }
   [[nodiscard]] std::vector<Ost*> ost_pointers();
 
-  /// Opens (creates) a file through the metadata server.  `stripe_count` is
-  /// clamped to the per-file stripe limit; `first_ost` mimics Lustre's
-  /// stripe-offset control used to pin files to specific targets.
-  /// The file reference stays valid for the life of the FileSystem.
-  void open(std::string path, std::size_t stripe_count, std::size_t first_ost,
-            OpenCallback on_open, double stripe_size = 0.0);
-
-  /// Synchronous variant for callers that handle metadata timing themselves
-  /// (the paper's Section II measurements exclude open/close entirely).
+  /// Creates a file without metadata traffic (callers that time opens
+  /// submit them to the metadata tier themselves; the paper's Section II
+  /// measurements exclude open/close entirely).  `stripe_count` is clamped
+  /// to the per-file stripe limit; `first_ost` mimics Lustre's stripe-offset
+  /// control used to pin files to specific targets.  The file reference
+  /// stays valid for the life of the FileSystem.
   StripedFile& open_immediate(std::string path, std::size_t stripe_count, std::size_t first_ost,
                               double stripe_size = 0.0);
 
   /// Closes a file through the metadata tier (the server owning its path).
   void close(StripedFile& file, OnComplete on_complete);
-
-  /// Sharded close from the entity with merge key `src_key`: the request and
-  /// its completion ride the channel plane (MdsGroup::submit_from), so any
-  /// shard may close any file.  Classic runs degenerate to close().
-  void close_from(std::uint32_t src_key, StripedFile& file, OnComplete on_complete);
 
   /// Total bytes accepted by all OSTs (conservation checks in tests).
   [[nodiscard]] double total_bytes_submitted() const;
@@ -160,16 +145,11 @@ class FileSystem {
   void register_probes(obs::Sampler& sampler, std::size_t per_ost_limit = 32);
 
  private:
-  StripedFile& make_file(std::string path, std::size_t stripe_count, std::size_t first_ost,
-                         double stripe_size);
-
-  sim::Engine& engine_;
+  sim::Homes homes_;
   FsConfig config_;
-  sim::ShardGroup* shards_ = nullptr;
   std::vector<std::unique_ptr<Ost>> osts_;
   MdsGroup mds_;
-  FabricGovernor fabric_;
-  std::deque<FabricGovernor> fabric_replicas_;  // one per shard (sharded runs)
+  std::deque<FabricGovernor> fabrics_;  // one per engine
   std::vector<std::unique_ptr<StripedFile>> files_;
 };
 

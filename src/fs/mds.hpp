@@ -52,9 +52,11 @@ class MetadataServer {
 
   enum class OpKind { Open, Close, Stat, Create };
 
-  /// Completion callback (move-only, 96-byte SBO): sized for the file
-  /// system's open wrapper, which carries a StripedFile reference plus an
-  /// 80-byte OpenCallback through the metadata queue.
+  /// Completion callback (move-only, 96-byte SBO): sized for
+  /// FileSystem::close, which moves an 80-byte fs completion callback
+  /// straight into the queue.  MdsGroup::submit_batch_from's hand-back
+  /// wrapper (group, requester, server, and a full callback) does not fit
+  /// and costs one allocation per request.
   using OnComplete = sim::InplaceFunction<void(sim::Time), 96>;
 
   /// `index` is this server's identity within its MdsGroup (0 when it

@@ -5,21 +5,13 @@
 
 namespace aio::fs {
 
-MdsGroup::MdsGroup(sim::Engine& engine, Config config) {
+MdsGroup::MdsGroup(sim::Homes homes, Config config) : homes_(homes) {
   const std::size_t n = config.count != 0 ? config.count : 1;
+  homes_.require(sim::Entity::Kind::Mds, n, "MdsGroup");
   servers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
-    servers_.push_back(std::make_unique<MetadataServer>(engine, config.server,
-                                                        static_cast<std::uint32_t>(i)));
-}
-
-MdsGroup::MdsGroup(sim::ShardGroup& shards, Config config) : shards_(&shards) {
-  const std::size_t n = config.count != 0 ? config.count : 1;
-  if (n != shards.n_mds())
-    throw std::invalid_argument("MdsGroup: MDS count does not match the shard group");
-  servers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    servers_.push_back(std::make_unique<MetadataServer>(shards.engine_of_mds(i), config.server,
+    servers_.push_back(std::make_unique<MetadataServer>(homes_.home(sim::Entity::mds(i)),
+                                                        config.server,
                                                         static_cast<std::uint32_t>(i)));
 }
 
@@ -34,34 +26,19 @@ std::uint32_t MdsGroup::index_of(std::string_view path) const {
   return static_cast<std::uint32_t>(h % servers_.size());
 }
 
-void MdsGroup::submit_batch_from(std::uint32_t src_key, std::size_t mds, OpKind kind,
+void MdsGroup::submit_batch_from(sim::Entity from, std::size_t mds, OpKind kind,
                                  std::size_t items, OnComplete on_complete) {
-  MetadataServer& srv = server(mds);
-  if (!shards_) {
-    srv.submit_batch(kind, items, std::move(on_complete));
-    return;
-  }
-  // Request hop: ride the channel plane to the server's home shard.  The
-  // completion hop posts back to the *calling* shard under the server's own
-  // entity key (the server is the entity acting at completion time).  Both
-  // hops apply at window boundaries whether or not the shards coincide, so
-  // the coupling quantizes identically at every shard and domain count.
-  const std::size_t home = shards_->shard_of_domain(shards_->domain_of_mds(mds));
-  const std::size_t back = sim::current_shard_index();
-  const std::uint32_t mds_key = shards_->key_of_mds(mds);
-  shards_->post_at_boundary(
-      src_key, home,
-      [sg = shards_, &srv, kind, items, back, mds_key,
-       on_complete = std::move(on_complete)]() mutable {
-        srv.submit_batch(kind, items,
-                         [sg, back, mds_key, on_complete = std::move(on_complete)](sim::Time) mutable {
-                           sg->post_at_boundary(mds_key, back,
-                                                [on_complete = std::move(on_complete)]() mutable {
-                                                  if (on_complete)
-                                                    on_complete(sim::current_engine()->now());
-                                                });
-                         });
-      });
+  homes_.hand_off(from, sim::Entity::mds(mds),
+                  [this, from, mds, kind, items, on_complete = std::move(on_complete)]() mutable {
+                    server(mds).submit_batch(
+                        kind, items,
+                        [this, from, mds, on_complete = std::move(on_complete)](sim::Time) mutable {
+                          homes_.hand_off(sim::Entity::mds(mds), from,
+                                          [this, on_complete = std::move(on_complete)]() mutable {
+                                            if (on_complete) on_complete(homes_.here().now());
+                                          });
+                        });
+                  });
 }
 
 std::size_t MdsGroup::backlog() const {

@@ -7,15 +7,13 @@
 // hash of the path — a stand-in for DNE's directory-shard placement that
 // needs no directory table and distributes a file-per-process storm evenly.
 //
-// Two execution modes mirror `FileSystem`:
-//   * classic — every server lives on one engine; submits are direct calls.
-//   * sharded — server `i` is homed on the shard that owns its domain
-//     (`ShardGroup::domain_of_mds`, the same span rule that places OSTs).
-//     Requests from ranks reach the server through the channel plane
-//     (`submit_from`), and completions hop back the same way using the
-//     server's own entity key — so every rank→MDS coupling quantizes at a
-//     window boundary regardless of which shard either side lives on, and
-//     simulated timestamps stay bit-identical at every shard count.
+// Server `i` is the entity `sim::Entity::mds(i)`, homed by `sim::Homes`
+// (on a shard group, by the span rule that places OSTs).  A request from a
+// rank is two `Homes` hand-offs: the request to the server, and the
+// completion back to the requester under the server's own entity key.  Over
+// one engine both are direct calls; over a shard group both cross the
+// compute/metadata boundary and land on window boundaries, so placement
+// never moves a timestamp at any shard or domain count.
 #pragma once
 
 #include <cstdint>
@@ -38,11 +36,8 @@ class MdsGroup {
   using OpKind = MetadataServer::OpKind;
   using OnComplete = MetadataServer::OnComplete;
 
-  /// Classic construction: all servers share `engine`.
-  MdsGroup(sim::Engine& engine, Config config);
-  /// Sharded construction: server `i` lives on the engine of the shard that
-  /// owns domain `shards.domain_of_mds(i)`.
-  MdsGroup(sim::ShardGroup& shards, Config config);
+  /// Server `i` runs on `homes.home(sim::Entity::mds(i))`.
+  MdsGroup(sim::Homes homes, Config config);
   MdsGroup(const MdsGroup&) = delete;
   MdsGroup& operator=(const MdsGroup&) = delete;
 
@@ -53,8 +48,7 @@ class MdsGroup {
   /// and domain counts, so the same path always lands on the same server.
   [[nodiscard]] std::uint32_t index_of(std::string_view path) const;
 
-  /// Direct submission to server `mds` (classic mode, or callers already on
-  /// the server's home shard during seeding).
+  /// Direct submission to server `mds`, from its own engine.
   void submit(std::size_t mds, OpKind kind, OnComplete on_complete) {
     server(mds).submit(kind, std::move(on_complete));
   }
@@ -62,16 +56,11 @@ class MdsGroup {
     server(mds).submit_batch(kind, items, std::move(on_complete));
   }
 
-  /// Submission from the entity with merge key `src_key` (a rank's node
-  /// key).  Classic mode degenerates to a direct call.  Sharded mode posts
-  /// the request to the server's home shard through the channel plane and
-  /// posts the completion back to the calling shard under the server's own
-  /// entity key — both hops quantize at window boundaries, keeping the
-  /// metadata path bit-identical at every shard count.
-  void submit_from(std::uint32_t src_key, std::size_t mds, OpKind kind, OnComplete on_complete) {
-    submit_batch_from(src_key, mds, kind, 1, std::move(on_complete));
-  }
-  void submit_batch_from(std::uint32_t src_key, std::size_t mds, OpKind kind, std::size_t items,
+  /// Submission from entity `from`, which the caller is executing as: the
+  /// request is handed off to server `mds` and the completion handed back
+  /// to `from` (see the file comment).  `on_complete` runs on `from`'s
+  /// engine.
+  void submit_batch_from(sim::Entity from, std::size_t mds, OpKind kind, std::size_t items,
                          OnComplete on_complete);
 
   /// Aggregate telemetry over all servers.
@@ -81,7 +70,7 @@ class MdsGroup {
   [[nodiscard]] std::size_t peak_backlog() const;     // max over servers
 
  private:
-  sim::ShardGroup* shards_ = nullptr;
+  sim::Homes homes_;
   std::vector<std::unique_ptr<MetadataServer>> servers_;
 };
 

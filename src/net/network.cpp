@@ -5,33 +5,16 @@
 
 namespace aio::net {
 
-Network::Network(sim::Engine& engine, NetConfig config, std::size_t n_ranks)
-    : engine_(engine), config_(config), n_ranks_(n_ranks), counters_(1) {
+Network::Network(sim::Homes homes, NetConfig config, std::size_t n_ranks)
+    : homes_(homes), config_(config), n_ranks_(n_ranks), counters_(homes.n_engines()) {
   if (n_ranks == 0) throw std::invalid_argument("Network: need at least one rank");
   if (config_.cores_per_node == 0) throw std::invalid_argument("Network: cores_per_node == 0");
+  homes_.require(sim::Entity::Kind::Rank, n_ranks, "Network");
   const std::size_t nodes = (n_ranks + config_.cores_per_node - 1) / config_.cores_per_node;
   nics_.reserve(nodes);
   for (std::size_t i = 0; i < nodes; ++i) {
     nics_.push_back(std::make_unique<sim::FluidResource>(
-        engine_, sim::FluidResource::Config{config_.nic_bw, 0.0, 0.0}));
-  }
-}
-
-Network::Network(sim::ShardGroup& shards, NetConfig config, std::size_t n_ranks)
-    : engine_(shards.engine(0)),
-      config_(config),
-      n_ranks_(n_ranks),
-      shards_(&shards),
-      counters_(shards.n_shards()) {
-  if (n_ranks == 0) throw std::invalid_argument("Network: need at least one rank");
-  if (config_.cores_per_node == 0) throw std::invalid_argument("Network: cores_per_node == 0");
-  if (n_ranks != shards.n_ranks())
-    throw std::invalid_argument("Network: rank count does not match the shard group");
-  const std::size_t nodes = (n_ranks + config_.cores_per_node - 1) / config_.cores_per_node;
-  nics_.reserve(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    nics_.push_back(std::make_unique<sim::FluidResource>(
-        shards.engine_of_rank(i * config_.cores_per_node),
+        homes_.home(sim::Entity::rank(i * config_.cores_per_node)),
         sim::FluidResource::Config{config_.nic_bw, 0.0, 0.0}));
   }
 }
@@ -53,65 +36,24 @@ void Network::send(Rank from, Rank to, double bytes, Deliver deliver) {
       static_cast<std::size_t>(to) >= n_ranks_) {
     throw std::invalid_argument("Network::send: rank out of range");
   }
-  Counters& ctr = counters_[shards_ ? sim::current_shard_index() : 0];
+  Counters& ctr = counters_[homes_.here_index()];
   ++ctr.messages;
   ctr.bytes += bytes;
-  const double latency = config_.latency_s;
-  if (!shards_) {
-    if (from == to || bytes <= 0.0) {
-      engine_.schedule_after(latency, std::move(deliver));
-      return;
-    }
-    auto relay = [this, latency, deliver = std::move(deliver)](sim::Time) mutable {
-      engine_.schedule_after(latency, std::move(deliver));
-    };
-    // The relay (this + latency + a 96-byte-SBO Deliver) must fit the fluid
-    // callback's SBO, or every cross-node message would heap-allocate.
-    static_assert(sizeof(relay) <= 128, "NIC relay closure outgrew FluidResource::OnComplete SBO");
-    nics_[node_of(from)]->start(bytes, std::move(relay));
-    return;
-  }
-
-  // Sharded routing.  The sender's NIC and the send event both live on the
-  // sender's shard.  Deliveries quantize by physical topology, never by the
-  // domain layout: a message that stays on one node is scheduled directly
-  // (node-aligned rank cuts guarantee same node ⇒ same engine), while every
-  // node-crossing delivery goes through the channel plane and lands on a
-  // window boundary — even when both nodes share a domain.  Keying the rule
-  // to nodes (not domains) is what makes the simulated timestamps invariant
-  // under AIO_SIM_DOMAINS.
-  sim::ShardGroup& sg = *shards_;
-  const bool same_node = node_of(from) == node_of(to);
-  sim::Engine& src_eng = sg.engine_of_rank(static_cast<std::size_t>(from));
+  const sim::Entity src = sim::Entity::rank(from);
   if (from == to || bytes <= 0.0) {
-    if (same_node) {
-      src_eng.schedule_after(latency, std::move(deliver));
-    } else {
-      const std::uint32_t src_key = sg.key_of_rank(static_cast<std::size_t>(from));
-      const std::uint32_t dst_dom = sg.domain_of_rank(static_cast<std::size_t>(to));
-      sg.post(src_key, sg.shard_of_domain(dst_dom), src_eng.now() + latency,
-              std::move(deliver));
-    }
+    homes_.couple_at(src, sim::Entity::rank(to), homes_.home(src).now() + config_.latency_s,
+                     std::move(deliver));
     return;
   }
-  if (same_node) {
-    auto relay = [this, deliver = std::move(deliver)](sim::Time) mutable {
-      sim::current_engine()->schedule_after(config_.latency_s, std::move(deliver));
-    };
-    static_assert(sizeof(relay) <= 128, "sharded NIC relay outgrew FluidResource::OnComplete SBO");
-    nics_[node_of(from)]->start(bytes, std::move(relay));
-    return;
-  }
-  // The relay always fires on the sender's shard (the NIC lives there); the
-  // source key and destination shard are fixed at send time, so the closure
-  // stays at exactly the classic relay's footprint.
-  const std::uint32_t src_key = sg.key_of_rank(static_cast<std::size_t>(from));
-  const auto dst_shard = static_cast<std::uint32_t>(
-      sg.shard_of_domain(sg.domain_of_rank(static_cast<std::size_t>(to))));
-  auto relay = [this, src_key, dst_shard, deliver = std::move(deliver)](sim::Time now) mutable {
-    shards_->post(src_key, dst_shard, now + config_.latency_s, std::move(deliver));
+  // The NIC belongs to the sender's node, so the relay fires on the
+  // sender's engine and couples from there.
+  auto relay = [this, from, to, deliver = std::move(deliver)](sim::Time now) mutable {
+    homes_.couple_at(sim::Entity::rank(from), sim::Entity::rank(to), now + config_.latency_s,
+                     std::move(deliver));
   };
-  static_assert(sizeof(relay) <= 128, "sharded NIC relay outgrew FluidResource::OnComplete SBO");
+  // The relay (this + two ranks + a 96-byte-SBO Deliver) must fit the fluid
+  // callback's SBO, or every cross-node message would heap-allocate.
+  static_assert(sizeof(relay) <= 128, "NIC relay closure outgrew FluidResource::OnComplete SBO");
   nics_[node_of(from)]->start(bytes, std::move(relay));
 }
 

@@ -11,6 +11,10 @@
 // Bulk *data* traffic to storage is modeled inside the OSTs (per-stream caps
 // approximate the client link); the network here carries protocol messages
 // and index payloads.
+//
+// Each node's NIC runs on its ranks' home engine, and every delivery is a
+// `sim::Homes` coupling from sender to receiver: exact over one engine and
+// between ranks of one node, quantized to a window boundary otherwise.
 #pragma once
 
 #include <cstdint>
@@ -40,15 +44,9 @@ class Network {
   /// re-wrapped in a second callable layer.
   using Deliver = sim::Engine::Callback;
 
-  Network(sim::Engine& engine, NetConfig config, std::size_t n_ranks);
-
-  /// Sharded construction: each node's NIC is homed on the engine of the
-  /// shard owning its ranks (rank cuts are node-aligned, so a NIC never
-  /// straddles shards).  Node-crossing deliveries travel through the shard
-  /// group's channels and land on a window boundary regardless of the
-  /// domain layout; same-node deliveries are scheduled directly, exactly
-  /// like the classic path.
-  Network(sim::ShardGroup& shards, NetConfig config, std::size_t n_ranks);
+  /// `homes` is one engine or a shard group (rank cuts are node-aligned, so
+  /// a node's NIC never straddles shards).
+  Network(sim::Homes homes, NetConfig config, std::size_t n_ranks);
 
   /// Sends `bytes` from `from` to `to`; `deliver` runs at arrival time.
   /// Self-sends skip the NIC but still pay one latency (they cross the
@@ -65,17 +63,16 @@ class Network {
   [[nodiscard]] const NetConfig& config() const { return config_; }
 
  private:
-  // Send accounting is kept per shard (padded to a cache line) so parallel
-  // window execution never contends; the classic path only touches slot 0.
+  // Send accounting is kept per engine (padded to a cache line) so parallel
+  // window execution never contends.
   struct alignas(64) Counters {
     std::uint64_t messages = 0;
     double bytes = 0.0;
   };
 
-  sim::Engine& engine_;
+  sim::Homes homes_;
   NetConfig config_;
   std::size_t n_ranks_;
-  sim::ShardGroup* shards_ = nullptr;
   std::vector<std::unique_ptr<sim::FluidResource>> nics_;
   std::vector<Counters> counters_;
 };

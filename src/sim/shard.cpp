@@ -7,6 +7,7 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -97,8 +98,7 @@ ShardGroup::ShardGroup(Config config) : cfg_(config) {
     }
   }
 
-  // Entity keys: nodes first, then OSTs, then metadata servers (see
-  // key_of_rank / key_of_ost / key_of_mds).
+  // Entity keys: nodes first, then OSTs, then metadata servers (see key_of).
   domain_of_key_.resize(n_nodes_ + cfg_.n_osts + n_mds_);
   for (std::size_t n = 0; n < n_nodes_; ++n)
     domain_of_key_[n] = domain_of_rank(n * cfg_.ranks_per_node);
@@ -135,6 +135,15 @@ std::uint32_t ShardGroup::domain_of_rank(std::size_t rank) const {
   while (d + 1 < n_domains_ && rank >= rank_lo_[d + 1]) ++d;
   while (d > 0 && rank < rank_lo_[d]) --d;
   return static_cast<std::uint32_t>(d);
+}
+
+std::size_t ShardGroup::shard_of(Entity e) const {
+  switch (e.kind) {
+    case Entity::Kind::Rank: return shard_of_domain(domain_of_rank(e.index));
+    case Entity::Kind::Ost: return shard_of_domain(domain_of_ost(e.index));
+    case Entity::Kind::Mds: return shard_of_domain(domain_of_mds(e.index));
+  }
+  __builtin_unreachable();
 }
 
 void ShardGroup::post(std::uint32_t src_key, std::size_t dst_shard, Time t,
@@ -355,6 +364,27 @@ void ShardGroup::run() {
   if (prof_) prof_->note_windows(window_s_, windows_executed_, windows_skipped_, rounds_);
   for (auto& e : errors_)
     if (e) std::rethrow_exception(e);
+}
+
+void Homes::require(Entity::Kind kind, std::size_t count, const char* who) const {
+  if (!group_) return;
+  const auto k = static_cast<std::size_t>(kind);
+  const std::size_t grid[] = {group_->n_ranks(), group_->n_osts(), group_->n_mds()};
+  const char* const names[] = {": rank", ": OST", ": MDS"};
+  if (count != grid[k])
+    throw std::invalid_argument(std::string(who) + names[k] +
+                                " count does not match the shard group");
+}
+
+void Homes::couple_at(Entity from, Entity to, Time t, Engine::Callback&& fn) const {
+  if (!group_) {
+    engine_->schedule_at(t, std::move(fn));
+  } else if (exact(from, to)) {
+    // Same node: the two ranks share an engine at any shard or domain count.
+    group_->engine(group_->shard_of(to)).schedule_at(t, std::move(fn));
+  } else {
+    group_->post(group_->key_of(from), group_->shard_of(to), t, std::move(fn));
+  }
 }
 
 std::size_t ShardGroup::total_steps() const {

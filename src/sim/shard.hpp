@@ -19,7 +19,10 @@
 // destination happen to share a domain or a shard*.  Because the rule never
 // mentions domains, the set of quantized couplings (and therefore every
 // simulated timestamp) is invariant under the domain count as well as the
-// shard count.
+// shard count.  `Homes` (below) is the one place that rule is written down:
+// the network, the file system, the metadata tier and the adaptive
+// transport place their entities and deliver their couplings through it,
+// over one engine or over a shard group alike.
 //
 // Time advances on a fixed window grid W_k = k * window.  Each round a shard
 // publishes its horizon — the minimum of its engine's next event time and
@@ -50,6 +53,7 @@
 #include <exception>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -59,6 +63,18 @@ class ShardProfiler;
 }
 
 namespace aio::sim {
+
+/// A simulated party that owns events and makes couplings: a protocol rank,
+/// a storage target or a metadata server.  Eight bytes, passed by value.
+struct Entity {
+  enum class Kind : std::uint32_t { Rank, Ost, Mds };
+  Kind kind;
+  std::uint32_t index;
+
+  static constexpr Entity rank(std::size_t i) { return {Kind::Rank, static_cast<std::uint32_t>(i)}; }
+  static constexpr Entity ost(std::size_t i) { return {Kind::Ost, static_cast<std::uint32_t>(i)}; }
+  static constexpr Entity mds(std::size_t i) { return {Kind::Mds, static_cast<std::uint32_t>(i)}; }
+};
 
 /// Engine of the shard executing on the current thread (engine 0 outside the
 /// window loop, e.g. while seeding).  Null until a ShardGroup exists on this
@@ -113,18 +129,11 @@ class ShardGroup {
   [[nodiscard]] std::size_t shard_of_domain(std::uint32_t domain) const {
     return shard_of_domain_[domain];
   }
-  [[nodiscard]] Engine& engine_of_rank(std::size_t rank) {
-    return engine(shard_of_domain(domain_of_rank(rank)));
-  }
-  [[nodiscard]] Engine& engine_of_ost(std::size_t ost) {
-    return engine(shard_of_domain(domain_of_ost(ost)));
-  }
   [[nodiscard]] std::uint32_t domain_of_mds(std::size_t mds) const {
     return static_cast<std::uint32_t>(((mds + 1) * n_domains_ - 1) / n_mds_);
   }
-  [[nodiscard]] Engine& engine_of_mds(std::size_t mds) {
-    return engine(shard_of_domain(domain_of_mds(mds)));
-  }
+  /// Shard whose engine runs `e`'s events.
+  [[nodiscard]] std::size_t shard_of(Entity e) const;
 
   /// Canonical merge keys.  A message's source is a physical *entity* — a
   /// node (for anything a rank does), a storage target, or a metadata
@@ -133,21 +142,20 @@ class ShardGroup {
   /// entity lives entirely inside one domain (rank cuts are node-aligned;
   /// an OST or MDS is atomic), so all of a key's messages come from one
   /// shard and its sequence numbers are monotone.
-  [[nodiscard]] std::uint32_t key_of_rank(std::size_t rank) const {
-    return static_cast<std::uint32_t>(rank / cfg_.ranks_per_node);
-  }
-  [[nodiscard]] std::uint32_t key_of_ost(std::size_t ost) const {
-    return static_cast<std::uint32_t>(n_nodes_ + ost);
-  }
-  [[nodiscard]] std::uint32_t key_of_mds(std::size_t mds) const {
-    return static_cast<std::uint32_t>(n_nodes_ + cfg_.n_osts + mds);
+  [[nodiscard]] std::uint32_t key_of(Entity e) const {
+    switch (e.kind) {
+      case Entity::Kind::Rank: return static_cast<std::uint32_t>(e.index / cfg_.ranks_per_node);
+      case Entity::Kind::Ost: return static_cast<std::uint32_t>(n_nodes_ + e.index);
+      case Entity::Kind::Mds: return static_cast<std::uint32_t>(n_nodes_ + cfg_.n_osts + e.index);
+    }
+    __builtin_unreachable();
   }
 
   /// Posts `fn` to `dst_shard`, to run at simulated time `t` (clamped up to
   /// the current window boundary — nothing may land inside the window in
-  /// flight).  `src_key` names the posting entity (`key_of_rank` /
-  /// `key_of_ost`), must be owned by the calling shard, and together with a
-  /// per-entity sequence number forms the canonical merge key.
+  /// flight).  `src_key` names the posting entity (`key_of`), must be owned
+  /// by the calling shard, and together with a per-entity sequence number
+  /// forms the canonical merge key.
   void post(std::uint32_t src_key, std::size_t dst_shard, Time t, Engine::Callback fn);
 
   /// Posts `fn` to run exactly at the next window boundary (the canonical
@@ -247,5 +255,67 @@ class ShardGroup {
   std::uint64_t rounds_ = 0;
   bool ran_ = false;
 };
+
+/// Where each entity runs and how a coupling between two entities lands —
+/// the one statement of the coupling rule.  A 16-byte value built
+/// implicitly from an `Engine&` or a `ShardGroup&`, so every layer takes one
+/// `Homes` instead of a constructor per engine kind.
+///
+/// Over one engine every coupling is exact: `couple_at` schedules at `t`
+/// and `hand_off` calls straight through.  Over a shard group a coupling is
+/// exact only between two ranks on the same node; every other coupling is
+/// posted under the source's entity key to the destination's shard and
+/// lands at a window boundary (`couple_at` at `t` clamped up to it,
+/// `hand_off` at the boundary itself).
+class Homes {
+ public:
+  Homes(Engine& engine) : engine_(&engine) {}  // NOLINT: implicit, one engine
+  Homes(ShardGroup& group) : group_(&group) {}  // NOLINT: implicit, a shard group
+
+  // --- placement -----------------------------------------------------------
+  /// The shard group, or null over one engine.
+  [[nodiscard]] ShardGroup* group() const { return group_; }
+  [[nodiscard]] std::size_t n_engines() const { return group_ ? group_->n_shards() : 1; }
+  [[nodiscard]] Engine& engine(std::size_t i) const {
+    return group_ ? group_->engine(i) : *engine_;
+  }
+  /// Index of the engine that runs `e`'s events.
+  [[nodiscard]] std::size_t home_index(Entity e) const { return group_ ? group_->shard_of(e) : 0; }
+  [[nodiscard]] Engine& home(Entity e) const { return engine(home_index(e)); }
+  /// The engine executing the current event (engine 0 while seeding).
+  [[nodiscard]] Engine& here() const { return group_ ? *current_engine() : *engine_; }
+  [[nodiscard]] std::size_t here_index() const { return group_ ? current_shard_index() : 0; }
+  /// Throws std::invalid_argument unless the placement covers exactly
+  /// `count` entities of `kind` (a shard group's grid is sized up front; one
+  /// engine holds any number).  `who` names the caller in the message.
+  void require(Entity::Kind kind, std::size_t count, const char* who) const;
+
+  // --- delivery ------------------------------------------------------------
+  /// True when a coupling from `from` to `to` keeps its exact timestamp.
+  [[nodiscard]] bool exact(Entity from, Entity to) const {
+    return !group_ || (from.kind == Entity::Kind::Rank && to.kind == Entity::Kind::Rank &&
+                       group_->key_of(from) == group_->key_of(to));
+  }
+  /// Runs `fn` on `to`'s engine at `t` (>= now), or at the window boundary
+  /// when `t` falls inside the window in flight and the coupling is not
+  /// exact.  The caller must be executing as `from`.
+  void couple_at(Entity from, Entity to, Time t, Engine::Callback&& fn) const;
+  /// Zero-delay coupling: calls `fn` before returning when exact, else runs
+  /// it on `to`'s engine at the next window boundary.  A template so the
+  /// exact path never type-erases the callable.
+  template <class F>
+  void hand_off(Entity from, Entity to, F&& fn) const {
+    if (exact(from, to)) {
+      fn();
+      return;
+    }
+    couple_at(from, to, 0.0, Engine::Callback(std::forward<F>(fn)));
+  }
+
+ private:
+  Engine* engine_ = nullptr;  // set over one engine
+  ShardGroup* group_ = nullptr;
+};
+static_assert(sizeof(Homes) == 16, "Homes is passed by value");
 
 }  // namespace aio::sim

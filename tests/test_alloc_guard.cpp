@@ -55,7 +55,10 @@ void note_alloc() {
 // Minimal replacement set: every allocating form funnels through malloc so
 // sized/unsized deletes stay matched.  Works under ASan too (the malloc
 // beneath is still intercepted), which is where CI runs this test.
-void* operator new(std::size_t n) {
+// Out of line, like the sized delete below: when GCC inlines one of the two
+// it sees malloc paired with operator delete (or operator new with free)
+// and warns -Wmismatched-new-delete, though the pair is matched.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   note_alloc();
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
@@ -70,7 +73,7 @@ void* operator new(std::size_t n, std::align_val_t al) {
 void* operator new[](std::size_t n, std::align_val_t al) { return ::operator new(n, al); }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }

@@ -148,21 +148,6 @@ TEST(FileSystem, FlushCoversAllStripeTargets) {
   EXPECT_NEAR(flush_done, 11.0, 0.2);
 }
 
-TEST(FileSystem, OpenGoesThroughMetadataServer) {
-  Engine e;
-  FileSystem fs(e, small_fs());
-  Time opened_at = -1;
-  StripedFile* file = nullptr;
-  fs.open("x", 1, 0, [&](StripedFile& f, Time t) {
-    file = &f;
-    opened_at = t;
-  });
-  e.run();
-  ASSERT_NE(file, nullptr);
-  EXPECT_GT(opened_at, 0.0);
-  EXPECT_EQ(fs.mds().completed_ops(), 1u);
-}
-
 TEST(FileSystem, CloseGoesThroughMetadataServer) {
   Engine e;
   FileSystem fs(e, small_fs());

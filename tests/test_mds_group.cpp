@@ -78,12 +78,13 @@ TEST(MdsGroup, ServersServeIndependently) {
 }
 
 TEST(MdsGroup, ClassicSubmitFromDegeneratesToDirectCall) {
-  // Without a shard group there is no channel plane: submit_from must be
-  // exactly a direct submit, timestamps included.
+  // Without a shard group there is no channel plane: submit_batch_from must
+  // be exactly a direct submit, timestamps included.
   Engine ea;
   MdsGroup a(ea, tier(2));
   Time ta = -1;
-  a.submit_from(/*src_key=*/7, 1, MetadataServer::OpKind::Open, [&](Time t) { ta = t; });
+  a.submit_batch_from(aio::sim::Entity::rank(7), 1, MetadataServer::OpKind::Open, 1,
+                      [&](Time t) { ta = t; });
   ea.run();
 
   Engine eb;

@@ -454,7 +454,9 @@ TEST(EnvReaders, CountAcceptsWholeNumbersAtOrAboveTheMinimum) {
     });
     EXPECT_EQ(got, c.want) << i;
     EXPECT_EQ(!err.empty(), c.warns) << i << ": " << err;
-    if (c.warns) EXPECT_NE(err.find("aio: ignoring AIO_TEST_COUNT_"), std::string::npos) << err;
+    if (c.warns) {
+      EXPECT_NE(err.find("aio: ignoring AIO_TEST_COUNT_"), std::string::npos) << err;
+    }
   }
 }
 
@@ -535,10 +537,11 @@ TEST(EnvReaders, SinkGrammarSeparatesSwitchesFromPaths) {
     EXPECT_EQ(got.on, c.on) << i;
     EXPECT_EQ(got.path, c.path) << i;
     EXPECT_EQ(!err.empty(), c.warns) << i << ": " << err;
-    if (c.warns)
+    if (c.warns) {
       EXPECT_NE(err.find(c.needs_path ? "(want 0 or a file path)" : "(want 0, 1, -, or a file path)"),
                 std::string::npos)
           << err;
+    }
   }
 }
 

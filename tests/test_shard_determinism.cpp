@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/transports/sharded.hpp"
@@ -108,6 +109,8 @@ struct RunOutcome {
   std::size_t n_records = 0;
   std::uint64_t windows_executed = 0;
   std::uint64_t windows_skipped = 0;
+  std::uint64_t mds_ops = 0;    ///< metadata requests served
+  std::uint64_t mds_items = 0;  ///< files those requests carried
 };
 
 RunOutcome run_job(ShardedAdaptiveSim::Config cfg, const IoJob& job) {
@@ -121,6 +124,8 @@ RunOutcome run_job(ShardedAdaptiveSim::Config cfg, const IoJob& job) {
   out.journal_digest = h;
   out.windows_executed = sim.shards().windows_executed();
   out.windows_skipped = sim.shards().windows_skipped();
+  out.mds_ops = sim.fs().mds_group().completed_ops();
+  out.mds_items = sim.fs().mds_group().completed_items();
   return out;
 }
 
@@ -267,6 +272,30 @@ TEST(ShardMultiMds, DigestsInvariantUnderDomainGridWithTier) {
   }
 }
 
+// Sharded closes honour open_batch: the coordinator closes the 17 files (16
+// groups plus the master index) in requests of up to 4 files per server,
+// and the timestamps still do not depend on the shard count.
+TEST(ShardMultiMds, BatchedClosesBitIdenticalAcrossShardCounts) {
+  const IoJob job = seeded_job(7);
+  const auto batched = [](std::size_t n_shards) {
+    auto c = rig_config(n_shards);
+    c.fs.n_mds = 4;
+    c.adaptive.open_batch = 4;
+    return c;
+  };
+  const RunOutcome base = run_job(batched(1), job);
+  ASSERT_GT(base.n_records, 0u);
+  EXPECT_LT(base.mds_ops, base.mds_items) << "sharded closes went one file per request";
+  for (const std::size_t s : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    const RunOutcome other = run_job(batched(s), job);
+    const std::string what = (testing::Message() << "open_batch=4 shards=" << s).GetString();
+    expect_identical(base, other, what.c_str());
+    EXPECT_EQ(base.result.total_bytes, other.result.total_bytes) << what;
+    EXPECT_EQ(base.mds_ops, other.mds_ops) << what;
+    EXPECT_EQ(base.mds_items, other.mds_items) << what;
+  }
+}
+
 TEST(ShardDeterminismNegative, MisorderedMergeIsRejected) {
   ShardedAdaptiveSim sim(rig_config(2));
   ASSERT_EQ(sim.shards().n_shards(), 2u);
@@ -316,6 +345,59 @@ TEST(ShardPlan, ShardCountClampsToDomains) {
   aio::sim::ShardGroup g(c);
   EXPECT_EQ(g.n_domains(), 3u);
   EXPECT_EQ(g.n_shards(), 3u);
+}
+
+// The coupling rule, stated once in sim::Homes.  Over one engine every
+// coupling is exact.
+TEST(Homes, OneEngineCouplesExactly) {
+  using aio::sim::Entity;
+  aio::sim::Engine engine;
+  const aio::sim::Homes homes(engine);
+  bool handed = false;
+  homes.hand_off(Entity::rank(0), Entity::ost(3), [&] { handed = true; });
+  EXPECT_TRUE(handed) << "hand_off over one engine must call through before returning";
+  double fired = -1.0;
+  homes.couple_at(Entity::rank(0), Entity::mds(0), 1.5, [&] { fired = engine.now(); });
+  engine.run();
+  EXPECT_EQ(fired, 1.5);
+}
+
+// Over a shard group only a same-node rank→rank coupling is exact; every
+// other one lands on a window boundary (512 us windows here).  The group
+// runs at one shard on purpose: every entity then shares an engine, so a
+// rule that called same-shard couplings exact would fail here.
+TEST(Homes, ShardGroupQuantizesAllButSameNodeCouplings) {
+  using aio::sim::Entity;
+  for (const std::size_t n_shards : {std::size_t{1}, std::size_t{2}}) {
+    aio::sim::ShardGroup::Config c;
+    c.n_shards = n_shards;
+    c.n_ranks = 16;
+    c.ranks_per_node = 4;
+    c.n_osts = 4;
+    c.n_mds = 1;
+    aio::sim::ShardGroup group(c);
+    const aio::sim::Homes homes(group);
+    ASSERT_EQ(group.window_s(), 5.12e-4);
+    const double t_send = 1e-4;
+    const double t_couple = t_send + 8e-6;
+    double same_node = -1.0, cross_node = -1.0, to_ost = -1.0, to_mds = -1.0, back = -1.0;
+    const auto now = [&] { return homes.here().now(); };
+    group.engine(homes.home_index(Entity::rank(0))).schedule_at(t_send, [&] {
+      homes.couple_at(Entity::rank(0), Entity::rank(3), t_couple, [&] { same_node = now(); });
+      homes.couple_at(Entity::rank(0), Entity::rank(4), t_couple, [&] { cross_node = now(); });
+      homes.couple_at(Entity::rank(0), Entity::mds(0), t_couple, [&] { to_mds = now(); });
+      homes.couple_at(Entity::rank(0), Entity::ost(2), t_couple, [&] {
+        to_ost = now();
+        homes.hand_off(Entity::ost(2), Entity::rank(0), [&] { back = now(); });
+      });
+    });
+    group.run();
+    EXPECT_EQ(same_node, t_couple) << "shards=" << n_shards;
+    EXPECT_EQ(cross_node, 5.12e-4) << "shards=" << n_shards;
+    EXPECT_EQ(to_ost, 5.12e-4) << "shards=" << n_shards;
+    EXPECT_EQ(to_mds, 5.12e-4) << "shards=" << n_shards;
+    EXPECT_EQ(back, 1.024e-3) << "shards=" << n_shards;
+  }
 }
 
 TEST(ShardedRun, ConvergesToClassicModelAsWindowShrinks) {

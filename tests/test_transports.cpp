@@ -218,37 +218,6 @@ TEST(AdaptiveTransport, StealingImprovesSlowTargetTime) {
 // A batch of one is not "approximately" the per-file path — it reproduces the
 // legacy submission sequence request for request, so every simulated
 // timestamp (open phase, writer windows, completion) matches exactly.
-TEST(AdaptiveTransport, OpenBatchOfOneIsIdenticalToPerFileOpens) {
-  const IoJob job = IoJob::uniform(16, 2e6);
-  for (const auto mode : {AdaptiveTransport::Config::OpenMode::Storm,
-                          AdaptiveTransport::Config::OpenMode::Staggered}) {
-    Rig a(8);
-    AdaptiveTransport::Config ca = adaptive_cfg();
-    ca.open_mode = mode;
-    AdaptiveTransport ta(a.filesystem, a.network, ca);
-    const IoResult ra = a.run(ta, job);
-
-    Rig b(8);
-    AdaptiveTransport::Config cb = ca;
-    cb.open_batch = 1;
-    AdaptiveTransport tb(b.filesystem, b.network, cb);
-    const IoResult rb = b.run(tb, job);
-
-    EXPECT_EQ(ra.t_open_done, rb.t_open_done);
-    EXPECT_EQ(ra.t_data_done, rb.t_data_done);
-    EXPECT_EQ(ra.t_complete, rb.t_complete);
-    ASSERT_EQ(ra.writer_times.size(), rb.writer_times.size());
-    for (std::size_t i = 0; i < ra.writer_times.size(); ++i) {
-      EXPECT_EQ(ra.writer_times[i].start, rb.writer_times[i].start) << "writer " << i;
-      EXPECT_EQ(ra.writer_times[i].end, rb.writer_times[i].end) << "writer " << i;
-    }
-    // Same metadata traffic, one request at a time.
-    EXPECT_EQ(a.filesystem.mds_group().completed_ops(), b.filesystem.mds_group().completed_ops());
-    EXPECT_EQ(b.filesystem.mds_group().completed_ops(),
-              b.filesystem.mds_group().completed_items());
-  }
-}
-
 TEST(AdaptiveTransport, TierWithBatchingShortensTheOpenPhase) {
   const IoJob job = IoJob::uniform(32, 1e6);
   auto open_phase = [&](std::size_t n_mds, std::size_t open_batch) {
