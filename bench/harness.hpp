@@ -91,8 +91,9 @@ struct Machine {
                 net::NetConfig{spec.msg_latency_s, spec.nic_bw, spec.cores_per_node},
                 std::max(min_ranks, spec.total_cores())) {
     if (metrics) {
-      sampler.emplace(*metrics, obs::env_seconds("AIO_OBS_PERIOD_S", 1.0));
-      filesystem.register_probes(*sampler, obs::env_count("AIO_OBS_OSTS", 32));
+      // One sample per simulated second, per-OST probes on the first 32 OSTs.
+      sampler.emplace(*metrics, 1.0);
+      filesystem.register_probes(*sampler, 32);
       arm_sampler();
     }
     if (live && live->snapshot_enabled()) arm_live();

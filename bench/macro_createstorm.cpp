@@ -28,15 +28,11 @@
 //
 // Knobs: AIO_BENCH_MAX_PROCS trims the sweep; AIO_MDS_COUNT pins the tier
 // sweep to one width; AIO_MDS_BATCH sets the batched-mode span (default 64);
-// AIO_JOURNAL/AIO_REPORT capture the journal.  `AIO_PROF` profiles the host cost of each storm
-// (single-engine mode: one slot, execute time + engine events) — a stderr
-// line and prof_* JSON values per row, plus an aio-prof-v1 document array
-// when AIO_PROF is a path.  All knobs unset keeps stdout deterministic run
-// to run.
+// AIO_JOURNAL/AIO_REPORT capture the journal.  All knobs unset keeps stdout
+// deterministic run to run.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -44,7 +40,6 @@
 
 #include "fs/mds_group.hpp"
 #include "harness.hpp"
-#include "obs/prof.hpp"
 
 namespace {
 
@@ -87,9 +82,8 @@ constexpr double kArrivalGap_s = 50e-6;
 /// create-visible minus its own arrival — for batched mode that includes
 /// the wait for its span to assemble.
 StormOut run_storm(std::size_t procs, std::size_t n_mds, Mode mode, std::size_t batch,
-                   obs::Journal* journal, obs::prof::ShardProfiler* prof) {
+                   obs::Journal* journal) {
   const auto w0 = std::chrono::steady_clock::now();
-  if (prof) prof->bind(1);  // single-engine mode: one slot, re-zeroed per storm
   sim::Engine engine(journal);
   fs::MdsGroup::Config gc;
   gc.count = n_mds;
@@ -156,14 +150,6 @@ StormOut run_storm(std::size_t procs, std::size_t n_mds, Mode mode, std::size_t 
                              std::to_string(procs) + " writers");
 
   out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - w0).count();
-  if (prof) {
-    // Single-engine profile: the whole storm (scheduling + event dispatch)
-    // is "execute"; there is no barrier/merge/skip to split out.
-    obs::prof::ShardProfiler::Slot& s = prof->slot(0);
-    s.execute_s = out.wall_s;
-    s.rounds = 1;
-    s.events = engine.steps();
-  }
   out.per_mds.resize(n_mds);
   for (std::size_t m = 0; m < n_mds; ++m) {
     out.per_mds[m].ops = group.server(m).completed_ops();
@@ -196,13 +182,6 @@ int main() {
   const std::unique_ptr<obs::Journal> journal = obs::Journal::from_env(0);
   if (journal) journal->reserve(1 << 20);
 
-  const obs::EnvSink prof_env = obs::env_sink("AIO_PROF");
-  std::unique_ptr<obs::prof::ShardProfiler> prof;
-  if (prof_env.on)
-    prof = std::make_unique<obs::prof::ShardProfiler>(obs::prof::ShardProfiler::Config{
-        std::string(), obs::env_seconds("AIO_PROF_PERIOD_S", 0.0)});
-  obs::Json prof_docs = obs::Json::array();
-
   stats::Table table(
       {"writers", "mds", "mode", "mean ms", "p99 ms", "cov", "span s", "peak queue"});
 
@@ -211,7 +190,7 @@ int main() {
     if (procs > max_procs) continue;
     for (const std::size_t n_mds : mds_sweep) {
       for (const Mode mode : {Mode::PerFile, Mode::Batched}) {
-        const StormOut out = run_storm(procs, n_mds, mode, batch, journal.get(), prof.get());
+        const StormOut out = run_storm(procs, n_mds, mode, batch, journal.get());
         std::size_t peak = 0;
         for (const PerMds& m : out.per_mds) peak = std::max(peak, m.peak_backlog);
         table.add_row({std::to_string(procs), std::to_string(n_mds), mode_name(mode),
@@ -235,20 +214,6 @@ int main() {
               .value(key + "_items", static_cast<double>(out.per_mds[m].items))
               .value(key + "_peak_backlog", static_cast<double>(out.per_mds[m].peak_backlog));
         }
-        if (prof) {
-          const obs::prof::ShardProfiler::Slot& s = prof->slot(0);
-          // Armed-only values, so env-unset JSON rows are unchanged.
-          row.value("prof_execute_s", s.execute_s)
-              .value("prof_events", static_cast<double>(s.events));
-          const std::string label = std::to_string(procs) + "w x " + std::to_string(n_mds) +
-                                    "mds " + mode_name(mode);
-          prof->print_summary(label.c_str());
-          obs::Json doc = prof->to_json();
-          doc.set("procs", static_cast<double>(procs));
-          doc.set("n_mds", static_cast<double>(n_mds));
-          doc.set("mode", mode_name(mode));
-          prof_docs.push(std::move(doc));
-        }
       }
     }
   }
@@ -259,14 +224,6 @@ int main() {
   if (journal) {
     (void)journal->write();
     (void)obs::flush_report(*journal, 0);
-  }
-  if (prof && !prof_env.path.empty()) {
-    std::ofstream out(prof_env.path);
-    if (out)
-      out << prof_docs.dump() << '\n';
-    else
-      std::fprintf(stderr, "macro_createstorm: cannot write AIO_PROF path %s\n",
-                   prof_env.path.c_str());
   }
   return 0;
 }

@@ -12,7 +12,6 @@
 #include "core/index/index.hpp"
 #include "core/protocol/coordinator_fsm.hpp"
 #include "core/protocol/subcoordinator_fsm.hpp"
-#include "core/protocol/writer_fsm.hpp"
 #include "fs/fabric.hpp"
 #include "fs/machine.hpp"
 #include "fs/ost.hpp"

@@ -3,8 +3,8 @@
 // The FSMs are pure: they never touch the network or storage themselves.
 // Each input (message or completion notification) returns a list of actions
 // for the hosting runtime to execute.  This keeps Algorithms 1-3 unit-
-// testable in isolation and lets the same protocol code run on the
-// discrete-event simulator and on real threads.
+// testable in isolation and lets the same protocol code (core::Roles, in
+// roles.hpp) run on the discrete-event simulator and on real threads.
 #pragma once
 
 #include <variant>
@@ -21,7 +21,7 @@ struct SendAction {
 };
 
 /// Begin this rank's data write: `bytes` at `offset` of file `file`.
-/// The runtime reports completion via WriterFsm::on_write_done().
+/// The runtime reports completion via Roles::on_write_done().
 struct StartWriteAction {
   GroupId file = -1;
   double offset = 0.0;
@@ -29,7 +29,7 @@ struct StartWriteAction {
 };
 
 /// SC appends its merged file index ("Write the index", Algorithm 2).
-/// Completion is reported via SubCoordinatorFsm::on_index_write_done().
+/// Completion is reported via Roles::on_index_write_done().
 struct WriteIndexAction {
   GroupId file = -1;
   double offset = 0.0;
@@ -37,7 +37,7 @@ struct WriteIndexAction {
 };
 
 /// C writes the global master index file (Algorithm 3, last line).
-/// Completion is reported via CoordinatorFsm::on_global_index_write_done().
+/// Completion is reported via Roles::on_global_index_write_done().
 struct WriteGlobalIndexAction {
   double bytes = 0.0;
 };

@@ -1,0 +1,81 @@
+#include "core/protocol/roles.hpp"
+
+#include <span>
+#include <utility>
+#include <variant>
+
+namespace aio::core {
+
+namespace {
+
+WriterPool::Layout writer_layout(const Topology& topo, std::span<const double> bytes,
+                                 bool carry_records) {
+  WriterPool::Layout layout;
+  layout.first_rank = 0;
+  layout.group_of = [topo](Rank r) { return topo.group_of(r); };
+  layout.sc_of = [topo](GroupId g) { return topo.sc_rank(g); };
+  layout.bytes = bytes;
+  layout.carry_records = carry_records;
+  return layout;
+}
+
+CoordinatorFsm::Config coordinator_config(const Topology& topo, const Roles::Config& c) {
+  CoordinatorFsm::Config cc;
+  cc.n_groups = topo.n_groups();
+  cc.group_size_of = [topo](GroupId g) { return topo.group_size(g); };
+  cc.sc_of = [topo](GroupId g) { return topo.sc_rank(g); };
+  cc.rank = Topology::coordinator_rank();
+  cc.stealing_enabled = c.stealing;
+  cc.steal_source = c.steal_source;
+  cc.retain_global_index = c.retain_global_index;
+  return cc;
+}
+
+}  // namespace
+
+Roles::Roles(const Topology& topo, std::vector<double> bytes_per_writer,
+             const std::function<LocalIndex(Rank)>& blueprint_for, Config config)
+    : topo_(topo),
+      bytes_(std::move(bytes_per_writer)),
+      writers_(writer_layout(topo_, bytes_, config.retain_global_index), blueprint_for),
+      coord_(coordinator_config(topo_, config)) {
+  const std::span<const double> all_bytes{bytes_};
+  scs_.reserve(topo_.n_groups());
+  for (GroupId g = 0; g < static_cast<GroupId>(topo_.n_groups()); ++g) {
+    SubCoordinatorFsm::Config sc;
+    sc.group = g;
+    sc.rank = topo_.sc_rank(g);
+    sc.coordinator = Topology::coordinator_rank();
+    sc.first_member = topo_.group_begin(g);
+    sc.n_members = topo_.group_size(g);
+    sc.member_bytes = all_bytes.subspan(static_cast<std::size_t>(sc.first_member), sc.n_members);
+    sc.max_concurrent = config.max_concurrent;
+    scs_.emplace_back(std::move(sc));
+  }
+}
+
+Actions Roles::deliver(Rank to, const Message& msg) {
+  // Writers take DO_WRITE; the SC on `to` takes its file's traffic; the
+  // coordinator takes the rest.
+  struct Route {
+    Roles& roles;
+    Rank to;
+    Actions operator()(const DoWrite& m) { return roles.writers_.on_do_write(to, m); }
+    Actions operator()(const WriteComplete& m) {
+      if (m.kind == WriteComplete::Kind::WriterDone) return roles.sc_on(to).on_write_complete(m);
+      return roles.coord_.on_write_complete(m);
+    }
+    Actions operator()(const IndexBody& m) { return roles.sc_on(to).on_index_body(m); }
+    Actions operator()(const AdaptiveWriteStart& m) {
+      return roles.sc_on(to).on_adaptive_write_start(m);
+    }
+    Actions operator()(const WritersBusy& m) { return roles.coord_.on_writers_busy(m); }
+    Actions operator()(const OverallWriteComplete& m) {
+      return roles.sc_on(to).on_overall_write_complete(m);
+    }
+    Actions operator()(const SubIndex& m) { return roles.coord_.on_sub_index(m); }
+  };
+  return std::visit(Route{*this, to}, msg.body);
+}
+
+}  // namespace aio::core

@@ -38,7 +38,7 @@ WriterPool::WriterPool(Layout layout, const std::function<LocalIndex(Rank)>& blu
 Actions WriterPool::on_do_write(Rank rank, const DoWrite& msg) {
   const std::size_t s = slot(rank);
   if (states_[s] != State::Idle)
-    throw std::logic_error("WriterFsm: DO_WRITE received while not idle");
+    throw std::logic_error("WriterPool: DO_WRITE received while not idle");
   states_[s] = State::Writing;
   targets_[s] = msg.target_file;
   grant_seqs_[s] = msg.grant_seq;
@@ -64,7 +64,7 @@ Actions WriterPool::on_do_write(Rank rank, const DoWrite& msg) {
 Actions WriterPool::on_write_done(Rank rank) {
   const std::size_t s = slot(rank);
   if (states_[s] != State::Writing)
-    throw std::logic_error("WriterFsm: write completion while not writing");
+    throw std::logic_error("WriterPool: write completion while not writing");
   states_[s] = State::Done;
 
   const GroupId group = layout_.group_of(rank);

@@ -20,9 +20,8 @@
 //    those two numbers and no records, so a writer costs ~25 bytes of pool
 //    state and nothing else.  Every simulated byte count is the same.
 //
-// WriterFsm (writer_fsm.hpp) is a single-slot view over this pool: same
-// transition code, object-per-writer convenience for unit tests and the
-// thread runtime.
+// core::Roles (roles.hpp) builds the pool for every runtime; unit tests
+// drive a pool directly.
 #pragma once
 
 #include <functional>

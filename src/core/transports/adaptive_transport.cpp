@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "core/protocol/coordinator_fsm.hpp"
-#include "core/protocol/subcoordinator_fsm.hpp"
-#include "core/protocol/writer_pool.hpp"
+#include "core/protocol/roles.hpp"
 #include "obs/journal.hpp"
 #include "sim/shard.hpp"
 
@@ -17,32 +14,28 @@ namespace aio::core {
 
 namespace {
 
-/// Per-run state; kept alive by the callbacks that reference it.
-///
-/// Roles live in role-segregated storage sized to the role populations — a
-/// dense WriterPool for the n writers, one SubCoordinatorFsm per group, one
-/// coordinator — instead of a per-rank actor struct.  At full Jaguar scale
-/// (224,160 ranks) the per-rank layout spent kilobytes per rank on FSM
-/// configs (member vectors, resolver copies, optional<> slots for roles the
-/// rank never plays); the pooled layout keeps per-writer state to a few
-/// scalars, plus the writer's own index blocks when the run keeps the global
-/// index.
+Roles::Config role_config(const AdaptiveTransport::Config& c) {
+  Roles::Config rc;
+  rc.max_concurrent = c.max_concurrent;
+  rc.stealing = c.stealing;
+  rc.steal_source = c.steal_most_remaining ? CoordinatorFsm::StealSource::MostRemaining
+                                           : CoordinatorFsm::StealSource::RoundRobin;
+  rc.retain_global_index = c.retain_global_index;
+  return rc;
+}
+
+/// Per-run state; kept alive by the callbacks that reference it.  The
+/// protocol roles live in `roles`; the run moves their messages over the
+/// network and their writes through the file system.
 struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
   fs::FileSystem& fs;
   net::Network& net;
   AdaptiveTransport::Config cfg;
-  Topology topo;
+  Roles roles;
   fs::Ost::Mode data_mode = fs::Ost::Mode::Durable;
 
   std::vector<fs::StripedFile*> files;  // one per group
   fs::StripedFile* master = nullptr;    // global index file
-
-  /// The run's single owned copy of per-writer payload sizes; the writer
-  /// pool and every SC config view subranges of it.
-  std::vector<double> bytes_per_writer;
-  std::optional<WriterPool> writers;
-  std::vector<SubCoordinatorFsm> scs;  // indexed by group
-  std::optional<CoordinatorFsm> coord;
 
   IoResult result;
   std::function<void(IoResult)> on_done;
@@ -60,11 +53,13 @@ struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
   bool observing = false;
   std::uint32_t journal_run = 0;  ///< this run's id within the journal
 
-  AdaptiveRun(fs::FileSystem& f, net::Network& n, AdaptiveTransport::Config c, Topology t)
+  AdaptiveRun(fs::FileSystem& f, net::Network& n, AdaptiveTransport::Config c, const IoJob& job,
+              std::size_t n_files)
       : fs(f),
         net(n),
         cfg(std::move(c)),
-        topo(t),
+        roles(Topology(job.n_writers(), n_files), job.bytes_per_writer,
+              [&job](Rank r) { return job.blueprint_for(r); }, role_config(cfg)),
         homes(f.homes()),
         observing(f.engine().observing_records()),
         scratch_(homes.n_engines()) {}
@@ -134,10 +129,6 @@ struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
     for (std::size_t m = 0; m < tier.count(); ++m) flush(m);
   }
 
-  [[nodiscard]] SubCoordinatorFsm& sc_at(Rank rank) {
-    return scs[static_cast<std::size_t>(topo.group_of(rank))];
-  }
-
   /// Scratch action list reused across deliveries, one per engine.
   /// Steady-state steps fit the SmallVector's inline slots; the rare
   /// overflow (the coordinator's final broadcast) leaves its heap block here
@@ -154,53 +145,14 @@ void AdaptiveRun::begin(const IoJob& job) {
     // are not window-aware; the sharded timing model starts at open-done.
     throw std::invalid_argument("AdaptiveRun: sharded runs require OpenMode::Skip");
   }
-  const std::size_t n = topo.n_writers();
-  const std::size_t g = topo.n_groups();
+  const std::size_t n = roles.topology().n_writers();
+  const std::size_t g = roles.topology().n_groups();
   result.transport = "Adaptive";
   result.t_begin = fs.engine().now();
   result.total_bytes = job.total_bytes();
   result.var_names = job.var_names;
   result.writer_times.resize(n);
-  roles_remaining = n + g + 1;  // writers + SCs + coordinator
-
-  bytes_per_writer = job.bytes_per_writer;
-  const std::span<const double> all_bytes{bytes_per_writer};
-  const auto sc_of = [topo = topo](GroupId grp) { return topo.sc_rank(grp); };
-
-  {
-    WriterPool::Layout layout;
-    layout.first_rank = 0;
-    layout.group_of = [topo = topo](Rank r) { return topo.group_of(r); };
-    layout.sc_of = sc_of;
-    layout.bytes = all_bytes;
-    layout.carry_records = cfg.retain_global_index;
-    writers.emplace(std::move(layout), [&job](Rank r) { return job.blueprint_for(r); });
-  }
-  scs.reserve(g);
-  for (GroupId grp = 0; grp < static_cast<GroupId>(g); ++grp) {
-    SubCoordinatorFsm::Config sc;
-    sc.group = grp;
-    sc.rank = topo.sc_rank(grp);
-    sc.coordinator = Topology::coordinator_rank();
-    sc.first_member = topo.group_begin(grp);
-    sc.n_members = topo.group_size(grp);
-    sc.member_bytes =
-        all_bytes.subspan(static_cast<std::size_t>(sc.first_member), sc.n_members);
-    sc.max_concurrent = cfg.max_concurrent;
-    scs.emplace_back(std::move(sc));
-  }
-  {
-    CoordinatorFsm::Config cc;
-    cc.n_groups = g;
-    cc.group_size_of = [topo = topo](GroupId grp) { return topo.group_size(grp); };
-    cc.sc_of = sc_of;
-    cc.rank = Topology::coordinator_rank();
-    cc.stealing_enabled = cfg.stealing;
-    cc.steal_source = cfg.steal_most_remaining ? CoordinatorFsm::StealSource::MostRemaining
-                                               : CoordinatorFsm::StealSource::RoundRobin;
-    cc.retain_global_index = cfg.retain_global_index;
-    coord.emplace(std::move(cc));
-  }
+  roles_remaining = roles.count();
 
   // --- file creation --------------------------------------------------------
   files.resize(g, nullptr);
@@ -267,9 +219,9 @@ void AdaptiveRun::begin(const IoJob& job) {
 
 void AdaptiveRun::start_protocol() {
   if (observing) journal_mark(obs::Mark::kOpenDone);
-  for (GroupId grp = 0; grp < static_cast<GroupId>(topo.n_groups()); ++grp) {
-    execute(topo.sc_rank(grp), scs[static_cast<std::size_t>(grp)].start());
-  }
+  const Topology& topo = roles.topology();
+  for (GroupId grp = 0; grp < static_cast<GroupId>(topo.n_groups()); ++grp)
+    execute(topo.sc_rank(grp), roles.start(grp));
 }
 
 void AdaptiveRun::observe_steal_grant(const SendAction& send) {
@@ -278,7 +230,7 @@ void AdaptiveRun::observe_steal_grant(const SendAction& send) {
   // names the file being stolen *into*.
   const auto* grant = std::get_if<AdaptiveWriteStart>(&send.msg.body);
   if (!grant) return;
-  const GroupId src = topo.group_of(send.to);
+  const GroupId src = roles.topology().group_of(send.to);
   obs::Record r;
   r.kind = obs::Rec::kStealGrant;
   r.t = eng().now();
@@ -286,7 +238,7 @@ void AdaptiveRun::observe_steal_grant(const SendAction& send) {
   r.u0 = static_cast<std::uint32_t>(src);
   r.u1 = static_cast<std::uint32_t>(grant->target_file);
   r.v0 = grant->offset;
-  r.v1 = static_cast<double>(coord->remaining_writers(src));
+  r.v1 = static_cast<double>(roles.coordinator().remaining_writers(src));
   eng().record(r);
 }
 
@@ -307,30 +259,9 @@ void AdaptiveRun::deliver(Rank to, const Message& msg) {
       observing && wc && wc->kind == WriteComplete::Kind::AdaptiveDone) {
     observe_steal_complete(*wc);
   }
-  // Route by message type + destination role: writers get DO_WRITE, the
-  // destination rank's SC gets file traffic, the coordinator the rest.
-  struct Visitor {
-    AdaptiveRun& run;
-    Rank to;
-    Actions operator()(const DoWrite& m) { return run.writers->on_do_write(to, m); }
-    Actions operator()(const WriteComplete& m) {
-      if (m.kind == WriteComplete::Kind::WriterDone) return run.sc_at(to).on_write_complete(m);
-      return run.coord->on_write_complete(m);
-    }
-    Actions operator()(const IndexBody& m) { return run.sc_at(to).on_index_body(m); }
-    Actions operator()(const AdaptiveWriteStart& m) {
-      return run.sc_at(to).on_adaptive_write_start(m);
-    }
-    Actions operator()(const WritersBusy& m) { return run.coord->on_writers_busy(m); }
-    Actions operator()(const OverallWriteComplete& m) {
-      return run.sc_at(to).on_overall_write_complete(m);
-    }
-    Actions operator()(const SubIndex& m) { return run.coord->on_sub_index(m); }
-  };
-  Actions produced = std::visit(Visitor{*this, to}, msg.body);
   Actions& scratch = scratch_[homes.here_index()];
   scratch.clear();
-  scratch.append(std::move(produced));
+  scratch.append(roles.deliver(to, msg));
   execute(to, scratch);
 }
 
@@ -344,15 +275,15 @@ void AdaptiveRun::writer_write_done(Rank from, std::uint32_t file, sim::Time now
     r.u0 = file;
     eng().record(r);
   }
-  execute(from, writers->on_write_done(from));
+  execute(from, roles.on_write_done(from));
 }
 
 void AdaptiveRun::sc_index_write_done(Rank from, std::uint32_t, sim::Time) {
-  execute(from, sc_at(from).on_index_write_done());
+  execute(from, roles.on_index_write_done(from));
 }
 
 void AdaptiveRun::coord_gidx_write_done(Rank from, std::uint32_t, sim::Time) {
-  execute(from, coord->on_global_index_write_done());
+  execute(from, roles.on_global_index_write_done());
 }
 
 void AdaptiveRun::role_done() {
@@ -386,7 +317,7 @@ void AdaptiveRun::execute(Rank from, Actions& actions) {
         // A DO_WRITE leaving an SC is the writer's release from its queue;
         // the gap to the matching kWriterStart is pure network latency.
         if (const auto* dw = std::get_if<DoWrite>(&send->msg.body)) {
-          const GroupId home = topo.group_of(send->to);
+          const GroupId home = roles.topology().group_of(send->to);
           obs::Record r;
           r.kind = obs::Rec::kWriterSignal;
           r.t = eng().now();
@@ -437,20 +368,17 @@ void AdaptiveRun::execute(Rank from, Actions& actions) {
 
 void AdaptiveRun::all_roles_done() {
   result.t_data_done = eng().now();
-  result.steals = coord->total_steals();
-  result.grants_issued = coord->grants_issued();
+  CoordinatorFsm& coord = roles.coordinator();
+  result.steals = coord.total_steals();
+  result.grants_issued = coord.grants_issued();
   if (observing) journal_mark(obs::Mark::kDataDone);
-  result.total_blocks_indexed = coord->total_blocks();
+  result.total_blocks_indexed = coord.total_blocks();
   if (cfg.retain_global_index) {
-    result.global_index = std::make_shared<GlobalIndex>(coord->take_global_index());
+    result.global_index = std::make_shared<GlobalIndex>(coord.take_global_index());
   }
   result.output_files = files;
   result.master_file = master;
 
-  if (!cfg.close_via_mds) {
-    finish(eng().now());
-    return;
-  }
   // all_roles_done runs where the role tally lives, so the coordinator is
   // the entity that closes the files.
   auto self = shared_from_this();
@@ -484,8 +412,7 @@ void AdaptiveTransport::run(const IoJob& job, std::function<void(IoResult)> on_d
   n_files = std::min(n_files, job.n_writers());
   Config cfg = config_;
   if (!cfg.targets.empty() && n_files < cfg.targets.size()) cfg.targets.resize(n_files);
-  auto run = std::make_shared<AdaptiveRun>(fs_, net_, std::move(cfg),
-                                           Topology(job.n_writers(), n_files));
+  auto run = std::make_shared<AdaptiveRun>(fs_, net_, std::move(cfg), job, n_files);
   run->on_done = std::move(on_done);
   run->begin(job);
 }

@@ -45,7 +45,6 @@ class AdaptiveTransport final : public Transport {
     /// submit one request per file.  Closes batch the same way on either
     /// engine (sharded runs skip opens).
     std::size_t open_batch = 0;
-    bool close_via_mds = true;
     /// When false, no block record is kept or carried: writers, SCs and the
     /// coordinator pass index sizes and block counts only, and
     /// IoResult::global_index stays null.  Every simulated timestamp and

@@ -34,11 +34,6 @@ void MpiioTransport::run(const IoJob& job, std::function<void(IoResult)> on_done
     state->result.t_data_done = fs_.engine().now();
     // "an explicit flush is introduced prior to the file close operation".
     file.flush([this, state, &file](sim::Time) {
-      if (!config_.close_via_mds) {
-        state->result.t_complete = fs_.engine().now();
-        state->on_done(state->result);
-        return;
-      }
       fs_.close(file, [state](sim::Time now) {
         state->result.t_complete = now;
         state->on_done(state->result);

@@ -23,7 +23,6 @@ class MpiioTransport final : public Transport {
     std::size_t first_ost = 0;
     double stripe_size = 0.0;          ///< 0 = file system default
     std::size_t max_segments = 16;     ///< chain bound for wide writes
-    bool close_via_mds = true;
   };
 
   MpiioTransport(fs::FileSystem& fs, Config config) : fs_(fs), config_(config) {}

@@ -12,9 +12,7 @@ sim::ShardGroup::Config shard_config(const ShardedAdaptiveSim::Config& c) {
   if (c.n_ranks == 0) throw std::invalid_argument("ShardedAdaptiveSim: n_ranks must be > 0");
   sim::ShardGroup::Config sc;
   sc.n_shards = c.n_shards;
-  sc.lookahead_s = c.lookahead_s > 0.0 ? c.lookahead_s : c.net.latency_s;
-  if (sc.lookahead_s > c.net.latency_s)
-    throw std::invalid_argument("ShardedAdaptiveSim: lookahead exceeds the minimum net latency");
+  sc.lookahead_s = c.net.latency_s;
   sc.window_batch = c.window_batch;
   sc.n_domains = c.n_domains;
   sc.n_ranks = c.n_ranks;

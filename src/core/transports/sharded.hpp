@@ -31,10 +31,9 @@ class ShardedAdaptiveSim {
     fs::FsConfig fs;
     net::NetConfig net;
     AdaptiveTransport::Config adaptive;  ///< open_mode must stay Skip
-    /// Lookahead for the conservative barrier; must not exceed the network
-    /// latency (it defaults to exactly that minimum).
-    double lookahead_s = 0.0;   ///< 0 = net.latency_s
-    double window_batch = 64.0; ///< window = lookahead * batch (see ShardGroup)
+    /// window = lookahead * batch (see ShardGroup); the lookahead is the
+    /// network latency, the minimum cross-shard coupling delay.
+    double window_batch = 64.0;
     std::size_t n_domains = 0;  ///< 0 = default plan (min(32, n_osts))
     bool collect_journal = false;  ///< attach one journal per shard engine
     /// Unread; kept only because perf/aio_perf.cpp assigns it.

@@ -28,7 +28,7 @@
 // summary, otherwise an aio-prof-v1 JSON path) with optional periodic
 // one-line stderr rows every `AIO_PROF_PERIOD_S` host seconds.  Snapshots
 // surface through `LivePlane::snapshot_json` as `prof.*` keys and land in
-// the bench JSON rows of macro_jaguar / macro_createstorm.
+// the bench JSON rows of macro_jaguar.
 #pragma once
 
 #include <chrono>

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <exception>
 #include <fstream>
 #include <mutex>
 #include <optional>
@@ -12,9 +13,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "core/protocol/coordinator_fsm.hpp"
-#include "core/protocol/subcoordinator_fsm.hpp"
-#include "core/protocol/writer_fsm.hpp"
+#include "core/protocol/roles.hpp"
 
 namespace aio::runtime {
 
@@ -90,29 +89,41 @@ class DataFile {
 };
 
 struct SharedState {
-  Topology topo;
   ThreadRunConfig cfg;
-  /// Shared per-writer payload sizes; SC configs view subranges instead of
-  /// copying their member lists (written once before threads launch).
-  std::vector<double> bytes;
+  /// Shared by every rank thread: rank r's messages and writes run only on
+  /// thread r, which therefore touches only r's roles.
+  Roles roles;
   std::vector<std::unique_ptr<Mailbox>> mailboxes;
   std::vector<std::unique_ptr<DataFile>> files;  // one per group
   std::atomic<std::size_t> roles_remaining;
   std::atomic<double> total_bytes{0.0};
-  // Global index + footer metadata produced by the coordinator thread.
-  std::mutex result_mu;
-  GlobalIndex global_index;
-  std::uint64_t steals = 0;
+  std::mutex error_mu;
+  std::exception_ptr error;  ///< first exception a rank thread threw
 
-  SharedState(Topology t, ThreadRunConfig c)
-      : topo(t), cfg(std::move(c)), roles_remaining(t.n_writers() + t.n_groups() + 1) {}
+  SharedState(const IoJob& job, Topology topo, ThreadRunConfig c)
+      : cfg(std::move(c)),
+        roles(topo, job.bytes_per_writer, [&job](Rank r) { return job.blueprint_for(r); },
+              Roles::Config{.max_concurrent = cfg.max_concurrent, .stealing = cfg.stealing}),
+        roles_remaining(roles.count()) {}
 
   void send(Rank to, Message msg) { mailboxes[static_cast<std::size_t>(to)]->push(std::move(msg)); }
 
+  void shutdown() {
+    for (auto& mb : mailboxes) mb->shutdown();
+  }
+
   void role_done() {
-    if (roles_remaining.fetch_sub(1) == 1) {
-      for (auto& mb : mailboxes) mb->shutdown();
+    if (roles_remaining.fetch_sub(1) == 1) shutdown();
+  }
+
+  /// Keeps the first error and stops the run: every rank drains its mailbox
+  /// and exits.
+  void fail(std::exception_ptr e) {
+    {
+      const std::lock_guard<std::mutex> lock(error_mu);
+      if (!error) error = std::move(e);
     }
+    shutdown();
   }
 };
 
@@ -125,103 +136,50 @@ void append_footer(DataFile& file, std::uint64_t index_offset, std::uint64_t ind
   file.pwrite(index_offset + index_size, buf, sizeof buf);
 }
 
-/// Per-rank actor thread: hosts the writer role plus, on first-of-group
-/// ranks, the SC role, plus the coordinator on rank 0.
+/// One rank's thread: delivers the messages addressed to the rank and runs
+/// the writes its roles issue.
 class RankThread {
  public:
-  RankThread(SharedState& shared, Rank rank, const IoJob& job) : shared_(shared), rank_(rank) {
-    const GroupId group = shared_.topo.group_of(rank);
-    const auto sc_of = [topo = shared_.topo](GroupId g) { return topo.sc_rank(g); };
-    WriterFsm::Config wc;
-    wc.rank = rank;
-    wc.group = group;
-    wc.my_sc = shared_.topo.sc_rank(group);
-    wc.bytes = job.bytes_per_writer[static_cast<std::size_t>(rank)];
-    wc.blueprint = job.blueprint_for(rank);
-    wc.sc_of = sc_of;
-    writer_.emplace(std::move(wc));
-
-    if (shared_.topo.sc_rank(group) == rank) {
-      SubCoordinatorFsm::Config sc;
-      sc.group = group;
-      sc.rank = rank;
-      sc.coordinator = Topology::coordinator_rank();
-      sc.first_member = shared_.topo.group_begin(group);
-      sc.n_members = shared_.topo.group_size(group);
-      sc.member_bytes = std::span<const double>(shared_.bytes)
-                            .subspan(static_cast<std::size_t>(sc.first_member), sc.n_members);
-      sc.max_concurrent = shared_.cfg.max_concurrent;
-      sc_.emplace(std::move(sc));
-    }
-    if (rank == Topology::coordinator_rank()) {
-      CoordinatorFsm::Config cc;
-      cc.n_groups = shared_.topo.n_groups();
-      cc.group_size_of = [topo = shared_.topo](GroupId g) { return topo.group_size(g); };
-      cc.sc_of = sc_of;
-      cc.stealing_enabled = shared_.cfg.stealing;
-      coord_.emplace(std::move(cc));
-    }
-  }
+  RankThread(SharedState& shared, Rank rank) : shared_(shared), rank_(rank) {}
+  // The thread holds `this`.
+  RankThread(const RankThread&) = delete;
+  RankThread& operator=(const RankThread&) = delete;
 
   void start() {
-    thread_ = std::thread([this] { loop(); });
-  }
-  void join() { thread_.join(); }
-
-  /// Kicks off the SC schedule (called from the main thread before start).
-  void prime() {
-    if (sc_) execute(sc_->start());
-  }
-
- private:
-  void loop() {
-    while (auto msg = shared_.mailboxes[static_cast<std::size_t>(rank_)]->pop()) {
-      dispatch(*msg);
-    }
-  }
-
-  void dispatch(const Message& msg) {
-    struct Visitor {
-      RankThread& t;
-      Actions operator()(const DoWrite& m) { return t.writer_->on_do_write(m); }
-      Actions operator()(const WriteComplete& m) {
-        if (m.kind == WriteComplete::Kind::WriterDone) return t.sc_->on_write_complete(m);
-        return t.coord_->on_write_complete(m);
+    thread_ = std::thread([this] {
+      try {
+        while (auto msg = shared_.mailboxes[static_cast<std::size_t>(rank_)]->pop())
+          execute(shared_.roles.deliver(rank_, *msg));
+      } catch (...) {
+        shared_.fail(std::current_exception());
       }
-      Actions operator()(const IndexBody& m) { return t.sc_->on_index_body(m); }
-      Actions operator()(const AdaptiveWriteStart& m) {
-        return t.sc_->on_adaptive_write_start(m);
-      }
-      Actions operator()(const WritersBusy& m) { return t.coord_->on_writers_busy(m); }
-      Actions operator()(const OverallWriteComplete& m) {
-        return t.sc_->on_overall_write_complete(m);
-      }
-      Actions operator()(const SubIndex& m) { return t.coord_->on_sub_index(m); }
-    };
-    execute(std::visit(Visitor{*this}, msg.body));
+    });
+  }
+  void join() {
+    if (thread_.joinable()) thread_.join();
   }
 
   void execute(Actions actions) {
+    Roles& roles = shared_.roles;
     for (auto& action : actions) {
       if (auto* send = std::get_if<SendAction>(&action)) {
         shared_.send(send->to, std::move(send->msg));
       } else if (const auto* w = std::get_if<StartWriteAction>(&action)) {
         do_data_write(*w);
-        dispatch_self(writer_->on_write_done());
+        execute(roles.on_write_done(rank_));
       } else if (const auto* wi = std::get_if<WriteIndexAction>(&action)) {
         do_index_write(*wi);
-        dispatch_self(sc_->on_index_write_done());
+        execute(roles.on_index_write_done(rank_));
       } else if (std::get_if<WriteGlobalIndexAction>(&action)) {
         do_global_index_write();
-        dispatch_self(coord_->on_global_index_write_done());
+        execute(roles.on_global_index_write_done());
       } else if (std::get_if<RoleDoneAction>(&action)) {
         shared_.role_done();
       }
     }
   }
 
-  void dispatch_self(Actions actions) { execute(std::move(actions)); }
-
+ private:
   void do_data_write(const StartWriteAction& w) {
     if (shared_.cfg.write_delay) {
       const double delay = shared_.cfg.write_delay(rank_);
@@ -236,19 +194,14 @@ class RankThread {
   }
 
   void do_index_write(const WriteIndexAction& wi) {
-    const auto bytes = sc_->file_index().serialize();
+    const auto bytes = shared_.roles.sc(wi.file).file_index().serialize();
     DataFile& file = *shared_.files[static_cast<std::size_t>(wi.file)];
     file.pwrite(static_cast<std::uint64_t>(wi.offset), bytes.data(), bytes.size());
     append_footer(file, static_cast<std::uint64_t>(wi.offset), bytes.size());
   }
 
   void do_global_index_write() {
-    const std::lock_guard<std::mutex> lock(shared_.result_mu);
-    // The coordinator is done with its copy; move it out instead of
-    // duplicating every block record at the peak-memory moment of the run.
-    shared_.global_index = coord_->take_global_index();
-    shared_.steals = coord_->total_steals();
-    const auto bytes = shared_.global_index.serialize();
+    const auto bytes = shared_.roles.coordinator().global_index().serialize();
     DataFile master(shared_.cfg.directory / "master.aidx");
     master.pwrite(0, bytes.data(), bytes.size());
     master.close();
@@ -256,9 +209,6 @@ class RankThread {
 
   SharedState& shared_;
   Rank rank_;
-  std::optional<WriterFsm> writer_;
-  std::optional<SubCoordinatorFsm> sc_;
-  std::optional<CoordinatorFsm> coord_;
   std::thread thread_;
 };
 
@@ -276,8 +226,8 @@ ThreadRunResult run_threaded(const core::IoJob& job, const ThreadRunConfig& conf
   std::filesystem::create_directories(config.directory);
 
   const std::size_t n_files = std::min(std::max<std::size_t>(config.n_files, 1), job.n_writers());
-  SharedState shared(core::Topology(job.n_writers(), n_files), config);
-  shared.bytes = job.bytes_per_writer;
+  const core::Topology topo(job.n_writers(), n_files);
+  SharedState shared(job, topo, config);
   shared.mailboxes.reserve(job.n_writers());
   for (std::size_t r = 0; r < job.n_writers(); ++r)
     shared.mailboxes.push_back(std::make_unique<Mailbox>());
@@ -290,20 +240,27 @@ ThreadRunResult run_threaded(const core::IoJob& job, const ThreadRunConfig& conf
   std::vector<std::unique_ptr<RankThread>> threads;
   threads.reserve(job.n_writers());
   for (std::size_t r = 0; r < job.n_writers(); ++r)
-    threads.push_back(std::make_unique<RankThread>(shared, static_cast<core::Rank>(r), job));
-  // Prime SC schedules before any thread runs, then launch.
-  for (auto& t : threads) t->prime();
-  for (auto& t : threads) t->start();
+    threads.push_back(std::make_unique<RankThread>(shared, static_cast<core::Rank>(r)));
+  // Prime SC schedules before any thread runs, then launch.  A thread that
+  // cannot be started stops the run like a rank that threw.
+  for (GroupId g = 0; g < static_cast<GroupId>(n_files); ++g)
+    threads[static_cast<std::size_t>(topo.sc_rank(g))]->execute(shared.roles.start(g));
+  try {
+    for (auto& t : threads) t->start();
+  } catch (...) {
+    shared.fail(std::current_exception());
+  }
   for (auto& t : threads) t->join();
   const auto t1 = std::chrono::steady_clock::now();
 
   for (auto& f : shared.files) f->close();
+  if (shared.error) std::rethrow_exception(shared.error);
 
   ThreadRunResult result;
   for (auto& f : shared.files) result.data_files.push_back(f->path());
   result.master_file = config.directory / "master.aidx";
-  result.global_index = std::move(shared.global_index);
-  result.steals = shared.steals;
+  result.global_index = shared.roles.coordinator().take_global_index();
+  result.steals = shared.roles.coordinator().total_steals();
   result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   result.total_bytes = shared.total_bytes.load();
   return result;

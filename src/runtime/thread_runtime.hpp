@@ -1,11 +1,11 @@
 // Thread runtime: the adaptive IO protocol on real threads and real files.
 //
-// The same WriterFsm / SubCoordinatorFsm / CoordinatorFsm state machines
-// that drive the simulator run here on one std::thread per rank with
-// blocking mailboxes, writing actual bytes through POSIX files in a target
-// directory.  This validates two things the simulator cannot: that the
-// protocol logic is sound under true asynchrony, and that the produced
-// file set round-trips — data blocks land where the indices say they do.
+// The protocol roles that drive the simulator (core::Roles) run here on
+// one std::thread per rank with blocking mailboxes, writing actual bytes
+// through POSIX files in a target directory.  This validates two things the
+// simulator cannot: that the protocol logic is sound under true asynchrony,
+// and that the produced file set round-trips — data blocks land where the
+// indices say they do.
 //
 // File layout (BP-flavoured): each group's file holds its data region,
 // followed by the serialized FileIndex, followed by a fixed footer
@@ -53,7 +53,9 @@ struct FileFooter {
 
 /// Runs one collective output operation and blocks until it completes.
 /// Writer `r`'s payload is `job.bytes_per_writer[r]` bytes of the repeating
-/// pattern byte `r & 0xFF`.
+/// pattern byte `r & 0xFF`.  If a rank thread throws (a failed file write,
+/// a throwing `write_delay`), every rank stops and the first exception is
+/// rethrown here once all threads have joined.
 ThreadRunResult run_threaded(const core::IoJob& job, const ThreadRunConfig& config);
 
 /// Reads a data file's footer + file index back (validation helper).

@@ -1,25 +1,15 @@
 #include "sim/engine.hpp"
 
 #include <cassert>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
-#include "obs/env.hpp"
 #include "obs/journal.hpp"
 #include "obs/live.hpp"
 #include "sim/dary_heap.hpp"
 
 namespace aio::sim {
-
-// Debug aid: AIO_ENGINE_TRACE=1 prints a heartbeat every 2^20 events so
-// runaway same-timestamp event storms are visible.  Read once per engine so
-// the dispatch loop tests a plain member instead of a guarded static.
-bool Engine::heartbeat_enabled() {
-  static const bool enabled = obs::env_sink("AIO_ENGINE_TRACE").on;
-  return enabled;
-}
 
 void Engine::record(const obs::Record& r) {
   if (journal_) journal_->append(r);
@@ -135,9 +125,6 @@ void Engine::fire(const Node& n) {
   assert(n.time >= now_);
   now_ = n.time;
   ++steps_;
-  if (heartbeat_ && (steps_ & ((1u << 20) - 1)) == 0) {
-    std::fprintf(stderr, "[engine] steps=%zu t=%.9f pending=%zu\n", steps_, now_, pending());
-  }
   // Move the callback out before releasing: the callback may schedule new
   // events, reusing (or growing past) this very slot.
   Callback cb = std::move(slot(n.slot).cb);

@@ -201,7 +201,6 @@ class Engine {
   bool settle();     // pops until the head is an event at its true key; false if empty
   void fire_head();  // pops and fires a settled head
   bool pop_one();    // fires the next pending event; false if queue empty
-  static bool heartbeat_enabled();
 
   std::vector<Node> heap_;
   std::vector<Slot> slots_;
@@ -212,7 +211,6 @@ class Engine {
   std::uint32_t next_seq_ = 0;
   std::size_t steps_ = 0;
   std::size_t normal_pending_ = 0;
-  bool heartbeat_ = heartbeat_enabled();
   obs::Journal* journal_ = nullptr;
   obs::LivePlane* live_plane_ = nullptr;
 };

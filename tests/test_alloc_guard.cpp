@@ -24,12 +24,13 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "core/protocol/coordinator_fsm.hpp"
 #include "core/protocol/subcoordinator_fsm.hpp"
-#include "core/protocol/writer_fsm.hpp"
+#include "core/protocol/writer_pool.hpp"
 #include "core/transports/adaptive_transport.hpp"
 #include "core/transports/layout.hpp"
 #include "fs/filesystem.hpp"
@@ -209,31 +210,31 @@ TEST(AllocGuard, OstWriteCycleWithJournalIsAllocationFree) {
 
 Rank sc_of(GroupId g) { return g * 4; }
 
-WriterFsm::Config writer_cfg(Rank rank, GroupId group) {
-  WriterFsm::Config c;
-  c.rank = rank;
-  c.group = group;
-  c.my_sc = sc_of(group);
-  c.bytes = 1000.0;
-  BlockRecord b;
-  b.writer = rank;
-  b.length = 1000;
-  b.global_dims = {64, 64, 64};
-  b.offsets = {0, 0, 0};
-  b.counts = {4, 4, 4};
-  c.blueprint.writer = rank;
-  c.blueprint.blocks.push_back(b);
-  c.sc_of = sc_of;
-  return c;
-}
-
 TEST(AllocGuard, WriterStepsAreAllocationFree) {
-  WriterFsm w(writer_cfg(1, 0));  // index pre-allocated here, outside the guard
+  static const double kBytes = 1000.0;
+  WriterPool::Layout layout;
+  layout.first_rank = 1;
+  layout.group_of = [](Rank) { return GroupId{0}; };
+  layout.sc_of = sc_of;
+  layout.bytes = std::span<const double>(&kBytes, 1);
+  // The index is pre-allocated here, outside the guard.
+  WriterPool w(std::move(layout), [](Rank rank) {
+    BlockRecord b;
+    b.writer = rank;
+    b.length = 1000;
+    b.global_dims = {64, 64, 64};
+    b.offsets = {0, 0, 0};
+    b.counts = {4, 4, 4};
+    LocalIndex blueprint;
+    blueprint.writer = rank;
+    blueprint.blocks.push_back(b);
+    return blueprint;
+  });
 
   AllocGuard guard;
   guard.start();
-  const Actions a1 = w.on_do_write(DoWrite{0, 0.0});
-  const Actions a2 = w.on_write_done();
+  const Actions a1 = w.on_do_write(1, DoWrite{0, 0.0});
+  const Actions a2 = w.on_write_done(1);
   EXPECT_EQ(guard.stop(), 0u) << "writer FSM allocated per delivered message";
   EXPECT_EQ(a1.size(), 1u);
   EXPECT_EQ(a2.size(), 3u);

@@ -2,11 +2,13 @@
 // (paper Algorithms 1-3).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <span>
 
 #include "core/protocol/coordinator_fsm.hpp"
 #include "core/protocol/subcoordinator_fsm.hpp"
-#include "core/protocol/writer_fsm.hpp"
+#include "core/protocol/writer_pool.hpp"
 
 namespace {
 
@@ -40,30 +42,39 @@ const SendAction* find_send_to(const Actions& actions, Rank to) {
   return nullptr;
 }
 
-WriterFsm::Config writer_cfg(Rank rank, GroupId group, double bytes) {
-  WriterFsm::Config c;
-  c.rank = rank;
-  c.group = group;
-  c.my_sc = sc_of_identity(group);
-  c.bytes = bytes;
-  c.blueprint.writer = rank;
-  BlockRecord b;
-  b.writer = rank;
-  b.var_id = 0;
-  b.length = static_cast<std::uint64_t>(bytes);
-  c.blueprint.blocks.push_back(b);
-  c.sc_of = sc_of_identity;
-  return c;
+/// A pool of one writer on `rank` in `group`, viewing `bytes` as its payload.
+WriterPool::Layout writer_layout(Rank rank, GroupId group, const double& bytes) {
+  WriterPool::Layout layout;
+  layout.first_rank = rank;
+  layout.group_of = [group](Rank) { return group; };
+  layout.sc_of = sc_of_identity;
+  layout.bytes = std::span<const double>(&bytes, 1);
+  return layout;
 }
 
-// --- WriterFsm ---------------------------------------------------------------
+/// The writer's blueprint: one block of its whole payload.
+std::function<LocalIndex(Rank)> one_block(double bytes) {
+  return [bytes](Rank rank) {
+    LocalIndex blueprint;
+    blueprint.writer = rank;
+    BlockRecord b;
+    b.writer = rank;
+    b.var_id = 0;
+    b.length = static_cast<std::uint64_t>(bytes);
+    blueprint.blocks.push_back(b);
+    return blueprint;
+  };
+}
 
-TEST(WriterFsm, LocalWriteEmitsWriteThenReports) {
-  WriterFsm w(writer_cfg(11, 1, 1000.0));
-  EXPECT_EQ(w.state(), WriterFsm::State::Idle);
+// --- WriterPool --------------------------------------------------------------
 
-  const Actions a1 = w.on_do_write(DoWrite{1, 5000.0});
-  EXPECT_EQ(w.state(), WriterFsm::State::Writing);
+TEST(WriterPool, LocalWriteEmitsWriteThenReports) {
+  const double bytes = 1000.0;
+  WriterPool w(writer_layout(11, 1, bytes), one_block(bytes));
+  EXPECT_EQ(w.state(11), WriterPool::State::Idle);
+
+  const Actions a1 = w.on_do_write(11, DoWrite{1, 5000.0});
+  EXPECT_EQ(w.state(11), WriterPool::State::Writing);
   ASSERT_EQ(a1.size(), 1u);
   const auto* write = find_action<StartWriteAction>(a1);
   ASSERT_NE(write, nullptr);
@@ -72,13 +83,13 @@ TEST(WriterFsm, LocalWriteEmitsWriteThenReports) {
   EXPECT_DOUBLE_EQ(write->bytes, 1000.0);
 
   // Local index stamped with the assigned offset.
-  ASSERT_TRUE(w.local_index());
-  EXPECT_EQ(w.local_index()->file, 1);
-  EXPECT_EQ(w.local_index()->blocks[0].file_offset, 5000u);
-  EXPECT_FALSE(w.wrote_adaptively());
+  ASSERT_TRUE(w.local_index(11));
+  EXPECT_EQ(w.local_index(11)->file, 1);
+  EXPECT_EQ(w.local_index(11)->blocks[0].file_offset, 5000u);
+  EXPECT_FALSE(w.wrote_adaptively(11));
 
-  const Actions a2 = w.on_write_done();
-  EXPECT_EQ(w.state(), WriterFsm::State::Done);
+  const Actions a2 = w.on_write_done(11);
+  EXPECT_EQ(w.state(11), WriterPool::State::Done);
   // Local write: one WRITE_COMPLETE (to own SC), one INDEX_BODY, role done.
   const auto sends = find_all<SendAction>(a2);
   ASSERT_EQ(sends.size(), 2u);
@@ -95,11 +106,12 @@ TEST(WriterFsm, LocalWriteEmitsWriteThenReports) {
   EXPECT_NE(find_action<RoleDoneAction>(a2), nullptr);
 }
 
-TEST(WriterFsm, AdaptiveWriteNotifiesBothScs) {
-  WriterFsm w(writer_cfg(11, 1, 1000.0));
-  w.on_do_write(DoWrite{3, 0.0});  // redirected to group 3's file
-  EXPECT_TRUE(w.wrote_adaptively());
-  const Actions a = w.on_write_done();
+TEST(WriterPool, AdaptiveWriteNotifiesBothScs) {
+  const double bytes = 1000.0;
+  WriterPool w(writer_layout(11, 1, bytes), one_block(bytes));
+  w.on_do_write(11, DoWrite{3, 0.0});  // redirected to group 3's file
+  EXPECT_TRUE(w.wrote_adaptively(11));
+  const Actions a = w.on_write_done(11);
   const auto sends = find_all<SendAction>(a);
   ASSERT_EQ(sends.size(), 3u);
   EXPECT_EQ(sends[0]->to, sc_of_identity(1));  // triggering SC
@@ -110,24 +122,26 @@ TEST(WriterFsm, AdaptiveWriteNotifiesBothScs) {
   EXPECT_EQ(std::get<IndexBody>(sends[2]->msg.body).index->file, 3);
 }
 
-TEST(WriterFsm, DoubleDoWriteThrows) {
-  WriterFsm w(writer_cfg(1, 0, 10.0));
-  w.on_do_write(DoWrite{0, 0.0});
-  EXPECT_THROW(w.on_do_write(DoWrite{0, 0.0}), std::logic_error);
+TEST(WriterPool, DoubleDoWriteThrows) {
+  const double bytes = 10.0;
+  WriterPool w(writer_layout(1, 0, bytes), one_block(bytes));
+  w.on_do_write(1, DoWrite{0, 0.0});
+  EXPECT_THROW(w.on_do_write(1, DoWrite{0, 0.0}), std::logic_error);
 }
 
-TEST(WriterFsm, WriteDoneBeforeDoWriteThrows) {
-  WriterFsm w(writer_cfg(1, 0, 10.0));
-  EXPECT_THROW(w.on_write_done(), std::logic_error);
+TEST(WriterPool, WriteDoneBeforeDoWriteThrows) {
+  const double bytes = 10.0;
+  WriterPool w(writer_layout(1, 0, bytes), one_block(bytes));
+  EXPECT_THROW(w.on_write_done(1), std::logic_error);
 }
 
-TEST(WriterFsm, InvalidConfigThrows) {
-  WriterFsm::Config c = writer_cfg(1, 0, 10.0);
-  c.bytes = 0.0;
-  EXPECT_THROW(WriterFsm{c}, std::invalid_argument);
-  WriterFsm::Config c2 = writer_cfg(1, 0, 10.0);
-  c2.sc_of = nullptr;
-  EXPECT_THROW(WriterFsm{c2}, std::invalid_argument);
+TEST(WriterPool, InvalidConfigThrows) {
+  const double zero = 0.0;
+  EXPECT_THROW(WriterPool(writer_layout(1, 0, zero), one_block(10.0)), std::invalid_argument);
+  const double bytes = 10.0;
+  WriterPool::Layout no_sc = writer_layout(1, 0, bytes);
+  no_sc.sc_of = nullptr;
+  EXPECT_THROW(WriterPool(std::move(no_sc), one_block(bytes)), std::invalid_argument);
 }
 
 // --- SubCoordinatorFsm -------------------------------------------------------

@@ -18,15 +18,11 @@
 
 #include <cstring>
 #include <map>
-#include <memory>
-#include <optional>
 #include <queue>
 #include <random>
 #include <vector>
 
-#include "core/protocol/coordinator_fsm.hpp"
-#include "core/protocol/subcoordinator_fsm.hpp"
-#include "core/protocol/writer_fsm.hpp"
+#include "core/protocol/roles.hpp"
 #include "core/transports/adaptive_transport.hpp"
 #include "fs/filesystem.hpp"
 #include "net/network.hpp"
@@ -59,26 +55,49 @@ struct FileState {
   double index_bytes = 0.0;
 };
 
+HarnessOptions with_default_bytes(HarnessOptions opt) {
+  if (!opt.bytes_of) opt.bytes_of = [](Rank r) { return 100.0 * static_cast<double>(r % 3 + 1); };
+  return opt;
+}
+
+std::vector<double> payloads(const HarnessOptions& opt) {
+  std::vector<double> bytes;
+  for (Rank r = 0; r < static_cast<Rank>(opt.n_writers); ++r) bytes.push_back(opt.bytes_of(r));
+  return bytes;
+}
+
+/// Each writer's blueprint: one block of its whole payload.
+LocalIndex one_block(Rank r, double bytes) {
+  BlockRecord block;
+  block.writer = r;
+  block.length = static_cast<std::uint64_t>(bytes);
+  LocalIndex index;
+  index.writer = r;
+  index.blocks.push_back(block);
+  return index;
+}
+
 /// Runs the composed protocol to completion; exposes everything written.
 class Harness {
  public:
-  explicit Harness(HarnessOptions opt) : opt_(std::move(opt)), topo_(opt_.n_writers, opt_.n_groups), rng_(opt_.seed) {
+  explicit Harness(HarnessOptions opt)
+      : opt_(with_default_bytes(std::move(opt))),
+        roles_(Topology(opt_.n_writers, opt_.n_groups), payloads(opt_),
+               [this](Rank r) { return one_block(r, opt_.bytes_of(r)); },
+               Roles::Config{.max_concurrent = opt_.max_concurrent, .stealing = opt_.stealing}),
+        rng_(opt_.seed),
+        roles_remaining_(roles_.count()) {
     if (!opt_.write_cost) {
       opt_.write_cost = [this](Rank) {
         return static_cast<double>(1 + (rng_() % 8));
       };
     }
-    if (!opt_.bytes_of) {
-      opt_.bytes_of = [](Rank r) { return 100.0 * static_cast<double>(r % 3 + 1); };
-    }
-    build();
   }
 
   void run() {
-    for (GroupId g = 0; g < static_cast<GroupId>(topo_.n_groups()); ++g) {
-      const Rank sc = topo_.sc_rank(g);
-      execute(sc, scs_.at(sc)->start());
-    }
+    const Topology& topo = roles_.topology();
+    for (GroupId g = 0; g < static_cast<GroupId>(topo.n_groups()); ++g)
+      execute(topo.sc_rank(g), roles_.start(g));
     while (!events_.empty()) {
       Event ev = pop();
       ev.fn();
@@ -87,9 +106,8 @@ class Harness {
   }
 
   [[nodiscard]] const std::map<GroupId, FileState>& files() const { return files_; }
-  [[nodiscard]] const CoordinatorFsm& coordinator() const { return *coord_; }
+  [[nodiscard]] const CoordinatorFsm& coordinator() const { return roles_.coordinator(); }
   [[nodiscard]] std::size_t roles_remaining() const { return roles_remaining_; }
-  [[nodiscard]] const Topology& topo() const { return topo_; }
   [[nodiscard]] double global_index_bytes() const { return global_index_bytes_; }
   [[nodiscard]] double bytes_for(Rank r) const { return opt_.bytes_of(r); }
 
@@ -110,9 +128,9 @@ class Harness {
       mix(&rank, sizeof(rank));
       mix(&t, sizeof(t));
     }
-    const std::uint64_t steals = coord_->total_steals();
+    const std::uint64_t steals = coordinator().total_steals();
     mix(&steals, sizeof(steals));
-    const auto bytes = coord_->global_index().serialize();
+    const auto bytes = coordinator().global_index().serialize();
     mix(bytes.data(), bytes.size());
     mix(&global_index_bytes_, sizeof(global_index_bytes_));
     return h;
@@ -129,45 +147,6 @@ class Harness {
     }
   };
 
-  void build() {
-    const auto sc_of = [topo = topo_](GroupId g) { return topo.sc_rank(g); };
-    bytes_.reserve(opt_.n_writers);
-    for (Rank r = 0; r < static_cast<Rank>(opt_.n_writers); ++r) bytes_.push_back(opt_.bytes_of(r));
-    for (Rank r = 0; r < static_cast<Rank>(opt_.n_writers); ++r) {
-      WriterFsm::Config wc;
-      wc.rank = r;
-      wc.group = topo_.group_of(r);
-      wc.my_sc = topo_.sc_rank(wc.group);
-      wc.bytes = opt_.bytes_of(r);
-      BlockRecord block;
-      block.writer = r;
-      block.length = static_cast<std::uint64_t>(wc.bytes);
-      wc.blueprint.writer = r;
-      wc.blueprint.blocks.push_back(block);
-      wc.sc_of = sc_of;
-      writers_.emplace(r, std::make_unique<WriterFsm>(std::move(wc)));
-    }
-    for (GroupId g = 0; g < static_cast<GroupId>(topo_.n_groups()); ++g) {
-      SubCoordinatorFsm::Config sc;
-      sc.group = g;
-      sc.rank = topo_.sc_rank(g);
-      sc.coordinator = Topology::coordinator_rank();
-      sc.first_member = topo_.group_begin(g);
-      sc.n_members = topo_.group_size(g);
-      sc.member_bytes = std::span<const double>(bytes_).subspan(
-          static_cast<std::size_t>(sc.first_member), sc.n_members);
-      sc.max_concurrent = opt_.max_concurrent;
-      scs_.emplace(sc.rank, std::make_unique<SubCoordinatorFsm>(std::move(sc)));
-    }
-    CoordinatorFsm::Config cc;
-    cc.n_groups = topo_.n_groups();
-    cc.group_size_of = [topo = topo_](GroupId g) { return topo.group_size(g); };
-    cc.sc_of = sc_of;
-    cc.stealing_enabled = opt_.stealing;
-    coord_ = std::make_unique<CoordinatorFsm>(std::move(cc));
-    roles_remaining_ = opt_.n_writers + opt_.n_groups + 1;
-  }
-
   void push(double delay, std::function<void()> fn) {
     events_.push(Event{clock_ + delay, rng_(), std::move(fn)});
   }
@@ -179,28 +158,7 @@ class Harness {
     return ev;
   }
 
-  void deliver(Rank to, Message msg) {
-    struct Visitor {
-      Harness& h;
-      Rank to;
-      Actions operator()(const DoWrite& m) { return h.writers_.at(to)->on_do_write(m); }
-      Actions operator()(const WriteComplete& m) {
-        if (m.kind == WriteComplete::Kind::WriterDone)
-          return h.scs_.at(to)->on_write_complete(m);
-        return h.coord_->on_write_complete(m);
-      }
-      Actions operator()(const IndexBody& m) { return h.scs_.at(to)->on_index_body(m); }
-      Actions operator()(const AdaptiveWriteStart& m) {
-        return h.scs_.at(to)->on_adaptive_write_start(m);
-      }
-      Actions operator()(const WritersBusy& m) { return h.coord_->on_writers_busy(m); }
-      Actions operator()(const OverallWriteComplete& m) {
-        return h.scs_.at(to)->on_overall_write_complete(m);
-      }
-      Actions operator()(const SubIndex& m) { return h.coord_->on_sub_index(m); }
-    };
-    execute(to, std::visit(Visitor{*this, to}, msg.body));
-  }
+  void deliver(Rank to, const Message& msg) { execute(to, roles_.deliver(to, msg)); }
 
   void execute(Rank from, Actions actions) {
     for (auto& action : actions) {
@@ -211,14 +169,14 @@ class Harness {
         files_[w->file].regions.push_back({w->offset, w->bytes, from});
         push(opt_.write_cost(from), [this, from] {
           write_done_.emplace(from, clock_);
-          execute(from, writers_.at(from)->on_write_done());
+          execute(from, roles_.on_write_done(from));
         });
       } else if (const auto* wi = std::get_if<WriteIndexAction>(&action)) {
         files_[wi->file].index_bytes = wi->bytes;
-        push(1.0, [this, from] { execute(from, scs_.at(from)->on_index_write_done()); });
+        push(1.0, [this, from] { execute(from, roles_.on_index_write_done(from)); });
       } else if (const auto* gi = std::get_if<WriteGlobalIndexAction>(&action)) {
         global_index_bytes_ = gi->bytes;
-        push(1.0, [this, from] { execute(from, coord_->on_global_index_write_done()); });
+        push(1.0, [this, from] { execute(from, roles_.on_global_index_write_done()); });
       } else if (std::get_if<RoleDoneAction>(&action)) {
         ASSERT_GT(roles_remaining_, 0u);
         --roles_remaining_;
@@ -227,12 +185,8 @@ class Harness {
   }
 
   HarnessOptions opt_;
-  Topology topo_;
+  Roles roles_;
   std::mt19937_64 rng_;
-  std::vector<double> bytes_;  // per-writer payloads; SC configs view subranges
-  std::map<Rank, std::unique_ptr<WriterFsm>> writers_;
-  std::map<Rank, std::unique_ptr<SubCoordinatorFsm>> scs_;
-  std::unique_ptr<CoordinatorFsm> coord_;
   std::priority_queue<Event> events_;
   std::map<GroupId, FileState> files_;
   std::map<Rank, double> write_done_;

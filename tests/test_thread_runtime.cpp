@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <stdexcept>
 
 namespace {
 
@@ -129,6 +130,24 @@ TEST_F(ThreadRuntimeTest, InvalidConfigThrows) {
   ThreadRunConfig cfg;
   cfg.directory = dir_;
   EXPECT_THROW(run_threaded(empty, cfg), std::invalid_argument);
+}
+
+TEST_F(ThreadRuntimeTest, RankErrorIsRethrown) {
+  ThreadRunConfig cfg;
+  cfg.directory = dir_;
+  cfg.n_files = 2;
+  // Rank 5's data write fails; the other ranks must stop and the failure
+  // must surface from run_threaded instead of terminating the process.
+  cfg.write_delay = [](core::Rank r) -> double {
+    if (r == 5) throw std::runtime_error("rank 5 write failed");
+    return 0.0;
+  };
+  try {
+    (void)run_threaded(IoJob::uniform(8, 1024.0), cfg);
+    FAIL() << "run_threaded returned despite a failing rank";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "rank 5 write failed");
+  }
 }
 
 TEST_F(ThreadRuntimeTest, FooterRejectsTruncatedFile) {
