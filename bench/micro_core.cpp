@@ -36,6 +36,23 @@ void BM_EngineScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineScheduleRun)->Arg(1024)->Arg(16384)->Arg(131072);
 
+// BM_EngineScheduleRun with n fixed-delay events in flight beside the n heap
+// events: one lane at the network latency, one at the OST op latency, both
+// landing among the heap's times.
+void BM_EngineFixedLane(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    sim::Engine engine;
+    for (std::size_t i = 0; i < n; ++i) {
+      engine.schedule_at(1e-4 * static_cast<double>(i % 97), [] {});
+      engine.schedule_fixed(i % 2 != 0 ? 8e-6 : 12e-3, [] {});
+    }
+    benchmark::DoNotOptimize(engine.run());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 * n);
+}
+BENCHMARK(BM_EngineFixedLane)->Arg(16384);
+
 void BM_EngineCancelHeavy(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {

@@ -338,7 +338,7 @@ void Ost::fire() {
     // Fixed per-op server overhead (request processing, RPC round trip):
     // parallel writers absorb it once; serialized chains pay it per link.
     if (config_.op_latency_s > 0.0) {
-      engine_.schedule_after(config_.op_latency_s,
+      engine_.schedule_fixed(config_.op_latency_s,
                              [cb = std::move(cb), this]() mutable { cb(engine_.now()); });
     } else {
       cb(now);

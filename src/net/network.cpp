@@ -36,20 +36,21 @@ void Network::send(Rank from, Rank to, double bytes, Deliver deliver) {
       static_cast<std::size_t>(to) >= n_ranks_) {
     throw std::invalid_argument("Network::send: rank out of range");
   }
+  // Negated so NaN is rejected too, before any counter moves.
+  if (!(bytes >= 0.0)) throw std::invalid_argument("Network::send: negative or NaN bytes");
   Counters& ctr = counters_[homes_.here_index()];
   ++ctr.messages;
   ctr.bytes += bytes;
-  const sim::Entity src = sim::Entity::rank(from);
-  if (from == to || bytes <= 0.0) {
-    homes_.couple_at(src, sim::Entity::rank(to), homes_.home(src).now() + config_.latency_s,
-                     std::move(deliver));
+  if (from == to || bytes == 0.0) {
+    homes_.couple_after(sim::Entity::rank(from), sim::Entity::rank(to), config_.latency_s,
+                        std::move(deliver));
     return;
   }
   // The NIC belongs to the sender's node, so the relay fires on the
   // sender's engine and couples from there.
-  auto relay = [this, from, to, deliver = std::move(deliver)](sim::Time now) mutable {
-    homes_.couple_at(sim::Entity::rank(from), sim::Entity::rank(to), now + config_.latency_s,
-                     std::move(deliver));
+  auto relay = [this, from, to, deliver = std::move(deliver)](sim::Time) mutable {
+    homes_.couple_after(sim::Entity::rank(from), sim::Entity::rank(to), config_.latency_s,
+                        std::move(deliver));
   };
   // The relay (this + two ranks + a 96-byte-SBO Deliver) must fit the fluid
   // callback's SBO, or every cross-node message would heap-allocate.

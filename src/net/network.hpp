@@ -13,8 +13,10 @@
 // and index payloads.
 //
 // Each node's NIC runs on its ranks' home engine, and every delivery is a
-// `sim::Homes` coupling from sender to receiver: exact over one engine and
-// between ranks of one node, quantized to a window boundary otherwise.
+// `sim::Homes::couple_after` coupling from sender to receiver, `latency_s`
+// after the send (after the NIC drains, for a cross-node payload): exact
+// over one engine and between ranks of one node, where it rides the
+// engine's fixed-delay lane, and quantized to a window boundary otherwise.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +53,8 @@ class Network {
   /// Sends `bytes` from `from` to `to`; `deliver` runs at arrival time.
   /// Self-sends skip the NIC but still pay one latency (they cross the
   /// memory hierarchy, and keeping them asynchronous avoids reentrancy).
+  /// An out-of-range rank or a negative or NaN `bytes` throws
+  /// std::invalid_argument before anything is counted or sent.
   void send(Rank from, Rank to, double bytes, Deliver deliver);
 
   [[nodiscard]] std::size_t n_ranks() const { return n_ranks_; }

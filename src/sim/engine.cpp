@@ -16,10 +16,7 @@ void Engine::record(const obs::Record& r) {
   if (live_plane_) live_plane_->ingest(r);
 }
 
-EventHandle Engine::schedule(Time t, Callback cb, bool daemon) {
-  // Negated so NaN is rejected too: a NaN key orders against nothing and
-  // would break the heap's strict weak ordering.
-  if (!(t >= now_)) throw std::invalid_argument("Engine::schedule: time in the past or NaN");
+std::uint32_t Engine::claim(Time t, Callback&& cb, bool daemon) {
   std::uint32_t idx;
   if (free_slots_.empty()) {
     idx = static_cast<std::uint32_t>(slots_.size());
@@ -35,8 +32,47 @@ EventHandle Engine::schedule(Time t, Callback cb, bool daemon) {
   s.seq = s.stamp = next_seq_++;
   if (!daemon) ++normal_pending_;
   ++live_;
+  return idx;
+}
+
+EventHandle Engine::schedule(Time t, Callback cb, bool daemon) {
+  // Negated so NaN is rejected too: a NaN key orders against nothing and
+  // would break the heap's strict weak ordering.
+  if (!(t >= now_)) throw std::invalid_argument("Engine::schedule: time in the past or NaN");
+  const std::uint32_t idx = claim(t, std::move(cb), daemon);
+  const Slot& s = slot(idx);
   dheap_push(heap_, Node{t, s.seq, idx}, before);
   return EventHandle{handle_id(idx, s.gen)};
+}
+
+void Engine::Lane::push(const Node& n) {
+  if (size == ring.size()) {
+    // Full: unroll into a ring twice the size, front first.
+    std::vector<Node> grown(ring.empty() ? 16 : 2 * ring.size());
+    for (std::size_t i = 0; i < size; ++i) grown[i] = ring[(head + i) & (ring.size() - 1)];
+    ring.swap(grown);
+    head = 0;
+  }
+  ring[(head + size) & (ring.size() - 1)] = n;
+  ++size;
+}
+
+void Engine::schedule_fixed(Time delay, Callback cb) {
+  if (!(delay >= 0.0)) throw std::invalid_argument("Engine::schedule_fixed: negative or NaN delay");
+  Lane* lane = nullptr;
+  for (std::size_t i = 0; i < n_lanes_ && !lane; ++i)
+    if (lanes_[i].delay == delay) lane = &lanes_[i];
+  if (!lane) {
+    if (n_lanes_ == kMaxLanes) {
+      schedule(now_ + delay, std::move(cb), false);
+      return;
+    }
+    lane = &lanes_[n_lanes_++];
+    lane->delay = delay;
+  }
+  const Time t = now_ + delay;
+  const std::uint32_t idx = claim(t, std::move(cb), false);
+  lane->push(Node{t, slot(idx).seq, idx});
 }
 
 std::uint32_t Engine::pending_slot(EventHandle h) const {
@@ -150,7 +186,26 @@ bool Engine::settle() {
   return false;
 }
 
-void Engine::fire_head() {
+const Engine::Node* Engine::head(Lane*& lane) {
+  const Node* best = settle() ? &heap_.front() : nullptr;
+  lane = nullptr;
+  for (std::size_t i = 0; i < n_lanes_; ++i) {
+    Lane& l = lanes_[i];
+    if (l.size != 0 && (!best || before(l.front(), *best))) {
+      best = &l.front();
+      lane = &l;
+    }
+  }
+  return best;
+}
+
+void Engine::fire_head(Lane* lane) {
+  if (lane) {
+    const Node n = lane->front();
+    lane->pop();
+    fire(n);
+    return;
+  }
 #if defined(__GNUC__) || defined(__clang__)
   // settle() touched the slot's key line; start pulling the callback's line
   // so the fetch overlaps the O(log n) sift-down.
@@ -160,8 +215,9 @@ void Engine::fire_head() {
 }
 
 bool Engine::pop_one() {
-  if (!settle()) return false;
-  fire_head();
+  Lane* lane;
+  if (!head(lane)) return false;
+  fire_head(lane);
   return true;
 }
 
@@ -181,23 +237,21 @@ std::size_t Engine::run_before(Time t) {
   // The sharded hot loop: stops at the first event at or past the window
   // edge without advancing the clock to it.
   std::size_t n = 0;
-  while (settle() && heap_.front().time < t) {
-    fire_head();
-    ++n;
-  }
+  Lane* lane;
+  for (const Node* h; (h = head(lane)) && h->time < t; ++n) fire_head(lane);
   return n;
 }
 
 Time Engine::next_event_time() {
-  return settle() ? heap_.front().time : std::numeric_limits<double>::infinity();
+  Lane* lane;
+  const Node* h = head(lane);
+  return h ? h->time : std::numeric_limits<double>::infinity();
 }
 
 std::size_t Engine::run_until(Time t) {
   std::size_t n = 0;
-  while (settle() && heap_.front().time <= t) {
-    fire_head();
-    ++n;
-  }
+  Lane* lane;
+  for (const Node* h; (h = head(lane)) && h->time <= t; ++n) fire_head(lane);
   if (t > now_) now_ = t;
   return n;
 }

@@ -18,6 +18,14 @@
 // plus its routing state — never touches the allocator.  When more than
 // half the heap is debris the heap is compacted in one O(n) pass.
 //
+// Fixed-delay lanes: `schedule_fixed(d, cb)` skips the heap.  It appends a
+// node to a FIFO ring kept for that exact `d`, pointing into the same slot
+// table.  `now_` never decreases, adding a fixed `d` is monotone, and seqs
+// come from the one counter, so each lane is already in (time, seq) order.
+// Dispatch fires the smallest key among the settled heap head and the lane
+// heads: the event a single heap holding every node would fire.  Network
+// deliveries and OST op-latency completions ride the lanes.
+//
 // Events come in two kinds: *normal* events represent work the simulation is
 // waiting for; *daemon* events represent perpetual background processes
 // (interference resampling, telemetry).  `run()` stops once no normal events
@@ -109,6 +117,14 @@ class Engine {
     return schedule(now_ + delay, std::move(cb), false);
   }
 
+  /// Fires exactly where `schedule_after(delay, cb)` would, from the FIFO
+  /// lane kept for this `delay` instead of the heap.  No handle: a lane
+  /// event cannot be cancelled or re-timed, so a lane never holds debris.
+  /// A NaN or negative `delay` throws std::invalid_argument.  The first
+  /// `kMaxLanes` distinct delays get a lane; later ones use the heap.
+  void schedule_fixed(Time delay, Callback cb);
+  static constexpr std::size_t kMaxLanes = 4;
+
   /// Daemon variants: these events fire in time order like any other, but do
   /// not keep `run()` alive once all normal events have drained.
   EventHandle schedule_daemon_at(Time t, Callback cb) { return schedule(t, std::move(cb), true); }
@@ -174,6 +190,21 @@ class Engine {
     bool daemon = false;
   };
   static_assert(sizeof(Slot) == 128, "Slot must stay two cache lines");
+  // The nodes of events scheduled `delay` after their scheduling instant, in
+  // firing order.  A power-of-two ring, so a warm lane never allocates.
+  struct Lane {
+    Time delay = 0.0;
+    std::vector<Node> ring;
+    std::size_t head = 0;  // index of the front node
+    std::size_t size = 0;
+
+    [[nodiscard]] const Node& front() const { return ring[head]; }
+    void pop() {
+      head = (head + 1) & (ring.size() - 1);
+      --size;
+    }
+    void push(const Node& n);
+  };
 
   static bool before(const Node& a, const Node& b) {
     if (a.time != b.time) return a.time < b.time;
@@ -193,16 +224,23 @@ class Engine {
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
   EventHandle schedule(Time t, Callback cb, bool daemon);
+  // Fills a free slot with a pending event keyed (t, next seq).
+  std::uint32_t claim(Time t, Callback&& cb, bool daemon);
   [[nodiscard]] std::uint32_t pending_slot(EventHandle h) const;  // kNoSlot if fired/cancelled
   void release(std::uint32_t slot);  // frees a fired or cancelled slot, maintaining counters
   void add_debris();                 // counts one more debris node; compacts when dominant
   void compact();                    // drops debris, re-keys stand-ins, re-heapifies
   void fire(const Node& n);  // advances the clock to a live node and runs its callback
-  bool settle();     // pops until the head is an event at its true key; false if empty
-  void fire_head();  // pops and fires a settled head
+  bool settle();     // pops until the heap head is an event at its true key; false if empty
+  // The next event: the settled heap head or the earliest lane head, null
+  // when nothing is pending.  `lane` names its lane, or is null for the heap.
+  const Node* head(Lane*& lane);
+  void fire_head(Lane* lane);  // pops and fires the node head() returned
   bool pop_one();    // fires the next pending event; false if queue empty
 
   std::vector<Node> heap_;
+  Lane lanes_[kMaxLanes];
+  std::size_t n_lanes_ = 0;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t debris_ = 0;  // heap nodes standing for no event

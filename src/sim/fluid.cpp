@@ -51,7 +51,8 @@ double FluidResource::done_threshold() const {
 }
 
 FluidResource::StreamId FluidResource::start(double bytes, OnComplete on_complete) {
-  if (bytes < 0.0) throw std::invalid_argument("FluidResource::start: negative bytes");
+  // Negated so NaN is rejected too, before any state changes.
+  if (!(bytes >= 0.0)) throw std::invalid_argument("FluidResource::start: negative or NaN bytes");
   advance();
   const StreamId id = next_id_++;
   const double v_finish = vwork_ + bytes;

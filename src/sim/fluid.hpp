@@ -57,6 +57,8 @@ class FluidResource {
 
   /// Starts a stream of `bytes` work.  Zero-byte streams complete via an
   /// immediate event (still asynchronously, preserving callback ordering).
+  /// A negative or NaN `bytes` throws std::invalid_argument and changes
+  /// nothing.
   StreamId start(double bytes, OnComplete on_complete);
 
   /// Aborts a stream; its callback is never invoked.  Returns false if the

@@ -376,14 +376,15 @@ void Homes::require(Entity::Kind kind, std::size_t count, const char* who) const
                                 " count does not match the shard group");
 }
 
-void Homes::couple_at(Entity from, Entity to, Time t, Engine::Callback&& fn) const {
+void Homes::couple_after(Entity from, Entity to, Time delay, Engine::Callback&& fn) const {
   if (!group_) {
-    engine_->schedule_at(t, std::move(fn));
+    engine_->schedule_fixed(delay, std::move(fn));
   } else if (exact(from, to)) {
     // Same node: the two ranks share an engine at any shard or domain count.
-    group_->engine(group_->shard_of(to)).schedule_at(t, std::move(fn));
+    group_->engine(group_->shard_of(to)).schedule_fixed(delay, std::move(fn));
   } else {
-    group_->post(group_->key_of(from), group_->shard_of(to), t, std::move(fn));
+    group_->post(group_->key_of(from), group_->shard_of(to), home(from).now() + delay,
+                 std::move(fn));
   }
 }
 

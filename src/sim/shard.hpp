@@ -261,12 +261,14 @@ class ShardGroup {
 /// implicitly from an `Engine&` or a `ShardGroup&`, so every layer takes one
 /// `Homes` instead of a constructor per engine kind.
 ///
-/// Over one engine every coupling is exact: `couple_at` schedules at `t`
-/// and `hand_off` calls straight through.  Over a shard group a coupling is
-/// exact only between two ranks on the same node; every other coupling is
-/// posted under the source's entity key to the destination's shard and
-/// lands at a window boundary (`couple_at` at `t` clamped up to it,
-/// `hand_off` at the boundary itself).
+/// Over one engine every coupling is exact: `couple_after` puts the event
+/// on the engine's fixed-delay lane for its delay and `hand_off` calls
+/// straight through.  Over a shard group a coupling is exact only between
+/// two ranks on the same node, which share an engine and its lanes; every
+/// other coupling is posted under the source's entity key to the
+/// destination's shard and lands at a window boundary (`couple_after` at
+/// the source's now + delay clamped up to it, `hand_off` at the boundary
+/// itself).
 class Homes {
  public:
   Homes(Engine& engine) : engine_(&engine) {}  // NOLINT: implicit, one engine
@@ -296,10 +298,10 @@ class Homes {
     return !group_ || (from.kind == Entity::Kind::Rank && to.kind == Entity::Kind::Rank &&
                        group_->key_of(from) == group_->key_of(to));
   }
-  /// Runs `fn` on `to`'s engine at `t` (>= now), or at the window boundary
-  /// when `t` falls inside the window in flight and the coupling is not
-  /// exact.  The caller must be executing as `from`.
-  void couple_at(Entity from, Entity to, Time t, Engine::Callback&& fn) const;
+  /// Runs `fn` on `to`'s engine `delay` (>= 0) after `from`'s now, or at the
+  /// window boundary when that falls inside the window in flight and the
+  /// coupling is not exact.  The caller must be executing as `from`.
+  void couple_after(Entity from, Entity to, Time delay, Engine::Callback&& fn) const;
   /// Zero-delay coupling: calls `fn` before returning when exact, else runs
   /// it on `to`'s engine at the next window boundary.  A template so the
   /// exact path never type-erases the callable.
@@ -309,7 +311,7 @@ class Homes {
       fn();
       return;
     }
-    couple_at(from, to, 0.0, Engine::Callback(std::forward<F>(fn)));
+    couple_after(from, to, 0.0, Engine::Callback(std::forward<F>(fn)));
   }
 
  private:

@@ -5,7 +5,7 @@
 // event slots, NIC stream nodes, OST op nodes, SmallVector inline storage),
 // the steady-state paths allocate NOTHING:
 //
-//   * scheduling + dispatching an engine event,
+//   * scheduling + dispatching an engine event, on the heap or a lane,
 //   * sending + delivering a protocol-sized network message,
 //   * an OST write round-trip,
 //   * every control-plane FSM step a delivered message triggers
@@ -115,6 +115,38 @@ TEST(AllocGuard, EngineEventCycleIsAllocationFree) {
   burst();
   EXPECT_EQ(guard.stop(), 0u) << "engine schedule/dispatch allocated";
   EXPECT_EQ(fired, 128);
+}
+
+TEST(AllocGuard, EngineFixedLaneCycleIsAllocationFree) {
+  // 64 chains on each of two lanes, each link re-scheduling the next on its
+  // own lane, beside heap events: the rings wrap without growing.
+  sim::Engine engine;
+  int fired = 0;
+  struct Chain {
+    sim::Engine* engine;
+    int* fired;
+    double delay;
+    int left;
+    void operator()() {
+      ++*fired;
+      if (--left > 0) engine->schedule_fixed(delay, *this);
+    }
+  };
+  const auto cycle = [&](int links) {
+    for (int i = 0; i < 64; ++i) {
+      engine.schedule_fixed(8e-6, Chain{&engine, &fired, 8e-6, links});
+      engine.schedule_fixed(12e-3, Chain{&engine, &fired, 12e-3, links});
+      engine.schedule_after(1e-6 * (i + 1), [&fired] { ++fired; });
+    }
+    engine.run();
+  };
+  cycle(1);  // warm-up: both rings and the slot table reach steady capacity
+
+  AllocGuard guard;
+  guard.start();
+  cycle(8);
+  EXPECT_EQ(guard.stop(), 0u) << "fixed-lane schedule/dispatch allocated";
+  EXPECT_EQ(fired, 3 * 64 + (2 * 8 + 1) * 64);
 }
 
 // --- network delivery --------------------------------------------------------

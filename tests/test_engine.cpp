@@ -1,5 +1,6 @@
 // Unit tests for the discrete-event engine: ordering, cancellation, daemon
-// semantics, run_until behaviour, and in-place re-timing (rearm).
+// semantics, run_until behaviour, in-place re-timing (rearm), and the
+// fixed-delay lanes (schedule_fixed).
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -390,7 +391,9 @@ struct Side {
   }
 };
 
-::testing::AssertionResult Agree(Side& a, Side& b) {
+// Both sides of a differential (Side or LaneSide below) fired alike.
+template <class S>
+::testing::AssertionResult Agree(S& a, S& b) {
   if (a.log != b.log) return ::testing::AssertionFailure() << "fired sequences differ";
   if (a.e.steps() != b.e.steps()) return ::testing::AssertionFailure() << "steps differ";
   if (a.e.pending() != b.e.pending()) return ::testing::AssertionFailure() << "pending differs";
@@ -468,6 +471,190 @@ TEST(EngineRearm, MatchesCancelPlusScheduleOnRandomMix) {
     }
     EXPECT_GT(a.log.size(), 1000u);
   }
+}
+
+// --- fixed-delay lanes --------------------------------------------------------
+
+TEST(EngineLane, SameInstantFiresInSchedulingOrderBothWaysRound) {
+  Engine e;
+  std::vector<int> order;
+  e.schedule_at(1.0, [&] { order.push_back(1); });
+  e.schedule_fixed(1.0, [&] { order.push_back(2); });
+  e.schedule_at(1.0, [&] { order.push_back(3); });
+  e.schedule_fixed(1.0, [&] {
+    order.push_back(4);
+    // At the instant itself: a zero-delay lane event and a heap event at
+    // now queue behind each other in the order they were scheduled.
+    e.schedule_fixed(0.0, [&] { order.push_back(6); });
+    e.schedule_at(e.now(), [&] { order.push_back(7); });
+    e.schedule_fixed(0.0, [&] { order.push_back(8); });
+  });
+  e.schedule_after(1.0, [&] { order.push_back(5); });
+  EXPECT_EQ(e.run(), 8u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_DOUBLE_EQ(e.now(), 1.0);
+}
+
+TEST(EngineLane, RunLoopsAndCountsSeeLaneHeads) {
+  Engine e;
+  std::vector<int> order;
+  e.schedule_fixed(2.0, [&] { order.push_back(1); });
+  EXPECT_EQ(e.pending(), 1u);
+  EXPECT_EQ(e.pending_normal(), 1u);
+  EXPECT_DOUBLE_EQ(e.next_event_time(), 2.0);
+  EXPECT_EQ(e.run_before(2.0), 0u);
+  EXPECT_DOUBLE_EQ(e.now(), 0.0);
+  e.schedule_at(3.0, [&] { order.push_back(2); });
+  e.schedule_daemon_at(2.5, [&] { order.push_back(3); });
+  EXPECT_EQ(e.pending(), 3u);
+  EXPECT_EQ(e.pending_normal(), 2u);
+  EXPECT_EQ(e.run_until(2.0), 1u);
+  EXPECT_DOUBLE_EQ(e.now(), 2.0);
+  EXPECT_DOUBLE_EQ(e.next_event_time(), 2.5);
+  e.schedule_fixed(0.25, [&] { order.push_back(4); });  // 2.25: a second lane
+  EXPECT_DOUBLE_EQ(e.next_event_time(), 2.25);
+  EXPECT_EQ(e.run_before(2.5), 1u);
+  EXPECT_DOUBLE_EQ(e.now(), 2.25);
+  e.schedule_fixed(2.0, [&] { order.push_back(5); });  // 4.25, behind the heap
+  EXPECT_EQ(e.pending_normal(), 2u);
+  EXPECT_EQ(e.run(), 3u);  // the daemon fires on the way to the last lane event
+  EXPECT_EQ(order, (std::vector<int>{1, 4, 3, 2, 5}));
+  EXPECT_DOUBLE_EQ(e.now(), 4.25);
+  EXPECT_EQ(e.pending(), 0u);
+  EXPECT_EQ(e.next_event_time(), std::numeric_limits<Time>::infinity());
+  EXPECT_EQ(e.steps(), 5u);
+}
+
+TEST(EngineLane, NanOrNegativeDelayThrowsAndLeavesQueueUntouched) {
+  Engine e;
+  int fired = 0;
+  e.schedule_fixed(1.0, [&] { ++fired; });
+  EXPECT_THROW(e.schedule_fixed(std::numeric_limits<Time>::quiet_NaN(), [&] { ++fired; }),
+               std::invalid_argument);
+  EXPECT_THROW(e.schedule_fixed(-1e-9, [&] { ++fired; }), std::invalid_argument);
+  EXPECT_THROW(e.schedule_fixed(-std::numeric_limits<Time>::infinity(), [&] { ++fired; }),
+               std::invalid_argument);
+  EXPECT_EQ(e.pending(), 1u);
+  EXPECT_EQ(e.pending_normal(), 1u);
+  EXPECT_DOUBLE_EQ(e.next_event_time(), 1.0);
+  EXPECT_EQ(e.run(), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_DOUBLE_EQ(e.now(), 1.0);
+}
+
+TEST(EngineLane, DelaysBeyondTheLaneCountKeepExactOrder) {
+  // Twice as many distinct delays as lanes: the overflow rides the heap, and
+  // the firing order is still (time, scheduling order) throughout.
+  constexpr std::size_t kDelays = 2 * Engine::kMaxLanes;
+  Engine e;
+  std::vector<std::pair<Time, int>> expected;
+  std::vector<std::pair<Time, int>> fired;
+  int id = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t d = 0; d < kDelays; ++d) {
+      const Time delay = 0.125 * static_cast<double>(d % 5);
+      const Time extra = 1e-3 * static_cast<double>(d);  // distinct delays
+      const int mine = id++;
+      expected.emplace_back(delay + extra, mine);
+      e.schedule_fixed(delay + extra, [&fired, &e, mine] { fired.emplace_back(e.now(), mine); });
+      const int heap = id++;
+      expected.emplace_back(delay + extra, heap);
+      e.schedule_at(delay + extra, [&fired, &e, heap] { fired.emplace_back(e.now(), heap); });
+    }
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  e.run();
+  EXPECT_EQ(fired, expected);
+}
+
+// One side of the lane differential.  Callbacks schedule, cancel and re-time
+// further events from a per-side random stream; with `lanes` off every
+// schedule_fixed(d) is the reference schedule_after(d), whose handle is
+// dropped so that both sides can touch exactly the same events.  Both sides
+// draw identically for as long as they fire identically.
+struct LaneSide {
+  static constexpr Time kDelays[3] = {0.0, 0.5, 0.1};  // 0.1: inexact sums
+
+  LaneSide(bool lanes, std::uint32_t seed) : use_lanes(lanes), rng(seed) {}
+  Engine e;
+  bool use_lanes;
+  std::mt19937 rng;
+  std::vector<EventHandle> handle;  // by logical id; invalid for lane events
+  std::vector<int> held;            // pending events that hold a handle
+  std::vector<std::pair<int, Time>> log;
+  int budget = 300;  // events this side may still create
+
+  int draw(int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); }
+  void drop(int id) {
+    const auto it = std::find(held.begin(), held.end(), id);
+    if (it == held.end()) return;
+    *it = held.back();
+    held.pop_back();
+  }
+  Engine::Callback event(int id) {
+    return [this, id] {
+      log.emplace_back(id, e.now());
+      drop(id);
+      for (int n = 1 + draw(3); n > 0; --n) act();
+    };
+  }
+  void act() {
+    const int kind = draw(10);
+    if (kind < 7 && budget > 0) {
+      --budget;
+      const int id = static_cast<int>(handle.size());
+      handle.emplace_back();
+      if (kind < 3) {
+        const Time d = kDelays[draw(3)];
+        if (use_lanes) {
+          e.schedule_fixed(d, event(id));
+        } else {
+          e.schedule_after(d, event(id));
+        }
+        return;
+      }
+      handle[id] = kind == 3 ? e.schedule_at(e.now() + 0.5 * draw(4), event(id))
+                             : e.schedule_after(0.25 * draw(4), event(id));
+      held.push_back(id);
+    } else if (kind < 8 && !held.empty()) {
+      const int id = held[static_cast<std::size_t>(draw(static_cast<int>(held.size())))];
+      ASSERT_TRUE(e.cancel(handle[id]));
+      drop(id);
+    } else if (!held.empty()) {
+      const int id = held[static_cast<std::size_t>(draw(static_cast<int>(held.size())))];
+      ASSERT_TRUE(e.rearm(handle[id], e.now() + 0.1 * draw(6), false));
+    }
+  }
+};
+
+TEST(EngineLane, MatchesScheduleAfterOnRandomNestedMix) {
+  std::size_t fired = 0;
+  for (std::uint32_t seed = 1; seed <= 2000; ++seed) {
+    LaneSide a(/*lanes=*/true, seed), b(/*lanes=*/false, seed);
+    std::mt19937 drive(seed ^ 0x9e3779b9u);
+    for (int i = 0; i < 4; ++i) {
+      a.act();
+      b.act();
+    }
+    while (a.e.pending() > 0) {
+      // Every driver the sharded window loop and the benches use.
+      const Time edge = a.e.now() + 0.25 * static_cast<double>(drive() % 4);
+      switch (drive() % 5) {
+        case 0: ASSERT_EQ(a.e.run_before(edge), b.e.run_before(edge)); break;
+        case 1: ASSERT_EQ(a.e.run_until(edge), b.e.run_until(edge)); break;
+        case 2: ASSERT_EQ(a.e.next_event_time(), b.e.next_event_time()); break;
+        case 3:
+          a.act();
+          b.act();
+          break;
+        default: ASSERT_EQ(a.e.run(1), b.e.run(1)); break;
+      }
+      ASSERT_TRUE(Agree(a, b)) << "seed " << seed;
+    }
+    fired += a.log.size();
+  }
+  EXPECT_GT(fired, 100000u);
 }
 
 }  // namespace

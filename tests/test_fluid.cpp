@@ -185,6 +185,21 @@ TEST(Fluid, NegativeBytesThrows) {
   EXPECT_THROW(r.start(-1.0, [](Time) {}), std::invalid_argument);
 }
 
+// A NaN stream must be refused before it is inserted: a resource holding
+// one would never drain it, and every later start on it would throw.
+TEST(FluidResource, NanBytesThrowAndLeaveResourceUsable) {
+  Engine e;
+  FluidResource r(e, cfg(100.0));
+  EXPECT_THROW(r.start(std::nan(""), [](Time) {}), std::invalid_argument);
+  EXPECT_EQ(r.active_streams(), 0u);
+  EXPECT_EQ(e.pending(), 0u);
+  Time done = -1.0;
+  r.start(100.0, [&](Time t) { done = t; });
+  e.run();
+  EXPECT_DOUBLE_EQ(done, 1.0);
+  EXPECT_EQ(r.active_streams(), 0u);
+}
+
 TEST(Fluid, InvalidConfigThrows) {
   Engine e;
   EXPECT_THROW(FluidResource(e, cfg(0.0)), std::invalid_argument);

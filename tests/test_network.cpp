@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -93,12 +95,30 @@ TEST(Network, CountsTraffic) {
   EXPECT_DOUBLE_EQ(n.bytes_sent(), 300.0);
 }
 
+// Out-of-range ranks and negative or NaN byte counts are refused before
+// any counter moves or any NIC stream starts.
 TEST(Network, InvalidRanksThrow) {
   Engine e;
-  Network n(e, cfg(), 4);
+  Network n(e, cfg(), 8);
   EXPECT_THROW(n.send(-1, 0, 1.0, [] {}), std::invalid_argument);
-  EXPECT_THROW(n.send(0, 4, 1.0, [] {}), std::invalid_argument);
+  EXPECT_THROW(n.send(0, 8, 1.0, [] {}), std::invalid_argument);
   EXPECT_THROW(Network(e, cfg(), 0), std::invalid_argument);
+  n.send(0, 5, 1000.0, [] {});
+  EXPECT_THROW(n.send(0, 5, -500.0, [] {}), std::invalid_argument);
+  EXPECT_THROW(n.send(0, 5, std::nan(""), [] {}), std::invalid_argument);
+  EXPECT_THROW(n.send(3, 3, -1.0, [] {}), std::invalid_argument);
+  EXPECT_EQ(n.messages_sent(), 1u);
+  EXPECT_DOUBLE_EQ(n.bytes_sent(), 1000.0);
+  // The sender's NIC still carries only the one valid message.
+  Time delivered = -1.0;
+  n.send(1, 6, 0.0, [&] { delivered = e.now(); });
+  Time second = -1.0;
+  n.send(2, 7, 1000.0, [&] { second = e.now(); });
+  e.run();
+  EXPECT_NEAR(delivered, 1e-3, 1e-12);
+  // Two 1000 B streams share node 0's 1000 B/s NIC: both finish at 2 s.
+  EXPECT_NEAR(second, 2.0 + 1e-3, 1e-9);
+  EXPECT_EQ(n.messages_sent(), 3u);
 }
 
 }  // namespace

@@ -357,7 +357,7 @@ TEST(Homes, OneEngineCouplesExactly) {
   homes.hand_off(Entity::rank(0), Entity::ost(3), [&] { handed = true; });
   EXPECT_TRUE(handed) << "hand_off over one engine must call through before returning";
   double fired = -1.0;
-  homes.couple_at(Entity::rank(0), Entity::mds(0), 1.5, [&] { fired = engine.now(); });
+  homes.couple_after(Entity::rank(0), Entity::mds(0), 1.5, [&] { fired = engine.now(); });
   engine.run();
   EXPECT_EQ(fired, 1.5);
 }
@@ -379,14 +379,15 @@ TEST(Homes, ShardGroupQuantizesAllButSameNodeCouplings) {
     const aio::sim::Homes homes(group);
     ASSERT_EQ(group.window_s(), 5.12e-4);
     const double t_send = 1e-4;
-    const double t_couple = t_send + 8e-6;
+    const double delay = 8e-6;
+    const double t_couple = t_send + delay;
     double same_node = -1.0, cross_node = -1.0, to_ost = -1.0, to_mds = -1.0, back = -1.0;
     const auto now = [&] { return homes.here().now(); };
     group.engine(homes.home_index(Entity::rank(0))).schedule_at(t_send, [&] {
-      homes.couple_at(Entity::rank(0), Entity::rank(3), t_couple, [&] { same_node = now(); });
-      homes.couple_at(Entity::rank(0), Entity::rank(4), t_couple, [&] { cross_node = now(); });
-      homes.couple_at(Entity::rank(0), Entity::mds(0), t_couple, [&] { to_mds = now(); });
-      homes.couple_at(Entity::rank(0), Entity::ost(2), t_couple, [&] {
+      homes.couple_after(Entity::rank(0), Entity::rank(3), delay, [&] { same_node = now(); });
+      homes.couple_after(Entity::rank(0), Entity::rank(4), delay, [&] { cross_node = now(); });
+      homes.couple_after(Entity::rank(0), Entity::mds(0), delay, [&] { to_mds = now(); });
+      homes.couple_after(Entity::rank(0), Entity::ost(2), delay, [&] {
         to_ost = now();
         homes.hand_off(Entity::ost(2), Entity::rank(0), [&] { back = now(); });
       });
