@@ -218,23 +218,6 @@ void FileIndex::merge(const LocalIndex& local) {
   blocks_.insert(blocks_.end(), local.blocks.begin(), local.blocks.end());
 }
 
-void FileIndex::merge(LocalIndex&& local) {
-  if (blocks_.empty() && blocks_.capacity() == 0) {
-    // First merge into a fresh index adopts the writer's buffer outright.
-    blocks_ = std::move(local.blocks);
-  } else {
-    // Reserve with geometric growth so repeated merges stay amortized-linear.
-    const std::size_t needed = blocks_.size() + local.blocks.size();
-    if (needed > blocks_.capacity()) blocks_.reserve(std::max(needed, blocks_.capacity() * 2));
-    blocks_.insert(blocks_.end(), std::make_move_iterator(local.blocks.begin()),
-                   std::make_move_iterator(local.blocks.end()));
-  }
-  // Release the source's buffer, not just its contents: at paper scale every
-  // writer holds one of these until its merge, and clear() alone would keep
-  // 224k block buffers resident for the rest of the run.
-  local.blocks = std::vector<BlockRecord>();
-}
-
 void FileIndex::finalize() {
   std::sort(blocks_.begin(), blocks_.end(), [](const BlockRecord& a, const BlockRecord& b) {
     if (a.file_offset != b.file_offset) return a.file_offset < b.file_offset;

@@ -114,12 +114,8 @@ class FileIndex {
   explicit FileIndex(GroupId file) : file_(file) {}
 
   void merge(const LocalIndex& local);
-  /// Move-merge: steals the local index's block records (the SC hot path —
-  /// each INDEX_BODY is merged exactly once, so copying is pure waste) and
-  /// releases the source's buffer.
-  void merge(LocalIndex&& local);
-  /// Capacity hint for a merge loop whose total is predictable (an SC expects
-  /// roughly first-index-blocks x members); never shrinks.
+  /// Capacity hint for a merge loop whose total is known (an SC sums its
+  /// INDEX_BODYs' block counts); never shrinks.
   void reserve_blocks(std::size_t n) {
     if (n > blocks_.capacity()) blocks_.reserve(n);
   }

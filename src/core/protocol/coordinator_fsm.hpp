@@ -20,8 +20,8 @@
 //    running sums over the SUB_INDEX messages in both modes, so the global
 //    index write is byte-exact without walking any records.  With
 //    `retain_global_index = false` the SUB_INDEX messages carry no records
-//    at all (see WriterPool::Layout::carry_records), so no block record is
-//    built or moved anywhere in the run.
+//    at all (no SC gets a blueprint; see SubCoordinatorFsm::Config), so no
+//    block record is built or moved anywhere in the run.
 #pragma once
 
 #include <cstdint>

@@ -55,15 +55,17 @@ struct WriteComplete {
 
 /// INDEX_BODY: writer -> SC owning the file the data landed in.
 ///
-/// The size and block count always travel; they are all the simulation needs
-/// to time the transfer and the index writes downstream.  The block records
-/// travel only when the run keeps the global index: otherwise `index` is
-/// null.  The index is shared non-const for the same reason as SubIndex: the
-/// receiving SC is provably the only consumer after delivery, so it may move
-/// the block list into its file index, releasing the writer's index memory
-/// as soon as it is merged instead of at run end.
+/// The size and block count are all the simulation needs to time the
+/// transfer and the index writes downstream.  The block records themselves
+/// never travel: `writer`, `file` and `offset` name them, and an SC that
+/// keeps records rebuilds them from the job's blueprint when it writes its
+/// file index (see SubCoordinatorFsm).  `offset` is the writer's stamped
+/// start, the u64 of its DoWrite offset; it is set only when the run keeps
+/// records.
 struct IndexBody {
-  std::shared_ptr<LocalIndex> index;  ///< the records; null when not carried
+  Rank writer = -1;
+  GroupId file = -1;                   ///< the file the data landed in
+  std::uint64_t offset = 0;            ///< first block's file offset
   std::uint64_t serialized_bytes = 0;  ///< LocalIndex::serialized_size()
   std::uint64_t blocks = 0;            ///< block records it describes
 };
@@ -92,8 +94,8 @@ struct OverallWriteComplete {
 };
 
 /// SC -> C: the merged per-file index ("Send the index to C", Alg. 2).
-/// Like IndexBody it always carries the size and block count, and carries
-/// records only if the SC received any.  The index is shared non-const so
+/// Like IndexBody it always carries the size and block count; it carries
+/// the records only when the run keeps them.  The index is shared non-const so
 /// the coordinator — provably the only remaining consumer once the message
 /// is delivered — can move the block list into the global index instead of
 /// copying it.

@@ -33,13 +33,13 @@ CoordinatorFsm::Config coordinator_config(const Topology& topo, const Roles::Con
 
 }  // namespace
 
-Roles::Roles(const Topology& topo, std::vector<double> bytes_per_writer,
-             const std::function<LocalIndex(Rank)>& blueprint_for, Config config)
+Roles::Roles(const Topology& topo, IoJob job, Config config)
     : topo_(topo),
-      bytes_(std::move(bytes_per_writer)),
-      writers_(writer_layout(topo_, bytes_, config.retain_global_index), blueprint_for),
+      job_(std::move(job)),
+      writers_(writer_layout(topo_, job_.bytes_per_writer, config.retain_global_index),
+               [this](Rank r) { return job_.blueprint_for(r); }),
       coord_(coordinator_config(topo_, config)) {
-  const std::span<const double> all_bytes{bytes_};
+  const std::span<const double> all_bytes{job_.bytes_per_writer};
   scs_.reserve(topo_.n_groups());
   for (GroupId g = 0; g < static_cast<GroupId>(topo_.n_groups()); ++g) {
     SubCoordinatorFsm::Config sc;
@@ -50,6 +50,8 @@ Roles::Roles(const Topology& topo, std::vector<double> bytes_per_writer,
     sc.n_members = topo_.group_size(g);
     sc.member_bytes = all_bytes.subspan(static_cast<std::size_t>(sc.first_member), sc.n_members);
     sc.max_concurrent = config.max_concurrent;
+    if (config.retain_global_index)
+      sc.blueprint = [job = &job_](Rank r) { return job->blueprint_for(r); };
     scs_.emplace_back(std::move(sc));
   }
 }

@@ -3,8 +3,8 @@
 //
 // A run of the adaptive protocol is a WriterPool hosting every writer, one
 // SubCoordinatorFsm per group and one CoordinatorFsm.  Roles builds them
-// from the run's topology, its writers' payloads and blueprints and the
-// four role settings, and routes every message to the role that handles it.
+// from the run's topology, its job (payloads and blueprints) and the four
+// role settings, and routes every message to the role that handles it.
 // A runtime only moves messages and bytes: it starts each group, delivers
 // each message with deliver(), executes the returned actions, and reports
 // the writes it finished.  The simulator (AdaptiveRun), the thread runtime
@@ -15,16 +15,17 @@
 // message to r and a write r finished touch only r's roles, so a runtime
 // that handles rank r's traffic on one thread may share one Roles between
 // threads: each thread touches its own writer slot and SC, and only
-// thread 0 the coordinator.  The one hand-over, a writer's index records
-// moving into the SC that merges its INDEX_BODY, is ordered by that message.
+// thread 0 the coordinator.  The one thing they share is the job, which
+// they only read: SCs that keep records call its blueprint concurrently,
+// which is why IoJob::blueprint must be a pure function of the rank.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "core/protocol/coordinator_fsm.hpp"
 #include "core/protocol/subcoordinator_fsm.hpp"
 #include "core/protocol/writer_pool.hpp"
+#include "core/transports/layout.hpp"
 
 namespace aio::core {
 
@@ -39,10 +40,11 @@ class Roles {
     bool retain_global_index = true;
   };
 
-  /// `blueprint_for` is called once per writer, during construction only.
-  Roles(const Topology& topo, std::vector<double> bytes_per_writer,
-        const std::function<LocalIndex(Rank)>& blueprint_for, Config config);
-  // The pool and the SCs view bytes_; the roles stay where they were built.
+  /// The job's blueprint is called once per writer during construction,
+  /// and, when the global index is retained, once more per writer by the
+  /// SC that builds its file's records.
+  Roles(const Topology& topo, IoJob job, Config config);
+  // The pool and the SCs view job_; the roles stay where they were built.
   Roles(const Roles&) = delete;
   Roles& operator=(const Roles&) = delete;
 
@@ -73,7 +75,7 @@ class Roles {
   }
 
   Topology topo_;
-  std::vector<double> bytes_;  ///< per-writer payloads, viewed by every role
+  IoJob job_;  ///< payloads and blueprints, viewed by every role
   WriterPool writers_;
   std::vector<SubCoordinatorFsm> scs_;  ///< indexed by group
   CoordinatorFsm coord_;

@@ -84,23 +84,17 @@ Actions SubCoordinatorFsm::on_write_complete(const WriteComplete& msg) {
 Actions SubCoordinatorFsm::on_index_body(const IndexBody& msg) {
   if (msg.serialized_bytes < LocalIndex::kHeaderBytes)
     throw std::invalid_argument("SubCoordinatorFsm: INDEX_BODY without its size");
-  if (msg.index && msg.index->file != config_.group)
+  if (msg.file != config_.group)
     throw std::logic_error("SubCoordinatorFsm: INDEX_BODY for another file");
   // "Save for index for local file; missing indices--" (lines 16-18).  A
   // file index is its header plus every local index's block bytes.
   file_index_bytes_ += msg.serialized_bytes - LocalIndex::kHeaderBytes;
   file_index_blocks_ += msg.blocks;
-  if (msg.index) {
-    // The SC is the message's only consumer, so the writer's block list
-    // moves in — its memory is recycled here rather than retained until run
-    // teardown.
-    has_records_ = true;
-    file_index_.merge(std::move(*msg.index));
-    // Writers of one group stamp the same blueprint shape, so the first
-    // index sizes the whole merge: one exact reservation instead of
-    // log2(members) reallocations that move every block already merged.
-    if (indices_received_ == 0 && config_.n_members > 1)
-      file_index_.reserve_blocks(file_index_.blocks().size() * config_.n_members);
+  if (config_.blueprint) {
+    // Members are the usual writers into this file, so one reservation
+    // covers every arrival unless steals land here.
+    if (arrivals_.empty()) arrivals_.reserve(config_.n_members);
+    arrivals_.push_back({msg.writer, msg.offset});
   }
   ++indices_received_;
   Actions out;
@@ -146,9 +140,30 @@ void SubCoordinatorFsm::check_ready_to_index(Actions& out) {
   // "Sort and merge the index pieces for file index; Write the index"
   // (lines 31-32).
   state_ = State::IndexWriting;
-  file_index_.finalize();
+  if (config_.blueprint) build_file_index();
   out.push_back(WriteIndexAction{config_.group, final_data_offset_,
                                  static_cast<double>(file_index_bytes_)});
+}
+
+void SubCoordinatorFsm::build_file_index() {
+  // Each writer's records are built once, here, stamped as its local index
+  // (writer, then consecutive offsets from its start), and appended in
+  // arrival order: the sort sees what an arrival-order merge would give it.
+  file_index_.reserve_blocks(file_index_blocks_);
+  for (const Arrival& a : arrivals_) {
+    LocalIndex local = config_.blueprint(a.writer);
+    std::uint64_t cursor = a.offset;
+    for (BlockRecord& block : local.blocks) {
+      block.writer = a.writer;
+      block.file_offset = cursor;
+      cursor += block.length;
+    }
+    file_index_.merge(local);
+  }
+  arrivals_ = {};
+  if (file_index_.blocks().size() != file_index_blocks_)
+    throw std::logic_error("SubCoordinatorFsm: blueprint is not a pure function of the rank");
+  file_index_.finalize();
 }
 
 Actions SubCoordinatorFsm::on_index_write_done() {
@@ -159,7 +174,7 @@ Actions SubCoordinatorFsm::on_index_write_done() {
   // index to the file (that is what this completion notifies), so the merged
   // blocks can move into the message instead of being copied.
   std::shared_ptr<FileIndex> shipped;
-  if (has_records_) shipped = std::make_shared<FileIndex>(std::move(file_index_));
+  if (config_.blueprint) shipped = std::make_shared<FileIndex>(std::move(file_index_));
   Actions out;
   out.push_back(SendAction{config_.coordinator,
                            Message{config_.rank, SubIndex{config_.group, std::move(shipped),

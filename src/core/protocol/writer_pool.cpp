@@ -1,5 +1,6 @@
 #include "core/protocol/writer_pool.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -13,7 +14,7 @@ WriterPool::WriterPool(Layout layout, const std::function<LocalIndex(Rank)>& blu
   if (!blueprint_for) throw std::invalid_argument("WriterPool: blueprint factory required");
   const std::size_t n = layout_.bytes.size();
   for (std::size_t i = 0; i < n; ++i) {
-    if (layout_.bytes[i] <= 0.0)
+    if (!(layout_.bytes[i] > 0.0 && std::isfinite(layout_.bytes[i])))
       throw std::invalid_argument("WriterPool: writer bytes must be > 0");
   }
   states_.assign(n, State::Idle);
@@ -21,17 +22,13 @@ WriterPool::WriterPool(Layout layout, const std::function<LocalIndex(Rank)>& blu
   index_bytes_.resize(n);
   index_blocks_.resize(n);
   grant_seqs_.assign(n, 0);
-  if (layout_.carry_records) {
-    store_ = std::make_shared<Store>();
-    store_->indices.resize(n);
-  }
-  // Indices are built (and their offset-independent serialized sizes
-  // recorded) up front, outside the measured write path.
+  if (layout_.carry_records) offsets_.resize(n);
+  // Sizes are offset-independent, so they are measured up front, outside
+  // the measured write path; the records are rebuilt by the owning SC.
   for (std::size_t i = 0; i < n; ++i) {
-    LocalIndex blueprint = blueprint_for(layout_.first_rank + static_cast<Rank>(i));
+    const LocalIndex blueprint = blueprint_for(layout_.first_rank + static_cast<Rank>(i));
     index_bytes_[i] = blueprint.serialized_size();
     index_blocks_[i] = static_cast<std::uint32_t>(blueprint.blocks.size());
-    if (store_) store_->indices[i] = std::move(blueprint);
   }
 }
 
@@ -43,20 +40,9 @@ Actions WriterPool::on_do_write(Rank rank, const DoWrite& msg) {
   targets_[s] = msg.target_file;
   grant_seqs_[s] = msg.grant_seq;
 
-  // "Build local index based on offset": stamp the pre-allocated blueprint
-  // with its final file locations — no allocation on this path.  Without
-  // records there is nothing to stamp: locations change no size.
-  if (store_) {
-    LocalIndex& index = store_->indices[s];
-    index.writer = rank;
-    index.file = msg.target_file;
-    std::uint64_t cursor = static_cast<std::uint64_t>(msg.offset);
-    for (auto& block : index.blocks) {
-      block.writer = rank;
-      block.file_offset = cursor;
-      cursor += block.length;
-    }
-  }
+  // "Build local index based on offset": the offset is all the owning SC
+  // needs to stamp the blueprint's blocks.
+  if (!offsets_.empty()) offsets_[s] = static_cast<std::uint64_t>(msg.offset);
 
   return {StartWriteAction{msg.target_file, msg.offset, layout_.bytes[s]}};
 }
@@ -86,8 +72,10 @@ Actions WriterPool::on_write_done(Rank rank) {
   if (target_sc != my_sc) {
     actions.push_back(SendAction{target_sc, Message{rank, done}});
   }
+  const std::uint64_t offset = offsets_.empty() ? 0 : offsets_[s];
   actions.push_back(SendAction{
-      target_sc, Message{rank, IndexBody{local_index(rank), index_bytes_[s], index_blocks_[s]}}});
+      target_sc,
+      Message{rank, IndexBody{rank, targets_[s], offset, index_bytes_[s], index_blocks_[s]}}});
   actions.push_back(RoleDoneAction{});
   return actions;
 }

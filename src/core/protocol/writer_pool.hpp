@@ -9,23 +9,20 @@
 // resolves everything static (group, SC rank, payload bytes) through one
 // shared Layout.
 //
-// Index carriage has two modes, picked by `Layout::carry_records`:
-//  - Records (the default, needed to read the global index back): the
-//    per-writer local indices live in one contiguous vector owned by a
-//    shared_ptr'd store; INDEX_BODY messages alias into it (no per-message
-//    control block), and the receiving SC *moves* the block list out, so
-//    each writer's index memory is released as soon as it is merged.
-//  - Sizes only: the blueprint is built once at construction to learn its
-//    serialized size and block count, then dropped.  INDEX_BODY carries
-//    those two numbers and no records, so a writer costs ~25 bytes of pool
-//    state and nothing else.  Every simulated byte count is the same.
+// A writer never holds its index records.  The pool calls the blueprint
+// once per writer at construction to learn its serialized size and block
+// count, then drops it; INDEX_BODY carries those two numbers with the
+// writer, its file and, when the run keeps records, its stamped offset.
+// The SC that owns the file rebuilds the records from the same blueprint
+// (subcoordinator_fsm.hpp).  So a writer costs ~25 bytes of pool state,
+// plus an 8-byte offset column when records are kept, and every simulated
+// byte count is the same either way.
 //
 // core::Roles (roles.hpp) builds the pool for every runtime; unit tests
 // drive a pool directly.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -43,17 +40,15 @@ class WriterPool {
     std::function<GroupId(Rank)> group_of;  ///< rank -> home group
     std::function<Rank(GroupId)> sc_of;     ///< group -> SC rank
     std::span<const double> bytes;          ///< payload of slot i's writer
-    /// False when nothing reads the global index back: keep only each
-    /// writer's index size and block count, and send INDEX_BODY without
-    /// records.
+    /// False when nothing reads the global index back: no SC rebuilds the
+    /// records, so INDEX_BODY need not carry the writer's offset.
     bool carry_records = true;
   };
 
   enum class State : std::uint8_t { Idle, Writing, Done };
 
   /// Builds `layout.bytes.size()` writers; `blueprint_for` is invoked once
-  /// per rank (construction-time only) and its result moved into the pool,
-  /// or only measured when the layout does not carry records.
+  /// per rank, during construction only, and its result only measured.
   WriterPool(Layout layout, const std::function<LocalIndex(Rank)>& blueprint_for);
 
   /// Algorithm 1, lines 1-3, for the writer on `rank`.
@@ -66,13 +61,6 @@ class WriterPool {
   [[nodiscard]] bool wrote_adaptively(Rank rank) const {
     return targets_[slot(rank)] != layout_.group_of(rank);
   }
-  /// The index built for `rank`'s write (stamped once Writing; its blocks
-  /// move into the owning SC's file index when the INDEX_BODY is merged).
-  /// Null when the layout does not carry records.
-  [[nodiscard]] std::shared_ptr<LocalIndex> local_index(Rank rank) const {
-    if (!store_) return nullptr;
-    return {store_, &store_->indices[slot(rank)]};
-  }
   [[nodiscard]] const Layout& layout() const { return layout_; }
 
  private:
@@ -80,19 +68,13 @@ class WriterPool {
     return static_cast<std::size_t>(rank - layout_.first_rank);
   }
 
-  /// Aliased by every in-flight INDEX_BODY: one control block for the whole
-  /// pool instead of one heap allocation per writer.
-  struct Store {
-    std::vector<LocalIndex> indices;
-  };
-
   Layout layout_;
   std::vector<State> states_;
   std::vector<GroupId> targets_;           ///< file each writer was sent to
   std::vector<std::uint64_t> index_bytes_; ///< serialized local index sizes
   std::vector<std::uint32_t> index_blocks_; ///< block records per local index
   std::vector<std::uint64_t> grant_seqs_;  ///< provenance of the current write
-  std::shared_ptr<Store> store_;           ///< null unless carrying records
+  std::vector<std::uint64_t> offsets_;     ///< stamped starts; empty unless carrying records
 };
 
 }  // namespace aio::core

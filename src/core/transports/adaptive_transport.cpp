@@ -58,8 +58,7 @@ struct AdaptiveRun : std::enable_shared_from_this<AdaptiveRun> {
       : fs(f),
         net(n),
         cfg(std::move(c)),
-        roles(Topology(job.n_writers(), n_files), job.bytes_per_writer,
-              [&job](Rank r) { return job.blueprint_for(r); }, role_config(cfg)),
+        roles(Topology(job.n_writers(), n_files), job, role_config(cfg)),
         homes(f.homes()),
         observing(f.engine().observing_records()),
         scratch_(homes.n_engines()) {}

@@ -1,5 +1,6 @@
 #include "core/transports/layout.hpp"
 
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
@@ -23,7 +24,8 @@ LocalIndex IoJob::blueprint_for(Rank r) const {
 
 IoJob IoJob::uniform(std::size_t n, double bytes) {
   if (n == 0) throw std::invalid_argument("IoJob: need at least one writer");
-  if (bytes <= 0.0) throw std::invalid_argument("IoJob: bytes must be > 0");
+  if (!(bytes > 0.0 && std::isfinite(bytes)))
+    throw std::invalid_argument("IoJob: bytes must be > 0");
   IoJob job;
   job.bytes_per_writer.assign(n, bytes);
   return job;

@@ -23,7 +23,10 @@ struct IoJob {
   std::vector<double> bytes_per_writer;
   /// Optional blueprint factory: the variable blocks each writer produces
   /// (file offsets unset).  Defaults to one anonymous block of the full
-  /// payload.
+  /// payload.  It must be a pure, thread-safe function of the rank: a run
+  /// calls it once per writer to size the index and, when it keeps the
+  /// global index, once more from the SC that builds the writer's records,
+  /// on whichever thread runs that SC.
   std::function<LocalIndex(Rank)> blueprint;
   /// Names of the var_ids the blueprints reference, interned once for the
   /// whole run and shared by pointer (null = anonymous variables).

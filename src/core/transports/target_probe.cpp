@@ -1,6 +1,7 @@
 #include "core/transports/target_probe.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -9,7 +10,8 @@ namespace aio::core {
 
 void probe_targets(fs::FileSystem& filesystem, double probe_bytes,
                    std::function<void(std::vector<double>)> on_done) {
-  if (probe_bytes <= 0.0) throw std::invalid_argument("probe_targets: bytes must be > 0");
+  if (!(probe_bytes > 0.0 && std::isfinite(probe_bytes)))
+    throw std::invalid_argument("probe_targets: bytes must be > 0");
   const std::size_t n = filesystem.n_osts();
   struct State {
     std::vector<double> seconds;

@@ -45,7 +45,8 @@ StripedFile::Segments StripedFile::split_segments(double offset, double bytes,
 
 void StripedFile::write(double offset, double bytes, Ost::Mode mode, OnComplete on_complete,
                         std::size_t max_segments) {
-  if (bytes <= 0.0) throw std::invalid_argument("StripedFile::write: bytes must be > 0");
+  if (!(bytes > 0.0 && std::isfinite(bytes)))
+    throw std::invalid_argument("StripedFile::write: bytes must be > 0");
   if (offset < 0.0) throw std::invalid_argument("StripedFile::write: negative offset");
   if (max_segments == 0) max_segments = 1;
 
@@ -68,7 +69,8 @@ struct StripedFile::ReadState {
 
 void StripedFile::read(double offset, double bytes, OnComplete on_complete,
                        std::size_t max_segments) {
-  if (bytes <= 0.0) throw std::invalid_argument("StripedFile::read: bytes must be > 0");
+  if (!(bytes > 0.0 && std::isfinite(bytes)))
+    throw std::invalid_argument("StripedFile::read: bytes must be > 0");
   if (offset < 0.0) throw std::invalid_argument("StripedFile::read: negative offset");
   if (max_segments == 0) max_segments = 1;
   const double n_stripes =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -48,7 +49,8 @@ double Ost::cum_drained() const {
 }
 
 Ost::OpId Ost::write(double bytes, Mode mode, OnComplete on_complete) {
-  if (bytes <= 0.0) throw std::invalid_argument("Ost::write: bytes must be > 0");
+  if (!(bytes > 0.0 && std::isfinite(bytes)))
+    throw std::invalid_argument("Ost::write: bytes must be > 0");
   advance();
   const OpId id = next_id_++;
   ops_.push_back(Op{id, bytes, 0.0, 0.0, mode, false, std::move(on_complete)});
@@ -58,7 +60,8 @@ Ost::OpId Ost::write(double bytes, Mode mode, OnComplete on_complete) {
 }
 
 Ost::OpId Ost::read(double bytes, OnComplete on_complete) {
-  if (bytes <= 0.0) throw std::invalid_argument("Ost::read: bytes must be > 0");
+  if (!(bytes > 0.0 && std::isfinite(bytes)))
+    throw std::invalid_argument("Ost::read: bytes must be > 0");
   advance();
   const OpId id = next_id_++;
   ops_.push_back(Op{id, bytes, bytes, bytes, Mode::Durable, true, std::move(on_complete)});

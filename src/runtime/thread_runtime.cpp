@@ -102,7 +102,7 @@ struct SharedState {
 
   SharedState(const IoJob& job, Topology topo, ThreadRunConfig c)
       : cfg(std::move(c)),
-        roles(topo, job.bytes_per_writer, [&job](Rank r) { return job.blueprint_for(r); },
+        roles(topo, job,
               Roles::Config{.max_concurrent = cfg.max_concurrent, .stealing = cfg.stealing}),
         roles_remaining(roles.count()) {}
 

@@ -249,7 +249,7 @@ TEST(AllocGuard, WriterStepsAreAllocationFree) {
   layout.group_of = [](Rank) { return GroupId{0}; };
   layout.sc_of = sc_of;
   layout.bytes = std::span<const double>(&kBytes, 1);
-  // The index is pre-allocated here, outside the guard.
+  // The blueprint is measured here, outside the guard.
   WriterPool w(std::move(layout), [](Rank rank) {
     BlockRecord b;
     b.writer = rank;
@@ -299,6 +299,49 @@ TEST(AllocGuard, SubCoordinatorControlStepsAreAllocationFree) {
   EXPECT_EQ(guard.stop(), 0u) << "SC completion handling allocated";
   ASSERT_EQ(a.size(), 1u);
   EXPECT_TRUE(std::holds_alternative<SendAction>(a[0]));
+}
+
+// With records kept, an SC only notes each INDEX_BODY's writer and offset;
+// the first one reserves room for the group, and the rest allocate nothing.
+TEST(AllocGuard, SubCoordinatorIndexBodyIsAllocationFree) {
+  static const double kMemberBytes[4] = {1000.0, 1000.0, 1000.0, 1000.0};
+  const LocalIndex blueprint = [] {
+    LocalIndex local;
+    for (int v = 0; v < 3; ++v) {
+      BlockRecord b;
+      b.var_id = static_cast<std::uint32_t>(v);
+      b.length = 1000;
+      b.global_dims = {64, 64, 64};
+      b.offsets = {0, 0, 0};
+      b.counts = {4, 4, 4};
+      local.blocks.push_back(b);
+    }
+    return local;
+  }();
+  SubCoordinatorFsm::Config c;
+  c.group = 0;
+  c.rank = 0;
+  c.coordinator = 0;
+  c.first_member = 0;
+  c.n_members = 4;
+  c.member_bytes = kMemberBytes;
+  c.blueprint = [blueprint](Rank) { return blueprint; };
+  SubCoordinatorFsm sc(c);
+  (void)sc.start();
+  const auto body = [&blueprint](Rank writer) {
+    return IndexBody{writer, 0, static_cast<std::uint64_t>(writer) * 3000,
+                     blueprint.serialized_size(), blueprint.blocks.size()};
+  };
+  (void)sc.on_index_body(body(0));
+
+  AllocGuard guard;
+  guard.start();
+  const Actions a1 = sc.on_index_body(body(1));
+  const Actions a2 = sc.on_index_body(body(2));
+  const Actions a3 = sc.on_index_body(body(3));
+  EXPECT_EQ(guard.stop(), 0u) << "SC INDEX_BODY handling allocated";
+  EXPECT_TRUE(a1.empty() && a2.empty() && a3.empty());
+  EXPECT_EQ(sc.indices_received(), 4u);
 }
 
 TEST(AllocGuard, StealGrantPathIsAllocationFree) {

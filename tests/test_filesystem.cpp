@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "fs/machine.hpp"
@@ -165,6 +166,11 @@ TEST(FileSystem, InvalidWritesThrow) {
   StripedFile& f = fs.open_immediate("a", 1, 0);
   EXPECT_THROW(f.write(0.0, 0.0, Ost::Mode::Cached, nullptr), std::invalid_argument);
   EXPECT_THROW(f.write(-1.0, 10.0, Ost::Mode::Cached, nullptr), std::invalid_argument);
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(f.write(0.0, bad, Ost::Mode::Cached, nullptr), std::invalid_argument);
+    EXPECT_THROW(f.read(0.0, bad, nullptr), std::invalid_argument);
+  }
 }
 
 TEST(FileSystem, MachinePresetsConstruct) {

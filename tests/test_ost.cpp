@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -200,6 +201,11 @@ TEST(Ost, InvalidArgumentsThrow) {
   Ost ost(e, tiny());
   EXPECT_THROW(ost.write(0.0, Ost::Mode::Cached, nullptr), std::invalid_argument);
   EXPECT_THROW(ost.write(-5.0, Ost::Mode::Cached, nullptr), std::invalid_argument);
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(ost.write(bad, Ost::Mode::Cached, nullptr), std::invalid_argument);
+    EXPECT_THROW(ost.read(bad, nullptr), std::invalid_argument);
+  }
   EXPECT_THROW(ost.set_load(1.0, 0.0), std::invalid_argument);
   EXPECT_THROW(ost.set_load(0.0, -0.1), std::invalid_argument);
   EXPECT_THROW(ost.set_fabric_factor(-1.0), std::invalid_argument);

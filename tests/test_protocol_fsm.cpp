@@ -2,8 +2,12 @@
 // (paper Algorithms 1-3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
+#include <random>
 #include <span>
 
 #include "core/protocol/coordinator_fsm.hpp"
@@ -82,10 +86,6 @@ TEST(WriterPool, LocalWriteEmitsWriteThenReports) {
   EXPECT_DOUBLE_EQ(write->offset, 5000.0);
   EXPECT_DOUBLE_EQ(write->bytes, 1000.0);
 
-  // Local index stamped with the assigned offset.
-  ASSERT_TRUE(w.local_index(11));
-  EXPECT_EQ(w.local_index(11)->file, 1);
-  EXPECT_EQ(w.local_index(11)->blocks[0].file_offset, 5000u);
   EXPECT_FALSE(w.wrote_adaptively(11));
 
   const Actions a2 = w.on_write_done(11);
@@ -100,9 +100,14 @@ TEST(WriterPool, LocalWriteEmitsWriteThenReports) {
   EXPECT_EQ(done->writer, 11);
   EXPECT_EQ(done->file, 1);
   EXPECT_GT(done->index_bytes, 0.0);
+  // The INDEX_BODY names the writer and where its blocks start.
   const auto* idx = std::get_if<IndexBody>(&sends[1]->msg.body);
   ASSERT_NE(idx, nullptr);
-  EXPECT_EQ(idx->index->writer, 11);
+  EXPECT_EQ(idx->writer, 11);
+  EXPECT_EQ(idx->file, 1);
+  EXPECT_EQ(idx->offset, 5000u);
+  EXPECT_EQ(idx->serialized_bytes, one_block(bytes)(11).serialized_size());
+  EXPECT_EQ(idx->blocks, 1u);
   EXPECT_NE(find_action<RoleDoneAction>(a2), nullptr);
 }
 
@@ -119,7 +124,7 @@ TEST(WriterPool, AdaptiveWriteNotifiesBothScs) {
   EXPECT_EQ(sends[2]->to, sc_of_identity(3));  // index to target SC
   EXPECT_TRUE(std::holds_alternative<IndexBody>(sends[2]->msg.body));
   // Index is tagged with the *target* file.
-  EXPECT_EQ(std::get<IndexBody>(sends[2]->msg.body).index->file, 3);
+  EXPECT_EQ(std::get<IndexBody>(sends[2]->msg.body).file, 3);
 }
 
 TEST(WriterPool, DoubleDoWriteThrows) {
@@ -175,16 +180,36 @@ WriteComplete writer_done(Rank writer, GroupId origin, GroupId file, double byte
   return m;
 }
 
-IndexBody index_for(Rank writer, GroupId file, std::uint64_t offset, std::uint64_t len) {
-  auto idx = std::make_shared<LocalIndex>();
-  idx->writer = writer;
-  idx->file = file;
-  BlockRecord b;
-  b.writer = writer;
-  b.file_offset = offset;
-  b.length = len;
-  idx->blocks.push_back(b);
-  return IndexBody{idx, idx->serialized_size(), idx->blocks.size()};
+using Blueprint = std::function<LocalIndex(Rank)>;
+
+/// Blueprints of one block per writer, `lengths.at(rank)` bytes long.
+Blueprint one_block_each(std::map<Rank, std::uint64_t> lengths) {
+  return [lengths = std::move(lengths)](Rank rank) {
+    return one_block(static_cast<double>(lengths.at(rank)))(rank);
+  };
+}
+
+/// The INDEX_BODY `writer` sends after writing its blueprint at `offset` of
+/// `file`, sized as the writer pool sizes it.
+IndexBody index_for(const Blueprint& blueprint, Rank writer, GroupId file,
+                    std::uint64_t offset) {
+  const LocalIndex local = blueprint(writer);
+  return IndexBody{writer, file, offset, local.serialized_size(), local.blocks.size()};
+}
+
+/// `writer`'s blueprint stamped for a write at `offset` of `file`: the
+/// local index the SC's build must reproduce.
+LocalIndex stamped(const Blueprint& blueprint, Rank writer, GroupId file,
+                   std::uint64_t offset) {
+  LocalIndex local = blueprint(writer);
+  local.writer = writer;
+  local.file = file;
+  for (BlockRecord& block : local.blocks) {
+    block.writer = writer;
+    block.file_offset = offset;
+    offset += block.length;
+  }
+  return local;
 }
 
 TEST(SubCoordinatorFsm, SerializesWritersOneAtATime) {
@@ -270,7 +295,10 @@ TEST(SubCoordinatorFsm, RepliesWritersBusyWhenQueueEmpty) {
 }
 
 TEST(SubCoordinatorFsm, IndexPhaseWaitsForExpectedIndices) {
-  SubCoordinatorFsm sc(sc_cfg(0, {10, 11}, {100.0, 100.0}));
+  const Blueprint blueprint = one_block_each({{10, 100}, {11, 100}, {55, 40}});
+  SubCoordinatorFsm::Config cfg = sc_cfg(0, {10, 11}, {100.0, 100.0});
+  cfg.blueprint = blueprint;
+  SubCoordinatorFsm sc(cfg);
   sc.start();
   sc.on_write_complete(writer_done(10, 0, 0, 100.0));
   sc.on_write_complete(writer_done(11, 0, 0, 100.0));
@@ -281,11 +309,11 @@ TEST(SubCoordinatorFsm, IndexPhaseWaitsForExpectedIndices) {
   // does the index write begin.
   Actions a = sc.on_overall_write_complete(OverallWriteComplete{3, 240.0});
   EXPECT_EQ(find_action<WriteIndexAction>(a), nullptr);
-  a = sc.on_index_body(index_for(10, 0, 0, 100));
+  a = sc.on_index_body(index_for(blueprint, 10, 0, 0));
   EXPECT_EQ(find_action<WriteIndexAction>(a), nullptr);
-  a = sc.on_index_body(index_for(11, 0, 100, 100));
+  a = sc.on_index_body(index_for(blueprint, 11, 0, 100));
   EXPECT_EQ(find_action<WriteIndexAction>(a), nullptr);
-  a = sc.on_index_body(index_for(55, 0, 200, 40));
+  a = sc.on_index_body(index_for(blueprint, 55, 0, 200));
   const auto* widx = find_action<WriteIndexAction>(a);
   ASSERT_NE(widx, nullptr);
   EXPECT_EQ(widx->file, 0);
@@ -309,10 +337,12 @@ TEST(SubCoordinatorFsm, IndexPhaseWaitsForExpectedIndices) {
 }
 
 TEST(SubCoordinatorFsm, IndicesMayArriveBeforeOverall) {
-  SubCoordinatorFsm sc(sc_cfg(0, {10}, {100.0}));
+  SubCoordinatorFsm::Config cfg = sc_cfg(0, {10}, {100.0});
+  cfg.blueprint = one_block(100.0);
+  SubCoordinatorFsm sc(cfg);
   sc.start();
   sc.on_write_complete(writer_done(10, 0, 0, 100.0));
-  sc.on_index_body(index_for(10, 0, 0, 100));
+  sc.on_index_body(index_for(cfg.blueprint, 10, 0, 0));
   const Actions a = sc.on_overall_write_complete(OverallWriteComplete{1, 100.0});
   EXPECT_NE(find_action<WriteIndexAction>(a), nullptr);
 }
@@ -324,14 +354,15 @@ TEST(SubCoordinatorFsm, SizeOnlyIndicesStreamTheFileIndexSize) {
   sc.on_write_complete(writer_done(10, 0, 0, 100.0));
   sc.on_write_complete(writer_done(11, 0, 0, 100.0));
   sc.on_overall_write_complete(OverallWriteComplete{2, 200.0});
+  const Blueprint blueprint = one_block(100.0);
   FileIndex reference(0);
   Actions a;
   for (const Rank w : {10, 11}) {
-    IndexBody body = index_for(w, 0, static_cast<std::uint64_t>(w - 10) * 100, 100);
-    reference.merge(*body.index);
-    body.index = nullptr;
-    a = sc.on_index_body(body);
+    const auto offset = static_cast<std::uint64_t>(w - 10) * 100;
+    reference.merge(stamped(blueprint, w, 0, offset));
+    a = sc.on_index_body(index_for(blueprint, w, 0, offset));
   }
+  EXPECT_TRUE(sc.file_index().blocks().empty());
   const auto* widx = find_action<WriteIndexAction>(a);
   ASSERT_NE(widx, nullptr);
   EXPECT_DOUBLE_EQ(widx->bytes, static_cast<double>(reference.serialized_size()));
@@ -346,9 +377,123 @@ TEST(SubCoordinatorFsm, SizeOnlyIndicesStreamTheFileIndexSize) {
 }
 
 TEST(SubCoordinatorFsm, RejectsForeignIndex) {
-  SubCoordinatorFsm sc(sc_cfg(0, {10}, {100.0}));
+  const Blueprint blueprint = one_block(100.0);
+  for (const bool kept : {false, true}) {
+    SubCoordinatorFsm::Config cfg = sc_cfg(0, {10}, {100.0});
+    if (kept) cfg.blueprint = blueprint;
+    SubCoordinatorFsm sc(cfg);
+    sc.start();
+    EXPECT_THROW(sc.on_index_body(index_for(blueprint, 10, /*file=*/9, 0)), std::logic_error)
+        << (kept ? "records kept" : "sizes only");
+  }
+}
+
+// The SC rebuilds records from the blueprint the pool sized them with; a
+// blueprint that disagrees with its INDEX_BODY breaks the contract.
+TEST(SubCoordinatorFsm, ImpureBlueprintThrowsAtIndexTime) {
+  SubCoordinatorFsm::Config cfg = sc_cfg(0, {10}, {100.0});
+  cfg.blueprint = one_block(100.0);
+  SubCoordinatorFsm sc(cfg);
   sc.start();
-  EXPECT_THROW(sc.on_index_body(index_for(10, /*file=*/9, 0, 100)), std::logic_error);
+  IndexBody body = index_for(cfg.blueprint, 10, 0, 0);
+  body.blocks = 2;  // sized from a blueprint that produced two blocks
+  sc.on_index_body(body);
+  EXPECT_THROW(sc.on_overall_write_complete(OverallWriteComplete{1, 100.0}), std::logic_error);
+}
+
+// The SC builds its file index from (writer, offset) pairs at index time;
+// it must ship exactly what merging the writers' stamped indices in arrival
+// order and sorting would.  Zero-length blocks with repeated var_ids tie
+// under the sort key, so a build that reorders its inputs shows up here.
+TEST(SubCoordinatorFsm, BuildMatchesArrivalOrderMerge) {
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    std::mt19937_64 rng(seed);
+    const auto draw = [&rng](std::uint64_t n) { return rng() % n; };
+    const auto group = static_cast<GroupId>(draw(4));
+    const std::size_t members = 1 + draw(8);
+    const std::size_t stolen_away = draw(members);  // members that wrote elsewhere
+    const std::size_t stolen_in = draw(5);          // other groups' writers landing here
+    // A pure function of the rank: 1-4 two-dimensional blocks, about a third
+    // of them empty, drawing var_ids from {0, 1, 2}.
+    const Blueprint blueprint = [seed](Rank rank) {
+      std::mt19937_64 r(seed * 7919 + static_cast<std::uint64_t>(rank));
+      LocalIndex local;
+      local.writer = rank;
+      const std::size_t n_blocks = 1 + r() % 4;
+      for (std::size_t b = 0; b < n_blocks; ++b) {
+        BlockRecord block;
+        block.var_id = static_cast<std::uint32_t>(r() % 3);
+        block.length = r() % 3 == 0 ? 0 : 1 + r() % 1000;
+        block.global_dims = {64, 64};
+        block.offsets = {r() % 64, r() % 64};
+        block.counts = {1 + r() % 8, 1 + r() % 8};
+        block.ch.min = static_cast<double>(r() % 100);
+        block.ch.sum = static_cast<double>(r() % 10000);
+        block.ch.count = r() % 50;
+        local.blocks.push_back(block);
+      }
+      return local;
+    };
+    const auto length_of = [&blueprint](Rank rank) {
+      std::uint64_t n = 0;
+      for (const BlockRecord& block : blueprint(rank).blocks) n += block.length;
+      return n;
+    };
+
+    // Members that stayed write back to back from offset 0; stolen-in
+    // writers append after them, in grant order.
+    const Rank first = 100 * group + 10;
+    std::vector<std::pair<Rank, std::uint64_t>> writes;
+    std::uint64_t cursor = 0;
+    for (std::size_t m = 0; m < members - stolen_away; ++m) {
+      const Rank rank = first + static_cast<Rank>(m);
+      writes.emplace_back(rank, cursor);
+      cursor += length_of(rank);
+    }
+    for (std::size_t i = 0; i < stolen_in; ++i) {
+      const auto rank = static_cast<Rank>(1000 + draw(1000));
+      if (std::any_of(writes.begin(), writes.end(),
+                      [rank](const auto& w) { return w.first == rank; }))
+        continue;
+      writes.emplace_back(rank, cursor);
+      cursor += length_of(rank);
+    }
+    std::shuffle(writes.begin(), writes.end(), rng);
+
+    std::vector<Rank> ranks(members);
+    for (std::size_t m = 0; m < members; ++m) ranks[m] = first + static_cast<Rank>(m);
+    SubCoordinatorFsm::Config cfg = sc_cfg(group, ranks, std::vector<double>(members, 1.0));
+    cfg.blueprint = blueprint;
+    SubCoordinatorFsm sc(cfg);
+    sc.start();
+    // OVERALL lands at a random point among the INDEX_BODYs.
+    const std::size_t overall_at = draw(writes.size() + 1);
+    const OverallWriteComplete overall{writes.size(), static_cast<double>(cursor)};
+    std::optional<WriteIndexAction> widx;
+    const auto take = [&widx](const Actions& a) {
+      if (const auto* w = find_action<WriteIndexAction>(a)) widx = *w;
+    };
+    FileIndex reference(group);
+    for (std::size_t i = 0; i < writes.size(); ++i) {
+      if (i == overall_at) take(sc.on_overall_write_complete(overall));
+      const auto [rank, offset] = writes[i];
+      reference.merge(stamped(blueprint, rank, group, offset));
+      take(sc.on_index_body(index_for(blueprint, rank, group, offset)));
+    }
+    if (overall_at == writes.size()) take(sc.on_overall_write_complete(overall));
+    reference.finalize();
+    ASSERT_TRUE(widx) << "seed " << seed;
+    EXPECT_EQ(widx->bytes, static_cast<double>(reference.serialized_size())) << "seed " << seed;
+
+    const Actions fin = sc.on_index_write_done();
+    const auto* to_c = find_send_to(fin, 0);
+    ASSERT_NE(to_c, nullptr) << "seed " << seed;
+    const auto& sub = std::get<SubIndex>(to_c->msg.body);
+    ASSERT_NE(sub.index, nullptr) << "seed " << seed;
+    EXPECT_EQ(sub.blocks, reference.blocks().size()) << "seed " << seed;
+    EXPECT_EQ(sub.serialized_bytes, reference.serialized_size()) << "seed " << seed;
+    ASSERT_EQ(sub.index->serialize(), reference.serialize()) << "seed " << seed;
+  }
 }
 
 TEST(SubCoordinatorFsm, InvalidConfigThrows) {

@@ -60,12 +60,6 @@ HarnessOptions with_default_bytes(HarnessOptions opt) {
   return opt;
 }
 
-std::vector<double> payloads(const HarnessOptions& opt) {
-  std::vector<double> bytes;
-  for (Rank r = 0; r < static_cast<Rank>(opt.n_writers); ++r) bytes.push_back(opt.bytes_of(r));
-  return bytes;
-}
-
 /// Each writer's blueprint: one block of its whole payload.
 LocalIndex one_block(Rank r, double bytes) {
   BlockRecord block;
@@ -77,13 +71,21 @@ LocalIndex one_block(Rank r, double bytes) {
   return index;
 }
 
+/// The harness's job: every writer's payload and one-block blueprint.
+IoJob harness_job(const HarnessOptions& opt) {
+  IoJob job;
+  for (Rank r = 0; r < static_cast<Rank>(opt.n_writers); ++r)
+    job.bytes_per_writer.push_back(opt.bytes_of(r));
+  job.blueprint = [bytes_of = opt.bytes_of](Rank r) { return one_block(r, bytes_of(r)); };
+  return job;
+}
+
 /// Runs the composed protocol to completion; exposes everything written.
 class Harness {
  public:
   explicit Harness(HarnessOptions opt)
       : opt_(with_default_bytes(std::move(opt))),
-        roles_(Topology(opt_.n_writers, opt_.n_groups), payloads(opt_),
-               [this](Rank r) { return one_block(r, opt_.bytes_of(r)); },
+        roles_(Topology(opt_.n_writers, opt_.n_groups), harness_job(opt_),
                Roles::Config{.max_concurrent = opt_.max_concurrent, .stealing = opt_.stealing}),
         rng_(opt_.seed),
         roles_remaining_(roles_.count()) {
@@ -485,6 +487,22 @@ TEST(IndexCarriage, SizesOnlyMatchesRecordsBitForBit) {
     EXPECT_EQ(index, static_cast<double>(fi.serialized_size())) << "file " << fi.file();
   }
   EXPECT_EQ(kept.ost_bytes[0], static_cast<double>(gi.serialized_size()));
+}
+
+// Pins the simulator's kept global index bit for bit: block content, file
+// placement and the sort order of every file index, steals included.
+TEST(IndexCarriage, KeptGlobalIndexMatchesGolden) {
+  const CarriageRun kept = run_pixie3d(true);
+  ASSERT_NE(kept.result.global_index, nullptr);
+  EXPECT_EQ(kept.result.steals, 9u);
+  const std::vector<std::uint8_t> bytes = kept.result.global_index->serialize();
+  EXPECT_EQ(bytes.size(), 62'868u);
+  std::uint64_t h = 14695981039346656037ull;  // FNV-1a-64
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  EXPECT_EQ(h, 0xcbad7eeface8f469ull);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 
 #include "core/transports/adaptive_transport.hpp"
@@ -67,6 +68,10 @@ TEST(TargetProbe, InvalidProbeThrows) {
   sim::Engine e;
   fs::FileSystem filesystem(e, test_fs(2));
   EXPECT_THROW(probe_targets(filesystem, 0.0, nullptr), std::invalid_argument);
+  EXPECT_THROW(probe_targets(filesystem, std::numeric_limits<double>::quiet_NaN(), nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(probe_targets(filesystem, std::numeric_limits<double>::infinity(), nullptr),
+               std::invalid_argument);
 }
 
 TEST(TargetProbe, AdaptiveTransportHonoursExplicitTargets) {

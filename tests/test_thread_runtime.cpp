@@ -90,6 +90,37 @@ TEST_F(ThreadRuntimeTest, ForcedSlownessCausesStealsAndStaysCorrect) {
     EXPECT_EQ(r.global_index.scan_for_writer(w).size(), 1u) << "writer " << w;
 }
 
+TEST_F(ThreadRuntimeTest, MultiBlockBlueprintRoundTrips) {
+  // Three 2-d blocks per writer; each SC thread builds its file's records
+  // from this blueprint while the other SC threads do the same.
+  IoJob job = IoJob::uniform(24, 3 * 512.0);
+  job.blueprint = [](core::Rank r) {
+    core::LocalIndex local;
+    local.writer = r;
+    for (std::uint32_t v = 0; v < 3; ++v) {
+      core::BlockRecord b;
+      b.writer = r;
+      b.var_id = v;
+      b.length = 512;
+      b.global_dims = {24, 3};
+      b.offsets = {static_cast<std::uint64_t>(r), v};
+      b.counts = {1, 1};
+      local.blocks.push_back(b);
+    }
+    return local;
+  };
+  ThreadRunConfig cfg;
+  cfg.directory = dir_;
+  cfg.n_files = 3;
+  cfg.write_delay = [](core::Rank r) { return r < 8 ? 0.05 : 0.001; };
+  const ThreadRunResult r = run_threaded(job, cfg);
+  EXPECT_GT(r.steals, 0u);
+  verify_round_trip(r, 24 * 3);
+  EXPECT_EQ(runtime::read_global_index(r.master_file).serialize(), r.global_index.serialize());
+  for (core::Rank w = 0; w < 24; ++w)
+    EXPECT_EQ(r.global_index.scan_for_writer(w).size(), 3u) << "writer " << w;
+}
+
 TEST_F(ThreadRuntimeTest, StealingDisabledKeepsBlocksHome) {
   ThreadRunConfig cfg;
   cfg.directory = dir_;

@@ -1,6 +1,7 @@
 // Behavioural tests for the three transports on a small simulated machine.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <optional>
 
@@ -312,5 +313,37 @@ INSTANTIATE_TEST_SUITE_P(Shapes, AdaptiveSweep,
                                            TransportSweep{8, 8}, TransportSweep{16, 4},
                                            TransportSweep{64, 8}, TransportSweep{128, 8},
                                            TransportSweep{37, 5}));
+
+// --- all three ---------------------------------------------------------------
+
+// A NaN or infinite payload passes a `bytes <= 0` guard; left unchecked it
+// drained the run without calling on_done and without an error.
+TEST(Transports, NonFinitePayloadThrows) {
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(IoJob::uniform(4, bad), std::invalid_argument) << bad;
+    for (int kind = 0; kind < 3; ++kind) {
+      Rig rig(4);
+      std::unique_ptr<core::Transport> t;
+      if (kind == 0)
+        t = std::make_unique<AdaptiveTransport>(rig.filesystem, rig.network, adaptive_cfg(2));
+      else if (kind == 1)
+        t = std::make_unique<MpiioTransport>(rig.filesystem, MpiioTransport::Config{});
+      else
+        t = std::make_unique<PosixTransport>(rig.filesystem, PosixTransport::Config{});
+      IoJob job = IoJob::uniform(4, 1e6);
+      job.bytes_per_writer[1] = bad;
+      bool done = false;
+      EXPECT_THROW(
+          {
+            t->run(job, [&done](IoResult) { done = true; });
+            rig.engine.run();
+          },
+          std::invalid_argument)
+          << t->name() << " with " << bad;
+      EXPECT_FALSE(done) << t->name() << " with " << bad;
+    }
+  }
+}
 
 }  // namespace
