@@ -814,6 +814,15 @@ std::vector<std::string> diff_reports(const Json& base, const Json& current,
 
 namespace {
 thread_local std::string* tls_summary_sink = nullptr;
+
+/// Writes `doc` and a newline to `path`.  Checks after the close, which
+/// writes whatever is still buffered (all of a small document).
+bool write_line(const std::string& path, const std::string& doc) {
+  std::ofstream out(path);
+  out << doc << '\n';
+  out.close();
+  return static_cast<bool>(out);
+}
 }  // namespace
 
 SummaryCapture::SummaryCapture(std::string& sink)
@@ -834,15 +843,10 @@ bool flush_report(const Journal& journal, int slot) {
     } else if (!summary.empty()) {
       std::fputs(summary.c_str(), stdout);
     }
-    if (!rep.path.empty()) {
-      std::ofstream out(numbered_path(rep.path, slot));
-      ok = static_cast<bool>(out << report.dump() << '\n');
-    }
+    if (!rep.path.empty()) ok = write_line(numbered_path(rep.path, slot), report.dump());
   }
-  if (trace.on) {
-    std::ofstream out(numbered_path(trace.path, slot));
-    ok = static_cast<bool>(out << report_trace(journal, report).dump() << '\n') && ok;
-  }
+  if (trace.on)
+    ok = write_line(numbered_path(trace.path, slot), report_trace(journal, report).dump()) && ok;
   return ok;
 }
 

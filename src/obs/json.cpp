@@ -7,6 +7,12 @@
 
 namespace aio::obs {
 
+Json Json::rendered_array(std::string text, std::size_t n) {
+  Json j;
+  j.value_ = std::make_shared<const Rendered>(Rendered{std::move(text), n});
+  return j;
+}
+
 const std::string& Json::str() const {
   static const std::string empty;
   return is_string() ? std::get<std::string>(value_) : empty;
@@ -39,8 +45,9 @@ const Json* Json::find(std::string_view key) const {
 }
 
 std::size_t Json::size() const {
-  if (is_array()) return std::get<Array>(value_).size();
-  if (is_object()) return std::get<Object>(value_).size();
+  if (const auto* a = std::get_if<Array>(&value_)) return a->size();
+  if (const auto* o = std::get_if<Object>(&value_)) return o->size();
+  if (const auto* r = std::get_if<RenderedPtr>(&value_)) return (*r)->n;
   return 0;
 }
 
@@ -96,7 +103,7 @@ void Json::dump_to(std::string& out) const {
         out += ',';
       }
       break;
-    default:
+    case 5:
       out += '{';
       for (const auto& [k, v] : std::get<5>(value_)) {
         append_quoted(out, k);
@@ -104,6 +111,17 @@ void Json::dump_to(std::string& out) const {
         v.dump_to(out);
         out += ',';
       }
+      break;
+    default: {
+      // Room for the text plus a short tail, so a large rendered array is
+      // copied once and the document's closing members do not regrow `out`.
+      const std::string& text = std::get<6>(value_)->text;
+      out.reserve(out.size() + text.size() + 256);
+      out += '[';
+      out += text;
+      out += ']';
+      return;
+    }
   }
   // The last member's comma becomes the closer; an empty one ends in its opener.
   const char close = value_.index() == 4 ? ']' : '}';

@@ -7,10 +7,16 @@
 // order (stable, diffable output), numbers are doubles (integral values
 // print without a fraction), and `parse` is a strict recursive-descent
 // reader returning nullopt on malformed input.
+//
+// One kind exists for writers whose arrays are too large to hold as values:
+// a rendered array (`rendered_array`) is elements already serialized as
+// text.  It counts and dumps like an array but has no element access, and it
+// sits behind a shared pointer so that no other value grows to hold it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -39,15 +45,32 @@ class Json {
   Json(std::string_view s) : value_(std::string(s)) {}
   Json(const char* s) : value_(std::string(s)) {}
 
-  /// Empty object / array with room reserved for `capacity` members.
-  [[nodiscard]] static Json object(std::size_t capacity = 0) { return reserved<Object>(capacity); }
-  [[nodiscard]] static Json array(std::size_t capacity = 0) { return reserved<Array>(capacity); }
+  /// Empty object / array.
+  [[nodiscard]] static Json object() {
+    Json j;
+    j.value_.emplace<Object>();
+    return j;
+  }
+  [[nodiscard]] static Json array() {
+    Json j;
+    j.value_.emplace<Array>();
+    return j;
+  }
+  /// Array of `n` elements given as `text`: their JSON serializations joined
+  /// by commas, without the brackets (empty for no elements).  The text is
+  /// trusted, not parsed.  size() returns `n` and dump() copies the text in;
+  /// at(), items() and push() throw std::bad_variant_access.  Copies share
+  /// the text.
+  [[nodiscard]] static Json rendered_array(std::string text, std::size_t n);
 
   [[nodiscard]] bool is_null() const { return std::holds_alternative<std::nullptr_t>(value_); }
   [[nodiscard]] bool is_bool() const { return std::holds_alternative<bool>(value_); }
   [[nodiscard]] bool is_number() const { return std::holds_alternative<double>(value_); }
   [[nodiscard]] bool is_string() const { return std::holds_alternative<std::string>(value_); }
-  [[nodiscard]] bool is_array() const { return std::holds_alternative<Array>(value_); }
+  /// True for rendered arrays too.
+  [[nodiscard]] bool is_array() const {
+    return std::holds_alternative<Array>(value_) || std::holds_alternative<RenderedPtr>(value_);
+  }
   [[nodiscard]] bool is_object() const { return std::holds_alternative<Object>(value_); }
 
   /// Typed reads; a mismatched read returns the type's zero value.
@@ -64,7 +87,8 @@ class Json {
   [[nodiscard]] const Json* find(std::string_view key) const;
   /// Array / object element count; 0 for scalars.
   [[nodiscard]] std::size_t size() const;
-  /// Array element (unchecked against scalars; throws via vector::at).
+  /// Array element; throws std::bad_variant_access on a non-array (rendered
+  /// arrays included) and std::out_of_range past the end.
   [[nodiscard]] const Json& at(std::size_t i) const { return std::get<Array>(value_).at(i); }
   [[nodiscard]] const Array& items() const { return std::get<Array>(value_); }
   [[nodiscard]] const Object& entries() const { return std::get<Object>(value_); }
@@ -82,16 +106,19 @@ class Json {
   static void append_quoted(std::string& out, std::string_view s);
 
  private:
-  template <class V>
-  static Json reserved(std::size_t n) {
-    Json j;
-    j.value_.emplace<V>().reserve(n);
-    return j;
-  }
+  struct Rendered {
+    std::string text;
+    std::size_t n;
+  };
+  using RenderedPtr = std::shared_ptr<const Rendered>;
 
   void dump_to(std::string& out) const;
 
-  std::variant<std::nullptr_t, bool, double, std::string, Array, Object> value_;
+  std::variant<std::nullptr_t, bool, double, std::string, Array, Object, RenderedPtr> value_;
 };
+
+// Every report and registry value is a Json, so a new kind must not widen it:
+// anything larger than a std::string goes behind a pointer.
+static_assert(sizeof(Json) <= 40, "Json grew past 40 bytes");
 
 }  // namespace aio::obs

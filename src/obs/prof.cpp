@@ -119,6 +119,7 @@ bool ShardProfiler::write() const {
   std::ofstream out(config_.path);
   if (!out) return false;
   out << to_json().dump() << '\n';
+  out.close();  // writes what is still buffered, so check after it
   return static_cast<bool>(out);
 }
 

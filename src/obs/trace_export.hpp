@@ -2,11 +2,13 @@
 //
 // Renders any binary run journal — a flight-recorder dump from a crashed run
 // included — as a Chrome trace for chrome://tracing or Perfetto, after the
-// fact.  The document is built straight from the records, one Json object per
-// event, with fixed per-layer pids, a fixed key order and a 4M-event cap.  It
-// is the only trace the stack writes: `tools/aio_report --trace out.json` and
-// the end-of-run `AIO_TRACE` flush (obs::flush_report) both dump
-// `report_trace`, so the two files are byte-identical.
+// fact.  The events are written straight from the records as JSON text, with
+// fixed per-layer pids, a fixed key order and a 4M-event cap, and the
+// document holds them as one rendered array (Json::rendered_array): no Json
+// value is built per event.  It is the only trace the stack writes:
+// `tools/aio_report --trace out.json` and the end-of-run `AIO_TRACE` flush
+// (obs::flush_report) both dump `report_trace`, so the two files are
+// byte-identical.
 //
 // Tracks:
 //   * protocol (pid 2): one thread per writer with a span from kWriterStart
@@ -33,7 +35,9 @@ namespace aio::obs {
 /// protocol, storage, mds, runtime).
 inline constexpr std::uint32_t kPidPath = 6;
 
-/// Trace document for the journal's record stream alone.
+/// Trace document for the journal's record stream alone.  Its `traceEvents`
+/// is a rendered array: size() counts the events (metadata included) and
+/// dump() writes them, but they have no element access.
 [[nodiscard]] Json journal_trace(const Journal& journal);
 
 /// Trace document for the `critical_path` blocks of an aio-report-v1

@@ -2,7 +2,8 @@
 // tiling, clamping, degraded chains), the analyzer integration on the golden
 // 2-OST rig (sum == io_seconds at 1e-9, the identity CI gates), the new
 // report surfaces (summary line, HTML critical-path + metadata-tier tables),
-// and the offline journal -> Chrome-trace converter.
+// and the offline journal -> Chrome-trace converter, byte for byte against
+// the object-per-event reference builder (trace_reference.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,6 +22,7 @@
 #include "obs/journal.hpp"
 #include "obs/trace_export.hpp"
 #include "sim/engine.hpp"
+#include "trace_reference.hpp"
 
 namespace {
 
@@ -283,7 +285,8 @@ TEST(CriticalPathReport, RunWithoutWritersDegradesToResidual) {
 
 std::size_t count_events(const obs::Json& trace, const char* ph, const std::string& name,
                          int pid = -1) {
-  const obs::Json* events = trace.find("traceEvents");
+  const std::optional<obs::Json> doc = obs::Json::parse(trace.dump());
+  const obs::Json* events = doc ? doc->find("traceEvents") : nullptr;
   if (!events || !events->is_array()) return 0;
   std::size_t n = 0;
   for (const obs::Json& e : events->items()) {
@@ -441,6 +444,68 @@ TEST(TraceExport, EveryRecordKindMatchesGoldenDump) {
       R"({"ph":"i","pid":5,"tid":0,"ts":2750000,"name":"prof shard 0","cat":"runtime","s":"t","args":{"execute_s":0.125,"barrier_s":0.0625,"merge_s":0.03125,"events":42,"msgs_posted":5,"msgs_drained":5}}],)"
       R"("displayTimeUnit":"ms","otherData":{"dropped":0,"events":15,"categories":4294967295}})";
   EXPECT_EQ(obs::journal_trace(every_kind_journal()).dump(), expected);
+}
+
+// --- the text writer against the object-per-event reference -----------------
+
+/// All three exports of (journal, report), each byte for byte against the
+/// reference builder's document for the same inputs.
+void expect_reference_bytes(const obs::Journal& journal, const obs::Json& report) {
+  EXPECT_EQ(obs::journal_trace(journal).dump(),
+            obs::testing::trace_reference(&journal, nullptr).dump());
+  EXPECT_EQ(obs::critical_path_trace(report).dump(),
+            obs::testing::trace_reference(nullptr, &report).dump());
+  EXPECT_EQ(obs::report_trace(journal, report).dump(),
+            obs::testing::trace_reference(&journal, &report).dump());
+}
+
+TEST(TraceReference, RigExportsMatchTheObjectBuilder) {
+  TwoOstRig rig;
+  (void)rig.run();
+  expect_reference_bytes(rig.journal, obs::analyze(rig.journal));
+}
+
+TEST(TraceReference, EveryRecordKindMatchesTheObjectBuilder) {
+  const obs::Journal journal = every_kind_journal();
+  expect_reference_bytes(journal, obs::analyze(journal));
+}
+
+// Hand-built reports: segment types that need escaping (quote, backslash,
+// control characters, multi-byte UTF-8), and runs, critical_path blocks and
+// segments of every wrong shape, which the exporter skips or renders with
+// empty names and zero times exactly as the reference does.
+TEST(TraceReference, MalformedReportsMatchTheObjectBuilder) {
+  const char* const reports[] = {
+      R"({"runs":[
+        {"critical_path":{"segments":[
+          {"type":"quote \" backslash \\ newline \n tab \t ctl \u0001\u001f \u00e9 é","t0":0.5,"t1":0.75},
+          {"type":7,"t0":"0.5","t1":null},
+          {"type":"no t1","t0":1},
+          3, null, [], "segment",
+          {"type":"","t0":-1e308,"t1":1e308},
+          {"t0":1,"t1":2},
+          {"type":{"nested":true},"t0":[1],"t1":{}}
+        ]}},
+        5,
+        {"critical_path":{"segments":"not an array"}},
+        {"critical_path":1},
+        {"critical_path":{}},
+        {"critical_path":null},
+        {},
+        {"critical_path":{"segments":[{"type":"mds","t0":0,"t1":1e-7}]}}
+      ]})",
+      R"({"runs":{"critical_path":{"segments":[]}}})",
+      R"({"runs":[]})",
+      R"([{"runs":[]}])",
+      "null",
+  };
+  const obs::Journal journal = every_kind_journal();
+  for (const char* text : reports) {
+    SCOPED_TRACE(text);
+    const std::optional<obs::Json> report = obs::Json::parse(text);
+    ASSERT_TRUE(report.has_value());
+    expect_reference_bytes(journal, *report);
+  }
 }
 
 }  // namespace

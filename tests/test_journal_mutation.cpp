@@ -4,9 +4,10 @@
 // records, and truncation mid-record — and every mutant is pushed through
 // the whole offline pipeline: Journal::write → Journal::load →
 // merge_records → analyze → report_trace → diff_reports against the clean
-// report.  No mutant may throw, and a load never yields more records than
-// the file holds.  The seed is fixed, so a failure names a reproducible
-// mutant.
+// report.  No mutant may throw, a load never yields more records than the
+// file holds, and every mutant's trace is byte-identical to the reference
+// builder's (trace_reference.hpp).  The seed is fixed, so a failure names a
+// reproducible mutant.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,6 +29,7 @@
 #include "obs/journal.hpp"
 #include "obs/trace_export.hpp"
 #include "sim/engine.hpp"
+#include "trace_reference.hpp"
 
 namespace {
 
@@ -135,8 +137,9 @@ class JournalMutation : public testing::Test {
         EXPECT_LE(loaded->records().size(), held);
         const obs::Journal merged = journal_of(obs::merge_records({&*loaded}));
         const obs::Json report = obs::analyze(merged);
-        const obs::Json trace = obs::report_trace(merged, report);
-        EXPECT_FALSE(trace.dump().empty());
+        const std::string trace = obs::report_trace(merged, report).dump();
+        EXPECT_FALSE(trace.empty());
+        EXPECT_EQ(trace, obs::testing::trace_reference(&merged, &report).dump());
         (void)obs::diff_reports(clean_report_, report);
       }
     });

@@ -8,10 +8,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "core/transports/adaptive_transport.hpp"
@@ -27,6 +29,10 @@
 #include "obs/sampler.hpp"
 #include "obs/trace_export.hpp"
 #include "sim/engine.hpp"
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace {
 
@@ -67,6 +73,68 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_FALSE(obs::Json::parse("{} trailing").has_value());
   EXPECT_FALSE(obs::Json::parse("nul").has_value());
   ASSERT_TRUE(obs::Json::parse("{\"u\":\"\\u00e9\"}").has_value());
+}
+
+TEST(Json, RenderedArrayCountsAndDumpsItsText) {
+  const obs::Json xs = obs::Json::rendered_array(R"(1,"two",{"x":[3]})", 3);
+  EXPECT_TRUE(xs.is_array());
+  EXPECT_EQ(xs.size(), 3u);
+  obs::Json doc = obs::Json::object();
+  doc.set("before", 0);
+  doc.set("xs", xs);
+  doc.set("after", "end");
+  const std::string text = doc.dump();
+  EXPECT_EQ(text, R"({"before":0,"xs":[1,"two",{"x":[3]}],"after":"end"})");
+  // The dump parses back, the rendered array as an ordinary one.
+  const std::optional<obs::Json> back = obs::Json::parse(text);
+  ASSERT_TRUE(back.has_value());
+  const obs::Json* parsed = back->find("xs");
+  ASSERT_NE(parsed, nullptr);
+  ASSERT_EQ(parsed->size(), 3u);
+  EXPECT_EQ(parsed->at(1).str(), "two");
+  EXPECT_EQ(back->dump(), text);
+}
+
+TEST(Json, EmptyRenderedArrayDumpsAsBrackets) {
+  const obs::Json empty = obs::Json::rendered_array("", 0);
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(empty.dump(), "[]");
+}
+
+TEST(Json, RenderedArrayHasNoElementAccess) {
+  obs::Json xs = obs::Json::rendered_array("1,2", 2);
+  EXPECT_THROW((void)xs.at(0), std::bad_variant_access);
+  EXPECT_THROW((void)xs.items(), std::bad_variant_access);
+  EXPECT_THROW(xs.push(3), std::bad_variant_access);
+  EXPECT_EQ(xs.dump(), "[1,2]");  // a failed push leaves the text alone
+}
+
+TEST(Json, RenderedArrayCopiesShareTheText) {
+  // Heap bytes in use, mmapped blocks included (glibc only; elsewhere the
+  // check passes vacuously).
+  const auto heap_bytes = [] {
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+    const struct mallinfo2 m = ::mallinfo2();
+    return m.uordblks + m.hblkhd;
+#else
+    return std::size_t{0};
+#endif
+  };
+  constexpr std::size_t kChars = 1 << 22;
+  std::vector<obs::Json> copies;
+  copies.reserve(8);
+  {
+    const obs::Json original =
+        obs::Json::rendered_array('"' + std::string(kChars, 'x') + '"', 1);
+    const std::size_t before = heap_bytes();
+    for (int i = 0; i < 8; ++i) copies.push_back(original);
+    EXPECT_LT(heap_bytes(), before + kChars) << "copies duplicated the text";
+  }
+  // The copies outlive the original.
+  for (const obs::Json& c : copies) {
+    EXPECT_EQ(c.size(), 1u);
+    EXPECT_EQ(c.dump().size(), kChars + 4);
+  }
 }
 
 // --- Registry ----------------------------------------------------------------
@@ -356,7 +424,8 @@ TEST(OstMetrics, CacheFullCrossingsCountFromTheJournal) {
 /// Events in a Chrome trace document with phase `ph` whose name starts with
 /// `prefix` (empty = any).
 std::size_t count_events(const obs::Json& trace, const char* ph, std::string_view prefix = {}) {
-  const obs::Json* events = trace.find("traceEvents");
+  const std::optional<obs::Json> doc = obs::Json::parse(trace.dump());
+  const obs::Json* events = doc ? doc->find("traceEvents") : nullptr;
   std::size_t n = 0;
   for (std::size_t i = 0; events && i < events->size(); ++i) {
     const obs::Json& e = events->at(i);
@@ -578,6 +647,20 @@ TEST(EnvReaders, ZeroTurnsEverySinkOff) {
   EXPECT_EQ(obs::LivePlane::from_env(0), nullptr);
   for (const char* v : {"AIO_TRACE", "AIO_JOURNAL", "AIO_REPORT", "AIO_LIVE", "AIO_FLIGHT"})
     ::unsetenv(v);
+}
+
+// A document that fits in the stream buffer is written only when its file
+// closes, and a failure there must still be reported.
+TEST(FlushReport, FailedWriteOfASmallDocumentIsReported) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const obs::Journal journal({/*path=*/"", /*max_records=*/16});
+  std::string summary;
+  const obs::SummaryCapture capture(summary);
+  for (const char* var : {"AIO_REPORT", "AIO_TRACE"}) {
+    ::setenv(var, "/dev/full", 1);
+    EXPECT_FALSE(obs::flush_report(journal, 0)) << var;
+    ::unsetenv(var);
+  }
 }
 
 // AIO_TRACE renders the journal into a file at the end of the run, so an

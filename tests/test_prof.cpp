@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <optional>
 #include <random>
 #include <string>
@@ -261,6 +262,16 @@ TEST(ShardProfilerRun, WriteEmitsParsableDocument) {
   EXPECT_EQ(doc->find("schema")->str(), "aio-prof-v1");
   EXPECT_DOUBLE_EQ(num_at(*doc, {"n_shards"}), 2.0);
   EXPECT_GT(num_at(*doc, {"totals", "events"}), 0.0);
+}
+
+// The document fits in the stream buffer, so only the close writes it.
+TEST(ShardProfilerRun, WriteReportsAFailedFlush) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  obs::prof::ShardProfiler::Config pc;
+  pc.path = "/dev/full";
+  obs::prof::ShardProfiler prof(pc);
+  prof.bind(2);
+  EXPECT_FALSE(prof.write());
 }
 
 // --- the live-plane snapshot block -------------------------------------------

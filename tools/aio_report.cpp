@@ -31,11 +31,13 @@ int usage(const char* argv0) {
 }
 
 /// Writes `parts` back to back, so a large document never gets copied just
-/// to append its trailing newline.
+/// to append its trailing newline.  Checks after the close, which writes
+/// whatever is still buffered (all of a small document).
 bool write_file(const std::string& path, std::initializer_list<std::string_view> parts) {
   std::ofstream out(path);
   if (!out) return false;
   for (const std::string_view part : parts) out << part;
+  out.close();
   return static_cast<bool>(out);
 }
 
