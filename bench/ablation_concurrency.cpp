@@ -34,7 +34,7 @@ int main() {
     stats::Summary bw;
   };
   const auto points = bench::run_samples(1, [&](std::size_t) {
-    bench::Machine machine(fs::jaguar(), 910, /*with_load=*/true, /*min_ranks=*/max_procs);
+    api::Simulation machine(fs::jaguar(), 910, {.min_ranks = max_procs});
     std::vector<Point> out;
     for (const std::size_t procs : {std::size_t{2048}, std::size_t{8192}}) {
       if (procs > max_procs) continue;
@@ -43,7 +43,7 @@ int main() {
         core::AdaptiveTransport::Config cfg;
         cfg.n_files = 512;
         cfg.max_concurrent = k;
-        core::AdaptiveTransport transport(machine.filesystem, machine.network, cfg);
+        core::AdaptiveTransport transport(machine.file_system(), machine.network(), cfg);
         stats::Summary bw;
         for (std::size_t s = 0; s < samples; ++s) {
           bw.add(machine.run(transport, job).bandwidth());

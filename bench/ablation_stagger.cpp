@@ -13,13 +13,13 @@ namespace {
 
 using namespace aio;
 
-double open_phase(bench::Machine& machine, std::size_t n_files,
+double open_phase(api::Simulation& machine, std::size_t n_files,
                   core::AdaptiveTransport::Config::OpenMode mode, double gap) {
   core::AdaptiveTransport::Config cfg;
   cfg.n_files = n_files;
   cfg.open_mode = mode;
   cfg.stagger_gap_s = gap;
-  core::AdaptiveTransport transport(machine.filesystem, machine.network, cfg);
+  core::AdaptiveTransport transport(machine.file_system(), machine.network(), cfg);
   const core::IoResult r =
       machine.run(transport, core::IoJob::uniform(n_files * 4, 1 << 20));
   machine.advance(60.0);
@@ -52,7 +52,7 @@ int main() {
     std::vector<Storm> storms;
   };
   const Out out = bench::run_samples(1, [&](std::size_t) {
-    bench::Machine machine(fs::jaguar(), 920, /*with_load=*/false);
+    api::Simulation machine(fs::jaguar(), 920, {.background_load = false});
     Out o;
     for (const std::size_t files : {std::size_t{128}, std::size_t{512}}) {
       const double storm = open_phase(machine, files, OpenMode::Storm, 0.0);
@@ -61,16 +61,16 @@ int main() {
     }
     // Contrast: the one-file-per-process storm adaptive IO avoids by design.
     for (const std::size_t procs : {std::size_t{2048}, std::size_t{8192}, std::size_t{16384}}) {
-      fs::MetadataServer mds(machine.engine, fs::jaguar().fs.mds);
+      fs::MetadataServer mds(machine.engine(), fs::jaguar().fs.mds);
       double done = 0.0;
       std::size_t remaining = procs;
-      const double t0 = machine.engine.now();
+      const double t0 = machine.engine().now();
       for (std::size_t i = 0; i < procs; ++i) {
         mds.submit(fs::MetadataServer::OpKind::Open, [&](sim::Time now) {
           if (--remaining == 0) done = now - t0;
         });
       }
-      machine.engine.run();
+      machine.engine().run();
       o.storms.push_back({procs, done});
     }
     return o;

@@ -35,18 +35,18 @@ int main() {
     stats::Summary off_bw, off_t, on_bw, on_t, steals;
   };
   const auto points = bench::run_samples(1, [&](std::size_t) {
-    bench::Machine machine(fs::jaguar(), 900, /*with_load=*/true, /*min_ranks=*/max_procs);
-    machine.add_interference_job();
+    api::Simulation machine(fs::jaguar(), 900,
+                            {.interference_job = true, .min_ranks = max_procs});
     std::vector<Point> out;
     for (const std::size_t procs : {std::size_t{512}, std::size_t{2048}, std::size_t{8192}}) {
       if (procs > max_procs) continue;
       core::AdaptiveTransport::Config off_cfg;
       off_cfg.n_files = 512;
       off_cfg.stealing = false;
-      core::AdaptiveTransport off(machine.filesystem, machine.network, off_cfg);
+      core::AdaptiveTransport off(machine.file_system(), machine.network(), off_cfg);
       core::AdaptiveTransport::Config on_cfg;
       on_cfg.n_files = 512;
-      core::AdaptiveTransport on(machine.filesystem, machine.network, on_cfg);
+      core::AdaptiveTransport on(machine.file_system(), machine.network(), on_cfg);
 
       const core::IoJob job = workload::pixie3d_job(model, procs);
       Point p;

@@ -30,13 +30,13 @@ int main() {
   // One machine carries all three target counts in sequence (the sweep is
   // deliberately on a shared, evolving system): a single replication unit.
   const auto sweep = bench::run_samples(1, [&](std::size_t) {
-    bench::Machine machine(fs::jaguar(), 930, /*with_load=*/true, /*min_ranks=*/procs);
+    api::Simulation machine(fs::jaguar(), 930, {.min_ranks = procs});
     const core::IoJob job = workload::pixie3d_job(model, procs);
     std::vector<stats::Summary> out;
     for (std::size_t i = 0; i < 3; ++i) {
       core::AdaptiveTransport::Config cfg;
       cfg.n_files = target_counts[i];
-      core::AdaptiveTransport transport(machine.filesystem, machine.network, cfg);
+      core::AdaptiveTransport transport(machine.file_system(), machine.network(), cfg);
       stats::Summary bw;
       for (std::size_t s = 0; s < samples; ++s) {
         bw.add(machine.run(transport, job).bandwidth());

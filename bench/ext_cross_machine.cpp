@@ -56,18 +56,18 @@ int main() {
   // Each machine preset is an independent replication, run concurrently.
   const auto results = bench::run_samples(std::size(cases), [&](std::size_t i) {
     const MachineCase& mc = cases[i];
-    bench::Machine machine(mc.spec, 970, /*with_load=*/true, /*min_ranks=*/mc.procs,
-                           /*obs_slot=*/static_cast<int>(i));
+    api::Simulation machine(mc.spec, 970,
+                            {.min_ranks = mc.procs, .slot = static_cast<int>(i)});
     const core::IoJob job = workload::s3d_job(model, mc.procs);
 
     core::MpiioTransport::Config mpi_cfg;
     mpi_cfg.stripe_count = mc.mpi_stripes;
     mpi_cfg.stripe_size = job.bytes_per_writer.front();
     mpi_cfg.max_segments = 4;
-    core::MpiioTransport mpi(machine.filesystem, mpi_cfg);
+    core::MpiioTransport mpi(machine.file_system(), mpi_cfg);
     core::AdaptiveTransport::Config ad_cfg;
     ad_cfg.n_files = mc.adaptive_files;
-    core::AdaptiveTransport adaptive(machine.filesystem, machine.network, ad_cfg);
+    core::AdaptiveTransport adaptive(machine.file_system(), machine.network(), ad_cfg);
 
     CaseResult out;
     for (std::size_t s = 0; s < samples; ++s) {

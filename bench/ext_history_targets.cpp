@@ -36,7 +36,7 @@ int main() {
     stats::Summary informed_bw;
   };
   const auto [naive_bw, informed_bw] = bench::run_samples(1, [&](std::size_t) {
-    bench::Machine machine(fs::jaguar(), 950, /*with_load=*/true, /*min_ranks=*/procs);
+    api::Simulation machine(fs::jaguar(), 950, {.min_ranks = procs});
     const core::IoJob job =
         workload::pixie3d_job(workload::Pixie3dConfig::large_model(), procs);
     Result r;
@@ -44,19 +44,19 @@ int main() {
       // Naive: the first 512 targets, whatever their current state.
       core::AdaptiveTransport::Config naive_cfg;
       naive_cfg.n_files = 512;
-      core::AdaptiveTransport naive(machine.filesystem, machine.network, naive_cfg);
+      core::AdaptiveTransport naive(machine.file_system(), machine.network(), naive_cfg);
       r.naive_bw.add(machine.run(naive, job).bandwidth());
       machine.advance(600.0);
 
       // Informed: probe all 672 targets (1 MB durable each — the cost of one
       // tiny output step), then take the fastest 512.
       std::optional<std::vector<double>> probe;
-      core::probe_targets(machine.filesystem, 1 << 20,
+      core::probe_targets(machine.file_system(), 1 << 20,
                           [&](std::vector<double> sec) { probe = std::move(sec); });
-      machine.engine.run();
+      machine.engine().run();
       core::AdaptiveTransport::Config informed_cfg;
       informed_cfg.targets = core::rank_targets(*probe, 512);
-      core::AdaptiveTransport informed(machine.filesystem, machine.network, informed_cfg);
+      core::AdaptiveTransport informed(machine.file_system(), machine.network(), informed_cfg);
       r.informed_bw.add(machine.run(informed, job).bandwidth());
       machine.advance(600.0);
     }

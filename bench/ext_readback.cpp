@@ -51,12 +51,12 @@ int main() {
 
   // Write and all three read-backs share one machine: a single unit.
   const Out out = bench::run_samples(1, [&](std::size_t) {
-    bench::Machine machine(fs::jaguar(), 940, /*with_load=*/true, /*min_ranks=*/procs);
+    api::Simulation machine(fs::jaguar(), 940, {.min_ranks = procs});
 
     // --- adaptive write, then two read-back flavours -------------------------
     core::AdaptiveTransport::Config ad_cfg;
     ad_cfg.n_files = 512;
-    core::AdaptiveTransport adaptive(machine.filesystem, machine.network, ad_cfg);
+    core::AdaptiveTransport adaptive(machine.file_system(), machine.network(), ad_cfg);
     const core::IoResult wrote = machine.run(adaptive, job);
     machine.advance(300.0);
 
@@ -67,11 +67,11 @@ int main() {
                               core::ReadbackConfig::Lookup::PerFileSearch}) {
       core::ReadbackConfig cfg;
       cfg.lookup = lookup;
-      core::ReadbackEngine reader(machine.filesystem, cfg);
+      core::ReadbackEngine reader(machine.file_system(), cfg);
       std::optional<core::ReadbackResult> result;
       reader.run(wrote.global_index, wrote.output_files, wrote.master_file,
                  [&](core::ReadbackResult r) { result = r; });
-      machine.engine.run();
+      machine.engine().run();
       machine.advance(300.0);
       o.rb[slot++] = {result->mds_ops, result->lookup_seconds(), result->read_seconds(),
                       result->bandwidth()};
@@ -82,13 +82,13 @@ int main() {
     mpi_cfg.stripe_count = 160;
     mpi_cfg.stripe_size = job.bytes_per_writer.front();
     mpi_cfg.max_segments = 4;
-    core::MpiioTransport mpi(machine.filesystem, mpi_cfg);
+    core::MpiioTransport mpi(machine.file_system(), mpi_cfg);
     machine.run(mpi, job);
     machine.advance(300.0);
     // Re-read: each rank reads its contiguous region of the shared file.
-    fs::StripedFile& shared = machine.filesystem.open_immediate(
+    fs::StripedFile& shared = machine.file_system().open_immediate(
         "mpiio-reread", 160, 0, job.bytes_per_writer.front());
-    const double t0 = machine.engine.now();
+    const double t0 = machine.engine().now();
     std::size_t pending = procs;
     double t_done = 0.0;
     double offset = 0.0;
@@ -100,7 +100,7 @@ int main() {
                   4);
       offset += job.bytes_per_writer[r];
     }
-    machine.engine.run();
+    machine.engine().run();
     o.mpi_read_s = t_done - t0;
     o.mpi_bw = job.total_bytes() / (t_done - t0);
     return o;

@@ -52,28 +52,28 @@ int main() {
     std::vector<double> adaptive_times;
   };
   const Out out = bench::run_samples(1, [&](std::size_t) {
-    bench::Machine machine(fs::jaguar(), 960, /*with_load=*/true, /*min_ranks=*/procs);
+    api::Simulation machine(fs::jaguar(), 960, {.min_ranks = procs});
     core::StagingTransport::Config st_cfg;
     st_cfg.n_staging_nodes = 128;
     st_cfg.buffer_bytes = 1.5 * step_bytes / st_cfg.n_staging_nodes;
-    core::StagingTransport staging(machine.filesystem, st_cfg);
+    core::StagingTransport staging(machine.file_system(), st_cfg);
 
     core::AdaptiveTransport::Config ad_cfg;
     ad_cfg.n_files = 512;
-    core::AdaptiveTransport adaptive(machine.filesystem, machine.network, ad_cfg);
+    core::AdaptiveTransport adaptive(machine.file_system(), machine.network(), ad_cfg);
 
     Out o;
     o.capacity_bytes = staging.capacity_bytes();
     for (std::size_t s = 0; s < steps; ++s) {
       std::optional<core::IoResult> staged;
       staging.run(job, [&](core::IoResult r) { staged = std::move(r); });
-      while (!staged) machine.engine.run_until(machine.engine.now() + 0.5);
+      while (!staged) machine.engine().run_until(machine.engine().now() + 0.5);
       o.staged_times.push_back(staged->io_seconds());
       o.residues.push_back(staging.buffered_bytes());
       machine.advance(cadence);
     }
     // Drain fully, then run the adaptive series at the same burst cadence.
-    machine.engine.run();
+    machine.engine().run();
     machine.advance(60.0);
     for (std::size_t s = 0; s < steps; ++s) {
       o.adaptive_times.push_back(machine.run(adaptive, job).io_seconds());

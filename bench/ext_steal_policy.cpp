@@ -36,8 +36,8 @@ int main() {
     stats::Summary rr_bw, rr_t, lq_bw, lq_t;
   };
   const auto points = bench::run_samples(1, [&](std::size_t) {
-    bench::Machine machine(fs::jaguar(), 980, /*with_load=*/true, /*min_ranks=*/max_procs);
-    machine.add_interference_job();
+    api::Simulation machine(fs::jaguar(), 980,
+                            {.interference_job = true, .min_ranks = max_procs});
     std::vector<Point> out;
     for (const std::size_t procs : {std::size_t{2048}, std::size_t{8192}}) {
       if (procs > max_procs) continue;
@@ -45,11 +45,11 @@ int main() {
 
       core::AdaptiveTransport::Config rr_cfg;
       rr_cfg.n_files = 512;
-      core::AdaptiveTransport rr(machine.filesystem, machine.network, rr_cfg);
+      core::AdaptiveTransport rr(machine.file_system(), machine.network(), rr_cfg);
       core::AdaptiveTransport::Config lq_cfg;
       lq_cfg.n_files = 512;
       lq_cfg.steal_most_remaining = true;
-      core::AdaptiveTransport lq(machine.filesystem, machine.network, lq_cfg);
+      core::AdaptiveTransport lq(machine.file_system(), machine.network(), lq_cfg);
 
       Point p;
       p.procs = procs;

@@ -69,8 +69,8 @@ int main() {
   // series can run concurrently (bench/parallel.hpp).
   const auto series_for_size = [&](std::size_t i) {
     const double size_mb = sizes_mb[i];
-    bench::Machine machine(spec, /*seed=*/1000 + static_cast<std::uint64_t>(size_mb),
-                           /*with_load=*/true, /*min_ranks=*/0, /*obs_slot=*/static_cast<int>(i));
+    api::Simulation machine(spec, /*seed=*/1000 + static_cast<std::uint64_t>(size_mb),
+                            {.slot = static_cast<int>(i)});
     std::vector<ScalePoint> points;
     points.reserve(writer_counts.size());
     for (const std::size_t writers : writer_counts) {
@@ -82,7 +82,7 @@ int main() {
       cfg.samples = samples;
       cfg.gap_seconds = 1.0;  // back-to-back iterations, as IOR runs them
       cfg.warmup = 2;         // reach cache steady state before recording
-      const workload::IorSeries series = workload::run_ior(machine.filesystem, cfg);
+      const workload::IorSeries series = workload::run_ior(machine.file_system(), cfg);
       machine.advance(120.0);  // let caches settle before the next scale
       points.push_back({writers, series.aggregate_summary(), series.per_writer_summary()});
     }

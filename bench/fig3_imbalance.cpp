@@ -52,7 +52,7 @@ int main() {
   // One machine carries the whole 3-minute-spaced series (the transience
   // *is* the experiment), so this bench is a single replication unit.
   const auto samples = bench::run_samples(1, [&](std::size_t) {
-    bench::Machine machine(fs::jaguar(), /*seed=*/29, /*with_load=*/true);
+    api::Simulation machine(fs::jaguar(), /*seed=*/29);
     std::vector<workload::IorSample> out;
     out.reserve(n_samples);
     for (std::size_t i = 0; i < n_samples; ++i) {
@@ -60,7 +60,7 @@ int main() {
       cfg.writers = 512;
       cfg.bytes_per_writer = 128.0 * kMiB;
       cfg.osts_to_use = 512;
-      out.push_back(workload::run_ior_once(machine.filesystem, cfg));
+      out.push_back(workload::run_ior_once(machine.file_system(), cfg));
       machine.advance(180.0);  // "Test 2 took place only 3 minutes later"
     }
     return out;

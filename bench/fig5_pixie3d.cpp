@@ -40,9 +40,9 @@ struct ScalePoint {
 std::vector<ScalePoint> run_condition(const workload::Pixie3dConfig& model, bool interference,
                                       std::size_t samples, std::size_t max_procs,
                                       std::uint64_t seed, int obs_slot) {
-  bench::Machine machine(fs::jaguar(), seed + (interference ? 7 : 0),
-                         /*with_load=*/true, /*min_ranks=*/max_procs, obs_slot);
-  if (interference) machine.add_interference_job();
+  api::Simulation machine(
+      fs::jaguar(), seed + (interference ? 7 : 0),
+      {.interference_job = interference, .min_ranks = max_procs, .slot = obs_slot});
   std::vector<ScalePoint> points;
   for (const std::size_t procs : {std::size_t{512}, std::size_t{2048}, std::size_t{8192},
                                   std::size_t{16384}}) {
@@ -54,11 +54,11 @@ std::vector<ScalePoint> run_condition(const workload::Pixie3dConfig& model, bool
     // region: one contiguous segment per writer.
     mpi_cfg.stripe_size = model.bytes_per_process();
     mpi_cfg.max_segments = 4;
-    core::MpiioTransport mpi(machine.filesystem, mpi_cfg);
+    core::MpiioTransport mpi(machine.file_system(), mpi_cfg);
 
     core::AdaptiveTransport::Config ad_cfg;
     ad_cfg.n_files = 512;
-    core::AdaptiveTransport adaptive(machine.filesystem, machine.network, ad_cfg);
+    core::AdaptiveTransport adaptive(machine.file_system(), machine.network(), ad_cfg);
 
     const core::IoJob job = workload::pixie3d_job(model, procs);
     stats::Summary mpi_bw;

@@ -40,9 +40,10 @@ int main() {
   // Two independent machines — base and interference — run concurrently.
   const auto conditions = bench::run_samples(2, [&](std::size_t i) {
     const bool interference = i == 1;
-    bench::Machine machine(fs::jaguar(), 400 + (interference ? 7 : 0), /*with_load=*/true,
-                           /*min_ranks=*/max_procs, /*obs_slot=*/static_cast<int>(i));
-    if (interference) machine.add_interference_job();
+    api::Simulation machine(fs::jaguar(), 400 + (interference ? 7 : 0),
+                            {.interference_job = interference,
+                             .min_ranks = max_procs,
+                             .slot = static_cast<int>(i)});
 
     std::vector<ScalePoint> points;
     for (const std::size_t procs : {std::size_t{512}, std::size_t{2048}, std::size_t{8192},
@@ -52,11 +53,11 @@ int main() {
       mpi_cfg.stripe_count = 160;
       mpi_cfg.stripe_size = model.bytes_per_process;
       mpi_cfg.max_segments = 4;
-      core::MpiioTransport mpi(machine.filesystem, mpi_cfg);
+      core::MpiioTransport mpi(machine.file_system(), mpi_cfg);
 
       core::AdaptiveTransport::Config ad_cfg;
       ad_cfg.n_files = 512;
-      core::AdaptiveTransport adaptive(machine.filesystem, machine.network, ad_cfg);
+      core::AdaptiveTransport adaptive(machine.file_system(), machine.network(), ad_cfg);
 
       const core::IoJob job = workload::xgc1_job(model, procs);
       stats::Summary mpi_bw;

@@ -66,8 +66,8 @@ int main() {
   // Each of the four cases is an independent machine, run concurrently.
   const auto per_case = bench::run_samples(std::size(cases), [&](std::size_t i) {
     const Case& c = cases[i];
-    bench::Machine machine(fs::jaguar(), c.seed, /*with_load=*/true, /*min_ranks=*/max_procs,
-                           /*obs_slot=*/static_cast<int>(i));
+    api::Simulation machine(fs::jaguar(), c.seed,
+                            {.min_ranks = max_procs, .slot = static_cast<int>(i)});
     std::vector<ScalePoint> points;
     for (const std::size_t procs : {std::size_t{512}, std::size_t{2048}, std::size_t{8192},
                                     std::size_t{16384}}) {
@@ -78,10 +78,10 @@ int main() {
       mpi_cfg.stripe_count = 160;
       mpi_cfg.stripe_size = job.bytes_per_writer.front();
       mpi_cfg.max_segments = 4;
-      core::MpiioTransport mpi(machine.filesystem, mpi_cfg);
+      core::MpiioTransport mpi(machine.file_system(), mpi_cfg);
       core::AdaptiveTransport::Config ad_cfg;
       ad_cfg.n_files = 512;
-      core::AdaptiveTransport adaptive(machine.filesystem, machine.network, ad_cfg);
+      core::AdaptiveTransport adaptive(machine.file_system(), machine.network(), ad_cfg);
 
       stats::Summary mpi_t;
       stats::Summary ad_t;

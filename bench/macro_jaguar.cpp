@@ -34,7 +34,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -106,14 +105,16 @@ struct RunCost {
 /// One cold sample: build a rig sized to `procs`, run one collective output,
 /// tear everything down.  The RSS delta brackets the entire sample so it
 /// charges the job, the network, the transport, and every live index to the
-/// scale that allocated them.
+/// scale that allocated them.  That is why the sample builds its own engine
+/// and a network of `procs` ranks rather than an api::Simulation (whose
+/// network spans every core of the machine); the sweep's Observers supply
+/// the live daemon, the watchdog and the failure flush.
 RunCost run_one(const fs::MachineSpec& spec, const workload::Pixie3dConfig& model,
-                std::size_t procs, bool adaptive, obs::Journal* journal,
-                obs::LivePlane* live) {
+                std::size_t procs, bool adaptive, api::Observers& sweep) {
   const std::uint64_t rss0 = current_rss_bytes();
   const auto t0 = std::chrono::steady_clock::now();
 
-  sim::Engine engine(journal, live);
+  sim::Engine engine(sweep.journal(), sweep.live());
   fs::FileSystem filesystem(engine, spec.fs);
   std::optional<net::Network> network;
   std::unique_ptr<core::Transport> transport;
@@ -130,37 +131,14 @@ RunCost run_one(const fs::MachineSpec& spec, const workload::Pixie3dConfig& mode
     cfg.max_segments = 4;
     transport = std::make_unique<core::MpiioTransport>(filesystem, cfg);
   }
-
-  // Periodic aio-live-v1 rows, same daemon pattern as the harness machines.
-  std::function<void()> arm_live;
-  if (live && live->snapshot_enabled()) {
-    arm_live = [&engine, live, &arm_live] {
-      engine.schedule_daemon_after(live->config().snapshot_period_s, [&] {
-        live->snapshot_tick(engine.now());
-        arm_live();
-      });
-    };
-    arm_live();
-  }
+  sweep.arm(engine);  // periodic aio-live-v1 rows
 
   const core::IoJob job = workload::pixie3d_job(model, procs);
   std::optional<core::IoResult> result;
   transport->run(job, [&](core::IoResult r) { result = std::move(r); });
-  const std::size_t max_steps = obs::env_count("AIO_BENCH_MAX_STEPS", 0);
-  if (max_steps == 0)
-    engine.run();
-  else
-    engine.run(max_steps);
-  if (!result) {
-    // Leave the evidence behind before aborting: the flight recorder holds
-    // the last records leading up to the hang, readable by tools/aio_report.
-    if (live) {
-      live->flush();
-      if (live->flight_enabled()) (void)live->dump_flight();
-    }
-    throw std::runtime_error("macro_jaguar: " + transport->name() +
-                             " did not complete at " + std::to_string(procs) + " writers");
-  }
+  // The rig's watchdog: a hung run leaves the sweep journal, its report and
+  // trace, the live tail and the flight recorder behind, then throws.
+  sweep.run(engine, *transport, result);
 
   RunCost cost;
   cost.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -255,12 +233,13 @@ int main() {
 
   // One journal across the whole sweep (serial bench, one "machine" at a
   // time); each adaptive run appends its own kRunBegin..kComplete span.
-  const std::unique_ptr<obs::Journal> journal = obs::Journal::from_env(0);
-  if (journal) journal->reserve(1 << 20);
   // One live plane the same way: the overhead it adds (or doesn't) is the
   // number this bench exists to measure, so it rides through every run.
-  const std::unique_ptr<obs::LivePlane> live = obs::LivePlane::from_env(0);
-  if (live && !shard_sweep.empty())
+  // Both are written when `sweep` is destroyed, at the end of main.
+  api::Observers sweep(/*slot=*/0);
+  obs::Journal* const journal = sweep.journal();
+  if (journal) journal->reserve(1 << 20);
+  if (sweep.live() && !shard_sweep.empty())
     std::fprintf(stderr,
                  "macro_jaguar: AIO_LIVE is ignored for sharded adaptive rows "
                  "(the live plane is single-engine)\n");
@@ -341,7 +320,7 @@ int main() {
           RunCost last;
           for (std::size_t s = 0; s < samples; ++s) {
             last = run_one_sharded(spec, model, procs, n_shards, sim_domains, window_batch,
-                                   journal.get(), prof.get());
+                                   journal, prof.get());
             wall.add(last.wall_s);
           }
           emit(procs, "adaptive", n_shards, wall, last);
@@ -362,7 +341,7 @@ int main() {
       stats::Summary wall;
       RunCost last;
       for (std::size_t s = 0; s < samples; ++s) {
-        last = run_one(spec, model, procs, adaptive, journal.get(), live.get());
+        last = run_one(spec, model, procs, adaptive, sweep);
         wall.add(last.wall_s);
       }
       emit(procs, adaptive ? "adaptive" : "mpiio", 0, wall, last);
@@ -372,11 +351,6 @@ int main() {
   std::printf("%s\n", table.render().c_str());
   std::printf("peak RSS (whole process): %s\n",
               bench::mb(static_cast<double>(bench::peak_rss_bytes())).c_str());
-  if (journal) {
-    (void)journal->write();
-    (void)obs::flush_report(*journal, 0);
-  }
-  if (live) live->flush();
   if (prof && !prof_env.path.empty()) {
     std::ofstream out(prof_env.path);
     if (out)

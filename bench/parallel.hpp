@@ -1,7 +1,7 @@
 // Parallel replication for the bench binaries.
 //
 // Every bench is a set of *independent replications*: each unit of work
-// builds its own `bench::Machine` from its own seed, runs it, and returns a
+// builds its own `api::Simulation` from its own seed, runs it, and returns a
 // result.  Units share nothing, so they can run on separate OS threads —
 // the simulations themselves stay single-threaded and deterministic.
 //

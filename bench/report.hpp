@@ -24,7 +24,6 @@
 //   }
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
@@ -36,6 +35,7 @@
 #include <sys/resource.h>
 #endif
 
+#include "obs/drops.hpp"
 #include "obs/env.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -60,22 +60,6 @@ inline std::uint64_t peak_rss_bytes() {
 #else
   return 0;
 #endif
-}
-
-/// Process-wide observability-drop totals, accumulated once per machine when
-/// it flushes (bench::Machine::flush_obs) and exported into the bench JSON.
-/// `published` stays false while no machine carried an observability hook,
-/// so env-unset runs emit byte-identical reports.  Atomics because machines
-/// flush from the replication pool's threads (AIO_BENCH_THREADS > 1).
-struct ObsDropTotals {
-  std::atomic<std::uint64_t> journal{0};     ///< journal records over max_records
-  std::atomic<std::uint64_t> live_rows{0};   ///< live snapshot rows that failed to write
-  std::atomic<bool> published{false};
-};
-
-inline ObsDropTotals& obs_drop_totals() {
-  static ObsDropTotals totals;
-  return totals;
 }
 
 class Report {
@@ -172,7 +156,7 @@ class Report {
     doc.set("peak_rss_bytes", obs::Json(rss));
     if (const obs::Json* procs = config_.find("max_procs"); procs && procs->number() > 0.0)
       doc.set("peak_rss_bytes_per_proc", obs::Json(rss / procs->number()));
-    if (const ObsDropTotals& drops = obs_drop_totals();
+    if (const obs::DropTotals& drops = obs::drop_totals();
         drops.published.load(std::memory_order_relaxed)) {
       obs::Json d = obs::Json::object();
       d.set("journal",

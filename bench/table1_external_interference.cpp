@@ -31,22 +31,24 @@ struct SeriesResult {
 SeriesResult hourly_series(const std::string& label, const fs::MachineSpec& spec,
                            std::size_t writers, std::size_t osts, std::size_t samples,
                            std::uint64_t seed, bool twin_job, int obs_slot) {
-  bench::Machine machine(spec, seed, /*with_load=*/true, /*min_ranks=*/0, obs_slot);
+  api::Simulation machine(spec, seed, {.slot = obs_slot});
   sim::Rng overlap_rng = sim::Rng(seed).fork(0x714F);
   SeriesResult out;
   out.machine = label;
   out.bandwidths.reserve(samples);
+  // The competing IOR program of the "XTP with Int." mode.  It lives as long
+  // as the machine: each of its runs completes inside the IOR sample it
+  // overlaps, after the block that started it has ended.
+  core::PosixTransport::Config cc;
+  cc.osts_to_use = osts;
+  core::PosixTransport competitor_transport(machine.file_system(), cc);
 
   for (std::size_t s = 0; s < samples; ++s) {
-    // The competing IOR program of the "XTP with Int." mode: a second
-    // full-size job launched "at the same time".  Real co-scheduled jobs
-    // never align perfectly, so the competitor gets a random head start —
-    // the varying overlap is what makes the interference transient.
+    // A second full-size job launched "at the same time".  Real co-scheduled
+    // jobs never align perfectly, so the competitor gets a random head start
+    // — the varying overlap is what makes the interference transient.
     std::optional<core::IoResult> competitor;
     if (twin_job) {
-      core::PosixTransport::Config cc;
-      cc.osts_to_use = osts;
-      core::PosixTransport competitor_transport(machine.filesystem, cc);
       competitor_transport.run(core::IoJob::uniform(writers, 128.0 * kMiB),
                                [&](core::IoResult r) { competitor = std::move(r); });
       machine.advance(overlap_rng.uniform(0.0, 9.0));
@@ -55,7 +57,7 @@ SeriesResult hourly_series(const std::string& label, const fs::MachineSpec& spec
     cfg.writers = writers;
     cfg.bytes_per_writer = 128.0 * kMiB;
     cfg.osts_to_use = osts;
-    const workload::IorSample sample = workload::run_ior_once(machine.filesystem, cfg);
+    const workload::IorSample sample = workload::run_ior_once(machine.file_system(), cfg);
     out.bandwidths.push_back(sample.aggregate_bw);
     machine.advance(3600.0);  // hourly tests
   }
@@ -128,13 +130,13 @@ int main() {
         // The paper's summary observation across all external-interference
         // tests.
         stats::Summary imbalance;
-        bench::Machine machine(fs::jaguar(), 23, true, /*min_ranks=*/0, /*obs_slot=*/4);
+        api::Simulation machine(fs::jaguar(), 23, {.slot = 4});
         for (int s = 0; s < 40; ++s) {
           workload::IorConfig cfg;
           cfg.writers = 512;
           cfg.bytes_per_writer = 128.0 * kMiB;
           cfg.osts_to_use = 512;
-          imbalance.add(workload::run_ior_once(machine.filesystem, cfg).imbalance);
+          imbalance.add(workload::run_ior_once(machine.file_system(), cfg).imbalance);
           machine.advance(3600.0);
         }
         return {{}, imbalance};

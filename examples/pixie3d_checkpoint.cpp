@@ -6,13 +6,10 @@
 // multi-step Pixie3D campaign (128 MB/process, 2048 processes) under both
 // the MPI-IO and adaptive transports and reports each step's IO time, the
 // cumulative IO share of wall-clock, and whether the 5% budget holds.
+#include <algorithm>
 #include <cstdio>
 
-#include "core/transports/adaptive_transport.hpp"
-#include "core/transports/mpiio_transport.hpp"
-#include "fs/interference.hpp"
-#include "fs/machine.hpp"
-#include "net/network.hpp"
+#include "core/api/adios.hpp"
 #include "workload/pixie3d.hpp"
 
 using namespace aio;
@@ -25,25 +22,18 @@ struct Campaign {
   double worst_step = 0.0;
 };
 
-Campaign run_campaign(core::Transport& transport, sim::Engine& engine,
-                      const core::IoJob& job, int steps, double compute_s) {
+Campaign run_campaign(api::Simulation& sim, core::Transport& transport, const core::IoJob& job,
+                      int steps, double compute_s) {
   Campaign c;
-  const double t0 = engine.now();
+  const double t0 = sim.engine().now();
   for (int s = 0; s < steps; ++s) {
-    double io = 0.0;
-    bool done = false;
-    transport.run(job, [&](core::IoResult r) {
-      io = r.io_seconds();
-      done = true;
-    });
-    engine.run();
-    if (!done) throw std::logic_error("step did not complete");
+    const double io = sim.run(transport, job).io_seconds();
     c.io_seconds += io;
     c.worst_step = std::max(c.worst_step, io);
     std::printf("    step %d: %7.2f s IO\n", s, io);
-    engine.run_until(engine.now() + compute_s);
+    sim.advance(compute_s);
   }
-  c.wall_seconds = engine.now() - t0;
+  c.wall_seconds = sim.engine().now() - t0;
   return c;
 }
 
@@ -61,28 +51,21 @@ int main() {
               kProcs, kSteps, job.bytes_per_writer[0] / 1e6);
 
   for (const bool adaptive : {false, true}) {
-    sim::Engine engine;
-    fs::MachineSpec spec = fs::jaguar();
-    fs::FileSystem filesystem(engine, spec.fs);
-    net::Network network(engine, {spec.msg_latency_s, spec.nic_bw, spec.cores_per_node},
-                         kProcs);
-    fs::BackgroundLoad load(engine, sim::Rng(7).fork(1), spec.load,
-                            filesystem.ost_pointers());
-    load.start();
+    api::Simulation sim(fs::jaguar(), /*seed=*/7);
 
     std::printf("  %s:\n", adaptive ? "Adaptive (512 targets)" : "MPI-IO (160 OSTs)");
     Campaign c;
     if (adaptive) {
       core::AdaptiveTransport::Config cfg;
       cfg.n_files = 512;
-      core::AdaptiveTransport transport(filesystem, network, cfg);
-      c = run_campaign(transport, engine, job, kSteps, kComputePhase);
+      core::AdaptiveTransport transport(sim.file_system(), sim.network(), cfg);
+      c = run_campaign(sim, transport, job, kSteps, kComputePhase);
     } else {
       core::MpiioTransport::Config cfg;
       cfg.stripe_count = 160;
       cfg.stripe_size = job.bytes_per_writer[0];
-      core::MpiioTransport transport(filesystem, cfg);
-      c = run_campaign(transport, engine, job, kSteps, kComputePhase);
+      core::MpiioTransport transport(sim.file_system(), cfg);
+      c = run_campaign(sim, transport, job, kSteps, kComputePhase);
     }
     const double share = 100.0 * c.io_seconds / c.wall_seconds;
     std::printf("    total IO %.1f s over %.0f s wall (%.1f%% of wall clock) — %s\n"

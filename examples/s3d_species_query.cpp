@@ -11,12 +11,10 @@
 //
 // Only the matching blocks would then be read — the characteristics prune
 // everything else.
+#include <algorithm>
 #include <cstdio>
-#include <optional>
 
-#include "core/transports/adaptive_transport.hpp"
-#include "fs/machine.hpp"
-#include "net/network.hpp"
+#include "core/api/adios.hpp"
 #include "workload/s3d.hpp"
 
 using namespace aio;
@@ -26,25 +24,20 @@ int main() {
   const workload::S3dConfig model = workload::S3dConfig::small_run();
   const core::IoJob job = workload::s3d_job(model, kProcs);
 
-  sim::Engine engine;
-  fs::MachineSpec spec = fs::jaguar();
-  fs::FileSystem filesystem(engine, spec.fs);
-  net::Network network(engine, {spec.msg_latency_s, spec.nic_bw, spec.cores_per_node},
-                       kProcs);
+  // A quiet machine: no production background load.
+  api::Simulation sim(fs::jaguar(), /*seed=*/0, {.background_load = false});
 
   std::printf("writing S3D restart: %zu procs x %.1f MB (%zu fields each)...\n", kProcs,
               model.bytes_per_process() / 1e6, model.n_fields());
   core::AdaptiveTransport::Config cfg;
   cfg.n_files = 512;
-  core::AdaptiveTransport transport(filesystem, network, cfg);
-  std::optional<core::IoResult> result;
-  transport.run(job, [&](core::IoResult r) { result = std::move(r); });
-  engine.run();
+  core::AdaptiveTransport transport(sim.file_system(), sim.network(), cfg);
+  const core::IoResult result = sim.run(transport, job);
   std::printf("done: %.2f GB/s, %zu blocks indexed across %zu files\n\n",
-              result->bandwidth() / 1e9, result->total_blocks_indexed,
-              result->global_index->n_files());
+              result.bandwidth() / 1e9, result.total_blocks_indexed,
+              result.global_index->n_files());
 
-  const core::GlobalIndex& index = *result->global_index;
+  const core::GlobalIndex& index = *result.global_index;
 
   // 1. Locality query: a corner subvolume of the temperature field (var 4).
   const std::vector<std::uint64_t> corner{0, 0, 0};

@@ -8,11 +8,7 @@
 // coordinator moved the work.
 #include <cstdio>
 
-#include "core/transports/adaptive_transport.hpp"
-#include "core/transports/mpiio_transport.hpp"
-#include "fs/interference.hpp"
-#include "fs/machine.hpp"
-#include "net/network.hpp"
+#include "core/api/adios.hpp"
 #include "workload/xgc1.hpp"
 
 using namespace aio;
@@ -27,43 +23,27 @@ int main() {
 
   for (const bool noisy : {false, true}) {
     for (const bool adaptive : {false, true}) {
-      sim::Engine engine;
       fs::MachineSpec spec = fs::jaguar();
       // A quiet-ish night on the machine, so the noisy neighbour's effect is
       // not drowned by general production traffic.
       spec.load.mean_load = 0.10;
       spec.load.local_cv = 0.5;
       spec.load.max_load = 0.5;
-      fs::FileSystem filesystem(engine, spec.fs);
-      net::Network network(engine, {spec.msg_latency_s, spec.nic_bw, spec.cores_per_node},
-                           kProcs);
-      fs::BackgroundLoad load(engine, sim::Rng(11).fork(1), spec.load,
-                              filesystem.ost_pointers());
-      load.start();
-      fs::InterferenceJob neighbour(engine, {}, filesystem.ost_pointers());
-      if (noisy) neighbour.start();
+      api::Simulation sim(spec, /*seed=*/11, {.interference_job = noisy});
 
       core::IoResult result;
-      bool done = false;
-      const auto capture = [&](core::IoResult r) {
-        result = std::move(r);
-        done = true;
-        neighbour.stop();
-      };
       if (adaptive) {
         core::AdaptiveTransport::Config cfg;
         cfg.n_files = 512;
-        core::AdaptiveTransport transport(filesystem, network, cfg);
-        transport.run(job, capture);
+        core::AdaptiveTransport transport(sim.file_system(), sim.network(), cfg);
+        result = sim.run(transport, job);
       } else {
         core::MpiioTransport::Config cfg;
         cfg.stripe_count = 160;
         cfg.stripe_size = job.bytes_per_writer[0];
-        core::MpiioTransport transport(filesystem, cfg);
-        transport.run(job, capture);
+        core::MpiioTransport transport(sim.file_system(), cfg);
+        result = sim.run(transport, job);
       }
-      engine.run();
-      if (!done) throw std::logic_error("write did not complete");
       std::printf("%-22s %-9s %10.2f s %7.2f GB/s %8llu\n",
                   adaptive ? "Adaptive (512 files)" : "MPI-IO (160 OSTs)",
                   noisy ? "yes" : "no", result.io_seconds(), result.bandwidth() / 1e9,

@@ -1,9 +1,12 @@
 #include "core/api/adios.hpp"
 
+#include <algorithm>
+#include <cstdio>
 #include <numeric>
 #include <stdexcept>
 
 #include "obs/analysis.hpp"
+#include "obs/drops.hpp"
 #include "obs/env.hpp"
 
 namespace aio::api {
@@ -96,22 +99,122 @@ core::LocalIndex WriteSet::blueprint(core::Rank rank) const {
   return idx;
 }
 
+Observers::Observers(int slot)
+    : slot_(obs::machine_slot(slot)),
+      journal_(obs::Journal::from_env(slot_)),
+      live_(obs::LivePlane::from_env(slot_)),
+      metrics_file_(obs::env_sink("AIO_METRICS", /*needs_path=*/true)) {}
+
+void Observers::arm(sim::Engine& engine, fs::FileSystem* fs, double period_s,
+                    std::size_t per_ost) {
+  if (fs && period_s <= 0.0 && metrics_file_.on) {
+    period_s = 1.0;
+    per_ost = 32;
+  }
+  if (fs && period_s > 0.0) {
+    sampler_ = std::make_unique<obs::Sampler>(metrics_, period_s);
+    fs->register_probes(*sampler_, per_ost);
+    arm_sampler(engine);
+  }
+  if (live_ && live_->snapshot_enabled()) arm_live(engine);
+}
+
+void Observers::arm_sampler(sim::Engine& engine) {
+  engine.schedule_daemon_after(sampler_->period(), [this, &engine] {
+    sampler_->tick(engine.now());
+    arm_sampler(engine);
+  });
+}
+
+void Observers::arm_live(sim::Engine& engine) {
+  engine.schedule_daemon_after(live_->config().snapshot_period_s, [this, &engine] {
+    live_->snapshot_tick(engine.now());
+    arm_live(engine);
+  });
+}
+
+void Observers::run(sim::Engine& engine, const core::Transport& transport,
+                    const std::optional<core::IoResult>& result) {
+  // Read per run, so a cap set after an earlier run still applies.
+  const std::size_t max_steps = obs::env_count("AIO_BENCH_MAX_STEPS", 0);
+  if (max_steps == 0) {
+    engine.run();
+  } else {
+    engine.run(max_steps);
+    if (!result && engine.pending_normal() > 0)
+      fail(engine, transport,
+           "engine watchdog tripped after " + std::to_string(max_steps) +
+               " steps (AIO_BENCH_MAX_STEPS)");
+  }
+  if (!result) fail(engine, transport, "transport did not complete (event queue drained)");
+}
+
+void Observers::fail(const sim::Engine& engine, const core::Transport& transport,
+                     const std::string& what) {
+  std::string msg = transport.name() + ": " + what + " [t=" + std::to_string(engine.now()) +
+                    "s steps=" + std::to_string(engine.steps()) +
+                    " pending=" + std::to_string(engine.pending()) +
+                    " pending_normal=" + std::to_string(engine.pending_normal()) + "]";
+  // The metrics tail between the last daemon tick and the abort instant.
+  if (sampler_) sampler_->tick(engine.now());
+  const bool written = flush();
+  if (const obs::EnvSink trace = obs::env_sink("AIO_TRACE", /*needs_path=*/true);
+      journal_ && trace.on)
+    msg += written ? "; trace dumped to " + obs::numbered_path(trace.path, slot_)
+                   : "; writing the report or trace failed";
+  if (live_ && live_->flight_enabled() && live_->dump_flight())
+    msg += "; flight recorder dumped to " + live_->config().flight_path;
+  throw std::runtime_error(msg);
+}
+
+bool Observers::flush() {
+  if (flushed_) return true;
+  flushed_ = true;
+  bool ok = true;
+  if (journal_) {
+    (void)journal_->write();
+    ok = obs::flush_report(*journal_, slot_);
+  }
+  if (live_) live_->flush();
+  if (journal_ || live_) {
+    obs::DropTotals& totals = obs::drop_totals();
+    if (journal_) totals.journal.fetch_add(journal_->dropped(), std::memory_order_relaxed);
+    if (live_) totals.live_rows.fetch_add(live_->rows_dropped(), std::memory_order_relaxed);
+    totals.published.store(true, std::memory_order_relaxed);
+  }
+  if (sampler_ && metrics_file_.on) {
+    if (std::FILE* f = std::fopen(obs::numbered_path(metrics_file_.path, slot_).c_str(), "w")) {
+      const std::string doc = metrics_.to_json().dump();
+      std::fwrite(doc.data(), 1, doc.size(), f);
+      std::fputc('\n', f);
+      std::fclose(f);
+    }
+  }
+  return ok;
+}
+
+namespace {
+
+fs::MachineSpec with_env_mds(fs::MachineSpec spec) {
+  if (const std::size_t n_mds = obs::env_count("AIO_MDS_COUNT", 0); n_mds > 0)
+    spec.fs.n_mds = n_mds;
+  return spec;
+}
+
+}  // namespace
+
 Simulation::Simulation(fs::MachineSpec spec, std::uint64_t seed, Options options)
-    : spec_(std::move(spec)),
+    : spec_(with_env_mds(std::move(spec))),
       options_(options),
-      obs_slot_(obs::machine_slot()),
-      journal_(obs::Journal::from_env(obs_slot_)),
-      live_(obs::LivePlane::from_env(obs_slot_)),
-      engine_(journal_.get(), live_.get()),
-      rng_(seed) {
+      obs_(options.slot),
+      engine_(obs_.journal(), obs_.live()) {
   fs_ = std::make_unique<fs::FileSystem>(engine_, spec_.fs);
-  net::NetConfig nc;
-  nc.latency_s = spec_.msg_latency_s;
-  nc.nic_bw = spec_.nic_bw;
-  nc.cores_per_node = spec_.cores_per_node;
-  net_ = std::make_unique<net::Network>(engine_, nc, spec_.total_cores());
+  net_ = std::make_unique<net::Network>(
+      engine_, net::NetConfig{spec_.msg_latency_s, spec_.nic_bw, spec_.cores_per_node},
+      std::max(options_.min_ranks, spec_.total_cores()));
+  obs_.arm(engine_, fs_.get(), options_.metrics_sample_period_s, options_.metrics_per_ost);
   if (options_.background_load) {
-    load_ = std::make_unique<fs::BackgroundLoad>(engine_, rng_.fork(1), spec_.load,
+    load_ = std::make_unique<fs::BackgroundLoad>(engine_, sim::Rng(seed).fork(1), spec_.load,
                                                  fs_->ost_pointers());
     load_->start();
   }
@@ -119,53 +222,26 @@ Simulation::Simulation(fs::MachineSpec spec, std::uint64_t seed, Options options
     job_ = std::make_unique<fs::InterferenceJob>(engine_, fs::InterferenceJob::Config{},
                                                  fs_->ost_pointers());
   }
-  if (options_.metrics_sample_period_s > 0.0) {
-    sampler_ = std::make_unique<obs::Sampler>(metrics_, options_.metrics_sample_period_s);
-    fs_->register_probes(*sampler_, options_.metrics_per_ost);
-    arm_sampler();
-  }
-  if (live_ && live_->snapshot_enabled()) arm_live();
 }
 
-void Simulation::arm_sampler() {
-  // Daemon events never keep run() alive, so sampling cannot change when a
-  // simulation terminates — only what is observed along the way.
-  engine_.schedule_daemon_after(sampler_->period(), [this] {
-    sampler_->tick(engine_.now());
-    arm_sampler();
-  });
-}
-
-void Simulation::arm_live() {
-  // Same daemon pattern as the sampler: one aio-live-v1 row per period.
-  engine_.schedule_daemon_after(live_->config().snapshot_period_s, [this] {
-    live_->snapshot_tick(engine_.now());
-    arm_live();
-  });
-}
-
-void Simulation::flush_obs(bool aborted) {
-  if (obs_flushed_) return;
-  obs_flushed_ = true;
-  // An aborted run would otherwise lose the metrics tail between the last
-  // daemon tick and the failure instant.
-  if (aborted && sampler_) sampler_->tick(engine_.now());
-  if (journal_) {
-    (void)journal_->write();
-    (void)obs::flush_report(*journal_, obs_slot_);
-  }
-  if (live_) {
-    live_->flush();
-    if (aborted && live_->flight_enabled()) (void)live_->dump_flight();
-  }
-}
-
+// obs_ flushes when it is destroyed, after the engine and the stack, so the
+// job's in-flight writes are aborted first.
 Simulation::~Simulation() {
   if (job_ && job_->running()) job_->stop();
-  flush_obs(/*aborted=*/false);
 }
 
 void Simulation::advance(double seconds) { engine_.run_until(engine_.now() + seconds); }
+
+core::IoResult Simulation::run(core::Transport& transport, const core::IoJob& job) {
+  if (job_) job_->start();
+  std::optional<core::IoResult> result;
+  transport.run(job, [&](core::IoResult r) {
+    result = std::move(r);
+    if (job_) job_->stop();
+  });
+  obs_.run(engine_, transport, result);
+  return std::move(*result);
+}
 
 core::IoResult Simulation::write_step(const IoGroup& group, Method method,
                                       std::size_t n_writers,
@@ -220,31 +296,7 @@ core::IoResult Simulation::write_step(const IoGroup& group, Method method,
     }
   }
 
-  if (job_) job_->start();
-  bool done = false;
-  core::IoResult result;
-  transport->run(job, [&](core::IoResult r) {
-    result = std::move(r);
-    done = true;
-    if (job_) job_->stop();
-  });
-  // AIO_BENCH_MAX_STEPS arms the engine watchdog: the step bounds a hung
-  // protocol instead of spinning forever, and the failure path below still
-  // flushes every observability artifact (including the flight recorder).
-  static const std::size_t max_steps = obs::env_count("AIO_BENCH_MAX_STEPS", 0);
-  if (max_steps > 0)
-    engine_.run(max_steps);
-  else
-    engine_.run();
-  if (!done) {
-    flush_obs(/*aborted=*/true);
-    throw std::runtime_error(
-        "Simulation::write_step: transport did not complete (event queue drained at t=" +
-        std::to_string(engine_.now()) + "s after " + std::to_string(engine_.steps()) +
-        " steps; pending=" + std::to_string(engine_.pending()) +
-        " pending_normal=" + std::to_string(engine_.pending_normal()) + ")");
-  }
-  return result;
+  return run(*transport, job);
 }
 
 }  // namespace aio::api

@@ -13,7 +13,9 @@
 //                               [&](Rank r) { ... return WriteSet; });
 //
 // `Simulation` owns the simulated machine (engine, file system, network,
-// background load) so examples and tests stay a few lines long.
+// background load, interference job, observability) so examples, tests and
+// every bench stay a few lines long.  Benches and examples that bring their
+// own transport call `run(transport, job)` instead of `write_step`.
 #pragma once
 
 #include <cstdint>
@@ -32,11 +34,11 @@
 #include "fs/interference.hpp"
 #include "fs/machine.hpp"
 #include "net/network.hpp"
+#include "obs/env.hpp"
 #include "obs/journal.hpp"
 #include "obs/live.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
-#include "sim/rng.hpp"
 
 namespace aio::api {
 
@@ -104,29 +106,108 @@ enum class Method : std::uint8_t { Posix, MpiIo, Adaptive };
 
 [[nodiscard]] const char* method_name(Method m);
 
+/// One machine's observability, numbered by one output slot (obs/env.hpp):
+/// the run journal (AIO_JOURNAL/REPORT/TRACE) and live plane
+/// (AIO_LIVE/FLIGHT) armed from the environment, the metrics registry and
+/// its sampler, the daemons that feed them, the AIO_BENCH_MAX_STEPS
+/// watchdog and the one latched flush that writes everything out.  Every
+/// Simulation owns one.  macro_jaguar, whose cold per-scale engines append
+/// to one sweep journal, holds one across its sweep.
+class Observers {
+ public:
+  /// `slot` -1 takes the next machine number in construction order.
+  explicit Observers(int slot);
+  /// Writes every artifact out (flush), unless a failure already did.
+  ~Observers() { (void)flush(); }
+  Observers(const Observers&) = delete;
+  Observers& operator=(const Observers&) = delete;
+
+  [[nodiscard]] obs::Journal* journal() const { return journal_.get(); }
+  [[nodiscard]] obs::LivePlane* live() const { return live_.get(); }
+  [[nodiscard]] obs::Registry& metrics() { return metrics_; }
+  /// The armed sampler, or null.
+  [[nodiscard]] const obs::Sampler* sampler() const { return sampler_.get(); }
+
+  /// Arms this machine's daemons on `engine`: one live snapshot row per
+  /// period and, given `fs`, a sampler over the probes of its first
+  /// `per_ost` OSTs every `period_s` — or, with `period_s` 0 and
+  /// AIO_METRICS on, every simulated second over 32 OSTs.  Daemon events
+  /// never keep run() alive, so they change what is observed, never when a
+  /// run ends.
+  void arm(sim::Engine& engine, fs::FileSystem* fs = nullptr, double period_s = 0.0,
+           std::size_t per_ost = 0);
+
+  /// Runs `engine` until no normal event is left, or for at most
+  /// AIO_BENCH_MAX_STEPS steps when that is set.  If `result` is still
+  /// empty then, the run hung: the sinks are flushed as an aborted run (a
+  /// last sample, the flight recorder) and the call throws, naming the
+  /// watchdog or the drained queue, the engine state and the files left
+  /// behind.
+  void run(sim::Engine& engine, const core::Transport& transport,
+           const std::optional<core::IoResult>& result);
+
+ private:
+  /// Writes every artifact once, on the failure path or at destruction
+  /// (later calls do nothing and return true): journal, then report and
+  /// trace, live tail, drop totals (obs/drops.hpp) and the AIO_METRICS
+  /// registry.  False when a report or trace write failed.
+  bool flush();
+  [[noreturn]] void fail(const sim::Engine& engine, const core::Transport& transport,
+                         const std::string& what);
+  void arm_sampler(sim::Engine& engine);
+  void arm_live(sim::Engine& engine);
+
+  // Resolved once, so the journal, report, trace, live stream and metrics
+  // of this machine share one number whatever order machines die in.
+  int slot_;
+  std::unique_ptr<obs::Journal> journal_;
+  std::unique_ptr<obs::LivePlane> live_;
+  obs::EnvSink metrics_file_;
+  obs::Registry metrics_;
+  std::unique_ptr<obs::Sampler> sampler_;
+  bool flushed_ = false;
+};
+
 /// A simulated machine plus everything needed to run output steps on it.
+/// It is the one rig: the figure, table, ablation and extension benches,
+/// the examples and API users all build it.
 class Simulation {
  public:
   struct Options {
     bool background_load = true;       ///< production interference on
-    bool interference_job = false;     ///< the Section IV synthetic job
+    bool interference_job = false;     ///< the Section IV synthetic job, on during runs
     std::size_t adaptive_files = 0;    ///< 0 = one file per OST
     std::size_t mpiio_stripes = 0;     ///< 0 = stripe limit
     std::size_t adaptive_concurrency = 1;
     bool adaptive_stealing = true;
     /// > 0 arms a sampling daemon at this period feeding the metrics
-    /// registry (per-OST occupancy/bandwidth series + aggregates).
+    /// registry (per-OST occupancy/bandwidth series + aggregates).  0 arms
+    /// it only under AIO_METRICS (Observers::arm).
     double metrics_sample_period_s = 0.0;
     /// Per-OST series cap when sampling is armed (aggregates are exempt).
     std::size_t metrics_per_ost = 16;
+    /// The network has max(min_ranks, spec.total_cores()) ranks.
+    std::size_t min_ranks = 0;
+    /// Output slot (obs/env.hpp).  -1 numbers machines in construction
+    /// order, which is nondeterministic when machines are built on several
+    /// threads, so benches that run machines in parallel pass their unit
+    /// index.
+    int slot = -1;
   };
 
+  /// AIO_MDS_COUNT, when set, overrides `spec.fs.n_mds`.
   Simulation(fs::MachineSpec spec, std::uint64_t seed, Options options);
   Simulation(fs::MachineSpec spec, std::uint64_t seed)
       : Simulation(std::move(spec), seed, Options{}) {}
   ~Simulation();
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
+
+  /// Runs one collective output of `transport` (built on this machine's
+  /// file system and network) to completion, with the interference job, if
+  /// any, writing only until it completes.  Throws, leaving every artifact
+  /// written, when the run hangs (Observers::run).
+  core::IoResult run(core::Transport& transport, const core::IoJob& job);
 
   /// Runs one collective output step to completion and returns its result.
   core::IoResult write_step(const IoGroup& group, Method method, std::size_t n_writers,
@@ -141,47 +222,32 @@ class Simulation {
   [[nodiscard]] const fs::MachineSpec& spec() const { return spec_; }
 
   /// The application's own counters and gauges, plus the sampler's series
-  /// (filled only when `metrics_sample_period_s` is set).  The simulated
-  /// stack records into the journal, not here.
-  [[nodiscard]] obs::Registry& metrics() { return metrics_; }
+  /// (filled only when sampling is armed).  The simulated stack records
+  /// into the journal, not here.
+  [[nodiscard]] obs::Registry& metrics() { return obs_.metrics(); }
+  /// The armed sampler, or null.
+  [[nodiscard]] const obs::Sampler* sampler() const { return obs_.sampler(); }
   /// Run journal built from AIO_JOURNAL/AIO_REPORT/AIO_TRACE, or null.
   /// Written (and its report and trace emitted) on destruction.
-  [[nodiscard]] obs::Journal* journal() { return journal_.get(); }
+  [[nodiscard]] obs::Journal* journal() { return obs_.journal(); }
   /// Live telemetry plane built from AIO_LIVE/AIO_FLIGHT, or null.
-  [[nodiscard]] obs::LivePlane* live() { return live_.get(); }
+  [[nodiscard]] obs::LivePlane* live() { return obs_.live(); }
   /// Current live-plane snapshot (zeroed when no plane is attached).
   [[nodiscard]] obs::LiveView live_view() const {
-    return live_ ? live_->view() : obs::LiveView{};
+    return obs_.live() ? obs_.live()->view() : obs::LiveView{};
   }
 
  private:
-  void arm_sampler();
-  void arm_live();
-  /// Writes out every observability artifact exactly once: journal, report
-  /// and trace, live snapshot tail — and, on an aborted run, a final sampler
-  /// tick plus the flight-recorder dump.  The failure path and the
-  /// destructor both land here; the latch keeps the second call a no-op.
-  void flush_obs(bool aborted);
-
   fs::MachineSpec spec_;
   Options options_;
-  // Numbers every output path of this machine, resolved once at
-  // construction (obs::machine_slot) so its journal, report, trace and live
-  // stream share one number whatever order Simulations are destroyed in.
-  int obs_slot_;
-  // Observability state must precede engine_: the engine captures the
-  // journal and live-plane pointers at construction.
-  std::unique_ptr<obs::Journal> journal_;
-  std::unique_ptr<obs::LivePlane> live_;
-  obs::Registry metrics_;
-  bool obs_flushed_ = false;
+  // Observability must precede engine_: the engine captures the journal
+  // and live-plane pointers at construction.
+  Observers obs_;
   sim::Engine engine_;
-  sim::Rng rng_;
   std::unique_ptr<fs::FileSystem> fs_;
   std::unique_ptr<net::Network> net_;
   std::unique_ptr<fs::BackgroundLoad> load_;
   std::unique_ptr<fs::InterferenceJob> job_;
-  std::unique_ptr<obs::Sampler> sampler_;
 };
 
 }  // namespace aio::api

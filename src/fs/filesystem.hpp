@@ -142,7 +142,7 @@ class FileSystem {
   /// background-load level for the first `per_ost_limit` OSTs, plus
   /// fleet-wide aggregates and the MDS backlog.  The per-OST limit bounds
   /// series count on 672-target machines; aggregates always cover all OSTs.
-  void register_probes(obs::Sampler& sampler, std::size_t per_ost_limit = 32);
+  void register_probes(obs::Sampler& sampler, std::size_t per_ost_limit);
 
  private:
   sim::Homes homes_;

@@ -35,9 +35,9 @@
 // `steals()`, ...) read the same state mid-run as telemetry.
 //
 // The flight recorder is a bounded ring of the most recent records.  On
-// abort (bench watchdog, Simulation failure path) `dump_flight()` writes the
-// ring as a *valid binary journal*, so a hung or failed run still yields
-// evidence that tools/aio_report can analyze.
+// abort (the rig's failure path, api::Observers::run) `dump_flight()`
+// writes the ring as a *valid binary journal*, so a hung or failed run
+// still yields evidence that tools/aio_report can analyze.
 #pragma once
 
 #include <cstdint>

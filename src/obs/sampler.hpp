@@ -6,9 +6,9 @@
 // to its registry Series (the `AIO_METRICS` document).
 //
 // The sampler is engine-agnostic: it never schedules anything itself.  The
-// host (bench harness, api::Simulation, a test) arms a recurring *daemon*
-// event that calls `tick(engine.now())`, so sampling keeps pure-simulation
-// runs deterministic — daemon events never keep `Engine::run()` alive, and
+// host (api::Observers::arm, for every api::Simulation, or a test) arms a
+// recurring *daemon* event that calls `tick(engine.now())`, so sampling
+// keeps pure-simulation runs deterministic — daemon events never keep `Engine::run()` alive, and
 // when no sampler is installed no events are scheduled at all.
 #pragma once
 

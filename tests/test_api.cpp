@@ -241,6 +241,101 @@ TEST(SimulationTest, TraceIsTheReportTraceOfItsJournal) {
   fsys::remove_all(dir);
 }
 
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream body;
+  body << in.rdbuf();
+  return body.str();
+}
+
+TEST(SimulationTest, WatchdogSetAfterACleanRunTripsAndNamesItsTrace) {
+  // The step cap is read per run: a cap set after an earlier clean run in
+  // the same process still bounds the next one, and the failure names the
+  // watchdog, the cap and the numbered trace file it left behind.
+  namespace fsys = std::filesystem;
+  const fsys::path dir = fsys::path(testing::TempDir()) / "aio_sim_watchdog";
+  fsys::remove_all(dir);
+  fsys::create_directories(dir);
+  IoGroup g("out");
+  const auto v = g.define_var("x", Type::Double, {1u << 20});
+  const auto contribution = [&](core::Rank r) {
+    WriteSet ws(g);
+    ws.put(v, {static_cast<std::uint64_t>(r) * 1024}, {1024});
+    return ws;
+  };
+  std::size_t clean_steps = 0;
+  {
+    Simulation sim(tiny_machine(), 6, Simulation::Options{.background_load = false});
+    sim.write_step(g, Method::Adaptive, 16, contribution);
+    clean_steps = sim.engine().steps();
+  }
+  ASSERT_GT(clean_steps, 50u);
+
+  ::setenv("AIO_BENCH_MAX_STEPS", "50", 1);
+  ::setenv("AIO_TRACE", (dir / "trace.json").c_str(), 1);
+  std::string what;
+  {
+    Simulation sim(tiny_machine(), 6,
+                   Simulation::Options{.background_load = false, .slot = 2});
+    try {
+      sim.write_step(g, Method::Adaptive, 16, contribution);
+    } catch (const std::runtime_error& e) {
+      what = e.what();
+    }
+  }
+  ::unsetenv("AIO_BENCH_MAX_STEPS");
+  ::unsetenv("AIO_TRACE");
+
+  const fsys::path trace = dir / "trace.json.3";  // slot 2
+  EXPECT_NE(what.find("Adaptive: engine watchdog tripped after 50 steps (AIO_BENCH_MAX_STEPS)"),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find("; trace dumped to " + trace.string()), std::string::npos) << what;
+  const std::optional<obs::Json> doc = obs::Json::parse(read_file(trace));
+  ASSERT_TRUE(doc.has_value()) << trace;
+  const obs::Json* events = doc->find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  EXPECT_GT(events->size(), 0u);
+  fsys::remove_all(dir);
+}
+
+TEST(SimulationTest, MdsCountAndMetricsFileApplyToEveryMachine) {
+  // AIO_MDS_COUNT widens the metadata tier, and AIO_METRICS arms the
+  // sampler and leaves the registry (its series and the application's own
+  // counters) in a file at teardown.
+  namespace fsys = std::filesystem;
+  const fsys::path dir = fsys::path(testing::TempDir()) / "aio_sim_metrics";
+  fsys::remove_all(dir);
+  fsys::create_directories(dir);
+  ::setenv("AIO_MDS_COUNT", "4", 1);
+  ::setenv("AIO_METRICS", (dir / "metrics.json").c_str(), 1);
+  {
+    Simulation sim(tiny_machine(), 7,
+                   Simulation::Options{.background_load = false, .slot = 0});
+    EXPECT_EQ(sim.file_system().mds_group().count(), 4u);
+    sim.metrics().counter("app.steps").add();
+    sim.advance(3.0);
+  }
+  ::unsetenv("AIO_MDS_COUNT");
+  ::unsetenv("AIO_METRICS");
+
+  const std::optional<obs::Json> doc = obs::Json::parse(read_file(dir / "metrics.json"));
+  ASSERT_TRUE(doc.has_value());
+  const obs::Json* series = doc->find("series");
+  ASSERT_NE(series, nullptr);
+  for (const char* name : {"ost0.cache_occupancy", "fs.drain_bw"}) {
+    const obs::Json* points = series->find(name);
+    ASSERT_NE(points, nullptr) << name;
+    EXPECT_EQ(points->size(), 3u) << name;  // one sample per simulated second
+  }
+  const obs::Json* counters = doc->find("counters");
+  ASSERT_NE(counters, nullptr);
+  const obs::Json* steps = counters->find("app.steps");
+  ASSERT_NE(steps, nullptr);
+  EXPECT_EQ(steps->number(), 1.0);
+  fsys::remove_all(dir);
+}
+
 TEST(SimulationTest, MethodNameStrings) {
   EXPECT_STREQ(api::method_name(Method::Posix), "POSIX");
   EXPECT_STREQ(api::method_name(Method::MpiIo), "MPI-IO");

@@ -171,11 +171,10 @@ std::string mini_bench_json(std::size_t threads) {
       3,
       [](std::size_t i) {
         const std::size_t writers = 8u << i;  // 8, 16, 32
-        bench::Machine machine(fs::xtp(), 1000 + i, /*with_load=*/true,
-                               /*min_ranks=*/0, /*obs_slot=*/static_cast<int>(i));
+        api::Simulation machine(fs::xtp(), 1000 + i, {.slot = static_cast<int>(i)});
         core::AdaptiveTransport::Config cfg;
         cfg.n_files = 8;
-        core::AdaptiveTransport transport(machine.filesystem, machine.network, cfg);
+        core::AdaptiveTransport transport(machine.file_system(), machine.network(), cfg);
         Unit u;
         u.writers = writers;
         for (int s = 0; s < 2; ++s) {
@@ -209,11 +208,11 @@ std::string report_stdout(std::size_t threads) {
         // Later units start sooner and run smaller jobs, so a pool that let
         // them print as they finish would reverse the order.
         std::this_thread::sleep_for(std::chrono::milliseconds((4 - i) * 20));
-        bench::Machine machine(fs::xtp(), 2000 + i, /*with_load=*/false, /*min_ranks=*/0,
-                               /*obs_slot=*/static_cast<int>(i));
+        api::Simulation machine(fs::xtp(), 2000 + i,
+                                {.background_load = false, .slot = static_cast<int>(i)});
         core::AdaptiveTransport::Config cfg;
         cfg.n_files = 4;
-        core::AdaptiveTransport transport(machine.filesystem, machine.network, cfg);
+        core::AdaptiveTransport transport(machine.file_system(), machine.network(), cfg);
         return machine.run(transport, core::IoJob::uniform(64u >> i, 1 << 20)).bandwidth();
       },
       threads);
