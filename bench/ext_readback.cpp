@@ -10,6 +10,7 @@
 //   1. global-index lookup (1 metadata op) + block reads,
 //   2. per-file index search (one metadata op + index read per file),
 //   3. the MPI-IO single shared file re-read contiguously per rank.
+#include <memory>
 #include <optional>
 
 #include "core/transports/mpiio_transport.hpp"
@@ -59,6 +60,8 @@ int main() {
     core::AdaptiveTransport adaptive(machine.file_system(), machine.network(), ad_cfg);
     const core::IoResult wrote = machine.run(adaptive, job);
     machine.advance(300.0);
+    // The read-backs are the kept index's first reader; both use one build.
+    const auto index = std::make_shared<const core::GlobalIndex>(wrote.kept_index->build());
 
     Out o;
     o.write_bw = wrote.bandwidth();
@@ -69,7 +72,7 @@ int main() {
       cfg.lookup = lookup;
       core::ReadbackEngine reader(machine.file_system(), cfg);
       std::optional<core::ReadbackResult> result;
-      reader.run(wrote.global_index, wrote.output_files, wrote.master_file,
+      reader.run(index, wrote.output_files, wrote.master_file,
                  [&](core::ReadbackResult r) { result = r; });
       machine.engine().run();
       machine.advance(300.0);

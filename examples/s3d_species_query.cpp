@@ -33,11 +33,9 @@ int main() {
   cfg.n_files = 512;
   core::AdaptiveTransport transport(sim.file_system(), sim.network(), cfg);
   const core::IoResult result = sim.run(transport, job);
+  const core::GlobalIndex index = result.kept_index->build();
   std::printf("done: %.2f GB/s, %zu blocks indexed across %zu files\n\n",
-              result.bandwidth() / 1e9, result.total_blocks_indexed,
-              result.global_index->n_files());
-
-  const core::GlobalIndex& index = *result.global_index;
+              result.bandwidth() / 1e9, result.total_blocks_indexed, index.n_files());
 
   // 1. Locality query: a corner subvolume of the temperature field (var 4).
   const std::vector<std::uint64_t> corner{0, 0, 0};

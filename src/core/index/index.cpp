@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <utility>
 
 namespace aio::core {
 
@@ -350,6 +352,42 @@ std::optional<GlobalIndex> GlobalIndex::deserialize(std::span<const std::uint8_t
     cursor += len;
   }
   return gi;
+}
+
+FileIndex build_file_index(GroupId file, std::span<const Placement> placements,
+                           std::uint64_t blocks, const Blueprint& blueprint) {
+  // Each writer's records are built here, stamped as its local index
+  // (writer, then consecutive offsets from its start), and appended in
+  // arrival order: the sort sees what an arrival-order merge would give it.
+  FileIndex index(file);
+  index.reserve_blocks(blocks);
+  for (const Placement& p : placements) {
+    LocalIndex local = blueprint(p.writer);
+    std::uint64_t cursor = p.offset;
+    for (BlockRecord& block : local.blocks) {
+      block.writer = p.writer;
+      block.file_offset = cursor;
+      cursor += block.length;
+    }
+    index.merge(local);
+  }
+  if (index.blocks().size() != blocks)
+    throw std::logic_error("build_file_index: blueprint is not a pure function of the rank");
+  index.finalize();
+  return index;
+}
+
+void KeptIndex::add(GroupId file, std::shared_ptr<const std::vector<Placement>> placements,
+                    std::uint64_t blocks) {
+  files_.push_back({file, blocks, std::move(placements)});
+}
+
+GlobalIndex KeptIndex::build() const {
+  GlobalIndex global;
+  global.reserve(files_.size());
+  for (const File& f : files_)
+    global.add(build_file_index(f.file, *f.placements, f.blocks, blueprint_));
+  return global;
 }
 
 }  // namespace aio::core

@@ -13,15 +13,24 @@
 // implemented here even though the paper left the global-index phase as
 // future work — enabling single-lookup access to any block.
 //
+// A run does not build those records as it goes.  Each writer's blocks are a
+// pure function of its rank (the job's blueprint) plus where its data
+// landed, so a run keeps only the landings (`Placement`s, 16 bytes a writer)
+// in a `KeptIndex`, and `build_file_index` turns them into records when
+// something reads them.
+//
 // Indices serialize to a flat byte layout so the thread runtime can write
 // them into real files and read them back.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/small_vector.hpp"
@@ -114,8 +123,8 @@ class FileIndex {
   explicit FileIndex(GroupId file) : file_(file) {}
 
   void merge(const LocalIndex& local);
-  /// Capacity hint for a merge loop whose total is known (an SC sums its
-  /// INDEX_BODYs' block counts); never shrinks.
+  /// Capacity hint for a merge loop whose total is known (build_file_index
+  /// knows the writers' streamed block count); never shrinks.
   void reserve_blocks(std::size_t n) {
     if (n > blocks_.capacity()) blocks_.reserve(n);
   }
@@ -154,7 +163,7 @@ class GlobalIndex {
   static constexpr std::size_t kLengthBytes = 8;
 
   void add(FileIndex index);
-  /// Pre-sizes the file list (the coordinator knows n_groups up front).
+  /// Pre-sizes the file list.
   void reserve(std::size_t n_files) { files_.reserve(n_files); }
 
   [[nodiscard]] std::size_t n_files() const { return files_.size(); }
@@ -182,6 +191,54 @@ class GlobalIndex {
 
  private:
   std::vector<FileIndex> files_;
+};
+
+/// A writer's blocks as its job describes them, file offsets unset
+/// (IoJob::blueprint_for).  Must be a pure, thread-safe function of the rank.
+using Blueprint = std::function<LocalIndex(Rank)>;
+
+/// Where one writer's data landed in a file: the file offset of its first
+/// block (its stamped DoWrite offset).
+struct Placement {
+  Rank writer = -1;
+  std::uint64_t offset = 0;
+};
+
+/// Builds the index of `file` from the placements of the writes that landed
+/// in it, in arrival order: each writer's blueprint stamped with the writer
+/// and consecutive offsets from its start, appended into one buffer reserved
+/// to `blocks`, then sorted once.  That is what merging the writer-stamped
+/// local indices in arrival order and sorting gives, ties between equal keys
+/// included.  `blocks` is the count the writers streamed; a blueprint that
+/// yields another count is not a pure function of the rank, and the build
+/// throws std::logic_error.
+[[nodiscard]] FileIndex build_file_index(GroupId file, std::span<const Placement> placements,
+                                         std::uint64_t blocks, const Blueprint& blueprint);
+
+/// A run's global index before anything reads it: per file, in the order
+/// the coordinator gathered them, the placements its SC shipped, and a copy
+/// of the job's blueprint.  No block record exists until build().
+class KeptIndex {
+ public:
+  explicit KeptIndex(Blueprint blueprint) : blueprint_(std::move(blueprint)) {}
+
+  /// Appends `file`'s placements, describing `blocks` block records.
+  void add(GroupId file, std::shared_ptr<const std::vector<Placement>> placements,
+           std::uint64_t blocks);
+  /// Pre-sizes the file list (the coordinator knows n_groups up front).
+  void reserve(std::size_t n_files) { files_.reserve(n_files); }
+  /// Every file's index, built in gathering order: the global index a merge
+  /// of the SCs' sorted file indices gives, byte for byte.
+  [[nodiscard]] GlobalIndex build() const;
+
+ private:
+  struct File {
+    GroupId file = -1;
+    std::uint64_t blocks = 0;
+    std::shared_ptr<const std::vector<Placement>> placements;
+  };
+  Blueprint blueprint_;
+  std::vector<File> files_;
 };
 
 }  // namespace aio::core

@@ -5,7 +5,8 @@
 
 namespace aio::core {
 
-CoordinatorFsm::CoordinatorFsm(Config config) : config_(std::move(config)) {
+CoordinatorFsm::CoordinatorFsm(Config config)
+    : config_(std::move(config)), kept_(config_.blueprint) {
   if (config_.n_groups == 0) throw std::invalid_argument("CoordinatorFsm: no groups");
   if (!config_.group_size_of)
     throw std::invalid_argument("CoordinatorFsm: group_size_of resolver required");
@@ -17,8 +18,7 @@ CoordinatorFsm::CoordinatorFsm(Config config) : config_(std::move(config)) {
   file_busy_.assign(config_.n_groups, false);
   writes_into_.assign(config_.n_groups, 0);
   stolen_from_.assign(config_.n_groups, 0);
-  if (config_.retain_global_index)
-    global_index_.reserve(config_.n_groups);  // exactly one sub-index per group
+  if (config_.blueprint) kept_.reserve(config_.n_groups);  // one sub-index per group
 }
 
 std::size_t CoordinatorFsm::next_writing(std::size_t i) {
@@ -166,15 +166,14 @@ Actions CoordinatorFsm::on_sub_index(const SubIndex& msg) {
     throw std::logic_error("CoordinatorFsm: SUB_INDEX before OVERALL_WRITE_COMPLETE");
   if (msg.serialized_bytes < FileIndex::kHeaderBytes)
     throw std::invalid_argument("CoordinatorFsm: SUB_INDEX without its size");
-  if (config_.retain_global_index && !msg.index)
-    throw std::logic_error("CoordinatorFsm: SUB_INDEX without records for a retained index");
+  if (config_.blueprint && !msg.placements)
+    throw std::logic_error("CoordinatorFsm: SUB_INDEX without placements for a kept index");
   // "Gather index pieces; merge into global index" (lines 19-20).  The size
   // follows the wire layout `8 + sum(8 + file_bytes)`, so the final write is
-  // byte-exact in both modes.
+  // byte-exact whether or not the index is kept; a kept one merges when read.
   total_blocks_ += msg.blocks;
   global_index_bytes_ += GlobalIndex::kLengthBytes + msg.serialized_bytes;
-  // The SC shipped its only copy, so the block list moves straight in.
-  if (config_.retain_global_index) global_index_.add(std::move(*msg.index));
+  if (config_.blueprint) kept_.add(msg.group, msg.placements, msg.blocks);
   ++sub_indices_received_;
   Actions out;
   if (sub_indices_received_ == config_.n_groups) {

@@ -8,7 +8,7 @@
 // over the still-writing SCs ("adaptive writing requests are spread evenly
 // among the sub coordinators").  Once every SC is complete and no grant is
 // outstanding, it broadcasts OVERALL_WRITE_COMPLETE, gathers the per-file
-// indices, merges the global index and writes it.
+// indices and writes the global index.
 //
 // Scale notes (full Jaguar = 672 SCs, 224k writers):
 //  - Group sizes are resolved through a shared callable instead of a copied
@@ -17,11 +17,12 @@
 //    still-Writing groups (SC states only move forward), so a grant costs
 //    amortized O(1) instead of O(n_groups).
 //  - The global index size (`8 + sum(8 + file)`) and block count are
-//    running sums over the SUB_INDEX messages in both modes, so the global
-//    index write is byte-exact without walking any records.  With
-//    `retain_global_index = false` the SUB_INDEX messages carry no records
-//    at all (no SC gets a blueprint; see SubCoordinatorFsm::Config), so no
-//    block record is built or moved anywhere in the run.
+//    running sums over the SUB_INDEX messages, so the global index write is
+//    byte-exact without any block record.  A run that keeps the index
+//    (`Config::blueprint` set) gathers the SCs' placements into a KeptIndex,
+//    16 bytes per writer, which builds the records when something reads
+//    them; one that does not gathers nothing.  No block record is built
+//    anywhere in a run.
 #pragma once
 
 #include <cstdint>
@@ -50,11 +51,12 @@ class CoordinatorFsm {
     Rank rank = 0;
     bool stealing_enabled = true;  ///< ablation: disable work redistribution
     StealSource steal_source = StealSource::RoundRobin;
-    /// When true, every SUB_INDEX must carry its records, which are merged
-    /// into a retained GlobalIndex.  When false, only the sizes and counts
-    /// are used.  The index write (and its byte count) is identical either
-    /// way.  Paper-scale benches run with false.
-    bool retain_global_index = true;
+    /// The writers' blueprints (IoJob::blueprint_for), set when the run keeps
+    /// the global index: every SUB_INDEX must then carry its placements,
+    /// which kept_index() gathers with this copy.  Empty uses only the sizes
+    /// and counts.  The index write (and its byte count) is identical either
+    /// way.  Paper-scale benches keep no index.
+    Blueprint blueprint;
   };
 
   /// SC states tracked by the coordinator (paper Section III-3): `Writing`
@@ -89,14 +91,14 @@ class CoordinatorFsm {
     const std::size_t size = config_.group_size_of(g);
     return size > stolen ? size - static_cast<std::size_t>(stolen) : 0;
   }
-  /// Blocks indexed across all files — counted in both retain modes.
+  /// Blocks indexed across all files — counted whether or not the index is
+  /// kept.
   [[nodiscard]] std::uint64_t total_blocks() const { return total_blocks_; }
-  /// Empty when retain_global_index is false.
-  [[nodiscard]] const GlobalIndex& global_index() const { return global_index_; }
-  /// Relinquishes the merged global index (for a run handing its result to
-  /// the caller).  global_index() is empty afterwards; read any statistics
-  /// (total_blocks, ...) before taking.
-  [[nodiscard]] GlobalIndex take_global_index() { return std::move(global_index_); }
+  /// The gathered placements; holds no file without a blueprint.
+  [[nodiscard]] const KeptIndex& kept_index() const { return kept_; }
+  /// Relinquishes the kept index (for a run handing its result to the
+  /// caller); kept_index() holds nothing afterwards.
+  [[nodiscard]] KeptIndex take_kept_index() { return std::move(kept_); }
   [[nodiscard]] const Config& config() const { return config_; }
 
  private:
@@ -123,7 +125,7 @@ class CoordinatorFsm {
   std::uint64_t total_steals_ = 0;
   std::uint64_t grants_issued_ = 0;
 
-  GlobalIndex global_index_;
+  KeptIndex kept_;
   std::uint64_t global_index_bytes_ = GlobalIndex::kHeaderBytes;  ///< streamed size
   std::uint64_t total_blocks_ = 0;
   std::size_t sub_indices_received_ = 0;

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <variant>
+#include <vector>
 
 #include "core/index/index.hpp"
 
@@ -57,11 +58,10 @@ struct WriteComplete {
 ///
 /// The size and block count are all the simulation needs to time the
 /// transfer and the index writes downstream.  The block records themselves
-/// never travel: `writer`, `file` and `offset` name them, and an SC that
-/// keeps records rebuilds them from the job's blueprint when it writes its
-/// file index (see SubCoordinatorFsm).  `offset` is the writer's stamped
-/// start, the u64 of its DoWrite offset; it is set only when the run keeps
-/// records.
+/// never travel: `writer`, `file` and `offset` name them, and whoever reads
+/// the run's kept index builds them from the job's blueprint
+/// (core::build_file_index).  `offset` is the writer's stamped start, the
+/// u64 of its DoWrite offset; it is set only when the run keeps the index.
 struct IndexBody {
   Rank writer = -1;
   GroupId file = -1;                   ///< the file the data landed in
@@ -93,15 +93,16 @@ struct OverallWriteComplete {
   double final_data_offset = 0.0;      ///< end of the file's data region
 };
 
-/// SC -> C: the merged per-file index ("Send the index to C", Alg. 2).
-/// Like IndexBody it always carries the size and block count; it carries
-/// the records only when the run keeps them.  The index is shared non-const so
-/// the coordinator — provably the only remaining consumer once the message
-/// is delivered — can move the block list into the global index instead of
-/// copying it.
+/// SC -> C: the per-file index ("Send the index to C", Alg. 2).
+/// Like IndexBody it always carries the size and block count.  When the run
+/// keeps the index it also carries the file's placements, the (writer,
+/// offset) of every INDEX_BODY in arrival order, from which the index builds
+/// when read (core::build_file_index).  They are shared immutably, so the
+/// coordinator keeps them without a copy.
 struct SubIndex {
   GroupId group = -1;
-  std::shared_ptr<FileIndex> index;  ///< the records; null when not carried
+  /// The file's placements; null when the run keeps no index.
+  std::shared_ptr<const std::vector<Placement>> placements;
   std::uint64_t serialized_bytes = 0;  ///< FileIndex::serialized_size()
   std::uint64_t blocks = 0;            ///< block records it describes
 };

@@ -1,5 +1,6 @@
 #include "core/protocol/roles.hpp"
 
+#include <memory>
 #include <span>
 #include <utility>
 #include <variant>
@@ -19,7 +20,8 @@ WriterPool::Layout writer_layout(const Topology& topo, std::span<const double> b
   return layout;
 }
 
-CoordinatorFsm::Config coordinator_config(const Topology& topo, const Roles::Config& c) {
+CoordinatorFsm::Config coordinator_config(const Topology& topo, const Roles::Config& c,
+                                          const std::shared_ptr<const IoJob>& job) {
   CoordinatorFsm::Config cc;
   cc.n_groups = topo.n_groups();
   cc.group_size_of = [topo](GroupId g) { return topo.group_size(g); };
@@ -27,7 +29,7 @@ CoordinatorFsm::Config coordinator_config(const Topology& topo, const Roles::Con
   cc.rank = Topology::coordinator_rank();
   cc.stealing_enabled = c.stealing;
   cc.steal_source = c.steal_source;
-  cc.retain_global_index = c.retain_global_index;
+  if (c.retain_global_index) cc.blueprint = [job](Rank r) { return job->blueprint_for(r); };
   return cc;
 }
 
@@ -35,11 +37,11 @@ CoordinatorFsm::Config coordinator_config(const Topology& topo, const Roles::Con
 
 Roles::Roles(const Topology& topo, IoJob job, Config config)
     : topo_(topo),
-      job_(std::move(job)),
-      writers_(writer_layout(topo_, job_.bytes_per_writer, config.retain_global_index),
-               [this](Rank r) { return job_.blueprint_for(r); }),
-      coord_(coordinator_config(topo_, config)) {
-  const std::span<const double> all_bytes{job_.bytes_per_writer};
+      job_(std::make_shared<const IoJob>(std::move(job))),
+      writers_(writer_layout(topo_, job_->bytes_per_writer, config.retain_global_index),
+               [this](Rank r) { return job_->blueprint_for(r); }),
+      coord_(coordinator_config(topo_, config, job_)) {
+  const std::span<const double> all_bytes{job_->bytes_per_writer};
   scs_.reserve(topo_.n_groups());
   for (GroupId g = 0; g < static_cast<GroupId>(topo_.n_groups()); ++g) {
     SubCoordinatorFsm::Config sc;
@@ -50,8 +52,7 @@ Roles::Roles(const Topology& topo, IoJob job, Config config)
     sc.n_members = topo_.group_size(g);
     sc.member_bytes = all_bytes.subspan(static_cast<std::size_t>(sc.first_member), sc.n_members);
     sc.max_concurrent = config.max_concurrent;
-    if (config.retain_global_index)
-      sc.blueprint = [job = &job_](Rank r) { return job->blueprint_for(r); };
+    sc.keep_placements = config.retain_global_index;
     scs_.emplace_back(std::move(sc));
   }
 }

@@ -16,10 +16,12 @@
 // that handles rank r's traffic on one thread may share one Roles between
 // threads: each thread touches its own writer slot and SC, and only
 // thread 0 the coordinator.  The one thing they share is the job, which
-// they only read: SCs that keep records call its blueprint concurrently,
-// which is why IoJob::blueprint must be a pure function of the rank.
+// they only read.  Records are built from the job's blueprint wherever they
+// are read, the thread runtime's SC threads concurrently, which is why
+// IoJob::blueprint must be a pure function of the rank.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "core/protocol/coordinator_fsm.hpp"
@@ -35,14 +37,15 @@ class Roles {
     std::size_t max_concurrent = 1;  ///< writes in flight per file (paper: 1)
     bool stealing = true;            ///< coordinator work redistribution
     CoordinatorFsm::StealSource steal_source = CoordinatorFsm::StealSource::RoundRobin;
-    /// Carry block records and keep the global index (see
-    /// CoordinatorFsm::Config::retain_global_index).
+    /// Keep the global index: writers carry their offsets, SCs ship their
+    /// placements and the coordinator gathers them (see
+    /// CoordinatorFsm::Config::blueprint).
     bool retain_global_index = true;
   };
 
   /// The job's blueprint is called once per writer during construction,
-  /// and, when the global index is retained, once more per writer by the
-  /// SC that builds its file's records.
+  /// and, when the global index is kept, once more per writer each time
+  /// the kept index is built; the kept index shares the job.
   Roles(const Topology& topo, IoJob job, Config config);
   // The pool and the SCs view job_; the roles stay where they were built.
   Roles(const Roles&) = delete;
@@ -75,7 +78,8 @@ class Roles {
   }
 
   Topology topo_;
-  IoJob job_;  ///< payloads and blueprints, viewed by every role
+  /// Payloads and blueprints, viewed by every role; a kept index shares it.
+  std::shared_ptr<const IoJob> job_;
   WriterPool writers_;
   std::vector<SubCoordinatorFsm> scs_;  ///< indexed by group
   CoordinatorFsm coord_;

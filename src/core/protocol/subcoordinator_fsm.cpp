@@ -1,14 +1,13 @@
 #include "core/protocol/subcoordinator_fsm.hpp"
 
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
 namespace aio::core {
 
 SubCoordinatorFsm::SubCoordinatorFsm(Config config)
-    : config_(std::move(config)),
-      writers_remaining_(config_.n_members),
-      file_index_(config_.group) {
+    : config_(std::move(config)), writers_remaining_(config_.n_members) {
   if (config_.group < 0 || config_.rank < 0)
     throw std::invalid_argument("SubCoordinatorFsm: incomplete config");
   if (config_.n_members == 0)
@@ -19,6 +18,13 @@ SubCoordinatorFsm::SubCoordinatorFsm(Config config)
     throw std::invalid_argument("SubCoordinatorFsm: SC must be its group's first member");
   if (config_.max_concurrent == 0)
     throw std::invalid_argument("SubCoordinatorFsm: max_concurrent must be >= 1");
+  // The list is shared up front, so shipping it allocates nothing.  Members
+  // are the usual writers into this file, so one reservation covers every
+  // arrival unless steals land here.
+  if (config_.keep_placements) {
+    placements_ = std::make_shared<std::vector<Placement>>();
+    placements_->reserve(config_.n_members);
+  }
 }
 
 Actions SubCoordinatorFsm::start() { return signal_next_writers(); }
@@ -90,12 +96,7 @@ Actions SubCoordinatorFsm::on_index_body(const IndexBody& msg) {
   // file index is its header plus every local index's block bytes.
   file_index_bytes_ += msg.serialized_bytes - LocalIndex::kHeaderBytes;
   file_index_blocks_ += msg.blocks;
-  if (config_.blueprint) {
-    // Members are the usual writers into this file, so one reservation
-    // covers every arrival unless steals land here.
-    if (arrivals_.empty()) arrivals_.reserve(config_.n_members);
-    arrivals_.push_back({msg.writer, msg.offset});
-  }
+  if (placements_) placements_->push_back({msg.writer, msg.offset});
   ++indices_received_;
   Actions out;
   check_ready_to_index(out);
@@ -138,32 +139,11 @@ void SubCoordinatorFsm::check_ready_to_index(Actions& out) {
     throw std::logic_error("SubCoordinatorFsm: more indices than expected");
 
   // "Sort and merge the index pieces for file index; Write the index"
-  // (lines 31-32).
+  // (lines 31-32).  The write is timed from the streamed size; whoever reads
+  // the index sorts and merges it (core::build_file_index).
   state_ = State::IndexWriting;
-  if (config_.blueprint) build_file_index();
   out.push_back(WriteIndexAction{config_.group, final_data_offset_,
                                  static_cast<double>(file_index_bytes_)});
-}
-
-void SubCoordinatorFsm::build_file_index() {
-  // Each writer's records are built once, here, stamped as its local index
-  // (writer, then consecutive offsets from its start), and appended in
-  // arrival order: the sort sees what an arrival-order merge would give it.
-  file_index_.reserve_blocks(file_index_blocks_);
-  for (const Arrival& a : arrivals_) {
-    LocalIndex local = config_.blueprint(a.writer);
-    std::uint64_t cursor = a.offset;
-    for (BlockRecord& block : local.blocks) {
-      block.writer = a.writer;
-      block.file_offset = cursor;
-      cursor += block.length;
-    }
-    file_index_.merge(local);
-  }
-  arrivals_ = {};
-  if (file_index_.blocks().size() != file_index_blocks_)
-    throw std::logic_error("SubCoordinatorFsm: blueprint is not a pure function of the rank");
-  file_index_.finalize();
 }
 
 Actions SubCoordinatorFsm::on_index_write_done() {
@@ -171,13 +151,11 @@ Actions SubCoordinatorFsm::on_index_write_done() {
     throw std::logic_error("SubCoordinatorFsm: index write completion out of order");
   state_ = State::Done;
   // "Send the index to C" (line 33).  The runtime has already written the
-  // index to the file (that is what this completion notifies), so the merged
-  // blocks can move into the message instead of being copied.
-  std::shared_ptr<FileIndex> shipped;
-  if (config_.blueprint) shipped = std::make_shared<FileIndex>(std::move(file_index_));
+  // index to the file (that is what this completion notifies), so the
+  // placements move into the message.
   Actions out;
   out.push_back(SendAction{config_.coordinator,
-                           Message{config_.rank, SubIndex{config_.group, std::move(shipped),
+                           Message{config_.rank, SubIndex{config_.group, std::move(placements_),
                                                           file_index_bytes_, file_index_blocks_}}});
   out.push_back(RoleDoneAction{});
   return out;

@@ -5,17 +5,17 @@
 // `max_concurrent` writes in flight, 1 in the paper), redirects waiting
 // writers elsewhere when the coordinator sends ADAPTIVE_WRITE_START,
 // collects the INDEX_BODY of every write landing in its file, and finally
-// sorts/merges/writes the file index and ships it to the coordinator.
+// writes the file index and ships it to the coordinator.
 //
 // The file index's size and block count are running sums over the INDEX_BODY
-// messages (each carries both), so they are exact whether or not records are
-// kept.  When they are (`Config::blueprint` is set), the SC notes each
-// INDEX_BODY's (writer, offset) in arrival order and builds the records once,
-// when it issues the index write: one exact reservation, then each writer's
-// blueprint stamped with its writer and consecutive offsets from its start,
-// then one sort.  That is the block sequence an arrival-order merge of the
-// writers' stamped local indices gives, so the sorted file index does not
-// depend on where the records are built, ties between equal keys included.
+// messages (each carries both), so the index write is exact without any
+// block record.  When the run keeps the index (`Config::keep_placements`),
+// the SC also notes each INDEX_BODY's (writer, offset) in arrival order and
+// ships that list in SUB_INDEX.  The records are built from it only where
+// they are read (core::build_file_index: each writer's blueprint stamped
+// with its writer and consecutive offsets, then one sort), which gives the
+// block sequence an arrival-order merge of the writers' stamped local
+// indices gives, ties between equal keys included.
 //
 // The `max_concurrent > 1` generalization is the paper's untried "2 or 3
 // simultaneous writers per storage location" — exercised by the concurrency
@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -47,10 +46,9 @@ class SubCoordinatorFsm {
     std::size_t n_members = 0;         ///< this group's writers, SC first
     std::span<const double> member_bytes;  ///< per-member payload (registration)
     std::size_t max_concurrent = 1;    ///< local writes in flight (paper: 1)
-    /// The writers' blueprints (IoJob::blueprint_for), set when the run keeps
-    /// the global index; empty keeps sizes only.  Called from whichever
-    /// thread runs this SC, so it must be a pure function of the rank.
-    std::function<LocalIndex(Rank)> blueprint;
+    /// Note each INDEX_BODY's placement and ship them in SUB_INDEX: set when
+    /// the run keeps the global index; false keeps sizes only.
+    bool keep_placements = false;
   };
 
   enum class State {
@@ -79,18 +77,20 @@ class SubCoordinatorFsm {
   [[nodiscard]] std::uint64_t indices_received() const { return indices_received_; }
   [[nodiscard]] std::uint64_t completions_into_file() const { return completions_into_file_; }
   [[nodiscard]] std::size_t redirected_members() const { return redirected_; }
-  /// The merged index of this SC's file, built when the WriteIndexAction is
-  /// issued (empty before, and always without a blueprint).  Its blocks
-  /// move into the SUB_INDEX message when on_index_write_done() fires, so
-  /// read it before then (the runtimes serialize it while executing
-  /// WriteIndexAction, which precedes that notification).
-  [[nodiscard]] const FileIndex& file_index() const { return file_index_; }
+  /// The INDEX_BODYs' placements in arrival order (empty unless kept).  They
+  /// move into the SUB_INDEX message when on_index_write_done() fires, so a
+  /// runtime that builds the file index to write it reads them while
+  /// executing WriteIndexAction, which precedes that notification.
+  [[nodiscard]] std::span<const Placement> placements() const {
+    return placements_ ? std::span<const Placement>(*placements_) : std::span<const Placement>();
+  }
+  /// Block records the INDEX_BODYs so far describe.
+  [[nodiscard]] std::uint64_t file_index_blocks() const { return file_index_blocks_; }
   [[nodiscard]] const Config& config() const { return config_; }
 
  private:
   Actions signal_next_writers();  ///< fill the local in-flight window
   void check_ready_to_index(Actions& out);
-  void build_file_index();  ///< stamp every arrival's blueprint, then sort
   [[nodiscard]] Rank member(std::size_t i) const {
     return config_.first_member + static_cast<Rank>(i);
   }
@@ -105,13 +105,8 @@ class SubCoordinatorFsm {
   std::size_t writers_remaining_;
   bool group_done_sent_ = false;
 
-  /// An INDEX_BODY's writer and stamped start, kept in arrival order.
-  struct Arrival {
-    Rank writer = -1;
-    std::uint64_t offset = 0;
-  };
-  std::vector<Arrival> arrivals_;  ///< empty unless records are kept
-  FileIndex file_index_;
+  /// Arrival order; null unless kept, and after on_index_write_done().
+  std::shared_ptr<std::vector<Placement>> placements_;
   std::uint64_t file_index_bytes_ = FileIndex::kHeaderBytes;  ///< streamed size
   std::uint64_t file_index_blocks_ = 0;
   std::uint64_t indices_received_ = 0;

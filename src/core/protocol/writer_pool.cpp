@@ -24,7 +24,7 @@ WriterPool::WriterPool(Layout layout, const std::function<LocalIndex(Rank)>& blu
   grant_seqs_.assign(n, 0);
   if (layout_.carry_records) offsets_.resize(n);
   // Sizes are offset-independent, so they are measured up front, outside
-  // the measured write path; the records are rebuilt by the owning SC.
+  // the measured write path; a reader of the kept index builds the records.
   for (std::size_t i = 0; i < n; ++i) {
     const LocalIndex blueprint = blueprint_for(layout_.first_rank + static_cast<Rank>(i));
     index_bytes_[i] = blueprint.serialized_size();
@@ -40,8 +40,8 @@ Actions WriterPool::on_do_write(Rank rank, const DoWrite& msg) {
   targets_[s] = msg.target_file;
   grant_seqs_[s] = msg.grant_seq;
 
-  // "Build local index based on offset": the offset is all the owning SC
-  // needs to stamp the blueprint's blocks.
+  // "Build local index based on offset": the offset is all a build needs to
+  // stamp the blueprint's blocks.
   if (!offsets_.empty()) offsets_[s] = static_cast<std::uint64_t>(msg.offset);
 
   return {StartWriteAction{msg.target_file, msg.offset, layout_.bytes[s]}};

@@ -12,10 +12,10 @@
 // A writer never holds its index records.  The pool calls the blueprint
 // once per writer at construction to learn its serialized size and block
 // count, then drops it; INDEX_BODY carries those two numbers with the
-// writer, its file and, when the run keeps records, its stamped offset.
-// The SC that owns the file rebuilds the records from the same blueprint
-// (subcoordinator_fsm.hpp).  So a writer costs ~25 bytes of pool state,
-// plus an 8-byte offset column when records are kept, and every simulated
+// writer, its file and, when the run keeps the index, its stamped offset.
+// A reader of the kept index builds the records from the same blueprint
+// (core::build_file_index).  So a writer costs ~25 bytes of pool state,
+// plus an 8-byte offset column when the index is kept, and every simulated
 // byte count is the same either way.
 //
 // core::Roles (roles.hpp) builds the pool for every runtime; unit tests
@@ -40,7 +40,7 @@ class WriterPool {
     std::function<GroupId(Rank)> group_of;  ///< rank -> home group
     std::function<Rank(GroupId)> sc_of;     ///< group -> SC rank
     std::span<const double> bytes;          ///< payload of slot i's writer
-    /// False when nothing reads the global index back: no SC rebuilds the
+    /// False when the run keeps no global index: nothing builds the
     /// records, so INDEX_BODY need not carry the writer's offset.
     bool carry_records = true;
   };

@@ -372,9 +372,8 @@ void AdaptiveRun::all_roles_done() {
   result.grants_issued = coord.grants_issued();
   if (observing) journal_mark(obs::Mark::kDataDone);
   result.total_blocks_indexed = coord.total_blocks();
-  if (cfg.retain_global_index) {
-    result.global_index = std::make_shared<GlobalIndex>(coord.take_global_index());
-  }
+  if (cfg.retain_global_index)
+    result.kept_index = std::make_shared<const KeptIndex>(coord.take_kept_index());
   result.output_files = files;
   result.master_file = master;
 

@@ -45,10 +45,13 @@ class AdaptiveTransport final : public Transport {
     /// submit one request per file.  Closes batch the same way on either
     /// engine (sharded runs skip opens).
     std::size_t open_batch = 0;
-    /// When false, no block record is kept or carried: writers, SCs and the
-    /// coordinator pass index sizes and block counts only, and
-    /// IoResult::global_index stays null.  Every simulated timestamp and
-    /// byte count is the same either way.  Keep true when read-back is needed.
+    /// When true, the run keeps the global index as the placement of every
+    /// write, 16 bytes per writer, in IoResult::kept_index, which builds the
+    /// block records when read.  When false, writers, SCs and the
+    /// coordinator pass index sizes and block counts only, and kept_index
+    /// stays null.  No block record is built during the run either way, and
+    /// every simulated timestamp and byte count is the same.  Keep true when
+    /// read-back is needed.
     bool retain_global_index = true;
   };
 

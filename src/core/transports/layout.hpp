@@ -25,9 +25,10 @@ struct IoJob {
   /// (file offsets unset).  Defaults to one anonymous block of the full
   /// payload.  It must be a pure, thread-safe function of the rank: a run
   /// calls it once per writer to size the index and, when it keeps the
-  /// global index, once more from the SC that builds the writer's records,
-  /// on whichever thread runs that SC.
-  std::function<LocalIndex(Rank)> blueprint;
+  /// global index, each build of the records calls it again per writer, on
+  /// the building thread (the thread runtime's SC threads concurrently).  A
+  /// copy outlives the run in IoResult::kept_index.
+  Blueprint blueprint;
   /// Names of the var_ids the blueprints reference, interned once for the
   /// whole run and shared by pointer (null = anonymous variables).
   std::shared_ptr<const VarTable> var_names;
@@ -61,9 +62,11 @@ struct IoResult {
   std::uint64_t steals = 0;
   std::uint64_t grants_issued = 0;
   std::size_t total_blocks_indexed = 0;
-  /// The merged master index and the files it refers to — everything a
-  /// consumer needs for read-back (see core/transports/readback.hpp).
-  std::shared_ptr<const GlobalIndex> global_index;
+  /// The kept index (null when the run kept none) and the files it refers
+  /// to — everything a consumer needs for read-back (see
+  /// core/transports/readback.hpp).  It holds where each write landed;
+  /// kept_index->build() builds the master index's records on request.
+  std::shared_ptr<const KeptIndex> kept_index;
   /// The job's interned variable names (shared, never copied per run).
   std::shared_ptr<const VarTable> var_names;
   std::vector<fs::StripedFile*> output_files;

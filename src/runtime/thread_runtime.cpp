@@ -93,6 +93,8 @@ struct SharedState {
   /// Shared by every rank thread: rank r's messages and writes run only on
   /// thread r, which therefore touches only r's roles.
   Roles roles;
+  Blueprint blueprint;  ///< the job's, for the SC threads' file-index builds
+  GlobalIndex global_index;  ///< built by thread 0 at the master-file write
   std::vector<std::unique_ptr<Mailbox>> mailboxes;
   std::vector<std::unique_ptr<DataFile>> files;  // one per group
   std::atomic<std::size_t> roles_remaining;
@@ -104,6 +106,7 @@ struct SharedState {
       : cfg(std::move(c)),
         roles(topo, job,
               Roles::Config{.max_concurrent = cfg.max_concurrent, .stealing = cfg.stealing}),
+        blueprint([&job](Rank r) { return job.blueprint_for(r); }),
         roles_remaining(roles.count()) {}
 
   void send(Rank to, Message msg) { mailboxes[static_cast<std::size_t>(to)]->push(std::move(msg)); }
@@ -194,14 +197,19 @@ class RankThread {
   }
 
   void do_index_write(const WriteIndexAction& wi) {
-    const auto bytes = shared_.roles.sc(wi.file).file_index().serialize();
+    // The file's records are built here, where they are first read.
+    const SubCoordinatorFsm& sc = shared_.roles.sc(wi.file);
+    const auto bytes =
+        build_file_index(wi.file, sc.placements(), sc.file_index_blocks(), shared_.blueprint)
+            .serialize();
     DataFile& file = *shared_.files[static_cast<std::size_t>(wi.file)];
     file.pwrite(static_cast<std::uint64_t>(wi.offset), bytes.data(), bytes.size());
     append_footer(file, static_cast<std::uint64_t>(wi.offset), bytes.size());
   }
 
   void do_global_index_write() {
-    const auto bytes = shared_.roles.coordinator().global_index().serialize();
+    shared_.global_index = shared_.roles.coordinator().kept_index().build();
+    const auto bytes = shared_.global_index.serialize();
     DataFile master(shared_.cfg.directory / "master.aidx");
     master.pwrite(0, bytes.data(), bytes.size());
     master.close();
@@ -259,7 +267,7 @@ ThreadRunResult run_threaded(const core::IoJob& job, const ThreadRunConfig& conf
   ThreadRunResult result;
   for (auto& f : shared.files) result.data_files.push_back(f->path());
   result.master_file = config.directory / "master.aidx";
-  result.global_index = shared.roles.coordinator().take_global_index();
+  result.global_index = std::move(shared.global_index);
   result.steals = shared.roles.coordinator().total_steals();
   result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   result.total_bytes = shared.total_bytes.load();
@@ -274,7 +282,10 @@ core::FileIndex read_file_index(const std::filesystem::path& file) {
   std::memcpy(&footer.index_size, bytes.data() + bytes.size() - 16, 8);
   std::memcpy(&footer.magic, bytes.data() + bytes.size() - 8, 8);
   if (footer.magic != FileFooter::kMagic) throw std::runtime_error("bad footer magic");
-  if (footer.index_offset + footer.index_size + 24 != bytes.size())
+  // Compared without adding the two fields, which may wrap.
+  const std::uint64_t before_footer = bytes.size() - 24;
+  if (footer.index_offset > before_footer ||
+      footer.index_size != before_footer - footer.index_offset)
     throw std::runtime_error("footer does not match file size");
   const auto idx = core::FileIndex::deserialize(
       std::span(bytes).subspan(footer.index_offset, footer.index_size));

@@ -9,7 +9,9 @@
 //   * sending + delivering a protocol-sized network message,
 //   * an OST write round-trip,
 //   * every control-plane FSM step a delivered message triggers
-//     (DO_WRITE, WRITE_COMPLETE, steal grant / decline handling).
+//     (DO_WRITE, WRITE_COMPLETE, steal grant / decline handling);
+//
+// and that an SC's index phase with the index kept allocates at most once.
 //
 // If a future change reintroduces a per-message allocation — a widened
 // closure falling off the SBO, a map node per stream, a vector rebuilt per
@@ -301,8 +303,8 @@ TEST(AllocGuard, SubCoordinatorControlStepsAreAllocationFree) {
   EXPECT_TRUE(std::holds_alternative<SendAction>(a[0]));
 }
 
-// With records kept, an SC only notes each INDEX_BODY's writer and offset;
-// the first one reserves room for the group, and the rest allocate nothing.
+// With the index kept, an SC only notes each INDEX_BODY's writer and offset
+// in a list reserved for its members at construction: none allocates.
 TEST(AllocGuard, SubCoordinatorIndexBodyIsAllocationFree) {
   static const double kMemberBytes[4] = {1000.0, 1000.0, 1000.0, 1000.0};
   const LocalIndex blueprint = [] {
@@ -325,23 +327,96 @@ TEST(AllocGuard, SubCoordinatorIndexBodyIsAllocationFree) {
   c.first_member = 0;
   c.n_members = 4;
   c.member_bytes = kMemberBytes;
-  c.blueprint = [blueprint](Rank) { return blueprint; };
+  c.keep_placements = true;
   SubCoordinatorFsm sc(c);
   (void)sc.start();
   const auto body = [&blueprint](Rank writer) {
     return IndexBody{writer, 0, static_cast<std::uint64_t>(writer) * 3000,
                      blueprint.serialized_size(), blueprint.blocks.size()};
   };
-  (void)sc.on_index_body(body(0));
 
   AllocGuard guard;
   guard.start();
+  const Actions a0 = sc.on_index_body(body(0));
   const Actions a1 = sc.on_index_body(body(1));
   const Actions a2 = sc.on_index_body(body(2));
   const Actions a3 = sc.on_index_body(body(3));
   EXPECT_EQ(guard.stop(), 0u) << "SC INDEX_BODY handling allocated";
-  EXPECT_TRUE(a1.empty() && a2.empty() && a3.empty());
+  EXPECT_TRUE(a0.empty() && a1.empty() && a2.empty() && a3.empty());
   EXPECT_EQ(sc.indices_received(), 4u);
+}
+
+// With the index kept, an SC's whole index phase — its last INDEX_BODY,
+// OVERALL_WRITE_COMPLETE, the index-write completion and the SUB_INDEX it
+// ships, delivered to the coordinator — builds no block record: it
+// allocates at most once (a steal overflowing the members' reservation),
+// however many writers landed in its file.
+TEST(AllocGuard, SubCoordinatorIndexPhaseAllocatesAtMostOnce) {
+  const LocalIndex blueprint = [] {
+    LocalIndex local;
+    for (int v = 0; v < 8; ++v) {
+      BlockRecord b;
+      b.var_id = static_cast<std::uint32_t>(v);
+      b.length = 1000;
+      b.global_dims = {64, 64, 64};
+      b.offsets = {0, 0, 0};
+      b.counts = {4, 4, 4};
+      local.blocks.push_back(b);
+    }
+    return local;
+  }();
+  for (const std::size_t members : {1u, 2u, 8u, 64u, 1000u}) {
+    for (const std::size_t stolen_in : {0u, 1u, 3u}) {
+      const std::vector<double> member_bytes(members, 8000.0);
+      SubCoordinatorFsm::Config c;
+      c.group = 0;
+      c.rank = 0;
+      c.coordinator = 0;
+      c.first_member = 0;
+      c.n_members = members;
+      c.member_bytes = member_bytes;
+      c.keep_placements = true;
+      SubCoordinatorFsm sc(c);
+      (void)sc.start();
+
+      // A one-group coordinator past its data phase, gathering sub-indices.
+      CoordinatorFsm::Config cc;
+      cc.n_groups = 1;
+      cc.group_size_of = [members](GroupId) { return members; };
+      cc.sc_of = sc_of;
+      cc.stealing_enabled = false;
+      cc.blueprint = [&blueprint](Rank) { return blueprint; };
+      CoordinatorFsm coord(cc);
+      WriteComplete group_done;
+      group_done.kind = WriteComplete::Kind::GroupDone;
+      group_done.origin_group = 0;
+      group_done.file = 0;
+      (void)coord.on_write_complete(group_done);
+
+      const std::size_t arrivals = members + stolen_in;
+      const auto body = [&blueprint](std::size_t i) {
+        return IndexBody{static_cast<Rank>(i), 0, static_cast<std::uint64_t>(i) * 8000,
+                         blueprint.serialized_size(), blueprint.blocks.size()};
+      };
+      for (std::size_t i = 0; i + 1 < arrivals; ++i) (void)sc.on_index_body(body(i));
+
+      AllocGuard guard;
+      guard.start();
+      const Actions last = sc.on_index_body(body(arrivals - 1));
+      const Actions write = sc.on_overall_write_complete(
+          OverallWriteComplete{arrivals, 8000.0 * static_cast<double>(arrivals)});
+      const Actions fin = sc.on_index_write_done();
+      const SendAction& ship = std::get<SendAction>(fin[0]);
+      const Actions gathered = coord.on_sub_index(std::get<SubIndex>(ship.msg.body));
+      const std::size_t allocs = guard.stop();
+      EXPECT_LE(allocs, 1u) << members << " members, " << stolen_in << " stolen in";
+      EXPECT_TRUE(last.empty());
+      EXPECT_EQ(write.size(), 1u);
+      ASSERT_EQ(gathered.size(), 1u);
+      EXPECT_TRUE(std::holds_alternative<WriteGlobalIndexAction>(gathered[0]));
+      EXPECT_EQ(coord.kept_index().build().total_blocks(), arrivals * 8);
+    }
+  }
 }
 
 TEST(AllocGuard, StealGrantPathIsAllocationFree) {

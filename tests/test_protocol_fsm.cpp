@@ -180,8 +180,6 @@ WriteComplete writer_done(Rank writer, GroupId origin, GroupId file, double byte
   return m;
 }
 
-using Blueprint = std::function<LocalIndex(Rank)>;
-
 /// Blueprints of one block per writer, `lengths.at(rank)` bytes long.
 Blueprint one_block_each(std::map<Rank, std::uint64_t> lengths) {
   return [lengths = std::move(lengths)](Rank rank) {
@@ -198,7 +196,7 @@ IndexBody index_for(const Blueprint& blueprint, Rank writer, GroupId file,
 }
 
 /// `writer`'s blueprint stamped for a write at `offset` of `file`: the
-/// local index the SC's build must reproduce.
+/// local index a build from the SC's placements must reproduce.
 LocalIndex stamped(const Blueprint& blueprint, Rank writer, GroupId file,
                    std::uint64_t offset) {
   LocalIndex local = blueprint(writer);
@@ -297,7 +295,7 @@ TEST(SubCoordinatorFsm, RepliesWritersBusyWhenQueueEmpty) {
 TEST(SubCoordinatorFsm, IndexPhaseWaitsForExpectedIndices) {
   const Blueprint blueprint = one_block_each({{10, 100}, {11, 100}, {55, 40}});
   SubCoordinatorFsm::Config cfg = sc_cfg(0, {10, 11}, {100.0, 100.0});
-  cfg.blueprint = blueprint;
+  cfg.keep_placements = true;
   SubCoordinatorFsm sc(cfg);
   sc.start();
   sc.on_write_complete(writer_done(10, 0, 0, 100.0));
@@ -321,28 +319,31 @@ TEST(SubCoordinatorFsm, IndexPhaseWaitsForExpectedIndices) {
   EXPECT_GT(widx->bytes, 0.0);
   EXPECT_EQ(sc.state(), SubCoordinatorFsm::State::IndexWriting);
 
-  // Index write completion ships the merged index to C.
+  // Index write completion ships the file's placements to C; the index
+  // built from them is the one the write was sized for.
   const Actions fin = sc.on_index_write_done();
   const auto* to_c = find_send_to(fin, 0);
   ASSERT_NE(to_c, nullptr);
   const auto* sub = std::get_if<SubIndex>(&to_c->msg.body);
   ASSERT_NE(sub, nullptr);
-  EXPECT_EQ(sub->index->blocks().size(), 3u);
+  ASSERT_NE(sub->placements, nullptr);
+  const FileIndex built = build_file_index(0, *sub->placements, sub->blocks, blueprint);
+  EXPECT_EQ(built.blocks().size(), 3u);
   EXPECT_EQ(sub->blocks, 3u);
-  EXPECT_EQ(sub->serialized_bytes, sub->index->serialized_size());
+  EXPECT_EQ(sub->serialized_bytes, built.serialized_size());
   EXPECT_DOUBLE_EQ(widx->bytes, static_cast<double>(sub->serialized_bytes));
-  EXPECT_TRUE(sub->index->covers_contiguously(240));
+  EXPECT_TRUE(built.covers_contiguously(240));
   EXPECT_NE(find_action<RoleDoneAction>(fin), nullptr);
   EXPECT_EQ(sc.state(), SubCoordinatorFsm::State::Done);
 }
 
 TEST(SubCoordinatorFsm, IndicesMayArriveBeforeOverall) {
   SubCoordinatorFsm::Config cfg = sc_cfg(0, {10}, {100.0});
-  cfg.blueprint = one_block(100.0);
+  cfg.keep_placements = true;
   SubCoordinatorFsm sc(cfg);
   sc.start();
   sc.on_write_complete(writer_done(10, 0, 0, 100.0));
-  sc.on_index_body(index_for(cfg.blueprint, 10, 0, 0));
+  sc.on_index_body(index_for(one_block(100.0), 10, 0, 0));
   const Actions a = sc.on_overall_write_complete(OverallWriteComplete{1, 100.0});
   EXPECT_NE(find_action<WriteIndexAction>(a), nullptr);
 }
@@ -362,7 +363,7 @@ TEST(SubCoordinatorFsm, SizeOnlyIndicesStreamTheFileIndexSize) {
     reference.merge(stamped(blueprint, w, 0, offset));
     a = sc.on_index_body(index_for(blueprint, w, 0, offset));
   }
-  EXPECT_TRUE(sc.file_index().blocks().empty());
+  EXPECT_TRUE(sc.placements().empty());
   const auto* widx = find_action<WriteIndexAction>(a);
   ASSERT_NE(widx, nullptr);
   EXPECT_DOUBLE_EQ(widx->bytes, static_cast<double>(reference.serialized_size()));
@@ -370,7 +371,7 @@ TEST(SubCoordinatorFsm, SizeOnlyIndicesStreamTheFileIndexSize) {
   const auto* to_c = find_send_to(fin, 0);
   ASSERT_NE(to_c, nullptr);
   const auto& sub = std::get<SubIndex>(to_c->msg.body);
-  EXPECT_EQ(sub.index, nullptr);
+  EXPECT_EQ(sub.placements, nullptr);
   EXPECT_EQ(sub.blocks, 2u);
   EXPECT_EQ(sub.serialized_bytes, reference.serialized_size());
   EXPECT_THROW(sc.on_index_body(IndexBody{}), std::invalid_argument);
@@ -380,7 +381,7 @@ TEST(SubCoordinatorFsm, RejectsForeignIndex) {
   const Blueprint blueprint = one_block(100.0);
   for (const bool kept : {false, true}) {
     SubCoordinatorFsm::Config cfg = sc_cfg(0, {10}, {100.0});
-    if (kept) cfg.blueprint = blueprint;
+    cfg.keep_placements = kept;
     SubCoordinatorFsm sc(cfg);
     sc.start();
     EXPECT_THROW(sc.on_index_body(index_for(blueprint, 10, /*file=*/9, 0)), std::logic_error)
@@ -388,23 +389,35 @@ TEST(SubCoordinatorFsm, RejectsForeignIndex) {
   }
 }
 
-// The SC rebuilds records from the blueprint the pool sized them with; a
-// blueprint that disagrees with its INDEX_BODY breaks the contract.
+// Records are built from the blueprint the pool sized them with; a
+// blueprint that disagrees with its INDEX_BODY breaks the contract, and the
+// build of the SC's shipped placements says so.
 TEST(SubCoordinatorFsm, ImpureBlueprintThrowsAtIndexTime) {
   SubCoordinatorFsm::Config cfg = sc_cfg(0, {10}, {100.0});
-  cfg.blueprint = one_block(100.0);
+  cfg.keep_placements = true;
+  const Blueprint blueprint = one_block(100.0);
   SubCoordinatorFsm sc(cfg);
   sc.start();
-  IndexBody body = index_for(cfg.blueprint, 10, 0, 0);
+  IndexBody body = index_for(blueprint, 10, 0, 0);
   body.blocks = 2;  // sized from a blueprint that produced two blocks
   sc.on_index_body(body);
-  EXPECT_THROW(sc.on_overall_write_complete(OverallWriteComplete{1, 100.0}), std::logic_error);
+  ASSERT_NE(find_action<WriteIndexAction>(
+                sc.on_overall_write_complete(OverallWriteComplete{1, 100.0})),
+            nullptr);
+  const Actions fin = sc.on_index_write_done();
+  const auto* to_c = find_send_to(fin, 0);
+  ASSERT_NE(to_c, nullptr);
+  const auto& sub = std::get<SubIndex>(to_c->msg.body);
+  ASSERT_NE(sub.placements, nullptr);
+  EXPECT_THROW((void)build_file_index(0, *sub.placements, sub.blocks, blueprint),
+               std::logic_error);
 }
 
-// The SC builds its file index from (writer, offset) pairs at index time;
-// it must ship exactly what merging the writers' stamped indices in arrival
-// order and sorting would.  Zero-length blocks with repeated var_ids tie
-// under the sort key, so a build that reorders its inputs shows up here.
+// The SC ships its file's (writer, offset) pairs in arrival order; the index
+// built from them must be exactly what merging the writers' stamped indices
+// in arrival order and sorting would.  Zero-length blocks with repeated
+// var_ids tie under the sort key, so a build that reorders its inputs shows
+// up here.
 TEST(SubCoordinatorFsm, BuildMatchesArrivalOrderMerge) {
   for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
     std::mt19937_64 rng(seed);
@@ -463,7 +476,7 @@ TEST(SubCoordinatorFsm, BuildMatchesArrivalOrderMerge) {
     std::vector<Rank> ranks(members);
     for (std::size_t m = 0; m < members; ++m) ranks[m] = first + static_cast<Rank>(m);
     SubCoordinatorFsm::Config cfg = sc_cfg(group, ranks, std::vector<double>(members, 1.0));
-    cfg.blueprint = blueprint;
+    cfg.keep_placements = true;
     SubCoordinatorFsm sc(cfg);
     sc.start();
     // OVERALL lands at a random point among the INDEX_BODYs.
@@ -489,10 +502,12 @@ TEST(SubCoordinatorFsm, BuildMatchesArrivalOrderMerge) {
     const auto* to_c = find_send_to(fin, 0);
     ASSERT_NE(to_c, nullptr) << "seed " << seed;
     const auto& sub = std::get<SubIndex>(to_c->msg.body);
-    ASSERT_NE(sub.index, nullptr) << "seed " << seed;
+    ASSERT_NE(sub.placements, nullptr) << "seed " << seed;
     EXPECT_EQ(sub.blocks, reference.blocks().size()) << "seed " << seed;
     EXPECT_EQ(sub.serialized_bytes, reference.serialized_size()) << "seed " << seed;
-    ASSERT_EQ(sub.index->serialize(), reference.serialize()) << "seed " << seed;
+    ASSERT_EQ(build_file_index(group, *sub.placements, sub.blocks, blueprint).serialize(),
+              reference.serialize())
+        << "seed " << seed;
   }
 }
 
@@ -509,6 +524,14 @@ TEST(SubCoordinatorFsm, InvalidConfigThrows) {
 
 // --- CoordinatorFsm ----------------------------------------------------------
 
+/// The writers' blueprint in coordinator tests: one empty block each.
+LocalIndex empty_block(Rank rank) {
+  LocalIndex local;
+  local.writer = rank;
+  local.blocks.emplace_back();
+  return local;
+}
+
 CoordinatorFsm::Config coord_cfg(std::vector<std::size_t> sizes, bool stealing = true) {
   CoordinatorFsm::Config c;
   c.n_groups = sizes.size();
@@ -518,6 +541,7 @@ CoordinatorFsm::Config coord_cfg(std::vector<std::size_t> sizes, bool stealing =
   c.sc_of = sc_of_identity;
   c.rank = 0;
   c.stealing_enabled = stealing;
+  c.blueprint = empty_block;
   return c;
 }
 
@@ -542,12 +566,10 @@ WriteComplete adaptive_done(Rank writer, GroupId origin, GroupId file, double by
 
 /// A one-block file index for group `g`, stamped with its size and count.
 SubIndex sub_index_for(GroupId g) {
-  auto fi = std::make_shared<FileIndex>(g);
-  LocalIndex local;
-  local.file = g;
-  local.blocks.emplace_back();
-  fi->merge(local);
-  return SubIndex{g, fi, fi->serialized_size(), fi->blocks().size()};
+  auto placements =
+      std::make_shared<const std::vector<Placement>>(1, Placement{sc_of_identity(g), 0});
+  const FileIndex fi = build_file_index(g, *placements, 1, empty_block);
+  return SubIndex{g, std::move(placements), fi.serialized_size(), fi.blocks().size()};
 }
 
 TEST(CoordinatorFsm, FirstGroupDoneTriggersGrantToWritingSc) {
@@ -656,9 +678,10 @@ TEST(CoordinatorFsm, SubIndicesTriggerGlobalIndexWrite) {
   const auto* write = find_action<WriteGlobalIndexAction>(a);
   ASSERT_NE(write, nullptr);
   EXPECT_EQ(c.state(), CoordinatorFsm::State::IndexWriting);
-  EXPECT_EQ(c.global_index().n_files(), 2u);
+  const GlobalIndex gi = c.kept_index().build();
+  EXPECT_EQ(gi.n_files(), 2u);
   EXPECT_EQ(c.total_blocks(), 2u);
-  EXPECT_DOUBLE_EQ(write->bytes, static_cast<double>(c.global_index().serialized_size()));
+  EXPECT_DOUBLE_EQ(write->bytes, static_cast<double>(gi.serialized_size()));
 
   const Actions fin = c.on_global_index_write_done();
   EXPECT_NE(find_action<RoleDoneAction>(fin), nullptr);
@@ -675,19 +698,19 @@ TEST(CoordinatorFsm, ProtocolViolationsThrow) {
   EXPECT_THROW(c.on_sub_index(sub_index_for(0)), std::logic_error);
 }
 
-// Index messages always carry their size and block count; the records are
-// optional.  A coordinator that keeps the global index needs the records, so
-// a size-only SUB_INDEX is a protocol error there and routine when streaming.
+// Index messages always carry their size and block count; the placements
+// are optional.  A coordinator that keeps the global index needs them, so a
+// size-only SUB_INDEX is a protocol error there and routine when streaming.
 TEST(CoordinatorFsm, SizeOnlySubIndexNeedsAStreamingCoordinator) {
   const auto gathering = [](bool retain) {
     CoordinatorFsm::Config cfg = coord_cfg({1}, /*stealing=*/false);
-    cfg.retain_global_index = retain;
+    if (!retain) cfg.blueprint = nullptr;
     auto c = std::make_unique<CoordinatorFsm>(cfg);
     c->on_write_complete(group_done(0, 10.0));
     return c;
   };
   SubIndex size_only = sub_index_for(0);
-  size_only.index = nullptr;
+  size_only.placements = nullptr;
 
   EXPECT_THROW(gathering(true)->on_sub_index(size_only), std::logic_error);
 
@@ -699,7 +722,7 @@ TEST(CoordinatorFsm, SizeOnlySubIndexNeedsAStreamingCoordinator) {
                                                      GlobalIndex::kLengthBytes +
                                                      size_only.serialized_bytes));
   EXPECT_EQ(streaming->total_blocks(), 1u);
-  EXPECT_EQ(streaming->global_index().n_files(), 0u);
+  EXPECT_EQ(streaming->kept_index().build().n_files(), 0u);
 }
 
 TEST(CoordinatorFsm, SingleGroupCompletesWithoutGrants) {

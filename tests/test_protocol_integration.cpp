@@ -12,8 +12,8 @@
 //   * the protocol terminates (all roles done) for every topology.
 //
 // A last test runs the adaptive transport itself on a small loaded machine,
-// once carrying block records and once carrying index sizes only, and pins
-// the two to the same simulated result.
+// once keeping the global index and once carrying index sizes only, and
+// pins the two to the same simulated result.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -132,7 +132,7 @@ class Harness {
     }
     const std::uint64_t steals = coordinator().total_steals();
     mix(&steals, sizeof(steals));
-    const auto bytes = coordinator().global_index().serialize();
+    const auto bytes = coordinator().kept_index().build().serialize();
     mix(bytes.data(), bytes.size());
     mix(&global_index_bytes_, sizeof(global_index_bytes_));
     return h;
@@ -228,7 +228,7 @@ void check_invariants(Harness& h, const HarnessOptions& opt) {
   EXPECT_DOUBLE_EQ(total_bytes, expected_bytes);
 
   // Global index: every block present, every file covered.
-  const GlobalIndex& gi = h.coordinator().global_index();
+  const GlobalIndex gi = h.coordinator().kept_index().build();
   EXPECT_EQ(gi.n_files(), opt.n_groups);
   EXPECT_EQ(gi.total_blocks(), opt.n_writers);
   for (const auto& fi : gi.files()) {
@@ -344,7 +344,7 @@ TEST(ProtocolIntegration, GoldenDigestPaperScale65536) {
   h.run();
   ASSERT_EQ(h.roles_remaining(), 0u);
   ASSERT_EQ(h.coordinator().state(), CoordinatorFsm::State::Done);
-  EXPECT_EQ(h.coordinator().global_index().total_blocks(), opt.n_writers);
+  EXPECT_EQ(h.coordinator().kept_index().build().total_blocks(), opt.n_writers);
   EXPECT_EQ(h.digest(), 1469256448900558871ull);
 }
 
@@ -472,13 +472,13 @@ TEST(IndexCarriage, SizesOnlyMatchesRecordsBitForBit) {
   EXPECT_EQ(a.total_blocks_indexed, 56u * 8u);
   EXPECT_EQ(kept.submitted, sized.submitted);
   EXPECT_EQ(kept.ost_bytes, sized.ost_bytes);
-  EXPECT_EQ(b.global_index, nullptr);
+  EXPECT_EQ(b.kept_index, nullptr);
 
   // The streamed sizes are the real ones: what each SC wrote after its data
   // is its file index's serialized size, and the coordinator's write is the
   // global index's.
-  ASSERT_NE(a.global_index, nullptr);
-  const GlobalIndex& gi = *a.global_index;
+  ASSERT_NE(a.kept_index, nullptr);
+  const GlobalIndex gi = a.kept_index->build();
   ASSERT_EQ(gi.n_files(), 7u);
   for (const FileIndex& fi : gi.files()) {
     double data = 0.0;
@@ -493,9 +493,9 @@ TEST(IndexCarriage, SizesOnlyMatchesRecordsBitForBit) {
 // placement and the sort order of every file index, steals included.
 TEST(IndexCarriage, KeptGlobalIndexMatchesGolden) {
   const CarriageRun kept = run_pixie3d(true);
-  ASSERT_NE(kept.result.global_index, nullptr);
+  ASSERT_NE(kept.result.kept_index, nullptr);
   EXPECT_EQ(kept.result.steals, 9u);
-  const std::vector<std::uint8_t> bytes = kept.result.global_index->serialize();
+  const std::vector<std::uint8_t> bytes = kept.result.kept_index->build().serialize();
   EXPECT_EQ(bytes.size(), 62'868u);
   std::uint64_t h = 14695981039346656037ull;  // FNV-1a-64
   for (const std::uint8_t b : bytes) {

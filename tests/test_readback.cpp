@@ -2,6 +2,7 @@
 // read-back through the global index.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 
 #include "core/transports/adaptive_transport.hpp"
@@ -102,6 +103,7 @@ struct WriteThenRead {
   fs::FileSystem filesystem;
   net::Network network;
   core::IoResult write_result;
+  std::shared_ptr<const core::GlobalIndex> index;  ///< write_result's, built
 
   WriteThenRead() : filesystem(engine, test_fs()), network(engine, {1e-6, 10e9, 8}, 64) {
     core::AdaptiveTransport::Config cfg;
@@ -111,6 +113,7 @@ struct WriteThenRead {
     t.run(core::IoJob::uniform(16, 2e6), [&](core::IoResult r) { result = std::move(r); });
     engine.run();
     write_result = std::move(*result);
+    index = std::make_shared<const core::GlobalIndex>(write_result.kept_index->build());
   }
 
   ReadbackResult read(ReadbackConfig::Lookup lookup) {
@@ -118,7 +121,7 @@ struct WriteThenRead {
     cfg.lookup = lookup;
     ReadbackEngine reader(filesystem, cfg);
     std::optional<ReadbackResult> result;
-    reader.run(write_result.global_index, write_result.output_files,
+    reader.run(index, write_result.output_files,
                write_result.master_file, [&](ReadbackResult r) { result = r; });
     engine.run();
     return *result;
@@ -127,7 +130,7 @@ struct WriteThenRead {
 
 TEST(Readback, GlobalIndexReadsEveryBlockBack) {
   WriteThenRead rig;
-  ASSERT_TRUE(rig.write_result.global_index);
+  ASSERT_TRUE(rig.write_result.kept_index);
   const ReadbackResult r = rig.read(ReadbackConfig::Lookup::GlobalIndex);
   EXPECT_EQ(r.blocks_read, 16u);
   EXPECT_DOUBLE_EQ(r.total_bytes, 32e6);
@@ -151,7 +154,7 @@ TEST(Readback, RejectsNullInputs) {
   ReadbackEngine reader(rig.filesystem, {});
   EXPECT_THROW(reader.run(nullptr, {}, rig.write_result.master_file, nullptr),
                std::invalid_argument);
-  EXPECT_THROW(reader.run(rig.write_result.global_index, {}, nullptr, nullptr),
+  EXPECT_THROW(reader.run(rig.index, {}, nullptr, nullptr),
                std::invalid_argument);
 }
 

@@ -3,8 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace {
 
@@ -181,6 +187,38 @@ TEST_F(ThreadRuntimeTest, RankErrorIsRethrown) {
   }
 }
 
+// The pool sizes each writer's index from the blueprint, and each SC thread
+// builds its file's records from it again when it writes its index.  A
+// blueprint that answers differently the second time fails the run there,
+// before the master file is written.
+TEST_F(ThreadRuntimeTest, ImpureBlueprintFailsAtTheIndexWrite) {
+  IoJob job = IoJob::uniform(8, 1024.0);
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  job.blueprint = [calls](core::Rank r) {
+    // One block for each of the pool's 8 sizing calls, two afterwards.
+    const int n_blocks = calls->fetch_add(1) < 8 ? 1 : 2;
+    core::LocalIndex local;
+    local.writer = r;
+    for (int b = 0; b < n_blocks; ++b) {
+      core::BlockRecord block;
+      block.length = static_cast<std::uint64_t>(1024 / n_blocks);
+      local.blocks.push_back(block);
+    }
+    return local;
+  };
+  ThreadRunConfig cfg;
+  cfg.directory = dir_;
+  cfg.n_files = 2;
+  try {
+    (void)run_threaded(job, cfg);
+    FAIL() << "run_threaded returned despite an impure blueprint";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("not a pure function of the rank"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir_ / "master.aidx"));
+}
+
 TEST_F(ThreadRuntimeTest, FooterRejectsTruncatedFile) {
   ThreadRunConfig cfg;
   cfg.directory = dir_;
@@ -189,6 +227,21 @@ TEST_F(ThreadRuntimeTest, FooterRejectsTruncatedFile) {
   // Truncate the file: the footer check must fail loudly.
   std::filesystem::resize_file(r.data_files[0], 100);
   EXPECT_THROW(runtime::read_file_index(r.data_files[0]), std::runtime_error);
+}
+
+// A footer whose offset and size add up to the file size only by wrapping
+// around 2^64 must be rejected before the index is sliced out of the file.
+TEST_F(ThreadRuntimeTest, FooterRejectsWrappingOffsets) {
+  std::filesystem::create_directories(dir_);
+  std::vector<std::uint8_t> bytes(100, 0);
+  const runtime::FileFooter footer{~std::uint64_t{0} - 49, 126, runtime::FileFooter::kMagic};
+  std::memcpy(bytes.data() + 76, &footer.index_offset, 8);
+  std::memcpy(bytes.data() + 84, &footer.index_size, 8);
+  std::memcpy(bytes.data() + 92, &footer.magic, 8);
+  const std::filesystem::path file = dir_ / "hostile.aio";
+  std::ofstream(file, std::ios::binary)
+      .write(reinterpret_cast<const char*>(bytes.data()), static_cast<std::streamsize>(bytes.size()));
+  EXPECT_THROW(runtime::read_file_index(file), std::runtime_error);
 }
 
 }  // namespace
