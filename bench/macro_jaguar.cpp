@@ -21,9 +21,9 @@
 // column appears, each adaptive row runs through core::ShardedAdaptiveSim,
 // and the JSON rows carry a "shards" value plus window-loop telemetry
 // (window_batch, windows_executed, windows_skipped, barrier_rounds).
-// `AIO_SIM_DOMAINS` overrides the domain grid and `AIO_SIM_WINDOW_BATCH`
-// the window multiplier (a number >= 1).  Unset, the bench's stdout is
-// byte-identical to a build without sharding.
+// A shard count runs clamped to [1, min(32, n_osts)], and
+// `AIO_SIM_WINDOW_BATCH` sets the window multiplier (a number >= 1).
+// Unset, the bench's stdout is byte-identical to a build without sharding.
 //
 // `AIO_PROF` arms the shard-runtime profiler on the sharded
 // rows: a one-line stderr host-time split per sweep point, prof_* values in
@@ -67,17 +67,6 @@ std::uint64_t current_rss_bytes() {
 #else
   return 0;
 #endif
-}
-
-/// Announces on stderr when the requested domain count exceeds the OST
-/// count: the grid clamps to one OST span per domain, so the run uses fewer
-/// domains than asked for.
-void warn_domains_exceed_osts(std::size_t domains, std::size_t n_osts) {
-  if (domains <= n_osts) return;
-  std::fprintf(stderr,
-               "bench: AIO_SIM_DOMAINS=%zu exceeds n_osts=%zu; the domain grid clamps to %zu "
-               "(every domain needs a non-empty OST span)\n",
-               domains, n_osts, n_osts);
 }
 
 struct RunCost {
@@ -155,9 +144,8 @@ RunCost run_one(const fs::MachineSpec& spec, const workload::Pixie3dConfig& mode
 /// re-homed into the bench-wide journal under a fresh run ordinal, so
 /// tools/aio_report reads sharded and classic runs out of one file.
 RunCost run_one_sharded(const fs::MachineSpec& spec, const workload::Pixie3dConfig& model,
-                        std::size_t procs, std::size_t n_shards, std::size_t n_domains,
-                        double window_batch, obs::Journal* journal,
-                        obs::prof::ShardProfiler* prof) {
+                        std::size_t procs, std::size_t n_shards, double window_batch,
+                        obs::Journal* journal, obs::prof::ShardProfiler* prof) {
   const std::uint64_t rss0 = current_rss_bytes();
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -168,7 +156,6 @@ RunCost run_one_sharded(const fs::MachineSpec& spec, const workload::Pixie3dConf
   cfg.net = net::NetConfig{spec.msg_latency_s, spec.nic_bw, spec.cores_per_node};
   cfg.adaptive.retain_global_index = false;  // n_files = 0: one file per OST
   cfg.collect_journal = journal != nullptr;
-  cfg.n_domains = n_domains;
   cfg.window_batch = window_batch;
   cfg.profiler = prof;  // re-bound (and zeroed) per sample by set_profiler
   core::ShardedAdaptiveSim sim(cfg);
@@ -216,7 +203,6 @@ int main() {
   const std::size_t samples = bench::samples_or(1);
   const std::size_t max_procs = bench::max_procs_or(224160);
   const std::vector<std::size_t> shard_sweep = obs::env_counts("AIO_SIM_SHARDS");
-  const std::size_t sim_domains = obs::env_count("AIO_SIM_DOMAINS", 0);
   const double window_batch = obs::env_seconds("AIO_SIM_WINDOW_BATCH", 64.0, 1.0);
   bench::warn_unreached_max_procs(max_procs, {16384, 65536, 224160});
   bench::banner("macro_jaguar",
@@ -229,7 +215,6 @@ int main() {
 
   const fs::MachineSpec spec = fs::jaguar();
   const workload::Pixie3dConfig model = workload::Pixie3dConfig::small_model();
-  if (!shard_sweep.empty()) warn_domains_exceed_osts(sim_domains, spec.fs.n_osts);
 
   // One journal across the whole sweep (serial bench, one "machine" at a
   // time); each adaptive run appends its own kRunBegin..kComplete span.
@@ -249,8 +234,7 @@ int main() {
   const obs::EnvSink prof_env = obs::env_sink("AIO_PROF");
   std::unique_ptr<obs::prof::ShardProfiler> prof;
   if (prof_env.on && !shard_sweep.empty())
-    prof = std::make_unique<obs::prof::ShardProfiler>(obs::prof::ShardProfiler::Config{
-        std::string(), obs::env_seconds("AIO_PROF_PERIOD_S", 0.0)});
+    prof = std::make_unique<obs::prof::ShardProfiler>();
   if (prof_env.on && shard_sweep.empty())
     std::fprintf(stderr,
                  "macro_jaguar: AIO_PROF needs a sharded sweep (set AIO_SIM_SHARDS)\n");
@@ -319,8 +303,8 @@ int main() {
           stats::Summary wall;
           RunCost last;
           for (std::size_t s = 0; s < samples; ++s) {
-            last = run_one_sharded(spec, model, procs, n_shards, sim_domains, window_batch,
-                                   journal, prof.get());
+            last = run_one_sharded(spec, model, procs, n_shards, window_batch, journal,
+                                   prof.get());
             wall.add(last.wall_s);
           }
           emit(procs, "adaptive", n_shards, wall, last);

@@ -28,7 +28,7 @@ using namespace aio;
 
 constexpr std::size_t kRanksPerNode = 8;
 constexpr std::size_t kRanks = 64;
-constexpr std::size_t kOsts = 8;  // 8 domains: supports 1..8 shards
+constexpr std::size_t kOsts = 8;  // 8 OSTs: supports 1..8 shards
 
 sim::ShardGroup::Config group_config(std::size_t n_shards) {
   sim::ShardGroup::Config c;

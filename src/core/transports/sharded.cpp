@@ -14,7 +14,6 @@ sim::ShardGroup::Config shard_config(const ShardedAdaptiveSim::Config& c) {
   sc.n_shards = c.n_shards;
   sc.lookahead_s = c.net.latency_s;
   sc.window_batch = c.window_batch;
-  sc.n_domains = c.n_domains;
   sc.n_ranks = c.n_ranks;
   sc.ranks_per_node = c.net.cores_per_node;
   sc.n_osts = c.fs.n_osts;

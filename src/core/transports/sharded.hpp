@@ -8,8 +8,8 @@
 //
 // Determinism contract (see DESIGN.md §10): for a fixed Config and job, the
 // simulated timestamps, the IoResult, and the canonically merged journal are
-// bit-identical at every shard count, because the domain grid, the window
-// grid, and the cross-shard merge order are all independent of n_shards.
+// bit-identical at every shard count, because the window grid, the coupling
+// rule, and the cross-shard merge order are all independent of n_shards.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +26,7 @@ namespace aio::core {
 class ShardedAdaptiveSim {
  public:
   struct Config {
-    std::size_t n_shards = 1;   ///< requested; clamped to the domain count
+    std::size_t n_shards = 1;   ///< requested; clamped to [1, min(32, fs.n_osts)]
     std::size_t n_ranks = 0;    ///< protocol ranks (>= the job's writers)
     fs::FsConfig fs;
     net::NetConfig net;
@@ -34,7 +34,6 @@ class ShardedAdaptiveSim {
     /// window = lookahead * batch (see ShardGroup); the lookahead is the
     /// network latency, the minimum cross-shard coupling delay.
     double window_batch = 64.0;
-    std::size_t n_domains = 0;  ///< 0 = default plan (min(32, n_osts))
     bool collect_journal = false;  ///< attach one journal per shard engine
     /// Unread; kept only because perf/aio_perf.cpp assigns it.
     bool deterministic = true;

@@ -52,7 +52,7 @@ class FabricGovernor {
   /// one window boundary therefore produce exactly one decision from the
   /// *final* active count — the outcome is independent of the order the
   /// batch drains in, which is what keeps the factor sequence invariant
-  /// under the domain and shard counts.
+  /// under the shard count.
   void notify_activity_batched(bool became_active);
 
   [[nodiscard]] std::size_t active_count() const { return active_; }

@@ -150,8 +150,8 @@ FileSystem::FileSystem(sim::Homes homes, FsConfig config)
     // Every activity transition is broadcast to all replicas; each counts it
     // at the next window boundary and decides in its one flush after the
     // whole boundary batch, so the replicas' hysteresis state machines make
-    // identical decisions at any shard *or domain* count (the batched
-    // decision is order-free within the boundary instant).
+    // identical decisions at any shard count (the batched decision is
+    // order-free within the boundary instant).
     fabrics_[homes_.home_index(ost)].adopt(*osts_.back());
     if (config_.fabric_bw > 0.0) {
       const std::uint32_t key = sg->key_of(ost);

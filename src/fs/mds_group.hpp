@@ -8,12 +8,12 @@
 // needs no directory table and distributes a file-per-process storm evenly.
 //
 // Server `i` is the entity `sim::Entity::mds(i)`, homed by `sim::Homes`
-// (on a shard group, by the span rule that places OSTs).  A request from a
-// rank is two `Homes` hand-offs: the request to the server, and the
-// completion back to the requester under the server's own entity key.  Over
-// one engine both are direct calls; over a shard group both cross the
-// compute/metadata boundary and land on window boundaries, so placement
-// never moves a timestamp at any shard or domain count.
+// (on a shard group of S shards, on shard ((i+1)·S−1)/count, the span rule
+// that places OSTs).  A request from a rank is two `Homes` hand-offs: the
+// request to the server, and the completion back to the requester under the
+// server's own entity key.  Over one engine both are direct calls; over a
+// shard group both cross the compute/metadata boundary and land on window
+// boundaries, so placement never moves a timestamp at any shard count.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +44,8 @@ class MdsGroup {
   [[nodiscard]] std::size_t count() const { return servers_.size(); }
   [[nodiscard]] MetadataServer& server(std::size_t i) { return *servers_.at(i); }
 
-  /// Deterministic placement: FNV-1a(path) % count.  Independent of shard
-  /// and domain counts, so the same path always lands on the same server.
+  /// Deterministic placement: FNV-1a(path) % count.  Independent of the
+  /// shard count, so the same path always lands on the same server.
   [[nodiscard]] std::uint32_t index_of(std::string_view path) const;
 
   /// Direct submission to server `mds`, from its own engine.

@@ -3,7 +3,7 @@
 // variable; each goes through exactly one of four readers:
 //
 //   env_count    a whole number >= a minimum (AIO_BENCH_SAMPLES, AIO_MDS_BATCH)
-//   env_seconds  a positive number (AIO_LIVE_PERIOD_S, AIO_PROF_PERIOD_S)
+//   env_seconds  a positive number (AIO_LIVE_PERIOD_S, AIO_SIM_WINDOW_BATCH)
 //   env_counts   a comma list of positive counts (AIO_SIM_SHARDS=1,2,4,8)
 //   env_sink     an output switch with one grammar (AIO_TRACE, AIO_LIVE, ...)
 //

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "obs/env.hpp"
-#include "obs/prof.hpp"
 
 namespace aio::obs {
 
@@ -420,24 +419,6 @@ Json LivePlane::snapshot_json(double now, bool final) const {
     stragglers.push(std::move(oj));
   }
   row.set("stragglers", std::move(stragglers));
-  if (prof_ && prof_->n_shards() > 0) {
-    // Cumulative host-runtime split (obs/prof.hpp), read-only: the live row
-    // shows where the wall clock is going while the run is still in flight.
-    const prof::ShardProfiler::Slot t = prof_->totals();
-    Json pj = Json::object();
-    pj.set("n_shards", static_cast<double>(prof_->n_shards()));
-    pj.set("rounds", static_cast<double>(t.rounds));
-    pj.set("execute_s", t.execute_s);
-    pj.set("barrier_s", t.barrier_s);
-    pj.set("merge_s", t.merge_s);
-    pj.set("skip_s", t.skip_s);
-    pj.set("events", static_cast<double>(t.events));
-    pj.set("msgs_posted", static_cast<double>(t.msgs_posted));
-    pj.set("msgs_drained", static_cast<double>(t.msgs_drained));
-    pj.set("backlog_hw", static_cast<double>(t.backlog_hw));
-    pj.set("imbalance", prof_->imbalance());
-    row.set("prof", std::move(pj));
-  }
   if (final) {
     // Mirror summary.attribution from the offline report exactly — the CI
     // consistency gate compares these keys against aio_report's output.

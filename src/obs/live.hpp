@@ -51,10 +51,6 @@
 
 namespace aio::obs {
 
-namespace prof {
-class ShardProfiler;
-}
-
 /// One wait-attribution bucket: either a window slot or the cumulative
 /// totals.  Components sum to `total_s` exactly (the partition is
 /// exhaustive by construction, like the offline analyzer's).
@@ -182,13 +178,6 @@ class LivePlane {
 
   [[nodiscard]] const Config& config() const { return config_; }
 
-  /// Attaches a host-runtime profiler (obs/prof.hpp).  When set, snapshot
-  /// rows gain a `prof` block with the cumulative per-run host-time split —
-  /// the live plane only *reads* the profiler's slots, so arming it changes
-  /// nothing about ingest() or the simulated stream.
-  void set_profiler(const prof::ShardProfiler* p) { prof_ = p; }
-  [[nodiscard]] const prof::ShardProfiler* profiler() const { return prof_; }
-
  private:
   struct OstState {
     double last_t = 0.0;      // time of the last kOstState
@@ -277,8 +266,6 @@ class LivePlane {
   std::vector<Record> flight_;
   std::size_t flight_next_ = 0;
   std::uint64_t flight_total_ = 0;
-
-  const prof::ShardProfiler* prof_ = nullptr;
 
   std::FILE* snap_ = nullptr;
   std::uint64_t rows_ = 0;

@@ -2,18 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <utility>
 
 namespace aio::obs::prof {
-
-ShardProfiler::ShardProfiler(Config config) : config_(std::move(config)) {}
 
 void ShardProfiler::bind(std::size_t n_shards) {
   slots_.assign(n_shards, Slot{});
   window_s_ = 0.0;
   windows_executed_ = windows_skipped_ = barrier_rounds_ = 0;
-  ticked_ = false;
 }
 
 void ShardProfiler::note_windows(double window_s, std::uint64_t executed,
@@ -49,25 +45,6 @@ double ShardProfiler::imbalance() const {
   }
   const double mean = sum / static_cast<double>(slots_.size());
   return mean > 0.0 ? max / mean : 1.0;
-}
-
-void ShardProfiler::maybe_tick() {
-  if (!(config_.period_s > 0.0)) return;
-  const auto now = std::chrono::steady_clock::now();
-  if (ticked_ &&
-      std::chrono::duration<double>(now - last_tick_).count() < config_.period_s)
-    return;
-  last_tick_ = now;
-  ticked_ = true;
-  const Slot t = totals();
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "aio-prof: rounds=%llu exec=%.3fs barrier=%.3fs merge=%.3fs skip=%.3fs "
-                "msgs=%llu backlog_hw=%llu imbalance=%.2f\n",
-                static_cast<unsigned long long>(t.rounds), t.execute_s, t.barrier_s,
-                t.merge_s, t.skip_s, static_cast<unsigned long long>(t.msgs_drained),
-                static_cast<unsigned long long>(t.backlog_hw), imbalance());
-  std::fputs(buf, stderr);
 }
 
 void ShardProfiler::print_summary(const char* label) const {
@@ -112,15 +89,6 @@ Json ShardProfiler::to_json() const {
   doc.set("totals", slot_json(totals()));
   doc.set("imbalance", imbalance());
   return doc;
-}
-
-bool ShardProfiler::write() const {
-  if (config_.path.empty()) return true;
-  std::ofstream out(config_.path);
-  if (!out) return false;
-  out << to_json().dump() << '\n';
-  out.close();  // writes what is still buffered, so check after it
-  return static_cast<bool>(out);
 }
 
 }  // namespace aio::obs::prof

@@ -55,63 +55,26 @@ ShardGroup::ShardGroup(Config config) : cfg_(config) {
   if (!(cfg_.window_batch >= 1.0))
     throw std::invalid_argument("ShardGroup: window_batch must be >= 1");
 
-  n_domains_ = cfg_.n_domains != 0 ? cfg_.n_domains : std::min(kDefaultDomains, cfg_.n_osts);
-  n_domains_ = std::min(n_domains_, cfg_.n_osts);  // an OST span must not be empty
-  if (n_domains_ == 0) n_domains_ = 1;
-  n_shards_ = std::clamp<std::size_t>(cfg_.n_shards, 1, n_domains_);
+  n_shards_ = std::clamp<std::size_t>(cfg_.n_shards, 1, std::min(kMaxShards, cfg_.n_osts));
   n_nodes_ = (cfg_.n_ranks + cfg_.ranks_per_node - 1) / cfg_.ranks_per_node;
   n_mds_ = cfg_.n_mds != 0 ? cfg_.n_mds : 1;
   window_s_ = cfg_.lookahead_s * cfg_.window_batch;
 
   // Node-aligned rank cuts: round each balanced cut down to a node boundary
-  // so every node (and its NIC) lives inside exactly one domain.
-  rank_lo_.resize(n_domains_ + 1);
+  // so every node (and its NIC) lives on exactly one shard.
+  rank_lo_.resize(n_shards_ + 1);
   rank_lo_[0] = 0;
-  rank_lo_[n_domains_] = cfg_.n_ranks;
-  for (std::size_t d = 1; d < n_domains_; ++d) {
-    const std::size_t raw = d * cfg_.n_ranks / n_domains_;
-    rank_lo_[d] = std::max(rank_lo_[d - 1], raw / cfg_.ranks_per_node * cfg_.ranks_per_node);
+  rank_lo_[n_shards_] = cfg_.n_ranks;
+  for (std::size_t s = 1; s < n_shards_; ++s) {
+    const std::size_t raw = s * cfg_.n_ranks / n_shards_;
+    rank_lo_[s] = std::max(rank_lo_[s - 1], raw / cfg_.ranks_per_node * cfg_.ranks_per_node);
   }
-
-  // Weight-balanced contiguous domain→shard cuts.  The static weight model
-  // counts the event sources a domain hosts — its ranks and its OSTs — and
-  // closes a shard once its share of the total is met (or once exactly
-  // enough domains remain to give every later shard one).  Deterministic,
-  // and irrelevant to results: ownership only decides which thread executes
-  // a domain, never how couplings quantize.
-  std::vector<std::size_t> weight(n_domains_, 0);
-  for (std::size_t o = 0; o < cfg_.n_osts; ++o) ++weight[domain_of_ost(o)];
-  std::size_t total_weight = 0;
-  for (std::size_t d = 0; d < n_domains_; ++d) {
-    weight[d] += rank_lo_[d + 1] - rank_lo_[d];
-    total_weight += weight[d];
-  }
-  shard_of_domain_.resize(n_domains_);
-  std::size_t s = 0;
-  std::size_t acc = 0;
-  for (std::size_t d = 0; d < n_domains_; ++d) {
-    shard_of_domain_[d] = s;
-    acc += weight[d];
-    if (s + 1 < n_shards_ && (acc * n_shards_ >= total_weight * (s + 1) ||
-                              n_domains_ - 1 - d == n_shards_ - 1 - s)) {
-      ++s;
-    }
-  }
-
-  // Entity keys: nodes first, then OSTs, then metadata servers (see key_of).
-  domain_of_key_.resize(n_nodes_ + cfg_.n_osts + n_mds_);
-  for (std::size_t n = 0; n < n_nodes_; ++n)
-    domain_of_key_[n] = domain_of_rank(n * cfg_.ranks_per_node);
-  for (std::size_t o = 0; o < cfg_.n_osts; ++o)
-    domain_of_key_[n_nodes_ + o] = domain_of_ost(o);
-  for (std::size_t m = 0; m < n_mds_; ++m)
-    domain_of_key_[n_nodes_ + cfg_.n_osts + m] = domain_of_mds(m);
 
   engines_.reserve(n_shards_);
   for (std::size_t i = 0; i < n_shards_; ++i) engines_.push_back(std::make_unique<Engine>());
   channels_[0].resize(n_shards_ * n_shards_);
   channels_[1].resize(n_shards_ * n_shards_);
-  seq_.resize(domain_of_key_.size(), 0);
+  seq_.resize(n_nodes_ + cfg_.n_osts + n_mds_, 0);  // one per entity key
   horizon_.resize(2 * n_shards_);
   out_.resize(n_shards_);
   errors_.resize(n_shards_);
@@ -127,30 +90,34 @@ ShardGroup::~ShardGroup() {
   if (tls_engine == engines_[0].get()) tls_engine = nullptr;
 }
 
-std::uint32_t ShardGroup::domain_of_rank(std::size_t rank) const {
-  assert(rank < cfg_.n_ranks);
-  // The node-aligned cuts sit within one node of the balanced grid, so the
-  // balanced estimate is off by at most a step or two in either direction.
-  std::size_t d = std::min(n_domains_ - 1, rank * n_domains_ / cfg_.n_ranks);
-  while (d + 1 < n_domains_ && rank >= rank_lo_[d + 1]) ++d;
-  while (d > 0 && rank < rank_lo_[d]) --d;
-  return static_cast<std::uint32_t>(d);
-}
-
 std::size_t ShardGroup::shard_of(Entity e) const {
   switch (e.kind) {
-    case Entity::Kind::Rank: return shard_of_domain(domain_of_rank(e.index));
-    case Entity::Kind::Ost: return shard_of_domain(domain_of_ost(e.index));
-    case Entity::Kind::Mds: return shard_of_domain(domain_of_mds(e.index));
+    case Entity::Kind::Rank: {
+      assert(e.index < cfg_.n_ranks);
+      // The node-aligned cuts sit within one node of the balanced ones, so
+      // the balanced estimate is off by at most a step or two either way.
+      std::size_t s = std::min(n_shards_ - 1, e.index * n_shards_ / cfg_.n_ranks);
+      while (s + 1 < n_shards_ && e.index >= rank_lo_[s + 1]) ++s;
+      while (s > 0 && e.index < rank_lo_[s]) --s;
+      return s;
+    }
+    case Entity::Kind::Ost: return ((e.index + 1) * n_shards_ - 1) / cfg_.n_osts;
+    case Entity::Kind::Mds: return ((e.index + 1) * n_shards_ - 1) / n_mds_;
   }
   __builtin_unreachable();
 }
 
+std::size_t ShardGroup::shard_of_key(std::uint32_t key) const {
+  if (key < n_nodes_) return shard_of(Entity::rank(key * cfg_.ranks_per_node));
+  if (key < n_nodes_ + cfg_.n_osts) return shard_of(Entity::ost(key - n_nodes_));
+  return shard_of(Entity::mds(key - n_nodes_ - cfg_.n_osts));
+}
+
 void ShardGroup::post(std::uint32_t src_key, std::size_t dst_shard, Time t,
                       Engine::Callback fn) {
-  assert(src_key < domain_of_key_.size());
+  assert(src_key < seq_.size());
   assert(dst_shard < n_shards_);
-  assert(ran_ ? shard_of_domain_[domain_of_key_[src_key]] == tls_shard : tls_shard == 0);
+  assert(ran_ ? shard_of_key(src_key) == tls_shard : tls_shard == 0);
   // Nothing may land inside the window in flight: clamp up to the boundary.
   // This also absorbs sub-lookahead latencies and ulp-level rounding in the
   // caller's timestamp arithmetic.
@@ -322,7 +289,6 @@ void ShardGroup::worker(std::size_t shard) {
       pt = profclock::now();  // doubles as the next round's start-of-skip read
       prof->execute_s += secs(pe, pt);
       prof->events = eng.steps();
-      if (shard == 0) prof_->maybe_tick();
     }
     prev_end = w_end;
   }
@@ -380,7 +346,7 @@ void Homes::couple_after(Entity from, Entity to, Time delay, Engine::Callback&& 
   if (!group_) {
     engine_->schedule_fixed(delay, std::move(fn));
   } else if (exact(from, to)) {
-    // Same node: the two ranks share an engine at any shard or domain count.
+    // Same node: the two ranks share an engine at any shard count.
     group_->engine(group_->shard_of(to)).schedule_fixed(delay, std::move(fn));
   } else {
     group_->post(group_->key_of(from), group_->shard_of(to), home(from).now() + delay,

@@ -2,27 +2,26 @@
 //
 // A `ShardGroup` partitions one simulation into S shards, each running its
 // own `sim::Engine` (4-ary heap, SBO callbacks — unchanged) on its own
-// thread.  The partition is expressed through a fixed *domain grid* that is
-// independent of the shard count: the OST range and the rank range are cut
-// into D contiguous spans (D = min(32, n_osts) by default, tunable through
-// `n_domains` / AIO_SIM_DOMAINS; rank cuts are node-aligned so a node's NIC
-// never straddles domains), and each shard owns a contiguous run of domains
-// chosen by a deterministic static weight model (ranks + OSTs per domain) so
-// heavy domains do not pile onto one shard.
+// thread.  S is clamped to [1, min(32, n_osts)], and each shard owns one
+// contiguous span of ranks, of OSTs and of metadata servers: the rank cuts
+// sit at s·n_ranks/S rounded down to a node boundary (so a node's NIC never
+// straddles shards), OST o lives on shard ((o+1)·S−1)/n_osts and MDS m on
+// shard ((m+1)·S−1)/n_mds.  Every shard is within one node of its rank
+// share and within one OST of its OST share.
 //
-// Couplings quantize by *physical* topology, not by domain: an interaction
+// Couplings quantize by *physical* topology, not by shard: an interaction
 // that stays inside one node (rank→rank on the same node) is scheduled
 // directly on the owning engine, while every interaction that crosses a node
 // or storage-target boundary — network deliveries, OST write hand-offs,
 // fabric-governor broadcasts, protocol completions — travels through the
 // channel plane and is applied at a window boundary, *even when source and
-// destination happen to share a domain or a shard*.  Because the rule never
-// mentions domains, the set of quantized couplings (and therefore every
-// simulated timestamp) is invariant under the domain count as well as the
-// shard count.  `Homes` (below) is the one place that rule is written down:
-// the network, the file system, the metadata tier and the adaptive
-// transport place their entities and deliver their couplings through it,
-// over one engine or over a shard group alike.
+// destination happen to share a shard*.  Because the rule never mentions
+// the partition, the set of quantized couplings (and therefore every
+// simulated timestamp) is invariant under the shard count.  `Homes` (below)
+// is the one place that rule is written down: the network, the file
+// system, the metadata tier and the adaptive transport place their entities
+// and deliver their couplings through it, over one engine or over a shard
+// group alike.
 //
 // Time advances on a fixed window grid W_k = k * window.  Each round a shard
 // publishes its horizon — the minimum of its engine's next event time and
@@ -40,11 +39,11 @@
 // granularity for barrier amortization (see DESIGN.md §10); the default is
 // 64 lookaheads.
 //
-// Determinism: because the domain grid, the window grid, the quantization
-// rule, and the merge order are all independent of S (and of the domain
-// count), the event sequence each entity observes — and therefore every
-// simulated timestamp — is bit-identical at any shard count, including
-// S = 1 (which runs the same window loop inline, no threads).
+// Determinism: because the window grid, the quantization rule, the entity
+// keys and the merge order are all independent of S, the event sequence
+// each entity observes — and therefore every simulated timestamp — is
+// bit-identical at any shard count, including S = 1 (which runs the same
+// window loop inline, no threads).
 #pragma once
 
 #include <atomic>
@@ -86,25 +85,26 @@ struct Entity {
 class ShardGroup {
  public:
   struct Config {
-    std::size_t n_shards = 1;  ///< requested; clamped to [1, n_domains]
+    std::size_t n_shards = 1;  ///< requested; clamped to [1, min(kMaxShards, n_osts)]
     double lookahead_s = 8e-6; ///< conservative bound: min cross-shard latency
     /// Window = lookahead * window_batch.  Must be >= 1; larger values
     /// amortize the per-window barrier over more events at the cost of
     /// coarser cross-entity timing quantization.
     double window_batch = 64.0;
-    std::size_t n_domains = 0;  ///< 0 = min(kDefaultDomains, n_osts)
     std::size_t n_ranks = 0;    ///< total protocol ranks (> 0)
     std::size_t ranks_per_node = 1;  ///< NIC granularity for rank cuts
     std::size_t n_osts = 0;     ///< total storage targets (> 0)
-    /// Metadata servers homed on the grid (>= 1).  Each MDS is its own
-    /// entity: it owns a merge key after the nodes and OSTs and is homed on
-    /// a domain by the same span rule that places OSTs, so a multi-MDS tier
-    /// spreads over the shards.  Placement never affects timing — every
-    /// rank→MDS coupling crosses the compute/metadata boundary and rides
-    /// the channel plane regardless of domain layout.
+    /// Metadata servers (>= 1).  Each MDS is its own entity: it owns a
+    /// merge key after the nodes and OSTs and is homed by the same span rule
+    /// that places OSTs, so a multi-MDS tier spreads over the shards.
+    /// Placement never affects timing — every rank→MDS coupling crosses the
+    /// compute/metadata boundary and rides the channel plane wherever the
+    /// server lives.
     std::size_t n_mds = 1;
   };
-  static constexpr std::size_t kDefaultDomains = 32;
+  /// Most shards a group runs.  The count is also capped at n_osts, so that
+  /// every shard owns at least one OST.
+  static constexpr std::size_t kMaxShards = 32;
 
   explicit ShardGroup(Config config);
   ~ShardGroup();
@@ -112,7 +112,6 @@ class ShardGroup {
   ShardGroup& operator=(const ShardGroup&) = delete;
 
   [[nodiscard]] std::size_t n_shards() const { return n_shards_; }
-  [[nodiscard]] std::size_t n_domains() const { return n_domains_; }
   [[nodiscard]] std::size_t n_ranks() const { return cfg_.n_ranks; }
   [[nodiscard]] std::size_t n_osts() const { return cfg_.n_osts; }
   [[nodiscard]] std::size_t n_nodes() const { return n_nodes_; }
@@ -122,26 +121,17 @@ class ShardGroup {
 
   [[nodiscard]] Engine& engine(std::size_t shard) { return *engines_[shard]; }
 
-  [[nodiscard]] std::uint32_t domain_of_rank(std::size_t rank) const;
-  [[nodiscard]] std::uint32_t domain_of_ost(std::size_t ost) const {
-    return static_cast<std::uint32_t>(((ost + 1) * n_domains_ - 1) / cfg_.n_osts);
-  }
-  [[nodiscard]] std::size_t shard_of_domain(std::uint32_t domain) const {
-    return shard_of_domain_[domain];
-  }
-  [[nodiscard]] std::uint32_t domain_of_mds(std::size_t mds) const {
-    return static_cast<std::uint32_t>(((mds + 1) * n_domains_ - 1) / n_mds_);
-  }
-  /// Shard whose engine runs `e`'s events.
+  /// Shard whose engine runs `e`'s events (see the header comment for the
+  /// spans).
   [[nodiscard]] std::size_t shard_of(Entity e) const;
 
   /// Canonical merge keys.  A message's source is a physical *entity* — a
   /// node (for anything a rank does), a storage target, or a metadata
-  /// server — numbered so the key space is independent of the domain and
-  /// shard counts: nodes first, then OSTs, then metadata servers.  An
-  /// entity lives entirely inside one domain (rank cuts are node-aligned;
-  /// an OST or MDS is atomic), so all of a key's messages come from one
-  /// shard and its sequence numbers are monotone.
+  /// server — numbered so the key space is independent of the shard
+  /// count: nodes first, then OSTs, then metadata servers.  An entity lives
+  /// entirely on one shard (rank cuts are node-aligned; an OST or MDS is
+  /// atomic), so all of a key's messages come from one shard and its
+  /// sequence numbers are monotone.
   [[nodiscard]] std::uint32_t key_of(Entity e) const {
     switch (e.kind) {
       case Entity::Kind::Rank: return static_cast<std::uint32_t>(e.index / cfg_.ranks_per_node);
@@ -225,16 +215,14 @@ class ShardGroup {
                        double prev_window_end);
   bool barrier_wait();  // false = abort observed; leave the loop
   void abort_barrier();
+  [[nodiscard]] std::size_t shard_of_key(std::uint32_t key) const;  // owner of a key_of key
 
   Config cfg_;
   std::size_t n_shards_ = 1;
-  std::size_t n_domains_ = 1;
   std::size_t n_nodes_ = 1;
   std::size_t n_mds_ = 1;
   double window_s_ = 0.0;
-  std::vector<std::size_t> rank_lo_;  // D+1 node-aligned rank cuts
-  std::vector<std::size_t> shard_of_domain_;   // weight-balanced contiguous cuts
-  std::vector<std::uint32_t> domain_of_key_;   // entity -> owning domain
+  std::vector<std::size_t> rank_lo_;  // S+1 node-aligned rank cuts
   std::vector<std::unique_ptr<Engine>> engines_;
   // Channels are double-buffered by round parity: round r drains buf[r & 1]
   // while the window that follows posts into buf[(r + 1) & 1].  The single

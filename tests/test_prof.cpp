@@ -1,15 +1,12 @@
 // Shard-runtime profiler (obs/prof.hpp): slot arithmetic and the aio-prof-v1
 // document, the armed-run invariants on a real sharded sweep — simulated
 // results bit-identical to the unarmed run, kProfShard journal records
-// appended at the final simulated time — the LivePlane `prof` snapshot
-// block, and the strict AIO_PROF / AIO_PROF_PERIOD_S env parsers.
+// appended at the final simulated time — and the strict AIO_PROF env parser.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <optional>
 #include <random>
 #include <string>
@@ -18,7 +15,6 @@
 #include "core/transports/sharded.hpp"
 #include "obs/env.hpp"
 #include "obs/journal.hpp"
-#include "obs/live.hpp"
 #include "obs/prof.hpp"
 
 namespace {
@@ -108,6 +104,33 @@ TEST(ShardProfiler, JsonDocumentCarriesSlotsTotalsAndWindowContext) {
   EXPECT_DOUBLE_EQ(num_at(doc, {"imbalance"}), 1.5);
   // Round-trips through the parser.
   EXPECT_TRUE(obs::Json::parse(doc.dump()).has_value());
+}
+
+// The AIO_PROF=1 consumer: one stderr line of totals (host seconds summed,
+// rounds and backlog highwater the max over shards, msgs the drained count).
+TEST(ShardProfiler, SummaryIsOneStderrLineOfTotals) {
+  obs::prof::ShardProfiler prof;
+  prof.bind(2);
+  prof.slot(0).execute_s = 0.5;
+  prof.slot(0).barrier_s = 0.25;
+  prof.slot(0).merge_s = 0.125;
+  prof.slot(0).skip_s = 0.75;
+  prof.slot(0).rounds = 4;
+  prof.slot(0).events = 10;
+  prof.slot(0).msgs_posted = 5;
+  prof.slot(0).msgs_drained = 3;
+  prof.slot(0).backlog_hw = 2;
+  prof.slot(1).execute_s = 1.5;
+  prof.slot(1).rounds = 4;
+  prof.slot(1).events = 30;
+  prof.slot(1).msgs_posted = 3;
+  prof.slot(1).msgs_drained = 5;
+  prof.slot(1).backlog_hw = 9;
+  testing::internal::CaptureStderr();
+  prof.print_summary("jaguar");
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "aio-prof[jaguar]: shards=2 rounds=4 exec=2.000s barrier=0.250s merge=0.125s "
+            "skip=0.750s events=40 msgs=8 backlog_hw=9 imbalance=1.50\n");
 }
 
 // --- armed runs on the real sharded rig --------------------------------------
@@ -239,74 +262,7 @@ TEST(ShardProfilerRun, ArmedRunIsBitIdenticalModuloProfRecords) {
   EXPECT_GT(prof.windows_executed(), 0u);
 }
 
-TEST(ShardProfilerRun, WriteEmitsParsableDocument) {
-  obs::prof::ShardProfiler::Config pc;
-  pc.path = testing::TempDir() + "aio_prof_test.json";
-  obs::prof::ShardProfiler prof(pc);
-  auto cfg = rig_config(2);
-  cfg.profiler = &prof;
-  ShardedAdaptiveSim sim(std::move(cfg));
-  (void)sim.run(seeded_job(3));
-  ASSERT_TRUE(prof.write());
-
-  std::FILE* f = std::fopen(pc.path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string text;
-  char buf[4096];
-  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;) text.append(buf, n);
-  std::fclose(f);
-  std::remove(pc.path.c_str());
-
-  const auto doc = obs::Json::parse(text);
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->find("schema")->str(), "aio-prof-v1");
-  EXPECT_DOUBLE_EQ(num_at(*doc, {"n_shards"}), 2.0);
-  EXPECT_GT(num_at(*doc, {"totals", "events"}), 0.0);
-}
-
-// The document fits in the stream buffer, so only the close writes it.
-TEST(ShardProfilerRun, WriteReportsAFailedFlush) {
-  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
-  obs::prof::ShardProfiler::Config pc;
-  pc.path = "/dev/full";
-  obs::prof::ShardProfiler prof(pc);
-  prof.bind(2);
-  EXPECT_FALSE(prof.write());
-}
-
-// --- the live-plane snapshot block -------------------------------------------
-
-TEST(ShardProfilerLive, SnapshotGrowsProfBlockOnlyWhenAttached) {
-  obs::LivePlane plane({});
-  const obs::Json bare = plane.snapshot_json(0.0);
-  EXPECT_EQ(bare.find("prof"), nullptr);
-
-  obs::prof::ShardProfiler prof;
-  prof.bind(2);
-  prof.slot(0).execute_s = 0.25;
-  prof.slot(0).rounds = 3;
-  prof.slot(1).execute_s = 0.75;
-  prof.slot(1).rounds = 3;
-  prof.slot(1).msgs_posted = 5;
-  prof.slot(1).msgs_drained = 5;
-  plane.set_profiler(&prof);
-  ASSERT_EQ(plane.profiler(), &prof);
-
-  const obs::Json row = plane.snapshot_json(1.0);
-  ASSERT_NE(row.find("prof"), nullptr);
-  EXPECT_DOUBLE_EQ(num_at(row, {"prof", "n_shards"}), 2.0);
-  EXPECT_DOUBLE_EQ(num_at(row, {"prof", "rounds"}), 3.0);
-  EXPECT_DOUBLE_EQ(num_at(row, {"prof", "execute_s"}), 1.0);
-  EXPECT_DOUBLE_EQ(num_at(row, {"prof", "msgs_posted"}), 5.0);
-  EXPECT_DOUBLE_EQ(num_at(row, {"prof", "imbalance"}), 1.5);
-
-  // An attached-but-unbound profiler stays invisible (no empty blocks).
-  obs::prof::ShardProfiler idle;
-  plane.set_profiler(&idle);
-  EXPECT_EQ(plane.snapshot_json(2.0).find("prof"), nullptr);
-}
-
-// --- AIO_PROF / AIO_PROF_PERIOD_S parsing ------------------------------------
+// --- AIO_PROF parsing --------------------------------------------------------
 
 struct EnvSaver {
   explicit EnvSaver(const char* name) : name_(name) {
@@ -327,11 +283,9 @@ struct EnvSaver {
 // would observe silence.
 TEST(ProfEnv, ParsesStrictlyAndWarnsOnceOnMalformedValues) {
   EnvSaver save_prof("AIO_PROF");
-  EnvSaver save_period("AIO_PROF_PERIOD_S");
 
   // Unset and "0": off.
   ::unsetenv("AIO_PROF");
-  ::unsetenv("AIO_PROF_PERIOD_S");
   EXPECT_FALSE(obs::env_sink("AIO_PROF").on);
   ::setenv("AIO_PROF", "0", 1);
   EXPECT_FALSE(obs::env_sink("AIO_PROF").on);
@@ -342,7 +296,6 @@ TEST(ProfEnv, ParsesStrictlyAndWarnsOnceOnMalformedValues) {
     const obs::EnvSink pe = obs::env_sink("AIO_PROF");
     EXPECT_TRUE(pe.on) << v;
     EXPECT_TRUE(pe.path.empty()) << v;
-    EXPECT_DOUBLE_EQ(obs::env_seconds("AIO_PROF_PERIOD_S", 0.0), 0.0) << v;
   }
 
   // A path: armed with that destination.
@@ -352,10 +305,6 @@ TEST(ProfEnv, ParsesStrictlyAndWarnsOnceOnMalformedValues) {
     EXPECT_TRUE(pe.on);
     EXPECT_EQ(pe.path, "/tmp/prof.json");
   }
-
-  // A valid period rides along.
-  ::setenv("AIO_PROF_PERIOD_S", "0.5", 1);
-  EXPECT_DOUBLE_EQ(obs::env_seconds("AIO_PROF_PERIOD_S", 0.0), 0.5);
 
   // Digit-only non-toggle values are mistyped toggles, not paths: rejected
   // with one stderr line, profiler off.
@@ -370,23 +319,6 @@ TEST(ProfEnv, ParsesStrictlyAndWarnsOnceOnMalformedValues) {
   ::setenv("AIO_PROF", "07", 1);
   testing::internal::CaptureStderr();
   EXPECT_FALSE(obs::env_sink("AIO_PROF").on);
-  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
-
-  // Malformed periods: rejected with one stderr line, period 0, profiler
-  // still armed.
-  ::setenv("AIO_PROF", "1", 1);
-  ::setenv("AIO_PROF_PERIOD_S", "fast", 1);
-  testing::internal::CaptureStderr();
-  EXPECT_TRUE(obs::env_sink("AIO_PROF").on);
-  EXPECT_DOUBLE_EQ(obs::env_seconds("AIO_PROF_PERIOD_S", 0.0), 0.0);
-  err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("ignoring AIO_PROF_PERIOD_S=\"fast\""), std::string::npos) << err;
-  EXPECT_NE(err.find("want a positive number of seconds"), std::string::npos) << err;
-
-  // Non-positive periods count as malformed too — and warn-once again.
-  ::setenv("AIO_PROF_PERIOD_S", "-1", 1);
-  testing::internal::CaptureStderr();
-  EXPECT_DOUBLE_EQ(obs::env_seconds("AIO_PROF_PERIOD_S", 0.0), 0.0);
   EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 

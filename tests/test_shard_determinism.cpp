@@ -1,11 +1,13 @@
 // Sharded-engine determinism: the documented contract is that for a fixed
 // configuration and job, simulated timestamps, results, and the canonically
 // merged journal are bit-identical at every shard count.  This file sweeps
-// shard counts 1/2/4/8 over seeded jobs and compares FNV digests of the
-// merged records plus every IoResult field bit-for-bit, and proves the
-// negative: a deliberately misordered cross-shard merge is rejected.
+// shard counts 1/2/3/4/8 over seeded jobs and compares FNV digests of the
+// merged records plus every IoResult field bit-for-bit, pins the shard
+// partition itself, and proves the negative: a deliberately misordered
+// cross-shard merge is rejected.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -162,7 +164,8 @@ TEST_P(ShardDeterminism, BitIdenticalAcrossShardCounts) {
   const RunOutcome base = run_at(1, seed);
   ASSERT_GT(base.n_records, 0u);
   ASSERT_GT(base.result.io_seconds(), 0.0);
-  for (const std::size_t s : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+  // 3 shards split the 16 OSTs unevenly (5, 5, 6).
+  for (const std::size_t s : {std::size_t{2}, std::size_t{3}, std::size_t{4}, std::size_t{8}}) {
     const RunOutcome other = run_at(s, seed);
     // Bit-identical simulated timestamps: every IoResult time field must
     // match exactly, not within a tolerance, and the canonical journal merge
@@ -216,59 +219,25 @@ TEST_P(ShardSparseDeterminism, LongTailDrainSkipsIdleWindows) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardSparseDeterminism, ::testing::Values(11u, 23u));
 
-// Determinism across the *domain* grid: couplings are quantized by physical
-// boundary (node / storage atom), not by domain membership, so re-cutting
-// the domain grid — which changes shard ownership, channel routing, and
-// message batching — must not move a single timestamp.  This is the
-// property that lets AIO_SIM_DOMAINS be a pure load-balancing knob.
-TEST(ShardDomainInvariance, DigestsInvariantUnderDomainGrid) {
-  const IoJob job = seeded_job(5);
-  auto cfg = rig_config(4);
-  const RunOutcome base = run_job(cfg, job);
-  ASSERT_GT(base.n_records, 0u);
-  for (const std::size_t d : {std::size_t{1}, std::size_t{3}, std::size_t{8}, std::size_t{16}}) {
-    auto c = cfg;
-    c.n_domains = d;
-    const RunOutcome other = run_job(c, job);
-    expect_identical(base, other, (testing::Message() << "domains=" << d).GetString().c_str());
-  }
-}
-
 // Multi-MDS tier determinism: with a 4-wide metadata tier the servers are
-// homed on different shards (one per domain span), so open/close requests
-// and completions cross the channel plane in both directions.  Because every
-// rank<->MDS coupling quantizes at a window boundary regardless of placement,
-// the digests must stay bit-identical at every shard count — same property,
-// same exactness, as the single-MDS sweep above.
+// homed on different shards (by the span rule that places OSTs), so
+// open/close requests and completions cross the channel plane in both
+// directions.  Because every rank<->MDS coupling quantizes at a window
+// boundary regardless of placement, the digests must stay bit-identical at
+// every shard count — same property, same exactness, as the single-MDS
+// sweep above.
 TEST(ShardMultiMds, DigestsBitIdenticalAcrossShardCounts) {
   const IoJob job = seeded_job(7);
   auto cfg = rig_config(1);
   cfg.fs.n_mds = 4;
   const RunOutcome base = run_job(cfg, job);
   ASSERT_GT(base.n_records, 0u);
-  for (const std::size_t s : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+  for (const std::size_t s : {std::size_t{2}, std::size_t{3}, std::size_t{4}, std::size_t{8}}) {
     auto c = rig_config(s);
     c.fs.n_mds = 4;
     const RunOutcome other = run_job(c, job);
     expect_identical(base, other,
                      (testing::Message() << "n_mds=4 shards=" << s).GetString().c_str());
-  }
-}
-
-// And the domain grid stays a pure load-balancing knob with a tier: re-cutting
-// the grid moves MDS homes between shards but no timestamps.
-TEST(ShardMultiMds, DigestsInvariantUnderDomainGridWithTier) {
-  const IoJob job = seeded_job(5);
-  auto cfg = rig_config(4);
-  cfg.fs.n_mds = 4;
-  const RunOutcome base = run_job(cfg, job);
-  ASSERT_GT(base.n_records, 0u);
-  for (const std::size_t d : {std::size_t{1}, std::size_t{3}, std::size_t{16}}) {
-    auto c = cfg;
-    c.n_domains = d;
-    const RunOutcome other = run_job(c, job);
-    expect_identical(base, other,
-                     (testing::Message() << "n_mds=4 domains=" << d).GetString().c_str());
   }
 }
 
@@ -296,6 +265,37 @@ TEST(ShardMultiMds, BatchedClosesBitIdenticalAcrossShardCounts) {
   }
 }
 
+// More shards than nodes: 8 writers on two 4-core nodes over 8 OSTs leave
+// shards that own OSTs but no ranks (two of four at 4 shards, six of eight
+// at 8).  Those shards still meet every barrier, and the results match one
+// shard bit for bit.
+TEST(ShardedRun, ShardsWithoutRanksStayBitIdentical) {
+  const auto small = [](std::size_t n_shards) {
+    auto c = rig_config(n_shards);
+    c.n_ranks = 8;
+    c.fs.n_osts = 8;
+    return c;
+  };
+  IoJob job;
+  for (std::size_t i = 0; i < 8; ++i) job.bytes_per_writer.push_back((1.0 + i % 3) * 512.0 * 1024.0);
+  const RunOutcome base = run_job(small(1), job);
+  ASSERT_GT(base.n_records, 0u);
+  for (const std::size_t s : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    const std::string what = (testing::Message() << "shards=" << s).GetString();
+    ShardedAdaptiveSim probe(small(s));
+    ASSERT_EQ(probe.shards().n_shards(), s) << what;
+    std::size_t rankless = 0;
+    for (std::size_t shard = 0; shard < s; ++shard) {
+      bool owns_rank = false;
+      for (std::size_t r = 0; r < 8; ++r)
+        owns_rank = owns_rank || probe.shards().shard_of(aio::sim::Entity::rank(r)) == shard;
+      rankless += owns_rank ? 0 : 1;
+    }
+    EXPECT_EQ(rankless, s - 2) << what;
+    expect_identical(base, run_job(small(s), job), what.c_str());
+  }
+}
+
 TEST(ShardDeterminismNegative, MisorderedMergeIsRejected) {
   ShardedAdaptiveSim sim(rig_config(2));
   ASSERT_EQ(sim.shards().n_shards(), 2u);
@@ -303,48 +303,202 @@ TEST(ShardDeterminismNegative, MisorderedMergeIsRejected) {
   EXPECT_THROW(sim.run(seeded_job(1)), std::logic_error);
 }
 
-TEST(ShardPlan, DomainGridIsShardCountInvariant) {
-  // The domain maps must not depend on n_shards — that is the root of the
-  // determinism argument — and shard spans must be contiguous and balanced.
-  aio::sim::ShardGroup::Config c;
-  c.n_ranks = 223;
-  c.ranks_per_node = 4;
-  c.n_osts = 29;
-  c.n_shards = 1;
-  aio::sim::ShardGroup one(c);
-  c.n_shards = 8;
-  aio::sim::ShardGroup eight(c);
-  ASSERT_EQ(one.n_domains(), eight.n_domains());
-  for (std::size_t r = 0; r < c.n_ranks; ++r)
-    ASSERT_EQ(one.domain_of_rank(r), eight.domain_of_rank(r)) << "rank " << r;
-  for (std::size_t o = 0; o < c.n_osts; ++o)
-    ASSERT_EQ(one.domain_of_ost(o), eight.domain_of_ost(o)) << "ost " << o;
-  // Node alignment: all ranks of one node share a domain.
-  for (std::size_t r = 0; r + 1 < c.n_ranks; ++r) {
-    if (r / c.ranks_per_node == (r + 1) / c.ranks_per_node) {
-      ASSERT_EQ(eight.domain_of_rank(r), eight.domain_of_rank(r + 1)) << "rank " << r;
+// Entities per shard, walking `count` entities of one kind in index order.
+// Fails (and returns nothing) unless the owners never step back, i.e. each
+// shard's span is contiguous.
+std::vector<std::size_t> span_sizes(const aio::sim::ShardGroup& g, std::size_t count,
+                                    aio::sim::Entity (*make)(std::size_t)) {
+  std::vector<std::size_t> sizes(g.n_shards(), 0);
+  std::size_t prev = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t s = g.shard_of(make(i));
+    if (s < prev || s >= g.n_shards()) {
+      ADD_FAILURE() << "entity " << i << " lands on shard " << s << " after shard " << prev;
+      return {};
     }
+    ++sizes[s];
+    prev = s;
   }
-  // Shard spans: contiguous, non-decreasing, every shard owns >= 1 domain.
-  std::vector<std::size_t> owners;
-  for (std::uint32_t d = 0; d < eight.n_domains(); ++d)
-    owners.push_back(eight.shard_of_domain(d));
-  for (std::size_t i = 1; i < owners.size(); ++i) {
-    ASSERT_GE(owners[i], owners[i - 1]);
-    ASSERT_LE(owners[i] - owners[i - 1], 1u);
-  }
-  ASSERT_EQ(owners.front(), 0u);
-  ASSERT_EQ(owners.back(), eight.n_shards() - 1);
+  return sizes;
 }
 
-TEST(ShardPlan, ShardCountClampsToDomains) {
+// Where shards 1..S-1 begin, given the span sizes.
+std::vector<std::size_t> cuts(const std::vector<std::size_t>& sizes) {
+  std::vector<std::size_t> out;
+  std::size_t at = 0;
+  for (std::size_t s = 0; s + 1 < sizes.size(); ++s) out.push_back(at += sizes[s]);
+  return out;
+}
+
+// Each shard owns one contiguous span of ranks, OSTs and metadata servers.
+// The rank cuts sit on node boundaries, and every shard is within one node
+// of its rank share and within one OST of its OST share.  The grid is the
+// 65,536-writer Jaguar slice (12 cores per node, 672 OSTs) with a 4-wide
+// metadata tier.
+TEST(ShardPlan, SpansAreNodeAlignedContiguousAndBalanced) {
+  using aio::sim::Entity;
+  aio::sim::ShardGroup::Config c;
+  c.n_ranks = 65536;
+  c.ranks_per_node = 12;
+  c.n_osts = 672;
+  c.n_mds = 4;
+  for (const std::size_t n_shards : {2u, 3u, 4u, 8u}) {
+    c.n_shards = n_shards;
+    const aio::sim::ShardGroup g(c);
+    ASSERT_EQ(g.n_shards(), n_shards);
+    const std::vector<std::size_t> ranks = span_sizes(g, c.n_ranks, &Entity::rank);
+    const std::vector<std::size_t> osts = span_sizes(g, c.n_osts, &Entity::ost);
+    const std::vector<std::size_t> mds = span_sizes(g, c.n_mds, &Entity::mds);
+    ASSERT_EQ(ranks.size(), n_shards);
+    ASSERT_EQ(osts.size(), n_shards);
+    ASSERT_EQ(mds.size(), n_shards);
+    for (const std::size_t cut : cuts(ranks))
+      EXPECT_EQ(cut % c.ranks_per_node, 0u) << "a node straddles shards at rank " << cut;
+    const auto share = [n_shards](std::size_t n) {
+      return static_cast<double>(n) / static_cast<double>(n_shards);
+    };
+    for (std::size_t s = 0; s < n_shards; ++s) {
+      const std::string what =
+          (testing::Message() << "shard " << s << " of " << n_shards).GetString();
+      EXPECT_LT(std::abs(static_cast<double>(ranks[s]) - share(c.n_ranks)),
+                static_cast<double>(c.ranks_per_node))
+          << what << " holds " << ranks[s] << " ranks";
+      EXPECT_LE(std::abs(static_cast<double>(osts[s]) - share(c.n_osts)), 1.0)
+          << what << " holds " << osts[s] << " OSTs";
+      EXPECT_LT(std::abs(static_cast<double>(mds[s]) - share(c.n_mds)), 1.0)
+          << what << " holds " << mds[s] << " metadata servers";
+    }
+  }
+  // The full-Jaguar grid (224,160 writers) at 4 shards, the placement the
+  // sharded perf workload runs on.
+  c.n_ranks = 224160;
+  c.n_mds = 1;
+  c.n_shards = 4;
+  const aio::sim::ShardGroup jaguar(c);
+  EXPECT_EQ(cuts(span_sizes(jaguar, c.n_ranks, &Entity::rank)),
+            (std::vector<std::size_t>{56040, 112080, 168120}));
+  EXPECT_EQ(cuts(span_sizes(jaguar, c.n_osts, &Entity::ost)),
+            (std::vector<std::size_t>{168, 336, 504}));
+}
+
+// S is clamped to [1, min(32, n_osts)], so every shard owns an OST.
+TEST(ShardPlan, ShardCountClampsToOstsAndCap) {
   aio::sim::ShardGroup::Config c;
   c.n_ranks = 16;
-  c.n_osts = 3;  // 3 domains max
+  c.n_osts = 3;
   c.n_shards = 8;
-  aio::sim::ShardGroup g(c);
-  EXPECT_EQ(g.n_domains(), 3u);
-  EXPECT_EQ(g.n_shards(), 3u);
+  EXPECT_EQ(aio::sim::ShardGroup(c).n_shards(), 3u);
+  c.n_shards = 0;
+  EXPECT_EQ(aio::sim::ShardGroup(c).n_shards(), 1u);
+  c.n_ranks = 4096;
+  c.n_osts = 672;
+  c.n_shards = 64;
+  EXPECT_EQ(aio::sim::ShardGroup(c).n_shards(), 32u);
+}
+
+// Every count the clamp allows, on grids that do not divide evenly: a
+// partial last node (1,000 ranks at 12 per node) on a prime OST count, a
+// machine with fewer nodes than shards, and a 4,096-rank slice up to the
+// 32-shard cap.  The rank cuts are s·n_ranks/S rounded down to a node,
+// OSTs and metadata servers follow ((i+1)·S−1)/n, nodes stay whole, and
+// every shard owns at least one OST.
+TEST(ShardPlan, EveryCountUpToTheCapFollowsTheSpanRule) {
+  using aio::sim::Entity;
+  struct Grid {
+    std::size_t ranks, per_node, osts, mds;
+  };
+  for (const Grid grid : {Grid{1000, 12, 17, 3}, Grid{24, 12, 8, 5}, Grid{4096, 16, 672, 4}}) {
+    aio::sim::ShardGroup::Config c;
+    c.n_ranks = grid.ranks;
+    c.ranks_per_node = grid.per_node;
+    c.n_osts = grid.osts;
+    c.n_mds = grid.mds;
+    const std::size_t cap = std::min(aio::sim::ShardGroup::kMaxShards, grid.osts);
+    for (std::size_t n_shards = 1; n_shards <= cap; ++n_shards) {
+      c.n_shards = n_shards;
+      const aio::sim::ShardGroup g(c);
+      const std::string what = (testing::Message() << grid.ranks << " ranks on " << grid.osts
+                                                   << " OSTs at " << n_shards << " shards")
+                                   .GetString();
+      ASSERT_EQ(g.n_shards(), n_shards) << what;
+      std::vector<std::size_t> want;
+      for (std::size_t s = 1; s < n_shards; ++s)
+        want.push_back(s * c.n_ranks / n_shards / c.ranks_per_node * c.ranks_per_node);
+      const std::vector<std::size_t> ranks = span_sizes(g, c.n_ranks, &Entity::rank);
+      ASSERT_EQ(ranks.size(), n_shards) << what;
+      EXPECT_EQ(cuts(ranks), want) << what;
+      for (std::size_t r = 0; r < c.n_ranks; ++r)
+        ASSERT_EQ(g.shard_of(Entity::rank(r)),
+                  g.shard_of(Entity::rank(r / c.ranks_per_node * c.ranks_per_node)))
+            << what << ": rank " << r << " is not on its node's shard";
+      for (std::size_t o = 0; o < c.n_osts; ++o)
+        ASSERT_EQ(g.shard_of(Entity::ost(o)), ((o + 1) * n_shards - 1) / c.n_osts)
+            << what << ": OST " << o;
+      for (std::size_t m = 0; m < c.n_mds; ++m)
+        ASSERT_EQ(g.shard_of(Entity::mds(m)), ((m + 1) * n_shards - 1) / c.n_mds)
+            << what << ": MDS " << m;
+      const std::vector<std::size_t> osts = span_sizes(g, c.n_osts, &Entity::ost);
+      ASSERT_EQ(osts.size(), n_shards) << what;
+      for (std::size_t s = 0; s < n_shards; ++s) {
+        EXPECT_GE(osts[s], 1u) << what << ": shard " << s << " owns no OST";
+        EXPECT_LT(std::abs(static_cast<double>(ranks[s]) -
+                           static_cast<double>(c.n_ranks) / static_cast<double>(n_shards)),
+                  static_cast<double>(c.ranks_per_node))
+            << what << ": shard " << s << " holds " << ranks[s] << " ranks";
+      }
+    }
+  }
+}
+
+// Metadata servers are homed by the OST rule: server m on shard
+// ((m+1)·S−1)/n_mds.  Fewer servers than shards spread out with the last
+// server on the last shard; more servers than shards split into contiguous
+// runs; n_mds = 0 means one server.
+TEST(ShardPlan, MdsServersFollowTheOstSpanRule) {
+  aio::sim::ShardGroup::Config c;
+  c.n_ranks = 4096;
+  c.ranks_per_node = 16;
+  c.n_osts = 672;
+  const auto homes = [&c](std::size_t n_shards, std::size_t n_mds) {
+    c.n_shards = n_shards;
+    c.n_mds = n_mds;
+    const aio::sim::ShardGroup g(c);
+    std::vector<std::size_t> out;
+    for (std::size_t m = 0; m < g.n_mds(); ++m) out.push_back(g.shard_of(aio::sim::Entity::mds(m)));
+    return out;
+  };
+  using Shards = std::vector<std::size_t>;
+  EXPECT_EQ(homes(1, 4), (Shards{0, 0, 0, 0}));
+  EXPECT_EQ(homes(4, 1), (Shards{3}));
+  EXPECT_EQ(homes(4, 0), (Shards{3}));
+  EXPECT_EQ(homes(8, 4), (Shards{1, 3, 5, 7}));
+  EXPECT_EQ(homes(4, 4), (Shards{0, 1, 2, 3}));
+  EXPECT_EQ(homes(3, 4), (Shards{0, 1, 2, 2}));
+  EXPECT_EQ(homes(4, 6), (Shards{0, 1, 1, 2, 3, 3}));
+}
+
+// Merge keys name physical entities, never the partition: nodes first, then
+// OSTs, then metadata servers, the same at every shard count.  The rank
+// grid ends in a partial node (1,000 ranks at 12 per node is 84 nodes).
+TEST(ShardPlan, EntityKeysIgnoreTheShardCount) {
+  using aio::sim::Entity;
+  aio::sim::ShardGroup::Config c;
+  c.n_ranks = 1000;
+  c.ranks_per_node = 12;
+  c.n_osts = 17;
+  c.n_mds = 3;
+  for (const std::size_t n_shards : {1u, 2u, 3u, 4u, 8u, 17u}) {
+    c.n_shards = n_shards;
+    const aio::sim::ShardGroup g(c);
+    ASSERT_EQ(g.n_shards(), n_shards);
+    ASSERT_EQ(g.n_nodes(), 84u);
+    for (std::size_t r = 0; r < c.n_ranks; ++r)
+      ASSERT_EQ(g.key_of(Entity::rank(r)), r / 12) << "rank " << r << " at " << n_shards;
+    for (std::size_t o = 0; o < c.n_osts; ++o)
+      ASSERT_EQ(g.key_of(Entity::ost(o)), 84 + o) << "OST " << o << " at " << n_shards;
+    for (std::size_t m = 0; m < c.n_mds; ++m)
+      ASSERT_EQ(g.key_of(Entity::mds(m)), 84 + 17 + m) << "MDS " << m << " at " << n_shards;
+  }
 }
 
 // The coupling rule, stated once in sim::Homes.  Over one engine every
