@@ -21,8 +21,9 @@
 // column appears, each adaptive row runs through core::ShardedAdaptiveSim,
 // and the JSON rows carry a "shards" value plus window-loop telemetry
 // (window_batch, windows_executed, windows_skipped, barrier_rounds).
-// A shard count runs clamped to [1, min(32, n_osts)], and
-// `AIO_SIM_WINDOW_BATCH` sets the window multiplier (a number >= 1).
+// A shard count runs clamped to [1, min(32, n_osts)], and the rows report
+// the count that ran; `AIO_SIM_WINDOW_BATCH` sets the window multiplier (a
+// number >= 1).
 // Unset, the bench's stdout is byte-identical to a build without sharding.
 //
 // `AIO_PROF` arms the shard-runtime profiler on the sharded
@@ -74,8 +75,10 @@ struct RunCost {
   double sim_s = 0.0;         ///< simulated seconds the run produced
   double events_per_s = 0.0;  ///< engine steps per host second
   std::uint64_t rss_delta = 0;  ///< resident growth across the whole sample
-  // Sharded rows only: the window multiplier the sample ran at and the
-  // shard group's window-loop telemetry (see sim::ShardGroup).
+  // Sharded rows only: the shard count the group ran (the request,
+  // clamped), the window multiplier the sample ran at and the shard group's
+  // window-loop telemetry (see sim::ShardGroup).
+  std::size_t shards = 0;
   double window_batch = 0.0;
   std::uint64_t windows_executed = 0;
   std::uint64_t windows_skipped = 0;
@@ -140,7 +143,8 @@ RunCost run_one(const fs::MachineSpec& spec, const workload::Pixie3dConfig& mode
 }
 
 /// One cold sharded sample: a ShardedAdaptiveSim sized to `procs` running at
-/// `n_shards` shards.  Per-shard journal records are canonically merged and
+/// `n_shards` shards, clamped as the group clamps them (RunCost::shards is
+/// the count that ran).  Per-shard journal records are canonically merged and
 /// re-homed into the bench-wide journal under a fresh run ordinal, so
 /// tools/aio_report reads sharded and classic runs out of one file.
 RunCost run_one_sharded(const fs::MachineSpec& spec, const workload::Pixie3dConfig& model,
@@ -166,6 +170,7 @@ RunCost run_one_sharded(const fs::MachineSpec& spec, const workload::Pixie3dConf
   cost.sim_s = result.io_seconds();
   cost.events_per_s =
       cost.wall_s > 0.0 ? static_cast<double>(sim.steps()) / cost.wall_s : 0.0;
+  cost.shards = sim.shards().n_shards();
   cost.window_batch = window_batch;
   cost.windows_executed = sim.shards().windows_executed();
   cost.windows_skipped = sim.shards().windows_skipped();
@@ -307,16 +312,16 @@ int main() {
                                    prof.get());
             wall.add(last.wall_s);
           }
-          emit(procs, "adaptive", n_shards, wall, last);
+          emit(procs, "adaptive", last.shards, wall, last);
           if (prof) {
             // One summary + document per sweep point (the last sample's
             // numbers — each sample re-binds the profiler).
             const std::string label =
-                std::to_string(procs) + "w x " + std::to_string(n_shards) + "sh";
+                std::to_string(procs) + "w x " + std::to_string(last.shards) + "sh";
             prof->print_summary(label.c_str());
             obs::Json doc = prof->to_json();
             doc.set("procs", static_cast<double>(procs));
-            doc.set("shards", static_cast<double>(n_shards));
+            doc.set("shards", static_cast<double>(last.shards));
             prof_docs.push(std::move(doc));
           }
         }

@@ -45,15 +45,18 @@
 
 #include "obs/analysis.hpp"
 #include "obs/env.hpp"
+#include "sim/shard.hpp"
 
 namespace aio::bench {
 
-/// Largest shard count in the `AIO_SIM_SHARDS` sweep; 1 when unset/invalid.
-/// bench_threads() divides the sample pool by this so sample threads times
-/// shard threads never oversubscribes the host.
+/// Largest shard count the `AIO_SIM_SHARDS` sweep runs, each entry clamped
+/// at sim::ShardGroup::kMaxShards as the group clamps it; 1 when
+/// unset/invalid.  bench_threads() divides the sample pool by this so sample
+/// threads times shard threads never oversubscribes the host.
 inline std::size_t max_shards() {
   std::size_t m = 1;
-  for (const std::size_t s : obs::env_counts("AIO_SIM_SHARDS")) m = std::max(m, s);
+  for (const std::size_t s : obs::env_counts("AIO_SIM_SHARDS"))
+    m = std::max(m, std::min(s, sim::ShardGroup::kMaxShards));
   return m;
 }
 

@@ -263,6 +263,10 @@ core::IoResult Simulation::write_step(const IoGroup& group, Method method,
   job.blueprint = [blueprints](core::Rank r) {
     return blueprints->at(static_cast<std::size_t>(r));
   };
+  // Sized in place: the blueprint above returns a copy.
+  job.index_size = [blueprints](core::Rank r) {
+    return core::IndexSize::of(blueprints->at(static_cast<std::size_t>(r)));
+  };
   // Intern the group's variable names once for the run; block records carry
   // only numeric ids, the result resolves them through this table.
   auto vars = std::make_shared<core::VarTable>();

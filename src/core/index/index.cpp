@@ -137,11 +137,6 @@ bool get_block(Reader& r, BlockRecord& b) {
   return r.ok();
 }
 
-std::size_t block_size(const BlockRecord& b) {
-  return kMinBlockBytes +
-         kDimBytes * (b.global_dims.size() + b.offsets.size() + b.counts.size());
-}
-
 constexpr std::uint32_t kLocalMagic = 0x41494F4Cu;   // "AIOL"
 constexpr std::uint32_t kFileMagic = 0x41494F46u;    // "AIOF"
 constexpr std::uint32_t kGlobalMagic = 0x41494F47u;  // "AIOG"
@@ -174,6 +169,10 @@ void Characteristics::merge(const Characteristics& other) {
   count += other.count;
 }
 
+std::size_t BlockRecord::serialized_size() const {
+  return kMinBlockBytes + kDimBytes * (global_dims.size() + offsets.size() + counts.size());
+}
+
 bool BlockRecord::intersects(std::span<const std::uint64_t> sel_offsets,
                              std::span<const std::uint64_t> sel_counts) const {
   if (sel_offsets.size() != offsets.size() || sel_counts.size() != counts.size()) return false;
@@ -187,7 +186,7 @@ bool BlockRecord::intersects(std::span<const std::uint64_t> sel_offsets,
 
 std::size_t LocalIndex::serialized_size() const {
   std::size_t n = kHeaderBytes;
-  for (const auto& b : blocks) n += block_size(b);
+  for (const auto& b : blocks) n += b.serialized_size();
   return n;
 }
 
@@ -229,7 +228,7 @@ void FileIndex::finalize() {
 
 std::size_t FileIndex::serialized_size() const {
   std::size_t n = kHeaderBytes;
-  for (const auto& b : blocks_) n += block_size(b);
+  for (const auto& b : blocks_) n += b.serialized_size();
   return n;
 }
 
@@ -355,12 +354,12 @@ std::optional<GlobalIndex> GlobalIndex::deserialize(std::span<const std::uint8_t
 }
 
 FileIndex build_file_index(GroupId file, std::span<const Placement> placements,
-                           std::uint64_t blocks, const Blueprint& blueprint) {
+                           IndexSize streamed, const Blueprint& blueprint) {
   // Each writer's records are built here, stamped as its local index
   // (writer, then consecutive offsets from its start), and appended in
   // arrival order: the sort sees what an arrival-order merge would give it.
   FileIndex index(file);
-  index.reserve_blocks(blocks);
+  index.reserve_blocks(streamed.blocks);
   for (const Placement& p : placements) {
     LocalIndex local = blueprint(p.writer);
     std::uint64_t cursor = p.offset;
@@ -371,22 +370,24 @@ FileIndex build_file_index(GroupId file, std::span<const Placement> placements,
     }
     index.merge(local);
   }
-  if (index.blocks().size() != blocks)
+  if (index.blocks().size() != streamed.blocks)
     throw std::logic_error("build_file_index: blueprint is not a pure function of the rank");
+  if (index.serialized_size() != streamed.bytes)
+    throw std::logic_error("build_file_index: declared index sizes disagree with the blueprint");
   index.finalize();
   return index;
 }
 
 void KeptIndex::add(GroupId file, std::shared_ptr<const std::vector<Placement>> placements,
-                    std::uint64_t blocks) {
-  files_.push_back({file, blocks, std::move(placements)});
+                    IndexSize streamed) {
+  files_.push_back({file, streamed, std::move(placements)});
 }
 
 GlobalIndex KeptIndex::build() const {
   GlobalIndex global;
   global.reserve(files_.size());
   for (const File& f : files_)
-    global.add(build_file_index(f.file, *f.placements, f.blocks, blueprint_));
+    global.add(build_file_index(f.file, *f.placements, f.streamed, blueprint_));
   return global;
 }
 

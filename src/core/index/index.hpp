@@ -91,6 +91,8 @@ struct BlockRecord {
   Characteristics ch;
 
   bool operator==(const BlockRecord&) const = default;
+  /// Bytes this record occupies in a serialized index.
+  [[nodiscard]] std::size_t serialized_size() const;
   /// True when the block intersects the box [sel_offsets, sel_offsets+sel_counts).
   [[nodiscard]] bool intersects(std::span<const std::uint64_t> sel_offsets,
                                 std::span<const std::uint64_t> sel_counts) const;
@@ -110,6 +112,19 @@ struct LocalIndex {
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
   static std::optional<LocalIndex> deserialize(std::span<const std::uint8_t> bytes);
   bool operator==(const LocalIndex&) const = default;
+};
+
+/// An index's serialized size and the block records it holds: everything a
+/// run times the index transfers and writes by.  The sizes of a writer's
+/// local index and of a file index (the header plus its writers' block
+/// bytes) are both carried this way.
+struct IndexSize {
+  std::uint64_t bytes = 0;
+  std::uint64_t blocks = 0;
+
+  static IndexSize of(const LocalIndex& index) {
+    return {index.serialized_size(), index.blocks.size()};
+  }
 };
 
 /// Merged index of one output file, sorted by file offset.
@@ -209,11 +224,13 @@ struct Placement {
 /// and consecutive offsets from its start, appended into one buffer reserved
 /// to `blocks`, then sorted once.  That is what merging the writer-stamped
 /// local indices in arrival order and sorting gives, ties between equal keys
-/// included.  `blocks` is the count the writers streamed; a blueprint that
-/// yields another count is not a pure function of the rank, and the build
-/// throws std::logic_error.
+/// included.  `streamed` is the file index's size as the writers streamed
+/// it to the SC: a blueprint that yields another block count is not a pure
+/// function of the rank, and one that yields other bytes disagrees with the
+/// job's declared index sizes (IoJob::index_size); either way the build
+/// throws std::logic_error, the block count checked first.
 [[nodiscard]] FileIndex build_file_index(GroupId file, std::span<const Placement> placements,
-                                         std::uint64_t blocks, const Blueprint& blueprint);
+                                         IndexSize streamed, const Blueprint& blueprint);
 
 /// A run's global index before anything reads it: per file, in the order
 /// the coordinator gathered them, the placements its SC shipped, and a copy
@@ -222,9 +239,10 @@ class KeptIndex {
  public:
   explicit KeptIndex(Blueprint blueprint) : blueprint_(std::move(blueprint)) {}
 
-  /// Appends `file`'s placements, describing `blocks` block records.
+  /// Appends `file`'s placements and the size its SC streamed
+  /// (SubIndex::serialized_bytes and blocks).
   void add(GroupId file, std::shared_ptr<const std::vector<Placement>> placements,
-           std::uint64_t blocks);
+           IndexSize streamed);
   /// Pre-sizes the file list (the coordinator knows n_groups up front).
   void reserve(std::size_t n_files) { files_.reserve(n_files); }
   /// Every file's index, built in gathering order: the global index a merge
@@ -234,7 +252,7 @@ class KeptIndex {
  private:
   struct File {
     GroupId file = -1;
-    std::uint64_t blocks = 0;
+    IndexSize streamed;
     std::shared_ptr<const std::vector<Placement>> placements;
   };
   Blueprint blueprint_;

@@ -173,7 +173,8 @@ Actions CoordinatorFsm::on_sub_index(const SubIndex& msg) {
   // byte-exact whether or not the index is kept; a kept one merges when read.
   total_blocks_ += msg.blocks;
   global_index_bytes_ += GlobalIndex::kLengthBytes + msg.serialized_bytes;
-  if (config_.blueprint) kept_.add(msg.group, msg.placements, msg.blocks);
+  if (config_.blueprint)
+    kept_.add(msg.group, msg.placements, IndexSize{msg.serialized_bytes, msg.blocks});
   ++sub_indices_received_;
   Actions out;
   if (sub_indices_received_ == config_.n_groups) {

@@ -39,7 +39,7 @@ Roles::Roles(const Topology& topo, IoJob job, Config config)
     : topo_(topo),
       job_(std::make_shared<const IoJob>(std::move(job))),
       writers_(writer_layout(topo_, job_->bytes_per_writer, config.retain_global_index),
-               [this](Rank r) { return job_->blueprint_for(r); }),
+               [this](Rank r) { return job_->index_size_for(r); }),
       coord_(coordinator_config(topo_, config, job_)) {
   const std::span<const double> all_bytes{job_->bytes_per_writer};
   scs_.reserve(topo_.n_groups());

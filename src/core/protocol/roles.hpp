@@ -3,12 +3,13 @@
 //
 // A run of the adaptive protocol is a WriterPool hosting every writer, one
 // SubCoordinatorFsm per group and one CoordinatorFsm.  Roles builds them
-// from the run's topology, its job (payloads and blueprints) and the four
-// role settings, and routes every message to the role that handles it.
-// A runtime only moves messages and bytes: it starts each group, delivers
-// each message with deliver(), executes the returned actions, and reports
-// the writes it finished.  The simulator (AdaptiveRun), the thread runtime
-// and the protocol test harness all host the protocol this way.
+// from the run's topology, its job (payloads, index sizes and blueprints)
+// and the four role settings, and routes every message to the role that
+// handles it.  A runtime only moves messages and bytes: it starts each
+// group, delivers each message with deliver(), executes the returned
+// actions, and reports the writes it finished.  The simulator
+// (AdaptiveRun), the thread runtime and the protocol test harness all host
+// the protocol this way.
 //
 // Rank r plays the writer in pool slot r, the SC of its group when it is
 // that group's first rank, and the coordinator when it is rank 0.  A
@@ -18,7 +19,8 @@
 // thread 0 the coordinator.  The one thing they share is the job, which
 // they only read.  Records are built from the job's blueprint wherever they
 // are read, the thread runtime's SC threads concurrently, which is why
-// IoJob::blueprint must be a pure function of the rank.
+// IoJob::blueprint must be a pure function of the rank, and each build
+// checks them against the sizes the writers streamed.
 #pragma once
 
 #include <memory>
@@ -43,9 +45,10 @@ class Roles {
     bool retain_global_index = true;
   };
 
-  /// The job's blueprint is called once per writer during construction,
-  /// and, when the global index is kept, once more per writer each time
-  /// the kept index is built; the kept index shares the job.
+  /// The pool reads each writer's IoJob::index_size_for during
+  /// construction, which calls the blueprint only for a job that declares
+  /// no sizes.  When the global index is kept, each build of it calls the
+  /// blueprint once per writer; the kept index shares the job.
   Roles(const Topology& topo, IoJob job, Config config);
   // The pool and the SCs view job_; the roles stay where they were built.
   Roles(const Roles&) = delete;

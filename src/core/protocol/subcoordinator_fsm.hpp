@@ -84,7 +84,9 @@ class SubCoordinatorFsm {
   [[nodiscard]] std::span<const Placement> placements() const {
     return placements_ ? std::span<const Placement>(*placements_) : std::span<const Placement>();
   }
-  /// Block records the INDEX_BODYs so far describe.
+  /// The file index's size as the INDEX_BODYs so far streamed it: its
+  /// serialized bytes, and the block records they describe.
+  [[nodiscard]] std::uint64_t file_index_bytes() const { return file_index_bytes_; }
   [[nodiscard]] std::uint64_t file_index_blocks() const { return file_index_blocks_; }
   [[nodiscard]] const Config& config() const { return config_; }
 

@@ -6,12 +6,12 @@
 
 namespace aio::core {
 
-WriterPool::WriterPool(Layout layout, const std::function<LocalIndex(Rank)>& blueprint_for)
+WriterPool::WriterPool(Layout layout, const std::function<IndexSize(Rank)>& index_size_of)
     : layout_(std::move(layout)) {
   if (!layout_.group_of) throw std::invalid_argument("WriterPool: group_of resolver required");
   if (!layout_.sc_of) throw std::invalid_argument("WriterPool: sc_of resolver required");
   if (layout_.bytes.empty()) throw std::invalid_argument("WriterPool: no writers");
-  if (!blueprint_for) throw std::invalid_argument("WriterPool: blueprint factory required");
+  if (!index_size_of) throw std::invalid_argument("WriterPool: index size function required");
   const std::size_t n = layout_.bytes.size();
   for (std::size_t i = 0; i < n; ++i) {
     if (!(layout_.bytes[i] > 0.0 && std::isfinite(layout_.bytes[i])))
@@ -23,12 +23,12 @@ WriterPool::WriterPool(Layout layout, const std::function<LocalIndex(Rank)>& blu
   index_blocks_.resize(n);
   grant_seqs_.assign(n, 0);
   if (layout_.carry_records) offsets_.resize(n);
-  // Sizes are offset-independent, so they are measured up front, outside
-  // the measured write path; a reader of the kept index builds the records.
+  // Sizes are offset-independent, so they are read up front, outside the
+  // measured write path; a reader of the kept index builds the records.
   for (std::size_t i = 0; i < n; ++i) {
-    const LocalIndex blueprint = blueprint_for(layout_.first_rank + static_cast<Rank>(i));
-    index_bytes_[i] = blueprint.serialized_size();
-    index_blocks_[i] = static_cast<std::uint32_t>(blueprint.blocks.size());
+    const IndexSize size = index_size_of(layout_.first_rank + static_cast<Rank>(i));
+    index_bytes_[i] = size.bytes;
+    index_blocks_[i] = static_cast<std::uint32_t>(size.blocks);
   }
 }
 

@@ -9,14 +9,15 @@
 // resolves everything static (group, SC rank, payload bytes) through one
 // shared Layout.
 //
-// A writer never holds its index records.  The pool calls the blueprint
-// once per writer at construction to learn its serialized size and block
-// count, then drops it; INDEX_BODY carries those two numbers with the
-// writer, its file and, when the run keeps the index, its stamped offset.
-// A reader of the kept index builds the records from the same blueprint
-// (core::build_file_index).  So a writer costs ~25 bytes of pool state,
-// plus an 8-byte offset column when the index is kept, and every simulated
-// byte count is the same either way.
+// A writer never holds its index records.  The pool asks once per writer,
+// at construction, for its index size (serialized bytes and block count:
+// IoJob::index_size_for, which builds no index when the job declares its
+// sizes); INDEX_BODY carries those two numbers with the writer, its file
+// and, when the run keeps the index, its stamped offset.  A reader of the
+// kept index builds the records from the job's blueprint
+// (core::build_file_index), and checks them against the streamed sizes.  So
+// a writer costs ~25 bytes of pool state, plus an 8-byte offset column when
+// the index is kept, and every simulated byte count is the same either way.
 //
 // core::Roles (roles.hpp) builds the pool for every runtime; unit tests
 // drive a pool directly.
@@ -47,9 +48,9 @@ class WriterPool {
 
   enum class State : std::uint8_t { Idle, Writing, Done };
 
-  /// Builds `layout.bytes.size()` writers; `blueprint_for` is invoked once
-  /// per rank, during construction only, and its result only measured.
-  WriterPool(Layout layout, const std::function<LocalIndex(Rank)>& blueprint_for);
+  /// Builds `layout.bytes.size()` writers; `index_size_of` is invoked once
+  /// per rank, during construction only.
+  WriterPool(Layout layout, const std::function<IndexSize(Rank)>& index_size_of);
 
   /// Algorithm 1, lines 1-3, for the writer on `rank`.
   Actions on_do_write(Rank rank, const DoWrite& msg);

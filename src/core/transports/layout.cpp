@@ -22,6 +22,11 @@ LocalIndex IoJob::blueprint_for(Rank r) const {
   return idx;
 }
 
+IndexSize IoJob::index_size_for(Rank r) const {
+  if (index_size) return index_size(r);
+  return IndexSize::of(blueprint_for(r));
+}
+
 IoJob IoJob::uniform(std::size_t n, double bytes) {
   if (n == 0) throw std::invalid_argument("IoJob: need at least one writer");
   if (!(bytes > 0.0 && std::isfinite(bytes)))

@@ -23,12 +23,19 @@ struct IoJob {
   std::vector<double> bytes_per_writer;
   /// Optional blueprint factory: the variable blocks each writer produces
   /// (file offsets unset).  Defaults to one anonymous block of the full
-  /// payload.  It must be a pure, thread-safe function of the rank: a run
-  /// calls it once per writer to size the index and, when it keeps the
-  /// global index, each build of the records calls it again per writer, on
-  /// the building thread (the thread runtime's SC threads concurrently).  A
-  /// copy outlives the run in IoResult::kept_index.
+  /// payload.  It must be a pure, thread-safe function of the rank: when a
+  /// run keeps the global index, each build of the records calls it once
+  /// per writer, on the building thread (the thread runtime's SC threads
+  /// concurrently), and a run whose job declares no index_size calls it
+  /// once more per writer to size the index.  A copy outlives the run in
+  /// IoResult::kept_index.
   Blueprint blueprint;
+  /// Optional: each writer's index size, stated without building its index.
+  /// It must equal IndexSize::of(blueprint_for(r)) at every rank, with the
+  /// blueprint's purity and thread-safety.  A run times the index transfers
+  /// and writes from it; a kept index built from blueprints that disagree
+  /// fails its build (core::build_file_index).
+  std::function<IndexSize(Rank)> index_size;
   /// Names of the var_ids the blueprints reference, interned once for the
   /// whole run and shared by pointer (null = anonymous variables).
   std::shared_ptr<const VarTable> var_names;
@@ -36,6 +43,9 @@ struct IoJob {
   [[nodiscard]] std::size_t n_writers() const { return bytes_per_writer.size(); }
   [[nodiscard]] double total_bytes() const;
   [[nodiscard]] LocalIndex blueprint_for(Rank r) const;
+  /// Writer r's index size: the declared index_size, else the measured
+  /// blueprint_for(r).
+  [[nodiscard]] IndexSize index_size_for(Rank r) const;
 
   /// n writers, each producing `bytes`.
   static IoJob uniform(std::size_t n, double bytes);

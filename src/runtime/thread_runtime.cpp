@@ -199,9 +199,9 @@ class RankThread {
   void do_index_write(const WriteIndexAction& wi) {
     // The file's records are built here, where they are first read.
     const SubCoordinatorFsm& sc = shared_.roles.sc(wi.file);
+    const IndexSize streamed{sc.file_index_bytes(), sc.file_index_blocks()};
     const auto bytes =
-        build_file_index(wi.file, sc.placements(), sc.file_index_blocks(), shared_.blueprint)
-            .serialize();
+        build_file_index(wi.file, sc.placements(), streamed, shared_.blueprint).serialize();
     DataFile& file = *shared_.files[static_cast<std::size_t>(wi.file)];
     file.pwrite(static_cast<std::uint64_t>(wi.offset), bytes.data(), bytes.size());
     append_footer(file, static_cast<std::uint64_t>(wi.offset), bytes.size());

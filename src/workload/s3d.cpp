@@ -47,6 +47,8 @@ core::IoJob s3d_job(const S3dConfig& config, std::size_t n_procs) {
     }
     return idx;
   };
+  // Every rank writes n_fields 3-d blocks, so every index has rank 0's size.
+  job.index_size = [size = core::IndexSize::of(job.blueprint(0))](core::Rank) { return size; };
   return job;
 }
 

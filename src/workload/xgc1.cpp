@@ -53,6 +53,8 @@ core::IoJob xgc1_job(const Xgc1Config& config, std::size_t n_procs) {
     idx.blocks.push_back(std::move(field));
     return idx;
   };
+  // Every rank writes a 2-d and a 1-d block, so every index has rank 0's size.
+  job.index_size = [size = core::IndexSize::of(job.blueprint(0))](core::Rank) { return size; };
   return job;
 }
 

@@ -42,6 +42,7 @@
 #include "obs/journal.hpp"
 #include "obs/prof.hpp"
 #include "sim/engine.hpp"
+#include "workload/pixie3d.hpp"
 
 namespace {
 
@@ -251,7 +252,7 @@ TEST(AllocGuard, WriterStepsAreAllocationFree) {
   layout.group_of = [](Rank) { return GroupId{0}; };
   layout.sc_of = sc_of;
   layout.bytes = std::span<const double>(&kBytes, 1);
-  // The blueprint is measured here, outside the guard.
+  // The index size is read here, outside the guard.
   WriterPool w(std::move(layout), [](Rank rank) {
     BlockRecord b;
     b.writer = rank;
@@ -262,7 +263,7 @@ TEST(AllocGuard, WriterStepsAreAllocationFree) {
     LocalIndex blueprint;
     blueprint.writer = rank;
     blueprint.blocks.push_back(b);
-    return blueprint;
+    return IndexSize::of(blueprint);
   });
 
   AllocGuard guard;
@@ -511,6 +512,59 @@ TEST(AllocGuard, AdaptiveRunSetupAllocsScaleLinearly) {
   const std::size_t per_writer = (a2 - a1) / (n2 - n1);
   EXPECT_LE(per_writer, 4u) << "adaptive begin() allocates " << per_writer
                             << " times per writer (a1=" << a1 << ", a2=" << a2 << ")";
+}
+
+// Setup reads each writer's index size from its job and builds no index to
+// learn it: Pixie3D declares its (rank-independent) size.  So setup calls no
+// blueprint, and its allocation count does not grow with the writers,
+// whether the run keeps the global index or not.  Sizing each writer from
+// its blueprint costs one call and one block vector per writer.
+TEST(AllocGuard, AdaptiveRunSetupBuildsNoBlueprint) {
+  struct Setup {
+    std::size_t allocs = 0;
+    std::size_t blueprint_calls = 0;
+  };
+  const auto setup = [](core::IoJob job, bool keep_index) {
+    auto calls = std::make_shared<std::size_t>(0);
+    job.blueprint = [inner = job.blueprint, calls](Rank r) {
+      ++*calls;
+      return inner(r);
+    };
+    sim::Engine engine;
+    fs::FsConfig fc;
+    fc.n_osts = 16;
+    fs::FileSystem filesystem(engine, fc);
+    net::Network network(engine, net::NetConfig{}, job.n_writers());
+    core::AdaptiveTransport::Config cfg;
+    cfg.n_files = 16;
+    cfg.retain_global_index = keep_index;
+    core::AdaptiveTransport transport(filesystem, network, cfg);
+    bool done = false;
+
+    AllocGuard guard;
+    guard.start();
+    transport.run(job, [&done](core::IoResult) { done = true; });
+    const Setup out{guard.stop(), *calls};
+    engine.run();
+    EXPECT_TRUE(done);
+    return out;
+  };
+
+  const std::size_t n1 = 1024, n2 = 4096;
+  const auto job = [](std::size_t n) {
+    return workload::pixie3d_job(workload::Pixie3dConfig::small_model(), n);
+  };
+  for (const bool keep_index : {true, false}) {
+    const Setup s1 = setup(job(n1), keep_index);
+    const Setup s2 = setup(job(n2), keep_index);
+    const char* what = keep_index ? "index kept" : "sizes only";
+    EXPECT_EQ(s1.blueprint_calls, 0u) << what << " at " << n1 << " writers";
+    EXPECT_EQ(s2.blueprint_calls, 0u) << what << " at " << n2 << " writers";
+    ASSERT_GE(s2.allocs, s1.allocs) << what;
+    EXPECT_EQ((s2.allocs - s1.allocs) / (n2 - n1), 0u)
+        << what << ": setup allocates per writer (a1=" << s1.allocs << ", a2=" << s2.allocs
+        << ")";
+  }
 }
 
 // --- metadata tier -----------------------------------------------------------

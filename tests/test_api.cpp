@@ -115,6 +115,45 @@ TEST(SimulationTest, RunsAllThreeMethods) {
   }
 }
 
+// write_step declares each rank's index size from the blueprint of its
+// contribution, so ranks that put different numbers and shapes of blocks
+// are sized exactly: the kept index builds (the build checks the bytes the
+// writers streamed) and holds every block.
+TEST(SimulationTest, UnevenContributionsIndexEveryBlock) {
+  IoGroup g("mixed");
+  const auto step = g.define_scalar("step", Type::Int32);
+  const auto time = g.define_scalar("time", Type::Double);
+  const auto line = g.define_var("line", Type::Double, {16 * 64});
+  const auto cube = g.define_var("cube", Type::Float, {16 * 4, 4, 4});
+  // Rank r puts r % 3 scalars, one 1-d block (two halves on odd ranks) and,
+  // on every fourth rank, a 3-d block.
+  const auto blocks_of = [](std::uint64_t r) {
+    return r % 3 + (r % 2 == 1 ? 2 : 1) + (r % 4 == 0 ? 1 : 0);
+  };
+  const auto contribution = [&](core::Rank r) {
+    const auto rank = static_cast<std::uint64_t>(r);
+    WriteSet ws(g);
+    if (rank % 3 >= 1) ws.put_scalar(step, 1.0);
+    if (rank % 3 >= 2) ws.put_scalar(time, 0.5);
+    if (rank % 2 == 1) {
+      ws.put(line, {rank * 64}, {32});
+      ws.put(line, {rank * 64 + 32}, {32});
+    } else {
+      ws.put(line, {rank * 64}, {64});
+    }
+    if (rank % 4 == 0) ws.put(cube, {rank * 4, 0, 0}, {4, 4, 4});
+    return ws;
+  };
+  std::size_t expected = 0;
+  for (std::uint64_t r = 0; r < 16; ++r) expected += blocks_of(r);
+
+  Simulation sim(tiny_machine(), /*seed=*/5, Simulation::Options{.background_load = false});
+  const core::IoResult r = sim.write_step(g, Method::Adaptive, 16, contribution);
+  EXPECT_EQ(r.total_blocks_indexed, expected);
+  ASSERT_NE(r.kept_index, nullptr);
+  EXPECT_EQ(r.kept_index->build().total_blocks(), expected);
+}
+
 TEST(SimulationTest, AdvanceMovesClock) {
   Simulation sim(tiny_machine(), 1, Simulation::Options{.background_load = false});
   const double t0 = sim.engine().now();

@@ -70,11 +70,16 @@ std::function<LocalIndex(Rank)> one_block(double bytes) {
   };
 }
 
+/// The index size the pool reads for a writer whose blueprint is one_block.
+std::function<IndexSize(Rank)> one_block_size(double bytes) {
+  return [bytes](Rank rank) { return IndexSize::of(one_block(bytes)(rank)); };
+}
+
 // --- WriterPool --------------------------------------------------------------
 
 TEST(WriterPool, LocalWriteEmitsWriteThenReports) {
   const double bytes = 1000.0;
-  WriterPool w(writer_layout(11, 1, bytes), one_block(bytes));
+  WriterPool w(writer_layout(11, 1, bytes), one_block_size(bytes));
   EXPECT_EQ(w.state(11), WriterPool::State::Idle);
 
   const Actions a1 = w.on_do_write(11, DoWrite{1, 5000.0});
@@ -113,7 +118,7 @@ TEST(WriterPool, LocalWriteEmitsWriteThenReports) {
 
 TEST(WriterPool, AdaptiveWriteNotifiesBothScs) {
   const double bytes = 1000.0;
-  WriterPool w(writer_layout(11, 1, bytes), one_block(bytes));
+  WriterPool w(writer_layout(11, 1, bytes), one_block_size(bytes));
   w.on_do_write(11, DoWrite{3, 0.0});  // redirected to group 3's file
   EXPECT_TRUE(w.wrote_adaptively(11));
   const Actions a = w.on_write_done(11);
@@ -129,24 +134,26 @@ TEST(WriterPool, AdaptiveWriteNotifiesBothScs) {
 
 TEST(WriterPool, DoubleDoWriteThrows) {
   const double bytes = 10.0;
-  WriterPool w(writer_layout(1, 0, bytes), one_block(bytes));
+  WriterPool w(writer_layout(1, 0, bytes), one_block_size(bytes));
   w.on_do_write(1, DoWrite{0, 0.0});
   EXPECT_THROW(w.on_do_write(1, DoWrite{0, 0.0}), std::logic_error);
 }
 
 TEST(WriterPool, WriteDoneBeforeDoWriteThrows) {
   const double bytes = 10.0;
-  WriterPool w(writer_layout(1, 0, bytes), one_block(bytes));
+  WriterPool w(writer_layout(1, 0, bytes), one_block_size(bytes));
   EXPECT_THROW(w.on_write_done(1), std::logic_error);
 }
 
 TEST(WriterPool, InvalidConfigThrows) {
   const double zero = 0.0;
-  EXPECT_THROW(WriterPool(writer_layout(1, 0, zero), one_block(10.0)), std::invalid_argument);
+  EXPECT_THROW(WriterPool(writer_layout(1, 0, zero), one_block_size(10.0)),
+               std::invalid_argument);
   const double bytes = 10.0;
   WriterPool::Layout no_sc = writer_layout(1, 0, bytes);
   no_sc.sc_of = nullptr;
-  EXPECT_THROW(WriterPool(std::move(no_sc), one_block(bytes)), std::invalid_argument);
+  EXPECT_THROW(WriterPool(std::move(no_sc), one_block_size(bytes)), std::invalid_argument);
+  EXPECT_THROW(WriterPool(writer_layout(1, 0, bytes), nullptr), std::invalid_argument);
 }
 
 // --- SubCoordinatorFsm -------------------------------------------------------
@@ -327,7 +334,8 @@ TEST(SubCoordinatorFsm, IndexPhaseWaitsForExpectedIndices) {
   const auto* sub = std::get_if<SubIndex>(&to_c->msg.body);
   ASSERT_NE(sub, nullptr);
   ASSERT_NE(sub->placements, nullptr);
-  const FileIndex built = build_file_index(0, *sub->placements, sub->blocks, blueprint);
+  const FileIndex built =
+      build_file_index(0, *sub->placements, {sub->serialized_bytes, sub->blocks}, blueprint);
   EXPECT_EQ(built.blocks().size(), 3u);
   EXPECT_EQ(sub->blocks, 3u);
   EXPECT_EQ(sub->serialized_bytes, built.serialized_size());
@@ -409,8 +417,9 @@ TEST(SubCoordinatorFsm, ImpureBlueprintThrowsAtIndexTime) {
   ASSERT_NE(to_c, nullptr);
   const auto& sub = std::get<SubIndex>(to_c->msg.body);
   ASSERT_NE(sub.placements, nullptr);
-  EXPECT_THROW((void)build_file_index(0, *sub.placements, sub.blocks, blueprint),
-               std::logic_error);
+  EXPECT_THROW(
+      (void)build_file_index(0, *sub.placements, {sub.serialized_bytes, sub.blocks}, blueprint),
+      std::logic_error);
 }
 
 // The SC ships its file's (writer, offset) pairs in arrival order; the index
@@ -505,7 +514,9 @@ TEST(SubCoordinatorFsm, BuildMatchesArrivalOrderMerge) {
     ASSERT_NE(sub.placements, nullptr) << "seed " << seed;
     EXPECT_EQ(sub.blocks, reference.blocks().size()) << "seed " << seed;
     EXPECT_EQ(sub.serialized_bytes, reference.serialized_size()) << "seed " << seed;
-    ASSERT_EQ(build_file_index(group, *sub.placements, sub.blocks, blueprint).serialize(),
+    ASSERT_EQ(build_file_index(group, *sub.placements, {sub.serialized_bytes, sub.blocks},
+                               blueprint)
+                  .serialize(),
               reference.serialize())
         << "seed " << seed;
   }
@@ -568,7 +579,8 @@ WriteComplete adaptive_done(Rank writer, GroupId origin, GroupId file, double by
 SubIndex sub_index_for(GroupId g) {
   auto placements =
       std::make_shared<const std::vector<Placement>>(1, Placement{sc_of_identity(g), 0});
-  const FileIndex fi = build_file_index(g, *placements, 1, empty_block);
+  const IndexSize streamed{FileIndex::kHeaderBytes + BlockRecord{}.serialized_size(), 1};
+  const FileIndex fi = build_file_index(g, *placements, streamed, empty_block);
   return SubIndex{g, std::move(placements), fi.serialized_size(), fi.blocks().size()};
 }
 

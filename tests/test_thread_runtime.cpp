@@ -219,6 +219,28 @@ TEST_F(ThreadRuntimeTest, ImpureBlueprintFailsAtTheIndexWrite) {
   EXPECT_FALSE(std::filesystem::exists(dir_ / "master.aidx"));
 }
 
+// The pool takes each writer's index size from the job's declaration, and
+// each SC thread checks the file index it builds from the blueprints against
+// the bytes its writers streamed.  A declaration that understates the
+// blueprint fails the run there, before the master file is written.
+TEST_F(ThreadRuntimeTest, DeclaredSizeThatDisagreesFailsAtTheIndexWrite) {
+  IoJob job = IoJob::uniform(8, 1024.0);
+  const core::IndexSize truth = job.index_size_for(0);  // the default one-block index
+  job.index_size = [truth](core::Rank) {
+    return core::IndexSize{truth.bytes - 8, truth.blocks};
+  };
+  ThreadRunConfig cfg;
+  cfg.directory = dir_;
+  cfg.n_files = 2;
+  try {
+    (void)run_threaded(job, cfg);
+    FAIL() << "run_threaded returned despite a declared size that disagrees";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("build_file_index"), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir_ / "master.aidx"));
+}
+
 TEST_F(ThreadRuntimeTest, FooterRejectsTruncatedFile) {
   ThreadRunConfig cfg;
   cfg.directory = dir_;

@@ -289,6 +289,24 @@ TEST(AdaptiveTransport, UnevenPayloadsIndexEveryBlock) {
   EXPECT_DOUBLE_EQ(r.total_bytes, job.total_bytes());
 }
 
+// The run times its index transfers and writes from the job's declared
+// sizes, and a kept index is built from the blueprints and checked against
+// what the writers streamed: a declaration that understates its blueprint
+// runs to completion, but its kept index cannot be built.
+TEST(AdaptiveTransport, DeclaredSizeThatDisagreesWithTheBlueprintFailsTheBuild) {
+  Rig rig(4);
+  AdaptiveTransport t(rig.filesystem, rig.network, adaptive_cfg(4));
+  IoJob job = IoJob::uniform(13, 1e6);
+  const core::IndexSize truth = job.index_size_for(0);  // the default one-block index
+  job.index_size = [truth](core::Rank) {
+    return core::IndexSize{truth.bytes - 8, truth.blocks};
+  };
+  const IoResult r = rig.run(t, job);
+  EXPECT_EQ(r.total_blocks_indexed, 13u);
+  ASSERT_NE(r.kept_index, nullptr);
+  EXPECT_THROW((void)r.kept_index->build(), std::logic_error);
+}
+
 // Property sweep: adaptive transport terminates and indexes every block for
 // assorted writer/file combinations.
 struct TransportSweep {

@@ -1,6 +1,11 @@
 // Tests for the IOR, Pixie3D and XGC1 workload kernels.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "fs/filesystem.hpp"
 #include "sim/engine.hpp"
 #include "workload/ior.hpp"
@@ -188,6 +193,44 @@ TEST(Xgc1, InvalidConfigThrows) {
   Xgc1Config bad;
   bad.bytes_per_process = -1.0;
   EXPECT_THROW(workload::xgc1_job(bad, 4), std::invalid_argument);
+}
+
+/// Expects `job` to declare, at `rank`, the size its blueprint measures.
+void expect_declared_size_is_measured(const core::IoJob& job, core::Rank rank,
+                                      const std::string& where) {
+  const core::IndexSize declared = job.index_size_for(rank);
+  const core::IndexSize measured = core::IndexSize::of(job.blueprint_for(rank));
+  EXPECT_EQ(declared.bytes, measured.bytes) << where;
+  EXPECT_EQ(declared.blocks, measured.blocks) << where;
+}
+
+// Every workload states each rank's index size without building its index;
+// the statement must be what its blueprint measures, at every scale up to
+// the full machine and at the first, second, middle and last ranks.
+TEST(Workloads, DeclaredIndexSizesMatchBlueprints) {
+  using Make = std::function<core::IoJob(std::size_t)>;
+  const std::vector<std::pair<std::string, Make>> jobs = {
+      {"Pixie3D small",
+       [](std::size_t n) { return workload::pixie3d_job(Pixie3dConfig::small_model(), n); }},
+      {"Pixie3D large",
+       [](std::size_t n) { return workload::pixie3d_job(Pixie3dConfig::large_model(), n); }},
+      {"Pixie3D xl",
+       [](std::size_t n) { return workload::pixie3d_job(Pixie3dConfig::xl_model(), n); }},
+      {"S3D", [](std::size_t n) { return workload::s3d_job(workload::S3dConfig{}, n); }},
+      {"XGC1", [](std::size_t n) { return workload::xgc1_job(Xgc1Config{}, n); }},
+  };
+  for (const auto& [name, make] : jobs) {
+    for (const std::size_t n : {1u, 7u, 1000u, 16384u, 224160u}) {
+      const core::IoJob job = make(n);
+      ASSERT_TRUE(job.index_size) << name << " declares no index size";
+      for (const std::size_t r : {std::size_t{0}, std::size_t{1}, n / 2, n - 1}) {
+        if (r >= n) continue;
+        expect_declared_size_is_measured(
+            job, static_cast<core::Rank>(r),
+            name + " at " + std::to_string(n) + " processes, rank " + std::to_string(r));
+      }
+    }
+  }
 }
 
 }  // namespace
