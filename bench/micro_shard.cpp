@@ -91,7 +91,7 @@ void BM_ShardChannelPostMerge(benchmark::State& state) {
       const std::uint32_t key = sg.key_of(sim::Entity::rank(rank_on_shard(sg, s)));
       sg.engine(s).schedule_at(1e-9, [&sg, key, per_shard] {
         for (std::size_t m = 0; m < per_shard; ++m)
-          sg.post_at_boundary(key, m % sg.n_shards(), [] {});
+          sg.post(key, m % sg.n_shards(), 0.0, [] {});
       });
     }
     sg.run();

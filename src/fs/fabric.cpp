@@ -20,8 +20,10 @@ void FabricGovernor::attach(Ost& ost) {
   });
 }
 
-void FabricGovernor::notify_activity_batched(bool became_active) {
-  count(became_active);
+void FabricGovernor::notify_activity_batched(std::int64_t net_delta) {
+  const auto active = static_cast<std::int64_t>(active_) + net_delta;
+  assert(active >= 0);
+  active_ = static_cast<std::size_t>(active);
   decide_at_flush_ = true;
   arm_flush();
 }

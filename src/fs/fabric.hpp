@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "fs/ost.hpp"
@@ -41,19 +42,20 @@ class FabricGovernor {
   void attach(Ost& ost);
 
   /// Registers an OST without installing a hook.  Sharded runs keep one
-  /// governor replica per shard: every replica is fed the globally merged
-  /// activity stream through `notify_activity_batched`, so all replicas run
-  /// the same hysteresis state machine and each applies factors only to its
-  /// own shard's OSTs.
+  /// governor replica per shard: every replica hears each window's net
+  /// activity change over all OSTs through `notify_activity_batched`, so all
+  /// replicas run the same hysteresis state machine and each applies
+  /// factors only to its own shard's OSTs.
   void adopt(Ost& ost) { osts_.push_back(&ost); }
 
-  /// Batched replica feed for sharded runs: counts the transition at once
-  /// and leaves the hysteresis decision to the flush.  Transitions merged at
-  /// one window boundary therefore produce exactly one decision from the
-  /// *final* active count — the outcome is independent of the order the
-  /// batch drains in, which is what keeps the factor sequence invariant
-  /// under the shard count.
-  void notify_activity_batched(bool became_active);
+  /// Batched replica feed for sharded runs: adds a window's net count of
+  /// OSTs that became active (negative when more went idle) at once and
+  /// leaves the hysteresis decision to the flush.  The flush decides once
+  /// from the boundary instant's *final* active count, so one net delta per
+  /// boundary gives the decision one call per transition would — in any
+  /// order — which is what keeps the factor sequence invariant under the
+  /// shard count.
+  void notify_activity_batched(std::int64_t net_delta);
 
   [[nodiscard]] std::size_t active_count() const { return active_; }
   [[nodiscard]] double current_factor() const { return applied_factor_; }

@@ -137,7 +137,17 @@ FileSystem::FileSystem(sim::Homes homes, FsConfig config)
   homes_.require(sim::Entity::Kind::Ost, config_.n_osts, "FileSystem");
   for (std::size_t e = 0; e < homes_.n_engines(); ++e)
     fabrics_.emplace_back(homes_.engine(e), config_.fabric_bw);
+  // Governor replicas: each shard's replica re-times that shard's OSTs.
+  // Every activity transition joins its window's boundary tally; each
+  // replica hears the window's net change once at the boundary and decides
+  // in its one flush after the whole boundary instant, so the replicas'
+  // hysteresis state machines make identical decisions at any shard count.
   sim::ShardGroup* const sg = homes_.group();
+  const bool replicas_hear = sg && config_.fabric_bw > 0.0;
+  if (replicas_hear)
+    sg->set_tally_sink([reps = &fabrics_](std::size_t shard, std::int64_t net_delta) {
+      (*reps)[shard].notify_activity_batched(net_delta);
+    });
   osts_.reserve(config_.n_osts);
   for (std::size_t i = 0; i < config_.n_osts; ++i) {
     const sim::Entity ost = sim::Entity::ost(i);
@@ -146,22 +156,9 @@ FileSystem::FileSystem(sim::Homes homes, FsConfig config)
       fabrics_[0].attach(*osts_.back());
       continue;
     }
-    // Governor replicas: each shard's replica re-times that shard's OSTs.
-    // Every activity transition is broadcast to all replicas; each counts it
-    // at the next window boundary and decides in its one flush after the
-    // whole boundary batch, so the replicas' hysteresis state machines make
-    // identical decisions at any shard count (the batched decision is
-    // order-free within the boundary instant).
     fabrics_[homes_.home_index(ost)].adopt(*osts_.back());
-    if (config_.fabric_bw > 0.0) {
-      const std::uint32_t key = sg->key_of(ost);
-      const std::size_t n_shards = sg->n_shards();
-      auto hook = [sg, reps = &fabrics_, key, n_shards](bool active) {
-        for (std::size_t d = 0; d < n_shards; ++d) {
-          sg->post_at_boundary(key, d,
-                               [reps, d, active] { (*reps)[d].notify_activity_batched(active); });
-        }
-      };
+    if (replicas_hear) {
+      auto hook = [sg, key = sg->key_of(ost)](bool active) { sg->tally(key, active ? 1 : -1); };
       static_assert(sizeof(hook) <= 32, "sharded fabric hook outgrew Ost::ActivityHook SBO");
       osts_.back()->set_activity_hook(std::move(hook));
     }

@@ -11,7 +11,8 @@
 // OSTs and metadata servers are placed by `sim::Homes`.  The fabric governor
 // is the one model difference between engines: one engine's governor decides
 // on every OST transition, a shard group's per-shard replicas once per
-// window-boundary batch.
+// window boundary, from the boundary tally (`sim::ShardGroup::tally`) of the
+// window's net activity change.
 #pragma once
 
 #include <cstdint>

@@ -60,7 +60,8 @@ class Ost {
   using OnComplete = sim::InplaceFunction<void(sim::Time), 64>;
   /// Invoked when the OST transitions between idle and active (used by the
   /// fabric governor to apportion system-wide bandwidth).  Move-only, 32-byte
-  /// SBO: the widest hook is the sharded governor feed's four-word capture.
+  /// SBO: the widest hook, the sharded governor feed, captures a group
+  /// pointer and an entity key (16 bytes).
   using ActivityHook = sim::InplaceFunction<void(bool active), 32>;
 
   Ost(sim::Engine& engine, Config config, int index = 0);

@@ -14,8 +14,12 @@
 //     and the window hop (where empty-window skipping happens).
 //
 // plus event and channel-message counters and the cross-shard backlog
-// highwater (largest single-round merged batch).  The load-imbalance index
-// is max/mean of per-shard execute_s — 1.0 is a perfectly balanced group.
+// highwater (largest single-round merged batch).  A boundary tally
+// (`ShardGroup::tally`) is one merged message on every shard, so it counts
+// as S posts by the shard that made its first contribution and one drain
+// per shard: summed over shards, posts equal drains at any shard count.
+// The load-imbalance index is max/mean of per-shard execute_s — 1.0 is a
+// perfectly balanced group.
 //
 // Null-by-default like every obs hook: a `ShardGroup` without a profiler
 // pays one pointer test per round and zero clock reads, so `sim_s` and the
@@ -49,8 +53,11 @@ class ShardProfiler {
     double skip_s = 0.0;
     std::uint64_t rounds = 0;        ///< barrier rounds this shard completed
     std::uint64_t events = 0;        ///< engine steps (set at worker exit)
-    std::uint64_t msgs_posted = 0;   ///< cross-shard messages this shard posted
-    std::uint64_t msgs_drained = 0;  ///< messages merged into this shard
+    /// Channel messages this shard posted, plus S for each boundary tally
+    /// whose first contribution it made (one per shard that hears it).
+    std::uint64_t msgs_posted = 0;
+    /// Messages merged into this shard, its boundary tallies included.
+    std::uint64_t msgs_drained = 0;
     std::uint64_t backlog_hw = 0;    ///< largest single-round merged batch
   };
 

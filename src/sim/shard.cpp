@@ -132,6 +132,15 @@ void ShardGroup::post(std::uint32_t src_key, std::size_t dst_shard, Time t,
       Msg{t, src_key, seq_[src_key]++, std::move(fn)});
 }
 
+void ShardGroup::tally(std::uint32_t src_key, std::int64_t delta) {
+  assert(src_key < seq_.size());
+  assert(tally_sink_);
+  assert(ran_ ? shard_of_key(src_key) == tls_shard : tls_shard == 0);
+  OutAcc& out = out_[tls_shard];
+  out.tally.add(Tally{delta, src_key, seq_[src_key]++});
+  if (tls_window_end < out.min_t) out.min_t = tls_window_end;
+}
+
 bool ShardGroup::barrier_wait() {
   std::atomic<std::uint32_t>& phase = barrier_phase_.v;
   const std::uint32_t entry = phase.load(std::memory_order_acquire);
@@ -173,14 +182,19 @@ void ShardGroup::abort_barrier() {
   barrier_phase_.v.notify_all();
 }
 
-void ShardGroup::drain_and_merge(std::size_t shard, std::size_t parity, std::vector<Msg>& merged,
-                                 double prev_window_end) {
+void ShardGroup::drain_and_merge(std::size_t shard, std::size_t parity, const Tally& heard,
+                                 std::vector<Msg>& merged, double prev_window_end) {
   merged.clear();
   for (std::size_t src = 0; src < n_shards_; ++src) {
     auto& ch = channels_[parity][src * n_shards_ + shard];
     for (Msg& m : ch) merged.push_back(std::move(m));
     ch.clear();
   }
+  // The tally of the window that just ended lands on this boundary, at its
+  // first contribution's key.
+  if (heard.any())
+    merged.push_back(Msg{prev_window_end, heard.key, heard.seq,
+                         [this, shard, sum = heard.sum] { tally_sink_(shard, sum); }});
   const auto key_less = [](const Msg& a, const Msg& b) {
     if (a.t != b.t) return a.t < b.t;
     if (a.key != b.key) return a.key < b.key;
@@ -224,15 +238,18 @@ void ShardGroup::worker(std::size_t shard) {
     const std::size_t parity = round & 1;
     // Publish this shard's horizon: the earliest thing it could make happen
     // (its own next event, or the earliest message it posted last window)
-    // and how much it still owes the system.  Messages in flight count as
-    // pending until a drain schedules them onto an engine.
+    // and how much it still owes the system.  Messages in flight, and an
+    // unheard tally, count as pending until a drain schedules them onto an
+    // engine.
     OutAcc& out = out_[shard];
     Horizon& h = horizon_[parity * n_shards_ + shard];
     h.next_event = std::min(eng.next_event_time(), out.min_t);
-    h.pending = eng.pending_normal() + out.count;
+    h.pending = eng.pending_normal() + out.count + (out.tally.any() ? 1 : 0);
+    h.tally = out.tally;
     if (prof) prof->msgs_posted += out.count;
     out.min_t = kInf;
     out.count = 0;
+    out.tally = Tally{};
     if (shard == 0) rounds_ = round + 1;
     profclock::time_point pb{};
     if (prof) {
@@ -250,17 +267,23 @@ void ShardGroup::worker(std::size_t shard) {
     if (!alive) return;
     double min_next = kInf;
     std::size_t total = 0;
+    Tally heard;
     for (std::size_t s = 0; s < n_shards_; ++s) {
       const Horizon& hs = horizon_[parity * n_shards_ + s];
       min_next = std::min(min_next, hs.next_event);
       total += hs.pending;
+      heard.add(hs.tally);
     }
     if (total == 0) return;  // drained: engines idle, no message in flight
-    drain_and_merge(shard, parity, merged, prev_end);
+    drain_and_merge(shard, parity, heard, merged, prev_end);
     for (Msg& m : merged) eng.schedule_at(m.t, std::move(m.fn));
     if (prof) {
       const auto pm = profclock::now();
       prof->merge_s += secs(pt, pm);
+      // A tally is posted by the shard that made its first contribution,
+      // once for every shard that hears it (obs/prof.hpp).
+      if (heard.any() && h.tally.key == heard.key)
+        prof->msgs_posted += n_shards_;
       prof->msgs_drained += merged.size();
       prof->backlog_hw = std::max<std::uint64_t>(prof->backlog_hw, merged.size());
       pt = pm;

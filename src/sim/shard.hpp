@@ -13,15 +13,23 @@
 // that stays inside one node (rank→rank on the same node) is scheduled
 // directly on the owning engine, while every interaction that crosses a node
 // or storage-target boundary — network deliveries, OST write hand-offs,
-// fabric-governor broadcasts, protocol completions — travels through the
-// channel plane and is applied at a window boundary, *even when source and
-// destination happen to share a shard*.  Because the rule never mentions
-// the partition, the set of quantized couplings (and therefore every
-// simulated timestamp) is invariant under the shard count.  `Homes` (below)
-// is the one place that rule is written down: the network, the file
-// system, the metadata tier and the adaptive transport place their entities
-// and deliver their couplings through it, over one engine or over a shard
-// group alike.
+// protocol completions — travels through the channel plane and is applied
+// at a window boundary, *even when source and destination happen to share a
+// shard*.  Because the rule never mentions the partition, the set of
+// quantized couplings (and therefore every simulated timestamp) is
+// invariant under the shard count.  `Homes` (below) is the one place that
+// rule is written down: the network, the file system, the metadata tier and
+// the adaptive transport place their entities and deliver their couplings
+// through it, over one engine or over a shard group alike.
+//
+// A count that every shard must hear — the OST activity transitions the
+// fabric governor's replicas track — does not ride the channels one message
+// per change per shard.  `tally` sums it per window, the barrier reduces the
+// shards' sums, and each shard hears the window's net sum once, from one
+// message at the canonical (boundary, entity, sequence) of the window's
+// first contribution.  A consumer that reads the count only after every
+// message of the boundary instant (the governor's flush) sees what one
+// message per contribution would have shown it.
 //
 // Time advances on a fixed window grid W_k = k * window.  Each round a shard
 // publishes its horizon — the minimum of its engine's next event time and
@@ -148,11 +156,22 @@ class ShardGroup {
   /// forms the canonical merge key.
   void post(std::uint32_t src_key, std::size_t dst_shard, Time t, Engine::Callback fn);
 
-  /// Posts `fn` to run exactly at the next window boundary (the canonical
-  /// apply time for zero-delay cross-entity couplings).
-  void post_at_boundary(std::uint32_t src_key, std::size_t dst_shard, Engine::Callback fn) {
-    post(src_key, dst_shard, 0.0, std::move(fn));
-  }
+  /// Receives a window's boundary tally on each shard's engine: `shard` is
+  /// the hearing shard, `sum` the window's net sum over all shards.  Called
+  /// concurrently from every shard, so it must only touch `shard`'s state.
+  using TallySink = InplaceFunction<void(std::size_t shard, std::int64_t sum), 16>;
+  /// Installs the one tally sink; it must be set before the first `tally`
+  /// and outlive the run.
+  void set_tally_sink(TallySink sink) { tally_sink_ = std::move(sink); }
+
+  /// Adds `delta` to the window's boundary tally on behalf of `src_key`,
+  /// which must be owned by the calling shard (as for `post`).  Reserves one
+  /// of the entity's sequence numbers, so the tally's merge key never ties
+  /// with a posted message and the entity's later posts keep their order.
+  /// At the next boundary every shard hears the net sum through the sink
+  /// once — also when the window's contributions cancel — from a message at
+  /// the smallest (key, seq) contribution of the window.
+  void tally(std::uint32_t src_key, std::int64_t delta);
 
   /// Runs the window loop on all shards until no shard holds a normal event
   /// and all channels are empty.  S > 1 spawns S worker threads; S == 1 runs
@@ -190,18 +209,41 @@ class ShardGroup {
     std::uint64_t seq;     // per-entity sequence: third merge key
     Engine::Callback fn;
   };
+  // A window's boundary tally: the net sum of its contributions and the
+  // (key, seq) of the first one in merge order.  Every contribution of one
+  // window lands at the window's end, and an entity's sequence only grows,
+  // so `add` keeps the first contribution of the smallest key.
+  struct Tally {
+    static constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+    std::int64_t sum = 0;
+    std::uint32_t key = kNone;  // kNone: nothing tallied
+    std::uint64_t seq = 0;
+
+    [[nodiscard]] bool any() const { return key != kNone; }
+    void add(const Tally& o) {
+      sum += o.sum;
+      if (o.key < key) {
+        key = o.key;
+        seq = o.seq;
+      }
+    }
+  };
   // One horizon slot per (round parity, shard): what the shard can reach
-  // next and how much it still owes the system (pending engine events plus
-  // messages it posted last window that no engine has scheduled yet).
+  // next, how much it still owes the system (pending engine events plus
+  // messages it posted last window that no engine has scheduled yet, plus
+  // one for an unheard tally) and the tally it made last window.
   struct alignas(64) Horizon {
     double next_event = 0.0;
     std::size_t pending = 0;
+    Tally tally;
   };
   // Producer-side accounting for the window in flight, one padded slot per
-  // shard: the earliest due time and count of messages this shard posted.
+  // shard: the earliest due time and count of messages this shard posted,
+  // and its share of the window's tally.
   struct alignas(64) OutAcc {
     double min_t = std::numeric_limits<double>::infinity();
     std::size_t count = 0;
+    Tally tally;
   };
   // The barrier's two hot words live on their own cache lines; `phase`
   // packs (generation << 1 | abort) into the single word waiters park on,
@@ -211,8 +253,8 @@ class ShardGroup {
   };
 
   void worker(std::size_t shard);
-  void drain_and_merge(std::size_t shard, std::size_t parity, std::vector<Msg>& merged,
-                       double prev_window_end);
+  void drain_and_merge(std::size_t shard, std::size_t parity, const Tally& heard,
+                       std::vector<Msg>& merged, double prev_window_end);
   bool barrier_wait();  // false = abort observed; leave the loop
   void abort_barrier();
   [[nodiscard]] std::size_t shard_of_key(std::uint32_t key) const;  // owner of a key_of key
@@ -233,6 +275,7 @@ class ShardGroup {
   std::vector<std::uint64_t> seq_;             // one per entity key
   std::vector<Horizon> horizon_;               // [parity * S + shard]
   std::vector<OutAcc> out_;                    // one per shard
+  TallySink tally_sink_;
   PaddedAtomicU32 barrier_phase_;              // generation << 1 | abort bit
   PaddedAtomicU32 barrier_count_;
   obs::prof::ShardProfiler* prof_ = nullptr;

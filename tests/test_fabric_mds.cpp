@@ -156,9 +156,10 @@ TEST(Fabric, DestroyedGovernorLeavesNoFlushBehind) {
 // OST's, the two fire in the other order.  Over seeds 1–12,000 of this
 // generator that happened once (seed 10453).
 //
-// Mutation check: feeding the governor through notify_activity_batched (the
-// sharded replicas' one decision from the final count) instead of deciding
-// per transition made 110 of these 300 scenarios differ.
+// Mutation check: feeding each transition to the governor as a ±1 net delta
+// through notify_activity_batched (the sharded replicas' feed, which decides
+// once from the final count) instead of deciding per transition made 110 of
+// these 300 scenarios differ.
 // ---------------------------------------------------------------------------
 
 class ReferenceGovernor {

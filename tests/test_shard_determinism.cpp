@@ -135,6 +135,13 @@ RunOutcome run_at(std::size_t n_shards, std::uint32_t seed) {
   return run_job(rig_config(n_shards), seeded_job(seed));
 }
 
+// FNV-1a over every writer's timing record, in rank order.
+std::uint64_t writer_timing_digest(const IoResult& r) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const aio::core::WriterTiming& w : r.writer_times) h = fnv1a(&w, sizeof(w), h);
+  return h;
+}
+
 // Field-by-field bit-identity between two outcomes (EXPECT_EQ on doubles is
 // exact equality, which is the point).
 void expect_identical(const RunOutcome& base, const RunOutcome& other, const char* what) {
@@ -146,12 +153,8 @@ void expect_identical(const RunOutcome& base, const RunOutcome& other, const cha
   EXPECT_EQ(base.result.grants_issued, other.result.grants_issued) << what;
   EXPECT_EQ(base.result.total_blocks_indexed, other.result.total_blocks_indexed) << what;
   ASSERT_EQ(base.result.writer_times.size(), other.result.writer_times.size()) << what;
-  std::uint64_t wt_base = 14695981039346656037ull;
-  std::uint64_t wt_other = 14695981039346656037ull;
-  for (std::size_t i = 0; i < base.result.writer_times.size(); ++i) {
-    wt_base = fnv1a(&base.result.writer_times[i], sizeof(aio::core::WriterTiming), wt_base);
-    wt_other = fnv1a(&other.result.writer_times[i], sizeof(aio::core::WriterTiming), wt_other);
-  }
+  const std::uint64_t wt_base = writer_timing_digest(base.result);
+  const std::uint64_t wt_other = writer_timing_digest(other.result);
   EXPECT_EQ(wt_base, wt_other) << "writer timing digest diverged: " << what;
   EXPECT_EQ(base.n_records, other.n_records) << what;
   EXPECT_EQ(base.journal_digest, other.journal_digest) << what;
@@ -294,6 +297,58 @@ TEST(ShardedRun, ShardsWithoutRanksStayBitIdentical) {
     EXPECT_EQ(rankless, s - 2) << what;
     expect_identical(base, run_job(small(s), job), what.c_str());
   }
+}
+
+// The governor replicas, pinned.  The rig's fabric (3 GB/s against 16 OSTs
+// of 500 MB/s ingest) keeps the governor deciding, so OST activity
+// transitions land at most window boundaries.  The replicas hear each
+// window's net change once, from one boundary tally per shard; the bits
+// below were captured from the feed the tally replaced, one channel message
+// per transition per replica, so both feeds give the same run bit for bit.
+TEST(ShardGovernor, BoundaryTallyMatchesPinnedPerTransitionFeed) {
+  struct Golden {
+    std::uint32_t seed;
+    std::uint64_t t_complete_bits;
+    std::uint64_t writer_digest;
+    std::uint64_t journal_digest;
+  };
+  for (const Golden g : {Golden{1, 0x3fad19157abb8801ull, 0x0803c56142464c8aull,
+                                0x0984c09ce217d653ull},
+                         Golden{5, 0x3fad9f4d37c1376dull, 0x669ac83fdb1141b5ull,
+                                0x407f625b37903f54ull}}) {
+    const IoJob job = seeded_job(g.seed);
+    for (const std::size_t s : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      const RunOutcome out = run_job(rig_config(s), job);
+      std::uint64_t t_bits = 0;
+      std::memcpy(&t_bits, &out.result.t_complete, sizeof t_bits);
+      const std::string what =
+          (testing::Message() << "seed " << g.seed << " shards=" << s).GetString();
+      EXPECT_EQ(t_bits, g.t_complete_bits) << what << std::hex << " t_complete bits 0x" << t_bits;
+      EXPECT_EQ(writer_timing_digest(out.result), g.writer_digest)
+          << what << std::hex << " writer digest 0x" << writer_timing_digest(out.result);
+      EXPECT_EQ(out.journal_digest, g.journal_digest)
+          << what << std::hex << " journal digest 0x" << out.journal_digest;
+    }
+  }
+}
+
+// What the replicas cost: at most one tally event and one flush per replica
+// per barrier round, so four shards run at most 2·3 more events a round than
+// one shard.  One message per transition per replica cost an event for
+// every transition on each extra replica.
+TEST(ShardGovernor, ExtraReplicasCostAtMostOneTallyAndOneFlushPerRound) {
+  const IoJob job = seeded_job(1);
+  ShardedAdaptiveSim one(rig_config(1));
+  one.run(job);
+  ShardedAdaptiveSim four(rig_config(4));
+  four.run(job);
+  ASSERT_EQ(four.shards().n_shards(), 4u);
+  const std::uint64_t rounds = four.shards().barrier_rounds();
+  ASSERT_EQ(one.shards().barrier_rounds(), rounds);
+  ASSERT_GE(four.steps(), one.steps());
+  EXPECT_LE(four.steps() - one.steps(), 2 * 3 * rounds)
+      << one.steps() << " events at 1 shard, " << four.steps() << " at 4, " << rounds
+      << " barrier rounds";
 }
 
 TEST(ShardDeterminismNegative, MisorderedMergeIsRejected) {
@@ -552,6 +607,63 @@ TEST(Homes, ShardGroupQuantizesAllButSameNodeCouplings) {
     EXPECT_EQ(to_ost, 5.12e-4) << "shards=" << n_shards;
     EXPECT_EQ(to_mds, 5.12e-4) << "shards=" << n_shards;
     EXPECT_EQ(back, 1.024e-3) << "shards=" << n_shards;
+  }
+}
+
+// A boundary tally is heard once on every shard, with its window's net sum,
+// at the merge key of the window's first contribution: after the messages
+// that entity posted before it, before the ones it posted after, and ahead
+// of every larger key.  A window whose contributions cancel is heard too,
+// and the loop does not end before it is.
+TEST(ShardTally, HeardOnceAtTheFirstContributionsMergeKey) {
+  using aio::sim::Entity;
+  for (const std::size_t n_shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    aio::sim::ShardGroup::Config c;
+    c.n_shards = n_shards;
+    c.n_ranks = 16;
+    c.ranks_per_node = 4;
+    c.n_osts = 4;
+    c.n_mds = 1;
+    aio::sim::ShardGroup group(c);
+    ASSERT_EQ(group.n_shards(), n_shards);
+    const double w = group.window_s();
+    // Each shard appends only to its own log, from its own thread.
+    std::vector<std::vector<std::string>> log(n_shards);
+    group.set_tally_sink([&log](std::size_t shard, std::int64_t sum) {
+      log[shard].push_back("tally " + std::to_string(sum));
+    });
+    const auto key = [&group](std::size_t ost) { return group.key_of(Entity::ost(ost)); };
+    const auto post_all = [&](std::size_t ost, const char* label) {
+      for (std::size_t d = 0; d < n_shards; ++d)
+        group.post(key(ost), d, 0.0, [&log, d, label] { log[d].push_back(label); });
+    };
+    const auto at = [&group](std::size_t ost, double t, aio::sim::Engine::Callback fn) {
+      group.engine(group.shard_of(Entity::ost(ost))).schedule_at(t, std::move(fn));
+    };
+    // OST keys grow with the index: 3 posts first in time but merges last.
+    at(3, 0.1 * w, [&] {
+      post_all(3, "ost3");
+      group.tally(key(3), +1);
+    });
+    at(1, 0.2 * w, [&] {
+      post_all(1, "ost1 before");
+      group.tally(key(1), +1);
+      post_all(1, "ost1 after");
+      group.tally(key(1), +1);
+    });
+    at(2, 0.3 * w, [&] {
+      group.tally(key(2), -1);
+      post_all(2, "ost2");
+    });
+    at(0, 1.5 * w, [&] {
+      group.tally(key(0), +1);
+      group.tally(key(0), -1);
+    });
+    group.run();
+    const std::vector<std::string> want{"ost1 before", "tally 2", "ost1 after", "ost2", "ost3",
+                                        "tally 0"};
+    for (std::size_t s = 0; s < n_shards; ++s)
+      EXPECT_EQ(log[s], want) << "shard " << s << " of " << n_shards;
   }
 }
 
