@@ -28,12 +28,12 @@
 //
 // Knobs: AIO_BENCH_MAX_PROCS trims the sweep; AIO_MDS_COUNT pins the tier
 // sweep to one width; AIO_MDS_BATCH sets the batched-mode span (default 64);
-// AIO_JOURNAL/AIO_REPORT capture the journal.  All knobs unset keeps stdout
-// deterministic run to run.
+// AIO_JOURNAL/AIO_REPORT/AIO_TRACE capture the journal and AIO_LIVE streams
+// live rows, through the same api::Observers every bench machine owns.  All
+// knobs unset keeps stdout deterministic run to run.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -82,9 +82,10 @@ constexpr double kArrivalGap_s = 50e-6;
 /// create-visible minus its own arrival — for batched mode that includes
 /// the wait for its span to assemble.
 StormOut run_storm(std::size_t procs, std::size_t n_mds, Mode mode, std::size_t batch,
-                   obs::Journal* journal) {
+                   api::Observers& sweep) {
   const auto w0 = std::chrono::steady_clock::now();
-  sim::Engine engine(journal);
+  sim::Engine engine(sweep.journal(), sweep.live());
+  sweep.arm(engine);  // periodic aio-live-v1 rows
   fs::MdsGroup::Config gc;
   gc.count = n_mds;
   gc.server = fs::jaguar().fs.mds;
@@ -179,8 +180,10 @@ int main() {
   if (const std::size_t n_mds = obs::env_count("AIO_MDS_COUNT", 0); n_mds > 0)
     mds_sweep = {n_mds};
 
-  const std::unique_ptr<obs::Journal> journal = obs::Journal::from_env(0);
-  if (journal) journal->reserve(1 << 20);
+  // One journal and live plane across the whole sweep, written when `sweep`
+  // is destroyed at the end of main: journal, report and trace, live tail.
+  api::Observers sweep(/*slot=*/0);
+  if (obs::Journal* const journal = sweep.journal()) journal->reserve(1 << 20);
 
   stats::Table table(
       {"writers", "mds", "mode", "mean ms", "p99 ms", "cov", "span s", "peak queue"});
@@ -190,7 +193,7 @@ int main() {
     if (procs > max_procs) continue;
     for (const std::size_t n_mds : mds_sweep) {
       for (const Mode mode : {Mode::PerFile, Mode::Batched}) {
-        const StormOut out = run_storm(procs, n_mds, mode, batch, journal.get());
+        const StormOut out = run_storm(procs, n_mds, mode, batch, sweep);
         std::size_t peak = 0;
         for (const PerMds& m : out.per_mds) peak = std::max(peak, m.peak_backlog);
         table.add_row({std::to_string(procs), std::to_string(n_mds), mode_name(mode),
@@ -221,9 +224,5 @@ int main() {
   std::printf("%s\n", table.render().c_str());
   std::printf("Expect: widening the tier divides the storm; batching collapses the request\n"
               "count itself (p99 falls and flattens).\n");
-  if (journal) {
-    (void)journal->write();
-    (void)obs::flush_report(*journal, 0);
-  }
   return 0;
 }

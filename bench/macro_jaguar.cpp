@@ -146,10 +146,16 @@ RunCost run_one(const fs::MachineSpec& spec, const workload::Pixie3dConfig& mode
 /// `n_shards` shards, clamped as the group clamps them (RunCost::shards is
 /// the count that ran).  Per-shard journal records are canonically merged and
 /// re-homed into the bench-wide journal under a fresh run ordinal, so
-/// tools/aio_report reads sharded and classic runs out of one file.
+/// tools/aio_report reads sharded and classic runs out of one file.  A
+/// sweep live plane that writes snapshot rows ingests the same merged
+/// records after the run; its flight ring gets none, since a run that
+/// completed says nothing about a hang.
 RunCost run_one_sharded(const fs::MachineSpec& spec, const workload::Pixie3dConfig& model,
                         std::size_t procs, std::size_t n_shards, double window_batch,
-                        obs::Journal* journal, obs::prof::ShardProfiler* prof) {
+                        api::Observers& sweep, obs::prof::ShardProfiler* prof) {
+  obs::Journal* const journal = sweep.journal();
+  obs::LivePlane* const live =
+      sweep.live() && sweep.live()->snapshot_enabled() ? sweep.live() : nullptr;
   const std::uint64_t rss0 = current_rss_bytes();
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -159,7 +165,7 @@ RunCost run_one_sharded(const fs::MachineSpec& spec, const workload::Pixie3dConf
   cfg.fs = spec.fs;
   cfg.net = net::NetConfig{spec.msg_latency_s, spec.nic_bw, spec.cores_per_node};
   cfg.adaptive.retain_global_index = false;  // n_files = 0: one file per OST
-  cfg.collect_journal = journal != nullptr;
+  cfg.collect_journal = journal != nullptr || live != nullptr;
   cfg.window_batch = window_batch;
   cfg.profiler = prof;  // re-bound (and zeroed) per sample by set_profiler
   core::ShardedAdaptiveSim sim(cfg);
@@ -188,15 +194,18 @@ RunCost run_one_sharded(const fs::MachineSpec& spec, const workload::Pixie3dConf
   const std::uint64_t rss1 = current_rss_bytes();
   cost.rss_delta = rss1 > rss0 ? rss1 - rss0 : 0;
 
-  if (journal) {
-    const std::uint32_t run_id = journal->begin_run();
+  if (cfg.collect_journal) {
+    // Without a journal, run-scoped records carry ordinal 0, as a classic
+    // engine emits them to a live plane alone.
+    const std::uint32_t run_id = journal ? journal->begin_run() : 0;
     for (obs::Record r : sim.merged_records()) {
       // Run-scoped records carry the per-shard journals' local ordinal (1);
       // re-home them under the bench journal's run numbering.
       if (r.kind == obs::Rec::kRunBegin || r.kind == obs::Rec::kRunMark ||
           r.kind == obs::Rec::kFileMap)
         r.id = run_id;
-      journal->append(r);
+      if (journal) journal->append(r);
+      if (live) live->ingest(r);
     }
   }
   return cost;
@@ -229,10 +238,6 @@ int main() {
   api::Observers sweep(/*slot=*/0);
   obs::Journal* const journal = sweep.journal();
   if (journal) journal->reserve(1 << 20);
-  if (sweep.live() && !shard_sweep.empty())
-    std::fprintf(stderr,
-                 "macro_jaguar: AIO_LIVE is ignored for sharded adaptive rows "
-                 "(the live plane is single-engine)\n");
   // Shard-runtime profiler (AIO_PROF): one instance reused across the sweep
   // (each sample re-binds and zeroes it).  Per-sweep-point documents are
   // collected and written as one aio-prof-v1 array at the end.
@@ -308,7 +313,7 @@ int main() {
           stats::Summary wall;
           RunCost last;
           for (std::size_t s = 0; s < samples; ++s) {
-            last = run_one_sharded(spec, model, procs, n_shards, window_batch, journal,
+            last = run_one_sharded(spec, model, procs, n_shards, window_batch, sweep,
                                    prof.get());
             wall.add(last.wall_s);
           }

@@ -4,7 +4,10 @@
 Usage: live_check.py <aio-live.jsonl> <aio-report.json>
 
 The live plane (src/obs/live.cpp) and the analyzer (src/obs/analysis.cpp)
-ingest the identical journal record stream, so the final live row's
+fold the identical journal record stream through one obs::Fold
+(src/obs/fold.hpp): the same writer slots, OST load integrals and wait
+partition.  Only the summation order differs (the live plane adds writers as
+they complete, the analyzer in rank order), so the final live row's
 cumulative attribution must agree with the report's summary.attribution to
 floating-point noise.  This script fails (exit 1) on any component drifting
 past 1e-6 relative — the tolerance a window-accounting bug (a slot double

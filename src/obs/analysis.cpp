@@ -6,12 +6,14 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/critical_path.hpp"
 #include "obs/env.hpp"
+#include "obs/fold.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
@@ -20,64 +22,6 @@
 namespace aio::obs {
 
 namespace {
-
-struct WriterInfo {
-  double signal_t = -1.0;
-  double start_t = -1.0;
-  double end_t = -1.0;
-  double bytes = 0.0;
-  std::uint32_t target = 0;
-  std::uint32_t origin = 0;
-  std::uint32_t grant_seq = 0;
-  bool adaptive = false;
-};
-
-struct StealInfo {
-  double grant_t = -1.0;
-  double complete_t = -1.0;
-  double queue_depth = 0.0;
-  double bytes = 0.0;
-  std::uint32_t source = 0;
-  std::uint32_t target = 0;
-  std::uint32_t writer = 0;
-};
-
-struct RunData {
-  std::uint32_t run = 0;
-  std::uint32_t n_writers = 0, n_files = 0, n_osts = 0;
-  double t_begin = 0.0, t_open = -1.0, t_data_done = -1.0, t_complete = -1.0;
-  double steals = 0.0, grants = 0.0;
-  std::uint64_t mds_ops = 0;
-  double mds_service_s = 0.0;
-  // Phase-scoped MDS service: before the kOpenDone mark (the open storm) and
-  // after the kDataDone mark (close traffic inside the reported interval) —
-  // the two ends the critical path cares about.
-  double mds_open_s = 0.0;
-  double mds_close_s = 0.0;
-  std::map<std::uint32_t, std::uint32_t> file_ost;
-  std::map<std::uint32_t, WriterInfo> writers;       // by rank
-  std::map<std::uint32_t, StealInfo> steal_chains;   // by grant_seq
-};
-
-/// Piecewise-constant external-load fraction of one OST: `ext` holds from
-/// `t` until the next segment.
-struct OstSeg {
-  double t;
-  double ext;  // max(net_load, disk_load) at t
-  bool cache_full;
-};
-
-double integrate_ext(const std::vector<OstSeg>& segs, double a, double b) {
-  if (b <= a || segs.empty()) return 0.0;
-  double total = 0.0;
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    if (segs[i].t >= b) break;
-    const double hi = std::min(b, i + 1 < segs.size() ? segs[i + 1].t : b);
-    const double lo = std::max(a, segs[i].t);
-    if (hi > lo) total += (hi - lo) * segs[i].ext;
-  }
-  return total;
-}
 
 /// Mean/stddev/CoV/extrema exact (Welford), interior quantiles from the
 /// log-bucket sketch.
@@ -127,130 +71,11 @@ double get_num(const Json& doc, std::initializer_list<const char*> path) {
 }  // namespace
 
 Json analyze(const Journal& journal) {
-  // --- pass 1: fold the record stream into per-run state --------------------
-  std::vector<RunData> runs;
-  RunData* cur = nullptr;  // run-scoped records attach to the last kRunBegin
-  std::map<std::uint32_t, std::vector<OstSeg>> ost_timeline;
-  std::uint64_t cache_full_crossings = 0;
-
-  // Global, not run-scoped (like the OST timeline): every metadata dispatch
-  // attributes to its server, whether or not a run is in flight — a bench
-  // driving the tier directly still gets a per-MDS table.
-  struct MdsAgg {
-    std::uint64_t ops = 0;    // requests dispatched (a batch counts once)
-    std::uint64_t items = 0;  // operations carried (a batch counts its size)
-    double service_s = 0.0;
-    std::uint32_t peak_queue = 0;  // deepest backlog behind a dispatch
-  };
-  std::map<std::uint32_t, MdsAgg> mds_servers;
-  std::vector<Record> prof_shards;  // kProfShard records, stream order
-
-  for (const Record& r : journal.records()) {
-    switch (r.kind) {
-      case Rec::kRunBegin: {
-        runs.emplace_back();
-        cur = &runs.back();
-        cur->run = r.id;
-        cur->t_begin = r.t;
-        cur->n_writers = r.u0;
-        cur->n_files = r.u1;
-        cur->n_osts = r.u2;
-        break;
-      }
-      case Rec::kRunMark:
-        if (!cur) break;
-        switch (static_cast<Mark>(r.a)) {
-          case Mark::kOpenDone: cur->t_open = r.t; break;
-          case Mark::kDataDone: cur->t_data_done = r.t; break;
-          case Mark::kComplete:
-            cur->t_complete = r.t;
-            cur->steals = r.v0;
-            cur->grants = r.v1;
-            break;
-        }
-        break;
-      case Rec::kFileMap:
-        if (cur) cur->file_ost[r.u0] = r.u1;
-        break;
-      case Rec::kWriterSignal:
-        if (cur) {
-          WriterInfo& w = cur->writers[r.id];
-          w.signal_t = r.t;
-          w.target = r.u0;
-          w.origin = r.u1;
-          w.grant_seq = r.u2;
-          w.adaptive = r.a != 0;
-        }
-        break;
-      case Rec::kWriterStart:
-        if (cur) {
-          WriterInfo& w = cur->writers[r.id];
-          w.start_t = r.t;
-          w.bytes = r.v0;
-        }
-        break;
-      case Rec::kWriterEnd:
-        if (cur) cur->writers[r.id].end_t = r.t;
-        break;
-      case Rec::kOstState: {
-        // Global, not run-scoped: the fluid state persists across runs.
-        std::vector<OstSeg>& segs = ost_timeline[r.id];
-        // A crossing is the cache-full flag rising; every OST starts empty.
-        const bool full = r.a != 0;
-        if (full && (segs.empty() || !segs.back().cache_full)) ++cache_full_crossings;
-        segs.push_back(OstSeg{r.t, std::max(r.v1, r.v2), full});
-        break;
-      }
-      case Rec::kMdsOp: {
-        if (cur) {
-          ++cur->mds_ops;
-          cur->mds_service_s += r.v0;
-          if (cur->t_open < 0.0)
-            cur->mds_open_s += r.v0;
-          else if (cur->t_data_done >= 0.0 && r.t >= cur->t_data_done)
-            cur->mds_close_s += r.v0;
-        }
-        MdsAgg& m = mds_servers[r.id];
-        ++m.ops;
-        m.items += 1 + static_cast<std::uint64_t>(r.u1);
-        m.service_s += r.v0;
-        m.peak_queue = std::max(m.peak_queue, r.u0);
-        break;
-      }
-      case Rec::kStealGrant:
-        if (cur) {
-          StealInfo& s = cur->steal_chains[r.id];
-          s.grant_t = r.t;
-          s.source = r.u0;
-          s.target = r.u1;
-          s.queue_depth = r.v1;
-        }
-        break;
-      case Rec::kStealComplete:
-        if (cur) {
-          StealInfo& s = cur->steal_chains[r.id];
-          s.complete_t = r.t;
-          s.source = r.u0;
-          s.target = r.u1;
-          s.writer = r.u2;
-          s.bytes = r.v0;
-        }
-        break;
-      case Rec::kProfShard:
-        // Host-runtime artifact (obs/prof.hpp): surfaced verbatim under
-        // summary.prof, never folded into simulated-time accounting.
-        prof_shards.push_back(r);
-        break;
-    }
-  }
-
-  // --- pass 2: aggregate ----------------------------------------------------
   stats::Summary run_time;
   Histogram run_hist;
   stats::Summary writer_time;
   Histogram writer_hist;
-  double mds_s = 0.0, net_s = 0.0, int_s = 0.0, ext_s = 0.0, wait_s = 0.0;
-  std::uint64_t writes_total = 0;
+  WaitSplit wait;
   double steals_total = 0.0, grants_total = 0.0;
   std::uint64_t mds_ops_total = 0;
   double mds_service_total = 0.0;
@@ -259,9 +84,7 @@ Json analyze(const Journal& journal) {
     stats::Summary time;   // write durations landing on this OST
     Histogram hist;
     double bytes = 0.0;
-    std::uint64_t writes = 0;
-    double wait_int = 0.0;  // internal queueing of writers homed here
-    double wait_ext = 0.0;  // external interference of writers homed here
+    WaitSplit wait;  // waits of the writers homed here
   };
   std::map<std::uint32_t, OstAgg> osts;
 
@@ -278,7 +101,10 @@ Json analyze(const Journal& journal) {
   std::map<std::uint32_t, SourceAgg> per_source;  // by source group
 
   Json runs_json = Json::array();
-  for (RunData& run : runs) {
+  Fold fold;
+  // Each run is read at its close, writers in rank order.
+  fold.replay(journal.records(), [&] {
+    const Fold::Run& run = fold.run();
     if (run.t_complete >= 0.0 && run.t_open >= 0.0) {
       const double rt = run.t_complete - run.t_open;  // IoResult::io_seconds
       run_time.add(rt);
@@ -290,70 +116,51 @@ Json analyze(const Journal& journal) {
     mds_service_total += run.mds_service_s;
 
     std::map<std::uint32_t, stats::Summary> file_service;  // write time per file
-    for (auto& [rank, w] : run.writers) {
-      if (w.start_t < 0.0 || w.end_t < 0.0) continue;
-      const double dur = w.end_t - w.start_t;
+    // Critical-path anchor: the last writer to finish its data write, the
+    // one the close phase waited on.
+    const std::vector<Fold::Writer>& writers = fold.writers();
+    std::size_t anchor = writers.size();
+    for (std::size_t slot = 0; slot < writers.size(); ++slot) {
+      const Fold::Writer& w = writers[slot];
+      const Fold::WriterDetail& d = fold.detail(slot);
+      if (w.start_t < 0.0 || d.end_t < 0.0) continue;
+      const double dur = d.end_t - w.start_t;
       writer_time.add(dur);
       writer_hist.add(dur);
-      ++writes_total;
-      file_service[w.target].add(dur);
-      const auto target_it = run.file_ost.find(w.target);
-      const std::uint32_t target_ost = target_it != run.file_ost.end() ? target_it->second : 0;
-      OstAgg& ta = osts[target_ost];
+      file_service[d.target].add(dur);
+      OstAgg& ta = osts[fold.ost_of(d.target)];
       ta.time.add(dur);
       ta.hist.add(dur);
-      ta.bytes += w.bytes;
-      ++ta.writes;
-
-      // Stall attribution.  The wait (run begin -> first data byte) splits
-      // exactly: MDS = the shared open phase; queue = [t_open, signal] on
-      // the writer's home OST, decomposed into external interference (the
-      // OST's background-load fraction, integrated over the interval) and
-      // internal queueing (the remainder: waiting behind earlier writers);
-      // network = signal -> start, the write signal's transfer time.
-      if (run.t_open >= 0.0 && w.signal_t >= 0.0) {
-        const double wait = w.start_t - run.t_begin;
-        const double mds = std::max(0.0, run.t_open - run.t_begin);
-        const double net = std::max(0.0, w.start_t - w.signal_t);
-        const double q = std::max(0.0, w.signal_t - run.t_open);
-        const auto home_it = run.file_ost.find(w.origin);
-        const std::uint32_t home_ost = home_it != run.file_ost.end() ? home_it->second : 0;
-        double ext = 0.0;
-        if (const auto tl = ost_timeline.find(home_ost); tl != ost_timeline.end())
-          ext = std::min(q, integrate_ext(tl->second, run.t_open, w.signal_t));
-        const double internal = q - ext;
-        mds_s += mds;
-        net_s += net;
-        int_s += internal;
-        ext_s += ext;
-        wait_s += wait;
-        OstAgg& ha = osts[home_ost];
-        ha.wait_int += internal;
-        ha.wait_ext += ext;
+      ta.bytes += d.bytes;
+      if (const std::optional<WaitSplit> split = fold.wait(w)) {
+        wait += *split;
+        osts[fold.ost_of(d.origin)].wait += *split;
       }
+      if (w.signal_t >= 0.0 &&
+          (anchor == writers.size() || d.end_t > fold.detail(anchor).end_t))
+        anchor = slot;
     }
 
-    // Steal provenance: price each completed chain against the no-steal
+    // Steal provenance: price a completed chain against the no-steal
     // counterfactual — the stolen writer draining behind `queue_depth`
     // writers at the source file's observed mean service time.
-    for (auto& [seq, st] : run.steal_chains) {
-      if (st.grant_t < 0.0 || st.complete_t < 0.0) continue;
-      double svc = 0.0;
-      if (const auto it = file_service.find(st.source);
-          it != file_service.end() && it->second.count() > 0)
-        svc = it->second.mean();
-      const double saved = (st.grant_t + st.queue_depth * svc) - st.complete_t;
+    const auto saved_by = [&file_service](const Fold::Grant& g) {
+      const auto it = file_service.find(g.source);
+      const double svc = it != file_service.end() ? it->second.mean() : 0.0;
+      return (g.grant_t + g.queue_depth * svc) - g.complete_t;
+    };
+    for (const Fold::Grant& g : fold.grants()) {
+      if (g.grant_t < 0.0 || g.complete_t < 0.0) continue;
+      const double saved = saved_by(g);
       ++steals_completed;
       saved_total += saved;
-      SourceAgg& sa = per_source[st.source];
-      const auto src_it = run.file_ost.find(st.source);
-      sa.ost = src_it != run.file_ost.end() ? src_it->second : 0;
+      SourceAgg& sa = per_source[g.source];
+      sa.ost = fold.ost_of(g.source);
       ++sa.steals;
       sa.saved_s += saved;
     }
 
-    // Critical path: walk the causal chain through the anchor writer — the
-    // last to finish its data write, the one the close phase waited on.
+    // Critical path: walk the causal chain through the anchor writer.
     PathInputs pin;
     pin.t_open = run.t_open;
     pin.t_data_done = run.t_data_done;
@@ -361,45 +168,23 @@ Json analyze(const Journal& journal) {
     pin.t_begin = run.t_begin;
     pin.open_mds_service_s = run.mds_open_s;
     pin.close_mds_s = run.mds_close_s;
-    const WriterInfo* anchor = nullptr;
-    std::uint32_t anchor_rank = 0;
-    for (const auto& [rank, w] : run.writers) {
-      if (w.signal_t < 0.0 || w.start_t < 0.0 || w.end_t < 0.0) continue;
-      if (!anchor || w.end_t > anchor->end_t) {
-        anchor = &w;
-        anchor_rank = rank;
-      }
-    }
-    if (anchor) {
+    if (anchor < writers.size()) {
+      const Fold::Writer& w = writers[anchor];
+      const Fold::WriterDetail& d = fold.detail(anchor);
       pin.have_anchor = true;
-      pin.anchor_writer = anchor_rank;
-      pin.anchor_target = anchor->target;
-      pin.anchor_adaptive = anchor->adaptive;
-      pin.signal_t = anchor->signal_t;
-      pin.start_t = anchor->start_t;
-      pin.end_t = anchor->end_t;
-      const auto home_it = run.file_ost.find(anchor->origin);
-      const std::uint32_t home_ost = home_it != run.file_ost.end() ? home_it->second : 0;
-      const auto tgt_it = run.file_ost.find(anchor->target);
-      pin.anchor_ost = tgt_it != run.file_ost.end() ? tgt_it->second : 0;
-      if (run.t_open >= 0.0)
-        if (const auto tl = ost_timeline.find(home_ost); tl != ost_timeline.end())
-          pin.queue_ext_s = integrate_ext(tl->second, run.t_open, anchor->signal_t);
-      if (const auto tl = ost_timeline.find(pin.anchor_ost); tl != ost_timeline.end())
-        pin.service_ext_s = integrate_ext(tl->second, anchor->start_t, anchor->end_t);
-      if (anchor->adaptive) {
-        const auto st = run.steal_chains.find(anchor->grant_seq);
-        if (st != run.steal_chains.end() && st->second.grant_t >= 0.0) {
-          pin.grant_t = st->second.grant_t;
-          if (st->second.complete_t >= 0.0) {
-            double svc = 0.0;
-            if (const auto fi = file_service.find(st->second.source);
-                fi != file_service.end() && fi->second.count() > 0)
-              svc = fi->second.mean();
-            pin.steal_saved_s =
-                (st->second.grant_t + st->second.queue_depth * svc) - st->second.complete_t;
-          }
-        }
+      pin.anchor_writer = fold.writer_id(anchor);
+      pin.anchor_target = d.target;
+      pin.anchor_adaptive = d.adaptive;
+      pin.signal_t = w.signal_t;
+      pin.start_t = w.start_t;
+      pin.end_t = d.end_t;
+      pin.anchor_ost = fold.ost_of(d.target);
+      pin.queue_ext_s = w.queue_ext_s;
+      pin.service_ext_s = fold.load_integral(pin.anchor_ost, w.start_t, d.end_t);
+      if (const Fold::Grant* g = d.adaptive ? fold.grant(d.grant_seq) : nullptr;
+          g && g->grant_t >= 0.0) {
+        pin.grant_t = g->grant_t;
+        if (g->complete_t >= 0.0) pin.steal_saved_s = saved_by(*g);
       }
     }
     Json cp = critical_path_json(pin);
@@ -430,7 +215,7 @@ Json analyze(const Journal& journal) {
     rj.set("mds_ops", static_cast<double>(run.mds_ops));
     if (!cp.is_null()) rj.set("critical_path", std::move(cp));
     runs_json.push(std::move(rj));
-  }
+  });
 
   // --- assemble the document ------------------------------------------------
   Json doc = Json::object();
@@ -443,41 +228,18 @@ Json analyze(const Journal& journal) {
   doc.set("runs", std::move(runs_json));
 
   Json summary = Json::object();
-  summary.set("writers", static_cast<double>(writes_total));
+  summary.set("writers", static_cast<double>(writer_time.count()));
   summary.set("steals", steals_total);
   summary.set("grants", grants_total);
   summary.set("mds_ops", static_cast<double>(mds_ops_total));
   summary.set("mds_service_s", mds_service_total);
-  if (!mds_servers.empty()) {
-    Json tier = Json::object();
-    for (const auto& [idx, m] : mds_servers) {
-      Json mj = Json::object();
-      mj.set("ops", static_cast<double>(m.ops));
-      mj.set("items", static_cast<double>(m.items));
-      mj.set("service_s", m.service_s);
-      mj.set("peak_queue", static_cast<double>(m.peak_queue));
-      tier.set("mds" + std::to_string(idx), std::move(mj));
-    }
-    summary.set("mds_servers", std::move(tier));
-  }
-  summary.set("cache_full_crossings", static_cast<double>(cache_full_crossings));
+  // Every metadata dispatch attributes to its server, in a run or not.
+  if (fold.n_mds() > 0) summary.set("mds_servers", fold.mds_json());
+  summary.set("cache_full_crossings", static_cast<double>(fold.cache_full_crossings()));
   summary.set("run_time", stat_block(run_time, run_hist));
   summary.set("writer_time", stat_block(writer_time, writer_hist));
 
-  Json attrib = Json::object();
-  attrib.set("total_wait_s", wait_s);
-  attrib.set("internal_s", int_s);
-  attrib.set("external_s", ext_s);
-  attrib.set("mds_s", mds_s);
-  attrib.set("network_s", net_s);
-  const double denom = wait_s > 0.0 ? wait_s : 1.0;
-  attrib.set("internal_share", int_s / denom);
-  attrib.set("external_share", ext_s / denom);
-  attrib.set("mds_share", mds_s / denom);
-  attrib.set("network_share", net_s / denom);
-  attrib.set("attributed_frac",
-             wait_s > 0.0 ? (int_s + ext_s + mds_s + net_s) / wait_s : 1.0);
-  summary.set("attribution", std::move(attrib));
+  summary.set("attribution", attribution_json(wait));
 
   if (cp_runs > 0) {
     // Aggregate critical path: the bounded seconds by type, summed over
@@ -500,23 +262,24 @@ Json analyze(const Journal& journal) {
     summary.set("critical_path", std::move(cpj));
   }
 
-  if (!prof_shards.empty()) {
-    Json prof = Json::array();
-    for (const Record& r : prof_shards) {
-      Json pj = Json::object();
-      pj.set("shard", r.id);
-      pj.set("n_shards", static_cast<double>(r.a));
-      pj.set("t", r.t);
-      pj.set("execute_s", r.v0);
-      pj.set("barrier_s", r.v1);
-      pj.set("merge_s", r.v2);
-      pj.set("events", static_cast<double>(r.u0));
-      pj.set("msgs_posted", static_cast<double>(r.u1));
-      pj.set("msgs_drained", static_cast<double>(r.u2));
-      prof.push(std::move(pj));
-    }
-    summary.set("prof", std::move(prof));
+  // Host-runtime artifacts (obs/prof.hpp): surfaced verbatim, never folded
+  // into simulated-time accounting.
+  Json prof = Json::array();
+  for (const Record& r : journal.records()) {
+    if (r.kind != Rec::kProfShard) continue;
+    Json pj = Json::object();
+    pj.set("shard", r.id);
+    pj.set("n_shards", static_cast<double>(r.a));
+    pj.set("t", r.t);
+    pj.set("execute_s", r.v0);
+    pj.set("barrier_s", r.v1);
+    pj.set("merge_s", r.v2);
+    pj.set("events", static_cast<double>(r.u0));
+    pj.set("msgs_posted", static_cast<double>(r.u1));
+    pj.set("msgs_drained", static_cast<double>(r.u2));
+    prof.push(std::move(pj));
   }
+  if (prof.size() > 0) summary.set("prof", std::move(prof));
 
   Json steals_doc = Json::object();
   steals_doc.set("completed", static_cast<double>(steals_completed));
@@ -539,16 +302,16 @@ Json analyze(const Journal& journal) {
   std::vector<std::pair<std::uint32_t, double>> by_mean;
   for (const auto& [ost, agg] : osts) {
     Json oj = Json::object();
-    oj.set("writes", static_cast<double>(agg.writes));
+    oj.set("writes", static_cast<double>(agg.time.count()));
     oj.set("bytes", agg.bytes);
     oj.set("mean_s", agg.time.mean());
     oj.set("cov", agg.time.cv());
     oj.set("p99_s", agg.hist.quantile(0.99));
     oj.set("max_s", agg.time.max());
-    oj.set("wait_internal_s", agg.wait_int);
-    oj.set("wait_external_s", agg.wait_ext);
+    oj.set("wait_internal_s", agg.wait.internal_s);
+    oj.set("wait_external_s", agg.wait.external_s);
     osts_doc.set("ost" + std::to_string(ost), std::move(oj));
-    if (agg.writes > 0) by_mean.emplace_back(ost, agg.time.mean());
+    if (agg.time.count() > 0) by_mean.emplace_back(ost, agg.time.mean());
   }
   summary.set("osts", std::move(osts_doc));
   std::sort(by_mean.begin(), by_mean.end(),

@@ -1,15 +1,15 @@
 // Post-run variability analytics over the run journal (obs/journal.hpp).
 //
-// `analyze` reduces a journal's record stream to the self-contained
-// `aio-report-v1` JSON document:
+// `analyze` replays a journal's record stream through `obs::Fold`
+// (obs/fold.hpp), the fold the live plane ingests, and reads each run at
+// its close, writers in rank order, into the self-contained `aio-report-v1`
+// JSON document:
 //
-//  * stall attribution — every simulated second a writer spends between run
-//    begin and its first data byte is split into MDS service (open phase),
-//    internal queueing (waiting behind its group's earlier writers), external
-//    interference (the home OST's background net/disk load, integrated over
-//    the writer's queue interval from the OST state timeline) and network
-//    transfer of the write signal.  The four components partition the wait
-//    exactly, so `attributed_frac` is 1.0 by construction.
+//  * stall attribution — each writer's wait, run begin to its first data
+//    byte, split by the fold's partition into MDS service, internal
+//    queueing, external interference and network transfer.  The four
+//    components partition the wait exactly, so `attributed_frac` is 1.0 by
+//    construction.
 //  * variability statistics — per-run completion time (t_complete −
 //    t_open_done, the paper's reported io_seconds) and per-writer write time,
 //    as mean/stddev/CoV (exact, Welford) plus quartiles/p90/p99 from the

@@ -1,31 +1,29 @@
 // Online telemetry plane: live sliding-window attribution, straggler
 // scoring, and a flight recorder.
 //
-// The journal (obs/journal.hpp) records what happened for *offline* analysis
-// (obs/analysis.cpp); the live plane ingests the very same `Record` stream
-// *during* the run and maintains, incrementally:
+// The plane ingests the journal's `Record` stream *during* the run through
+// the `obs::Fold` (obs/fold.hpp) that the offline analyzer (obs/analysis.hpp)
+// replays, and keeps on top of it, incrementally:
 //
-//   * the exhaustive writer-wait partition (mds / internal / external /
-//     network) — cumulative totals that agree with the offline analyzer to
-//     floating-point noise (CI gates the match at 1e-6), plus a sliding
-//     window over a ring of fixed-duration slots;
-//   * per-OST state: a time-decayed EWMA of external load (max of net/disk
-//     background fractions), an EWMA of writer service time, and a
-//     straggler score combining the two;
-//   * per-group steal-benefit estimates keyed by `grant_seq`, priced online
-//     against the same no-steal counterfactual the analyzer uses (queue
-//     depth x source service time), with the live EWMA standing in for the
-//     end-of-run mean;
+//   * the wait partition summed in completion order: cumulative totals that
+//     agree with the analyzer's rank-order sums to floating-point noise (CI
+//     gates the match at 1e-6), plus a sliding window over a ring of
+//     fixed-duration slots;
+//   * per-OST time-decayed EWMAs of external load and of writer service
+//     time, and a straggler score combining the two;
+//   * steal benefits, priced online against the analyzer's no-steal
+//     counterfactual (queue depth x source service time), a per-file
+//     service EWMA standing in for the end-of-run mean;
 //   * run-level timing: CoV over a bounded ring of recent run times and p99
 //     from an `obs::Histogram` log-bucket sketch.
 //
-// The plane hangs off the engine as a fourth null-by-default observability
-// hook (alongside trace/metrics/journal): emission sites build one `Record`
-// and hand it to journal and/or live plane, so an engine without a plane
-// pays one pointer test per site.  `ingest()` is allocation-free in steady
-// state — all per-run state lives in vectors grown during the first (warm-
-// up) run and reused thereafter — keeping the plane inside the hot-path
-// budgets tests/test_alloc_guard enforces.
+// The plane hangs off the engine as a null-by-default observability hook
+// next to the journal: emission sites build one `Record` and hand it to
+// journal and/or live plane, so an engine without a plane pays one pointer
+// test per site.  `ingest()` is allocation-free in steady state — all
+// per-run state lives in vectors grown during the first (warm-up) run and
+// reused thereafter — keeping the plane inside the hot-path budgets
+// tests/test_alloc_guard enforces.
 //
 // Snapshots: when `AIO_LIVE=<path>` is set, a periodic daemon (armed by the
 // host next to the metrics sampler) appends one aio-live-v1 JSON row per
@@ -46,20 +44,15 @@
 #include <string>
 #include <vector>
 
+#include "obs/fold.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 
 namespace aio::obs {
 
 /// One wait-attribution bucket: either a window slot or the cumulative
-/// totals.  Components sum to `total_s` exactly (the partition is
-/// exhaustive by construction, like the offline analyzer's).
-struct LiveWait {
-  double mds_s = 0.0;
-  double internal_s = 0.0;
-  double external_s = 0.0;
-  double network_s = 0.0;
-  double total_s = 0.0;
+/// totals, with the writers whose waits it sums.
+struct LiveWait : WaitSplit {
   std::uint64_t writers = 0;
 };
 
@@ -70,7 +63,6 @@ struct LiveOst {
   double service_ewma_s = 0.0;  ///< EWMA of writer service time landing here
   double score = 0.0;           ///< straggler score (see straggler_score)
   std::uint64_t writes = 0;
-  std::uint32_t m_dirty = 0;    ///< dirty streams at the last state change
 };
 
 /// Windowed run-time statistics: CoV over the recent-runs ring, p99 from
@@ -90,7 +82,6 @@ struct LiveSteals {
 /// One coherent snapshot for callers that want everything at once
 /// (api::Simulation::live_view()).
 struct LiveView {
-  double t = 0.0;
   std::uint64_t runs = 0;
   LiveWait window;
   LiveWait cumulative;
@@ -108,8 +99,6 @@ class LivePlane {
     double snapshot_period_s = 1.0;  ///< host daemon cadence (AIO_LIVE_PERIOD_S)
     double window_slot_s = 1.0;      ///< seconds per wait-window slot (AIO_LIVE_WINDOW_S)
     std::size_t window_slots = 16;   ///< ring length (AIO_LIVE_SLOTS)
-    double ewma_tau_s = 2.0;         ///< time constant of the load/service EWMAs
-    std::size_t run_window = 64;     ///< recent-runs ring for windowed CoV
     std::size_t flight_records = 65'536;  ///< flight-recorder ring; 0 disables
     std::string flight_path = "aio-flight.journal";  ///< dump_flight() target
   };
@@ -148,10 +137,6 @@ class LivePlane {
   [[nodiscard]] const LiveWait& cumulative() const { return cum_; }
   [[nodiscard]] LiveRunStats run_stats() const;
   [[nodiscard]] LiveSteals steals() const { return steals_; }
-  /// Estimated seconds saved by steals sourced from `group` so far.
-  [[nodiscard]] double steal_benefit_s(std::uint32_t group) const;
-  [[nodiscard]] std::size_t n_osts_seen() const { return osts_.size(); }
-  [[nodiscard]] LiveOst ost_view(std::uint32_t ost) const;
   [[nodiscard]] LiveView view(std::size_t top_k = 8) const;
 
   // --- snapshot export ------------------------------------------------------
@@ -179,62 +164,33 @@ class LivePlane {
   [[nodiscard]] const Config& config() const { return config_; }
 
  private:
+  /// Time-decayed EWMA with time constant kEwmaTau_s.
+  struct Ewma {
+    double value = 0.0;
+    double t = -1.0;  ///< time of the last sample; < 0 before the first
+    void add(double v, double at);
+    [[nodiscard]] double get() const { return t >= 0.0 ? value : 0.0; }
+  };
   struct OstState {
-    double last_t = 0.0;      // time of the last kOstState
-    double ext = 0.0;         // current max(net_load, disk_load)
-    double cum_ext = 0.0;     // integral of ext up to last_t
-    double ext_at_open = 0.0; // integral snapshot at this run's t_open
-    double load_ewma = 0.0;
-    double load_ewma_t = -1.0;
-    double svc_ewma = 0.0;
-    double svc_ewma_t = -1.0;
+    Ewma load;
+    Ewma svc;
     std::uint64_t writes = 0;
-    std::uint32_t m_dirty = 0;
-    /// Step-function integral of ext extended to time `t` >= last_t.
-    [[nodiscard]] double cum_at(double t) const { return cum_ext + (t - last_t) * ext; }
-  };
-  struct WriterSlot {
-    double signal_t = -1.0;
-    double start_t = -1.0;
-    double ext_at_signal = 0.0;  // home-OST load integral at signal time
-    std::uint32_t target = 0;
-    std::uint32_t origin = 0;
-  };
-  struct GrantSlot {
-    double t = -1.0;
-    double queue_depth = 0.0;
-    std::uint32_t source = 0;
-  };
-  struct GroupState {
-    double svc_ewma = 0.0;
-    double svc_ewma_t = -1.0;
-    std::uint64_t steals = 0;
-    double est_saved_s = 0.0;
   };
 
   void ensure_ost(std::uint32_t id);
   /// Advances the window ring to the slot containing `t`, zeroing skipped
   /// slots.
   LiveWait& slot_at(double t);
-  /// Time-decayed EWMA update toward `v` observed at `t`.
-  static double ewma_toward(double prev, double prev_t, double v, double t, double tau);
   void on_writer_end(const Record& r);
   [[nodiscard]] static Json wait_json(const LiveWait& w);
 
   Config config_;
   double now_ = 0.0;
-
-  // Current-run context (reset at kRunBegin).
-  double run_t_begin_ = 0.0;
-  double run_t_open_ = -1.0;
-  std::uint32_t run_writers_ = 0;
+  Fold fold_;
   std::uint64_t runs_completed_ = 0;
 
   std::vector<OstState> osts_;
-  std::vector<WriterSlot> writers_;
-  std::vector<std::uint32_t> file_ost_;
-  std::vector<GrantSlot> grants_;   // indexed by grant_seq within the run
-  std::vector<GroupState> groups_;  // cross-run: EWMAs + steal totals
+  std::vector<Ewma> file_svc_;  // per file: the steal counterfactual's service rate
 
   // Fleet-wide service statistics (straggler-score denominator).
   std::uint64_t svc_count_ = 0;
@@ -251,17 +207,6 @@ class LivePlane {
   Histogram run_hist_;
 
   LiveSteals steals_;
-  std::uint64_t mds_ops_ = 0;
-  double mds_service_s_ = 0.0;
-  // Per-server attribution of the same stream, indexed by the record's MDS
-  // id; single-server runs keep one slot and the snapshot stays flat.
-  struct LiveMds {
-    std::uint64_t ops = 0;
-    std::uint64_t items = 0;
-    double service_s = 0.0;
-    std::uint32_t peak_queue = 0;
-  };
-  std::vector<LiveMds> mds_servers_;
 
   std::vector<Record> flight_;
   std::size_t flight_next_ = 0;

@@ -17,6 +17,10 @@
 // closure falling off the SBO, a map node per stream, a vector rebuilt per
 // call — these tests fail with the exact count.
 //
+// The hook also records the largest request it counted, and refuses any
+// request over 1 GiB outright: a hostile count that sizes an allocation
+// fails with bad_alloc instead of exhausting the machine's memory.
+//
 // The hook counts only between guard.start()/guard.stop(), so gtest and
 // library internals outside the measured region don't pollute the numbers.
 #include <gtest/gtest.h>
@@ -39,6 +43,7 @@
 #include "fs/mds.hpp"
 #include "fs/ost.hpp"
 #include "net/network.hpp"
+#include "obs/analysis.hpp"
 #include "obs/journal.hpp"
 #include "obs/prof.hpp"
 #include "sim/engine.hpp"
@@ -48,10 +53,17 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::size_t> g_allocs{0};
+std::atomic<std::size_t> g_largest{0};
 
-void note_alloc() {
-  if (g_counting.load(std::memory_order_relaxed))
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
+constexpr std::size_t kRefuseAbove = std::size_t{1} << 30;
+
+void note_alloc(std::size_t n) {
+  if (n > kRefuseAbove) throw std::bad_alloc();
+  if (!g_counting.load(std::memory_order_relaxed)) return;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  std::size_t seen = g_largest.load(std::memory_order_relaxed);
+  while (n > seen && !g_largest.compare_exchange_weak(seen, n, std::memory_order_relaxed)) {
+  }
 }
 
 }  // namespace
@@ -63,13 +75,13 @@ void note_alloc() {
 // it sees malloc paired with operator delete (or operator new with free)
 // and warns -Wmismatched-new-delete, though the pair is matched.
 [[gnu::noinline]] void* operator new(std::size_t n) {
-  note_alloc();
+  note_alloc(n);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
 void* operator new(std::size_t n, std::align_val_t al) {
-  note_alloc();
+  note_alloc(n);
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(al), n ? n : 1) != 0) throw std::bad_alloc();
   return p;
@@ -93,12 +105,15 @@ class AllocGuard {
  public:
   void start() {
     g_allocs.store(0, std::memory_order_relaxed);
+    g_largest.store(0, std::memory_order_relaxed);
     g_counting.store(true, std::memory_order_relaxed);
   }
   std::size_t stop() {
     g_counting.store(false, std::memory_order_relaxed);
     return g_allocs.load(std::memory_order_relaxed);
   }
+  /// Largest single request between the last start() and stop().
+  [[nodiscard]] std::size_t largest() const { return g_largest.load(std::memory_order_relaxed); }
 };
 
 // --- engine ------------------------------------------------------------------
@@ -652,6 +667,49 @@ TEST(AllocGuard, HostileIndexCountsAllocateNothingUpFront) {
   const bool dims_decoded = LocalIndex::deserialize(bytes).has_value();
   EXPECT_LE(guard.stop(), 1u) << "dim list allocated for its claimed length";
   EXPECT_FALSE(dims_decoded);
+}
+
+// --- analyzer over untrusted ids ---------------------------------------------
+
+// A journal read from a file is untrusted (tools/aio_report, flight dumps):
+// no id or count in it may size an allocation.  Twelve records, one run of
+// every simulated kind, with every id and count 0xFFFFFFFF.  The writer and
+// the steal chain are complete, so the report counts both.
+TEST(AllocGuard, AnalyzerSizesNothingFromRecordIds) {
+  constexpr std::uint32_t kMax = 0xFFFFFFFFu;
+  obs::Journal journal({/*path=*/"", /*max_records=*/64});
+  const auto add = [&journal](obs::Rec kind, double t, obs::Mark mark = obs::Mark::kOpenDone) {
+    obs::Record r;
+    r.kind = kind;
+    r.t = t;
+    r.id = r.u0 = r.u1 = r.u2 = kMax;
+    r.a = static_cast<std::uint8_t>(mark);
+    journal.append(r);
+  };
+  add(obs::Rec::kRunBegin, 0.0);
+  add(obs::Rec::kFileMap, 0.0);
+  add(obs::Rec::kMdsOp, 0.05);
+  add(obs::Rec::kRunMark, 0.1, obs::Mark::kOpenDone);
+  add(obs::Rec::kOstState, 0.2);
+  add(obs::Rec::kWriterSignal, 0.3);
+  add(obs::Rec::kWriterStart, 0.4);
+  add(obs::Rec::kStealGrant, 0.5);
+  add(obs::Rec::kWriterEnd, 0.6);
+  add(obs::Rec::kStealComplete, 0.7);
+  add(obs::Rec::kRunMark, 0.8, obs::Mark::kDataDone);
+  add(obs::Rec::kRunMark, 0.9, obs::Mark::kComplete);
+  ASSERT_EQ(journal.records().size(), 12u);
+
+  AllocGuard guard;
+  obs::Json report;
+  guard.start();
+  EXPECT_NO_THROW(report = obs::analyze(journal));
+  (void)guard.stop();
+  EXPECT_LT(guard.largest(), std::size_t{64} << 10) << "largest request " << guard.largest();
+  const obs::Json* summary = report.find("summary");
+  ASSERT_NE(summary, nullptr);
+  EXPECT_EQ(summary->find("writers")->number(), 1.0);
+  EXPECT_EQ(summary->find("steal_savings")->find("completed")->number(), 1.0);
 }
 
 // --- shard-runtime profiler --------------------------------------------------

@@ -13,6 +13,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/transports/adaptive_transport.hpp"
@@ -127,6 +128,25 @@ TEST(Analysis, GoldenTwoOstAttribution) {
       report.find("summary")->find("steal_savings")->find("per_source");
   ASSERT_NE(per_source, nullptr);
   EXPECT_GT(per_source->size(), 0u);
+}
+
+std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The report's bytes are pinned, not only its shape: every number of the
+// golden rig's aio-report-v1 document, down to the last bit of each sum.
+TEST(Analysis, GoldenReportBytes) {
+  TwoOstRig rig;
+  (void)rig.run();
+  const std::string doc = obs::analyze(rig.journal).dump();
+  EXPECT_EQ(doc.size(), 3543u);
+  EXPECT_EQ(fnv1a(doc), 0x21c7585d8d7b4abbull) << std::hex << "digest 0x" << fnv1a(doc);
 }
 
 // A non-finite timestamp (a corrupt journal) must not abort the analyzer:

@@ -19,6 +19,7 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -163,6 +164,23 @@ TEST_F(JournalMutation, CleanJournalRoundTripsToTheSameReport) {
   ASSERT_TRUE(loaded.has_value());
   const obs::Json report = obs::analyze(journal_of(obs::merge_records({&*loaded})));
   EXPECT_EQ(obs::diff_reports(clean_report_, report), std::vector<std::string>{});
+}
+
+std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The clean two-run report's bytes are pinned: run boundaries, the per-OST
+// load integrals across both runs and the steal chains of each.
+TEST_F(JournalMutation, CleanReportMatchesGoldenBytes) {
+  const std::string doc = clean_report_.dump();
+  EXPECT_EQ(doc.size(), 5807u);
+  EXPECT_EQ(fnv1a(doc), 0xc01d50d4e47a508bull) << std::hex << "digest 0x" << fnv1a(doc);
 }
 
 TEST_F(JournalMutation, BitFlipsAnywhereInTheFile) {
