@@ -6,7 +6,6 @@
 // local writers in flight per sub-coordinator file.  More concurrency
 // trades per-target interference for shorter queues.
 #include "harness.hpp"
-#include "parallel.hpp"
 #include "workload/pixie3d.hpp"
 
 namespace {
@@ -27,13 +26,13 @@ int main() {
   stats::Table table({"procs", "k=1 avg", "k=2 avg", "k=3 avg", "k=2 vs k=1", "k=3 vs k=1"});
   const workload::Pixie3dConfig model = workload::Pixie3dConfig::large_model();
 
-  // One machine carries the whole sweep in sequence: a single unit.
+  // One machine carries the whole sweep in sequence, so it runs serially.
   struct Point {
     std::size_t procs;
     std::size_t k;
     stats::Summary bw;
   };
-  const auto points = bench::run_samples(1, [&](std::size_t) {
+  const auto points = [&] {
     api::Simulation machine(fs::jaguar(), 910, {.min_ranks = max_procs});
     std::vector<Point> out;
     for (const std::size_t procs : {std::size_t{2048}, std::size_t{8192}}) {
@@ -53,7 +52,7 @@ int main() {
       }
     }
     return out;
-  })[0];
+  }();
 
   for (std::size_t i = 0; i < points.size(); i += 3) {
     double means[4] = {0, 0, 0, 0};

@@ -7,7 +7,6 @@
 // under three policies and two file-count regimes, plus the baseline
 // one-file-per-process POSIX storm for contrast.
 #include "harness.hpp"
-#include "parallel.hpp"
 
 namespace {
 
@@ -37,8 +36,8 @@ int main() {
 
   bench::Report report("ablation_stagger", 920);
 
-  // Both phases share one machine (and its metadata server state), so this
-  // bench is a single replication unit.
+  // Both phases share one machine (and its metadata server state), so they
+  // run serially.
   struct Out {
     struct OpenPair {
       std::size_t files;
@@ -51,7 +50,7 @@ int main() {
     std::vector<OpenPair> opens;
     std::vector<Storm> storms;
   };
-  const Out out = bench::run_samples(1, [&](std::size_t) {
+  const Out out = [&] {
     api::Simulation machine(fs::jaguar(), 920, {.background_load = false});
     Out o;
     for (const std::size_t files : {std::size_t{128}, std::size_t{512}}) {
@@ -74,7 +73,7 @@ int main() {
       o.storms.push_back({procs, done});
     }
     return o;
-  })[0];
+  }();
 
   stats::Table table({"files", "storm opens (s)", "staggered opens (s)", "storm/staggered"});
   for (const auto& p : out.opens) {

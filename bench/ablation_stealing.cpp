@@ -7,7 +7,6 @@
 // Algorithm 3 adds; with it disabled the transport degenerates to static
 // one-file-per-target output.
 #include "harness.hpp"
-#include "parallel.hpp"
 #include "workload/pixie3d.hpp"
 
 namespace {
@@ -29,12 +28,12 @@ int main() {
                       "steal stddev(s)", "steals/run"});
   const workload::Pixie3dConfig model = workload::Pixie3dConfig::large_model();
 
-  // One machine carries the whole on/off sweep in sequence: a single unit.
+  // One machine carries the whole on/off sweep in sequence, so it runs serially.
   struct Point {
     std::size_t procs;
     stats::Summary off_bw, off_t, on_bw, on_t, steals;
   };
-  const auto points = bench::run_samples(1, [&](std::size_t) {
+  const auto points = [&] {
     api::Simulation machine(fs::jaguar(), 900,
                             {.interference_job = true, .min_ranks = max_procs});
     std::vector<Point> out;
@@ -65,7 +64,7 @@ int main() {
       out.push_back(std::move(p));
     }
     return out;
-  })[0];
+  }();
 
   for (const auto& p : points) {
     const double gain = (p.on_bw.mean() / p.off_bw.mean() - 1.0) * 100.0;

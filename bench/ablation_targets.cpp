@@ -7,7 +7,6 @@
 // stripe limit — isolates the protocol from the extra parallelism), 512,
 // and the full 672.
 #include "harness.hpp"
-#include "parallel.hpp"
 #include "workload/pixie3d.hpp"
 
 namespace {
@@ -28,8 +27,8 @@ int main() {
       .config("procs", static_cast<double>(procs));
   const std::size_t target_counts[] = {160, 512, 672};
   // One machine carries all three target counts in sequence (the sweep is
-  // deliberately on a shared, evolving system): a single replication unit.
-  const auto sweep = bench::run_samples(1, [&](std::size_t) {
+  // deliberately on a shared, evolving system), so it runs serially.
+  const auto sweep = [&] {
     api::Simulation machine(fs::jaguar(), 930, {.min_ranks = procs});
     const core::IoJob job = workload::pixie3d_job(model, procs);
     std::vector<stats::Summary> out;
@@ -45,7 +44,7 @@ int main() {
       out.push_back(bw);
     }
     return out;
-  })[0];
+  }();
 
   double means[3] = {};
   double maxes[3] = {};

@@ -11,7 +11,6 @@
 
 #include "core/transports/target_probe.hpp"
 #include "harness.hpp"
-#include "parallel.hpp"
 #include "workload/pixie3d.hpp"
 
 namespace {
@@ -30,12 +29,12 @@ int main() {
       .config("procs", static_cast<double>(procs));
   stats::Table table({"placement", "avg bandwidth", "min", "max"});
   // Naive and informed placement alternate on one evolving machine (the
-  // probe history is the point), so this bench is a single unit.
+  // probe history is the point), so this bench runs serially.
   struct Result {
     stats::Summary naive_bw;
     stats::Summary informed_bw;
   };
-  const auto [naive_bw, informed_bw] = bench::run_samples(1, [&](std::size_t) {
+  const auto [naive_bw, informed_bw] = [&] {
     api::Simulation machine(fs::jaguar(), 950, {.min_ranks = procs});
     const core::IoJob job =
         workload::pixie3d_job(workload::Pixie3dConfig::large_model(), procs);
@@ -61,7 +60,7 @@ int main() {
       machine.advance(600.0);
     }
     return r;
-  })[0];
+  }();
 
   table.add_row({"naive (first 512)", stats::Table::bandwidth(naive_bw.mean()),
                  stats::Table::bandwidth(naive_bw.min()),

@@ -16,7 +16,6 @@
 #include "core/transports/mpiio_transport.hpp"
 #include "core/transports/readback.hpp"
 #include "harness.hpp"
-#include "parallel.hpp"
 #include "workload/pixie3d.hpp"
 
 namespace {
@@ -50,8 +49,8 @@ int main() {
   const core::IoJob job =
       workload::pixie3d_job(workload::Pixie3dConfig::large_model(), procs);
 
-  // Write and all three read-backs share one machine: a single unit.
-  const Out out = bench::run_samples(1, [&](std::size_t) {
+  // Write and all three read-backs share one machine, so they run serially.
+  const Out out = [&] {
     api::Simulation machine(fs::jaguar(), 940, {.min_ranks = procs});
 
     // --- adaptive write, then two read-back flavours -------------------------
@@ -107,7 +106,7 @@ int main() {
     o.mpi_read_s = t_done - t0;
     o.mpi_bw = job.total_bytes() / (t_done - t0);
     return o;
-  })[0];
+  }();
 
   report.config("adaptive_write_bw", out.write_bw);
   stats::Table table({"consumer", "metadata ops", "lookup (s)", "read (s)", "bandwidth"});

@@ -17,7 +17,6 @@
 #include "core/transports/adaptive_transport.hpp"
 #include "core/transports/staging_transport.hpp"
 #include "harness.hpp"
-#include "parallel.hpp"
 #include "workload/pixie3d.hpp"
 
 namespace {
@@ -44,14 +43,14 @@ int main() {
   const double cadence = 5.0;
 
   // The staging and adaptive series share one evolving machine (and the
-  // staging residue is the experiment), so this bench is a single unit.
+  // staging residue is the experiment), so this bench runs serially.
   struct Out {
     double capacity_bytes;
     std::vector<double> staged_times;
     std::vector<double> residues;
     std::vector<double> adaptive_times;
   };
-  const Out out = bench::run_samples(1, [&](std::size_t) {
+  const Out out = [&] {
     api::Simulation machine(fs::jaguar(), 960, {.min_ranks = procs});
     core::StagingTransport::Config st_cfg;
     st_cfg.n_staging_nodes = 128;
@@ -80,7 +79,7 @@ int main() {
       machine.advance(cadence);
     }
     return o;
-  })[0];
+  }();
 
   bench::Report report("ext_staging", 960);
   report.config("procs", static_cast<double>(procs))

@@ -7,7 +7,6 @@
 // first.  This bench compares the two policies under the interference job,
 // where a handful of groups carry most of the residual work.
 #include "harness.hpp"
-#include "parallel.hpp"
 #include "workload/pixie3d.hpp"
 
 namespace {
@@ -30,12 +29,12 @@ int main() {
                       "lq stddev(s)"});
   const workload::Pixie3dConfig model = workload::Pixie3dConfig::large_model();
 
-  // One machine carries the whole policy sweep in sequence: a single unit.
+  // One machine carries the whole policy sweep in sequence, so it runs serially.
   struct Point {
     std::size_t procs;
     stats::Summary rr_bw, rr_t, lq_bw, lq_t;
   };
-  const auto points = bench::run_samples(1, [&](std::size_t) {
+  const auto points = [&] {
     api::Simulation machine(fs::jaguar(), 980,
                             {.interference_job = true, .min_ranks = max_procs});
     std::vector<Point> out;
@@ -66,7 +65,7 @@ int main() {
       out.push_back(std::move(p));
     }
     return out;
-  })[0];
+  }();
 
   for (const auto& p : points) {
     const double delta = (p.lq_bw.mean() / p.rr_bw.mean() - 1.0) * 100.0;

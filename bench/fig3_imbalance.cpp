@@ -13,7 +13,6 @@
 #include <algorithm>
 
 #include "harness.hpp"
-#include "parallel.hpp"
 #include "workload/ior.hpp"
 
 namespace {
@@ -50,8 +49,8 @@ int main() {
   bench::Report report("fig3_imbalance", 29);
   report.config("samples", static_cast<double>(n_samples));
   // One machine carries the whole 3-minute-spaced series (the transience
-  // *is* the experiment), so this bench is a single replication unit.
-  const auto samples = bench::run_samples(1, [&](std::size_t) {
+  // *is* the experiment), so this bench runs serially.
+  const auto samples = [&] {
     api::Simulation machine(fs::jaguar(), /*seed=*/29);
     std::vector<workload::IorSample> out;
     out.reserve(n_samples);
@@ -64,7 +63,7 @@ int main() {
       machine.advance(180.0);  // "Test 2 took place only 3 minutes later"
     }
     return out;
-  })[0];
+  }();
 
   // The most contrasting adjacent pair plays the role of Test 1 / Test 2.
   std::size_t pick = 0;

@@ -9,7 +9,7 @@
 //
 //   * tier width  — 1/2/4/8 independent metadata servers, hash placement;
 //   * client batching — one batched CREATE per contiguous span of writers
-//     per server (the sub-coordinator amortization), span = AIO_MDS_BATCH.
+//     per server (the sub-coordinator amortization), span = kBatch (64).
 //
 // Arrival model: a deterministic fan-out ramp.  Ranks do not reach the
 // metadata service in the same nanosecond — they arrive at the fan-out rate
@@ -27,10 +27,9 @@
 // records reproduce through tools/aio_report, which CI cross-checks.
 //
 // Knobs: AIO_BENCH_MAX_PROCS trims the sweep; AIO_MDS_COUNT pins the tier
-// sweep to one width; AIO_MDS_BATCH sets the batched-mode span (default 64);
-// AIO_JOURNAL/AIO_REPORT/AIO_TRACE capture the journal and AIO_LIVE streams
-// live rows, through the same api::Observers every bench machine owns.  All
-// knobs unset keeps stdout deterministic run to run.
+// sweep to one width; AIO_JOURNAL/AIO_REPORT/AIO_TRACE capture the journal
+// and AIO_LIVE streams live rows, through the same api::Observers every
+// bench machine owns.  All knobs unset keeps stdout deterministic run to run.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -76,13 +75,15 @@ struct StormOut {
 /// batching stay comfortably below it.
 constexpr double kArrivalGap_s = 50e-6;
 
+/// Writers per batched CREATE in batched mode: one sub-coordinator span.
+constexpr std::size_t kBatch = 64;
+
 /// One storm: `procs` writers create one file each, arriving on the fan-out
 /// ramp (writer i at `i * kArrivalGap_s`) against a fresh `n_mds`-wide
 /// tier; the sample tears the engine down with it.  A writer's latency is
 /// create-visible minus its own arrival — for batched mode that includes
 /// the wait for its span to assemble.
-StormOut run_storm(std::size_t procs, std::size_t n_mds, Mode mode, std::size_t batch,
-                   api::Observers& sweep) {
+StormOut run_storm(std::size_t procs, std::size_t n_mds, Mode mode, api::Observers& sweep) {
   const auto w0 = std::chrono::steady_clock::now();
   sim::Engine engine(sweep.journal(), sweep.live());
   sweep.arm(engine);  // periodic aio-live-v1 rows
@@ -118,17 +119,17 @@ StormOut run_storm(std::size_t procs, std::size_t n_mds, Mode mode, std::size_t 
       }
       break;
     case Mode::Batched: {
-      // Sub-coordinator shape: each contiguous span of `batch` writers is
+      // Sub-coordinator shape: each contiguous span of kBatch writers is
       // collected as its members arrive and, when the last one lands, hands
       // every server one batched CREATE covering its span members.  Member
       // lists are precomputed so completion callbacks stay small.
-      const std::size_t n_spans = (procs + batch - 1) / batch;
+      const std::size_t n_spans = (procs + kBatch - 1) / kBatch;
       std::vector<std::vector<std::uint32_t>> members(n_spans * n_mds);
       for (std::size_t i = 0; i < procs; ++i)
-        members[(i / batch) * n_mds + group.index_of(prefix + std::to_string(i))].push_back(
+        members[(i / kBatch) * n_mds + group.index_of(prefix + std::to_string(i))].push_back(
             static_cast<std::uint32_t>(i));
       for (std::size_t s = 0; s < n_spans; ++s) {
-        const std::size_t hi = std::min(procs, (s + 1) * batch);
+        const std::size_t hi = std::min(procs, (s + 1) * kBatch);
         engine.schedule_after(arrival_of(hi - 1), [&group, &members, &complete_one, &arrival_of,
                                                    s, n_mds] {
           for (std::size_t m = 0; m < n_mds; ++m) {
@@ -164,15 +165,13 @@ StormOut run_storm(std::size_t procs, std::size_t n_mds, Mode mode, std::size_t 
 
 int main() {
   const std::size_t max_procs = bench::max_procs_or(224160);
-  const std::size_t mds_batch = obs::env_count("AIO_MDS_BATCH", 0, 0);
-  const std::size_t batch = mds_batch > 0 ? mds_batch : 64;
   bench::warn_unreached_max_procs(max_procs, {16384, 65536, 224160});
   bench::banner("macro_createstorm",
                 "file-per-process create storms vs the multi-MDS tier",
                 "Jaguar metadata service model; hash placement; batching + proxy levers");
 
   bench::Report report("macro_createstorm", 9100);
-  report.config("batch", static_cast<double>(batch))
+  report.config("batch", static_cast<double>(kBatch))
       .config("max_procs", static_cast<double>(max_procs));
 
   // The tier sweep: pinned by AIO_MDS_COUNT, otherwise 1/2/4/8.
@@ -193,7 +192,7 @@ int main() {
     if (procs > max_procs) continue;
     for (const std::size_t n_mds : mds_sweep) {
       for (const Mode mode : {Mode::PerFile, Mode::Batched}) {
-        const StormOut out = run_storm(procs, n_mds, mode, batch, sweep);
+        const StormOut out = run_storm(procs, n_mds, mode, sweep);
         std::size_t peak = 0;
         for (const PerMds& m : out.per_mds) peak = std::max(peak, m.peak_backlog);
         table.add_row({std::to_string(procs), std::to_string(n_mds), mode_name(mode),
@@ -205,7 +204,7 @@ int main() {
         row.tag("mode", mode_name(mode))
             .value("procs", static_cast<double>(procs))
             .value("n_mds", static_cast<double>(n_mds))
-            .value("batch", static_cast<double>(mode == Mode::Batched ? batch : 0))
+            .value("batch", static_cast<double>(mode == Mode::Batched ? kBatch : 0))
             .value("span_s", out.span_s)
             .value("wall_s", out.wall_s)
             .value("peak_backlog", static_cast<double>(peak))

@@ -136,8 +136,9 @@ void BM_FluidStartAbort(benchmark::State& state) {
 BENCHMARK(BM_FluidStartAbort)->Arg(256)->Arg(4096);
 
 // Harness replication fan-out: n independent fluid simulations through
-// bench::run_samples.  Thread counts beyond the container's core count
-// exercise the pool correctness rather than wall-clock scaling.
+// bench::run_samples, which starts and joins its threads in each call.
+// Thread counts beyond the host's core count exercise correctness rather
+// than wall-clock scaling.
 void BM_HarnessRunSamples(benchmark::State& state) {
   const auto units = static_cast<std::size_t>(state.range(0));
   const auto threads = static_cast<std::size_t>(state.range(1));

@@ -106,19 +106,6 @@ class Report {
     obs::Json stats_ = obs::Json::object();
   };
 
-  /// A detached row buffer: parallel bench units (bench/parallel.hpp) each
-  /// fill their own Rows off-thread, and the calling thread `append()`s them
-  /// in unit order — same rows, same order, as the serial loop.
-  class Rows {
-   public:
-    Row& row() { return rows_.emplace_back(); }
-    [[nodiscard]] bool empty() const { return rows_.empty(); }
-
-   private:
-    friend class Report;
-    std::deque<Row> rows_;
-  };
-
   Report(std::string bench, std::uint64_t seed) : bench_(std::move(bench)), seed_(seed) {}
   Report(const Report&) = delete;
   Report& operator=(const Report&) = delete;
@@ -135,13 +122,6 @@ class Report {
 
   /// Appends a row; the reference stays valid (rows live in a deque).
   Row& row() { return rows_.emplace_back(); }
-
-  /// Splices a detached buffer's rows onto the report, preserving order.
-  Report& append(Rows&& rows) {
-    for (Row& r : rows.rows_) rows_.push_back(std::move(r));
-    rows.rows_.clear();
-    return *this;
-  }
 
   [[nodiscard]] obs::Json to_json() const {
     obs::Json doc = obs::Json::object();

@@ -127,7 +127,7 @@ void Observers::arm_sampler(sim::Engine& engine) {
 }
 
 void Observers::arm_live(sim::Engine& engine) {
-  engine.schedule_daemon_after(live_->config().snapshot_period_s, [this, &engine] {
+  engine.schedule_daemon_after(obs::LivePlane::kSnapshotPeriod_s, [this, &engine] {
     live_->snapshot_tick(engine.now());
     arm_live(engine);
   });

@@ -187,9 +187,9 @@ Json analyze(const Journal& journal) {
         if (g->complete_t >= 0.0) pin.steal_saved_s = saved_by(*g);
       }
     }
-    Json cp = critical_path_json(pin);
+    PathTotals pt;
+    Json cp = critical_path_json(pin, &pt);
     if (!cp.is_null()) {
-      const PathTotals pt = path_totals(critical_path_segments(pin));
       ++cp_runs;
       cp_agg.mds_s += pt.mds_s;
       cp_agg.internal_s += pt.internal_s;

@@ -69,7 +69,7 @@ struct DiffOptions {
 
 /// While alive, this thread's `flush_report` summaries are appended to
 /// `sink` instead of going to stdout.  Nests: the destructor restores the
-/// previous target.  `bench::run_samples` holds one per pooled unit and
+/// previous target.  `bench::run_samples` holds one per threaded unit and
 /// prints the captured text in index order on the calling thread.
 class SummaryCapture {
  public:

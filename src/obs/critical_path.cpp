@@ -72,10 +72,11 @@ PathTotals path_totals(const std::vector<PathSeg>& segs) {
   return t;
 }
 
-Json critical_path_json(const PathInputs& in) {
+Json critical_path_json(const PathInputs& in, PathTotals* out_totals) {
   const std::vector<PathSeg> segs = critical_path_segments(in);
   if (segs.empty()) return Json();
   const PathTotals t = path_totals(segs);
+  if (out_totals) *out_totals = t;
 
   Json doc = Json::object();
   doc.set("t0", in.t_open);

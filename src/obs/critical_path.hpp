@@ -84,8 +84,9 @@ struct PathTotals {
 [[nodiscard]] PathTotals path_totals(const std::vector<PathSeg>& segs);
 
 /// The per-run `critical_path` report block: t0/t1/span, the anchor chain,
-/// the segment array, and per-type totals.  Json null when the run has no
-/// complete interval.
-[[nodiscard]] Json critical_path_json(const PathInputs& in);
+/// the segment array, and per-type totals, which are also stored in
+/// `*out_totals` when given.  Json null (and `*out_totals` untouched) when
+/// the run has no complete interval.
+[[nodiscard]] Json critical_path_json(const PathInputs& in, PathTotals* out_totals = nullptr);
 
 }  // namespace aio::obs

@@ -6,7 +6,7 @@
 // `obs_drops` in its aio-bench-v1 JSON.  `published` stays false while no
 // machine carried a journal or live plane, so env-unset reports stay
 // byte-identical.  Atomics, because machines flush from the bench
-// replication pool's threads (AIO_BENCH_THREADS > 1).
+// replication threads (AIO_BENCH_THREADS > 1).
 #pragma once
 
 #include <atomic>

@@ -2,8 +2,8 @@
 // observability sinks and the bench binaries.  DESIGN.md §8 lists every
 // variable; each goes through exactly one of four readers:
 //
-//   env_count    a whole number >= a minimum (AIO_BENCH_SAMPLES, AIO_MDS_BATCH)
-//   env_seconds  a positive number (AIO_LIVE_PERIOD_S, AIO_SIM_WINDOW_BATCH)
+//   env_count    a whole number >= a minimum (AIO_BENCH_SAMPLES, AIO_MDS_COUNT)
+//   env_seconds  a positive number (AIO_SIM_WINDOW_BATCH)
 //   env_counts   a comma list of positive counts (AIO_SIM_SHARDS=1,2,4,8)
 //   env_sink     an output switch with one grammar (AIO_TRACE, AIO_LIVE, ...)
 //
@@ -84,9 +84,9 @@ inline std::size_t env_count(const char* name, std::size_t fallback, std::size_t
   return fallback;
 }
 
-/// Positive number from the environment (seconds, for every caller but
-/// AIO_SIM_WINDOW_BATCH, which passes `min` = 1); `fallback` when unset,
-/// empty or rejected.
+/// Positive number from the environment, at least `min` when `min` > 0
+/// (AIO_SIM_WINDOW_BATCH passes 1); `fallback` when unset, empty or
+/// rejected.
 inline double env_seconds(const char* name, double fallback, double min = 0.0) {
   const char* v = detail::env_value(name);
   if (!v) return fallback;

@@ -30,11 +30,7 @@ void ring_push(std::vector<T>& ring, std::size_t& next, std::size_t cap, const T
 }  // namespace
 
 LivePlane::LivePlane(Config config) : config_(std::move(config)) {
-  // Degenerate geometry would divide by zero or leave the ring empty;
-  // clamp instead of asserting so a bad env value degrades gracefully.
-  if (!(config_.window_slot_s > 0.0)) config_.window_slot_s = 1.0;
-  if (config_.window_slots == 0) config_.window_slots = 1;
-  slots_.assign(config_.window_slots, LiveWait{});
+  slots_.assign(kWindowSlots, LiveWait{});
   run_ring_.reserve(kRunWindow);
   flight_.reserve(config_.flight_records);
   if (!config_.snapshot_path.empty()) {
@@ -54,17 +50,11 @@ std::unique_ptr<LivePlane> LivePlane::from_env(int slot) {
   Config cfg;
   if (!live.path.empty()) cfg.snapshot_path = numbered_path(live.path, slot);
   // The ring only earns its copy-per-record when there is somewhere to dump
-  // it: without AIO_FLIGHT the recorder stays disarmed, whatever
-  // AIO_FLIGHT_RECORDS says.
-  if (flight.on) {
+  // it: without AIO_FLIGHT the recorder stays disarmed.
+  if (flight.on)
     cfg.flight_path = numbered_path(flight.path, slot);
-    cfg.flight_records = env_count("AIO_FLIGHT_RECORDS", cfg.flight_records);
-  } else {
+  else
     cfg.flight_records = 0;
-  }
-  cfg.snapshot_period_s = env_seconds("AIO_LIVE_PERIOD_S", cfg.snapshot_period_s);
-  cfg.window_slot_s = env_seconds("AIO_LIVE_WINDOW_S", cfg.window_slot_s);
-  cfg.window_slots = env_count("AIO_LIVE_SLOTS", cfg.window_slots);
   return std::make_unique<LivePlane>(std::move(cfg));
 }
 
@@ -82,8 +72,8 @@ void LivePlane::Ewma::add(double v, double at) {
 }
 
 LiveWait& LivePlane::slot_at(double t) {
-  const auto idx = static_cast<std::int64_t>(std::floor(t / config_.window_slot_s));
-  const auto n = static_cast<std::int64_t>(slots_.size());
+  const auto idx = static_cast<std::int64_t>(std::floor(t / kWindowSlot_s));
+  constexpr auto n = static_cast<std::int64_t>(kWindowSlots);
   if (cur_slot_ == INT64_MIN) {
     cur_slot_ = idx;
   } else if (idx > cur_slot_) {
@@ -133,7 +123,7 @@ void LivePlane::ingest(const Record& r) {
     case Rec::kOstState:
       ensure_ost(r.id);
       osts_[r.id].load.add(std::max(r.v1, r.v2), r.t);
-      break;
+      return;  // leaves fresh_ alone (snapshot_tick)
     case Rec::kStealComplete:
       if (const Fold::Grant* g = fold_.grant(r.id); g && g->grant_t >= 0.0) {
         // No-steal counterfactual: the stolen writer would have drained
@@ -147,6 +137,7 @@ void LivePlane::ingest(const Record& r) {
     default:
       break;
   }
+  fresh_ = true;
 }
 
 void LivePlane::on_writer_end(const Record& r) {
@@ -279,7 +270,8 @@ Json LivePlane::snapshot_json(double now, bool final) const {
 }
 
 void LivePlane::snapshot_tick(double now) {
-  if (!snap_) return;
+  if (!snap_ || !fresh_) return;
+  fresh_ = false;
   const std::string row = snapshot_json(now).dump();
   if (std::fputs(row.c_str(), snap_) < 0 || std::fputc('\n', snap_) == EOF) {
     ++rows_dropped_;

@@ -27,10 +27,11 @@
 //
 // Snapshots: when `AIO_LIVE=<path>` is set, a periodic daemon (armed by the
 // host next to the metrics sampler) appends one aio-live-v1 JSON row per
-// tick; `flush()` appends a `"final": true` row carrying the cumulative
-// attribution in the report's shape.  Rows are fflush()ed as written, so a
-// crashed run keeps every completed row.  Queries (`straggler_score()`,
-// `steals()`, ...) read the same state mid-run as telemetry.
+// tick that follows a record other than `kOstState`; `flush()` appends a
+// `"final": true` row carrying the cumulative attribution in the report's
+// shape.  Rows are fflush()ed as written, so a crashed run keeps every
+// completed row.  Queries (`straggler_score()`, `steals()`, ...) read the
+// same state mid-run as telemetry.
 //
 // The flight recorder is a bounded ring of the most recent records.  On
 // abort (the rig's failure path, api::Observers::run) `dump_flight()`
@@ -96,12 +97,12 @@ class LivePlane {
     /// aio-live-v1 snapshot destination (JSON rows, one per tick); empty
     /// keeps the plane query-only.
     std::string snapshot_path;
-    double snapshot_period_s = 1.0;  ///< host daemon cadence (AIO_LIVE_PERIOD_S)
-    double window_slot_s = 1.0;      ///< seconds per wait-window slot (AIO_LIVE_WINDOW_S)
-    std::size_t window_slots = 16;   ///< ring length (AIO_LIVE_SLOTS)
     std::size_t flight_records = 65'536;  ///< flight-recorder ring; 0 disables
     std::string flight_path = "aio-flight.journal";  ///< dump_flight() target
   };
+  static constexpr double kSnapshotPeriod_s = 1.0;  ///< host daemon cadence
+  static constexpr double kWindowSlot_s = 1.0;      ///< seconds per wait-window slot
+  static constexpr std::size_t kWindowSlots = 16;   ///< wait-window ring length
 
   explicit LivePlane(Config config);
   ~LivePlane();
@@ -110,9 +111,7 @@ class LivePlane {
 
   /// Builds a plane when `AIO_LIVE` (snapshot rows; "1"/"-" = query-only)
   /// or `AIO_FLIGHT` (flight-recorder dump path) is set; nullptr when both
-  /// are unset.  Knobs AIO_LIVE_PERIOD_S / AIO_LIVE_WINDOW_S /
-  /// AIO_LIVE_SLOTS / AIO_FLIGHT_RECORDS parse strictly (obs/env.hpp).
-  /// Paths are numbered by the machine's `slot` (obs/env.hpp).
+  /// are unset.  Paths are numbered by the machine's `slot` (obs/env.hpp).
   [[nodiscard]] static std::unique_ptr<LivePlane> from_env(int slot);
 
   /// Folds one journal record into the live state.  Allocation-free once
@@ -129,7 +128,7 @@ class LivePlane {
   /// unloaded OST).  Deterministic, and monotone in the load EWMA.
   [[nodiscard]] double straggler_score(std::uint32_t ost) const;
 
-  /// Sum over the live window ring (the last window_slots * window_slot_s
+  /// Sum over the live window ring (the last kWindowSlots * kWindowSlot_s
   /// seconds of writer completions).
   [[nodiscard]] LiveWait window() const;
   /// Exact cumulative totals — the values CI compares against the offline
@@ -143,7 +142,10 @@ class LivePlane {
   [[nodiscard]] bool snapshot_enabled() const { return snap_ != nullptr; }
   /// One aio-live-v1 row at time `now` (or the latest ingested time).
   [[nodiscard]] Json snapshot_json(double now, bool final = false) const;
-  /// Appends one row to the snapshot file (no-op when query-only).
+  /// Appends one row to the snapshot file, unless the plane is query-only or
+  /// has folded only `kOstState` records since the last row: load changes
+  /// move nothing but the straggler EWMAs, and a machine idling between IOR
+  /// samples would otherwise write a row per tick.
   void snapshot_tick(double now);
   /// Appends the `"final": true` row and closes the snapshot file.
   /// Idempotent; safe to call from both failure paths and destructors.
@@ -215,6 +217,7 @@ class LivePlane {
   std::FILE* snap_ = nullptr;
   std::uint64_t rows_ = 0;
   std::uint64_t rows_dropped_ = 0;
+  bool fresh_ = false;  // a record other than kOstState since the last row
   bool flushed_ = false;
 };
 

@@ -248,8 +248,6 @@ TEST(Live, EngineRecordFeedsEitherHookAlone) {
 
 TEST(Live, WindowRollsOver) {
   obs::LivePlane::Config lc;
-  lc.window_slot_s = 1.0;
-  lc.window_slots = 4;
   lc.flight_records = 0;
   obs::LivePlane plane(lc);
 
@@ -288,20 +286,21 @@ TEST(Live, WindowRollsOver) {
   // The partition is exhaustive: components sum to the total.
   EXPECT_NEAR(w.mds_s + w.internal_s + w.external_s + w.network_s, w.total_s, 1e-12);
 
-  // A completion more than window_slots slots later evicts everything old:
+  // A completion more than kWindowSlots slots later evicts everything old:
   // the window forgets, the cumulative totals do not.
-  obs::Record begin2 = rec(obs::Rec::kRunBegin, 9.0);
+  static_assert(obs::LivePlane::kWindowSlots == 16 && obs::LivePlane::kWindowSlot_s == 1.0);
+  obs::Record begin2 = rec(obs::Rec::kRunBegin, 19.0);
   begin2.u0 = 1;
   begin2.u2 = 1;
   plane.ingest(begin2);
-  obs::Record open2 = rec(obs::Rec::kRunMark, 9.0);
+  obs::Record open2 = rec(obs::Rec::kRunMark, 19.0);
   open2.a = static_cast<std::uint8_t>(obs::Mark::kOpenDone);
   plane.ingest(open2);
-  writer(0, 9.1, 9.2, 10.0);
+  writer(0, 19.1, 19.2, 20.0);
 
   w = plane.window();
   EXPECT_EQ(w.writers, 1u);
-  EXPECT_NEAR(w.total_s, 0.2, 1e-12);  // 9.2 - 9.0, the new run's wait only
+  EXPECT_NEAR(w.total_s, 0.2, 1e-12);  // 19.2 - 19.0, the new run's wait only
   EXPECT_EQ(plane.cumulative().writers, 3u);
   EXPECT_NEAR(plane.cumulative().total_s, 0.5 + 0.7 + 0.2, 1e-12);
 }
@@ -404,6 +403,58 @@ TEST(Live, SnapshotFileGetsRowsAndFinalRow) {
   std::remove(path.c_str());
 }
 
+TEST(Live, LoadAloneWritesNoSnapshotRows) {
+  // An hour of OST state and nothing else (a machine between IOR samples,
+  // whose POSIX writes make no runs), ticked each second like the daemon:
+  // no tick has anything new to report, so only the final row is written.
+  LiveRig rig;
+  (void)rig.run();
+  const std::vector<obs::Record> run = rig.journal.records();
+  const std::string path = testing::TempDir() + "aio_live_load_only.jsonl";
+  obs::LivePlane::Config lc;
+  lc.snapshot_path = path;
+  lc.flight_records = 0;
+  std::uint64_t rows_in_run = 0;
+  {
+    obs::LivePlane plane(lc);
+    double tick = 1.0;
+    for (; tick <= 3600.0; tick += 1.0) {
+      for (std::uint32_t ost = 0; ost < 2; ++ost) {
+        obs::Record r = rec(obs::Rec::kOstState, tick - 0.5);
+        r.id = ost;
+        r.v1 = r.v2 = 0.25 * (ost + 1);
+        plane.ingest(r);
+      }
+      plane.snapshot_tick(tick);
+    }
+    EXPECT_EQ(plane.rows_written(), 0u);
+
+    // The same plane fed one run writes rows while it runs: ticks every
+    // 10 ms, interleaved with the run's records shifted past the hour.
+    const double shift = tick - run.front().t;
+    for (const obs::Record& r : run) {
+      obs::Record shifted = r;
+      shifted.t += shift;
+      for (; tick <= shifted.t; tick += 0.01) plane.snapshot_tick(tick);
+      plane.ingest(shifted);
+    }
+    rows_in_run = plane.rows_written();
+    EXPECT_GT(rows_in_run, 0u);
+    plane.flush();
+    EXPECT_EQ(plane.rows_written(), rows_in_run + 1);
+  }
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  ASSERT_NE(f, nullptr);
+  std::vector<std::string> lines;
+  char buf[1 << 16];
+  while (std::fgets(buf, sizeof buf, f)) lines.emplace_back(buf);
+  std::fclose(f);
+  ASSERT_EQ(lines.size(), rows_in_run + 1);
+  EXPECT_GT(obs::Json::parse(lines.front())->find("t")->number(), 3600.0);
+  EXPECT_NE(obs::Json::parse(lines.back())->find("final"), nullptr);
+  std::remove(path.c_str());
+}
+
 // --- allocation discipline ---------------------------------------------------
 
 TEST(Live, IngestSteadyStateAllocationFree) {
@@ -466,9 +517,7 @@ TEST(Live, FlightRecorderKeepsTailAndDumpsLoadableJournal) {
 
 TEST(Live, FromEnvParsesKnobsAndRejectsGarbage) {
   const auto clear = [] {
-    for (const char* v : {"AIO_LIVE", "AIO_FLIGHT", "AIO_LIVE_PERIOD_S", "AIO_LIVE_WINDOW_S",
-                          "AIO_LIVE_SLOTS", "AIO_FLIGHT_RECORDS"})
-      unsetenv(v);
+    for (const char* v : {"AIO_LIVE", "AIO_FLIGHT"}) unsetenv(v);
   };
   clear();
   EXPECT_EQ(obs::LivePlane::from_env(0), nullptr);
@@ -479,30 +528,16 @@ TEST(Live, FromEnvParsesKnobsAndRejectsGarbage) {
   ASSERT_NE(plane, nullptr);
   EXPECT_FALSE(plane->snapshot_enabled());
   EXPECT_FALSE(plane->flight_enabled());  // ring only arms with AIO_FLIGHT
-  // A ring capacity alone does not arm it either.
-  setenv("AIO_FLIGHT_RECORDS", "128", 1);
+  // A bare switch names no dump path: rejected (stderr), the ring stays off.
+  setenv("AIO_FLIGHT", "1", 1);
   plane = obs::LivePlane::from_env(0);
   ASSERT_NE(plane, nullptr);
   EXPECT_FALSE(plane->flight_enabled());
-  unsetenv("AIO_FLIGHT_RECORDS");
 
-  // Malformed knobs warn (stderr) and keep their defaults; valid ones stick.
-  setenv("AIO_LIVE_SLOTS", "not-a-number", 1);
-  setenv("AIO_LIVE_WINDOW_S", "-3", 1);
-  setenv("AIO_LIVE_PERIOD_S", "0.25", 1);
-  plane = obs::LivePlane::from_env(0);
-  ASSERT_NE(plane, nullptr);
-  EXPECT_EQ(plane->config().window_slots, 16u);
-  EXPECT_EQ(plane->config().window_slot_s, 1.0);
-  EXPECT_EQ(plane->config().snapshot_period_s, 0.25);
-
-  setenv("AIO_LIVE_SLOTS", "8", 1);
   setenv("AIO_FLIGHT", "flight.bin", 1);
-  setenv("AIO_FLIGHT_RECORDS", "128", 1);
   plane = obs::LivePlane::from_env(0);
   ASSERT_NE(plane, nullptr);
-  EXPECT_EQ(plane->config().window_slots, 8u);
-  EXPECT_EQ(plane->config().flight_records, 128u);
+  EXPECT_EQ(plane->config().flight_records, 65'536u);
   EXPECT_EQ(plane->config().flight_path, "flight.bin");
   // Slot numbering matches the other sinks: slot 1 writes "<path>.2".
   const auto second = obs::LivePlane::from_env(1);

@@ -1,10 +1,11 @@
-// Tests for the bench replication pool (bench/parallel.hpp) and the
+// Tests for the bench replication harness (bench/parallel.hpp) and the
 // determinism contract the bench binaries rely on: run_samples must return
-// results in index order, fail like the serial loop would, and a
-// miniature bench assembled from parallel units must produce byte-identical
-// aio-bench-v1 JSON at any thread count.
+// results in index order, fail like the serial loop would, leave no thread
+// behind, and a miniature bench assembled from parallel units must produce
+// byte-identical aio-bench-v1 JSON at any thread count.
 #include "parallel.hpp"
 
+#include <dirent.h>
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "harness.hpp"
@@ -29,7 +31,7 @@ TEST(RunSamples, IndexOrderAtAnyThreadCount) {
     const auto out = bench::run_samples(
         16,
         [](std::size_t i) {
-          // Invert the natural completion order so a pool that collected
+          // Invert the natural completion order so a harness that collected
           // results by completion time would fail.
           std::this_thread::sleep_for(std::chrono::microseconds((16 - i) * 50));
           return i * i;
@@ -67,7 +69,7 @@ TEST(RunSamples, RethrowsLowestIndexFailureLikeSerial) {
       bench::run_samples(12, fail_some, threads);
       FAIL() << "expected throw, threads=" << threads;
     } catch (const std::runtime_error& e) {
-      // The serial loop dies on unit 3 first; the pool must report the same.
+      // The serial loop dies on unit 3 first; the threads must report the same.
       EXPECT_STREQ(e.what(), "unit 3") << "threads=" << threads;
     }
   }
@@ -90,69 +92,94 @@ TEST(BenchThreads, EnvOverrideAndDefault) {
   EXPECT_GE(bench::bench_threads(), 1u);
 }
 
-TEST(BenchThreads, ShardSweepClampsSampleThreads) {
-  // With an S-shard sweep active, sample threads are capped at hw/S so the
-  // product of sample threads and shard threads fits the machine.
-  const std::size_t hw =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  ::setenv("AIO_BENCH_THREADS", "64", 1);
-  ::setenv("AIO_SIM_SHARDS", "1,2,8", 1);
-  EXPECT_EQ(bench::bench_threads(), std::max<std::size_t>(1, hw / 8));
-  ::unsetenv("AIO_SIM_SHARDS");
-  EXPECT_EQ(bench::bench_threads(), 64u);
-  ::unsetenv("AIO_BENCH_THREADS");
-}
-
 TEST(ShardSweep, ParsesStrictCommaList) {
   ::setenv("AIO_SIM_SHARDS", "1,2,4,8", 1);
   const auto sweep = obs::env_counts("AIO_SIM_SHARDS");
   ASSERT_EQ(sweep.size(), 4u);
   EXPECT_EQ(sweep[0], 1u);
   EXPECT_EQ(sweep[3], 8u);
-  EXPECT_EQ(bench::max_shards(), 8u);
   ::setenv("AIO_SIM_SHARDS", "4", 1);
   ASSERT_EQ(obs::env_counts("AIO_SIM_SHARDS").size(), 1u);
   // Malformed lists are rejected whole, not partially honoured.
   for (const char* bad : {"1,2,x", "0,2", "2,", ",2", "-1", "1;2"}) {
     ::setenv("AIO_SIM_SHARDS", bad, 1);
     EXPECT_TRUE(obs::env_counts("AIO_SIM_SHARDS").empty()) << bad;
-    EXPECT_EQ(bench::max_shards(), 1u) << bad;
   }
   ::unsetenv("AIO_SIM_SHARDS");
   EXPECT_TRUE(obs::env_counts("AIO_SIM_SHARDS").empty());
 }
 
-TEST(PersistentPool, ReusesWorkersAcrossCalls) {
-  auto& pool = bench::detail::PersistentPool::instance();
-  // Warm the pool to 3 workers (4 participants incl. the caller), then
-  // hammer it: the spawned-thread high-water mark must not move.
-  (void)bench::run_samples(8, [](std::size_t i) { return i; }, 4);
-  const std::size_t spawned = pool.spawned();
-  EXPECT_GE(spawned, 3u);
-  for (int round = 0; round < 25; ++round)
-    (void)bench::run_samples(8, [](std::size_t i) { return i + 1; }, 4);
-  EXPECT_EQ(pool.spawned(), spawned) << "pool re-spawned threads per call";
+// Entries in /proc/self/task, this process's live threads; 0 where the
+// directory is unreadable.
+std::size_t live_threads() {
+  std::size_t n = 0;
+  if (DIR* dir = ::opendir("/proc/self/task")) {
+    while (const dirent* e = ::readdir(dir))
+      if (e->d_name[0] != '.') ++n;
+    ::closedir(dir);
+  }
+  return n;
 }
 
-TEST(PersistentPool, NestedCallsFallBackToSerial) {
-  // A unit that itself fans out must run its nested request on its own
-  // thread — otherwise a busy pool could deadlock.  Verify the nested call
-  // completes and sees itself pooled.
+// live_threads() once it has fallen to `want`, or after 2 s.  A join
+// returns when the kernel clears the thread's id, a moment before the task
+// leaves the directory, so a count read right after a join may be high.
+std::size_t live_threads_down_to(std::size_t want) {
+  std::size_t n = live_threads();
+  for (int i = 0; i < 2000 && n > want; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    n = live_threads();
+  }
+  return n;
+}
+
+TEST(RunSamples, NoThreadOutlivesTheCall) {
+  // A first fan-out starts any helper thread the runtime keeps for itself
+  // (ThreadSanitizer starts one at the first thread creation).
+  (void)bench::run_samples(2, [](std::size_t i) { return i; }, 2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const std::size_t before = live_threads();
+  if (before == 0) GTEST_SKIP() << "/proc/self/task is unreadable";
+
+  const auto out = bench::run_samples(8, [](std::size_t i) { return i; }, 4);
+  EXPECT_EQ(out.size(), 8u);
+  EXPECT_EQ(live_threads_down_to(before), before);
+  // A throwing unit still joins every thread before the rethrow.
+  EXPECT_THROW(bench::run_samples(
+                   8,
+                   [](std::size_t i) -> std::size_t {
+                     if (i == 5) throw std::runtime_error("unit 5");
+                     return i;
+                   },
+                   4),
+               std::runtime_error);
+  EXPECT_EQ(live_threads_down_to(before), before);
+}
+
+TEST(RunSamples, NestedCallsFallBackToSerial) {
+  // A unit that itself fans out runs its nested request on its own thread
+  // instead of multiplying the thread count.  Every inner unit must report
+  // the thread of the outer unit that called it.
   std::atomic<int> nested_serial{0};
   const auto out = bench::run_samples(
       6,
       [&](std::size_t i) {
-        const auto inner =
-            bench::run_samples(4, [](std::size_t j) { return j * 10; }, 4);
-        if (bench::detail::PersistentPool::this_thread_is_pooled()) ++nested_serial;
+        const std::thread::id outer = std::this_thread::get_id();
+        const auto inner = bench::run_samples(
+            4, [](std::size_t j) { return std::pair(j * 10, std::this_thread::get_id()); }, 4);
         std::size_t sum = 0;
-        for (const auto v : inner) sum += v;
+        bool same_thread = true;
+        for (const auto& [v, id] : inner) {
+          sum += v;
+          same_thread = same_thread && id == outer;
+        }
+        if (same_thread) ++nested_serial;
         return sum + i;
       },
       3);
   ASSERT_EQ(out.size(), 6u);
   for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(out[i], 60u + i);
-  // Every unit ran under the pool guard (caller included).
+  // Every unit's inner call ran on that unit's thread (caller included).
   EXPECT_EQ(nested_serial.load(), 6);
 }
 
@@ -198,14 +225,14 @@ std::string mini_bench_json(std::size_t threads) {
 }
 
 // With AIO_REPORT on, every machine prints its summary when it is torn
-// down — inside the unit, on a pool worker.  run_samples must hold that text
+// down — inside the unit, on a worker thread.  run_samples must hold that text
 // back and print it in index order, so stdout matches the serial loop.
 std::string report_stdout(std::size_t threads) {
   testing::internal::CaptureStdout();
   bench::run_samples(
       4,
       [](std::size_t i) {
-        // Later units start sooner and run smaller jobs, so a pool that let
+        // Later units start sooner and run smaller jobs, so a harness that let
         // them print as they finish would reverse the order.
         std::this_thread::sleep_for(std::chrono::milliseconds((4 - i) * 20));
         api::Simulation machine(fs::xtp(), 2000 + i,
