@@ -103,9 +103,9 @@ void BM_FluidResourceChurn(benchmark::State& state) {
   const auto streams = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     sim::Engine engine;
-    sim::FluidResource r(engine, {1e9, 0.0, 0.01});
+    sim::FluidResource r(engine, {1e9, 0.0, 0.01}, 1);
     for (std::size_t i = 0; i < streams; ++i)
-      r.start(1e6 * static_cast<double>(1 + i % 7), nullptr);
+      r.start(0, 1e6 * static_cast<double>(1 + i % 7), nullptr);
     engine.run();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * streams);
@@ -124,10 +124,10 @@ void BM_FluidStartAbort(benchmark::State& state) {
   ids.reserve(streams);
   for (auto _ : state) {
     sim::Engine engine;
-    sim::FluidResource r(engine, {1e9, 0.0, 0.01});
+    sim::FluidResource r(engine, {1e9, 0.0, 0.01}, 1);
     ids.clear();
     for (std::size_t i = 0; i < streams; ++i)
-      ids.push_back(r.start(1e6 * static_cast<double>(1 + i % 7), nullptr));
+      ids.push_back(r.start(0, 1e6 * static_cast<double>(1 + i % 7), nullptr));
     for (std::size_t i = 0; i < streams; i += 2) r.abort(ids[i]);
     engine.run();
   }
@@ -147,9 +147,9 @@ void BM_HarnessRunSamples(benchmark::State& state) {
         units,
         [](std::size_t u) {
           sim::Engine engine;
-          sim::FluidResource r(engine, {1e9, 0.0, 0.01});
+          sim::FluidResource r(engine, {1e9, 0.0, 0.01}, 1);
           for (std::size_t i = 0; i < 512; ++i)
-            r.start(1e6 * static_cast<double>(1 + (i + u) % 7), nullptr);
+            r.start(0, 1e6 * static_cast<double>(1 + (i + u) % 7), nullptr);
           engine.run();
           return engine.now();
         },

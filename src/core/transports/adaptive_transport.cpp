@@ -396,7 +396,7 @@ void AdaptiveRun::finish(sim::Time now) {
   if (observing)
     journal_mark(obs::Mark::kComplete, static_cast<double>(result.steals),
                  static_cast<double>(result.grants_issued));
-  on_done(result);
+  on_done(std::move(result));
 }
 
 }  // namespace

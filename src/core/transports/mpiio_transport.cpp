@@ -36,7 +36,7 @@ void MpiioTransport::run(const IoJob& job, std::function<void(IoResult)> on_done
     file.flush([this, state, &file](sim::Time) {
       fs_.close(file, [state](sim::Time now) {
         state->result.t_complete = now;
-        state->on_done(state->result);
+        state->on_done(std::move(state->result));
       });
     });
   };

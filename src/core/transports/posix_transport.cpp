@@ -31,7 +31,7 @@ void PosixTransport::run(const IoJob& job, std::function<void(IoResult)> on_done
     state->result.t_data_done = fs_.engine().now();
     if (!config_.flush_at_end) {
       state->result.t_complete = state->result.t_data_done;
-      state->on_done(state->result);
+      state->on_done(std::move(state->result));
       return;
     }
     state->flushes_remaining = n_osts;
@@ -39,7 +39,7 @@ void PosixTransport::run(const IoJob& job, std::function<void(IoResult)> on_done
       fs_.ost(o).flush([state](sim::Time now) {
         if (--state->flushes_remaining == 0) {
           state->result.t_complete = now;
-          state->on_done(state->result);
+          state->on_done(std::move(state->result));
         }
       });
     }

@@ -19,7 +19,7 @@ struct StagingNode {
   fs::FileSystem& fs;
   StagingTransport::Config cfg;
   std::shared_ptr<double> buffered_total;
-  std::unique_ptr<sim::FluidResource> link;
+  sim::FluidResource link;  // one link: the node's ingest
   fs::StripedFile* file = nullptr;
 
   double occupancy = 0.0;     // bytes accepted and not yet written to storage
@@ -40,9 +40,10 @@ struct StagingNode {
 
   StagingNode(fs::FileSystem& f, const StagingTransport::Config& c, std::size_t index,
               std::shared_ptr<double> gauge)
-      : fs(f), cfg(c), buffered_total(std::move(gauge)) {
-    link = std::make_unique<sim::FluidResource>(
-        fs.engine(), sim::FluidResource::Config{cfg.node_ingest_bw, 0.0, 0.0});
+      : fs(f),
+        cfg(c),
+        buffered_total(std::move(gauge)),
+        link(f.engine(), sim::FluidResource::Config{c.node_ingest_bw, 0.0, 0.0}, 1) {
     file = &fs.open_immediate("staging." + std::to_string(index), cfg.osts_per_node,
                               index * cfg.osts_per_node);
   }
@@ -59,8 +60,8 @@ struct StagingNode {
       Pending p = std::move(queue.front());
       queue.pop_front();
       in_transfer += p.bytes;
-      link->start(p.bytes, [this, bytes = p.bytes,
-                            on_accepted = std::move(p.on_accepted)](sim::Time now) mutable {
+      link.start(0, p.bytes, [this, bytes = p.bytes,
+                              on_accepted = std::move(p.on_accepted)](sim::Time now) mutable {
         in_transfer -= bytes;
         occupancy += bytes;
         undrained += bytes;
@@ -138,7 +139,7 @@ void StagingTransport::run(const IoJob& job, std::function<void(IoResult)> on_do
         // App-visible completion: everything accepted by the staging area.
         state->result.t_data_done = now;
         state->result.t_complete = now;
-        state->on_done(state->result);
+        state->on_done(std::move(state->result));
       }
     });
   }

@@ -1,33 +1,41 @@
 #include "net/network.hpp"
 
+#include <algorithm>
+#include <ranges>
 #include <stdexcept>
 #include <utility>
 
 namespace aio::net {
 
 Network::Network(sim::Homes homes, NetConfig config, std::size_t n_ranks)
-    : homes_(homes), config_(config), n_ranks_(n_ranks), counters_(homes.n_engines()) {
+    : homes_(homes), config_(config), n_ranks_(n_ranks), engines_(homes.n_engines()) {
   if (n_ranks == 0) throw std::invalid_argument("Network: need at least one rank");
   if (config_.cores_per_node == 0) throw std::invalid_argument("Network: cores_per_node == 0");
   homes_.require(sim::Entity::Kind::Rank, n_ranks, "Network");
-  const std::size_t nodes = (n_ranks + config_.cores_per_node - 1) / config_.cores_per_node;
-  nics_.reserve(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    nics_.push_back(std::make_unique<sim::FluidResource>(
-        homes_.home(sim::Entity::rank(i * config_.cores_per_node)),
-        sim::FluidResource::Config{config_.nic_bw, 0.0, 0.0}));
+  // Homes never decrease along the nodes, so each engine's run ends at the
+  // first node homed past it.
+  const auto nodes = std::views::iota(std::size_t{0}, n_nodes());
+  std::size_t first = 0;
+  for (std::size_t e = 0; e < engines_.size(); ++e) {
+    const auto end = static_cast<std::size_t>(
+        std::ranges::partition_point(nodes, [&](std::size_t n) { return nic_home(n) <= e; }) -
+        nodes.begin());
+    engines_[e].first_node = first;
+    engines_[e].nics = std::make_unique<sim::FluidResource>(
+        homes_.engine(e), sim::FluidResource::Config{config_.nic_bw, 0.0, 0.0}, end - first);
+    first = end;
   }
 }
 
 std::uint64_t Network::messages_sent() const {
   std::uint64_t n = 0;
-  for (const Counters& c : counters_) n += c.messages;
+  for (const PerEngine& c : engines_) n += c.messages;
   return n;
 }
 
 double Network::bytes_sent() const {
   double n = 0.0;
-  for (const Counters& c : counters_) n += c.bytes;
+  for (const PerEngine& c : engines_) n += c.bytes;
   return n;
 }
 
@@ -38,7 +46,7 @@ void Network::send(Rank from, Rank to, double bytes, Deliver deliver) {
   }
   // Negated so NaN is rejected too, before any counter moves.
   if (!(bytes >= 0.0)) throw std::invalid_argument("Network::send: negative or NaN bytes");
-  Counters& ctr = counters_[homes_.here_index()];
+  PerEngine& ctr = engines_[homes_.here_index()];
   ++ctr.messages;
   ctr.bytes += bytes;
   if (from == to || bytes == 0.0) {
@@ -55,7 +63,9 @@ void Network::send(Rank from, Rank to, double bytes, Deliver deliver) {
   // The relay (this + two ranks + a 96-byte-SBO Deliver) must fit the fluid
   // callback's SBO, or every cross-node message would heap-allocate.
   static_assert(sizeof(relay) <= 128, "NIC relay closure outgrew FluidResource::OnComplete SBO");
-  nics_[node_of(from)]->start(bytes, std::move(relay));
+  const std::size_t node = node_of(from);
+  PerEngine& home = engines_[nic_home(node)];
+  home.nics->start(node - home.first_node, bytes, std::move(relay));
 }
 
 }  // namespace aio::net

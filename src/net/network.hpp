@@ -17,6 +17,10 @@
 // after the send (after the NIC drains, for a cross-node payload): exact
 // over one engine and between ranks of one node, where it rides the
 // engine's fixed-delay lane, and quantized to a window boundary otherwise.
+// The NICs are links of one `sim::FluidResource` per engine: rank cuts are
+// node-aligned and contiguous, so each engine homes a run of nodes, and a
+// node's link is its offset from the run's first node.  NIC state costs 40
+// bytes a node, and the allocation count does not grow with the nodes.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +62,9 @@ class Network {
   void send(Rank from, Rank to, double bytes, Deliver deliver);
 
   [[nodiscard]] std::size_t n_ranks() const { return n_ranks_; }
-  [[nodiscard]] std::size_t n_nodes() const { return nics_.size(); }
+  [[nodiscard]] std::size_t n_nodes() const {
+    return (n_ranks_ + config_.cores_per_node - 1) / config_.cores_per_node;
+  }
   [[nodiscard]] std::size_t node_of(Rank r) const {
     return static_cast<std::size_t>(r) / config_.cores_per_node;
   }
@@ -67,18 +73,24 @@ class Network {
   [[nodiscard]] const NetConfig& config() const { return config_; }
 
  private:
-  // Send accounting is kept per engine (padded to a cache line) so parallel
-  // window execution never contends.
-  struct alignas(64) Counters {
+  // Send accounting and NICs are kept per engine (padded to a cache line)
+  // so parallel window execution never contends.
+  struct alignas(64) PerEngine {
     std::uint64_t messages = 0;
     double bytes = 0.0;
+    std::size_t first_node = 0;                 ///< the run of nodes homed here
+    std::unique_ptr<sim::FluidResource> nics;  ///< one link per node of the run
   };
+
+  /// Index of the engine that homes `node`'s NIC.
+  [[nodiscard]] std::size_t nic_home(std::size_t node) const {
+    return homes_.home_index(sim::Entity::rank(node * config_.cores_per_node));
+  }
 
   sim::Homes homes_;
   NetConfig config_;
   std::size_t n_ranks_;
-  std::vector<std::unique_ptr<sim::FluidResource>> nics_;
-  std::vector<Counters> counters_;
+  std::vector<PerEngine> engines_;
 };
 
 }  // namespace aio::net

@@ -4,8 +4,8 @@
 // children within one or two cache lines for small nodes, which measurably
 // beats std::priority_queue on the engine's schedule/pop path.  These are
 // free functions over a caller-owned vector (like std::push_heap /
-// std::pop_heap) so the engine and the fluid model can keep their node
-// layouts POD-small and iterate the raw vector when rebuilding.
+// std::pop_heap) so the engine can keep its node layout POD-small and
+// iterate the raw vector when rebuilding.
 //
 // `before(a, b)` must be a strict weak ordering; the element for which
 // `before` holds against every other is at index 0.

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <stdexcept>
 #include <utility>
-#include <vector>
-
-#include "sim/dary_heap.hpp"
 
 namespace aio::sim {
 
@@ -24,231 +20,229 @@ constexpr double kEpsilonBytes = 1e-6;
 constexpr double kEpsilonSeconds = 1e-9;
 }  // namespace
 
-FluidResource::FluidResource(Engine& engine, Config config)
-    : engine_(engine), config_(config), last_update_(engine.now()) {
-  if (config_.capacity <= 0.0) throw std::invalid_argument("FluidResource: capacity must be > 0");
+FluidResource::FluidResource(Engine& engine, Config config, std::size_t n_links)
+    : engine_(engine), config_(config) {
+  // Negated so NaN is rejected too.
+  if (!(config_.capacity > 0.0)) throw std::invalid_argument("FluidResource: capacity must be > 0");
   if (config_.per_stream_cap < 0.0 || config_.alpha < 0.0)
     throw std::invalid_argument("FluidResource: negative parameter");
+  Link idle;
+  idle.last_update = engine.now();
+  links_.assign(n_links, idle);
 }
 
-FluidResource::~FluidResource() { disarm(); }
+FluidResource::~FluidResource() {
+  for (Link& l : links_) disarm(l);
+}
 
-double FluidResource::stream_rate() const {
-  const std::size_t n = active_streams();
+double FluidResource::stream_rate(const Link& l) const {
+  const std::size_t n = l.active;
   if (n == 0) return 0.0;
-  const double usable = config_.capacity * factor_ * efficiency(config_.alpha, n);
+  const double usable = config_.capacity * l.factor * efficiency(config_.alpha, n);
   double rate = usable / static_cast<double>(n);
   if (config_.per_stream_cap > 0.0) rate = std::min(rate, config_.per_stream_cap);
   return rate;
 }
 
-double FluidResource::total_rate() const {
-  return stream_rate() * static_cast<double>(active_streams());
+double FluidResource::done_threshold(const Link& l) const {
+  return kEpsilonBytes + stream_rate(l) * kEpsilonSeconds;
 }
 
-double FluidResource::done_threshold() const {
-  return kEpsilonBytes + stream_rate() * kEpsilonSeconds;
-}
-
-FluidResource::StreamId FluidResource::start(double bytes, OnComplete on_complete) {
+FluidResource::StreamId FluidResource::start(std::size_t link, double bytes,
+                                             OnComplete on_complete) {
   // Negated so NaN is rejected too, before any state changes.
   if (!(bytes >= 0.0)) throw std::invalid_argument("FluidResource::start: negative or NaN bytes");
-  advance();
-  const StreamId id = next_id_++;
-  const double v_finish = vwork_ + bytes;
-  if (!solo_ && streams_.empty() && heap_.empty()) {
-    // First stream on an idle resource: keep it in the inline slot.
-    solo_ = true;
-    solo_id_ = id;
-    solo_v_finish_ = v_finish;
-    solo_cb_ = std::move(on_complete);
-    reschedule();
-    return id;
-  }
-  if (solo_) demote_solo();
-  if (spare_nodes_.empty()) {
-    streams_.emplace(id, Stream{v_finish, std::move(on_complete)});
+  Link& l = links_.at(link);
+  std::uint32_t i = free_;
+  if (i == kNone) {
+    if (slots_.size() == kMaxSlots) throw std::length_error("FluidResource: too many streams");
+    i = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
   } else {
-    auto node = std::move(spare_nodes_.back());
-    spare_nodes_.pop_back();
-    node.key() = id;
-    node.mapped() = Stream{v_finish, std::move(on_complete)};
-    streams_.insert(std::move(node));
+    free_ = slots_[i].next;
   }
-  dheap_push(heap_, HeapEntry{v_finish, id}, heap_before);
-  reschedule();
+  advance(l);
+  const StreamId id = (next_start_++ << kSlotBits) | i;
+  Slot& s = slots_[i];
+  s.on_complete = std::move(on_complete);
+  s.v_finish = l.vwork + bytes;
+  s.id = id;
+  s.link = static_cast<std::uint32_t>(link);
+  s.child = kNone;
+  s.live = true;
+  l.top = l.top == kNone ? i : meld(l.top, i);
+  ++l.active;
+  reschedule(static_cast<std::uint32_t>(link));
   return id;
 }
 
-void FluidResource::demote_solo() {
-  // The solo stream takes the map/heap slots it would have taken had it been
-  // started through the general path — same insertion order, same heap
-  // layout, same tie-breaking as a build without the fast path.
-  solo_ = false;
-  if (spare_nodes_.empty()) {
-    streams_.emplace(solo_id_, Stream{solo_v_finish_, std::move(solo_cb_)});
-  } else {
-    auto node = std::move(spare_nodes_.back());
-    spare_nodes_.pop_back();
-    node.key() = solo_id_;
-    node.mapped() = Stream{solo_v_finish_, std::move(solo_cb_)};
-    streams_.insert(std::move(node));
+std::uint32_t FluidResource::meld(std::uint32_t a, std::uint32_t b) {
+  if (before(b, a)) std::swap(a, b);
+  slots_[b].next = slots_[a].child;
+  slots_[a].child = b;
+  return a;
+}
+
+std::uint32_t FluidResource::pop(Link& l) {
+  // Two-pass pairing: meld the root's children in pairs left to right,
+  // stacking each pair through `next`, then fold the stack right to left.
+  const std::uint32_t top = l.top;
+  std::uint32_t stack = kNone;
+  for (std::uint32_t a = slots_[top].child; a != kNone;) {
+    const std::uint32_t b = slots_[a].next;
+    const std::uint32_t rest = b == kNone ? kNone : slots_[b].next;
+    const std::uint32_t pair = b == kNone ? a : meld(a, b);
+    slots_[pair].next = stack;
+    stack = pair;
+    a = rest;
   }
-  solo_cb_ = OnComplete{};
-  dheap_push(heap_, HeapEntry{solo_v_finish_, solo_id_}, heap_before);
+  std::uint32_t root = kNone;
+  while (stack != kNone) {
+    const std::uint32_t below = slots_[stack].next;
+    root = root == kNone ? stack : meld(stack, root);
+    stack = below;
+  }
+  l.top = root;
+  return top;
+}
+
+void FluidResource::release(std::uint32_t slot) {
+  slots_[slot].next = free_;
+  free_ = slot;
+}
+
+std::uint32_t FluidResource::live_slot(StreamId id) const {
+  const auto i = static_cast<std::uint32_t>(id & (kMaxSlots - 1));
+  return i < slots_.size() && slots_[i].live && slots_[i].id == id ? i : kNone;
 }
 
 bool FluidResource::abort(StreamId id) {
-  advance();
-  if (solo_) {
-    if (id != solo_id_) return false;
-    solo_ = false;
-    solo_cb_ = OnComplete{};
-    reschedule();
-    return true;
-  }
-  auto node = streams_.extract(id);
-  const bool erased = !node.empty();
-  if (erased) {
-    // Drop the callback now — an aborted stream's captures must not outlive
-    // the abort just because the node is parked for reuse.
-    node.mapped().on_complete = OnComplete{};
-    spare_nodes_.push_back(std::move(node));
-  }
-  // The heap entry stays behind (lazy deletion): stream ids are never
-  // reused, so an entry whose id is absent from the map is skipped when it
-  // surfaces, and all debris is dropped at the next idle rebase.
-  if (erased) reschedule();
-  return erased;
+  const std::uint32_t i = live_slot(id);
+  if (i == kNone) return false;
+  Slot& s = slots_[i];
+  Link& l = links_[s.link];
+  advance(l);
+  // Drop the callback now — an aborted stream's captures must not outlive
+  // the abort just because its slot waits in the heap.  The slot keeps its
+  // key and is freed when it surfaces (lazy deletion) or at the next idle
+  // rebase.
+  s.on_complete = OnComplete{};
+  s.live = false;
+  --l.active;
+  reschedule(s.link);
+  return true;
 }
 
-void FluidResource::set_capacity_factor(double factor) {
+void FluidResource::set_capacity_factor(std::size_t link, double factor) {
   if (factor < 0.0) throw std::invalid_argument("FluidResource: negative capacity factor");
-  advance();
-  factor_ = factor;
-  reschedule();
+  Link& l = links_.at(link);
+  advance(l);
+  l.factor = factor;
+  reschedule(static_cast<std::uint32_t>(link));
 }
 
 double FluidResource::remaining(StreamId id) const {
-  double v_finish = 0.0;
-  if (solo_) {
-    if (id != solo_id_) return 0.0;
-    v_finish = solo_v_finish_;
-  } else {
-    const auto it = streams_.find(id);
-    if (it == streams_.end()) return 0.0;
-    v_finish = it->second.v_finish;
-  }
+  const std::uint32_t i = live_slot(id);
+  if (i == kNone) return 0.0;
+  const Link& l = links_[slots_[i].link];
   // Account for virtual work accrued since the last state change without
   // mutating, then apply the same completion tolerance fire() uses: a stream
   // the scheduler would complete "now" reports zero, not a sub-epsilon crumb.
-  const double v_now = vwork_ + stream_rate() * (engine_.now() - last_update_);
-  const double rem = v_finish - v_now;
-  if (rem <= done_threshold()) return 0.0;
+  const double v_now = l.vwork + stream_rate(l) * (engine_.now() - l.last_update);
+  const double rem = slots_[i].v_finish - v_now;
+  if (rem <= done_threshold(l)) return 0.0;
   return rem;
 }
 
-void FluidResource::advance() {
+void FluidResource::advance(Link& l) {
   const Time now = engine_.now();
-  const double dt = now - last_update_;
-  last_update_ = now;
-  if (dt <= 0.0 || active_streams() == 0) return;
+  const double dt = now - l.last_update;
+  l.last_update = now;
+  if (dt <= 0.0 || l.active == 0) return;
   // The whole point of the virtual clock: every active stream shares one
   // instantaneous rate, so one multiply-add moves all of them at once.
-  vwork_ += stream_rate() * dt;
+  l.vwork += stream_rate(l) * dt;
 }
 
-double FluidResource::min_v_finish() {
-  if (solo_) return solo_v_finish_;
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    if (streams_.count(top.id) != 0) return top.v_finish;
-    dheap_pop(heap_, heap_before);  // aborted stream: lazy deletion
-  }
-  return std::numeric_limits<double>::infinity();
-}
-
-void FluidResource::reschedule() {
-  if (!solo_ && streams_.empty()) {
+void FluidResource::reschedule(std::uint32_t link) {
+  Link& l = links_[link];
+  if (l.active == 0) {
     // Idle rebase: with no streams the virtual clock is unobservable, so
-    // reset it to zero and drop any aborted debris still in the heap.  This
+    // reset it to zero and free any aborted slots still in the heap.  This
     // bounds the clock's magnitude — and hence its floating-point error —
     // by the longest busy period, not the whole run.
-    vwork_ = 0.0;
-    heap_.clear();
-    disarm();
+    l.vwork = 0.0;
+    while (l.top != kNone) release(pop(l));
+    disarm(l);
     return;
   }
-
-  const double min_remaining = min_v_finish() - vwork_;
-  if (min_remaining <= done_threshold()) {
-    arm(0.0);
+  while (!slots_[l.top].live) release(pop(l));  // aborted: lazy deletion
+  const double min_remaining = slots_[l.top].v_finish - l.vwork;
+  if (min_remaining <= done_threshold(l)) {
+    arm(link, 0.0);
     return;
   }
-  const double rate = stream_rate();
+  const double rate = stream_rate(l);
   if (rate <= 0.0) {
-    disarm();  // frozen; re-armed on the next state change
+    disarm(l);  // frozen; re-armed on the next state change
     return;
   }
-  arm(min_remaining / rate);
+  arm(link, min_remaining / rate);
 }
 
-void FluidResource::arm(double delay) {
+void FluidResource::arm(std::uint32_t link, double delay) {
   // Re-timing in place keeps the event's slot and callback.
+  Link& l = links_[link];
   const Time t = engine_.now() + delay;
-  if (pending_.valid() && engine_.rearm(pending_, t, false)) return;
-  pending_ = engine_.schedule_at(t, [this] { fire(); });
+  if (l.pending.valid() && engine_.rearm(l.pending, t, false)) return;
+  l.pending = engine_.schedule_at(t, [this, link] { fire(link); });
 }
 
-void FluidResource::disarm() {
-  if (!pending_.valid()) return;
-  engine_.cancel(pending_);
-  pending_ = EventHandle{};
+void FluidResource::disarm(Link& l) {
+  if (!l.pending.valid()) return;
+  engine_.cancel(l.pending);
+  l.pending = EventHandle{};
 }
 
-void FluidResource::fire() {
-  pending_ = EventHandle{};
-  advance();
-  if (solo_) {
-    // Solo completion: no heap to pop, no map node to extract.  The epsilon
-    // design guarantees the scheduled completion lands within tolerance.
-    assert(solo_v_finish_ - vwork_ <= done_threshold());
-    OnComplete cb = std::move(solo_cb_);
-    solo_ = false;
-    solo_cb_ = OnComplete{};
-    reschedule();  // idle rebase, same ordering as the batch path below
-    if (cb) cb(engine_.now());
-    return;
-  }
+void FluidResource::fire(std::uint32_t link) {
+  Link& l = links_[link];
+  l.pending = EventHandle{};
+  advance(l);
   // Collect completions first: callbacks may start new streams on this
   // resource, and must observe a consistent stream set.  Completions pop
   // off the heap in (finish work, start order) — exact ties complete FIFO.
-  const double threshold = done_threshold();
-  // The batch lives in a member scratch vector so steady-state completions
-  // reuse its capacity.  Callbacks may start new streams (which touches
-  // streams_/heap_ but not the scratch); fire() itself never re-enters — it
-  // only runs from engine events.
-  std::vector<OnComplete>& done = done_scratch_;
-  done.clear();
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_.front();
-    const auto it = streams_.find(top.id);
-    if (it == streams_.end()) {  // aborted stream: lazy deletion
-      dheap_pop(heap_, heap_before);
+  // The batch is chained through the slots' `next`, and its slots stay off
+  // the free list until their callbacks have been moved out.  fire() never
+  // re-enters: it only runs from engine events.
+  const double threshold = done_threshold(l);
+  std::uint32_t batch = kNone;
+  std::uint32_t* tail = &batch;
+  while (l.top != kNone) {
+    const Slot& top = slots_[l.top];
+    if (top.live && top.v_finish - l.vwork > threshold) break;
+    const std::uint32_t i = pop(l);
+    if (!slots_[i].live) {  // aborted stream: lazy deletion
+      release(i);
       continue;
     }
-    if (top.v_finish - vwork_ > threshold) break;
-    dheap_pop(heap_, heap_before);
-    done.push_back(std::move(it->second.on_complete));
-    auto node = streams_.extract(it);
-    node.mapped().on_complete = OnComplete{};
-    spare_nodes_.push_back(std::move(node));
+    slots_[i].live = false;
+    --l.active;
+    *tail = i;
+    tail = &slots_[i].next;
   }
-  assert(!done.empty());
-  reschedule();
+  *tail = kNone;
+  assert(batch != kNone);
+  reschedule(link);
+  // Each callback leaves its slot before it runs, so a stream it starts may
+  // reuse the slot (and grow the slab) without touching the rest of the batch.
   const Time now = engine_.now();
-  for (auto& cb : done)
+  while (batch != kNone) {
+    const std::uint32_t i = batch;
+    batch = slots_[i].next;
+    OnComplete cb = std::move(slots_[i].on_complete);
+    release(i);
     if (cb) cb(now);
+  }
 }
 
 }  // namespace aio::sim

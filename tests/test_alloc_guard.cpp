@@ -2,7 +2,7 @@
 //
 // Replaces global operator new with a counting hook and asserts that, after
 // a warm-up pass has populated every freelist and scratch buffer (engine
-// event slots, NIC stream nodes, OST op nodes, SmallVector inline storage),
+// event slots, NIC stream slots, OST op vectors, SmallVector inline storage),
 // the steady-state paths allocate NOTHING:
 //
 //   * scheduling + dispatching an engine event, on the heap or a lane,
@@ -11,7 +11,9 @@
 //   * every control-plane FSM step a delivered message triggers
 //     (DO_WRITE, WRITE_COMPLETE, steal grant / decline handling);
 //
-// and that an SC's index phase with the index kept allocates at most once.
+// and that an SC's index phase with the index kept allocates at most once,
+// a network's NIC state allocates the same at any node count, and a run's
+// result reaches its callback without a copy.
 //
 // If a future change reintroduces a per-message allocation — a widened
 // closure falling off the SBO, a map node per stream, a vector rebuilt per
@@ -47,6 +49,7 @@
 #include "obs/journal.hpp"
 #include "obs/prof.hpp"
 #include "sim/engine.hpp"
+#include "sim/shard.hpp"
 #include "workload/pixie3d.hpp"
 
 namespace {
@@ -188,12 +191,39 @@ TEST(AllocGuard, MessageDeliveryIsAllocationFree) {
     }
     engine.run();
   };
-  burst();  // warm-up: NIC stream-map nodes + engine slots
+  burst();  // warm-up: NIC stream slots + engine slots
 
   AllocGuard guard;
   guard.start();
   burst();
   EXPECT_EQ(guard.stop(), 0u) << "network send/deliver allocated per message";
+}
+
+// The NICs are links of one fluid resource per engine, so building a
+// network allocates the same at 18,680 nodes (224,160 ranks) as at 86, over
+// one engine or a shard group.
+TEST(AllocGuard, NetworkBuildDoesNotFollowTheNodeCount) {
+  const auto build = [](sim::Homes homes, std::size_t n_ranks) {
+    AllocGuard guard;
+    guard.start();
+    net::Network net(homes, net::NetConfig{}, n_ranks);
+    const std::size_t allocs = guard.stop();
+    EXPECT_EQ(net.n_nodes(), (n_ranks + 11) / 12);
+    return allocs;
+  };
+  sim::Engine engine;
+  EXPECT_EQ(build(engine, 224160), build(engine, 1024));
+
+  const auto build_sharded = [&build](std::size_t n_ranks) {
+    sim::ShardGroup::Config c;
+    c.n_shards = 4;
+    c.n_ranks = n_ranks;
+    c.ranks_per_node = 12;
+    c.n_osts = 672;
+    sim::ShardGroup group(c);
+    return build(group, n_ranks);
+  };
+  EXPECT_EQ(build_sharded(224160), build_sharded(1024));
 }
 
 // --- OST write round-trip ----------------------------------------------------
@@ -580,6 +610,32 @@ TEST(AllocGuard, AdaptiveRunSetupBuildsNoBlueprint) {
         << what << ": setup allocates per writer (a1=" << s1.allocs << ", a2=" << s2.allocs
         << ")";
   }
+}
+
+// A transport hands its result to on_done by move.  A copy would be a
+// second writer_times vector (16 bytes a writer, 1 MiB at 65,536 writers),
+// live at the run's peak, so no allocation during the run may be that large.
+TEST(AllocGuard, AdaptiveResultReachesOnDoneByMove) {
+  const std::size_t n = 65536;
+  sim::Engine engine;
+  fs::FsConfig fc;
+  fc.n_osts = 64;
+  fs::FileSystem filesystem(engine, fc);
+  net::Network network(engine, net::NetConfig{}, n);
+  core::AdaptiveTransport::Config cfg;
+  cfg.retain_global_index = false;
+  core::AdaptiveTransport transport(filesystem, network, cfg);
+  std::size_t timed = 0;
+  transport.run(core::IoJob::uniform(n, 1e6),
+                [&timed](core::IoResult r) { timed = r.writer_times.size(); });
+
+  AllocGuard guard;
+  guard.start();
+  engine.run();
+  guard.stop();
+  ASSERT_EQ(timed, n);
+  EXPECT_LT(guard.largest(), n * sizeof(core::WriterTiming))
+      << "a run allocated a block the size of its writer_times";
 }
 
 // --- metadata tier -----------------------------------------------------------

@@ -95,6 +95,15 @@ TEST(Network, CountsTraffic) {
   EXPECT_DOUBLE_EQ(n.bytes_sent(), 300.0);
 }
 
+// A NIC needs bandwidth: a non-positive or NaN nic_bw is refused when the
+// network is built, not at the first send.
+TEST(Network, NonPositiveNicBandwidthThrows) {
+  Engine e;
+  EXPECT_THROW(Network(e, cfg(1e-3, 0.0), 8), std::invalid_argument);
+  EXPECT_THROW(Network(e, cfg(1e-3, -1.0), 8), std::invalid_argument);
+  EXPECT_THROW(Network(e, cfg(1e-3, std::nan("")), 8), std::invalid_argument);
+}
+
 // Out-of-range ranks and negative or NaN byte counts are refused before
 // any counter moves or any NIC stream starts.
 TEST(Network, InvalidRanksThrow) {
