@@ -105,6 +105,9 @@ StormOut run_storm(std::size_t procs, std::size_t n_mds, Mode mode, api::Observe
 
   const std::string prefix = "storm/pp.";
   const auto arrival_of = [](std::size_t i) { return static_cast<double>(i) * kArrivalGap_s; };
+  // Batched mode's per-(span, server) member lists; its callbacks read them
+  // until the engine drains.
+  std::vector<std::vector<std::uint32_t>> members;
   switch (mode) {
     case Mode::PerFile:
       // The seed path: every writer issues its own create on arrival.
@@ -124,7 +127,7 @@ StormOut run_storm(std::size_t procs, std::size_t n_mds, Mode mode, api::Observe
       // every server one batched CREATE covering its span members.  Member
       // lists are precomputed so completion callbacks stay small.
       const std::size_t n_spans = (procs + kBatch - 1) / kBatch;
-      std::vector<std::vector<std::uint32_t>> members(n_spans * n_mds);
+      members.resize(n_spans * n_mds);
       for (std::size_t i = 0; i < procs; ++i)
         members[(i / kBatch) * n_mds + group.index_of(prefix + std::to_string(i))].push_back(
             static_cast<std::uint32_t>(i));
@@ -142,7 +145,6 @@ StormOut run_storm(std::size_t procs, std::size_t n_mds, Mode mode, api::Observe
           }
         });
       }
-      engine.run();
       break;
     }
   }

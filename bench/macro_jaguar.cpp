@@ -27,10 +27,11 @@
 // Unset, the bench's stdout is byte-identical to a build without sharding.
 //
 // `AIO_PROF` arms the shard-runtime profiler on the sharded
-// rows: a one-line stderr host-time split per sweep point, prof_* values in
-// the JSON rows, and — when AIO_PROF is a path — an aio-prof-v1 document
-// array written there at exit.  Simulated results are bit-identical armed
-// or not; stdout is untouched either way.
+// rows: a one-line stderr host-time split per sweep point and — when
+// AIO_PROF is a path — an aio-prof-v1 document array written there at exit,
+// each document carrying the sweep point's writers and window counts.
+// Simulated results and the journal are bit-identical armed or not, and
+// neither stdout nor the JSON rows carry any of the profile.
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -80,18 +81,10 @@ struct RunCost {
   // window-loop telemetry (see sim::ShardGroup).
   std::size_t shards = 0;
   double window_batch = 0.0;
+  double window_s = 0.0;
   std::uint64_t windows_executed = 0;
   std::uint64_t windows_skipped = 0;
   std::uint64_t barrier_rounds = 0;
-  // Profiled rows only (AIO_PROF, obs/prof.hpp): the sample's host-time
-  // split summed across shards, plus the load-imbalance index.
-  bool prof_armed = false;
-  double prof_execute_s = 0.0;
-  double prof_barrier_s = 0.0;
-  double prof_merge_s = 0.0;
-  double prof_skip_s = 0.0;
-  double prof_imbalance = 1.0;
-  std::uint64_t prof_backlog_hw = 0;
 };
 
 /// One cold sample: build a rig sized to `procs`, run one collective output,
@@ -178,19 +171,10 @@ RunCost run_one_sharded(const fs::MachineSpec& spec, const workload::Pixie3dConf
       cost.wall_s > 0.0 ? static_cast<double>(sim.steps()) / cost.wall_s : 0.0;
   cost.shards = sim.shards().n_shards();
   cost.window_batch = window_batch;
+  cost.window_s = sim.shards().window_s();
   cost.windows_executed = sim.shards().windows_executed();
   cost.windows_skipped = sim.shards().windows_skipped();
   cost.barrier_rounds = sim.shards().barrier_rounds();
-  if (prof) {
-    const obs::prof::ShardProfiler::Slot t = prof->totals();
-    cost.prof_armed = true;
-    cost.prof_execute_s = t.execute_s;
-    cost.prof_barrier_s = t.barrier_s;
-    cost.prof_merge_s = t.merge_s;
-    cost.prof_skip_s = t.skip_s;
-    cost.prof_imbalance = prof->imbalance();
-    cost.prof_backlog_hw = t.backlog_hw;
-  }
   const std::uint64_t rss1 = current_rss_bytes();
   cost.rss_delta = rss1 > rss0 ? rss1 - rss0 : 0;
 
@@ -286,16 +270,6 @@ int main() {
           .value("windows_executed", static_cast<double>(last.windows_executed))
           .value("windows_skipped", static_cast<double>(last.windows_skipped))
           .value("barrier_rounds", static_cast<double>(last.barrier_rounds));
-      if (last.prof_armed) {
-        // Only when AIO_PROF armed the profiler, so env-unset JSON rows are
-        // unchanged byte for byte.
-        row.value("prof_execute_s", last.prof_execute_s)
-            .value("prof_barrier_s", last.prof_barrier_s)
-            .value("prof_merge_s", last.prof_merge_s)
-            .value("prof_skip_s", last.prof_skip_s)
-            .value("prof_imbalance", last.prof_imbalance)
-            .value("prof_backlog_hw", static_cast<double>(last.prof_backlog_hw));
-      }
     }
   };
 
@@ -326,7 +300,10 @@ int main() {
             prof->print_summary(label.c_str());
             obs::Json doc = prof->to_json();
             doc.set("procs", static_cast<double>(procs));
-            doc.set("shards", static_cast<double>(last.shards));
+            doc.set("window_s", last.window_s);
+            doc.set("windows_executed", static_cast<double>(last.windows_executed));
+            doc.set("windows_skipped", static_cast<double>(last.windows_skipped));
+            doc.set("barrier_rounds", static_cast<double>(last.barrier_rounds));
             prof_docs.push(std::move(doc));
           }
         }

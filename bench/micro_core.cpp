@@ -2,7 +2,7 @@
 //
 // Establishes that the simulator substrate is fast enough for the
 // paper-scale experiments: event-queue throughput, fluid-resource churn,
-// OST write paths, index construction/serialization/merge, topology math,
+// OST write paths, index construction and merge, topology math,
 // and raw protocol state-machine message handling.
 #include <benchmark/benchmark.h>
 
@@ -213,17 +213,6 @@ core::LocalIndex make_index(int blocks) {
   }
   return idx;
 }
-
-void BM_IndexSerializeRoundTrip(benchmark::State& state) {
-  const core::LocalIndex idx = make_index(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    const auto bytes = idx.serialize();
-    auto back = core::LocalIndex::deserialize(bytes);
-    benchmark::DoNotOptimize(back);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_IndexSerializeRoundTrip)->Arg(8)->Arg(512);
 
 void BM_FileIndexMergeFinalize(benchmark::State& state) {
   const auto writers = static_cast<std::size_t>(state.range(0));

@@ -293,8 +293,6 @@ core::IoResult Simulation::write_step(const IoGroup& group, Method method,
     case Method::Adaptive: {
       core::AdaptiveTransport::Config ac;
       ac.n_files = options_.adaptive_files;
-      ac.max_concurrent = options_.adaptive_concurrency;
-      ac.stealing = options_.adaptive_stealing;
       transport = std::make_unique<core::AdaptiveTransport>(*fs_, *net_, ac);
       break;
     }

@@ -178,8 +178,6 @@ class Simulation {
     bool interference_job = false;     ///< the Section IV synthetic job, on during runs
     std::size_t adaptive_files = 0;    ///< 0 = one file per OST
     std::size_t mpiio_stripes = 0;     ///< 0 = stripe limit
-    std::size_t adaptive_concurrency = 1;
-    bool adaptive_stealing = true;
     /// > 0 arms a sampling daemon at this period feeding the metrics
     /// registry (per-OST occupancy/bandwidth series + aggregates).  0 arms
     /// it only under AIO_METRICS (Observers::arm).

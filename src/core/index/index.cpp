@@ -137,7 +137,6 @@ bool get_block(Reader& r, BlockRecord& b) {
   return r.ok();
 }
 
-constexpr std::uint32_t kLocalMagic = 0x41494F4Cu;   // "AIOL"
 constexpr std::uint32_t kFileMagic = 0x41494F46u;    // "AIOF"
 constexpr std::uint32_t kGlobalMagic = 0x41494F47u;  // "AIOG"
 
@@ -188,31 +187,6 @@ std::size_t LocalIndex::serialized_size() const {
   std::size_t n = kHeaderBytes;
   for (const auto& b : blocks) n += b.serialized_size();
   return n;
-}
-
-std::vector<std::uint8_t> LocalIndex::serialize() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(serialized_size());
-  put_u32(out, kLocalMagic);
-  put_u32(out, static_cast<std::uint32_t>(writer));
-  put_u32(out, static_cast<std::uint32_t>(file));
-  put_u32(out, static_cast<std::uint32_t>(blocks.size()));
-  for (const auto& b : blocks) put_block(out, b);
-  return out;
-}
-
-std::optional<LocalIndex> LocalIndex::deserialize(std::span<const std::uint8_t> bytes) {
-  Reader r(bytes);
-  if (r.u32() != kLocalMagic) return std::nullopt;
-  LocalIndex idx;
-  idx.writer = static_cast<Rank>(r.u32());
-  idx.file = static_cast<GroupId>(r.u32());
-  const std::uint32_t n = r.u32();
-  if (!r.ok() || n > r.remaining() / kMinBlockBytes) return std::nullopt;
-  idx.blocks.resize(n);
-  for (auto& b : idx.blocks)
-    if (!get_block(r, b)) return std::nullopt;
-  return idx;
 }
 
 void FileIndex::merge(const LocalIndex& local) {

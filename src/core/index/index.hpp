@@ -19,8 +19,8 @@
 // in a `KeptIndex`, and `build_file_index` turns them into records when
 // something reads them.
 //
-// Indices serialize to a flat byte layout so the thread runtime can write
-// them into real files and read them back.
+// File and global indices serialize to a flat byte layout so the thread
+// runtime can write them into real files and read them back.
 #pragma once
 
 #include <cstddef>
@@ -98,9 +98,12 @@ struct BlockRecord {
                                 std::span<const std::uint64_t> sel_counts) const;
 };
 
-/// Everything one writer wrote in one output step.
+/// Everything one writer wrote in one output step.  It travels only as a
+/// size: `serialized_size()` prices the INDEX_BODY message, so it sets
+/// simulated traffic.
 struct LocalIndex {
-  /// Serialized header: magic, writer, file, block count.
+  /// Header bytes counted by serialized_size(): magic, writer, file, block
+  /// count.
   static constexpr std::size_t kHeaderBytes = 16;
 
   Rank writer = -1;
@@ -109,8 +112,6 @@ struct LocalIndex {
   std::vector<BlockRecord> blocks;
 
   [[nodiscard]] std::size_t serialized_size() const;
-  [[nodiscard]] std::vector<std::uint8_t> serialize() const;
-  static std::optional<LocalIndex> deserialize(std::span<const std::uint8_t> bytes);
   bool operator==(const LocalIndex&) const = default;
 };
 

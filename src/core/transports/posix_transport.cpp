@@ -14,7 +14,6 @@ void PosixTransport::run(const IoJob& job, std::function<void(IoResult)> on_done
   struct RunState {
     IoResult result;
     std::size_t remaining;
-    std::size_t flushes_remaining = 0;
     std::function<void(IoResult)> on_done;
   };
   auto state = std::make_shared<RunState>();
@@ -27,32 +26,18 @@ void PosixTransport::run(const IoJob& job, std::function<void(IoResult)> on_done
   state->remaining = job.n_writers();
   state->on_done = std::move(on_done);
 
-  auto finish = [this, state, n_osts] {
-    state->result.t_data_done = fs_.engine().now();
-    if (!config_.flush_at_end) {
-      state->result.t_complete = state->result.t_data_done;
-      state->on_done(std::move(state->result));
-      return;
-    }
-    state->flushes_remaining = n_osts;
-    for (std::size_t o = 0; o < n_osts; ++o) {
-      fs_.ost(o).flush([state](sim::Time now) {
-        if (--state->flushes_remaining == 0) {
-          state->result.t_complete = now;
-          state->on_done(std::move(state->result));
-        }
-      });
-    }
-  };
-
   // Writers split evenly across the OSTs: writer i -> OST i mod n.
   const double t0 = fs_.engine().now();
   for (std::size_t i = 0; i < job.n_writers(); ++i) {
     state->result.writer_times[i].start = t0;
     fs_.ost(i % n_osts).write(job.bytes_per_writer[i], config_.mode,
-                              [state, i, finish](sim::Time now) {
+                              [this, state, i](sim::Time now) {
                                 state->result.writer_times[i].end = now;
-                                if (--state->remaining == 0) finish();
+                                if (--state->remaining > 0) return;
+                                // Closes are excluded too: the last write ends the run.
+                                state->result.t_data_done = fs_.engine().now();
+                                state->result.t_complete = state->result.t_data_done;
+                                state->on_done(std::move(state->result));
                               });
   }
 }

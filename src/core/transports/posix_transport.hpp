@@ -20,7 +20,6 @@ class PosixTransport final : public Transport {
   struct Config {
     std::size_t osts_to_use = 0;  ///< 0 = all OSTs
     fs::Ost::Mode mode = fs::Ost::Mode::Cached;  ///< plain POSIX writes
-    bool flush_at_end = false;  ///< add a durable barrier per OST at the end
   };
 
   PosixTransport(fs::FileSystem& fs, Config config) : fs_(fs), config_(config) {}

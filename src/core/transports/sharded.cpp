@@ -43,28 +43,6 @@ IoResult ShardedAdaptiveSim::run(const IoJob& job) {
   transport_.run(job, [&out](IoResult r) { out = std::move(r); });
   shards_.run();
   if (!out) throw std::runtime_error("ShardedAdaptiveSim: run did not complete");
-  // Leave the host-runtime profile in the journal: one kProfShard record per
-  // shard at the run's final simulated time, so the offline analyzer and the
-  // journal->trace converter see the runtime cost next to the run it paid
-  // for.  Only when a profiler is armed — default journals stay shard-count
-  // invariant.
-  if (obs::prof::ShardProfiler* prof = shards_.profiler(); prof && !journals_.empty()) {
-    for (std::size_t s = 0; s < shards_.n_shards(); ++s) {
-      const obs::prof::ShardProfiler::Slot& slot = prof->slot(s);
-      obs::Record r;
-      r.kind = obs::Rec::kProfShard;
-      r.t = out->t_complete;
-      r.id = static_cast<std::uint32_t>(s);
-      r.v0 = slot.execute_s;
-      r.v1 = slot.barrier_s;
-      r.v2 = slot.merge_s;
-      r.u0 = static_cast<std::uint32_t>(slot.events);
-      r.u1 = static_cast<std::uint32_t>(slot.msgs_posted);
-      r.u2 = static_cast<std::uint32_t>(slot.msgs_drained);
-      r.a = static_cast<std::uint8_t>(shards_.n_shards());
-      journals_[s]->append(r);
-    }
-  }
   return std::move(*out);
 }
 

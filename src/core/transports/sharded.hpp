@@ -39,9 +39,8 @@ class ShardedAdaptiveSim {
     bool deterministic = true;
     /// Host-runtime profiler (obs/prof.hpp), bound to the shard group before
     /// the run.  Null (the default) records nothing.  Profiling never feeds
-    /// back into simulated time, so results stay bit-identical armed or not;
-    /// with `collect_journal` the run additionally appends one kProfShard
-    /// record per shard at the run's final simulated time.
+    /// back into simulated time and writes nothing to the journals, so
+    /// results and merged records are bit-identical armed or not.
     obs::prof::ShardProfiler* profiler = nullptr;
   };
 

@@ -39,10 +39,6 @@ class MetadataServer {
     double open_base_s = 0.5e-3;    ///< open service time, unloaded
     double close_base_s = 0.2e-3;   ///< close service time, unloaded
     double stat_base_s = 0.1e-3;    ///< getattr/lookup service time, unloaded
-    /// create service time, unloaded; a negative value (the default) prices
-    /// a create like an open, which keeps configs that predate the split
-    /// byte-identical.
-    double create_base_s = -1.0;
     double queue_penalty = 0.004;   ///< per-queued-request service-time growth
     /// Marginal cost of each item beyond the first in a batched request —
     /// the per-entry inode/log work left after the per-request fixed cost
@@ -107,8 +103,7 @@ class MetadataServer {
       case OpKind::Open: return config_.open_base_s;
       case OpKind::Close: return config_.close_base_s;
       case OpKind::Stat: return config_.stat_base_s;
-      case OpKind::Create:
-        return config_.create_base_s < 0.0 ? config_.open_base_s : config_.create_base_s;
+      case OpKind::Create: return config_.open_base_s;  // no preset prices them apart
     }
     __builtin_unreachable();
   }

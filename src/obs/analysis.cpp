@@ -262,25 +262,6 @@ Json analyze(const Journal& journal) {
     summary.set("critical_path", std::move(cpj));
   }
 
-  // Host-runtime artifacts (obs/prof.hpp): surfaced verbatim, never folded
-  // into simulated-time accounting.
-  Json prof = Json::array();
-  for (const Record& r : journal.records()) {
-    if (r.kind != Rec::kProfShard) continue;
-    Json pj = Json::object();
-    pj.set("shard", r.id);
-    pj.set("n_shards", static_cast<double>(r.a));
-    pj.set("t", r.t);
-    pj.set("execute_s", r.v0);
-    pj.set("barrier_s", r.v1);
-    pj.set("merge_s", r.v2);
-    pj.set("events", static_cast<double>(r.u0));
-    pj.set("msgs_posted", static_cast<double>(r.u1));
-    pj.set("msgs_drained", static_cast<double>(r.u2));
-    prof.push(std::move(pj));
-  }
-  if (prof.size() > 0) summary.set("prof", std::move(prof));
-
   Json steals_doc = Json::object();
   steals_doc.set("completed", static_cast<double>(steals_completed));
   steals_doc.set("saved_s", saved_total);

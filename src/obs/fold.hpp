@@ -312,9 +312,6 @@ inline void Fold::ingest(const Record& r) {
         g->source = r.u0;
       }
       break;
-    case Rec::kProfShard:
-      // Host-runtime artifact (obs/prof.hpp): no simulated state.
-      break;
   }
 }
 

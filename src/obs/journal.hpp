@@ -41,12 +41,8 @@ enum class Rec : std::uint8_t {
   kMdsOp = 8,       ///< metadata server dispatched a request
   kStealGrant = 9,  ///< coordinator issued ADAPTIVE_WRITE_START
   kStealComplete = 10,  ///< adaptive WRITE_COMPLETE reached the coordinator
-  /// Per-shard host-runtime profile of a sharded run (obs/prof.hpp), one
-  /// record per shard at the run's final simulated time.  A *host* artifact:
-  /// its payload depends on the shard count and wall-clock, so it is only
-  /// emitted when a profiler is armed and is excluded from the cross-shard
-  /// digest-invariance claims (DESIGN.md §10).
-  kProfShard = 11,
+  // 11 stays unassigned: older journals hold host-time shard profiles there,
+  // which every consumer skips as an unknown kind.
 };
 
 /// kRunMark phases.
@@ -74,8 +70,6 @@ enum class Mark : std::uint8_t {
 ///                  v0=offset v1=source_queue_depth
 ///   kStealComplete id=grant_seq u0=source_group u1=target_file u2=writer
 ///                  v0=bytes
-///   kProfShard     id=shard v0=execute_s v1=barrier_s v2=merge_s
-///                  u0=events u1=msgs_posted u2=msgs_drained a=n_shards
 struct Record {
   double t = 0.0;
   double v0 = 0.0;

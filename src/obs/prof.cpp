@@ -6,19 +6,7 @@
 
 namespace aio::obs::prof {
 
-void ShardProfiler::bind(std::size_t n_shards) {
-  slots_.assign(n_shards, Slot{});
-  window_s_ = 0.0;
-  windows_executed_ = windows_skipped_ = barrier_rounds_ = 0;
-}
-
-void ShardProfiler::note_windows(double window_s, std::uint64_t executed,
-                                 std::uint64_t skipped, std::uint64_t barrier_rounds) {
-  window_s_ = window_s;
-  windows_executed_ = executed;
-  windows_skipped_ = skipped;
-  barrier_rounds_ = barrier_rounds;
-}
+void ShardProfiler::bind(std::size_t n_shards) { slots_.assign(n_shards, Slot{}); }
 
 ShardProfiler::Slot ShardProfiler::totals() const {
   Slot t;
@@ -66,10 +54,6 @@ Json ShardProfiler::to_json() const {
   Json doc = Json::object();
   doc.set("schema", "aio-prof-v1");
   doc.set("n_shards", static_cast<double>(slots_.size()));
-  doc.set("window_s", window_s_);
-  doc.set("windows_executed", static_cast<double>(windows_executed_));
-  doc.set("windows_skipped", static_cast<double>(windows_skipped_));
-  doc.set("barrier_rounds", static_cast<double>(barrier_rounds_));
   const auto slot_json = [](const Slot& s) {
     Json j = Json::object();
     j.set("execute_s", s.execute_s);

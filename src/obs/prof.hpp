@@ -28,10 +28,11 @@
 // slot array up front, so worker-side accumulation is allocation-free in
 // steady state (tests/test_alloc_guard holds this).
 //
-// `macro_jaguar` arms it from `AIO_PROF` (obs/env.hpp sink: "1"/"-" =
-// stderr summary, otherwise a path for an array of aio-prof-v1 documents)
-// and publishes the totals as prof_* values in its bench JSON rows;
-// `ShardedAdaptiveSim` journals each slot as a kProfShard record.
+// Host time stays out of the run journal, which holds simulated time only.
+// `macro_jaguar` arms the profiler from `AIO_PROF` (obs/env.hpp sink:
+// "1"/"-" = the stderr summary, otherwise a path for an array of
+// aio-prof-v1 documents, to which it adds the shard group's window counts);
+// `perf/aio_perf.cpp` reads the slots directly.
 #pragma once
 
 #include <cstddef>
@@ -70,10 +71,6 @@ class ShardProfiler {
   [[nodiscard]] Slot& slot(std::size_t shard) { return slots_[shard]; }
   [[nodiscard]] const Slot& slot(std::size_t shard) const { return slots_[shard]; }
 
-  /// Run-level window-loop context, recorded by the host after run().
-  void note_windows(double window_s, std::uint64_t executed, std::uint64_t skipped,
-                    std::uint64_t barrier_rounds);
-
   /// Sums across shards (backlog_hw is the max, not the sum).
   [[nodiscard]] Slot totals() const;
   /// Load-imbalance index: max/mean of per-shard execute_s; 1.0 when the
@@ -83,21 +80,11 @@ class ShardProfiler {
   /// One-line stderr summary (the AIO_PROF="1" consumer).
   void print_summary(const char* label) const;
 
-  /// aio-prof-v1 document: window context, per-shard slots, totals,
-  /// imbalance.
+  /// aio-prof-v1 document: per-shard slots, totals, imbalance.
   [[nodiscard]] Json to_json() const;
-
-  [[nodiscard]] double window_s() const { return window_s_; }
-  [[nodiscard]] std::uint64_t windows_executed() const { return windows_executed_; }
-  [[nodiscard]] std::uint64_t windows_skipped() const { return windows_skipped_; }
-  [[nodiscard]] std::uint64_t barrier_rounds() const { return barrier_rounds_; }
 
  private:
   std::vector<Slot> slots_;
-  double window_s_ = 0.0;
-  std::uint64_t windows_executed_ = 0;
-  std::uint64_t windows_skipped_ = 0;
-  std::uint64_t barrier_rounds_ = 0;
 };
 
 }  // namespace aio::obs::prof

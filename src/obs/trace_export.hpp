@@ -19,8 +19,8 @@
 //     integrates);
 //   * mds (pid 4): one thread per metadata server, an instant per kMdsOp
 //     (args: service_s, backlog, batched);
-//   * runtime (pid 5): one instant per kProfShard record with the shard's
-//     host-time split (only present when the run was profiled);
+//   * runtime (pid 5): named for the thread runtime's layer, which emits no
+//     records yet, so the process holds no events;
 //   * critical path (pid 6, report_trace only): one thread per run, tiled
 //     with the typed segments of `runs[i].critical_path` — the path renders
 //     directly under the writer spans that produced it.

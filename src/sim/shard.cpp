@@ -329,7 +329,6 @@ void ShardGroup::run() {
   if (n_shards_ == 1) {
     worker(0);
     tls_parity = 0;
-    if (prof_) prof_->note_windows(window_s_, windows_executed_, windows_skipped_, rounds_);
     return;
   }
   std::vector<std::thread> threads;
@@ -350,7 +349,6 @@ void ShardGroup::run() {
   tls_engine = engines_[0].get();
   tls_shard = 0;
   tls_parity = 0;
-  if (prof_) prof_->note_windows(window_s_, windows_executed_, windows_skipped_, rounds_);
   for (auto& e : errors_)
     if (e) std::rethrow_exception(e);
 }

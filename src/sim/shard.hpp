@@ -195,7 +195,6 @@ class ShardGroup {
   /// be called before run(); the profiler only reads the host clock, so the
   /// simulated event sequence is identical armed or not.
   void set_profiler(obs::prof::ShardProfiler* prof);
-  [[nodiscard]] obs::prof::ShardProfiler* profiler() const { return prof_; }
 
   /// Test hook: makes the next multi-message merge swap two entries so the
   /// canonical-order validator must reject it (proves misordered cross-shard

@@ -695,32 +695,34 @@ void put_le32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
-// A hostile header must not buy an allocation: the decoders bound every
-// count by what the remaining bytes could hold before sizing anything.
+// A hostile header must not buy an allocation: the decoder of the index
+// files the thread runtime reads back bounds every count by what the
+// remaining bytes could hold before sizing anything.
 TEST(AllocGuard, HostileIndexCountsAllocateNothingUpFront) {
-  constexpr std::uint32_t kLocalMagic = 0x41494F4Cu;  // "AIOL"
+  constexpr std::uint32_t kFileMagic = 0x41494F46u;  // "AIOF"
   std::vector<std::uint8_t> header;
-  put_le32(header, kLocalMagic);
-  put_le32(header, 1);         // writer
+  put_le32(header, kFileMagic);
   put_le32(header, 0);         // file
   put_le32(header, 1u << 24);  // claimed blocks, none present
-  ASSERT_EQ(header.size(), LocalIndex::kHeaderBytes);
+  ASSERT_EQ(header.size(), FileIndex::kHeaderBytes);
 
   AllocGuard guard;
   guard.start();
-  const bool decoded = LocalIndex::deserialize(header).has_value();
-  EXPECT_EQ(guard.stop(), 0u) << "16-byte local index allocated for its claimed blocks";
+  const bool decoded = FileIndex::deserialize(header).has_value();
+  EXPECT_EQ(guard.stop(), 0u) << "12-byte file index allocated for its claimed blocks";
   EXPECT_FALSE(decoded);
 
   // One real block whose first dim list claims 2^20 entries: only the block
   // record itself may be allocated, never the claimed dims.
   LocalIndex one;
   one.blocks.emplace_back();
-  std::vector<std::uint8_t> bytes = one.serialize();
-  const std::size_t dims_at = LocalIndex::kHeaderBytes + 4 + 4 + 8 + 8;
+  FileIndex file(0);
+  file.merge(one);
+  std::vector<std::uint8_t> bytes = file.serialize();
+  const std::size_t dims_at = FileIndex::kHeaderBytes + 4 + 4 + 8 + 8;
   for (int i = 0; i < 4; ++i) bytes[dims_at + i] = static_cast<std::uint8_t>((1u << 20) >> (8 * i));
   guard.start();
-  const bool dims_decoded = LocalIndex::deserialize(bytes).has_value();
+  const bool dims_decoded = FileIndex::deserialize(bytes).has_value();
   EXPECT_LE(guard.stop(), 1u) << "dim list allocated for its claimed length";
   EXPECT_FALSE(dims_decoded);
 }
@@ -803,7 +805,6 @@ TEST(AllocGuard, ShardProfilerSteadyStateIsAllocationFree) {
       ASSERT_GT(imb, 0.999);
     }
   }
-  prof.note_windows(512e-6, 1024, 0, 1024);
   EXPECT_EQ(guard.stop(), 0u) << "profiler round loop allocated in steady state";
   EXPECT_EQ(prof.totals().rounds, 1024u);
 }

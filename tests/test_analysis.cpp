@@ -178,6 +178,38 @@ TEST(Analysis, NonFiniteTimestampsDoNotAbortTheAnalyzer) {
   }
 }
 
+// Kind 11 is retired: journals written before it was freed hold one host-time
+// shard profile per shard there, at the run's final time.  The analyzer skips
+// them as an unknown kind, so such a journal reports what its simulated-time
+// records alone report.
+TEST(Analysis, RetiredKindElevenIsSkipped) {
+  TwoOstRig rig;
+  (void)rig.run();
+  obs::Journal older({/*path=*/"", /*max_records=*/1u << 20});
+  while (older.runs() < rig.journal.runs()) older.begin_run();
+  for (const obs::Record& r : rig.journal.records()) older.append(r);
+  for (std::uint32_t shard = 0; shard < 4; ++shard) {
+    obs::Record prof;
+    prof.kind = static_cast<obs::Rec>(11);
+    prof.t = rig.engine.now();
+    prof.id = shard;
+    prof.v0 = 0.5;
+    prof.v1 = 0.25;
+    prof.v2 = 0.125;
+    prof.u0 = 1000;
+    prof.a = 4;
+    older.append(prof);
+  }
+  const obs::Json with = obs::analyze(older);
+  const obs::Json without = obs::analyze(rig.journal);
+  // Only the journal's raw record count sees them.
+  EXPECT_EQ(num_at(with, {"journal", "records"}), num_at(without, {"journal", "records"}) + 4);
+  EXPECT_EQ(with.find("journal")->find("runs")->dump(),
+            without.find("journal")->find("runs")->dump());
+  EXPECT_EQ(with.find("runs")->dump(), without.find("runs")->dump());
+  EXPECT_EQ(with.find("summary")->dump(), without.find("summary")->dump());
+}
+
 // --- binary round-trip -------------------------------------------------------
 
 TEST(Analysis, JournalRoundTripsThroughDisk) {

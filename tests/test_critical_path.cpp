@@ -384,9 +384,10 @@ TEST(TraceExport, RigExportsMatchGoldenBytes) {
 }
 
 /// A journal holding every record kind once or more, written by hand: both
-/// signal flavours, a steal chain, a profiled shard, and writer 1's start
-/// with no end (what a crash dump leaves behind).  One MDS op carries an
-/// infinite service time, which must render as null.
+/// signal flavours, a steal chain, a record of the retired kind 11 (a shard
+/// profile, which renders nothing), and writer 1's start with no end (what a
+/// crash dump leaves behind).  One MDS op carries an infinite service time,
+/// which must render as null.
 obs::Journal every_kind_journal() {
   using obs::Rec;
   obs::Journal j({/*path=*/"", /*max_records=*/64});
@@ -411,12 +412,12 @@ obs::Journal every_kind_journal() {
   j.append({.t = 2.5, .id = run, .kind = Rec::kRunMark, .a = 1});
   j.append({.t = 2.75, .v0 = 1.0, .v1 = 1.0, .id = run, .kind = Rec::kRunMark, .a = 2});
   j.append({.t = 2.75, .v0 = 0.125, .v1 = 0.0625, .v2 = 0.03125, .id = 0, .u0 = 42, .u1 = 5,
-            .u2 = 5, .kind = Rec::kProfShard, .a = 1});
+            .u2 = 5, .kind = static_cast<Rec>(11), .a = 1});
   return j;
 }
 
 TEST(TraceExport, EveryRecordKindMatchesGoldenDump) {
-  // kFileMap renders nothing; writer 1's span stays open.
+  // kFileMap and kind 11 render nothing; writer 1's span stays open.
   const std::string expected =
       R"({"traceEvents":[{"ph":"M","pid":1,"tid":0,"ts":0,"name":"process_name","args":{"name":"des engine"}},)"
       R"({"ph":"M","pid":2,"tid":0,"ts":0,"name":"process_name","args":{"name":"adaptive protocol"}},)"
@@ -440,9 +441,8 @@ TEST(TraceExport, EveryRecordKindMatchesGoldenDump) {
       R"({"ph":"E","pid":2,"tid":1,"ts":2000000,"cat":"protocol"},)"
       R"({"ph":"i","pid":2,"tid":0,"ts":2500000,"name":"steal-complete 7","cat":"protocol","s":"t","args":{"writer":1,"bytes":2000000}},)"
       R"({"ph":"i","pid":2,"tid":0,"ts":2500000,"name":"data-done","cat":"protocol","s":"t"},)"
-      R"({"ph":"i","pid":2,"tid":0,"ts":2750000,"name":"complete","cat":"protocol","s":"t"},)"
-      R"({"ph":"i","pid":5,"tid":0,"ts":2750000,"name":"prof shard 0","cat":"runtime","s":"t","args":{"execute_s":0.125,"barrier_s":0.0625,"merge_s":0.03125,"events":42,"msgs_posted":5,"msgs_drained":5}}],)"
-      R"("displayTimeUnit":"ms","otherData":{"dropped":0,"events":15,"categories":4294967295}})";
+      R"({"ph":"i","pid":2,"tid":0,"ts":2750000,"name":"complete","cat":"protocol","s":"t"}],)"
+      R"("displayTimeUnit":"ms","otherData":{"dropped":0,"events":14,"categories":4294967295}})";
   EXPECT_EQ(obs::journal_trace(every_kind_journal()).dump(), expected);
 }
 

@@ -396,8 +396,8 @@ TEST(Mds, DifferentOpKindsUseDifferentBaseTimes) {
 }
 
 TEST(Mds, CreateDefaultsToOpenPrice) {
-  // create_base_s < 0 (the default) prices Create exactly like Open, so a
-  // tier that issues Create ops is byte-identical to one issuing Opens.
+  // Create is priced exactly like Open, so a tier that issues Create ops is
+  // byte-identical to one issuing Opens.
   Engine e;
   MetadataServer::Config c;
   c.open_base_s = 0.004;
@@ -409,20 +409,28 @@ TEST(Mds, CreateDefaultsToOpenPrice) {
   EXPECT_NEAR(create_done, 0.004, 1e-9);
 }
 
-TEST(Mds, CreateHonoursItsOwnPriceWhenSet) {
-  Engine e;
+TEST(Mds, CreateUnderLoadMatchesOpen) {
+  // A queued Create grows with the backlog exactly as an Open does: a storm
+  // of mixed Creates and Opens completes at the instants of an all-Open one.
   MetadataServer::Config c;
   c.open_base_s = 0.004;
-  c.create_base_s = 0.007;
-  c.queue_penalty = 0.0;
-  MetadataServer mds(e, c);
-  Time create_done = -1, open_done = -1;
-  mds.submit(MetadataServer::OpKind::Create, [&](Time t) { create_done = t; });
-  e.run();
-  mds.submit(MetadataServer::OpKind::Open, [&](Time t) { open_done = t; });
-  e.run();
-  EXPECT_NEAR(create_done, 0.007, 1e-9);
-  EXPECT_NEAR(open_done - create_done, 0.004, 1e-9);
+  c.queue_penalty = 0.02;
+  const auto storm = [&c](bool mixed) {
+    Engine e;
+    MetadataServer mds(e, c);
+    std::vector<Time> done;
+    for (int i = 0; i < 16; ++i) {
+      const auto kind = mixed && i % 2 == 0 ? MetadataServer::OpKind::Create
+                                            : MetadataServer::OpKind::Open;
+      mds.submit(kind, [&done](Time t) { done.push_back(t); });
+    }
+    e.run();
+    return done;
+  };
+  const std::vector<Time> mixed = storm(true);
+  ASSERT_EQ(mixed.size(), 16u);
+  EXPECT_EQ(mixed, storm(false));
+  EXPECT_GT(mixed.back() - mixed[mixed.size() - 2], 0.004);  // the backlog priced in
 }
 
 TEST(Mds, BatchedRequestAmortizesBaseTime) {

@@ -1,5 +1,5 @@
-// Tests for characteristics, local/file/global indices, serialization and
-// queries.
+// Tests for characteristics, local/file/global indices, file and global
+// index serialization, and queries.
 #include "core/index/index.hpp"
 
 #include <gtest/gtest.h>
@@ -71,10 +71,13 @@ TEST(BlockRecord, IntersectsBoxes) {
   EXPECT_FALSE(b.intersects(wrong_dims_off, wrong_dims_cnt));
 }
 
-TEST(LocalIndex, SerializeRoundTrips) {
+// serialized_size() prices the INDEX_BODY message: a 16-byte header plus
+// each block exactly as the file index it merges into lays it out.
+TEST(LocalIndex, SerializedSizeIsHeaderPlusFileIndexBlocks) {
   LocalIndex idx;
   idx.writer = 42;
   idx.file = 7;
+  EXPECT_EQ(idx.serialized_size(), LocalIndex::kHeaderBytes);
   BlockRecord b = make_block(42, 3, 1024, 8192);
   b.global_dims = {256, 256, 256};
   b.offsets = {0, 64, 128};
@@ -82,26 +85,14 @@ TEST(LocalIndex, SerializeRoundTrips) {
   b.ch = Characteristics{-1.5, 2.5, 100.0, 32768};
   idx.blocks.push_back(b);
   idx.blocks.push_back(make_block(42, 4, 9216, 100));
+  // 68 fixed bytes per block, 8 per dim entry: (68 + 9 * 8) + 68.
+  EXPECT_EQ(idx.serialized_size(), LocalIndex::kHeaderBytes + 140u + 68u);
 
-  const auto bytes = idx.serialize();
-  EXPECT_EQ(bytes.size(), idx.serialized_size());
-  const auto back = LocalIndex::deserialize(bytes);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, idx);
-}
-
-TEST(LocalIndex, DeserializeRejectsGarbage) {
-  std::vector<std::uint8_t> junk{1, 2, 3, 4, 5};
-  EXPECT_FALSE(LocalIndex::deserialize(junk).has_value());
-  EXPECT_FALSE(LocalIndex::deserialize({}).has_value());
-  // Valid magic but truncated body.
-  LocalIndex idx;
-  idx.writer = 1;
-  idx.file = 1;
-  idx.blocks.push_back(make_block(1, 0, 0, 10));
-  auto bytes = idx.serialize();
-  bytes.resize(bytes.size() / 2);
-  EXPECT_FALSE(LocalIndex::deserialize(bytes).has_value());
+  FileIndex fi(idx.file);
+  fi.merge(idx);
+  fi.finalize();
+  EXPECT_EQ(idx.serialized_size() - LocalIndex::kHeaderBytes,
+            fi.serialize().size() - FileIndex::kHeaderBytes);
 }
 
 TEST(FileIndex, MergeAndFinalizeSortsByOffset) {
@@ -159,11 +150,20 @@ TEST(FileIndex, SerializeRoundTrips) {
   EXPECT_EQ(back->blocks()[0], fi.blocks()[0]);
 }
 
-TEST(FileIndex, FileAndLocalFormatsAreDistinct) {
-  LocalIndex li;
-  li.writer = 1;
-  li.file = 1;
-  const auto bytes = li.serialize();
+TEST(FileIndex, DeserializeRejectsGarbage) {
+  std::vector<std::uint8_t> junk{1, 2, 3, 4, 5};
+  EXPECT_FALSE(FileIndex::deserialize(junk).has_value());
+  EXPECT_FALSE(FileIndex::deserialize({}).has_value());
+  // Valid magic but truncated body.
+  FileIndex fi(1);
+  LocalIndex a;
+  a.writer = 1;
+  a.file = 1;
+  a.blocks.push_back(make_block(1, 0, 0, 10));
+  fi.merge(a);
+  fi.finalize();
+  auto bytes = fi.serialize();
+  bytes.resize(bytes.size() / 2);
   EXPECT_FALSE(FileIndex::deserialize(bytes).has_value());
 }
 
@@ -199,6 +199,12 @@ GlobalIndex two_file_index() {
   f1.finalize();
   gi.add(f1);
   return gi;
+}
+
+TEST(FileIndex, FileAndGlobalFormatsAreDistinct) {
+  const GlobalIndex gi = two_file_index();
+  EXPECT_FALSE(FileIndex::deserialize(gi.serialize()).has_value());
+  EXPECT_FALSE(GlobalIndex::deserialize(gi.files()[0].serialize()).has_value());
 }
 
 TEST(GlobalIndex, QueryBySelectionBox) {
@@ -247,6 +253,7 @@ TEST(GlobalIndex, DeserializeRejectsWrappingLength) {
 // Property: serialization round-trips for arbitrary block shapes.
 class IndexRoundTrip : public ::testing::TestWithParam<int> {};
 
+// A local index's blocks round-trip through the file index they merge into.
 TEST_P(IndexRoundTrip, LocalIndexWithNBlocks) {
   const int n = GetParam();
   LocalIndex idx;
@@ -266,9 +273,13 @@ TEST_P(IndexRoundTrip, LocalIndexWithNBlocks) {
     cursor += b.length;
     idx.blocks.push_back(std::move(b));
   }
-  const auto back = LocalIndex::deserialize(idx.serialize());
+  FileIndex fi(idx.file);
+  fi.merge(idx);
+  fi.finalize();
+  const auto back = FileIndex::deserialize(fi.serialize());
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, idx);
+  EXPECT_EQ(back->file(), idx.file);
+  EXPECT_EQ(back->blocks(), idx.blocks);
 }
 
 INSTANTIATE_TEST_SUITE_P(BlockCounts, IndexRoundTrip, ::testing::Values(0, 1, 2, 8, 64, 512));

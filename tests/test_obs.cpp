@@ -294,16 +294,16 @@ obs::Record rec(double t, obs::Rec kind, std::uint32_t id, std::uint8_t a = 0) {
 
 TEST(MergeRecords, TiedTimestampsOrderByKindThenContent) {
   // A sharded epilogue in miniature: the run's kComplete mark, a writer end,
-  // an OST state flip, and two host-profile records all land at the same
+  // an OST state flip, and two steal completions all land at the same
   // simulated instant, interleaved adversarially across two journals.
   const double t = 4.0;
   obs::Journal a({/*path=*/"", /*max_records=*/64});
   obs::Journal b({/*path=*/"", /*max_records=*/64});
-  a.append(rec(t, obs::Rec::kProfShard, /*shard=*/1, /*n_shards=*/2));
+  a.append(rec(t, obs::Rec::kStealComplete, /*grant=*/1));
   a.append(rec(t, obs::Rec::kRunMark, 1, static_cast<std::uint8_t>(obs::Mark::kComplete)));
   a.append(rec(t - 1.0, obs::Rec::kWriterStart, 3));
   b.append(rec(t, obs::Rec::kOstState, 0));
-  b.append(rec(t, obs::Rec::kProfShard, /*shard=*/0, /*n_shards=*/2));
+  b.append(rec(t, obs::Rec::kStealComplete, /*grant=*/0));
   b.append(rec(t, obs::Rec::kWriterEnd, 3));
 
   const std::vector<obs::Record> merged = obs::merge_records({&a, &b});
@@ -314,11 +314,11 @@ TEST(MergeRecords, TiedTimestampsOrderByKindThenContent) {
   EXPECT_EQ(merged[1].kind, obs::Rec::kRunMark);
   EXPECT_EQ(merged[2].kind, obs::Rec::kWriterEnd);
   EXPECT_EQ(merged[3].kind, obs::Rec::kOstState);
-  // Host-profile records (kind 11, the largest) always sort after every
-  // simulated record at the same instant, shard order broken bytewise.
-  EXPECT_EQ(merged[4].kind, obs::Rec::kProfShard);
+  // Steal completions (kind 10, the largest) sort after every other kind
+  // at the same instant, ties between them broken bytewise.
+  EXPECT_EQ(merged[4].kind, obs::Rec::kStealComplete);
   EXPECT_EQ(merged[4].id, 0u);
-  EXPECT_EQ(merged[5].kind, obs::Rec::kProfShard);
+  EXPECT_EQ(merged[5].kind, obs::Rec::kStealComplete);
   EXPECT_EQ(merged[5].id, 1u);
 }
 
@@ -329,7 +329,7 @@ TEST(MergeRecords, ResultDependsOnlyOnTheMultiset) {
       rec(1.0, obs::Rec::kRunBegin, 1),
       rec(2.0, obs::Rec::kWriterSignal, 0),
       rec(2.0, obs::Rec::kWriterStart, 0),
-      rec(2.0, obs::Rec::kProfShard, 0, 1),
+      rec(2.0, obs::Rec::kStealComplete, 0),
       rec(2.0, obs::Rec::kMdsOp, 0),
       rec(3.0, obs::Rec::kRunMark, 1, static_cast<std::uint8_t>(obs::Mark::kComplete)),
   };
@@ -344,8 +344,8 @@ TEST(MergeRecords, ResultDependsOnlyOnTheMultiset) {
   ASSERT_EQ(base.size(), all.size());
   ASSERT_EQ(split.size(), all.size());
   EXPECT_EQ(std::memcmp(base.data(), split.data(), base.size() * sizeof(obs::Record)), 0);
-  // And the profiler record still trails its same-time simulated peers.
-  EXPECT_EQ(base[4].kind, obs::Rec::kProfShard);
+  // And the steal completion still trails its same-time peers.
+  EXPECT_EQ(base[4].kind, obs::Rec::kStealComplete);
 }
 
 // --- Sampler vs hand-computed OST drain --------------------------------------

@@ -1,7 +1,7 @@
 // Shard-runtime profiler (obs/prof.hpp): slot arithmetic and the aio-prof-v1
 // document, the armed-run invariants on a real sharded sweep — simulated
-// results bit-identical to the unarmed run, kProfShard journal records
-// appended at the final simulated time — and the strict AIO_PROF env parser.
+// results and merged journal records bit-identical to the unarmed run — and
+// the strict AIO_PROF env parser.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -72,12 +72,10 @@ TEST(ShardProfiler, BindZeroesAndTotalsAggregate) {
   EXPECT_EQ(t.backlog_hw, 4u);  // max
   EXPECT_DOUBLE_EQ(prof.imbalance(), 3.0 / 2.0);
 
-  // Re-bind resets everything, including the window context.
-  prof.note_windows(5e-4, 200, 50, 40);
+  // Re-bind resets every slot.
   prof.bind(2);
+  EXPECT_EQ(prof.n_shards(), 2u);
   EXPECT_EQ(prof.totals().events, 0u);
-  EXPECT_EQ(prof.windows_executed(), 0u);
-  EXPECT_DOUBLE_EQ(prof.window_s(), 0.0);
 }
 
 TEST(ShardProfiler, JsonDocumentCarriesSlotsTotalsAndWindowContext) {
@@ -88,17 +86,18 @@ TEST(ShardProfiler, JsonDocumentCarriesSlotsTotalsAndWindowContext) {
   prof.slot(1).execute_s = 1.5;
   prof.slot(1).rounds = 4;
   prof.slot(1).backlog_hw = 9;
-  prof.note_windows(512e-6, 300, 100, 400);
 
   const obs::Json doc = prof.to_json();
   EXPECT_EQ(doc.find("schema")->str(), "aio-prof-v1");
   EXPECT_DOUBLE_EQ(num_at(doc, {"n_shards"}), 2.0);
-  EXPECT_DOUBLE_EQ(num_at(doc, {"window_s"}), 512e-6);
-  EXPECT_DOUBLE_EQ(num_at(doc, {"windows_executed"}), 300.0);
-  EXPECT_DOUBLE_EQ(num_at(doc, {"windows_skipped"}), 100.0);
-  EXPECT_DOUBLE_EQ(num_at(doc, {"barrier_rounds"}), 400.0);
-  ASSERT_EQ(doc.find("shards")->size(), 2u);
-  EXPECT_DOUBLE_EQ(num_at(doc.find("shards")->at(1), {"execute_s"}), 1.5);
+  // One slot per shard; the window counts are the shard group's, which the
+  // host adds (bench/macro_jaguar.cpp).
+  const obs::Json* shards = doc.find("shards");
+  ASSERT_NE(shards, nullptr);
+  ASSERT_TRUE(shards->is_array());
+  ASSERT_EQ(shards->size(), prof.n_shards());
+  EXPECT_EQ(doc.find("window_s"), nullptr);
+  EXPECT_DOUBLE_EQ(num_at(shards->at(1), {"execute_s"}), 1.5);
   EXPECT_DOUBLE_EQ(num_at(doc, {"totals", "execute_s"}), 2.0);
   EXPECT_DOUBLE_EQ(num_at(doc, {"totals", "backlog_hw"}), 9.0);
   EXPECT_DOUBLE_EQ(num_at(doc, {"imbalance"}), 1.5);
@@ -170,39 +169,12 @@ ShardedAdaptiveSim::Config rig_config(std::size_t n_shards) {
   return c;
 }
 
-std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t digest_without_prof(const std::vector<obs::Record>& records,
-                                  std::size_t* n_prof = nullptr) {
-  std::uint64_t h = 14695981039346656037ull;
-  std::size_t prof = 0;
-  for (const obs::Record& r : records) {
-    if (r.kind == obs::Rec::kProfShard) {
-      ++prof;
-      continue;
-    }
-    h = fnv1a(&r, sizeof(r), h);
-  }
-  if (n_prof) *n_prof = prof;
-  return h;
-}
-
 TEST(ShardProfilerRun, ArmedRunIsBitIdenticalModuloProfRecords) {
   const IoJob job = seeded_job(5);
   const std::size_t n_shards = 4;
 
   ShardedAdaptiveSim off(rig_config(n_shards));
   const IoResult base = off.run(job);
-  std::size_t base_prof = 0;
-  const std::uint64_t base_digest = digest_without_prof(off.merged_records(), &base_prof);
-  EXPECT_EQ(base_prof, 0u) << "unarmed run emitted kProfShard records";
 
   obs::prof::ShardProfiler prof;
   auto cfg = rig_config(n_shards);
@@ -219,33 +191,18 @@ TEST(ShardProfilerRun, ArmedRunIsBitIdenticalModuloProfRecords) {
   EXPECT_EQ(base.steals, armed.steals);
   EXPECT_EQ(base.grants_issued, armed.grants_issued);
 
-  // ... and the journal differs only by the appended kProfShard records: one
-  // per shard, stamped at the run's final simulated time.
-  const std::vector<obs::Record> merged = on.merged_records();
-  std::size_t armed_prof = 0;
-  EXPECT_EQ(digest_without_prof(merged, &armed_prof), base_digest);
-  EXPECT_EQ(armed_prof, on.shards().n_shards());
-  std::vector<bool> seen(on.shards().n_shards(), false);
-  for (const obs::Record& r : merged) {
-    if (r.kind != obs::Rec::kProfShard) continue;
-    EXPECT_EQ(r.t, armed.t_complete);
-    EXPECT_EQ(static_cast<std::size_t>(r.a), on.shards().n_shards());
-    ASSERT_LT(r.id, seen.size());
-    EXPECT_FALSE(seen[r.id]) << "duplicate prof record for shard " << r.id;
-    seen[r.id] = true;
-    // The record mirrors the slot it was cut from.
-    const obs::prof::ShardProfiler::Slot& s = prof.slot(r.id);
-    EXPECT_DOUBLE_EQ(r.v0, s.execute_s);
-    EXPECT_DOUBLE_EQ(r.v1, s.barrier_s);
-    EXPECT_DOUBLE_EQ(r.v2, s.merge_s);
-    EXPECT_EQ(r.u0, s.events);
-    EXPECT_EQ(r.u1, s.msgs_posted);
-    EXPECT_EQ(r.u2, s.msgs_drained);
-  }
+  // ... and so must the journal: host time never enters it.
+  const std::vector<obs::Record> base_records = off.merged_records();
+  const std::vector<obs::Record> armed_records = on.merged_records();
+  ASSERT_FALSE(base_records.empty());
+  ASSERT_EQ(armed_records.size(), base_records.size());
+  EXPECT_EQ(std::memcmp(armed_records.data(), base_records.data(),
+                        base_records.size() * sizeof(obs::Record)),
+            0);
 
   // Slot invariants on a completed run: every shard turned rounds and
   // dispatched events, the lockstep rounds agree, the cross-shard channel
-  // plane conserved messages, and the window context was recorded.
+  // plane conserved messages, and every round the group counted was profiled.
   const obs::prof::ShardProfiler::Slot t = prof.totals();
   EXPECT_GT(t.rounds, 0u);
   EXPECT_GT(t.events, 0u);
@@ -257,9 +214,7 @@ TEST(ShardProfilerRun, ArmedRunIsBitIdenticalModuloProfRecords) {
   EXPECT_GT(t.msgs_posted, 0u) << "4-shard run crossed no shard boundaries";
   EXPECT_GE(t.backlog_hw, 1u);
   EXPECT_GE(prof.imbalance(), 1.0);
-  EXPECT_GT(prof.window_s(), 0.0);
-  EXPECT_EQ(prof.barrier_rounds(), t.rounds);
-  EXPECT_GT(prof.windows_executed(), 0u);
+  EXPECT_EQ(on.shards().barrier_rounds(), t.rounds);
 }
 
 // --- AIO_PROF parsing --------------------------------------------------------

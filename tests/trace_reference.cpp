@@ -109,11 +109,6 @@ void journal_events(Trace& t, const std::vector<Record>& records) {
         t.add('i', "protocol", kPidProtocol, 0, r.t, "steal-complete " + std::to_string(r.id),
               args({{"writer", r.u2}, {"bytes", r.v0}}));
         break;
-      case Rec::kProfShard:
-        t.add('i', "runtime", kPidRuntime, r.id, r.t, "prof shard " + std::to_string(r.id),
-              args({{"execute_s", r.v0}, {"barrier_s", r.v1}, {"merge_s", r.v2},
-                    {"events", r.u0}, {"msgs_posted", r.u1}, {"msgs_drained", r.u2}}));
-        break;
     }
   }
 }
