@@ -36,9 +36,9 @@ void BM_EngineScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineScheduleRun)->Arg(1024)->Arg(16384)->Arg(131072);
 
-// BM_EngineScheduleRun with n fixed-delay events in flight beside the n heap
+// BM_EngineScheduleRun with n fixed-delay events in flight beside the n queue
 // events: one lane at the network latency, one at the OST op latency, both
-// landing among the heap's times.
+// landing among the queue's times.
 void BM_EngineFixedLane(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
@@ -52,6 +52,26 @@ void BM_EngineFixedLane(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 * n);
 }
 BENCHMARK(BM_EngineFixedLane)->Arg(16384);
+
+// jaguar_224k's shape: its 672 identical groups run in lock-step, so the
+// queue fills with same-instant batches.  Each of n timers fires at one
+// instant, re-arms itself one period later and schedules one short-delay
+// event; an iteration fires one batch of each.
+void BM_EngineSameInstantBatch(benchmark::State& state) {
+  struct Timer {
+    sim::Engine* engine;
+    void operator()() const {
+      engine->schedule_after(1e-3, *this);
+      engine->schedule_after(2e-6, [] {});
+    }
+  };
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::Engine engine;
+  for (std::size_t i = 0; i < n; ++i) engine.schedule_at(1e-3, Timer{&engine});
+  for (auto _ : state) benchmark::DoNotOptimize(engine.run(2 * n));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 * n);
+}
+BENCHMARK(BM_EngineSameInstantBatch)->Arg(672);
 
 void BM_EngineCancelHeavy(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 #include <stdexcept>
@@ -7,7 +8,6 @@
 
 #include "obs/journal.hpp"
 #include "obs/live.hpp"
-#include "sim/dary_heap.hpp"
 
 namespace aio::sim {
 
@@ -37,12 +37,95 @@ std::uint32_t Engine::claim(Time t, Callback&& cb, bool daemon) {
 
 EventHandle Engine::schedule(Time t, Callback cb, bool daemon) {
   // Negated so NaN is rejected too: a NaN key orders against nothing and
-  // would break the heap's strict weak ordering.
+  // would break the queue's strict weak ordering.
   if (!(t >= now_)) throw std::invalid_argument("Engine::schedule: time in the past or NaN");
   const std::uint32_t idx = claim(t, std::move(cb), daemon);
   const Slot& s = slot(idx);
-  dheap_push(heap_, Node{t, s.seq, idx}, before);
+  push(Node{t, s.seq, idx});
   return EventHandle{handle_id(idx, s.gen)};
+}
+
+void Engine::push(const Node& n) {
+  ++queued_;
+  const std::uint64_t k = key(n.time);
+  if (k > last_) {
+    std::uint32_t i = free_;
+    if (i != kNil) {
+      free_ = pool_[i].next;
+      pool_[i].node = n;
+    } else {
+      i = static_cast<std::uint32_t>(pool_.size());
+      pool_.push_back(Pooled{n, kNil});
+    }
+    link(i, k);
+    return;
+  }
+  // At or below the radix point.  Same-instant schedules draw increasing
+  // seqs, so the node almost always belongs at the back.  A key below
+  // `last_` arrives only after a refill that fired nothing (a peek, a window
+  // edge, or a bucket whose smallest key was debris or a stand-in), and is
+  // inserted at its sorted position.
+  const auto front = near_.begin() + static_cast<std::ptrdiff_t>(near_head_);
+  if (front == near_.end() || !before(n, near_.back())) {
+    near_.push_back(n);
+    return;
+  }
+  const auto at = std::upper_bound(front, near_.end(), n, before);
+  if (at == front && near_head_ > 0) {
+    near_[--near_head_] = n;
+    return;
+  }
+  near_.insert(at, n);
+}
+
+void Engine::link(std::uint32_t i, std::uint64_t k) {
+  const int b = std::bit_width(k ^ last_) - 1;
+  Bucket& bucket = buckets_[b];
+  pool_[i].next = kNil;
+  if (mask_ >> b & 1) {
+    pool_[bucket.tail].next = i;
+    bucket.min = std::min(bucket.min, k);
+  } else {
+    bucket.head = i;
+    bucket.min = k;
+    mask_ |= std::uint64_t{1} << b;
+  }
+  bucket.tail = i;
+}
+
+void Engine::refill() {
+  assert(near_.empty() && mask_ != 0);
+  const Bucket& bucket = buckets_[std::countr_zero(mask_)];
+  mask_ &= mask_ - 1;
+  last_ = bucket.min;
+  // Every other node of the bucket agrees with the new radix point above
+  // the bucket's bit, so it drops to a strictly lower bucket.
+  bool sorted = true;
+  for (std::uint32_t i = bucket.head; i != kNil;) {
+    Pooled& p = pool_[i];
+    const std::uint32_t next = p.next;
+    const std::uint64_t k = key(p.node.time);
+    if (k == last_) {
+      sorted = sorted && (near_.empty() || before(near_.back(), p.node));
+      near_.push_back(p.node);
+      p.next = free_;
+      free_ = i;
+    } else {
+      link(i, k);
+    }
+    i = next;
+  }
+  // One instant, so this orders by seq: needed only when a re-keyed
+  // stand-in was filed behind younger nodes of its instant.
+  if (!sorted) std::sort(near_.begin(), near_.end(), before);
+}
+
+void Engine::pop_near() {
+  --queued_;
+  if (++near_head_ == near_.size()) {
+    near_.clear();
+    near_head_ = 0;
+  }
 }
 
 void Engine::Lane::push(const Node& n) {
@@ -97,9 +180,9 @@ void Engine::release(std::uint32_t idx) {
 }
 
 void Engine::add_debris() {
-  // Debris stays in the heap (lazy deletion); once it dominates, one O(n)
+  // Debris stays in the queue (lazy deletion); once it dominates, one O(n)
   // compaction keeps pops from wading through it.
-  if (++debris_ > 64 && debris_ * 2 > heap_.size()) compact();
+  if (++debris_ > 64 && debris_ * 2 > queued_) compact();
 }
 
 bool Engine::cancel(EventHandle h) {
@@ -139,21 +222,36 @@ bool Engine::rearm(EventHandle h, Time t, bool daemon) {
   // Moving earlier, the standing node would surface too late: push a fresh
   // one and let the old one become debris.
   s.stamp = s.seq;
-  dheap_push(heap_, Node{t, s.seq, idx}, before);
+  push(Node{t, s.seq, idx});
   add_debris();
   return true;
 }
 
 void Engine::compact() {
+  // In place: the near run stays sorted and each bucket keeps its FIFO
+  // order.  Stand-ins stay too; they are re-keyed when they surface.
+  const auto debris = [this](const Node& n) { return n.seq != slot(n.slot).stamp; };
   std::size_t kept = 0;
-  for (const Node& n : heap_) {
-    Slot& s = slot(n.slot);
-    if (n.seq != s.stamp) continue;  // debris
-    s.stamp = s.seq;                 // re-key a node standing for a moved event
-    heap_[kept++] = Node{s.time, s.seq, n.slot};
+  for (std::size_t i = near_head_; i < near_.size(); ++i)
+    if (!debris(near_[i])) near_[kept++] = near_[i];
+  near_.resize(kept);
+  near_head_ = 0;
+  for (std::uint64_t m = mask_; m != 0; m &= m - 1) {
+    const int b = std::countr_zero(m);
+    std::uint32_t i = buckets_[b].head;
+    mask_ &= ~(std::uint64_t{1} << b);
+    while (i != kNil) {
+      const std::uint32_t next = pool_[i].next;
+      if (debris(pool_[i].node)) {
+        pool_[i].next = free_;
+        free_ = i;
+      } else {
+        link(i, key(pool_[i].node.time));  // back into bucket b
+      }
+      i = next;
+    }
   }
-  heap_.resize(kept);
-  dheap_make(heap_, before);
+  queued_ -= debris_;
   debris_ = 0;
 }
 
@@ -168,26 +266,8 @@ void Engine::fire(const Node& n) {
   cb();
 }
 
-bool Engine::settle() {
-  while (!heap_.empty()) {
-    const Node top = heap_.front();
-    Slot& s = slot(top.slot);
-    if (top.seq == s.seq) return true;  // an event at its true key
-    if (top.seq == s.stamp) {
-      // Stands in for an event moved later: re-key it in place.  Not a
-      // step — the clock and steps_ stay put.
-      s.stamp = s.seq;
-      dheap_sift_down(heap_, 0, Node{s.time, s.seq, top.slot}, before);
-    } else {
-      dheap_pop(heap_, before);
-      --debris_;
-    }
-  }
-  return false;
-}
-
 const Engine::Node* Engine::head(Lane*& lane) {
-  const Node* best = settle() ? &heap_.front() : nullptr;
+  const Node* best = nullptr;
   lane = nullptr;
   for (std::size_t i = 0; i < n_lanes_; ++i) {
     Lane& l = lanes_[i];
@@ -196,22 +276,42 @@ const Engine::Node* Engine::head(Lane*& lane) {
       lane = &l;
     }
   }
-  return best;
+  // Settle the queue only while its floor could precede the lane head: a
+  // refill run ahead of `now_` would push the next schedules below the
+  // radix point, into the near run.
+  for (;;) {
+    if (near_.empty()) {
+      if (mask_ == 0) return best;
+      if (best && key(best->time) < buckets_[std::countr_zero(mask_)].min) return best;
+      refill();
+    }
+    const Node front = near_[near_head_];
+    if (best && before(*best, front)) return best;
+    Slot& s = slot(front.slot);
+    if (front.seq == s.seq) {  // an event at its true key
+      lane = nullptr;
+      return &near_[near_head_];
+    }
+    pop_near();
+    if (front.seq == s.stamp) {
+      // Stands in for an event moved later: re-key it.  Not a step — the
+      // clock and steps_ stay put.
+      s.stamp = s.seq;
+      push(Node{s.time, s.seq, front.slot});
+    } else {
+      --debris_;
+    }
+  }
 }
 
 void Engine::fire_head(Lane* lane) {
+  const Node n = lane ? lane->front() : near_[near_head_];
   if (lane) {
-    const Node n = lane->front();
     lane->pop();
-    fire(n);
-    return;
+  } else {
+    pop_near();
   }
-#if defined(__GNUC__) || defined(__clang__)
-  // settle() touched the slot's key line; start pulling the callback's line
-  // so the fetch overlaps the O(log n) sift-down.
-  __builtin_prefetch(&slot(heap_.front().slot));
-#endif
-  fire(dheap_pop(heap_, before));
+  fire(n);
 }
 
 bool Engine::pop_one() {

@@ -1,7 +1,7 @@
 // Sharded parallel discrete-event execution with conservative lookahead.
 //
 // A `ShardGroup` partitions one simulation into S shards, each running its
-// own `sim::Engine` (4-ary heap, SBO callbacks — unchanged) on its own
+// own `sim::Engine` (radix queue, SBO callbacks — unchanged) on its own
 // thread.  S is clamped to [1, min(32, n_osts)], and each shard owns one
 // contiguous span of ranks, of OSTs and of metadata servers: the rank cuts
 // sit at s·n_ranks/S rounded down to a node boundary (so a node's NIC never

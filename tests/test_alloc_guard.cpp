@@ -5,7 +5,8 @@
 // event slots, NIC stream slots, OST op vectors, SmallVector inline storage),
 // the steady-state paths allocate NOTHING:
 //
-//   * scheduling + dispatching an engine event, on the heap or a lane,
+//   * scheduling + dispatching an engine event, on the queue or a lane, at
+//     any time scale,
 //   * sending + delivering a protocol-sized network message,
 //   * an OST write round-trip,
 //   * every control-plane FSM step a delivered message triggers
@@ -129,7 +130,7 @@ TEST(AllocGuard, EngineEventCycleIsAllocationFree) {
       engine.schedule_after(1e-6 * (i + 1), [&fired] { ++fired; });
     engine.run();
   };
-  burst();  // warm-up: slot table and heap reach steady-state capacity
+  burst();  // warm-up: slot table and queue reach steady-state capacity
 
   AllocGuard guard;
   guard.start();
@@ -140,7 +141,7 @@ TEST(AllocGuard, EngineEventCycleIsAllocationFree) {
 
 TEST(AllocGuard, EngineFixedLaneCycleIsAllocationFree) {
   // 64 chains on each of two lanes, each link re-scheduling the next on its
-  // own lane, beside heap events: the rings wrap without growing.
+  // own lane, beside queue events: the rings wrap without growing.
   sim::Engine engine;
   int fired = 0;
   struct Chain {
@@ -168,6 +169,72 @@ TEST(AllocGuard, EngineFixedLaneCycleIsAllocationFree) {
   cycle(8);
   EXPECT_EQ(guard.stop(), 0u) << "fixed-lane schedule/dispatch allocated";
   EXPECT_EQ(fired, 3 * 64 + (2 * 8 + 1) * 64);
+}
+
+// The queue files a node by the highest bit in which its time key differs
+// from the radix point, so a later epoch lands keys in buckets an earlier
+// one never used.  Bucket nodes come from one pool, so the same cycle a
+// thousand seconds on allocates nothing: a 672-event same-instant batch, as
+// the clean machine's lock-stepped groups make, beside chains whose delays
+// span 1e-9 s to 1 s.
+TEST(AllocGuard, EngineQueueAcrossTimeScalesIsAllocationFree) {
+  sim::Engine engine;
+  int fired = 0;
+  struct Chain {
+    sim::Engine* engine;
+    int* fired;
+    double delay;
+    int left;
+    void operator()() {
+      ++*fired;
+      if (--left > 0) engine->schedule_after(delay, *this);
+    }
+  };
+  const auto cycle = [&](sim::Time epoch) {
+    for (int i = 0; i < 672; ++i) engine.schedule_at(epoch, [&fired] { ++fired; });
+    double delay = 1e-9;
+    for (int k = 0; k < 10; ++k, delay *= 10.0)
+      engine.schedule_at(epoch, Chain{&engine, &fired, delay, 8});
+    engine.run();
+  };
+  cycle(1.0);  // warm-up: slot table, bucket pool and near run reach steady capacity
+
+  AllocGuard guard;
+  guard.start();
+  cycle(1e3);
+  EXPECT_EQ(guard.stop(), 0u) << "the queue allocated at a new time scale";
+  EXPECT_EQ(fired, 2 * (672 + 10 * 8));
+}
+
+// Lane events that fire ahead of every queued event must leave the radix
+// point where it is, so what they schedule lands in the warm bucket pool.
+// Were the queue settled before the lanes are consulted, the point would
+// jump to the far event and each schedule would fall below it into the near
+// run, which the warm-up (one event per instant) left at one node.
+TEST(AllocGuard, EngineLaneEventsLeaveTheRadixPointAlone) {
+  sim::Engine engine;
+  int fired = 0;
+  struct Link {
+    sim::Engine* engine;
+    int* fired;
+    int left;
+    void operator()() {
+      ++*fired;
+      engine->schedule_after(10.0, [fired = fired] { ++*fired; });
+      if (--left > 0) engine->schedule_fixed(1e-3, *this);
+    }
+  };
+  for (int i = 0; i < 256; ++i) engine.schedule_at(1.0 + 1e-3 * i, [&fired] { ++fired; });
+  engine.schedule_fixed(1e-3, Link{&engine, &fired, 1});
+  engine.run();  // warm-up: slot table, bucket pool and lane ring
+
+  AllocGuard guard;
+  guard.start();
+  engine.schedule_after(100.0, [&fired] { ++fired; });
+  engine.schedule_fixed(1e-3, Link{&engine, &fired, 64});
+  engine.run();
+  EXPECT_EQ(guard.stop(), 0u) << "lane events moved the radix point";
+  EXPECT_EQ(fired, 256 + 2 + 1 + 2 * 64);
 }
 
 // --- network delivery --------------------------------------------------------

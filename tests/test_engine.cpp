@@ -1,11 +1,14 @@
 // Unit tests for the discrete-event engine: ordering, cancellation, daemon
-// semantics, run_until behaviour, in-place re-timing (rearm), and the
-// fixed-delay lanes (schedule_fixed).
+// semantics, run_until behaviour, in-place re-timing (rearm), the
+// fixed-delay lanes (schedule_fixed), and the radix queue against a
+// brute-force model.
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -291,7 +294,7 @@ TEST(EngineRearm, HeadStandingInForLaterEventIsNotAStep) {
   std::vector<int> order;
   EventHandle a = e.schedule_at(1.0, [&] { order.push_back(1); });
   e.schedule_at(2.0, [&] { order.push_back(2); });
-  // The heap head (t=1) now stands in for an event at t=3.
+  // The queue head (t=1) now stands in for an event at t=3.
   EXPECT_TRUE(e.rearm(a, 3.0, false));
   EXPECT_EQ(e.run_before(1.5), 0u);
   EXPECT_DOUBLE_EQ(e.now(), 0.0);
@@ -300,7 +303,7 @@ TEST(EngineRearm, HeadStandingInForLaterEventIsNotAStep) {
   EXPECT_EQ(e.run_before(3.0), 1u);
   EXPECT_EQ(order, (std::vector<int>{2}));
   EXPECT_DOUBLE_EQ(e.now(), 2.0);
-  // Moving later again while the stand-in is re-keyed in the heap.
+  // Moving later again while the stand-in is re-keyed in the queue.
   EXPECT_TRUE(e.rearm(a, 4.0, false));
   EXPECT_EQ(e.run_until(3.5), 0u);
   EXPECT_DOUBLE_EQ(e.now(), 3.5);
@@ -314,7 +317,7 @@ TEST(EngineRearm, HeadStandingInForLaterEventIsNotAStep) {
 TEST(EngineRearm, ReusedSlotIgnoresOlderNodes) {
   Engine e;
   std::vector<std::pair<int, Time>> fired;
-  // Cancelling frees the slot at once; its node stays in the heap.
+  // Cancelling frees the slot at once; its node stays in the queue.
   EventHandle a = e.schedule_at(5.0, [&] { fired.emplace_back(1, e.now()); });
   EXPECT_TRUE(e.cancel(a));
   EventHandle b = e.schedule_at(7.0, [&] { fired.emplace_back(2, e.now()); });
@@ -483,7 +486,7 @@ TEST(EngineLane, SameInstantFiresInSchedulingOrderBothWaysRound) {
   e.schedule_at(1.0, [&] { order.push_back(3); });
   e.schedule_fixed(1.0, [&] {
     order.push_back(4);
-    // At the instant itself: a zero-delay lane event and a heap event at
+    // At the instant itself: a zero-delay lane event and a queue event at
     // now queue behind each other in the order they were scheduled.
     e.schedule_fixed(0.0, [&] { order.push_back(6); });
     e.schedule_at(e.now(), [&] { order.push_back(7); });
@@ -515,7 +518,7 @@ TEST(EngineLane, RunLoopsAndCountsSeeLaneHeads) {
   EXPECT_DOUBLE_EQ(e.next_event_time(), 2.25);
   EXPECT_EQ(e.run_before(2.5), 1u);
   EXPECT_DOUBLE_EQ(e.now(), 2.25);
-  e.schedule_fixed(2.0, [&] { order.push_back(5); });  // 4.25, behind the heap
+  e.schedule_fixed(2.0, [&] { order.push_back(5); });  // 4.25, behind the queue
   EXPECT_EQ(e.pending_normal(), 2u);
   EXPECT_EQ(e.run(), 3u);  // the daemon fires on the way to the last lane event
   EXPECT_EQ(order, (std::vector<int>{1, 4, 3, 2, 5}));
@@ -543,7 +546,7 @@ TEST(EngineLane, NanOrNegativeDelayThrowsAndLeavesQueueUntouched) {
 }
 
 TEST(EngineLane, DelaysBeyondTheLaneCountKeepExactOrder) {
-  // Twice as many distinct delays as lanes: the overflow rides the heap, and
+  // Twice as many distinct delays as lanes: the overflow rides the queue, and
   // the firing order is still (time, scheduling order) throughout.
   constexpr std::size_t kDelays = 2 * Engine::kMaxLanes;
   Engine e;
@@ -656,5 +659,336 @@ TEST(EngineLane, MatchesScheduleAfterOnRandomNestedMix) {
   }
   EXPECT_GT(fired, 100000u);
 }
+
+// --- the radix queue against a brute-force model ------------------------------
+
+// One side of the oracle: the engine under test, or a brute-force model of
+// it.  The model keeps every pending event as (time, seq, id, daemon),
+// sorted latest first so the next event is at the back, and draws a seq
+// wherever the engine draws one: at each schedule and each rearm, never at
+// a cancel.  Both sides run the same script from their own copy of one
+// random stream, so they draw alike for as long as they fire alike.
+struct OracleSide {
+  struct Pending {
+    Time t;
+    std::uint64_t seq;
+    int id;
+    bool daemon;
+  };
+  static bool later(const Pending& a, const Pending& b) {
+    return a.t != b.t ? a.t > b.t : a.seq > b.seq;
+  }
+  static constexpr Time kFixed[2] = {8e-6, 12e-3};  // two lanes
+
+  OracleSide(bool is_model, std::uint32_t seed) : model(is_model), rng(seed) {}
+  OracleSide(const OracleSide&) = delete;  // callbacks hold `this`
+  OracleSide& operator=(const OracleSide&) = delete;
+
+  bool model;
+  std::mt19937 rng;
+  Engine e;
+  // The model.
+  std::vector<Pending> queue;
+  Time clock = 0.0;
+  std::uint64_t next_seq = 0;
+  std::size_t fired_count = 0;
+  std::size_t normal = 0;
+  // The script, by logical event id.
+  std::vector<EventHandle> handle;
+  std::vector<Time> when;
+  std::vector<bool> daemon;
+  std::vector<bool> lane;
+  std::vector<int> held;  // pending events with a handle
+  std::vector<std::pair<int, Time>> log;
+  std::vector<double> results;  // every value an API call returned
+  int budget = 40000;  // events this side may still create
+
+  [[nodiscard]] Time now() const { return model ? clock : e.now(); }
+  [[nodiscard]] std::size_t steps() const { return model ? fired_count : e.steps(); }
+  [[nodiscard]] std::size_t pending() const { return model ? queue.size() : e.pending(); }
+  [[nodiscard]] std::size_t pending_normal() const { return model ? normal : e.pending_normal(); }
+
+  int draw(int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); }
+  double unit() { return static_cast<double>(rng()) / 4294967296.0; }
+  static Time ulps_after(Time t, int k) {
+    const auto bits = std::bit_cast<std::uint64_t>(t + 0.0) + static_cast<std::uint64_t>(k);
+    return std::bit_cast<Time>(bits);
+  }
+  int pick_held() { return held[static_cast<std::size_t>(draw(static_cast<int>(held.size())))]; }
+
+  // --- the model's run loop
+  void model_add(int id, Time t, bool d) {
+    const Pending p{t, next_seq++, id, d};
+    queue.insert(std::upper_bound(queue.begin(), queue.end(), p, later), p);
+    if (!d) ++normal;
+  }
+  bool model_remove(int id) {
+    const auto it =
+        std::find_if(queue.begin(), queue.end(), [id](const Pending& p) { return p.id == id; });
+    if (it == queue.end()) return false;
+    if (!it->daemon) --normal;
+    queue.erase(it);
+    return true;
+  }
+  void model_fire() {
+    const Pending p = queue.back();
+    queue.pop_back();
+    clock = p.t;
+    ++fired_count;
+    if (!p.daemon) --normal;
+    fired(p.id);
+  }
+
+  // --- the API, on either side
+  std::size_t run(std::size_t max) {
+    if (!model) return e.run(max);
+    std::size_t n = 0;
+    for (; n < max && normal > 0 && !queue.empty(); ++n) model_fire();
+    return n;
+  }
+  std::size_t run_until(Time t) {
+    if (!model) return e.run_until(t);
+    std::size_t n = 0;
+    for (; !queue.empty() && queue.back().t <= t; ++n) model_fire();
+    if (t > clock) clock = t;
+    return n;
+  }
+  std::size_t run_before(Time t) {
+    if (!model) return e.run_before(t);
+    std::size_t n = 0;
+    for (; !queue.empty() && queue.back().t < t; ++n) model_fire();
+    return n;
+  }
+  Time next_event_time() {
+    if (!model) return e.next_event_time();
+    return queue.empty() ? std::numeric_limits<Time>::infinity() : queue.back().t;
+  }
+  int claim_id(Time t, bool d, bool on_lane) {
+    --budget;
+    const int id = static_cast<int>(when.size());
+    handle.emplace_back();
+    when.push_back(t);
+    daemon.push_back(d);
+    lane.push_back(on_lane);
+    if (!on_lane) held.push_back(id);
+    return id;
+  }
+  Engine::Callback callback(int id) {
+    return [this, id] { fired(id); };
+  }
+  void at(Time t, bool d) {
+    if (budget <= 0) return;
+    const int id = claim_id(t, d, false);
+    if (model) {
+      model_add(id, t, d);
+    } else {
+      handle[id] = d ? e.schedule_daemon_at(t, callback(id)) : e.schedule_at(t, callback(id));
+    }
+  }
+  void after(Time delay, bool d) {
+    if (budget <= 0) return;
+    const int id = claim_id(now() + delay, d, false);
+    if (model) {
+      model_add(id, clock + delay, d);
+    } else {
+      handle[id] =
+          d ? e.schedule_daemon_after(delay, callback(id)) : e.schedule_after(delay, callback(id));
+    }
+  }
+  void fixed(Time delay) {
+    if (budget <= 0) return;
+    const int id = claim_id(now() + delay, false, true);
+    if (model) {
+      model_add(id, clock + delay, false);
+    } else {
+      e.schedule_fixed(delay, callback(id));
+    }
+  }
+  void drop(int id) {
+    const auto it = std::find(held.begin(), held.end(), id);
+    if (it == held.end()) return;
+    *it = held.back();
+    held.pop_back();
+  }
+  bool cancel(int id) {
+    const bool ok = model ? model_remove(id) : e.cancel(handle[id]);
+    drop(id);
+    return ok;
+  }
+  bool rearm(int id, Time t, bool d) {
+    bool ok;
+    if (model) {
+      ok = model_remove(id);
+      if (ok) model_add(id, t, d);
+    } else {
+      ok = e.rearm(handle[id], t, d);
+    }
+    if (ok) {
+      when[id] = t;
+      daemon[id] = d;
+    }
+    return ok;
+  }
+
+  // --- the script
+  Time delay() {
+    switch (draw(6)) {
+      case 0: return draw(2) != 0 ? 0.0 : -0.0;
+      case 1: return 0.25 * draw(4);      // a coarse grid: ties at later instants
+      case 2: return kFixed[draw(2)];     // a lane's delay, on the queue
+      default: return std::pow(10.0, -9.0 + 13.0 * unit());  // 1e-9 s to 1e4 s
+    }
+  }
+  Time pick_time() {
+    const Time t = now();
+    switch (draw(10)) {
+      case 0: return t;
+      case 1: return ulps_after(t, draw(8));  // a long bit prefix shared with now
+      case 2: return held.empty() ? t : ulps_after(when[pick_held()], draw(8));  // ... with a key
+      case 3: return t == 0.0 ? -0.0 : t + delay();
+      case 4: return draw(40) == 0 ? 1e300 * (1.0 + unit()) : t + delay();
+      default: return t + delay();
+    }
+  }
+  void rearm_one() {
+    const int id = pick_held();
+    Time t = when[id];
+    switch (draw(4)) {
+      case 0: t = now() + (when[id] - now()) * unit(); break;  // earlier
+      case 1: t = when[id] + delay(); break;                   // later
+      case 2: break;                                           // equal
+      default: t = now(); break;
+    }
+    results.push_back(rearm(id, t, draw(4) == 0 ? !daemon[id] : daemon[id]));
+  }
+  // One schedule, cancel or re-time; callbacks run zero to two.
+  void act() {
+    const int kind = draw(20);
+    if (kind < 5) {
+      at(pick_time(), draw(5) == 0);
+    } else if (kind < 8) {
+      after(delay(), draw(5) == 0);
+    } else if (kind < 11) {
+      fixed(kFixed[draw(2)]);
+    } else if (kind < 12) {
+      fixed(delay());  // past kMaxLanes distinct delays these ride the queue
+    } else if (kind < 14 && !held.empty()) {
+      results.push_back(cancel(pick_held()));
+    } else if (kind < 15 && !when.empty()) {
+      // Any event with a handle: pending, fired or cancelled.
+      const int id = draw(static_cast<int>(when.size()));
+      if (!lane[id]) {
+        results.push_back(draw(2) != 0 ? cancel(id)
+                                       : rearm(id, now() + delay(), daemon[id]));
+      }
+    } else if (!held.empty()) {
+      rearm_one();
+    }
+  }
+  void fired(int id) {
+    log.emplace_back(id, now());
+    drop(id);
+    for (int n = draw(3); n > 0; --n) act();
+  }
+  // 100 to 1,000 events at one instant, on the queue and on a lane.
+  void burst() {
+    const Time d = draw(2) != 0 ? delay() : kFixed[draw(2)];
+    const Time t = now() + d;
+    for (int n = 100 + draw(901); n > 0; --n) {
+      switch (draw(3)) {
+        case 0: at(t, draw(5) == 0); break;
+        case 1: after(d, false); break;
+        default: fixed(d); break;
+      }
+    }
+  }
+  // Schedules between now and a head that a look ahead found but did not fire.
+  void below_head() {
+    const Time h = next_event_time();
+    if (h == std::numeric_limits<Time>::infinity()) return;
+    for (int n = 1 + draw(4); n > 0; --n)
+      at(draw(4) == 0 ? h : now() + (h - now()) * unit(), false);
+    after(0.0, draw(2) == 0);
+  }
+  // One top-level call; returns what it returned.
+  double drive() {
+    switch (draw(24)) {
+      case 0:
+      case 1:
+      case 2:
+      case 3: return static_cast<double>(run(1 + static_cast<std::size_t>(draw(16))));
+      case 4: burst(); return 0.0;
+      case 5:
+      case 6: {
+        const std::size_t n = run_until(now() + delay());
+        below_head();
+        return static_cast<double>(n);
+      }
+      case 7:
+      case 8: {
+        const std::size_t n = run_before(now() + delay());
+        below_head();
+        return static_cast<double>(n);
+      }
+      case 9:
+      case 10: {
+        const Time h = next_event_time();
+        below_head();
+        return h;
+      }
+      case 11:
+        if (draw(8) == 0) {  // enough debris to compact
+          for (std::size_t i = held.size(); i-- > 0;)
+            if (draw(5) != 0) results.push_back(cancel(held[i]));
+        }
+        return 0.0;
+      default: act(); return 0.0;
+    }
+  }
+  void drain_step() {
+    if (pending_normal() > 0) {
+      run(1);
+    } else {
+      run_until(next_event_time());
+    }
+  }
+};
+
+// Both sides fired and returned alike since the last call; their logs are
+// then cleared, so each check looks at one call's worth.
+::testing::AssertionResult Same(OracleSide& a, OracleSide& b) {
+  if (a.log != b.log) return ::testing::AssertionFailure() << "fired sequences differ";
+  if (a.results != b.results) return ::testing::AssertionFailure() << "return values differ";
+  a.log.clear();
+  b.log.clear();
+  a.results.clear();
+  b.results.clear();
+  if (a.steps() != b.steps()) return ::testing::AssertionFailure() << "steps differ";
+  if (a.pending() != b.pending()) return ::testing::AssertionFailure() << "pending differs";
+  if (a.pending_normal() != b.pending_normal())
+    return ::testing::AssertionFailure() << "pending_normal differs";
+  if (a.now() != b.now()) return ::testing::AssertionFailure() << "clocks differ";
+  return ::testing::AssertionSuccess();
+}
+
+class EngineOracle : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(EngineOracle, FiresAsABruteForceModelDoes) {
+  const std::uint32_t seed = GetParam();
+  OracleSide engine(/*is_model=*/false, seed), model(/*is_model=*/true, seed);
+  for (int op = 0; op < 3000; ++op) {
+    ASSERT_EQ(engine.drive(), model.drive()) << "seed " << seed << ", op " << op;
+    ASSERT_TRUE(Same(engine, model)) << "seed " << seed << ", op " << op;
+  }
+  while (engine.pending() > 0) {
+    engine.drain_step();
+    model.drain_step();
+    ASSERT_TRUE(Same(engine, model)) << "seed " << seed << ", drain";
+  }
+  EXPECT_EQ(model.pending(), 0u);
+  EXPECT_GT(engine.steps(), 5000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EngineOracle, ::testing::Range(1u, 17u));
 
 }  // namespace
